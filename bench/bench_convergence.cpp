@@ -496,16 +496,16 @@ void RunDynamicsCases(const std::string& name, const Workload& workload,
 // --- Distributed dynamics axis -------------------------------------------
 //
 // The same plain / heavy-ball / Nesterov comparison, but on the DISTRIBUTED
-// deployment (DESIGN.md §7.12): resource agents exchanging messages with
-// task controllers over a zero-delay in-process bus, the mu updates carrying
-// per-agent momentum state.  Two scenarios:
+// deployment (DESIGN.md §7.12): shard agents exchanging messages with task
+// controllers over a zero-delay in-process bus, the mu updates carrying
+// per-resource momentum state.  Two scenarios:
 //   * dist_cold — the sharded deployment (min(8, R) shard agents, the
 //     configuration `lla solve --round-threads` uses) converging from
 //     nothing; exercises ShardAgent's per-resource dynamics vectors.
-//   * dist_capacity_warm — the HEADLINE: an unsharded deployment converges
-//     plain, every endpoint is checkpointed, one resource loses 5% capacity,
-//     and a new coordinator per policy restores all endpoints from the
-//     snapshots and re-converges.  This is the paper's online story at the
+//   * dist_capacity_warm — the HEADLINE: a deployment with one shard per
+//     resource converges plain, every endpoint is checkpointed, one
+//     resource loses 5% capacity, and a new coordinator per policy restores
+//     all endpoints from the snapshots and re-converges.  This is the paper's online story at the
 //     deployment level: the running system absorbs a resource degradation
 //     without a cold restart, and momentum must accelerate exactly this
 //     re-convergence (snapshot dynamics fields ride along).
@@ -552,8 +552,8 @@ RecordedRun RunCoordinatorRecording(runtime::Coordinator& coordinator) {
 }
 
 /// Checkpoints every endpoint of `from` and restores them into `to` (both
-/// unsharded, structurally identical workloads — here they differ only in
-/// one resource's capacity).
+/// one shard per resource, structurally identical workloads — here they
+/// differ only in one resource's capacity).
 void TransplantState(const Workload& workload,
                      const runtime::Coordinator& from,
                      runtime::Coordinator* to) {
@@ -589,7 +589,8 @@ void RunDistributedDynamicsCases(const std::string& name,
   const Workload& w2 = shrunk.value();
   LatencyModel model2(w2);
 
-  // The checkpoint source: an unsharded plain deployment at its optimum.
+  // The checkpoint source: a plain deployment with one shard per resource,
+  // at its optimum.
   runtime::Coordinator source(
       workload, model,
       DistConfigFor(DynamicsKind::kPlain, /*sharded=*/false, 0));

@@ -98,12 +98,16 @@ void BM_NonlinearUtilitySolve(benchmark::State& state) {
 BENCHMARK(BM_NonlinearUtilitySolve);
 
 void BM_MessageSerialize(benchmark::State& state) {
-  net::LatencyUpdate update;
-  update.task = TaskId(0u);
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    update.subtasks.push_back(SubtaskId(std::size_t{i}));
-    update.latencies_ms.push_back(12.5 + i);
-  }
+  double latencies[8];
+  for (int i = 0; i < 8; ++i) latencies[i] = 12.5 + i;
+  auto arena = std::make_shared<std::string>();
+  const net::ArenaSpan span =
+      net::AppendShardLatencyPayload(latencies, 8, arena.get());
+  net::ShardLatencyUpdate update;
+  update.count = 8;
+  update.payload = net::WireSlice(
+      std::shared_ptr<const std::string>(std::move(arena)), span.offset,
+      span.length);
   net::Message message;
   message.payload = std::move(update);
   for (auto _ : state) {
@@ -114,8 +118,16 @@ void BM_MessageSerialize(benchmark::State& state) {
 BENCHMARK(BM_MessageSerialize);
 
 void BM_MessageRoundTrip(benchmark::State& state) {
+  const double mu = 179.5;
+  const std::uint8_t congested = 1;
+  auto arena = std::make_shared<std::string>();
+  const net::ArenaSpan span =
+      net::AppendShardPricePayload(&mu, &congested, nullptr, 1, arena.get());
   net::Message message;
-  message.payload = net::ResourcePriceUpdate{ResourceId(3u), 179.5, 42, true};
+  message.payload = net::ShardPriceUpdate{
+      3, 42, 1,
+      net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
+                     span.offset, span.length)};
   const auto bytes = net::Serialize(message);
   for (auto _ : state) {
     auto decoded = net::Deserialize(bytes);

@@ -14,11 +14,11 @@
 //      Because Restore resumes the dense trajectory bit-identically, the
 //      restarted run re-converges in exactly (staleness) rounds versus the
 //      full cold iteration count.
-//   2. Distributed runtime: a resource agent of the async deployment is
-//      crashed and restarted cold (repair exchange, incarnation-gated stale
-//      rejection) vs. from a CheckpointResource snapshot; recovery is
-//      counted in monitor periods until the agent's price is back at its
-//      pre-crash value.
+//   2. Distributed runtime: a resource of the async deployment (one shard
+//      agent per resource) is crashed inside its shard and restarted cold
+//      (repair exchange, incarnation-gated stale rejection) vs. from a
+//      CheckpointResource snapshot; recovery is counted in monitor periods
+//      until the resource's price is back at its pre-crash value.
 //
 // Acceptance bar: the checkpointed restart re-converges in STRICTLY fewer
 // rounds than the cold restart, in every scenario of both layers.
@@ -224,7 +224,7 @@ bench::JsonValue DistributedJson(const DistributedRun& run) {
 
 /// Crashes resource 0 of a converged async deployment and restarts it cold
 /// or from a snapshot; recovery is counted in monitor periods until the
-/// agent's published price is back within 1e-6 of its pre-crash value.
+/// resource's published price is back within 1e-6 of its pre-crash value.
 DistributedRun RunDistributed(const Workload& workload,
                               const LatencyModel& model, bool checkpointed) {
   obs::MetricRegistry metrics;
@@ -236,7 +236,8 @@ DistributedRun RunDistributed(const Workload& workload,
 
   const ResourceId victim(0u);
   const double utility_before = coordinator.CurrentUtility();
-  const double mu_before = coordinator.agent(victim).mu();
+  const runtime::ShardAgent& host = coordinator.shard_of(victim);
+  const double mu_before = host.mu(victim);
   const runtime::ResourceAgentSnapshot snapshot =
       coordinator.CheckpointResource(victim);
 
@@ -253,9 +254,9 @@ DistributedRun RunDistributed(const Workload& workload,
   const double monitor_period = 10.0;
   const int max_rounds = 1000;
   const auto price_recovered = [&] {
-    const runtime::ResourceAgent& agent = coordinator.agent(victim);
-    return !agent.crashed() && !agent.awaiting_repair() &&
-           std::fabs(agent.mu() - mu_before) <=
+    return !host.resource_crashed(victim) &&
+           !host.resource_awaiting_repair(victim) &&
+           std::fabs(host.mu(victim) - mu_before) <=
                1e-6 * std::max(1.0, std::fabs(mu_before));
   };
   while (run.monitor_rounds < max_rounds && !price_recovered()) {

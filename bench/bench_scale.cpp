@@ -7,11 +7,12 @@
 //   * snapshot size and serialize+deserialize time, text vs. binary b1,
 //     plus the zero-copy mmap restore time (DESIGN.md §7.11),
 //   * coordinator sync-round latency (mean and p50/p99), messages/round and
-//     bytes/round for the classic one-agent-per-resource deployment vs. the
-//     sharded one, and a round-threads sweep of the parallel coordinator
-//     rounds with per-row effective_threads / clamped stamps.
+//     bytes/round at one shard per resource (the paper's one agent per
+//     resource) vs. 8 multi-resource shards, and a round-threads sweep of
+//     the parallel coordinator rounds with per-row effective_threads /
+//     clamped stamps.
 //
-// The random_1m tier runs sharded-only (the per-resource deployment would
+// The random_1m tier runs 8 shards only (one shard per resource would
 // queue ~2M messages per round) and is skipped in --quick mode to keep the
 // CI job bounded; its full-mode run demonstrates that a 10^6-subtask round
 // completes without exhausting memory.
@@ -20,9 +21,9 @@
 //   * binary snapshot >= 5x smaller than text,
 //   * binary serialize+deserialize >= 10x faster than text,
 //   * binary round-trip bitwise-lossless,
-//   * sharded coordinator uses fewer messages per round than unsharded and
-//     ends within 1e-9 relative utility of it (sync rounds are numerically
-//     identical; the pin guards the claim),
+//   * the 8-shard coordinator uses fewer messages per round than one shard
+//     per resource and ends within 1e-9 relative utility of it (sync rounds
+//     are numerically identical; the pin guards the claim),
 //   * the zero-copy wire path moves strictly fewer bytes per round than the
 //     id-carrying PR 8 format would on the same workload (analytic),
 //   * parallel rounds at 4 threads are >= 2x faster than serial delivery —
@@ -311,32 +312,33 @@ int main(int argc, char** argv) {
                 "%s\n",
                 size_ratio, time_ratio, lossless ? "yes" : "NO");
 
-    // Coordinator round cost, per-resource agents vs sharded.  The 10^6
-    // tier runs sharded-only: the per-resource deployment would enqueue
+    // Coordinator round cost, one shard per resource vs 8 shards.  The
+    // 10^6 tier runs 8 shards only: one shard per resource would enqueue
     // ~2 messages per subtask per round.
-    const bool run_unsharded = spec.subtasks < 1000000;
-    CoordinatorRun unsharded;
-    if (run_unsharded) {
-      unsharded =
+    const bool run_per_resource = spec.subtasks < 1000000;
+    CoordinatorRun per_resource;
+    if (run_per_resource) {
+      per_resource =
           RunCoordinator(workload, model, /*num_shards=*/0, spec.rounds);
     }
     const CoordinatorRun sharded =
         RunCoordinator(workload, model, num_shards, spec.rounds);
     const double utility_rel_diff =
-        run_unsharded
-            ? std::fabs(sharded.final_utility - unsharded.final_utility) /
-                  std::max(1.0, std::fabs(unsharded.final_utility))
+        run_per_resource
+            ? std::fabs(sharded.final_utility - per_resource.final_utility) /
+                  std::max(1.0, std::fabs(per_resource.final_utility))
             : 0.0;
     const double old_wire_bytes = OldWireBytesPerRound(workload, num_shards);
-    if (run_unsharded) {
-      std::printf("coordinator: unsharded %.0f msgs/round (%.2f ms), sharded "
-                  "[%d] %.0f msgs/round (%.2f ms), utility rel diff %.2e\n",
-                  unsharded.messages_per_round, unsharded.ms_per_round,
+    if (run_per_resource) {
+      std::printf("coordinator: one shard per resource %.0f msgs/round "
+                  "(%.2f ms), sharded [%d] %.0f msgs/round (%.2f ms), "
+                  "utility rel diff %.2e\n",
+                  per_resource.messages_per_round, per_resource.ms_per_round,
                   num_shards, sharded.messages_per_round,
                   sharded.ms_per_round, utility_rel_diff);
     } else {
       std::printf("coordinator: sharded [%d] %.0f msgs/round (%.2f ms), "
-                  "unsharded skipped at this size\n",
+                  "one shard per resource skipped at this size\n",
                   num_shards, sharded.messages_per_round,
                   sharded.ms_per_round);
     }
@@ -393,7 +395,7 @@ int main(int argc, char** argv) {
       gate_time = time_ratio >= 10.0;
       gate_lossless = lossless;
       gate_sharded =
-          sharded.messages_per_round < unsharded.messages_per_round &&
+          sharded.messages_per_round < per_resource.messages_per_round &&
           utility_rel_diff <= 1e-9;
       gate_bytes = sharded.bytes_per_round < old_wire_bytes;
       if (clamped_at_4) {
@@ -412,8 +414,8 @@ int main(int argc, char** argv) {
         bench::JsonValue::Object()
             .Add("rounds", bench::JsonValue::Number(spec.rounds))
             .Add("num_shards", bench::JsonValue::Number(num_shards))
-            .Add("unsharded_skipped",
-                 bench::JsonValue::Bool(!run_unsharded))
+            .Add("per_resource_skipped",
+                 bench::JsonValue::Bool(!run_per_resource))
             .Add("sharded_messages_per_round",
                  bench::JsonValue::Number(sharded.messages_per_round))
             .Add("sharded_bytes_per_round",
@@ -427,18 +429,18 @@ int main(int argc, char** argv) {
             .Add("sharded_round_ms_p99",
                  bench::JsonValue::Number(sharded.round_ms_p99))
             .Add("parallel", std::move(parallel_rows));
-    if (run_unsharded) {
+    if (run_per_resource) {
       coordinator_json
-          .Add("unsharded_messages_per_round",
-               bench::JsonValue::Number(unsharded.messages_per_round))
-          .Add("unsharded_bytes_per_round",
-               bench::JsonValue::Number(unsharded.bytes_per_round))
-          .Add("unsharded_ms_per_round",
-               bench::JsonValue::Number(unsharded.ms_per_round))
-          .Add("unsharded_round_ms_p50",
-               bench::JsonValue::Number(unsharded.round_ms_p50))
-          .Add("unsharded_round_ms_p99",
-               bench::JsonValue::Number(unsharded.round_ms_p99))
+          .Add("per_resource_messages_per_round",
+               bench::JsonValue::Number(per_resource.messages_per_round))
+          .Add("per_resource_bytes_per_round",
+               bench::JsonValue::Number(per_resource.bytes_per_round))
+          .Add("per_resource_ms_per_round",
+               bench::JsonValue::Number(per_resource.ms_per_round))
+          .Add("per_resource_round_ms_p50",
+               bench::JsonValue::Number(per_resource.round_ms_p50))
+          .Add("per_resource_round_ms_p99",
+               bench::JsonValue::Number(per_resource.round_ms_p99))
           .Add("utility_rel_diff",
                bench::JsonValue::Number(utility_rel_diff));
     }

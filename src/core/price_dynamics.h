@@ -104,8 +104,8 @@ struct DynamicsStep {
 
 /// Momentum state of ONE dual component, for holders that own their
 /// components individually rather than as workload-wide vectors — the
-/// distributed resource agents (DESIGN.md §7.12), where velocity lives per
-/// ResourceAgent / per resource inside a ShardAgent.  Zero-initialized state
+/// distributed shard agents (DESIGN.md §7.12), where velocity lives per
+/// hosted resource.  Zero-initialized state
 /// is exactly "fresh momentum": no velocity, no ramp credit, base at the
 /// projection boundary.  Whenever the published value is re-seeded from
 /// outside the dynamics (repair adoption, snapshot restore without momentum
@@ -146,8 +146,7 @@ DynamicsStep StepComponentDynamics(const DynamicsConfig& config,
                                    std::uint64_t* restarts);
 
 /// The heavy-ball arithmetic on raw velocity/phase slots (the vector policy
-/// passes &velocity_[i]; the shard agent passes into its per-resource
-/// arrays).
+/// passes &velocity_[i]).
 DynamicsStep HeavyBallComponentStep(double beta, bool adaptive_restart,
                                     double value, double gamma, double slack,
                                     double* velocity, double* phase,

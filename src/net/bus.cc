@@ -86,6 +86,11 @@ void InProcessBus::RestartEndpoint(EndpointId endpoint) {
   ++incarnation_[endpoint];
 }
 
+void InProcessBus::BumpIncarnation(EndpointId endpoint) {
+  assert(endpoint < endpoints_.size());
+  ++incarnation_[endpoint];
+}
+
 void InProcessBus::Push(double at_ms, Event event) {
   std::size_t slot;
   if (!free_slots_.empty()) {

@@ -1,5 +1,5 @@
 // InProcessBus: the simulated network connecting task controllers and
-// resource agents.
+// shard agents.
 //
 // The paper evaluates LLA as a distributed algorithm; this bus lets the
 // whole deployment run in one process while still exhibiting the properties
@@ -88,6 +88,9 @@ class InProcessBus {
   /// from stale peer state) is identifiable as a lower incarnation.
   void CrashEndpoint(EndpointId endpoint);
   void RestartEndpoint(EndpointId endpoint);
+  /// The incarnation bump alone, for an endpoint that stays up while some
+  /// of the state behind it restarts (one resource inside a shard agent).
+  void BumpIncarnation(EndpointId endpoint);
 
   /// Current incarnation of the endpoint (0 until its first restart).
   std::uint32_t incarnation(EndpointId endpoint) const {

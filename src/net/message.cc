@@ -7,8 +7,9 @@
 namespace lla::net {
 namespace {
 
-constexpr std::uint8_t kTagLatencyUpdate = 1;
-constexpr std::uint8_t kTagResourcePriceUpdate = 2;
+// Tags 1 and 2 are retired (the former per-resource latency and price
+// messages): Deserialize rejects them like any unknown tag, and a new kind
+// must not reuse them.
 constexpr std::uint8_t kTagRepairRequest = 3;
 constexpr std::uint8_t kTagRepairResponse = 4;
 constexpr std::uint8_t kTagShardLatencyUpdate = 5;
@@ -185,23 +186,7 @@ std::vector<std::uint8_t> Serialize(const Message& message) {
   w.U32(message.sender);
   w.U32(message.receiver);
   w.U32(message.incarnation);
-  if (const auto* latency = std::get_if<LatencyUpdate>(&message.payload)) {
-    w.U8(kTagLatencyUpdate);
-    w.U32(latency->task.value());
-    w.U32(static_cast<std::uint32_t>(latency->subtasks.size()));
-    for (std::size_t i = 0; i < latency->subtasks.size(); ++i) {
-      w.U32(latency->subtasks[i].value());
-      w.F64(latency->latencies_ms[i]);
-    }
-  } else if (const auto* price =
-                 std::get_if<ResourcePriceUpdate>(&message.payload)) {
-    w.U8(kTagResourcePriceUpdate);
-    w.U32(price->resource.value());
-    w.F64(price->mu);
-    w.U32(price->epoch);
-    w.U8(price->congested ? 1 : 0);
-  } else if (const auto* request =
-                 std::get_if<RepairRequest>(&message.payload)) {
+  if (const auto* request = std::get_if<RepairRequest>(&message.payload)) {
     w.U8(kTagRepairRequest);
     w.U32(request->resource.value());
   } else if (const auto* shard_latency =
@@ -247,33 +232,7 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
       !r.U32(&message.incarnation) || !r.U8(&tag)) {
     return std::nullopt;
   }
-  if (tag == kTagLatencyUpdate) {
-    LatencyUpdate update;
-    std::uint32_t task = 0, count = 0;
-    if (!r.U32(&task) || !r.U32(&count)) return std::nullopt;
-    update.task = TaskId(task);
-    update.subtasks.reserve(count);
-    update.latencies_ms.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t subtask = 0;
-      double latency = 0.0;
-      if (!r.U32(&subtask) || !r.F64(&latency)) return std::nullopt;
-      update.subtasks.push_back(SubtaskId(subtask));
-      update.latencies_ms.push_back(latency);
-    }
-    message.payload = std::move(update);
-  } else if (tag == kTagResourcePriceUpdate) {
-    ResourcePriceUpdate update;
-    std::uint32_t resource = 0;
-    std::uint8_t congested = 0;
-    if (!r.U32(&resource) || !r.F64(&update.mu) || !r.U32(&update.epoch) ||
-        !r.U8(&congested) || congested > 1) {
-      return std::nullopt;
-    }
-    update.resource = ResourceId(resource);
-    update.congested = congested != 0;
-    message.payload = std::move(update);
-  } else if (tag == kTagRepairRequest) {
+  if (tag == kTagRepairRequest) {
     RepairRequest request;
     std::uint32_t resource = 0;
     if (!r.U32(&resource)) return std::nullopt;
@@ -340,12 +299,6 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
 
 std::size_t WireSize(const Message& message) {
   constexpr std::size_t kHeader = 4 + 4 + 4 + 1;  // sender/receiver/inc/tag
-  if (const auto* latency = std::get_if<LatencyUpdate>(&message.payload)) {
-    return kHeader + 4 + 4 + latency->subtasks.size() * 12;
-  }
-  if (std::holds_alternative<ResourcePriceUpdate>(message.payload)) {
-    return kHeader + 4 + 8 + 4 + 1;
-  }
   if (std::holds_alternative<RepairRequest>(message.payload)) {
     return kHeader + 4;
   }

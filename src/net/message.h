@@ -1,27 +1,30 @@
 // Wire messages of the distributed LLA protocol (paper Sec. 4.1).
 //
-// Four message kinds circulate:
-//   LatencyUpdate      controller -> resource: the new predicted latencies of
-//                      the controller's subtasks hosted on that resource
-//                      (the input to the resource's price computation).
-//   ResourcePriceUpdate resource -> controller: the resource's new price mu_r.
-//   RepairRequest      restarted resource -> controller: "I lost my state;
-//                      send me yours" (crash-restart recovery, DESIGN.md
-//                      §7.7).
-//   RepairResponse     controller -> resource: absolute state — the
+// Controllers talk to shard agents, each hosting a contiguous range of one
+// or more resources (DESIGN.md §7.10).  Four message kinds circulate:
+//   ShardLatencyUpdate controller -> shard: the new predicted latencies of
+//                      the controller's subtasks hosted on the shard (the
+//                      input to the shard's price computation).
+//   ShardPriceUpdate   shard -> controller: the new prices mu_r (and
+//                      congestion flags) of the resources the controller
+//                      uses on the shard.
+//   RepairRequest      shard -> controller, for one restarted resource: "I
+//                      lost this resource's state; send me yours"
+//                      (crash-restart recovery, DESIGN.md §7.7).
+//   RepairResponse     controller -> shard: absolute state — the
 //                      controller's cached mu_r (with its epoch) plus the
 //                      latencies of its subtasks hosted on that resource, so
-//                      the resource can rebuild both halves of its price
-//                      computation without waiting a full gossip round.
+//                      the shard can rebuild both halves of the resource's
+//                      price computation without waiting a full gossip
+//                      round.
 //
-// The sharded deployment (DESIGN.md §7.10) batches these into one message
-// per (task, shard) pair.  Since PR 9 the shard messages are *positional*
-// (DESIGN.md §7.11): shard membership is static, so both sides derive the
-// same ordered per-(shard, client) entry list once at bind time and the
-// wire carries only a count plus a b1-encoded value array — no resource or
-// subtask ids.  The encoded bytes live in an arena built once per round and
-// each message holds a WireSlice into it, so a batched update is encoded
-// once and sliced per client instead of copied per message.
+// The shard updates are *positional* (DESIGN.md §7.11): shard membership is
+// static, so both sides derive the same ordered per-(shard, client) entry
+// list once at bind time and the wire carries only a count plus a
+// b1-encoded value array — no resource or subtask ids.  The encoded bytes
+// live in an arena built once per round and each message holds a WireSlice
+// into it, so a batched update is encoded once and sliced per client
+// instead of copied per message.
 //
 // Path prices never travel: each controller owns its task's paths and
 // computes lambda_p locally (Sec. 4.3).  Every Message additionally carries
@@ -77,30 +80,9 @@ class WireSlice {
   std::uint32_t length_ = 0;
 };
 
-struct LatencyUpdate {
-  TaskId task;
-  /// Parallel arrays: subtask[i] gets latency_ms[i].
-  std::vector<SubtaskId> subtasks;
-  std::vector<double> latencies_ms;
-
-  bool operator==(const LatencyUpdate&) const = default;
-};
-
-struct ResourcePriceUpdate {
-  ResourceId resource;
-  double mu = 0.0;
-  /// Iteration counter at the sender (for diagnostics / staleness studies).
-  std::uint32_t epoch = 0;
-  /// Whether the resource was congested when this price was computed; the
-  /// controllers need it to apply the adaptive step-size heuristic to the
-  /// paths traversing this resource (Sec. 5.2).
-  bool congested = false;
-
-  bool operator==(const ResourcePriceUpdate&) const = default;
-};
-
-/// Sent by a resource agent that restarted without state: every client
-/// controller answers with a RepairResponse.
+/// Sent by a shard agent for one of its resources that restarted without
+/// state: every client controller of the resource answers with a
+/// RepairResponse.
 struct RepairRequest {
   ResourceId resource;
 
@@ -108,16 +90,16 @@ struct RepairRequest {
 };
 
 /// A controller's absolute view of one resource, sent in reply to a
-/// RepairRequest: the cached price (so the restarted agent resumes from the
-/// freshest surviving mu_r instead of 0) and the controller's current
-/// subtask latencies on that resource (so the agent's share-sum input is
-/// rebuilt immediately).
+/// RepairRequest: the cached price (so the restarted resource resumes from
+/// the freshest surviving mu_r instead of 0) and the controller's current
+/// subtask latencies on that resource (so its share-sum input is rebuilt
+/// immediately).
 struct RepairResponse {
   ResourceId resource;
   TaskId task;  ///< the responding controller's task
   double mu = 0.0;
-  /// The resource epoch at which the controller cached `mu` — the restarted
-  /// agent adopts the highest-epoch response it receives.
+  /// The shard epoch at which the controller cached `mu` — the restarted
+  /// resource adopts the highest-epoch response it receives.
   std::uint32_t epoch = 0;
   bool congested = false;
   /// Parallel arrays: the controller's subtasks hosted on `resource`.
@@ -127,8 +109,8 @@ struct RepairResponse {
   bool operator==(const RepairResponse&) const = default;
 };
 
-/// Sharded deployment: one controller's latencies for all of its subtasks
-/// hosted on one shard's resources, in a single positional message.  The
+/// One controller's latencies for all of its subtasks hosted on one shard's
+/// resources, in a single positional message.  The
 /// receiver maps entry j onto the j-th element of its static per-client
 /// membership list (the client's subtasks on the shard, in the client's
 /// local subtask order); a count mismatch means a stale binding and the
@@ -146,9 +128,10 @@ struct ShardLatencyUpdate {
 
 /// One shard agent's batched prices for one client: entry j is the j-th
 /// resource of the static per-(shard, client) membership list (the client's
-/// used resources on the shard, ascending).  Collapses the per-round
-/// resource->controller traffic from O(resources) messages to O(shards)
-/// per task, with one arena encode per round sliced per client.
+/// used resources on the shard, ascending).  A shard hosting many resources
+/// collapses the per-round resource->controller traffic from O(resources)
+/// messages to O(shards) per task, with one arena encode per round sliced
+/// per client.
 struct ShardPriceUpdate {
   std::uint32_t shard = 0;
   /// The shard's broadcast round (shared by all its resources).
@@ -158,15 +141,14 @@ struct ShardPriceUpdate {
   /// [flags u8][encoding u8][b1-encoded f64 mu words]
   /// [congested bitset ceil(count/8)][stale bitset ditto, iff flags & 1].
   /// A stale bit marks an entry whose resource is crashed or awaiting
-  /// repair inside the shard (per-resource fault injection): the receiver
-  /// keeps its cached price for that entry.
+  /// repair (per-resource fault injection): the receiver keeps its cached
+  /// price for that entry.
   WireSlice payload;
 
   bool operator==(const ShardPriceUpdate&) const = default;
 };
 
-using Payload = std::variant<LatencyUpdate, ResourcePriceUpdate,
-                             RepairRequest, RepairResponse,
+using Payload = std::variant<RepairRequest, RepairResponse,
                              ShardLatencyUpdate, ShardPriceUpdate>;
 
 struct Message {

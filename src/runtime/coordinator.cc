@@ -46,31 +46,25 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
     controllers_.push_back(std::make_unique<TaskController>(
         workload, model, task.id, config_.step, controller_shared_.get()));
   }
-  const bool sharded = config_.num_shards > 0;
-  if (sharded) {
-    const std::size_t resources = workload.resource_count();
-    const std::size_t shards = std::min<std::size_t>(
-        static_cast<std::size_t>(config_.num_shards),
-        std::max<std::size_t>(resources, 1));
-    resource_shard_.assign(resources, 0);
-    shard_agents_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      // Contiguous partition: shard s owns [R*s/S, R*(s+1)/S).
-      const std::size_t first = resources * s / shards;
-      const std::size_t last = resources * (s + 1) / shards;
-      shard_agents_.push_back(std::make_unique<ShardAgent>(
-          workload, model, static_cast<std::uint32_t>(s),
-          ResourceId(static_cast<std::uint32_t>(first)), last - first,
-          config_.step));
-      for (std::size_t r = first; r < last; ++r) {
-        resource_shard_[r] = static_cast<std::uint32_t>(s);
-      }
-    }
-  } else {
-    agents_.reserve(workload.resource_count());
-    for (const ResourceInfo& resource : workload.resources()) {
-      agents_.push_back(std::make_unique<ResourceAgent>(
-          workload, model, resource.id, config_.step));
+  // Contiguous partition: shard s owns [R*s/S, R*(s+1)/S); num_shards = 0
+  // runs one shard per resource.
+  const std::size_t resources = workload.resource_count();
+  const std::size_t shards =
+      config_.num_shards <= 0
+          ? resources
+          : std::min<std::size_t>(static_cast<std::size_t>(config_.num_shards),
+                                  std::max<std::size_t>(resources, 1));
+  resource_shard_.assign(resources, 0);
+  shard_agents_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t first = resources * s / shards;
+    const std::size_t last = resources * (s + 1) / shards;
+    shard_agents_.push_back(std::make_unique<ShardAgent>(
+        workload, model, static_cast<std::uint32_t>(s),
+        ResourceId(static_cast<std::uint32_t>(first)), last - first,
+        config_.step));
+    for (std::size_t r = first; r < last; ++r) {
+      resource_shard_[r] = static_cast<std::uint32_t>(s);
     }
   }
 
@@ -84,22 +78,12 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
         "controller/" + task.name,
         [controller](const net::Message& m) { controller->OnMessage(m); });
   }
-  if (sharded) {
-    shard_endpoints_.resize(shard_agents_.size());
-    for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
-      ShardAgent* agent = shard_agents_[s].get();
-      shard_endpoints_[s] = bus_->Register(
-          "shard/" + std::to_string(s),
-          [agent](const net::Message& m) { agent->OnMessage(m); });
-    }
-  } else {
-    resource_endpoints_.resize(workload.resource_count());
-    for (const ResourceInfo& resource : workload.resources()) {
-      ResourceAgent* agent = agents_[resource.id.value()].get();
-      resource_endpoints_[resource.id.value()] = bus_->Register(
-          "resource/" + resource.name,
-          [agent](const net::Message& m) { agent->OnMessage(m); });
-    }
+  shard_endpoints_.resize(shard_agents_.size());
+  for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
+    ShardAgent* agent = shard_agents_[s].get();
+    shard_endpoints_[s] = bus_->Register(
+        "shard/" + std::to_string(s),
+        [agent](const net::Message& m) { agent->OnMessage(m); });
   }
   monitor_endpoint_ = bus_->Register(
       "monitor", nullptr, [this](std::uint64_t token) {
@@ -110,41 +94,29 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
       });
 
   for (const TaskInfo& task : workload.tasks()) {
-    TaskController* controller = controllers_[task.id.value()].get();
-    controller->Bind(bus_.get(), controller_endpoints_[task.id.value()],
-                     &resource_endpoints_);
-    if (sharded) controller->BindShards(&shard_endpoints_, &resource_shard_);
+    controllers_[task.id.value()]->Bind(
+        bus_.get(), controller_endpoints_[task.id.value()], &shard_endpoints_,
+        &resource_shard_);
   }
-  if (sharded) {
-    for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
-      shard_agents_[s]->Bind(bus_.get(), shard_endpoints_[s],
-                             &controller_endpoints_);
-    }
-  } else {
-    for (const ResourceInfo& resource : workload.resources()) {
-      agents_[resource.id.value()]->Bind(
-          bus_.get(), resource_endpoints_[resource.id.value()],
-          &controller_endpoints_);
-    }
+  for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
+    shard_agents_[s]->Bind(bus_.get(), shard_endpoints_[s],
+                           &controller_endpoints_);
   }
 
   recovery_hooks_ = RecoveryHooks::Resolve(config_.metrics);
   for (auto& controller : controllers_) {
     controller->set_recovery_hooks(recovery_hooks_);
   }
-  for (auto& agent : agents_) agent->set_recovery_hooks(recovery_hooks_);
   for (auto& shard : shard_agents_) shard->set_recovery_hooks(recovery_hooks_);
 }
 
-void Coordinator::RequireUnsharded(const char* what) const {
-  if (!sharded()) return;
+std::size_t Coordinator::CheckedId(std::size_t id, std::size_t count,
+                                   const char* kind, const char* what) {
+  if (id < count) return id;
   std::fprintf(stderr,
-               "Coordinator::%s is unsharded-only (it indexes the "
-               "per-resource agent/endpoint tables, which are empty when "
-               "sharded): this coordinator runs %zu shard agents.  Use the "
-               "per-resource shard fault APIs (CrashEndpoint / "
-               "RestartEndpoint cold) instead.\n",
-               what, shard_agents_.size());
+               "Coordinator::%s: %s id %zu is out of range (the workload has "
+               "%zu %ss)\n",
+               what, kind, id, count, kind);
   std::abort();
 }
 
@@ -165,111 +137,98 @@ void Coordinator::EmitRecoveryEvent(const char* type,
 }
 
 void Coordinator::CrashEndpoint(ResourceId resource) {
-  if (sharded()) {
-    // Sharded: the failing unit is the resource's state inside its shard
-    // agent, not the transport — the shard endpoint stays up (its other
-    // resources keep exchanging messages), so there is no bus-side crash
-    // and no incarnation bump.
-    const std::uint32_t shard = resource_shard_[resource.value()];
-    shard_agents_[shard]->CrashResource(resource);
-    EmitRecoveryEvent("recovery.crash", shard_endpoints_[shard],
-                      /*is_resource=*/true,
-                      static_cast<double>(resource.value()), /*cold=*/false);
-    return;
-  }
-  const net::EndpointId endpoint = resource_endpoints_[resource.value()];
-  bus_->CrashEndpoint(endpoint);
-  agents_[resource.value()]->Crash();
-  EmitRecoveryEvent("recovery.crash", endpoint, /*is_resource=*/true,
+  // The failing unit is the resource's state inside its shard agent, not
+  // the transport: the shard endpoint stays up (its other resources keep
+  // exchanging messages), so there is no bus-side crash.
+  const std::uint32_t shard = ShardOf(resource, "CrashEndpoint");
+  shard_agents_[shard]->CrashResource(resource);
+  EmitRecoveryEvent("recovery.crash", shard_endpoints_[shard],
+                    /*is_resource=*/true,
                     static_cast<double>(resource.value()), /*cold=*/false);
 }
 
 void Coordinator::CrashEndpoint(TaskId task) {
-  const net::EndpointId endpoint = controller_endpoints_[task.value()];
-  bus_->CrashEndpoint(endpoint);
-  controllers_[task.value()]->Crash();
-  EmitRecoveryEvent("recovery.crash", endpoint, /*is_resource=*/false,
-                    static_cast<double>(task.value()), /*cold=*/false);
+  const std::size_t t = TaskIndex(task, "CrashEndpoint");
+  bus_->CrashEndpoint(controller_endpoints_[t]);
+  controllers_[t]->Crash();
+  EmitRecoveryEvent("recovery.crash", controller_endpoints_[t],
+                    /*is_resource=*/false, static_cast<double>(t),
+                    /*cold=*/false);
 }
 
 void Coordinator::RestartEndpoint(ResourceId resource) {
-  if (sharded()) {
-    const std::uint32_t shard = resource_shard_[resource.value()];
-    shard_agents_[shard]->ColdRestartResource(resource);
-    if (recovery_hooks_.restarts != nullptr) {
-      recovery_hooks_.restarts->Increment();
-    }
-    EmitRecoveryEvent("recovery.restart", shard_endpoints_[shard],
-                      /*is_resource=*/true,
-                      static_cast<double>(resource.value()), /*cold=*/true);
-    return;
-  }
-  const net::EndpointId endpoint = resource_endpoints_[resource.value()];
-  bus_->RestartEndpoint(endpoint);
-  agents_[resource.value()]->ColdRestart();
+  const std::uint32_t shard = ShardOf(resource, "RestartEndpoint");
+  // Bump first: the repair requests the restart sends must already carry
+  // the new incarnation, which the clients adopt as the shard's watermark.
+  bus_->BumpIncarnation(shard_endpoints_[shard]);
+  shard_agents_[shard]->ColdRestartResource(resource);
   if (recovery_hooks_.restarts != nullptr) {
     recovery_hooks_.restarts->Increment();
   }
-  EmitRecoveryEvent("recovery.restart", endpoint, /*is_resource=*/true,
+  EmitRecoveryEvent("recovery.restart", shard_endpoints_[shard],
+                    /*is_resource=*/true,
                     static_cast<double>(resource.value()), /*cold=*/true);
 }
 
 void Coordinator::RestartEndpoint(TaskId task) {
-  const net::EndpointId endpoint = controller_endpoints_[task.value()];
-  bus_->RestartEndpoint(endpoint);
-  controllers_[task.value()]->ColdRestart();
+  const std::size_t t = TaskIndex(task, "RestartEndpoint");
+  bus_->RestartEndpoint(controller_endpoints_[t]);
+  controllers_[t]->ColdRestart();
   if (recovery_hooks_.restarts != nullptr) {
     recovery_hooks_.restarts->Increment();
   }
-  EmitRecoveryEvent("recovery.restart", endpoint, /*is_resource=*/false,
-                    static_cast<double>(task.value()), /*cold=*/true);
+  EmitRecoveryEvent("recovery.restart", controller_endpoints_[t],
+                    /*is_resource=*/false, static_cast<double>(t),
+                    /*cold=*/true);
 }
 
 void Coordinator::RestartEndpoint(ResourceId resource,
                                   const ResourceAgentSnapshot& snapshot) {
-  RequireUnsharded("RestartEndpoint(resource, snapshot)");
-  const net::EndpointId endpoint = resource_endpoints_[resource.value()];
-  bus_->RestartEndpoint(endpoint);
-  agents_[resource.value()]->RestoreFromSnapshot(snapshot);
+  const std::uint32_t shard = ShardOf(resource, "RestartEndpoint");
+  bus_->BumpIncarnation(shard_endpoints_[shard]);
+  shard_agents_[shard]->RestoreResource(resource, snapshot);
   if (recovery_hooks_.restarts != nullptr) {
     recovery_hooks_.restarts->Increment();
   }
-  EmitRecoveryEvent("recovery.restart", endpoint, /*is_resource=*/true,
+  EmitRecoveryEvent("recovery.restart", shard_endpoints_[shard],
+                    /*is_resource=*/true,
                     static_cast<double>(resource.value()), /*cold=*/false);
 }
 
 void Coordinator::RestartEndpoint(TaskId task,
                                   const TaskControllerSnapshot& snapshot) {
-  const net::EndpointId endpoint = controller_endpoints_[task.value()];
-  bus_->RestartEndpoint(endpoint);
-  controllers_[task.value()]->RestoreFromSnapshot(snapshot);
+  const std::size_t t = TaskIndex(task, "RestartEndpoint");
+  bus_->RestartEndpoint(controller_endpoints_[t]);
+  controllers_[t]->RestoreFromSnapshot(snapshot);
   if (recovery_hooks_.restarts != nullptr) {
     recovery_hooks_.restarts->Increment();
   }
-  EmitRecoveryEvent("recovery.restart", endpoint, /*is_resource=*/false,
-                    static_cast<double>(task.value()), /*cold=*/false);
+  EmitRecoveryEvent("recovery.restart", controller_endpoints_[t],
+                    /*is_resource=*/false, static_cast<double>(t),
+                    /*cold=*/false);
 }
 
 ResourceAgentSnapshot Coordinator::CheckpointResource(
     ResourceId resource) const {
-  RequireUnsharded("CheckpointResource");
-  return agents_[resource.value()]->Snapshot();
+  return shard_agents_[ShardOf(resource, "CheckpointResource")]
+      ->SnapshotResource(resource);
 }
 
 TaskControllerSnapshot Coordinator::CheckpointController(TaskId task) const {
-  return controllers_[task.value()]->Snapshot();
+  return controllers_[TaskIndex(task, "CheckpointController")]->Snapshot();
 }
 
 void Coordinator::PartitionResource(ResourceId resource,
                                     double duration_ms) {
-  RequireUnsharded("PartitionResource");
-  bus_->BlackoutEndpoint(resource_endpoints_[resource.value()],
-                         bus_->now_ms() + duration_ms);
+  bus_->BlackoutEndpoint(
+      shard_endpoints_[ShardOf(resource, "PartitionResource")],
+      bus_->now_ms() + duration_ms);
 }
 
 void Coordinator::PartitionController(TaskId task, double duration_ms) {
-  bus_->BlackoutEndpoint(controller_endpoints_[task.value()],
-                         bus_->now_ms() + duration_ms);
+  bus_->BlackoutEndpoint(
+      controller_endpoints_[TaskIndex(task, "PartitionController")],
+      bus_->now_ms() + duration_ms);
 }
 
 void Coordinator::EnsureLaneScratch(int lanes) {
@@ -296,7 +255,6 @@ RoundStats Coordinator::RunSyncRound() {
   if (pool == nullptr || pool->size() <= 1) {
     for (auto& controller : controllers_) controller->AllocateAndSend();
     bus_->RunAll();
-    for (auto& agent : agents_) agent->ComputePriceAndBroadcast();
     for (auto& agent : shard_agents_) agent->ComputePricesAndBroadcast();
     bus_->RunAll();
   } else {
@@ -318,9 +276,6 @@ RoundStats Coordinator::RunSyncRound() {
     });
     CommitLaneOutboxes(lanes);
     bus_->RunAllParallel(pool);
-    // Unsharded agents are cheap single-resource updates; only the sharded
-    // agents carry enough per-call work to fan out.
-    for (auto& agent : agents_) agent->ComputePriceAndBroadcast();
     if (!shard_agents_.empty()) {
       const int shard_lanes = pool->ParticipantsFor(shard_agents_.size(),
                                                     /*min_items_per_thread=*/1);
@@ -376,20 +331,6 @@ void Coordinator::ArmAsyncTimers() {
     phase += config_.phase_spread_ms;
   }
   phase = 0.5 * config_.resource_period_ms;
-  for (std::size_t r = 0; r < agents_.size(); ++r) {
-    ResourceAgent* agent = agents_[r].get();
-    const net::EndpointId endpoint =
-        bus_->Register("resource-timer/" + std::to_string(r), nullptr,
-                       [this, agent, endpoint_slot = r](std::uint64_t) {
-                         agent->ComputePriceAndBroadcast();
-                         bus_->ScheduleTimer(
-                             resource_timer_endpoints_[endpoint_slot],
-                             config_.resource_period_ms, kResourceTimer);
-                       });
-    resource_timer_endpoints_.push_back(endpoint);
-    bus_->ScheduleTimer(endpoint, phase, kResourceTimer);
-    phase += config_.phase_spread_ms;
-  }
   for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
     ShardAgent* agent = shard_agents_[s].get();
     const net::EndpointId endpoint =
@@ -397,10 +338,10 @@ void Coordinator::ArmAsyncTimers() {
                        [this, agent, endpoint_slot = s](std::uint64_t) {
                          agent->ComputePricesAndBroadcast();
                          bus_->ScheduleTimer(
-                             resource_timer_endpoints_[endpoint_slot],
+                             shard_timer_endpoints_[endpoint_slot],
                              config_.resource_period_ms, kResourceTimer);
                        });
-    resource_timer_endpoints_.push_back(endpoint);
+    shard_timer_endpoints_.push_back(endpoint);
     bus_->ScheduleTimer(endpoint, phase, kResourceTimer);
     phase += config_.phase_spread_ms;
   }
@@ -435,16 +376,10 @@ void Coordinator::InvalidateModelCache() {
 
 PriceVector Coordinator::CurrentPrices() const {
   PriceVector prices = PriceVector::Zero(*workload_);
-  if (sharded()) {
-    for (const ResourceInfo& resource : workload_->resources()) {
-      const ShardAgent& agent =
-          *shard_agents_[resource_shard_[resource.id.value()]];
-      prices.mu[resource.id.value()] = agent.mu(resource.id);
-    }
-  } else {
-    for (const ResourceInfo& resource : workload_->resources()) {
-      prices.mu[resource.id.value()] = agents_[resource.id.value()]->mu();
-    }
+  for (const ResourceInfo& resource : workload_->resources()) {
+    const ShardAgent& agent =
+        *shard_agents_[resource_shard_[resource.id.value()]];
+    prices.mu[resource.id.value()] = agent.mu(resource.id);
   }
   for (const TaskInfo& task : workload_->tasks()) {
     const auto& lambdas = controllers_[task.id.value()]->lambdas();
@@ -526,7 +461,7 @@ void Coordinator::EmitTrace(double at_ms, double utility,
                             const FeasibilitySummary& summary) {
   // Share sums and path latencies come from the scratch buffers RecordSample
   // just filled; the dual state is collected from the agents (mu lives on
-  // the resource agents, lambda on the task controllers).
+  // the shard agents, lambda on the task controllers).
   trace_.iteration = round_;
   trace_.at_ms = at_ms;
   trace_.total_utility = utility;
@@ -538,18 +473,11 @@ void Coordinator::EmitTrace(double at_ms, double utility,
   trace_.resource_mu.resize(workload_->resource_count());
   trace_.resource_step.resize(workload_->resource_count());
   for (const ResourceInfo& resource : workload_->resources()) {
-    if (sharded()) {
-      const ShardAgent& agent =
-          *shard_agents_[resource_shard_[resource.id.value()]];
-      trace_.resource_mu[resource.id.value()] = agent.mu(resource.id);
-      trace_.resource_step[resource.id.value()] =
-          config_.step.gamma0 * agent.step_multiplier(resource.id);
-    } else {
-      const ResourceAgent& agent = *agents_[resource.id.value()];
-      trace_.resource_mu[resource.id.value()] = agent.mu();
-      trace_.resource_step[resource.id.value()] =
-          config_.step.gamma0 * agent.step_multiplier();
-    }
+    const ShardAgent& agent =
+        *shard_agents_[resource_shard_[resource.id.value()]];
+    trace_.resource_mu[resource.id.value()] = agent.mu(resource.id);
+    trace_.resource_step[resource.id.value()] =
+        config_.step.gamma0 * agent.step_multiplier(resource.id);
   }
   trace_.path_lambda.resize(workload_->path_count());
   trace_.path_step.resize(workload_->path_count());

@@ -1,9 +1,16 @@
-// Coordinator: wires a workload's task controllers and resource agents onto
-// an InProcessBus and drives the distributed LLA iteration.
+// Coordinator: wires a workload's task controllers and shard agents onto an
+// InProcessBus and drives the distributed LLA iteration.
+//
+// One agent type serves the resource side: a ShardAgent hosting a
+// contiguous range of resources, from one resource per shard (the paper's
+// one-agent-per-resource deployment, the default) up to all R in one shard
+// (CoordinatorConfig::num_shards).  Every width reaches the same fixed point
+// bit-for-bit in synchronous rounds, and every fault-injection surface is
+// defined at every width.
 //
 // Two execution modes:
 //   * Synchronous rounds — the paper's iteration structure: all controllers
-//     allocate and send, messages flush, all resources price and send,
+//     allocate and send, messages flush, all shards price and send,
 //     messages flush.  With a zero-delay bus this matches the single-process
 //     LlaEngine up to the one-round staleness of the congestion flags used
 //     for path step sizes.
@@ -29,7 +36,6 @@
 #include "net/bus.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/resource_agent.h"
 #include "runtime/shard_agent.h"
 #include "runtime/task_controller.h"
 
@@ -41,22 +47,20 @@ struct CoordinatorConfig {
   net::BusConfig bus;
   ConvergenceConfig convergence;
   /// Accelerated price dynamics for the distributed Eq. 8 mu updates
-  /// (DESIGN.md §7.12): velocity/base/phase state lives per ResourceAgent
-  /// (one component) and per resource inside each ShardAgent, with the same
-  /// adaptive restart + ramp the engine's PriceDynamicsPolicy applies.
-  /// Authoritative: the coordinator copies this into step.dynamics before
-  /// building agents (beta = 0 or kPlain keeps the classic update
-  /// bit-for-bit).  Path lambdas stay plain — they live on the task
-  /// controllers, whose Eq. 9 update this config does not touch.
+  /// (DESIGN.md §7.12): velocity/base/phase state lives per resource inside
+  /// each ShardAgent, with the same adaptive restart + ramp the engine's
+  /// PriceDynamicsPolicy applies.  Authoritative: the coordinator copies
+  /// this into step.dynamics before building agents (beta = 0 or kPlain
+  /// keeps the classic update bit-for-bit).  Path lambdas stay plain — they
+  /// live on the task controllers, whose Eq. 9 update this config does not
+  /// touch.
   DynamicsConfig dynamics;
-  /// Sharded deployment (DESIGN.md §7.10): partition the resources into this
-  /// many shard agents, each owning a contiguous range and exchanging one
-  /// batched message per peer per round — O(shards) instead of O(resources)
-  /// coordinator round traffic.  0 (the default) keeps the classic
-  /// one-agent-per-resource deployment.  Crash/restart of a single resource
-  /// works in both modes (sharded: the resource's state inside its shard
-  /// agent, see ShardAgent::CrashResource); snapshot restarts, checkpoints
-  /// and partitions of a single resource remain unsharded-only.
+  /// Shard width (DESIGN.md §7.10): partition the resources into this many
+  /// shard agents, each owning a contiguous range and exchanging one
+  /// batched message per peer per round — O(shards) instead of
+  /// O(resources) coordinator round traffic.  Clamped to the resource
+  /// count.  0 (the default) runs one shard per resource, the paper's
+  /// one-agent-per-resource deployment.
   int num_shards = 0;
   /// Parallel synchronous rounds (DESIGN.md §7.11): with N > 1 the
   /// coordinator owns an N-thread pool and each RunSyncRound fans the
@@ -119,21 +123,28 @@ class Coordinator {
   /// (timers for all agents are armed on first call).
   void RunAsync(double duration_ms);
 
-  /// Failure injection: partitions the resource agent's / task controller's
-  /// message endpoint for `duration_ms` of virtual time from now (messages
-  /// to and from it are dropped; its local timers keep running, so it
-  /// resumes with stale state when the partition heals).
+  /// Failure injection: partitions the message endpoint of the task
+  /// controller, or of the shard agent hosting the resource, for
+  /// `duration_ms` of virtual time from now (messages to and from it are
+  /// dropped; its local timers keep running, so it resumes with stale state
+  /// when the partition heals).  A network partitions hosts, not resources:
+  /// the hosting shard's other resources are cut off too.
   void PartitionResource(ResourceId resource, double duration_ms);
   void PartitionController(TaskId task, double duration_ms);
 
-  /// Crash-restart fault injection (DESIGN.md §7.7).  CrashEndpoint halts
-  /// the agent and black-holes its traffic open-endedly; RestartEndpoint
-  /// clears the fault, bumps the endpoint's incarnation (so peers reject its
-  /// pre-crash prices as stale), and rejoins the agent either cold — total
+  /// Crash-restart fault injection (DESIGN.md §7.7).  A task controller
+  /// crashes with its endpoint: CrashEndpoint halts it and black-holes its
+  /// traffic open-endedly.  A resource crashes inside its hosting shard
+  /// agent, whose endpoint and other resources keep running: its price
+  /// entries go out stale and inbound latency writes to it are dropped.
+  /// RestartEndpoint clears the crash, bumps the endpoint's incarnation
+  /// (the controller's, or the hosting shard's — so peers reject pre-crash
+  /// prices still in flight as stale), and rejoins either cold — total
   /// state loss followed by the peer repair exchange — or from a snapshot
   /// previously taken by CheckpointResource/CheckpointController (bounded
   /// staleness, no repair needed).  Each restart increments
-  /// recovery.restarts and emits a "recovery.restart" trace event.
+  /// recovery.restarts and emits a "recovery.restart" trace event.  Every
+  /// entry point aborts loudly on an id outside the workload.
   void CrashEndpoint(ResourceId resource);
   void CrashEndpoint(TaskId task);
   void RestartEndpoint(ResourceId resource);
@@ -151,7 +162,7 @@ class Coordinator {
   bool Converged() const { return converged_; }
 
   /// The distributed system's current dual state: mu collected from the
-  /// resource agents, lambda from the task controllers (the same collection
+  /// shard agents, lambda from the task controllers (the same collection
   /// the trace emitter performs).
   PriceVector CurrentPrices() const;
 
@@ -181,25 +192,29 @@ class Coordinator {
   const TaskController& controller(TaskId task) const {
     return *controllers_[task.value()];
   }
-  /// Unsharded mode only.
-  const ResourceAgent& agent(ResourceId resource) const {
-    return *agents_[resource.value()];
-  }
-  bool sharded() const { return !shard_agents_.empty(); }
   std::size_t shard_count() const { return shard_agents_.size(); }
-  /// Sharded mode only.
   const ShardAgent& shard_agent(std::size_t shard) const {
     return *shard_agents_[shard];
   }
+  /// The shard agent hosting `resource` (aborts loudly on an id outside the
+  /// workload).
+  const ShardAgent& shard_of(ResourceId resource) const {
+    return *shard_agents_[ShardOf(resource, "shard_of")];
+  }
 
  private:
-  /// Aborts loudly when this coordinator is sharded: the per-resource
-  /// checkpoint/restore/partition surfaces index agents_ /
-  /// resource_endpoints_, which are EMPTY in sharded mode.  This used to be
-  /// an assert, which NDEBUG release builds compile out — turning a caller
-  /// bug into silent out-of-bounds UB — so it is now an unconditional
-  /// runtime check (same policy as LlaEngine::WarmStart's shape abort).
-  void RequireUnsharded(const char* what) const;
+  /// The one id check of the fault-injection API: returns `id` when it is
+  /// below `count` and otherwise aborts loudly in every build mode (an
+  /// out-of-range id would index the per-endpoint tables out of bounds).
+  static std::size_t CheckedId(std::size_t id, std::size_t count,
+                               const char* kind, const char* what);
+  std::uint32_t ShardOf(ResourceId resource, const char* what) const {
+    return resource_shard_[CheckedId(resource.value(), resource_shard_.size(),
+                                     "resource", what)];
+  }
+  std::size_t TaskIndex(TaskId task, const char* what) const {
+    return CheckedId(task.value(), controllers_.size(), "task", what);
+  }
   void CollectAssignment(Assignment* latencies) const;
   void RecordSample(double at_ms);
   void UpdateConvergence(double utility, bool feasible);
@@ -223,16 +238,14 @@ class Coordinator {
   /// precede controllers_ (they hold a pointer into it).
   std::unique_ptr<ControllerShared> controller_shared_;
   std::vector<std::unique_ptr<TaskController>> controllers_;
-  std::vector<std::unique_ptr<ResourceAgent>> agents_;   ///< unsharded mode
-  std::vector<std::unique_ptr<ShardAgent>> shard_agents_;  ///< sharded mode
+  std::vector<std::unique_ptr<ShardAgent>> shard_agents_;
   net::EndpointId monitor_endpoint_ = 0;
   std::vector<net::EndpointId> controller_endpoints_;
-  std::vector<net::EndpointId> resource_endpoints_;
   std::vector<net::EndpointId> shard_endpoints_;
-  /// Sharded mode: the shard owning each resource.
+  /// The shard owning each resource.
   std::vector<std::uint32_t> resource_shard_;
   std::vector<net::EndpointId> controller_timer_endpoints_;
-  std::vector<net::EndpointId> resource_timer_endpoints_;
+  std::vector<net::EndpointId> shard_timer_endpoints_;
   /// Parallel-round pool (null when config.round_threads <= 1) and lane
   /// scratch.
   std::unique_ptr<ThreadPool> round_pool_;

@@ -1,23 +1,25 @@
 // Crash-restart recovery for the distributed runtime (DESIGN.md §7.7).
 //
 // Two restart flavors exist, both driven through the Coordinator's
-// fault-injection API:
+// fault-injection API, for a task controller or for one resource inside the
+// shard agent that hosts it (a shard hosts one resource or many):
 //
-//   * Cold restart — the agent lost everything.  Its message endpoint's
+//   * Cold restart — the node lost everything.  Its message endpoint's
 //     incarnation is bumped (so peers can reject its pre-crash traffic and
-//     it can prove its own freshness), its dual state resets, and it runs
-//     the repair exchange: a RepairRequest to every client controller, each
-//     answering with its absolute view (cached mu_r + current subtask
-//     latencies).  Broadcasts hold for a few grace ticks while repair is in
-//     flight so a mu=0 cold price never hits the network.
+//     it can prove its own freshness) and its dual state resets.  A
+//     restarted resource runs the repair exchange: a RepairRequest to every
+//     client controller, each answering with its absolute view (cached mu_r
+//     + current subtask latencies).  Its price entries go out stale for a
+//     few grace ticks while repair is in flight so a mu=0 cold price never
+//     hits the controllers.
 //
-//   * Checkpoint restart — the agent restored a snapshot taken earlier by
+//   * Checkpoint restart — the node restored a snapshot taken earlier by
 //     Coordinator::CheckpointResource/CheckpointController.  It rejoins with
 //     bounded staleness (whatever moved since the snapshot) and needs no
 //     repair exchange.
 //
 // This header holds the snapshot structs and the counter bundle; the agent
-// logic lives in resource_agent / task_controller, the injection API on the
+// logic lives in shard_agent / task_controller, the injection API on the
 // Coordinator.
 #pragma once
 
@@ -29,21 +31,20 @@
 
 namespace lla::runtime {
 
-/// Durable state of one ResourceAgent (everything ComputePriceAndBroadcast
-/// reads), captured by Coordinator::CheckpointResource.
+/// Durable state of one resource's slots inside its shard agent (everything
+/// the resource's Eq. 8 price computation reads), captured by
+/// Coordinator::CheckpointResource.
 struct ResourceAgentSnapshot {
   ResourceId resource;
   double mu = 0.0;
   double gamma_multiplier = 1.0;
-  std::uint32_t epoch = 0;
   /// Latest latency inputs, indexed like workload.resource(id).subtasks.
   std::vector<double> latencies_ms;
   /// Accelerated-dynamics state (DESIGN.md §7.12).  Snapshots taken before
-  /// the momentum port — or by a plain-dynamics agent — leave has_dynamics
-  /// false and restore as FRESH momentum (velocity/phase zero, base re-seeded
-  /// at mu), mirroring the v1 -> v2 engine-snapshot precedent: an old
-  /// checkpoint is a valid operating point, just without acceleration
-  /// history.
+  /// the momentum port leave has_dynamics false and restore as FRESH
+  /// momentum (velocity/phase zero, base re-seeded at mu), mirroring the
+  /// v1 -> v2 engine-snapshot precedent: an old checkpoint is a valid
+  /// operating point, just without acceleration history.
   bool has_dynamics = false;
   double velocity = 0.0;
   /// Nesterov base iterate x (the published mu is the extrapolated point y).
@@ -74,7 +75,7 @@ struct RecoveryHooks {
   /// Messages rejected because their incarnation predates the sender's
   /// latest known restart.
   obs::Counter* stale_rejected = nullptr;
-  /// RepairResponses absorbed by restarted resource agents.
+  /// RepairResponses absorbed by restarted resources.
   obs::Counter* repair_rounds = nullptr;
 
   static RecoveryHooks Resolve(obs::MetricRegistry* metrics) {

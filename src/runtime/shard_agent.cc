@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
@@ -27,7 +29,7 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
     const ResourceInfo& info = workload.resource(r);
     for (SubtaskId sid : info.subtasks) {
       subtask_slot_.emplace(sid.value(), latencies_.size());
-      // Same "no demand yet" initial reading as the per-resource agent: an
+      // Until a controller reports, assume the subtask demands nothing: an
       // effectively-infinite latency gives share ~ 0.
       latencies_.push_back(1e9);
       slot_resource_.push_back(static_cast<std::uint32_t>(i));
@@ -56,18 +58,16 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
       if (it != subtask_slot_.end()) slots.push_back(it->second);
     }
   }
+  client_incarnation_.assign(client_tasks_.size(), 0);
   mu_.assign(count, 0.0);
   gamma_multiplier_.assign(count, 1.0);
-  velocity_.assign(count, 0.0);
-  dynamics_base_.assign(count, 0.0);
-  dynamics_phase_.assign(count, 0.0);
+  dynamics_.assign(count, ComponentDynamicsState{});
   congested_.assign(count, 0);
   resource_crashed_.assign(count, 0);
   awaiting_repair_.assign(count, 0);
   repair_adopted_.assign(count, 0);
   repair_grace_left_.assign(count, 0);
   best_repair_epoch_.assign(count, 0);
-  task_incarnation_.assign(workload.task_count(), 0);
 }
 
 void ShardAgent::Bind(net::InProcessBus* bus, net::EndpointId self,
@@ -77,8 +77,8 @@ void ShardAgent::Bind(net::InProcessBus* bus, net::EndpointId self,
   controller_endpoints_ = controller_endpoints;
 }
 
-bool ShardAgent::AcceptIncarnation(TaskId task, std::uint32_t incarnation) {
-  std::uint32_t& seen = task_incarnation_[task.value()];
+bool ShardAgent::AcceptIncarnation(std::size_t c, std::uint32_t incarnation) {
+  std::uint32_t& seen = client_incarnation_[c];
   if (incarnation < seen) {
     if (hooks_.stale_rejected != nullptr) hooks_.stale_rejected->Increment();
     return false;
@@ -98,22 +98,23 @@ void ShardAgent::OnMessage(const net::Message& message) {
   if (const auto* update =
           std::get_if<net::ShardLatencyUpdate>(&message.payload)) {
     if (update->shard != shard_) return;  // misrouted; ignore
-    if (update->task.value() >= task_incarnation_.size()) return;
-    if (!AcceptIncarnation(update->task, message.incarnation)) {
-      DropClientMomentum(update->task);
+    const int c = ClientIndex(update->task);
+    if (c < 0) return;  // not a client here; ignore
+    if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
+      DropClientMomentum(static_cast<std::size_t>(c));
       return;
     }
-    ApplyLatencyUpdate(*update);
+    ApplyLatencyUpdate(static_cast<std::size_t>(c), *update);
     return;
   }
   if (const auto* repair =
           std::get_if<net::RepairResponse>(&message.payload)) {
     if (!Hosts(repair->resource)) return;  // misrouted; ignore
-    if (repair->task.value() >= task_incarnation_.size()) return;
-    if (!AcceptIncarnation(repair->task, message.incarnation)) {
-      const std::size_t local = Local(repair->resource);
-      velocity_[local] = 0.0;
-      dynamics_phase_[local] = 0.0;
+    const int c = ClientIndex(repair->task);
+    if (c < 0) return;
+    if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
+      // Same discontinuity as a stale latency update.
+      dynamics_[Local(repair->resource)].DropMomentum();
       return;
     }
     ApplyRepairResponse(*repair);
@@ -121,22 +122,15 @@ void ShardAgent::OnMessage(const net::Message& message) {
   }
 }
 
-void ShardAgent::DropClientMomentum(TaskId task) {
-  if (config_.dynamics.kind == DynamicsKind::kPlain) return;
-  const int c = ClientIndex(task);
-  if (c < 0) return;
-  for (const std::uint32_t local :
-       client_resources_[static_cast<std::size_t>(c)]) {
-    velocity_[local] = 0.0;
-    dynamics_phase_[local] = 0.0;
+void ShardAgent::DropClientMomentum(std::size_t c) {
+  for (const std::uint32_t local : client_resources_[c]) {
+    dynamics_[local].DropMomentum();
   }
 }
 
-void ShardAgent::ApplyLatencyUpdate(const net::ShardLatencyUpdate& update) {
-  const int c = ClientIndex(update.task);
-  if (c < 0) return;  // not a client here; ignore
-  const std::vector<std::size_t>& slots =
-      client_latency_slots_[static_cast<std::size_t>(c)];
+void ShardAgent::ApplyLatencyUpdate(std::size_t c,
+                                    const net::ShardLatencyUpdate& update) {
+  const std::vector<std::size_t>& slots = client_latency_slots_[c];
   // The positional contract: the sender's entry list is derived from the
   // same static membership, so the counts must agree; a mismatch means a
   // stale or foreign binding and the whole message is ignored.
@@ -161,8 +155,7 @@ void ShardAgent::ApplyRepairResponse(const net::RepairResponse& repair) {
   if (resource_crashed_[local] != 0) return;  // still down; ignore
   // Absolute state from a client controller: always absorb the latencies
   // (they are the controller's current truth), and while awaiting repair
-  // adopt the price from the freshest epoch offered — same policy as
-  // ResourceAgent, scoped to one resource.
+  // adopt the price from the freshest epoch offered.
   for (std::size_t i = 0; i < repair.subtasks.size(); ++i) {
     const auto it = subtask_slot_.find(repair.subtasks[i].value());
     if (it == subtask_slot_.end()) continue;
@@ -178,23 +171,31 @@ void ShardAgent::ApplyRepairResponse(const net::RepairResponse& repair) {
     gamma_multiplier_[local] = 1.0;  // congestion history is gone
     // Re-base the dynamics at the adopted price: momentum history is gone
     // with the rest of the pre-crash state.
-    velocity_[local] = 0.0;
-    dynamics_base_[local] = repair.mu;
-    dynamics_phase_[local] = 0.0;
+    dynamics_[local].ReseedAt(repair.mu);
     repair_adopted_[local] = 1;
     if (hooks_.repair_rounds != nullptr) hooks_.repair_rounds->Increment();
   }
 }
 
+std::size_t ShardAgent::HostedLocal(ResourceId r, const char* what) const {
+  if (!Hosts(r)) {
+    std::fprintf(stderr,
+                 "ShardAgent::%s: resource %u is not hosted by shard %u "
+                 "(resources [%zu, %zu))\n",
+                 what, r.value(), shard_, first_, first_ + resources_.size());
+    std::abort();
+  }
+  return Local(r);
+}
+
 void ShardAgent::CrashResource(ResourceId r) {
-  assert(Hosts(r));
-  resource_crashed_[Local(r)] = 1;
+  resource_crashed_[HostedLocal(r, "CrashResource")] = 1;
   any_resource_faulted_ = true;
 }
 
 void ShardAgent::ColdRestartResource(ResourceId r) {
-  assert(bus_ != nullptr && Hosts(r));
-  const std::size_t local = Local(r);
+  assert(bus_ != nullptr);
+  const std::size_t local = HostedLocal(r, "ColdRestartResource");
   resource_crashed_[local] = 0;
   std::fill(latencies_.begin() +
                 static_cast<std::ptrdiff_t>(latency_offset_[local]),
@@ -203,19 +204,78 @@ void ShardAgent::ColdRestartResource(ResourceId r) {
             1e9);
   mu_[local] = 0.0;
   gamma_multiplier_[local] = 1.0;
-  velocity_[local] = 0.0;
-  dynamics_base_[local] = 0.0;
-  dynamics_phase_[local] = 0.0;
+  // Momentum is part of the lost state.
+  dynamics_[local] = ComponentDynamicsState{};
   congested_[local] = 0;
   awaiting_repair_[local] = 1;
   repair_adopted_[local] = 0;
   repair_grace_left_[local] = config_.repair_grace_ticks;
   best_repair_epoch_[local] = 0;
   any_resource_faulted_ = true;
-  // Unlike a whole-agent restart there is no incarnation bump (the shard's
-  // endpoint never went down) and no watermark reset: the transport state
-  // survives, only this resource's dual state was lost.
+  // The shard's epoch and its client incarnation watermarks are transport
+  // state and survive: only this resource's dual state was lost.
   SendRepairRequest(local, nullptr);
+}
+
+void ShardAgent::RestoreResource(ResourceId r,
+                                 const ResourceAgentSnapshot& snapshot) {
+  const std::size_t local = HostedLocal(r, "RestoreResource");
+  const std::size_t hosted =
+      latency_offset_[local + 1] - latency_offset_[local];
+  if (snapshot.resource != r || snapshot.latencies_ms.size() != hosted) {
+    // A misshapen snapshot would leave the resource publishing a restored
+    // mu against stale (possibly 1e9 cold-fill) latencies — the restored
+    // price and its inputs would disagree silently, forever.  That is
+    // always a caller bug (snapshot of a different resource or of a
+    // structurally different workload), so fail loudly in every build mode,
+    // matching LlaEngine::WarmStart's shape abort.
+    std::fprintf(stderr,
+                 "ShardAgent::RestoreResource: snapshot of resource %u with "
+                 "%zu latencies does not match agent slot of resource %u "
+                 "with %zu hosted subtasks\n",
+                 snapshot.resource.value(), snapshot.latencies_ms.size(),
+                 r.value(), hosted);
+    std::abort();
+  }
+  // A restore supersedes any crash or half-finished repair exchange: clear
+  // its grace budget and epoch watermark so a late RepairResponse (or a
+  // later cold restart) starts from a clean slate instead of inheriting
+  // them.
+  resource_crashed_[local] = 0;
+  awaiting_repair_[local] = 0;
+  repair_adopted_[local] = 0;
+  repair_grace_left_[local] = 0;
+  best_repair_epoch_[local] = 0;
+  mu_[local] = snapshot.mu;
+  gamma_multiplier_[local] = snapshot.gamma_multiplier;
+  std::copy(snapshot.latencies_ms.begin(), snapshot.latencies_ms.end(),
+            latencies_.begin() +
+                static_cast<std::ptrdiff_t>(latency_offset_[local]));
+  if (snapshot.has_dynamics) {
+    dynamics_[local] = {snapshot.velocity, snapshot.dynamics_base,
+                        snapshot.phase};
+  } else {
+    // Pre-momentum snapshot: restore as fresh momentum at the restored mu
+    // (the v1 -> v2 engine-snapshot precedent).
+    dynamics_[local].ReseedAt(snapshot.mu);
+  }
+}
+
+ResourceAgentSnapshot ShardAgent::SnapshotResource(ResourceId r) const {
+  const std::size_t local = HostedLocal(r, "SnapshotResource");
+  ResourceAgentSnapshot snapshot;
+  snapshot.resource = r;
+  snapshot.mu = mu_[local];
+  snapshot.gamma_multiplier = gamma_multiplier_[local];
+  snapshot.latencies_ms.assign(
+      latencies_.begin() + static_cast<std::ptrdiff_t>(latency_offset_[local]),
+      latencies_.begin() +
+          static_cast<std::ptrdiff_t>(latency_offset_[local + 1]));
+  snapshot.has_dynamics = true;
+  snapshot.velocity = dynamics_[local].velocity;
+  snapshot.dynamics_base = dynamics_[local].base;
+  snapshot.phase = dynamics_[local].phase;
+  return snapshot;
 }
 
 void ShardAgent::SendRepairRequest(std::size_t local,
@@ -282,9 +342,7 @@ void ShardAgent::ComputePricesAndBroadcast(
     const bool congested = share_sum > info.capacity;
     congested_[i] = congested ? 1 : 0;
 
-    // Adaptive step (Sec. 5.2): double while congested, revert when not —
-    // identical to the per-resource agent so sharded and unsharded sync runs
-    // produce the same fixed point.
+    // Adaptive step (Sec. 5.2): double while congested, revert when not.
     if (config_.adaptive) {
       gamma_multiplier_[i] =
           congested ? std::min(gamma_multiplier_[i] * 2.0,
@@ -293,33 +351,15 @@ void ShardAgent::ComputePricesAndBroadcast(
     }
     const double gamma = config_.gamma0 * gamma_multiplier_[i];
 
-    // Eq. 8 with projection at zero, optionally accelerated — identical
-    // arithmetic to the per-resource agent (and, for plain / beta = 0, to
-    // the pre-momentum inline update), so sharded and unsharded sync runs
-    // still reach the same fixed point bit-for-bit.  The dynamics slots are
-    // per-resource-local, so the parallel round's shard partition never
-    // shares one and bit-identity at any round_threads is preserved.
+    // Eq. 8 with projection at zero, optionally accelerated (DESIGN.md
+    // §7.12): the velocity half-step is applied BEFORE the non-negativity
+    // projection, exactly as the engine's PriceDynamicsPolicy does, so
+    // (value, velocity, phase) = (0, 0, 0) stays absorbing and beta = 0
+    // heavy-ball is bit-identical to the plain update.
     const double slack = info.capacity - share_sum;
-    switch (config_.dynamics.kind) {
-      case DynamicsKind::kPlain:
-        mu_[i] = std::max(0.0, mu_[i] - gamma * slack);
-        break;
-      case DynamicsKind::kHeavyBall:
-        mu_[i] = HeavyBallComponentStep(
-                     config_.dynamics.momentum,
-                     config_.dynamics.adaptive_restart, mu_[i], gamma, slack,
-                     &velocity_[i], &dynamics_phase_[i], &momentum_restarts_)
-                     .value;
-        break;
-      case DynamicsKind::kNesterov:
-        mu_[i] = NesterovComponentStep(
-                     config_.dynamics.momentum,
-                     config_.dynamics.adaptive_restart, mu_[i], gamma, slack,
-                     &velocity_[i], &dynamics_base_[i], &dynamics_phase_[i],
-                     &momentum_restarts_)
-                     .value;
-        break;
-    }
+    mu_[i] = StepComponentDynamics(config_.dynamics, &dynamics_[i], mu_[i],
+                                   gamma, slack, &momentum_restarts_)
+                 .value;
   }
   any_resource_faulted_ = still_faulted;
   ++epoch_;

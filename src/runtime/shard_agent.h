@@ -1,31 +1,38 @@
-// ShardAgent: the batched, many-resources-per-agent variant of
-// ResourceAgent for large deployments (DESIGN.md §7.10).
+// ShardAgent: the resource-side participant of the distributed LLA protocol
+// (paper Sec. 4.3, "Resource Price Computation"), hosting a contiguous range
+// of one or more resources behind one message endpoint (DESIGN.md §7.10).
 //
-// A shard owns a contiguous range of resources.  Controllers send one
-// ShardLatencyUpdate per shard they touch (instead of one LatencyUpdate per
-// resource), and the shard answers each round with a single
-// ShardPriceUpdate per client carrying the batched prices of exactly the
-// resources that client uses on the shard — so the coordinator's per-round
-// message count drops from O(resources) to O(shards) per task without
-// inflating bytes on sparse workloads, while every per-resource quantity
-// (share sum, Eq. 8 price, adaptive step multiplier, congestion flag) is
-// computed exactly as the one-resource agent computes it.
+//   1. Receive the computed latencies of all subtasks hosted here.
+//   2. Compute a new price mu_r (Eq. 8) for every hosted resource, adapting
+//      each resource's step size by the doubling heuristic while congested.
+//   3. Send each client controller one batched message carrying the prices
+//      (and congestion flags) of exactly the resources it uses here.
 //
-// Since PR 9 the shard messages are positional (DESIGN.md §7.11): shard
-// membership is static, so the agent derives, once, the ordered entry list
-// of each client — latency slots for inbound updates, used resources for
-// outbound prices — and the wire carries only b1-encoded value arrays.
-// All clients' price payloads are encoded into ONE arena per round and each
-// message holds a WireSlice into it (encode once, slice per client).
+// The shard width is a deployment choice: the coordinator runs one shard per
+// resource by default (the paper's one-agent-per-resource deployment; for a
+// network link the paper assigns this role to one endpoint of the link) and
+// up to R resources per shard when sharded, which drops the per-round
+// message count from O(resources) to O(shards) per task.  Every
+// per-resource quantity — share sum, Eq. 8 price, adaptive step multiplier,
+// congestion flag, momentum state — is computed independently of the width,
+// so every width reaches the same fixed point bit-for-bit in synchronous
+// rounds.
 //
-// Per-resource fault injection: a single resource inside the shard can be
-// crashed and cold-restarted (the shard's endpoint stays up — the failing
-// unit is the resource's state, not the transport).  A crashed resource's
-// price entries are marked stale in the broadcasts (clients keep their
-// cached price) and inbound latency writes to it are dropped; a cold
-// restart re-runs the ResourceAgent repair exchange (RepairRequest to the
+// The shard messages are positional (DESIGN.md §7.11): shard membership is
+// static, so the agent derives, once, the ordered entry list of each client
+// — latency slots for inbound updates, used resources for outbound prices —
+// and the wire carries only b1-encoded value arrays.  All clients' price
+// payloads are encoded into ONE arena per round and each message holds a
+// WireSlice into it (encode once, slice per client).
+//
+// Per-resource fault injection (DESIGN.md §7.7): a single hosted resource can
+// be crashed, cold-restarted, checkpointed and restored from a snapshot.  A
+// crashed resource's price entries are marked stale in the broadcasts
+// (clients keep their cached price) and inbound latency writes to it are
+// dropped; a cold restart runs the repair exchange (RepairRequest to the
 // resource's clients, freshest-epoch adoption, grace-held broadcast) for
-// just that resource.
+// just that resource.  The shard's endpoint and its other resources keep
+// running throughout.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +40,32 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/price_dynamics.h"
 #include "model/latency_model.h"
 #include "model/workload.h"
 #include "net/bus.h"
-#include "runtime/resource_agent.h"
+#include "runtime/recovery.h"
 
 namespace lla::runtime {
+
+struct AgentStepConfig {
+  double gamma0 = 3.0;
+  bool adaptive = true;
+  double adaptive_max_multiplier = 8.0;
+  /// Cold restart: a restarted resource's price entries go out stale for
+  /// this many timer ticks (or until the first RepairResponse is absorbed,
+  /// whichever first) so a reset mu=0 never reaches the controllers while
+  /// repair is in flight.
+  int repair_grace_ticks = 3;
+  /// Accelerated price dynamics for the Eq. 8 mu update (DESIGN.md §7.12).
+  /// The per-resource velocity/base/phase state lives inside the shard agent
+  /// and is applied before the non-negativity projection, exactly as the
+  /// engine applies PriceDynamicsPolicy — beta = 0 heavy-ball is
+  /// bit-identical to plain.  Set through CoordinatorConfig::dynamics in a
+  /// coordinator deployment (the coordinator copies it here before building
+  /// agents).
+  DynamicsConfig dynamics;
+};
 
 class ShardAgent {
  public:
@@ -64,13 +91,17 @@ class ShardAgent {
   void ComputePricesAndBroadcast() { ComputePricesAndBroadcast(nullptr); }
   void ComputePricesAndBroadcast(std::vector<net::Message>* outbox);
 
-  /// Per-resource fault injection (the resource must be hosted here).
-  /// CrashResource freezes the resource: its price entries go out stale and
-  /// inbound latency writes to it are dropped.  ColdRestartResource clears
-  /// the crash with total loss of the resource's state and starts the
-  /// repair exchange with its client controllers.
+  /// Per-resource fault injection; each aborts loudly when `r` is not
+  /// hosted here.  CrashResource freezes the resource: its price entries go
+  /// out stale and inbound latency writes to it are dropped.
+  /// ColdRestartResource clears the crash with total loss of the resource's
+  /// state and starts the repair exchange with its client controllers.
+  /// RestoreResource rejoins from a snapshot (bounded staleness, no repair
+  /// exchange) and aborts on a snapshot of another resource or shape.
   void CrashResource(ResourceId r);
   void ColdRestartResource(ResourceId r);
+  void RestoreResource(ResourceId r, const ResourceAgentSnapshot& snapshot);
+  ResourceAgentSnapshot SnapshotResource(ResourceId r) const;
   bool resource_crashed(ResourceId r) const {
     return resource_crashed_[Local(r)] != 0;
   }
@@ -87,12 +118,17 @@ class ShardAgent {
   double step_multiplier(ResourceId r) const {
     return gamma_multiplier_[Local(r)];
   }
-  /// Momentum velocity of one resource (0.0 while dynamics are plain).
-  double velocity(ResourceId r) const { return velocity_[Local(r)]; }
+  /// Momentum state of one resource's mu (all zero while dynamics are
+  /// plain).
+  const ComponentDynamicsState& dynamics_state(ResourceId r) const {
+    return dynamics_[Local(r)];
+  }
   /// Adaptive restarts fired across all owned resources' dynamics.
   std::uint64_t momentum_restarts() const { return momentum_restarts_; }
   double ShareSum(ResourceId r) const;
   bool Congested(ResourceId r) const;
+  /// The shard's broadcast round: stamped on every price update, shared by
+  /// all its resources, and never reset by a single resource's restart.
   std::uint32_t epoch() const { return epoch_; }
   const std::vector<TaskId>& client_tasks() const { return client_tasks_; }
 
@@ -100,15 +136,25 @@ class ShardAgent {
 
  private:
   std::size_t Local(ResourceId r) const { return r.value() - first_; }
-  /// Incarnation-gated acceptance of a peer controller's message.
-  bool AcceptIncarnation(TaskId task, std::uint32_t incarnation);
+  /// Local() for the fault-injection entry points: aborts loudly (in every
+  /// build mode) when `r` is not hosted here.
+  std::size_t HostedLocal(ResourceId r, const char* what) const;
+  /// Incarnation-gated acceptance of client `c`'s message.
+  bool AcceptIncarnation(std::size_t c, std::uint32_t incarnation);
   /// Index of `task` in client_tasks_ (sorted ascending), or -1.
   int ClientIndex(TaskId task) const;
   /// RepairRequest for one restarted resource to its client controllers
   /// (appended to `outbox` when non-null, sent directly otherwise).
   void SendRepairRequest(std::size_t local, std::vector<net::Message>* outbox);
-  void ApplyLatencyUpdate(const net::ShardLatencyUpdate& update);
+  void ApplyLatencyUpdate(std::size_t c,
+                          const net::ShardLatencyUpdate& update);
   void ApplyRepairResponse(const net::RepairResponse& repair);
+  /// Incarnation-stale traffic from client `c` was rejected: drop the
+  /// momentum of every resource that client feeds here (its latency stream
+  /// — the gradient input — is discontinuous at the sender's crash
+  /// boundary, so built-up velocity must not be replayed into post-crash
+  /// gradients).
+  void DropClientMomentum(std::size_t c);
 
   const Workload* workload_;
   const LatencyModel* model_;
@@ -131,6 +177,9 @@ class ShardAgent {
   std::vector<std::vector<std::size_t>> client_latency_slots_;
   /// clients of each resource, as indices into client_tasks_ (repair).
   std::vector<std::vector<std::uint32_t>> resource_clients_;
+  /// Highest sender incarnation seen per client (stale rejection), parallel
+  /// to client_tasks_.
+  std::vector<std::uint32_t> client_incarnation_;
 
   /// Flattened latest-latency inputs: resource-local slice
   /// [latency_offset_[i], latency_offset_[i+1]) holds the latencies of
@@ -142,23 +191,17 @@ class ShardAgent {
   /// Flat slot per hosted subtask id (only this shard's subtasks appear).
   std::unordered_map<std::uint32_t, std::size_t> subtask_slot_;
 
-  /// Incarnation-stale traffic from `task` was rejected: drop the momentum
-  /// of every resource that client feeds here (its latency stream — the
-  /// gradient input — is discontinuous at the sender's crash boundary, so
-  /// built-up velocity must not be replayed into post-crash gradients).
-  void DropClientMomentum(TaskId task);
-
   /// Per-resource dual state, indexed by Local().
   std::vector<double> mu_;
   std::vector<double> gamma_multiplier_;
-  /// Per-resource momentum state (DESIGN.md §7.12), parallel to resources_:
-  /// velocity, Nesterov base iterate, and ramp phase.  Updated only inside
+  /// Per-resource momentum state (DESIGN.md §7.12).  Updated only inside
   /// ComputePricesAndBroadcast — per-resource-local, so the parallel round's
   /// lane partition never shares a slot and the fixed point stays
-  /// bit-identical at any round_threads.
-  std::vector<double> velocity_;
-  std::vector<double> dynamics_base_;
-  std::vector<double> dynamics_phase_;
+  /// bit-identical at any round_threads.  Reset whenever a resource's
+  /// gradient stream becomes discontinuous — cold restart, repair adoption,
+  /// snapshot restore, incarnation-stale rejection — so pre-crash momentum
+  /// is never replayed into a post-crash gradient.
+  std::vector<ComponentDynamicsState> dynamics_;
   std::uint64_t momentum_restarts_ = 0;
   /// This round's congestion flags, filled by ComputePricesAndBroadcast
   /// before the per-client sends (scratch; avoids re-deriving share sums).
@@ -185,8 +228,6 @@ class ShardAgent {
   std::vector<double> decode_scratch_;
 
   RecoveryHooks hooks_;
-  /// Highest sender incarnation seen per client task (stale rejection).
-  std::vector<std::uint32_t> task_incarnation_;
 };
 
 }  // namespace lla::runtime

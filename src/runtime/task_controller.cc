@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -31,50 +33,47 @@ TaskController::TaskController(const Workload& workload,
   mu_cache_.assign(used_resources_.size(), 0.0);
   used_congested_.assign(used_resources_.size(), 0);
   used_epoch_.assign(used_resources_.size(), 0);
-  used_incarnation_.assign(used_resources_.size(), 0);
 }
 
 void TaskController::Bind(
     net::InProcessBus* bus, net::EndpointId self,
-    const std::vector<net::EndpointId>* resource_endpoints) {
-  bus_ = bus;
-  self_ = self;
-  resource_endpoints_ = resource_endpoints;
-}
-
-void TaskController::BindShards(
     const std::vector<net::EndpointId>* shard_endpoints,
     const std::vector<std::uint32_t>* resource_shard) {
+  bus_ = bus;
+  self_ = self;
   shard_endpoints_ = shard_endpoints;
   resource_shard_ = resource_shard;
-  shard_incarnation_.assign(shard_endpoints->size(), 0);
 
-  // Group this task's subtasks by owning shard once, so each send is a
-  // gather over precomputed index lists.
-  const TaskInfo& info = workload_->task(task_);
+  // Shards own contiguous resource ranges, so walking the sorted
+  // used_resources_ meets each used shard once, in ascending order, as one
+  // run of slots.
   used_shards_.clear();
-  shard_subtasks_.clear();
-  for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
-    const ResourceId resource = workload_->subtask(info.subtasks[i]).resource;
-    const std::uint32_t shard = (*resource_shard)[resource.value()];
-    auto it = std::find(used_shards_.begin(), used_shards_.end(), shard);
-    if (it == used_shards_.end()) {
-      used_shards_.push_back(shard);
-      shard_subtasks_.emplace_back();
-      it = used_shards_.end() - 1;
-    }
-    shard_subtasks_[static_cast<std::size_t>(it - used_shards_.begin())]
-        .push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Static membership for the positional price protocol: for each shard the
-  // used-resource slots it owns, ascending.  used_resources_ is sorted and a
-  // shard owns a contiguous resource range, so this list is positionally
-  // identical to the shard's client_resources_ list for this task.
-  shard_used_slots_.assign(shard_endpoints->size(), {});
+  shard_slot_begin_.clear();
   for (std::size_t k = 0; k < used_resources_.size(); ++k) {
-    shard_used_slots_[(*resource_shard)[used_resources_[k].value()]].push_back(
-        static_cast<std::uint32_t>(k));
+    const std::uint32_t shard = (*resource_shard)[used_resources_[k].value()];
+    if (used_shards_.empty() || used_shards_.back() != shard) {
+      used_shards_.push_back(shard);
+      shard_slot_begin_.push_back(static_cast<std::uint32_t>(k));
+    }
+  }
+  shard_slot_begin_.push_back(
+      static_cast<std::uint32_t>(used_resources_.size()));
+  shard_incarnation_.assign(used_shards_.size(), 0);
+
+  // Group this task's subtasks by shard once, in local subtask order within
+  // a shard, so each send is a gather over a precomputed index range.
+  const TaskInfo& info = workload_->task(task_);
+  shard_subtasks_.clear();
+  shard_subtask_begin_.assign(1, 0);
+  for (const std::uint32_t shard : used_shards_) {
+    for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
+      const ResourceId resource = workload_->subtask(info.subtasks[i]).resource;
+      if ((*resource_shard)[resource.value()] == shard) {
+        shard_subtasks_.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    shard_subtask_begin_.push_back(
+        static_cast<std::uint32_t>(shard_subtasks_.size()));
   }
 }
 
@@ -83,6 +82,13 @@ int TaskController::UsedIndex(ResourceId resource) const {
                                    used_resources_.end(), resource);
   if (it == used_resources_.end() || *it != resource) return -1;
   return static_cast<int>(it - used_resources_.begin());
+}
+
+int TaskController::ShardIndex(std::uint32_t shard) const {
+  const auto it =
+      std::lower_bound(used_shards_.begin(), used_shards_.end(), shard);
+  if (it == used_shards_.end() || *it != shard) return -1;
+  return static_cast<int>(it - used_shards_.begin());
 }
 
 double TaskController::mu_seen(ResourceId r) const {
@@ -95,10 +101,9 @@ std::uint32_t TaskController::mu_epoch_seen(ResourceId r) const {
   return k < 0 ? 0u : used_epoch_[static_cast<std::size_t>(k)];
 }
 
-bool TaskController::AcceptIncarnation(std::vector<std::uint32_t>* watermarks,
-                                       std::size_t slot,
+bool TaskController::AcceptIncarnation(std::size_t s,
                                        std::uint32_t incarnation) {
-  std::uint32_t& seen = (*watermarks)[slot];
+  std::uint32_t& seen = shard_incarnation_[s];
   if (incarnation < seen) {
     if (hooks_.stale_rejected != nullptr) hooks_.stale_rejected->Increment();
     return false;
@@ -110,38 +115,24 @@ bool TaskController::AcceptIncarnation(std::vector<std::uint32_t>* watermarks,
 void TaskController::OnMessage(const net::Message& message) {
   if (crashed_) return;
   if (const auto* update =
-          std::get_if<net::ResourcePriceUpdate>(&message.payload)) {
-    const int k = UsedIndex(update->resource);
-    if (k < 0) return;  // misrouted; this task does not use the resource
-    const auto slot = static_cast<std::size_t>(k);
-    if (!AcceptIncarnation(&used_incarnation_, slot, message.incarnation)) {
-      return;
-    }
-    mu_cache_[slot] = update->mu;
-    used_congested_[slot] = update->congested ? 1 : 0;
-    used_epoch_[slot] = update->epoch;
-    return;
-  }
-  if (const auto* update =
           std::get_if<net::ShardPriceUpdate>(&message.payload)) {
-    if (update->shard >= shard_incarnation_.size()) return;  // misrouted
-    if (!AcceptIncarnation(&shard_incarnation_, update->shard,
-                           message.incarnation)) {
+    const int s = ShardIndex(update->shard);
+    if (s < 0) return;  // misrouted; this task uses no resource there
+    if (!AcceptIncarnation(static_cast<std::size_t>(s), message.incarnation)) {
       return;
     }
     // Positional apply (DESIGN.md §7.11): entry j is the j-th element of
     // this task's used-resource list on the shard.  A count mismatch means
     // the sender's binding disagrees with ours — ignore the whole message.
-    const std::vector<std::uint32_t>& slots = shard_used_slots_[update->shard];
-    if (update->count != slots.size()) return;
+    const std::uint32_t first = shard_slot_begin_[s];
+    if (update->count != shard_slot_begin_[s + 1] - first) return;
     net::ShardPriceBitsets bits;
     if (!net::DecodeShardPriceUpdate(*update, &mu_scratch_, &bits)) return;
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      // A stale bit marks a resource crashed (or mid-repair) inside the
-      // shard: keep the cached price, exactly as an unsharded crash keeps
-      // the agent's last broadcast.
+    for (std::size_t j = 0; j < update->count; ++j) {
+      // A stale bit marks a resource that is crashed or mid-repair: keep
+      // the cached price, as if its last broadcast were still current.
       if (bits.stale != nullptr && net::TestWireBit(bits.stale, j)) continue;
-      const auto slot = static_cast<std::size_t>(slots[j]);
+      const std::size_t slot = first + j;
       mu_cache_[slot] = mu_scratch_[j];
       used_congested_[slot] = net::TestWireBit(bits.congested, j) ? 1 : 0;
       used_epoch_[slot] = update->epoch;
@@ -151,23 +142,24 @@ void TaskController::OnMessage(const net::Message& message) {
   if (const auto* request =
           std::get_if<net::RepairRequest>(&message.payload)) {
     // A restarted resource asks for our absolute view.  The request carries
-    // the agent's post-restart incarnation: adopting it as the watermark
-    // makes every price the agent sent before its crash (still in flight,
-    // or arriving out of order) rejectable as stale from this moment on.
+    // its shard endpoint's post-restart incarnation: adopting it as the
+    // shard's watermark makes every price the shard sent before the restart
+    // (still in flight, or arriving out of order) rejectable as stale from
+    // this moment on.
     const int k = UsedIndex(request->resource);
-    if (k >= 0 &&
-        !AcceptIncarnation(&used_incarnation_, static_cast<std::size_t>(k),
-                           message.incarnation)) {
+    if (k < 0) return;  // misrouted; this task does not use the resource
+    const int s = ShardIndex((*resource_shard_)[request->resource.value()]);
+    if (!AcceptIncarnation(static_cast<std::size_t>(s), message.incarnation)) {
       return;
     }
     const TaskInfo& info = workload_->task(task_);
     net::RepairResponse repair;
     repair.resource = request->resource;
     repair.task = task_;
-    repair.mu = mu_seen(request->resource);
-    repair.epoch = mu_epoch_seen(request->resource);
-    repair.congested =
-        k >= 0 && used_congested_[static_cast<std::size_t>(k)] != 0;
+    const auto slot = static_cast<std::size_t>(k);
+    repair.mu = mu_cache_[slot];
+    repair.epoch = used_epoch_[slot];
+    repair.congested = used_congested_[slot] != 0;
     for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
       const SubtaskId sid = info.subtasks[i];
       if (workload_->subtask(sid).resource != request->resource) continue;
@@ -194,34 +186,45 @@ void TaskController::ColdRestart() {
             1.0);
   std::fill(used_congested_.begin(), used_congested_.end(), 0);
   std::fill(used_epoch_.begin(), used_epoch_.end(), 0);
-  std::fill(used_incarnation_.begin(), used_incarnation_.end(), 0);
   std::fill(shard_incarnation_.begin(), shard_incarnation_.end(), 0);
 }
 
 void TaskController::RestoreFromSnapshot(
     const TaskControllerSnapshot& snapshot) {
-  assert(snapshot.task == task_);
+  const std::size_t resources = workload_->resource_count();
+  if (snapshot.task != task_ ||
+      snapshot.local_latencies.size() != local_latencies_.size() ||
+      snapshot.local_lambdas.size() != local_lambdas_.size() ||
+      snapshot.path_gamma_multiplier.size() !=
+          path_gamma_multiplier_.size() ||
+      snapshot.mu.size() != resources ||
+      snapshot.resource_congested.size() != resources ||
+      snapshot.resource_epoch.size() != resources) {
+    // A snapshot of another task, or of a structurally different workload,
+    // would restore a mix of snapshot and live state that no run ever
+    // produced.  That is always a caller bug, so fail loudly in every build
+    // mode (the shard agents' RestoreResource policy).
+    std::fprintf(stderr,
+                 "TaskController::RestoreFromSnapshot: snapshot of task %u "
+                 "(%zu subtasks, %zu paths, %zu resources) does not match "
+                 "controller of task %u (%zu subtasks, %zu paths, %zu "
+                 "resources)\n",
+                 snapshot.task.value(), snapshot.local_latencies.size(),
+                 snapshot.local_lambdas.size(), snapshot.mu.size(),
+                 task_.value(), local_latencies_.size(),
+                 local_lambdas_.size(), resources);
+    std::abort();
+  }
   crashed_ = false;
-  if (snapshot.local_latencies.size() == local_latencies_.size()) {
-    local_latencies_ = snapshot.local_latencies;
-  }
-  if (snapshot.local_lambdas.size() == local_lambdas_.size()) {
-    local_lambdas_ = snapshot.local_lambdas;
-  }
-  if (snapshot.path_gamma_multiplier.size() == path_gamma_multiplier_.size()) {
-    path_gamma_multiplier_ = snapshot.path_gamma_multiplier;
-  }
+  local_latencies_ = snapshot.local_latencies;
+  local_lambdas_ = snapshot.local_lambdas;
+  path_gamma_multiplier_ = snapshot.path_gamma_multiplier;
   for (std::size_t k = 0; k < used_resources_.size(); ++k) {
     const std::size_t r = used_resources_[k].value();
-    if (r < snapshot.mu.size()) mu_cache_[k] = snapshot.mu[r];
-    if (r < snapshot.resource_congested.size()) {
-      used_congested_[k] = snapshot.resource_congested[r];
-    }
-    if (r < snapshot.resource_epoch.size()) {
-      used_epoch_[k] = snapshot.resource_epoch[r];
-    }
+    mu_cache_[k] = snapshot.mu[r];
+    used_congested_[k] = snapshot.resource_congested[r];
+    used_epoch_[k] = snapshot.resource_epoch[r];
   }
-  std::fill(used_incarnation_.begin(), used_incarnation_.end(), 0);
   std::fill(shard_incarnation_.begin(), shard_incarnation_.end(), 0);
 }
 
@@ -323,54 +326,34 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
   }
 
   // 4. Send the new latencies: one batched positional message per shard
-  // touched, or — unsharded — one message per resource used.
-  if (shard_endpoints_ != nullptr) {
-    // One arena per round: every shard's payload is encoded back-to-back,
-    // then sliced per message (the messages share ownership of the arena).
-    // The b1 chooser never exceeds the raw encoding, so Σ(1 + 8n) bounds
-    // the arena.
-    std::string arena;
-    std::size_t reserve = 0;
-    for (const auto& subs : shard_subtasks_) reserve += 1 + 8 * subs.size();
-    arena.reserve(reserve);
-    latency_spans_.resize(used_shards_.size());
-    for (std::size_t s = 0; s < used_shards_.size(); ++s) {
-      const std::vector<std::uint32_t>& subs = shard_subtasks_[s];
-      gather_latencies_.resize(subs.size());
-      for (std::size_t j = 0; j < subs.size(); ++j) {
-        gather_latencies_[j] = local_latencies_[subs[j]];
-      }
-      latency_spans_[s] = net::AppendShardLatencyPayload(
-          gather_latencies_.data(), subs.size(), &arena);
+  // touched.  One arena per round: every shard's payload is encoded
+  // back-to-back, then sliced per message (the messages share ownership of
+  // the arena).  The b1 chooser never exceeds the raw encoding, so
+  // Σ(1 + 8n) bounds the arena.
+  std::string arena;
+  arena.reserve(used_shards_.size() + 8 * shard_subtasks_.size());
+  latency_spans_.resize(used_shards_.size());
+  for (std::size_t s = 0; s < used_shards_.size(); ++s) {
+    const std::uint32_t begin = shard_subtask_begin_[s];
+    const std::uint32_t end = shard_subtask_begin_[s + 1];
+    gather_latencies_.resize(end - begin);
+    for (std::uint32_t j = begin; j < end; ++j) {
+      gather_latencies_[j - begin] = local_latencies_[shard_subtasks_[j]];
     }
-    auto shared_arena = std::make_shared<const std::string>(std::move(arena));
-    for (std::size_t s = 0; s < used_shards_.size(); ++s) {
-      net::ShardLatencyUpdate update;
-      update.task = task_;
-      update.shard = used_shards_[s];
-      update.count = static_cast<std::uint32_t>(shard_subtasks_[s].size());
-      update.payload = net::WireSlice(shared_arena, latency_spans_[s].offset,
-                                      latency_spans_[s].length);
-      net::Message message;
-      message.sender = self_;
-      message.receiver = (*shard_endpoints_)[used_shards_[s]];
-      message.payload = std::move(update);
-      emit(std::move(message));
-    }
-    return;
+    latency_spans_[s] = net::AppendShardLatencyPayload(
+        gather_latencies_.data(), end - begin, &arena);
   }
-  for (ResourceId resource : used_resources_) {
-    net::LatencyUpdate update;
+  auto shared_arena = std::make_shared<const std::string>(std::move(arena));
+  for (std::size_t s = 0; s < used_shards_.size(); ++s) {
+    net::ShardLatencyUpdate update;
     update.task = task_;
-    for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
-      const SubtaskId sid = info.subtasks[i];
-      if (workload_->subtask(sid).resource != resource) continue;
-      update.subtasks.push_back(sid);
-      update.latencies_ms.push_back(local_latencies_[i]);
-    }
+    update.shard = used_shards_[s];
+    update.count = shard_subtask_begin_[s + 1] - shard_subtask_begin_[s];
+    update.payload = net::WireSlice(shared_arena, latency_spans_[s].offset,
+                                    latency_spans_[s].length);
     net::Message message;
     message.sender = self_;
-    message.receiver = (*resource_endpoints_)[resource.value()];
+    message.receiver = (*shard_endpoints_)[used_shards_[s]];
     message.payload = std::move(update);
     emit(std::move(message));
   }

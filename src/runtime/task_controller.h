@@ -6,8 +6,9 @@
 //   2. Compute the path prices lambda_p of the task's own paths (Eq. 9).
 //   3. Compute new latencies by zeroing the Lagrangian derivative (Eq. 7)
 //      — delegated to LatencySolver::SolveTask.
-//   4. Send the latencies to the resources hosting the subtasks — or, in a
-//      sharded deployment, one batched message per shard touched.
+//   4. Send the latencies to the resources hosting the subtasks: one batched
+//      message per shard agent touched (a shard hosts one resource or a
+//      contiguous range of them).
 //
 // Controllers keep only O(task) state: compact per-used-resource caches plus
 // pointers into a ControllerShared block owned by the coordinator (one
@@ -26,7 +27,7 @@
 #include "model/latency_model.h"
 #include "model/workload.h"
 #include "net/bus.h"
-#include "runtime/resource_agent.h"
+#include "runtime/shard_agent.h"
 
 namespace lla::runtime {
 
@@ -52,21 +53,16 @@ class TaskController {
                  TaskId task, AgentStepConfig step_config,
                  ControllerShared* shared);
 
-  /// Wires the controller to the bus.  `resource_endpoints[r]` is the
-  /// endpoint of resource r's agent (non-owning; the coordinator keeps the
-  /// vector alive).
+  /// Wires the controller to the bus.  `resource_shard[r]` is the shard
+  /// owning resource r and `shard_endpoints[s]` that shard agent's endpoint
+  /// (both non-owning; the coordinator keeps the vectors alive).
+  /// Latencies go out as one ShardLatencyUpdate per shard touched, and
+  /// ShardPriceUpdates are absorbed in one contiguous pass.
   void Bind(net::InProcessBus* bus, net::EndpointId self,
-            const std::vector<net::EndpointId>* resource_endpoints);
+            const std::vector<net::EndpointId>* shard_endpoints,
+            const std::vector<std::uint32_t>* resource_shard);
 
-  /// Switches the controller to sharded sends: latencies go out as one
-  /// ShardLatencyUpdate per shard touched, and ShardPriceUpdates are
-  /// absorbed in one contiguous pass.  `resource_shard[r]` is the shard
-  /// owning resource r; `shard_endpoints[s]` its agent's endpoint (both
-  /// non-owning, coordinator-owned).
-  void BindShards(const std::vector<net::EndpointId>* shard_endpoints,
-                  const std::vector<std::uint32_t>* resource_shard);
-
-  /// Handles a ResourcePriceUpdate / ShardPriceUpdate destined for this
+  /// Handles a ShardPriceUpdate or RepairRequest destined for this
   /// controller.
   void OnMessage(const net::Message& message);
 
@@ -95,17 +91,19 @@ class TaskController {
     return path_gamma_multiplier_;
   }
   double mu_seen(ResourceId r) const;
-  /// Resource epoch at which mu_seen(r) was cached (repair provenance).
+  /// Shard epoch at which mu_seen(r) was cached (repair provenance).
   std::uint32_t mu_epoch_seen(ResourceId r) const;
 
   /// Crash-restart recovery (DESIGN.md §7.7); driven by the Coordinator in
   /// lockstep with the bus-side CrashEndpoint/RestartEndpoint.
   void set_recovery_hooks(const RecoveryHooks& hooks) { hooks_ = hooks; }
   void Crash();
-  /// Rejoins with total state loss; the next resource broadcasts repopulate
+  /// Rejoins with total state loss; the next shard broadcasts repopulate
   /// the price cache within one period (controllers need no repair exchange
-  /// — resources re-send their state unprompted every tick).
+  /// — shards re-send their state unprompted every tick).
   void ColdRestart();
+  /// Rejoins from a snapshot; aborts loudly (in every build mode) on a
+  /// snapshot of another task or of a structurally different workload.
   void RestoreFromSnapshot(const TaskControllerSnapshot& snapshot);
   TaskControllerSnapshot Snapshot() const;
   bool crashed() const { return crashed_; }
@@ -114,10 +112,11 @@ class TaskController {
   /// Index of `resource` in used_resources_, or -1 when this task has no
   /// subtask there.
   int UsedIndex(ResourceId resource) const;
-  /// Incarnation-gated acceptance of a peer's message; `slot` is a used-
-  /// resource index (unsharded) or a shard id (sharded).
-  bool AcceptIncarnation(std::vector<std::uint32_t>* watermarks,
-                         std::size_t slot, std::uint32_t incarnation);
+  /// Index of `shard` in used_shards_, or -1 when this task has no subtask
+  /// there.
+  int ShardIndex(std::uint32_t shard) const;
+  /// Incarnation-gated acceptance of a message from used shard `s`.
+  bool AcceptIncarnation(std::size_t s, std::uint32_t incarnation);
   /// Shared body of both AllocateAndSend entry points.  `prepared_solver`
   /// selects the solver's const range path (requires a serial PrepareSolve
   /// earlier in the round); a null outbox sends directly.
@@ -131,21 +130,27 @@ class TaskController {
 
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
-  const std::vector<net::EndpointId>* resource_endpoints_ = nullptr;
   const std::vector<net::EndpointId>* shard_endpoints_ = nullptr;
   const std::vector<std::uint32_t>* resource_shard_ = nullptr;
   std::vector<ResourceId> used_resources_;  ///< sorted
-  /// Sharded sends: the distinct shards this task touches, and for each the
-  /// (local subtask index) list going into its batched update (parallel to
-  /// used_shards_).
+  /// The distinct shards this task touches, ascending.  The per-shard
+  /// tables below are indexed like it (and CSR offsets sized one larger),
+  /// so a controller holds O(task) shard state however many shards the
+  /// deployment runs.
   std::vector<std::uint32_t> used_shards_;
-  std::vector<std::vector<std::uint32_t>> shard_subtasks_;
-  /// shard_used_slots_[s] = indices into used_resources_ of this task's
-  /// resources owned by shard s, ascending (indexed by shard id, empty for
-  /// untouched shards).  Positionally identical to the shard agent's
-  /// client_resources_ list for this task — the decode key of the
-  /// positional ShardPriceUpdate (DESIGN.md §7.11).
-  std::vector<std::vector<std::uint32_t>> shard_used_slots_;
+  /// A shard owns a contiguous resource range and used_resources_ is
+  /// sorted, so the i-th used shard's resources are the slot range
+  /// [shard_slot_begin_[i], shard_slot_begin_[i+1]) of used_resources_:
+  /// positionally identical to the shard agent's client_resources_ list for
+  /// this task, the decode key of the positional ShardPriceUpdate
+  /// (DESIGN.md §7.11).
+  std::vector<std::uint32_t> shard_slot_begin_;
+  /// Local subtask indices grouped by shard, in local subtask order within
+  /// a shard: the i-th used shard's ShardLatencyUpdate carries the
+  /// latencies of shard_subtasks_[shard_subtask_begin_[i] ..
+  /// shard_subtask_begin_[i+1]).
+  std::vector<std::uint32_t> shard_subtask_begin_;
+  std::vector<std::uint32_t> shard_subtasks_;
 
   /// Compact per-used-resource caches, parallel to used_resources_.
   std::vector<double> mu_cache_;
@@ -157,14 +162,13 @@ class TaskController {
   /// Adaptive multiplier per local path.
   std::vector<double> path_gamma_multiplier_;
 
-  /// Recovery state: the highest incarnation seen per used resource
-  /// (unsharded) or per shard (sharded), and the crash flag.
+  /// Recovery state: the highest incarnation seen per used shard, and the
+  /// crash flag.
   RecoveryHooks hooks_;
   bool crashed_ = false;
-  std::vector<std::uint32_t> used_incarnation_;
   std::vector<std::uint32_t> shard_incarnation_;
 
-  /// Reused encode/decode scratch (sharded wire path).
+  /// Reused encode/decode scratch.
   std::vector<double> mu_scratch_;
   std::vector<double> gather_latencies_;
   std::vector<net::ArenaSpan> latency_spans_;

@@ -13,7 +13,9 @@ Message Ping(EndpointId from, EndpointId to, double mu = 1.0) {
   Message message;
   message.sender = from;
   message.receiver = to;
-  message.payload = ResourcePriceUpdate{ResourceId(0u), mu, 0, false};
+  RepairResponse payload;
+  payload.mu = mu;
+  message.payload = std::move(payload);
   return message;
 }
 
@@ -23,7 +25,7 @@ TEST(BusTest, DeliversInTimestampOrder) {
   InProcessBus bus(config);
   std::vector<double> received;
   const EndpointId a = bus.Register("a", [&](const Message& m) {
-    received.push_back(std::get<ResourcePriceUpdate>(m.payload).mu);
+    received.push_back(std::get<RepairResponse>(m.payload).mu);
   });
   const EndpointId b = bus.Register("b", nullptr);
   bus.Send(Ping(b, a, 1.0));

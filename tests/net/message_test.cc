@@ -5,32 +5,6 @@
 namespace lla::net {
 namespace {
 
-Message MakeLatencyMessage() {
-  LatencyUpdate update;
-  update.task = TaskId(2u);
-  update.subtasks = {SubtaskId(5u), SubtaskId(9u)};
-  update.latencies_ms = {12.75, 3.5};
-  Message message;
-  message.sender = 7;
-  message.receiver = 3;
-  message.payload = std::move(update);
-  return message;
-}
-
-Message MakePriceMessage() {
-  ResourcePriceUpdate update;
-  update.resource = ResourceId(4u);
-  update.mu = 179.25;
-  update.epoch = 42;
-  update.congested = true;
-  Message message;
-  message.sender = 1;
-  message.receiver = 2;
-  message.incarnation = 3;
-  message.payload = update;
-  return message;
-}
-
 Message MakeRepairRequestMessage() {
   RepairRequest request;
   request.resource = ResourceId(6u);
@@ -97,32 +71,6 @@ Message MakeShardPriceMessage(bool with_stale) {
   return message;
 }
 
-TEST(MessageTest, LatencyUpdateRoundTrips) {
-  const Message original = MakeLatencyMessage();
-  const auto bytes = Serialize(original);
-  const auto decoded = Deserialize(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, original);
-}
-
-TEST(MessageTest, PriceUpdateRoundTrips) {
-  const Message original = MakePriceMessage();
-  const auto decoded = Deserialize(Serialize(original));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, original);
-  const auto& price = std::get<ResourcePriceUpdate>(decoded->payload);
-  EXPECT_TRUE(price.congested);
-  EXPECT_EQ(price.epoch, 42u);
-}
-
-TEST(MessageTest, EmptyLatencyUpdateRoundTrips) {
-  Message message;
-  message.payload = LatencyUpdate{TaskId(0u), {}, {}};
-  const auto decoded = Deserialize(Serialize(message));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, message);
-}
-
 TEST(MessageTest, RepairRequestRoundTrips) {
   const Message original = MakeRepairRequestMessage();
   const auto decoded = Deserialize(Serialize(original));
@@ -144,7 +92,7 @@ TEST(MessageTest, RepairResponseRoundTrips) {
 }
 
 TEST(MessageTest, IncarnationSurvivesRoundTrip) {
-  Message message = MakePriceMessage();
+  Message message = MakeShardPriceMessage(true);
   message.incarnation = 0xdeadbeef;
   const auto decoded = Deserialize(Serialize(message));
   ASSERT_TRUE(decoded.has_value());
@@ -153,14 +101,14 @@ TEST(MessageTest, IncarnationSurvivesRoundTrip) {
 
 TEST(MessageTest, WireSizeMatchesSerializedLength) {
   for (const Message& message :
-       {MakeLatencyMessage(), MakePriceMessage(), MakeRepairRequestMessage(),
-        MakeRepairResponseMessage()}) {
+       {MakeShardLatencyMessage(), MakeShardPriceMessage(true),
+        MakeRepairRequestMessage(), MakeRepairResponseMessage()}) {
     EXPECT_EQ(WireSize(message), Serialize(message).size());
   }
 }
 
 TEST(MessageTest, RejectsTruncatedInput) {
-  auto bytes = Serialize(MakeLatencyMessage());
+  auto bytes = Serialize(MakeRepairResponseMessage());
   for (std::size_t cut = 1; cut < bytes.size(); cut += 3) {
     std::vector<std::uint8_t> truncated(bytes.begin(),
                                         bytes.begin() + cut);
@@ -169,15 +117,37 @@ TEST(MessageTest, RejectsTruncatedInput) {
 }
 
 TEST(MessageTest, RejectsTrailingGarbage) {
-  auto bytes = Serialize(MakePriceMessage());
+  auto bytes = Serialize(MakeRepairRequestMessage());
   bytes.push_back(0xab);
   EXPECT_FALSE(Deserialize(bytes).has_value());
 }
 
 TEST(MessageTest, RejectsUnknownTag) {
-  auto bytes = Serialize(MakePriceMessage());
+  auto bytes = Serialize(MakeRepairRequestMessage());
   bytes[12] = 0x7f;  // tag byte follows sender, receiver and incarnation
   EXPECT_FALSE(Deserialize(bytes).has_value());
+}
+
+// Tags 1 and 2 belonged to the retired per-resource latency and price
+// messages: a frame carrying either, in its old layout, must be rejected,
+// while the surviving kinds keep tags 3-6.
+TEST(MessageTest, RejectsRetiredPerResourceTags) {
+  // Tag 1, old latency layout: task, count = 1, one (subtask, f64) pair.
+  std::vector<std::uint8_t> latency(12, 0);
+  latency.push_back(1);
+  for (int i = 0; i < 8; ++i) latency.push_back(i == 4 ? 1 : 0);
+  for (int i = 0; i < 12; ++i) latency.push_back(0);
+  EXPECT_FALSE(Deserialize(latency).has_value());
+  // Tag 2, old price layout: resource, f64 mu, epoch, congested flag.
+  std::vector<std::uint8_t> price(12, 0);
+  price.push_back(2);
+  for (int i = 0; i < 17; ++i) price.push_back(0);
+  EXPECT_FALSE(Deserialize(price).has_value());
+
+  EXPECT_EQ(Serialize(MakeRepairRequestMessage())[12], 3);
+  EXPECT_EQ(Serialize(MakeRepairResponseMessage())[12], 4);
+  EXPECT_EQ(Serialize(MakeShardLatencyMessage())[12], 5);
+  EXPECT_EQ(Serialize(MakeShardPriceMessage(false))[12], 6);
 }
 
 TEST(MessageTest, RejectsEmptyInput) {
@@ -296,16 +266,23 @@ TEST(MessageTest, RejectsCorruptShardPayloadEncoding) {
 }
 
 TEST(MessageTest, NegativeAndSpecialDoublesSurvive) {
-  LatencyUpdate update;
-  update.task = TaskId(0u);
-  update.subtasks = {SubtaskId(0u)};
-  update.latencies_ms = {-17.125};
+  auto arena = std::make_shared<std::string>();
+  const double latency = -17.125;
+  const ArenaSpan span = AppendShardLatencyPayload(&latency, 1, arena.get());
+  ShardLatencyUpdate update;
+  update.count = 1;
+  update.payload = WireSlice(
+      std::shared_ptr<const std::string>(std::move(arena)), span.offset,
+      span.length);
   Message message;
   message.payload = std::move(update);
   const auto decoded = Deserialize(Serialize(message));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_DOUBLE_EQ(
-      std::get<LatencyUpdate>(decoded->payload).latencies_ms[0], -17.125);
+  std::vector<double> latencies;
+  ASSERT_TRUE(DecodeShardLatencyUpdate(
+      std::get<ShardLatencyUpdate>(decoded->payload), &latencies));
+  ASSERT_EQ(latencies.size(), 1u);
+  EXPECT_DOUBLE_EQ(latencies[0], -17.125);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //
 // The sweep crosses thread counts {1, 2, 8} with both local-solver gather
 // modes (dense lambda gather vs the active-set compaction), since the two
-// paths exercise different per-lane scratch shapes.
+// paths exercise different per-lane scratch shapes, and with two shard
+// widths: 4 multi-resource shards and the default one shard per resource.
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -36,13 +37,14 @@ class ParallelRoundEquivalence
  protected:
   RoundOutcome RunSharded(const Workload& w, const LatencyModel& model,
                           int round_threads, bool compact_gather,
-                          DynamicsKind dynamics = DynamicsKind::kPlain) {
+                          DynamicsKind dynamics = DynamicsKind::kPlain,
+                          int num_shards = 4) {
     CoordinatorConfig config;
     config.step.gamma0 = 3.0;
     config.bus.base_delay_ms = 0.0;
     config.solver.compact_lambda_gather = compact_gather;
     config.record_history = false;
-    config.num_shards = 4;
+    config.num_shards = num_shards;
     config.round_threads = round_threads;
     config.dynamics.kind = dynamics;
     config.dynamics.momentum = 0.7;
@@ -69,18 +71,24 @@ TEST_P(ParallelRoundEquivalence, ShardedRoundsBitIdenticalAcrossThreads) {
   const Workload& w = workload.value();
   LatencyModel model(w);
 
-  for (const bool compact_gather : {false, true}) {
-    SCOPED_TRACE(compact_gather ? "active-set gather" : "dense gather");
-    const RoundOutcome serial = RunSharded(w, model, 1, compact_gather);
-    for (const int threads : {2, 8}) {
-      SCOPED_TRACE("round_threads=" + std::to_string(threads));
-      const RoundOutcome parallel = RunSharded(w, model, threads,
-                                               compact_gather);
-      EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
-      EXPECT_TRUE(SameDoubles(serial.prices.lambda, parallel.prices.lambda));
-      EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
-      EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
-                               sizeof(double)));
+  for (const int num_shards : {4, 0}) {
+    SCOPED_TRACE(num_shards == 0 ? "one shard per resource" : "4 shards");
+    for (const bool compact_gather : {false, true}) {
+      SCOPED_TRACE(compact_gather ? "active-set gather" : "dense gather");
+      const RoundOutcome serial = RunSharded(
+          w, model, 1, compact_gather, DynamicsKind::kPlain, num_shards);
+      for (const int threads : {2, 8}) {
+        SCOPED_TRACE("round_threads=" + std::to_string(threads));
+        const RoundOutcome parallel =
+            RunSharded(w, model, threads, compact_gather,
+                       DynamicsKind::kPlain, num_shards);
+        EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
+        EXPECT_TRUE(
+            SameDoubles(serial.prices.lambda, parallel.prices.lambda));
+        EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
+        EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
+                                 sizeof(double)));
+      }
     }
   }
 }

@@ -1,22 +1,22 @@
 // Distributed accelerated price dynamics (DESIGN.md §7.12): the Eq. 8 mu
-// update inside ResourceAgent / ShardAgent carries per-resource momentum
-// state (velocity, Nesterov base, ramp phase).  These tests pin the
-// properties the port must preserve:
+// update inside ShardAgent carries per-resource momentum state (velocity,
+// Nesterov base, ramp phase).  These tests pin the properties the port must
+// preserve:
 //
 //   * beta = 0 heavy-ball is BIT-IDENTICAL to the plain inline update —
-//     memcmp, not EXPECT_NEAR — in both the unsharded and sharded
-//     deployments (0 * v + gamma * g absorbs into the same IEEE additions).
+//     memcmp, not EXPECT_NEAR — at one shard per resource and at 4 shards
+//     (0 * v + gamma * g absorbs into the same IEEE additions).
 //   * Momentum state survives a checkpoint/restore round-trip, and a
 //     pre-momentum snapshot (has_dynamics = false) restores as FRESH
 //     momentum re-based at the restored mu.
 //   * A snapshot restore supersedes a half-finished repair exchange: the
 //     restored agent broadcasts immediately instead of inheriting the grace
 //     hold, and its stale repair bookkeeping is gone.
-//   * The formerly assert-guarded unsharded-only coordinator surfaces
-//     (CheckpointResource, snapshot RestartEndpoint, PartitionResource) and
-//     ResourceAgent::RestoreFromSnapshot's shape check abort LOUDLY in every
-//     build mode — these used to be NDEBUG-erasable asserts sitting in
-//     front of empty-vector indexing.
+//   * Snapshot restores with the wrong identity or shape — of one
+//     resource's slots or of a task controller — and fault-injection calls
+//     with out-of-range ids abort LOUDLY in every build mode instead of
+//     mis-mapping state or indexing out of bounds (these used to be
+//     NDEBUG-erasable asserts or silent skips).
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -66,7 +66,7 @@ TEST(DistributedDynamicsTest, BetaZeroHeavyBallBitIdenticalToPlain) {
   LatencyModel model(w);
 
   for (const int num_shards : {0, 4}) {
-    SCOPED_TRACE(num_shards == 0 ? "unsharded" : "sharded");
+    SCOPED_TRACE(num_shards == 0 ? "one shard per resource" : "4 shards");
     Coordinator plain(
         w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.9,
                                             num_shards));
@@ -101,14 +101,15 @@ TEST(DistributedDynamicsTest, MomentumStateMovesAndIsObservable) {
   // (all-zero velocity would mean the dynamics never engaged).
   bool any_velocity = false;
   for (const ResourceInfo& resource : w.resources()) {
-    if (coordinator.agent(resource.id).dynamics_state().velocity != 0.0) {
+    if (coordinator.shard_of(resource.id).dynamics_state(resource.id)
+            .velocity != 0.0) {
       any_velocity = true;
       break;
     }
   }
   EXPECT_TRUE(any_velocity);
 
-  // Sharded: same observable through ShardAgent::velocity().
+  // 4 shards: the same observable on multi-resource shards.
   Coordinator sharded(
       w, model,
       DynamicsCoordinatorConfig(DynamicsKind::kHeavyBall, 0.7, 4));
@@ -117,7 +118,8 @@ TEST(DistributedDynamicsTest, MomentumStateMovesAndIsObservable) {
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     const ShardAgent& agent = sharded.shard_agent(s);
     for (const ResourceInfo& resource : w.resources()) {
-      if (agent.Hosts(resource.id) && agent.velocity(resource.id) != 0.0) {
+      if (agent.Hosts(resource.id) &&
+          agent.dynamics_state(resource.id).velocity != 0.0) {
         any_shard_velocity = true;
       }
     }
@@ -140,14 +142,16 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
   // Pick a resource whose dynamics have engaged.
   ResourceId victim = w.resources().front().id;
   for (const ResourceInfo& resource : w.resources()) {
-    if (source.agent(resource.id).dynamics_state().phase != 0.0) {
+    if (source.shard_of(resource.id).dynamics_state(resource.id).phase !=
+        0.0) {
       victim = resource.id;
       break;
     }
   }
   const ResourceAgentSnapshot snapshot = source.CheckpointResource(victim);
   EXPECT_TRUE(snapshot.has_dynamics);
-  const ComponentDynamicsState& live = source.agent(victim).dynamics_state();
+  const ComponentDynamicsState& live =
+      source.shard_of(victim).dynamics_state(victim);
   EXPECT_EQ(snapshot.velocity, live.velocity);
   EXPECT_EQ(snapshot.dynamics_base, live.base);
   EXPECT_EQ(snapshot.phase, live.phase);
@@ -158,7 +162,7 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
       w, model, DynamicsCoordinatorConfig(DynamicsKind::kNesterov, 0.7));
   target.RestartEndpoint(victim, snapshot);
   const ComponentDynamicsState& restored =
-      target.agent(victim).dynamics_state();
+      target.shard_of(victim).dynamics_state(victim);
   EXPECT_EQ(restored.velocity, snapshot.velocity);
   EXPECT_EQ(restored.base, snapshot.dynamics_base);
   EXPECT_EQ(restored.phase, snapshot.phase);
@@ -173,7 +177,8 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
   Coordinator fresh(
       w, model, DynamicsCoordinatorConfig(DynamicsKind::kNesterov, 0.7));
   fresh.RestartEndpoint(victim, old_format);
-  const ComponentDynamicsState& reseeded = fresh.agent(victim).dynamics_state();
+  const ComponentDynamicsState& reseeded =
+      fresh.shard_of(victim).dynamics_state(victim);
   EXPECT_EQ(reseeded.velocity, 0.0);
   EXPECT_EQ(reseeded.phase, 0.0);
   EXPECT_EQ(reseeded.base, snapshot.mu);
@@ -195,66 +200,31 @@ TEST(DistributedDynamicsTest, SnapshotRestoreSupersedesRepairExchange) {
   const ResourceAgentSnapshot snapshot =
       coordinator.CheckpointResource(victim);
 
-  // Cold restart puts the agent into the repair exchange (grace-held
+  // Cold restart puts the resource into the repair exchange (grace-held
   // broadcasts).  Restoring from a snapshot mid-exchange must cancel it:
-  // the agent broadcasts on the very next round instead of holding.
+  // the resource broadcasts on the very next round instead of holding.
+  const ShardAgent& host = coordinator.shard_of(victim);
   coordinator.CrashEndpoint(victim);
   coordinator.RestartEndpoint(victim);  // cold: awaiting repair
-  EXPECT_TRUE(coordinator.agent(victim).awaiting_repair());
+  EXPECT_TRUE(host.resource_awaiting_repair(victim));
 
   coordinator.RestartEndpoint(victim, snapshot);
-  EXPECT_FALSE(coordinator.agent(victim).awaiting_repair());
-  const std::uint32_t epoch_before = coordinator.agent(victim).epoch();
+  EXPECT_FALSE(host.resource_awaiting_repair(victim));
+  const std::uint32_t epoch_before = host.epoch();
   coordinator.RunSyncRound();
-  // A grace-held agent would not have advanced its epoch; the restored one
-  // must have.
-  EXPECT_EQ(coordinator.agent(victim).epoch(), epoch_before + 1);
+  // A grace-held resource goes out stale, so its clients would keep the
+  // price of an older epoch; the restored one must have published this
+  // round's.
+  EXPECT_EQ(host.epoch(), epoch_before + 1);
+  for (SubtaskId sid : w.resource(victim).subtasks) {
+    EXPECT_EQ(coordinator.controller(w.subtask(sid).task).mu_epoch_seen(victim),
+              epoch_before + 1);
+  }
 }
 
 // --- loud aborts replace NDEBUG-erasable asserts -------------------------
 
 using DistributedDynamicsDeathTest = ::testing::Test;
-
-TEST(DistributedDynamicsDeathTest, CheckpointResourceAbortsWhenSharded) {
-  auto workload = TestWorkload(95);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  LatencyModel model(w);
-  Coordinator sharded(
-      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0, 4));
-  EXPECT_DEATH(sharded.CheckpointResource(w.resources().front().id),
-               "CheckpointResource is unsharded-only");
-}
-
-TEST(DistributedDynamicsDeathTest, SnapshotRestartAbortsWhenSharded) {
-  auto workload = TestWorkload(95);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  LatencyModel model(w);
-
-  // Take a legitimate snapshot from an unsharded deployment, then try to
-  // restore it into a sharded one.
-  Coordinator unsharded(
-      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0));
-  const ResourceAgentSnapshot snapshot =
-      unsharded.CheckpointResource(w.resources().front().id);
-
-  Coordinator sharded(
-      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0, 4));
-  EXPECT_DEATH(sharded.RestartEndpoint(w.resources().front().id, snapshot),
-               "RestartEndpoint\\(resource, snapshot\\) is unsharded-only");
-}
-
-TEST(DistributedDynamicsDeathTest, PartitionResourceAbortsWhenSharded) {
-  auto workload = TestWorkload(95);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  LatencyModel model(w);
-  Coordinator sharded(
-      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0, 4));
-  EXPECT_DEATH(sharded.PartitionResource(w.resources().front().id, 10.0),
-               "PartitionResource is unsharded-only");
-}
 
 TEST(DistributedDynamicsDeathTest, RestoreRejectsMismatchedSnapshot) {
   auto workload = TestWorkload(96);
@@ -282,6 +252,73 @@ TEST(DistributedDynamicsDeathTest, RestoreRejectsMismatchedSnapshot) {
   EXPECT_DEATH(
       coordinator.RestartEndpoint(w.resources().front().id, wrong_shape),
       "does not match agent");
+}
+
+TEST(DistributedDynamicsDeathTest, ControllerRestoreRejectsMismatchedSnapshot) {
+  auto workload = TestWorkload(96);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  Coordinator coordinator(
+      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0));
+  for (int round = 0; round < 5; ++round) coordinator.RunSyncRound();
+  const TaskId task = w.tasks().front().id;
+  const TaskControllerSnapshot good = coordinator.CheckpointController(task);
+
+  // Snapshot of another task.
+  TaskControllerSnapshot wrong_task = good;
+  wrong_task.task = w.tasks().back().id;
+  ASSERT_NE(wrong_task.task, task);
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, wrong_task),
+               "does not match controller");
+
+  // Each per-task vector of the wrong length.
+  TaskControllerSnapshot wrong_latencies = good;
+  wrong_latencies.local_latencies.push_back(1.0);
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, wrong_latencies),
+               "does not match controller");
+  TaskControllerSnapshot wrong_lambdas = good;
+  wrong_lambdas.local_lambdas.pop_back();
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, wrong_lambdas),
+               "does not match controller");
+  TaskControllerSnapshot wrong_multipliers = good;
+  wrong_multipliers.path_gamma_multiplier.push_back(1.0);
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, wrong_multipliers),
+               "does not match controller");
+
+  // Each short per-resource vector.
+  TaskControllerSnapshot short_mu = good;
+  short_mu.mu.pop_back();
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, short_mu),
+               "does not match controller");
+  TaskControllerSnapshot short_congested = good;
+  short_congested.resource_congested.pop_back();
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, short_congested),
+               "does not match controller");
+  TaskControllerSnapshot short_epoch = good;
+  short_epoch.resource_epoch.pop_back();
+  EXPECT_DEATH(coordinator.RestartEndpoint(task, short_epoch),
+               "does not match controller");
+}
+
+TEST(DistributedDynamicsDeathTest, FaultInjectionRejectsOutOfRangeIds) {
+  auto workload = TestWorkload(97);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  Coordinator coordinator(
+      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0, 4));
+  const ResourceId bad_resource(
+      static_cast<std::uint32_t>(w.resource_count()));
+  const TaskId bad_task(static_cast<std::uint32_t>(w.task_count()));
+  EXPECT_DEATH(coordinator.CrashEndpoint(bad_resource),
+               "CrashEndpoint: resource id 12 is out of range");
+  EXPECT_DEATH(coordinator.PartitionResource(bad_resource, 10.0),
+               "PartitionResource: resource id 12 is out of range");
+  EXPECT_DEATH(coordinator.RestartEndpoint(bad_task),
+               "RestartEndpoint: task id 8 is out of range");
+  EXPECT_DEATH(coordinator.CheckpointController(bad_task),
+               "CheckpointController: task id 8 is out of range");
 }
 
 }  // namespace

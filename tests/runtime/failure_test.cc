@@ -49,7 +49,7 @@ TEST(BusBlackoutTest, DropsMessagesDuringWindow) {
   net::Message message;
   message.sender = b;
   message.receiver = a;
-  message.payload = net::ResourcePriceUpdate{ResourceId(0u), 1.0, 0, false};
+  message.payload = net::RepairRequest{ResourceId(0u)};
   bus.Send(message);
   bus.RunAll();
   EXPECT_EQ(received, 0);
@@ -73,7 +73,7 @@ TEST(BusBlackoutTest, InFlightMessagesIntoWindowAreDropped) {
   net::Message message;
   message.sender = a;
   message.receiver = a;
-  message.payload = net::ResourcePriceUpdate{ResourceId(0u), 1.0, 0, false};
+  message.payload = net::RepairRequest{ResourceId(0u)};
   bus.Send(message);            // delivery at t=5
   bus.BlackoutEndpoint(a, 8.0);  // window covers the delivery
   bus.RunAll();
@@ -108,7 +108,7 @@ TEST(BusBlackoutTest, WindowIsHalfOpenAtExpiry) {
   net::Message message;
   message.sender = b;  // healthy sender: the drop decision is receiver-side
   message.receiver = a;
-  message.payload = net::ResourcePriceUpdate{ResourceId(0u), 1.0, 0, false};
+  message.payload = net::RepairRequest{ResourceId(0u)};
 
   // Send first: a message sent while the receiver is already dark is
   // dropped at Send time and never tests the delivery-side boundary.
@@ -225,7 +225,7 @@ CoordinatorConfig RecoveryConfig(obs::MetricRegistry* metrics,
   return config;
 }
 
-// Cold restart of every resource agent, one at a time: total state loss,
+// Cold restart of every resource, one at a time: total state loss,
 // repair exchange, stale pre-crash prices rejected, and re-convergence to
 // the no-failure utility within 1e-6 (relative).
 TEST(CrashRestartTest, ColdRestartOfEachResourceAgentReconverges) {
@@ -249,11 +249,12 @@ TEST(CrashRestartTest, ColdRestartOfEachResourceAgentReconverges) {
     coordinator.RunAsync(250000.0);
     ASSERT_TRUE(coordinator.Converged());
 
+    const ShardAgent& host = coordinator.shard_of(ResourceId(r));
     coordinator.CrashEndpoint(ResourceId(r));
-    EXPECT_TRUE(coordinator.agent(ResourceId(r)).crashed());
+    EXPECT_TRUE(host.resource_crashed(ResourceId(r)));
     coordinator.RunAsync(2.0);  // much shorter than the in-flight tail
     coordinator.RestartEndpoint(ResourceId(r));  // cold: state lost
-    EXPECT_FALSE(coordinator.agent(ResourceId(r)).crashed());
+    EXPECT_FALSE(host.resource_crashed(ResourceId(r)));
     coordinator.RunAsync(250000.0);
 
     EXPECT_TRUE(coordinator.Converged());
@@ -366,7 +367,7 @@ TEST(CrashRestartTest, ShardedColdRestartOfOneResourceReconverges) {
 
   obs::MetricRegistry ref_metrics;
   Coordinator reference(w, model, sharded_config(&ref_metrics, nullptr));
-  ASSERT_TRUE(reference.sharded());
+  ASSERT_EQ(reference.shard_count(), 4u);
   const RunResult reference_run = reference.RunSync(4000);
   ASSERT_TRUE(reference_run.converged);
   const double no_failure = reference.CurrentUtility();
@@ -408,6 +409,132 @@ TEST(CrashRestartTest, ShardedColdRestartOfOneResourceReconverges) {
   EXPECT_EQ(std::count(events.types.begin(), events.types.end(),
                        "recovery.restart"),
             1);
+}
+
+// Snapshot restarts and partitions on multi-resource shards.  A dense
+// workload (every task on 12-16 of 16 resources) split into 4 shards, so
+// every shard hosts four resources and serves most tasks.
+Expected<Workload> FourShardWorkload() {
+  RandomWorkloadConfig config;
+  config.seed = 7;
+  config.num_resources = 16;
+  config.num_tasks = 12;
+  config.min_subtasks = 12;
+  config.max_subtasks = 16;
+  return MakeRandomWorkload(config);
+}
+
+// Snapshot restart of one resource inside a 4-resource shard, momentum
+// fields included: the restored slot comes back exactly, its shard-mates
+// keep pricing through the outage, and the deployment re-converges to the
+// no-failure utility.
+TEST(CrashRestartTest, ShardedCheckpointRestartOfOneResourceReconverges) {
+  auto workload = FourShardWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  const auto config = [](obs::MetricRegistry* metrics) {
+    CoordinatorConfig config;
+    config.step.gamma0 = 3.0;
+    config.bus.base_delay_ms = 0.0;
+    config.num_shards = 4;
+    config.dynamics.kind = DynamicsKind::kHeavyBall;
+    config.dynamics.momentum = 0.7;
+    config.convergence.rel_tol = 1e-8;
+    config.metrics = metrics;
+    return config;
+  };
+
+  obs::MetricRegistry ref_metrics;
+  Coordinator reference(w, model, config(&ref_metrics));
+  ASSERT_TRUE(reference.RunSync(4000).converged);
+  const double no_failure = reference.CurrentUtility();
+
+  obs::MetricRegistry metrics;
+  Coordinator coordinator(w, model, config(&metrics));
+  ASSERT_EQ(coordinator.shard_count(), 4u);
+  for (int round = 0; round < 30; ++round) coordinator.RunSyncRound();
+
+  // A victim whose momentum is engaged, so the snapshot carries it.
+  ResourceId victim = w.resources().front().id;
+  for (const ResourceInfo& resource : w.resources()) {
+    if (coordinator.shard_of(resource.id).dynamics_state(resource.id)
+            .velocity != 0.0) {
+      victim = resource.id;
+      break;
+    }
+  }
+  const ShardAgent& host = coordinator.shard_of(victim);
+  ASSERT_EQ(host.resource_count(), 4u);
+  const ResourceAgentSnapshot snapshot =
+      coordinator.CheckpointResource(victim);
+  ASSERT_TRUE(snapshot.has_dynamics);
+  EXPECT_NE(snapshot.velocity, 0.0);
+
+  // Through the outage the shard keeps pricing its other resources while
+  // the victim's price stays frozen.
+  coordinator.CrashEndpoint(victim);
+  const std::uint32_t epoch_at_crash = host.epoch();
+  const PriceVector at_crash = coordinator.CurrentPrices();
+  for (int round = 0; round < 5; ++round) coordinator.RunSyncRound();
+  EXPECT_EQ(host.epoch(), epoch_at_crash + 5);
+  EXPECT_EQ(host.mu(victim), at_crash.mu[victim.value()]);
+  bool mate_moved = false;
+  for (const ResourceInfo& resource : w.resources()) {
+    if (resource.id != victim && host.Hosts(resource.id) &&
+        host.mu(resource.id) != at_crash.mu[resource.id.value()]) {
+      mate_moved = true;
+    }
+  }
+  EXPECT_TRUE(mate_moved);
+
+  coordinator.RestartEndpoint(victim, snapshot);
+  EXPECT_FALSE(host.resource_crashed(victim));
+  EXPECT_FALSE(host.resource_awaiting_repair(victim));
+  EXPECT_EQ(host.mu(victim), snapshot.mu);
+  EXPECT_EQ(host.step_multiplier(victim), snapshot.gamma_multiplier);
+  EXPECT_EQ(host.dynamics_state(victim).velocity, snapshot.velocity);
+  EXPECT_EQ(host.dynamics_state(victim).base, snapshot.dynamics_base);
+  EXPECT_EQ(host.dynamics_state(victim).phase, snapshot.phase);
+  EXPECT_EQ(coordinator.CheckpointResource(victim).latencies_ms,
+            snapshot.latencies_ms);
+
+  ASSERT_TRUE(coordinator.RunSync(4000).converged);
+  EXPECT_TRUE(coordinator.CurrentFeasibility().feasible);
+  EXPECT_NEAR(coordinator.CurrentUtility(), no_failure,
+              1e-6 * std::fabs(no_failure));
+  EXPECT_EQ(CounterValue(&metrics, "recovery.restarts"), 1u);
+  EXPECT_EQ(CounterValue(&metrics, "recovery.repair_rounds"), 0u);
+}
+
+// PartitionResource on a multi-resource shard cuts off the whole hosting
+// shard endpoint (a network partitions hosts, not resources); the protocol
+// heals and returns to the same optimum.
+TEST(FailureRecoveryTest, ShardedResourcePartitionHealsAndReconverges) {
+  auto workload = FourShardWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  CoordinatorConfig config;
+  config.step.gamma0 = 3.0;
+  config.bus.base_delay_ms = 1.0;
+  config.bus.seed = 3;
+  config.num_shards = 4;
+  Coordinator coordinator(w, model, config);
+  ASSERT_EQ(coordinator.shard_count(), 4u);
+
+  coordinator.RunAsync(250000.0);
+  ASSERT_TRUE(coordinator.Converged());
+  const double before = coordinator.CurrentUtility();
+
+  coordinator.PartitionResource(ResourceId(5u), 5000.0);
+  coordinator.RunAsync(5000.0);
+  coordinator.RunAsync(250000.0);
+  EXPECT_TRUE(coordinator.Converged());
+  EXPECT_TRUE(coordinator.CurrentFeasibility().feasible);
+  EXPECT_NEAR(coordinator.CurrentUtility(), before,
+              0.01 * std::fabs(before));
+  EXPECT_GT(coordinator.bus().stats().dropped, 0u);
 }
 
 }  // namespace

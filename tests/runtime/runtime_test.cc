@@ -46,9 +46,9 @@ TEST(RuntimeTest, SyncRoundTrafficAccounting) {
   LatencyModel model(w);
   Coordinator coordinator(w, model, SyncConfig());
   coordinator.RunSyncRound();
-  // Per round: every task sends one LatencyUpdate per used resource
-  // (7 + 8 + 6 = 21) and every resource sends one price update per client
-  // task (3+3+3+2+3+2+3+2 = 21).
+  // Per round, at the default one shard per resource: every task sends one
+  // latency update per used resource (7 + 8 + 6 = 21) and every resource
+  // sends one price update per client task (3+3+3+2+3+2+3+2 = 21).
   EXPECT_EQ(coordinator.bus().stats().sent, 42u);
   EXPECT_EQ(coordinator.bus().stats().delivered, 42u);
   EXPECT_GT(coordinator.bus().stats().bytes, 0u);
@@ -139,7 +139,7 @@ TEST(RuntimeTest, ControllerSeesResourcePrices) {
     for (SubtaskId sid : task.subtasks) {
       const ResourceId r = w.subtask(sid).resource;
       EXPECT_NEAR(coordinator.controller(task.id).mu_seen(r),
-                  coordinator.agent(r).mu(), 1e-9);
+                  coordinator.shard_of(r).mu(r), 1e-9);
     }
   }
 }

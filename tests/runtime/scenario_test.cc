@@ -38,7 +38,7 @@ TEST(CoordinatorScenarioTest, CurrentPricesMatchesAgentState) {
   ASSERT_EQ(prices.lambda.size(), w.path_count());
   for (const ResourceInfo& resource : w.resources()) {
     EXPECT_EQ(prices.mu[resource.id.value()],
-              coordinator.agent(resource.id).mu());
+              coordinator.shard_of(resource.id).mu(resource.id));
   }
   // After 50 congested-start rounds at least one price moved off zero.
   double total = 0.0;

@@ -1,8 +1,8 @@
-// Sharded-coordinator pins (DESIGN.md §7.10).  The sharded deployment
-// batches a shard's prices into one message and applies them as one
-// contiguous vector write, so in synchronous rounds it must be *numerically
-// identical* to the classic one-agent-per-resource deployment — same fixed
-// point, same per-round prices — while sending strictly fewer messages.
+// Sharded-coordinator pins (DESIGN.md §7.10).  A multi-resource shard
+// batches its prices into one message and applies them as one contiguous
+// vector write, so in synchronous rounds it must be *numerically identical*
+// to the default one-shard-per-resource deployment — same fixed point, same
+// per-round prices — while sending strictly fewer messages.
 // Message counts are asserted exactly against the combinatorial expectation
 // (Σ_task used-shards + Σ_shard client-tasks), not just "smaller".
 #include <cmath>
@@ -49,9 +49,8 @@ TEST(ShardedCoordinator, SyncRunMatchesUnshardedBitExactly) {
 
   Coordinator unsharded(w, model, ShardedConfig(0));
   Coordinator sharded(w, model, ShardedConfig(4));
-  ASSERT_FALSE(unsharded.sharded());
-  ASSERT_TRUE(sharded.sharded());
-  EXPECT_EQ(sharded.shard_count(), 4u);
+  ASSERT_EQ(unsharded.shard_count(), w.resource_count());
+  ASSERT_EQ(sharded.shard_count(), 4u);
 
   const RunResult plain_run = unsharded.RunSync(4000);
   const RunResult shard_run = sharded.RunSync(4000);
@@ -59,8 +58,8 @@ TEST(ShardedCoordinator, SyncRunMatchesUnshardedBitExactly) {
   ASSERT_TRUE(shard_run.converged);
 
   // Sync rounds interleave identically (all controllers, then all price
-  // owners), and shard agents reuse ResourceAgent's exact Eq. 8 arithmetic
-  // on disjoint slots — so the runs are bit-identical, not merely close.
+  // owners), and each resource's Eq. 8 arithmetic is independent of the
+  // shard width — so the runs are bit-identical, not merely close.
   EXPECT_EQ(shard_run.final_utility, plain_run.final_utility);
   EXPECT_EQ(shard_run.iterations, plain_run.iterations);
   const PriceVector plain_prices = unsharded.CurrentPrices();

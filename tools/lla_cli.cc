@@ -8,7 +8,7 @@
 //       file's magic bytes; binary files restore through the zero-copy
 //       mmap path (DESIGN.md §7.11).
 //       --round-threads=N runs the distributed synchronous deployment
-//       instead of the single-process engine: sharded resource agents plus
+//       instead of the single-process engine: min(8, R) shard agents plus
 //       parallel coordinator rounds on an N-thread pool (bit-identical to
 //       N=1 at any thread count, DESIGN.md §7.11).
 //   lla checkpoint <workload-file> <snapshot-file> [--iters N]
@@ -381,7 +381,7 @@ int Solve(const Workload& w, UtilityVariant variant, int iters,
 }
 
 // `lla solve --round-threads=N`: the distributed synchronous deployment —
-// sharded resource agents on an in-process bus, with the coordinator fanning
+// min(8, R) shard agents on an in-process bus, with the coordinator fanning
 // each round's controller solves, shard price updates and delivery waves
 // across an N-thread pool (DESIGN.md §7.11).  The fixed point is
 // bit-identical at any thread count, so N only changes wall-clock time.
