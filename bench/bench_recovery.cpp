@@ -9,7 +9,7 @@
 //
 // Two layers:
 //   1. Engine: a twin run checkpoints every kCheckpointInterval iterations
-//      through the durable text serialization; at convergence the engine
+//      through the durable b1 serialization; at convergence the engine
 //      "crashes" and the last snapshot restores into a fresh engine.
 //      Because Restore resumes the dense trajectory bit-identically, the
 //      restarted run re-converges in exactly (staleness) rounds versus the
@@ -107,8 +107,8 @@ bool RunEngineScenario(const std::string& name, const Workload& workload,
   PrintRestart("cold restart", cold);
 
   // Checkpoint discipline: a twin run snapshots every kCheckpointInterval
-  // iterations through the durable text format (what a real deployment
-  // would fsync), then crashes at convergence and restores the last one.
+  // iterations through the durable b1 format (what a real deployment would
+  // fsync), then crashes at convergence and restores the last one.
   LlaEngine primary(workload, model, ConvergingConfig());
   StateSnapshot last_checkpoint = primary.Checkpoint();
   while (!primary.Converged() && primary.iteration() < kMaxIterations) {
@@ -120,23 +120,24 @@ bool RunEngineScenario(const std::string& name, const Workload& workload,
   const int crash_iteration = primary.iteration();
   const int staleness = crash_iteration - last_checkpoint.iteration;
 
-  auto text = SaveSnapshotToString(last_checkpoint);
-  if (!text.ok()) {
-    std::printf("  snapshot serialization failed: %s\n", text.error().c_str());
+  auto bytes = SaveSnapshotToString(last_checkpoint);
+  if (!bytes.ok()) {
+    std::printf("  snapshot serialization failed: %s\n",
+                bytes.error().c_str());
     return false;
   }
-  const std::size_t snapshot_bytes = text.value().size();
+  const std::size_t snapshot_bytes = bytes.value().size();
 
   RestartRun checkpointed;
   {
     const auto start = std::chrono::steady_clock::now();
-    auto loaded = LoadSnapshotFromString(text.value());
+    auto loaded = LoadSnapshotFromString(bytes.value());
     if (!loaded.ok()) {
       std::printf("  snapshot load failed: %s\n", loaded.error().c_str());
       return false;
     }
     LlaEngine restored(workload, model, ConvergingConfig());
-    const Status status = restored.Restore(loaded.value());
+    const Status status = restored.Restore(std::move(loaded).value());
     if (!status.ok()) {
       std::printf("  restore failed: %s\n", status.error().c_str());
       return false;

@@ -4,8 +4,8 @@
 // records into BENCH_scale.json:
 //   * workload generation time and engine solve throughput (dense-mode
 //     steps/sec, plus final utility/feasibility after a bounded run),
-//   * snapshot size and serialize+deserialize time, text vs. binary b1,
-//     plus the zero-copy mmap restore time (DESIGN.md §7.11),
+//   * b1 snapshot size against the same sections stored raw, save and load
+//     time, plus the zero-copy mmap restore time (DESIGN.md §7.10-11),
 //   * coordinator sync-round latency (mean and p50/p99), messages/round and
 //     bytes/round at one shard per resource (the paper's one agent per
 //     resource) vs. 8 multi-resource shards, and a round-threads sweep of
@@ -18,9 +18,9 @@
 // completes without exhausting memory.
 //
 // Acceptance gates (evaluated on random_100k; failure exits 1):
-//   * binary snapshot >= 5x smaller than text,
-//   * binary serialize+deserialize >= 10x faster than text,
-//   * binary round-trip bitwise-lossless,
+//   * the b1 snapshot >= 5x smaller than its sections stored raw
+//     (sum of count * element width over the parsed section table),
+//   * the b1 round-trip bitwise-lossless,
 //   * the 8-shard coordinator uses fewer messages per round than one shard
 //     per resource and ends within 1e-9 relative utility of it (sync rounds
 //     are numerically identical; the pin guards the claim),
@@ -190,10 +190,10 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "bench_scale — 10^3/10^4/10^5/10^6-subtask scale tier",
       "sharded agents, zero-copy wire + parallel rounds (DESIGN.md §7.10-11)",
-      "binary snapshot >= 5x smaller and >= 10x faster than text; sharded "
-      "coordinator fewer messages and strictly fewer bytes per round than "
-      "the PR 8 wire format; 4-thread rounds >= 2x serial on >= 4-core "
-      "hosts");
+      "b1 snapshot >= 5x smaller than its sections stored raw and "
+      "lossless; sharded coordinator fewer messages and strictly fewer bytes "
+      "per round than the id-carrying wire format; 4-thread rounds >= 2x "
+      "serial on >= 4-core hosts");
 
   const int scale = quick ? 4 : 1;
   const std::vector<SizeSpec> sizes = {
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   const std::vector<int> thread_sweep = {2, 4};
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
 
-  bool gate_size = false, gate_time = false, gate_lossless = false;
+  bool gate_size = false, gate_lossless = false;
   bool gate_sharded = false, gate_bytes = false;
   bool gate_speedup = false, speedup_suppressed = false;
   bench::JsonValue results = bench::JsonValue::Array();
@@ -235,8 +235,8 @@ int main(int argc, char** argv) {
 
     // Solve throughput: dense-mode engine (every subtask re-solved each
     // step), also the snapshot source — dense mode leaves the active-set
-    // sections empty, so the text/binary comparison measures the price
-    // state itself.
+    // sections empty, so the size comparison measures the price state
+    // itself.
     LlaConfig engine_config = bench::PaperLlaConfig();
     engine_config.record_history = false;
     engine_config.active_set.enabled = false;
@@ -253,30 +253,24 @@ int main(int argc, char** argv) {
                 steps_per_sec, subtask_solves_per_sec, last.total_utility,
                 spec.engine_iters, last.feasible ? ", feasible" : "");
 
-    // Snapshot comparison, text v2 vs binary b1.
+    // b1 snapshot: size against the raw sections, save / load time.
     const StateSnapshot snapshot = engine.Checkpoint();
-    std::string text_bytes, binary_bytes;
-    const double text_save_ms = BestMs([&] {
-      text_bytes = SaveSnapshotToString(snapshot).value();
+    std::string snapshot_bytes;
+    const double save_ms = BestMs([&] {
+      snapshot_bytes = SaveSnapshotToString(snapshot).value();
     });
-    const double binary_save_ms = BestMs([&] {
-      binary_bytes = SaveSnapshotBinaryToString(snapshot).value();
-    });
-    const double text_load_ms = BestMs([&] {
-      if (!LoadSnapshotFromString(text_bytes).ok()) std::abort();
-    });
-    const double binary_load_ms = BestMs([&] {
-      if (!LoadSnapshotBinaryFromString(binary_bytes).ok()) std::abort();
+    const double load_ms = BestMs([&] {
+      if (!LoadSnapshotFromString(snapshot_bytes).ok()) std::abort();
     });
     // Zero-copy restore (DESIGN.md §7.11): mmap the file, parse the
     // non-owning view, materialize once — the path `lla solve --restore`
-    // takes for binary snapshots.
+    // takes.
     const std::string mmap_path = "bench_scale_snapshot.tmp";
-    double binary_mmap_load_ms = 0.0;
+    double mmap_load_ms = 0.0;
     {
-      const Status saved = SaveSnapshotBinaryToFile(snapshot, mmap_path);
+      const Status saved = SaveSnapshotToFile(snapshot, mmap_path);
       if (!saved.ok()) std::abort();
-      binary_mmap_load_ms = BestMs([&] {
+      mmap_load_ms = BestMs([&] {
         auto mapped = MappedSnapshotFile::Open(mmap_path);
         if (!mapped.ok()) std::abort();
         auto view =
@@ -289,28 +283,34 @@ int main(int argc, char** argv) {
       });
       std::remove(mmap_path.c_str());
     }
-    // Bitwise losslessness: load the binary image and re-serialize; the
-    // bytes must be identical (same standard the text path pins).
-    bool lossless = false;
+    // The same sections stored raw: element count times element width,
+    // read from the parsed section table.
+    double raw_bytes = 0.0;
     {
-      auto reloaded = LoadSnapshotBinaryFromString(binary_bytes);
-      if (reloaded.ok()) {
-        auto again = SaveSnapshotBinaryToString(reloaded.value());
-        lossless = again.ok() && again.value() == binary_bytes;
+      auto view =
+          ParseSnapshotBinary(snapshot_bytes.data(), snapshot_bytes.size());
+      if (!view.ok()) std::abort();
+      for (const SnapshotSectionRef& section : view.value().sections) {
+        if (!section.present()) continue;
+        raw_bytes += static_cast<double>(section.count) *
+                     kSnapshotElemKinds[section.elem_kind].width;
       }
     }
-    const double size_ratio =
-        static_cast<double>(text_bytes.size()) / binary_bytes.size();
-    const double time_ratio = (text_save_ms + text_load_ms) /
-                              (binary_save_ms + binary_load_ms);
-    std::printf("snapshot: text %zu B (save %.2f ms, load %.2f ms), binary "
-                "%zu B (save %.3f ms, load %.3f ms, mmap load %.3f ms)\n",
-                text_bytes.size(), text_save_ms, text_load_ms,
-                binary_bytes.size(), binary_save_ms, binary_load_ms,
-                binary_mmap_load_ms);
-    std::printf("snapshot: binary %.1fx smaller, %.1fx faster, lossless: "
-                "%s\n",
-                size_ratio, time_ratio, lossless ? "yes" : "NO");
+    // Bitwise losslessness: load the image and re-serialize; the bytes must
+    // be identical.
+    bool lossless = false;
+    {
+      auto reloaded = LoadSnapshotFromString(snapshot_bytes);
+      if (reloaded.ok()) {
+        auto again = SaveSnapshotToString(reloaded.value());
+        lossless = again.ok() && again.value() == snapshot_bytes;
+      }
+    }
+    const double raw_ratio = raw_bytes / snapshot_bytes.size();
+    std::printf("snapshot: %zu B, %.0f B raw (%.1fx smaller), save %.3f ms, "
+                "load %.3f ms, mmap load %.3f ms, lossless: %s\n",
+                snapshot_bytes.size(), raw_bytes, raw_ratio, save_ms, load_ms,
+                mmap_load_ms, lossless ? "yes" : "NO");
 
     // Coordinator round cost, one shard per resource vs 8 shards.  The
     // 10^6 tier runs 8 shards only: one shard per resource would enqueue
@@ -391,8 +391,7 @@ int main(int argc, char** argv) {
     }
 
     if (std::strcmp(spec.name, "random_100k") == 0) {
-      gate_size = size_ratio >= 5.0;
-      gate_time = time_ratio >= 10.0;
+      gate_size = raw_ratio >= 5.0;
       gate_lossless = lossless;
       gate_sharded =
           sharded.messages_per_round < per_resource.messages_per_round &&
@@ -472,35 +471,25 @@ int main(int argc, char** argv) {
                      .Add("feasible", bench::JsonValue::Bool(last.feasible)))
             .Add("snapshot",
                  bench::JsonValue::Object()
-                     .Add("text_bytes",
+                     .Add("bytes",
                           bench::JsonValue::Number(
-                              static_cast<double>(text_bytes.size())))
-                     .Add("binary_bytes",
-                          bench::JsonValue::Number(
-                              static_cast<double>(binary_bytes.size())))
-                     .Add("text_save_ms",
-                          bench::JsonValue::Number(text_save_ms))
-                     .Add("text_load_ms",
-                          bench::JsonValue::Number(text_load_ms))
-                     .Add("binary_save_ms",
-                          bench::JsonValue::Number(binary_save_ms))
-                     .Add("binary_load_ms",
-                          bench::JsonValue::Number(binary_load_ms))
-                     .Add("binary_mmap_load_ms",
-                          bench::JsonValue::Number(binary_mmap_load_ms))
-                     .Add("size_ratio", bench::JsonValue::Number(size_ratio))
-                     .Add("time_ratio", bench::JsonValue::Number(time_ratio))
+                              static_cast<double>(snapshot_bytes.size())))
+                     .Add("raw_bytes", bench::JsonValue::Number(raw_bytes))
+                     .Add("raw_ratio", bench::JsonValue::Number(raw_ratio))
+                     .Add("save_ms", bench::JsonValue::Number(save_ms))
+                     .Add("load_ms", bench::JsonValue::Number(load_ms))
+                     .Add("mmap_load_ms",
+                          bench::JsonValue::Number(mmap_load_ms))
                      .Add("lossless", bench::JsonValue::Bool(lossless)))
             .Add("coordinator", std::move(coordinator_json)));
   }
 
-  const bool pass = gate_size && gate_time && gate_lossless &&
-                    gate_sharded && gate_bytes && gate_speedup;
-  std::printf("\ngates on random_100k: size >= 5x: %s  time >= 10x: %s  "
+  const bool pass = gate_size && gate_lossless && gate_sharded &&
+                    gate_bytes && gate_speedup;
+  std::printf("\ngates on random_100k: snapshot >= 5x smaller than raw: %s  "
               "lossless: %s  sharded fewer msgs + same utility: %s  "
               "fewer bytes than PR 8 wire: %s  parallel >= 2x @4t: %s\n",
-              gate_size ? "PASS" : "FAIL", gate_time ? "PASS" : "FAIL",
-              gate_lossless ? "PASS" : "FAIL",
+              gate_size ? "PASS" : "FAIL", gate_lossless ? "PASS" : "FAIL",
               gate_sharded ? "PASS" : "FAIL", gate_bytes ? "PASS" : "FAIL",
               speedup_suppressed ? "SUPPRESSED (host < 4 hw threads)"
                                  : (gate_speedup ? "PASS" : "FAIL"));
@@ -509,9 +498,8 @@ int main(int argc, char** argv) {
       bench::BenchReportRoot("scale", "subtask_solves_per_sec", quick);
   root.Add("hardware_concurrency",
            bench::JsonValue::Number(static_cast<double>(hardware)));
-  root.Add("binary_5x_smaller", bench::JsonValue::Bool(gate_size));
-  root.Add("binary_10x_faster", bench::JsonValue::Bool(gate_time));
-  root.Add("binary_lossless", bench::JsonValue::Bool(gate_lossless));
+  root.Add("snapshot_5x_smaller_than_raw", bench::JsonValue::Bool(gate_size));
+  root.Add("snapshot_lossless", bench::JsonValue::Bool(gate_lossless));
   root.Add("sharded_fewer_messages", bench::JsonValue::Bool(gate_sharded));
   root.Add("fewer_bytes_than_old_wire", bench::JsonValue::Bool(gate_bytes));
   root.Add("parallel_2x_speedup", bench::JsonValue::Bool(gate_speedup));

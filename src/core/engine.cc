@@ -299,9 +299,7 @@ StateSnapshot LlaEngine::Checkpoint() const {
   snap.recent_utilities.assign(recent_utilities_.begin(),
                                recent_utilities_.end());
   if (dynamics_ != nullptr) {
-    // Snapshot v2 payload: the momentum state.  Plain engines leave these
-    // empty, so their snapshots stay byte-compatible with what v1 loaders
-    // reconstructed.
+    // The momentum state.  Plain engines leave these sections empty.
     DynamicsPolicyState dynamics_state;
     dynamics_->SaveState(&dynamics_state);
     snap.mu_velocity = std::move(dynamics_state.mu_velocity);
@@ -328,26 +326,7 @@ StateSnapshot LlaEngine::Checkpoint() const {
   return snap;
 }
 
-Status LlaEngine::Restore(const StateSnapshot& snapshot) {
-  StateSnapshot copy = snapshot;
-  return RestoreImpl(std::move(copy));
-}
-
-Status LlaEngine::Restore(const SnapshotView& view) {
-  // Shape-check from the header scalars before decoding any section, so a
-  // foreign snapshot is refused without touching the payload (or the
-  // engine).
-  if (view.resource_count != workload_->resource_count() ||
-      view.path_count != workload_->path_count() ||
-      view.subtask_count != workload_->subtask_count() ||
-      view.task_count != workload_->task_count()) {
-    return Status::Error(
-        "Restore: snapshot shape does not match this workload");
-  }
-  return RestoreImpl(MaterializeSnapshot(view));
-}
-
-Status LlaEngine::RestoreImpl(StateSnapshot&& snapshot) {
+Status LlaEngine::Restore(StateSnapshot snapshot) {
   if (snapshot.resource_count != workload_->resource_count() ||
       snapshot.path_count != workload_->path_count() ||
       snapshot.subtask_count != workload_->subtask_count() ||
@@ -360,8 +339,9 @@ Status LlaEngine::RestoreImpl(StateSnapshot&& snapshot) {
     return Status::Error("Restore: snapshot price vectors are misshapen");
   }
   {
-    // Dynamics state is optional (absent in v1 snapshots and in snapshots
-    // taken by plain engines), but when present it must match the shape.
+    // Dynamics state is optional (empty in snapshots taken by plain engines
+    // and when the b1 image omits its sections), but when present it must
+    // match the shape.
     const std::size_t R = workload_->resource_count();
     const std::size_t P = workload_->path_count();
     const auto misshapen = [](const std::vector<double>& v, std::size_t n) {
@@ -408,8 +388,8 @@ Status LlaEngine::RestoreImpl(StateSnapshot&& snapshot) {
   if (dynamics_ != nullptr) {
     // Reset sizes (and, for Nesterov, seeds the base iterate from the
     // restored prices); LoadState then adopts any matching-size saved
-    // vectors.  A v1 or plain-engine snapshot carries none, so a momentum
-    // engine restores with fresh (zero) velocity — the correct reading of a
+    // vectors.  A plain-engine snapshot carries none, so a momentum engine
+    // restores with fresh (zero) velocity — the correct reading of a
     // checkpoint that never had momentum state.
     dynamics_->Reset(*workload_, prices_);
     DynamicsPolicyState dynamics_state;

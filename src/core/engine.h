@@ -225,17 +225,11 @@ class LlaEngine {
   /// match this workload.  On success the engine's latencies and workspace
   /// are re-derived from the restored prices by a dense solve, history is
   /// cleared, and the next Step() continues the checkpointed trajectory
-  /// bit-for-bit (any thread count, active-set on or off).
-  Status Restore(const StateSnapshot& snapshot);
-
-  /// Zero-copy restore (DESIGN.md §7.11): adopts a parsed binary snapshot
-  /// view — typically backed by an mmap'd file (MappedSnapshotFile) — by
-  /// decoding each section exactly once, straight into the engine's own
-  /// buffers, then moving them into place.  No whole-file string, no
-  /// intermediate StateSnapshot.  Same validation and bit-identical resume
-  /// guarantee as Restore(StateSnapshot); the view's backing bytes only
-  /// need to live until this call returns.
-  Status Restore(const SnapshotView& view);
+  /// bit-for-bit (any thread count, active-set on or off).  Takes the
+  /// snapshot by value and moves its vectors into place, so restoring a
+  /// freshly decoded one — `Restore(MaterializeSnapshot(view))` on an
+  /// mmap'd b1 file (DESIGN.md §7.11) — copies no vector.
+  Status Restore(StateSnapshot snapshot);
 
   bool Converged() const { return converged_; }
   int iteration() const { return iteration_; }
@@ -265,9 +259,6 @@ class LlaEngine {
  private:
   void UpdateConvergence(double utility, bool feasible);
   void EmitTrace(const IterationStats& stats);
-  /// Shared Restore body; consumes the snapshot's vectors (the view path
-  /// decodes sections once and moves them into place with no extra copy).
-  Status RestoreImpl(StateSnapshot&& snapshot);
   /// Invalidates the dirty-tracking state, then runs the initial solve at
   /// prices_: the dense active-set prime when enabled, else SolveAll.
   void PrimeOrSolve();

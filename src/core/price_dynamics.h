@@ -77,10 +77,10 @@ struct DynamicsConfig {
 };
 
 /// Serializable state of a dynamics policy, for engine checkpoints
-/// (snapshot v2).  A policy only fills / reads the fields it owns: plain
+/// (StateSnapshot).  A policy only fills / reads the fields it owns: plain
 /// nothing, heavy-ball velocities + ramp phases, Nesterov those + base
 /// iterates.  Phases are per-component steps-since-restart counters (small
-/// integers stored as doubles so they share the fvec hex round trip).
+/// integers stored as doubles so they share the f64 snapshot sections).
 /// `restarts` is the cumulative adaptive-restart count.
 struct DynamicsPolicyState {
   std::vector<double> mu_velocity;
@@ -195,8 +195,9 @@ class PriceDynamicsPolicy {
 
   /// Checkpoint hooks, mirroring StepSizePolicy: SaveState writes only the
   /// fields this policy owns; LoadState adopts matching-size vectors and
-  /// keeps the Reset() state otherwise (so a foreign-policy or v1 snapshot
-  /// restores with fresh momentum instead of misindexed velocities).
+  /// keeps the Reset() state otherwise (so a foreign-policy snapshot, or one
+  /// without dynamics sections, restores with fresh momentum instead of
+  /// misindexed velocities).
   virtual void SaveState(DynamicsPolicyState* out) const;
   virtual void LoadState(const DynamicsPolicyState& in);
 

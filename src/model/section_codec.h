@@ -28,6 +28,8 @@ namespace lla::b1 {
 inline constexpr std::uint8_t kEncodingRaw = 0;
 inline constexpr std::uint8_t kEncodingRle = 1;
 inline constexpr std::uint8_t kEncodingSparse = 2;
+/// Display names, indexed by encoding.
+inline constexpr const char* kEncodingNames[] = {"raw", "rle", "sparse"};
 
 template <typename T>
 void PutWord(std::string* out, T value) {

@@ -1,13 +1,11 @@
 #include "model/serialization.h"
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -307,334 +305,7 @@ Status SaveWorkloadToFile(const Workload& workload, const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// StateSnapshot: line-oriented like the workload format above, but every
-// double travels as the zero-padded hex of its IEEE-754 bit pattern so the
-// round-trip is bit-exact (the Restore() memcmp guarantee depends on it).
-//
-//   snapshot v2
-//   shape <resources> <paths> <subtasks> <tasks>
-//   counters <iteration> <converged 0|1> <total_subtask_solves>
-//   step_iteration <n>
-//   price_state_primed <0|1>
-//   momentum_restarts <n>                      (v2)
-//   fvec <name> <count> <hex64>...
-//   u8vec <name> <count> <int>...
-//   u32vec <name> <count> <int>...
-//   end
-//
-// v2 adds the accelerated-dynamics sections: the momentum_restarts counter
-// and the mu_velocity / lambda_velocity / mu_base / lambda_base /
-// mu_phase / lambda_phase fvecs.  The
-// loader accepts both headers — a v1 file simply has none of those, which
-// LlaEngine::Restore treats as fresh (zero) momentum.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::uint64_t DoubleBits(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double DoubleFromBits(std::uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-bool ParseU64(const std::string& token, int base, std::uint64_t* out) {
-  std::size_t consumed = 0;
-  try {
-    *out = std::stoull(token, &consumed, base);
-  } catch (...) {
-    return false;
-  }
-  return consumed == token.size();
-}
-
-bool ParseI64(const std::string& token, std::int64_t* out) {
-  std::size_t consumed = 0;
-  try {
-    *out = std::stoll(token, &consumed);
-  } catch (...) {
-    return false;
-  }
-  return consumed == token.size();
-}
-
-void WriteDoubleVec(std::ostream& out, const char* name,
-                    const std::vector<double>& values) {
-  out << "fvec " << name << ' ' << values.size() << std::hex;
-  for (double value : values) {
-    out << ' ' << std::setw(16) << std::setfill('0') << DoubleBits(value);
-  }
-  out << std::dec << std::setfill(' ') << '\n';
-}
-
-template <typename T>
-void WriteIntVec(std::ostream& out, const char* tag, const char* name,
-                 const std::vector<T>& values) {
-  out << tag << ' ' << name << ' ' << values.size();
-  for (T value : values) out << ' ' << static_cast<std::uint64_t>(value);
-  out << '\n';
-}
-
-}  // namespace
-
-Status SaveSnapshot(const StateSnapshot& snapshot, std::ostream& out) {
-  out << "# LLA state snapshot (see model/serialization.h for the format)\n";
-  out << "snapshot v2\n";
-  out << "shape " << snapshot.resource_count << ' ' << snapshot.path_count
-      << ' ' << snapshot.subtask_count << ' ' << snapshot.task_count << '\n';
-  out << "counters " << snapshot.iteration << ' '
-      << (snapshot.converged ? 1 : 0) << ' ' << snapshot.total_subtask_solves
-      << '\n';
-  out << "step_iteration " << snapshot.step_iteration << '\n';
-  out << "price_state_primed " << (snapshot.price_state_primed ? 1 : 0)
-      << '\n';
-  out << "momentum_restarts " << snapshot.momentum_restarts << '\n';
-  WriteDoubleVec(out, "mu", snapshot.mu);
-  WriteDoubleVec(out, "lambda", snapshot.lambda);
-  WriteDoubleVec(out, "resource_step_multiplier",
-                 snapshot.resource_step_multiplier);
-  WriteDoubleVec(out, "path_step_multiplier", snapshot.path_step_multiplier);
-  WriteDoubleVec(out, "recent_utilities", snapshot.recent_utilities);
-  WriteDoubleVec(out, "mu_velocity", snapshot.mu_velocity);
-  WriteDoubleVec(out, "lambda_velocity", snapshot.lambda_velocity);
-  WriteDoubleVec(out, "mu_base", snapshot.mu_base);
-  WriteDoubleVec(out, "lambda_base", snapshot.lambda_base);
-  WriteDoubleVec(out, "mu_phase", snapshot.mu_phase);
-  WriteDoubleVec(out, "lambda_phase", snapshot.lambda_phase);
-  WriteDoubleVec(out, "shadow_mu", snapshot.shadow_mu);
-  WriteDoubleVec(out, "shadow_lambda", snapshot.shadow_lambda);
-  WriteDoubleVec(out, "prev_share_sums", snapshot.prev_share_sums);
-  WriteDoubleVec(out, "prev_path_latencies", snapshot.prev_path_latencies);
-  WriteIntVec(out, "u8vec", "mu_settled", snapshot.mu_settled);
-  WriteIntVec(out, "u8vec", "lambda_settled", snapshot.lambda_settled);
-  WriteIntVec(out, "u32vec", "mu_zero_epochs", snapshot.mu_zero_epochs);
-  WriteIntVec(out, "u32vec", "lambda_zero_epochs",
-              snapshot.lambda_zero_epochs);
-  WriteIntVec(out, "u32vec", "mu_stable_epochs", snapshot.mu_stable_epochs);
-  WriteIntVec(out, "u32vec", "lambda_stable_epochs",
-              snapshot.lambda_stable_epochs);
-  out << "end\n";
-  if (!out) return Status::Error("SaveSnapshot: stream write failed");
-  return Status{};
-}
-
-namespace {
-
-Expected<StateSnapshot> LoadSnapshotText(std::istream& in) {
-  using E = Expected<StateSnapshot>;
-  StateSnapshot snap;
-  bool saw_header = false;
-  bool saw_end = false;
-
-  std::map<std::string, std::vector<double>*> fvecs = {
-      {"mu", &snap.mu},
-      {"lambda", &snap.lambda},
-      {"resource_step_multiplier", &snap.resource_step_multiplier},
-      {"path_step_multiplier", &snap.path_step_multiplier},
-      {"recent_utilities", &snap.recent_utilities},
-      {"mu_velocity", &snap.mu_velocity},
-      {"lambda_velocity", &snap.lambda_velocity},
-      {"mu_base", &snap.mu_base},
-      {"lambda_base", &snap.lambda_base},
-      {"mu_phase", &snap.mu_phase},
-      {"lambda_phase", &snap.lambda_phase},
-      {"shadow_mu", &snap.shadow_mu},
-      {"shadow_lambda", &snap.shadow_lambda},
-      {"prev_share_sums", &snap.prev_share_sums},
-      {"prev_path_latencies", &snap.prev_path_latencies},
-  };
-  std::map<std::string, std::vector<std::uint8_t>*> u8vecs = {
-      {"mu_settled", &snap.mu_settled},
-      {"lambda_settled", &snap.lambda_settled},
-  };
-  std::map<std::string, std::vector<std::uint32_t>*> u32vecs = {
-      {"mu_zero_epochs", &snap.mu_zero_epochs},
-      {"lambda_zero_epochs", &snap.lambda_zero_epochs},
-      {"mu_stable_epochs", &snap.mu_stable_epochs},
-      {"lambda_stable_epochs", &snap.lambda_stable_epochs},
-  };
-
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const auto tokens = Tokenize(line);
-    if (tokens.empty()) continue;
-    if (saw_end) {
-      return E::Error(LineError(line_number, "content after 'end'"));
-    }
-    const std::string& keyword = tokens[0];
-
-    if (keyword == "snapshot") {
-      if (tokens.size() != 2 || (tokens[1] != "v1" && tokens[1] != "v2")) {
-        return E::Error(LineError(line_number, "expected: snapshot v1|v2"));
-      }
-      saw_header = true;
-      continue;
-    }
-    if (!saw_header) {
-      return E::Error(LineError(
-          line_number, "file does not start with 'snapshot v1' or 'v2'"));
-    }
-
-    if (keyword == "shape") {
-      if (tokens.size() != 5 ||
-          !ParseU64(tokens[1], 10, &snap.resource_count) ||
-          !ParseU64(tokens[2], 10, &snap.path_count) ||
-          !ParseU64(tokens[3], 10, &snap.subtask_count) ||
-          !ParseU64(tokens[4], 10, &snap.task_count)) {
-        return E::Error(LineError(
-            line_number, "expected: shape <resources> <paths> <subtasks> "
-                         "<tasks>"));
-      }
-    } else if (keyword == "counters") {
-      std::uint64_t converged = 0;
-      if (tokens.size() != 4 || !ParseI64(tokens[1], &snap.iteration) ||
-          !ParseU64(tokens[2], 10, &converged) || converged > 1 ||
-          !ParseU64(tokens[3], 10, &snap.total_subtask_solves)) {
-        return E::Error(LineError(
-            line_number,
-            "expected: counters <iteration> <converged 0|1> <solves>"));
-      }
-      snap.converged = converged == 1;
-    } else if (keyword == "step_iteration") {
-      if (tokens.size() != 2 || !ParseI64(tokens[1], &snap.step_iteration)) {
-        return E::Error(LineError(line_number, "bad step_iteration"));
-      }
-    } else if (keyword == "price_state_primed") {
-      std::uint64_t primed = 0;
-      if (tokens.size() != 2 || !ParseU64(tokens[1], 10, &primed) ||
-          primed > 1) {
-        return E::Error(LineError(line_number, "bad price_state_primed"));
-      }
-      snap.price_state_primed = primed == 1;
-    } else if (keyword == "momentum_restarts") {
-      if (tokens.size() != 2 ||
-          !ParseU64(tokens[1], 10, &snap.momentum_restarts)) {
-        return E::Error(LineError(line_number, "bad momentum_restarts"));
-      }
-    } else if (keyword == "fvec" || keyword == "u8vec" ||
-               keyword == "u32vec") {
-      if (tokens.size() < 3) {
-        return E::Error(
-            LineError(line_number, "expected: " + keyword + " <name> <count>"));
-      }
-      std::uint64_t count = 0;
-      if (!ParseU64(tokens[2], 10, &count) || tokens.size() != count + 3) {
-        return E::Error(LineError(line_number,
-                                  "vector count does not match values"));
-      }
-      const std::string& name = tokens[1];
-      if (keyword == "fvec") {
-        const auto it = fvecs.find(name);
-        if (it == fvecs.end()) {
-          return E::Error(LineError(line_number, "unknown fvec '" + name + "'"));
-        }
-        it->second->resize(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::uint64_t bits = 0;
-          if (!ParseU64(tokens[3 + i], 16, &bits)) {
-            return E::Error(LineError(line_number, "bad hex double"));
-          }
-          (*it->second)[i] = DoubleFromBits(bits);
-        }
-      } else if (keyword == "u8vec") {
-        const auto it = u8vecs.find(name);
-        if (it == u8vecs.end()) {
-          return E::Error(
-              LineError(line_number, "unknown u8vec '" + name + "'"));
-        }
-        it->second->resize(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::uint64_t value = 0;
-          if (!ParseU64(tokens[3 + i], 10, &value) || value > 0xff) {
-            return E::Error(LineError(line_number, "bad u8 value"));
-          }
-          (*it->second)[i] = static_cast<std::uint8_t>(value);
-        }
-      } else {
-        const auto it = u32vecs.find(name);
-        if (it == u32vecs.end()) {
-          return E::Error(
-              LineError(line_number, "unknown u32vec '" + name + "'"));
-        }
-        it->second->resize(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::uint64_t value = 0;
-          if (!ParseU64(tokens[3 + i], 10, &value) || value > 0xffffffffull) {
-            return E::Error(LineError(line_number, "bad u32 value"));
-          }
-          (*it->second)[i] = static_cast<std::uint32_t>(value);
-        }
-      }
-    } else if (keyword == "end") {
-      saw_end = true;
-    } else {
-      return E::Error(
-          LineError(line_number, "unknown keyword '" + keyword + "'"));
-    }
-  }
-  if (!saw_end) {
-    return E::Error("unexpected end of input: snapshot missing 'end'");
-  }
-  if (snap.mu.size() != snap.resource_count ||
-      snap.lambda.size() != snap.path_count) {
-    return E::Error("snapshot price vectors do not match declared shape");
-  }
-  return snap;
-}
-
-}  // namespace
-
-Expected<StateSnapshot> LoadSnapshot(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return LoadSnapshotFromString(buffer.str());
-}
-
-Expected<StateSnapshot> LoadSnapshotFromString(const std::string& text) {
-  if (SnapshotBytesAreBinary(text)) return LoadSnapshotBinaryFromString(text);
-  std::istringstream is(text);
-  return LoadSnapshotText(is);
-}
-
-Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path) {
-  // Binary mode + whole-file read: the format is sniffed from the magic
-  // bytes, and the text parser is happy with an in-memory string either way.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Expected<StateSnapshot>::Error("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Expected<StateSnapshot>::Error("cannot read '" + path + "'");
-  }
-  return LoadSnapshotFromString(buffer.str());
-}
-
-Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot) {
-  std::ostringstream os;
-  const Status status = SaveSnapshot(snapshot, os);
-  if (!status.ok()) return Expected<std::string>::Error(status.error());
-  return os.str();
-}
-
-Status SaveSnapshotToFile(const StateSnapshot& snapshot,
-                          const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::Error("cannot open '" + path + "' for writing");
-  return SaveSnapshot(snapshot, out);
-}
-
-// ---------------------------------------------------------------------------
-// Binary snapshot format "b1" (DESIGN.md §7.10).  Layout (all little-endian):
+// Snapshot format "b1" (DESIGN.md §7.10).  Layout (all little-endian):
 //
 //   [ 0..8)   magic "LLASNAPB"
 //   [ 8..12)  u32 version (1)
@@ -650,12 +321,12 @@ Status SaveSnapshotToFile(const StateSnapshot& snapshot,
 //   [payload] sections back to back, each 8-byte aligned from file start.
 //
 // Values keep their raw IEEE-754 / integer bit patterns in every encoding,
-// so the round-trip is bit-exact like the text format.  The encoding is
-// chosen per section by encoded size: raw (count * width contiguous words —
-// the mmap-friendly default), rle (u64 run_count, then (u64 run_len, word)
-// pairs — collapses settled flags and all-1.0 step multipliers), or sparse
-// (u64 nnz, then (u32 index, word) pairs, indices strictly increasing —
-// collapses mostly-zero retired lambda).
+// so the round-trip is bit-exact.  The encoding is chosen per section by
+// encoded size: raw (count * width contiguous words — the mmap-friendly
+// default), rle (u64 run_count, then (u64 run_len, word) pairs — collapses
+// settled flags and all-1.0 step multipliers), or sparse (u64 nnz, then
+// (u32 index, word) pairs, indices strictly increasing — collapses
+// mostly-zero retired lambda).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -668,29 +339,56 @@ constexpr std::size_t kSectionEntrySize = 32;
 /// north star, tiny next to what a hostile u64 count could demand.
 constexpr std::uint64_t kMaxSectionElems = 1ull << 28;
 
-constexpr std::uint8_t kElemF64 = 0;
-constexpr std::uint8_t kElemU8 = 1;
-constexpr std::uint8_t kElemU32 = 2;
-
-std::size_t ElemWidth(std::uint8_t kind) {
-  switch (kind) {
-    case kElemF64: return 8;
-    case kElemU8: return 1;
-    case kElemU32: return 4;
-  }
-  return 0;
-}
-
 using b1::GetWord;
 using b1::PutWord;
 
-/// Element kind of each section id (the fixed catalogue; ids are part of
-/// the format).  0xff marks an unknown id.
-std::uint8_t SectionKind(std::uint32_t id) {
-  if (id >= 1 && id <= 15) return kElemF64;
-  if (id == 16 || id == 17) return kElemU8;
-  if (id >= 18 && id <= 21) return kElemU32;
-  return 0xff;
+template <typename T>
+constexpr std::uint8_t ElemKindOf() {
+  if constexpr (std::is_same_v<T, double>) {
+    return kSnapshotElemF64;
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    return kSnapshotElemU8;
+  } else {
+    static_assert(std::is_same_v<T, std::uint32_t>);
+    return kSnapshotElemU32;
+  }
+}
+
+/// Binds catalogue id `Id` to its StateSnapshot field; the field's element
+/// type must match the catalogue's kind.
+template <std::uint32_t Id, typename Vec, typename Fn>
+void BindSection(Vec* field, Fn& fn) {
+  static_assert(kSnapshotSections[Id].elem_kind ==
+                ElemKindOf<typename Vec::value_type>());
+  fn(Id, field);
+}
+
+/// Calls fn(id, &field) for every kSnapshotSections row, in id order.
+/// `Snapshot` is StateSnapshot or const StateSnapshot.
+template <typename Snapshot, typename Fn>
+void ForEachSection(Snapshot* snap, Fn&& fn) {
+  BindSection<1>(&snap->mu, fn);
+  BindSection<2>(&snap->lambda, fn);
+  BindSection<3>(&snap->resource_step_multiplier, fn);
+  BindSection<4>(&snap->path_step_multiplier, fn);
+  BindSection<5>(&snap->recent_utilities, fn);
+  BindSection<6>(&snap->mu_velocity, fn);
+  BindSection<7>(&snap->lambda_velocity, fn);
+  BindSection<8>(&snap->mu_base, fn);
+  BindSection<9>(&snap->lambda_base, fn);
+  BindSection<10>(&snap->mu_phase, fn);
+  BindSection<11>(&snap->lambda_phase, fn);
+  BindSection<12>(&snap->shadow_mu, fn);
+  BindSection<13>(&snap->shadow_lambda, fn);
+  BindSection<14>(&snap->prev_share_sums, fn);
+  BindSection<15>(&snap->prev_path_latencies, fn);
+  BindSection<16>(&snap->mu_settled, fn);
+  BindSection<17>(&snap->lambda_settled, fn);
+  BindSection<18>(&snap->mu_zero_epochs, fn);
+  BindSection<19>(&snap->lambda_zero_epochs, fn);
+  BindSection<20>(&snap->mu_stable_epochs, fn);
+  BindSection<21>(&snap->lambda_stable_epochs, fn);
+  static_assert(SnapshotView::kMaxSectionId == 21);
 }
 
 struct SectionEntry {
@@ -703,12 +401,11 @@ struct SectionEntry {
 };
 
 template <typename T>
-void AppendSection(std::uint32_t id, std::uint8_t kind,
-                   const std::vector<T>& values,
+void AppendSection(std::uint32_t id, const std::vector<T>& values,
                    std::vector<SectionEntry>* table, std::string* payload) {
   SectionEntry entry;
   entry.id = id;
-  entry.elem_kind = kind;
+  entry.elem_kind = ElemKindOf<T>();
   entry.count = values.size();
   entry.offset = payload->size();
   entry.encoding = b1::EncodeWords(values.data(), values.size(), payload);
@@ -725,11 +422,11 @@ bool ValidateSectionWords(const char* at, std::uint64_t size,
                           std::uint8_t encoding, std::uint8_t kind,
                           std::uint64_t count, std::string* error) {
   switch (kind) {
-    case kElemF64:
+    case kSnapshotElemF64:
       return b1::ValidateWords<double>(at, size, encoding, count, error);
-    case kElemU8:
+    case kSnapshotElemU8:
       return b1::ValidateWords<std::uint8_t>(at, size, encoding, count, error);
-    case kElemU32:
+    case kSnapshotElemU32:
       return b1::ValidateWords<std::uint32_t>(at, size, encoding, count,
                                               error);
   }
@@ -737,9 +434,10 @@ bool ValidateSectionWords(const char* at, std::uint64_t size,
   return false;
 }
 
+/// Decodes one section of a parsed view into `out` (resized to its count;
+/// an absent section yields an empty vector).
 template <typename T>
-void MaterializeSectionImpl(const SnapshotSectionRef& section,
-                            std::vector<T>* out) {
+void DecodeSection(const SnapshotSectionRef& section, std::vector<T>* out) {
   out->resize(section.count);
   if (!section.present() || section.count == 0) return;
   std::string error;
@@ -749,108 +447,74 @@ void MaterializeSectionImpl(const SnapshotSectionRef& section,
   (void)ok;
 }
 
-/// The fixed section catalogue; ids are part of the format.
-struct SnapshotSections {
-  template <typename Fn>
-  static void ForEach(StateSnapshot* snap, Fn&& fn) {
-    fn(1u, kElemF64, &snap->mu);
-    fn(2u, kElemF64, &snap->lambda);
-    fn(3u, kElemF64, &snap->resource_step_multiplier);
-    fn(4u, kElemF64, &snap->path_step_multiplier);
-    fn(5u, kElemF64, &snap->recent_utilities);
-    fn(6u, kElemF64, &snap->mu_velocity);
-    fn(7u, kElemF64, &snap->lambda_velocity);
-    fn(8u, kElemF64, &snap->mu_base);
-    fn(9u, kElemF64, &snap->lambda_base);
-    fn(10u, kElemF64, &snap->mu_phase);
-    fn(11u, kElemF64, &snap->lambda_phase);
-    fn(12u, kElemF64, &snap->shadow_mu);
-    fn(13u, kElemF64, &snap->shadow_lambda);
-    fn(14u, kElemF64, &snap->prev_share_sums);
-    fn(15u, kElemF64, &snap->prev_path_latencies);
-    fn(16u, kElemU8, &snap->mu_settled);
-    fn(17u, kElemU8, &snap->lambda_settled);
-    fn(18u, kElemU32, &snap->mu_zero_epochs);
-    fn(19u, kElemU32, &snap->lambda_zero_epochs);
-    fn(20u, kElemU32, &snap->mu_stable_epochs);
-    fn(21u, kElemU32, &snap->lambda_stable_epochs);
-  }
-};
-
 std::string BinaryError(const std::string& message) {
   return "snapshot b1: " + message;
 }
 
+Expected<StateSnapshot> LoadSnapshotFromBytes(const char* data,
+                                              std::size_t size) {
+  Expected<SnapshotView> view = ParseSnapshotBinary(data, size);
+  if (!view.ok()) return Expected<StateSnapshot>::Error(view.error());
+  return MaterializeSnapshot(view.value());
+}
+
 }  // namespace
 
-bool SnapshotBytesAreBinary(const std::string& bytes) {
-  return SnapshotBytesAreBinary(bytes.data(), bytes.size());
-}
-
-bool SnapshotBytesAreBinary(const char* data, std::size_t size) {
-  return size >= sizeof(kBinaryMagic) &&
-         std::memcmp(data, kBinaryMagic, sizeof(kBinaryMagic)) == 0;
-}
-
-Status SaveSnapshotBinary(const StateSnapshot& snapshot, std::string* out) {
+Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot) {
   std::vector<SectionEntry> table;
   std::string payload;
-  // ForEach takes a mutable snapshot so the loader can share the catalogue;
-  // the save path only reads through the pointers.
-  auto* mutable_snapshot = const_cast<StateSnapshot*>(&snapshot);
-  SnapshotSections::ForEach(
-      mutable_snapshot, [&](std::uint32_t id, std::uint8_t kind, auto* vec) {
-        AppendSection(id, kind, *vec, &table, &payload);
-      });
+  ForEachSection(&snapshot, [&](std::uint32_t id, const auto* vec) {
+    AppendSection(id, *vec, &table, &payload);
+  });
 
-  out->clear();
-  out->reserve(kBinaryHeaderSize + table.size() * kSectionEntrySize +
-               payload.size());
-  out->append(kBinaryMagic, sizeof(kBinaryMagic));
-  PutWord<std::uint32_t>(out, kBinaryVersion);
-  PutWord<std::uint32_t>(out, static_cast<std::uint32_t>(table.size()));
-  PutWord<std::uint64_t>(out, snapshot.resource_count);
-  PutWord<std::uint64_t>(out, snapshot.path_count);
-  PutWord<std::uint64_t>(out, snapshot.subtask_count);
-  PutWord<std::uint64_t>(out, snapshot.task_count);
-  PutWord<std::int64_t>(out, snapshot.iteration);
-  PutWord<std::uint64_t>(out, snapshot.total_subtask_solves);
-  PutWord<std::int64_t>(out, snapshot.step_iteration);
-  PutWord<std::uint64_t>(out, snapshot.momentum_restarts);
-  out->push_back(snapshot.converged ? 1 : 0);
-  out->push_back(snapshot.price_state_primed ? 1 : 0);
-  out->append(6, '\0');
+  std::string out;
+  out.reserve(kBinaryHeaderSize + table.size() * kSectionEntrySize +
+              payload.size());
+  out.append(kBinaryMagic, sizeof(kBinaryMagic));
+  PutWord<std::uint32_t>(&out, kBinaryVersion);
+  PutWord<std::uint32_t>(&out, static_cast<std::uint32_t>(table.size()));
+  PutWord<std::uint64_t>(&out, snapshot.resource_count);
+  PutWord<std::uint64_t>(&out, snapshot.path_count);
+  PutWord<std::uint64_t>(&out, snapshot.subtask_count);
+  PutWord<std::uint64_t>(&out, snapshot.task_count);
+  PutWord<std::int64_t>(&out, snapshot.iteration);
+  PutWord<std::uint64_t>(&out, snapshot.total_subtask_solves);
+  PutWord<std::int64_t>(&out, snapshot.step_iteration);
+  PutWord<std::uint64_t>(&out, snapshot.momentum_restarts);
+  out.push_back(snapshot.converged ? 1 : 0);
+  out.push_back(snapshot.price_state_primed ? 1 : 0);
+  out.append(6, '\0');
   for (const SectionEntry& entry : table) {
-    PutWord<std::uint32_t>(out, entry.id);
-    out->push_back(static_cast<char>(entry.elem_kind));
-    out->push_back(static_cast<char>(entry.encoding));
-    out->append(2, '\0');
-    PutWord<std::uint64_t>(out, entry.count);
-    PutWord<std::uint64_t>(out, entry.offset);
-    PutWord<std::uint64_t>(out, entry.size);
+    PutWord<std::uint32_t>(&out, entry.id);
+    out.push_back(static_cast<char>(entry.elem_kind));
+    out.push_back(static_cast<char>(entry.encoding));
+    out.append(2, '\0');
+    PutWord<std::uint64_t>(&out, entry.count);
+    PutWord<std::uint64_t>(&out, entry.offset);
+    PutWord<std::uint64_t>(&out, entry.size);
   }
-  out->append(payload);
-  return Status{};
+  out.append(payload);
+  return out;
 }
 
-Expected<std::string> SaveSnapshotBinaryToString(
-    const StateSnapshot& snapshot) {
-  std::string bytes;
-  const Status status = SaveSnapshotBinary(snapshot, &bytes);
-  if (!status.ok()) return Expected<std::string>::Error(status.error());
-  return bytes;
-}
-
-Status SaveSnapshotBinaryToFile(const StateSnapshot& snapshot,
-                                const std::string& path) {
-  std::string bytes;
-  const Status status = SaveSnapshotBinary(snapshot, &bytes);
-  if (!status.ok()) return status;
+Status SaveSnapshotToFile(const StateSnapshot& snapshot,
+                          const std::string& path) {
+  const std::string bytes = SaveSnapshotToString(snapshot).value();
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Error("cannot open '" + path + "' for writing");
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) return Status::Error("cannot write '" + path + "'");
   return Status{};
+}
+
+Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes) {
+  return LoadSnapshotFromBytes(bytes.data(), bytes.size());
+}
+
+Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path) {
+  Expected<MappedSnapshotFile> file = MappedSnapshotFile::Open(path);
+  if (!file.ok()) return Expected<StateSnapshot>::Error(file.error());
+  return LoadSnapshotFromBytes(file.value().data(), file.value().size());
 }
 
 Expected<SnapshotView> ParseSnapshotBinary(const char* data,
@@ -906,12 +570,12 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
     entry.size = GetWord<std::uint64_t>(row + 24);
 
     const std::string where = "section id " + std::to_string(entry.id);
-    const std::uint8_t kind = SectionKind(entry.id);
-    if (entry.id <= SnapshotView::kMaxSectionId &&
-        view.sections[entry.id].present()) {
+    const bool known_id = entry.id <= SnapshotView::kMaxSectionId &&
+                          kSnapshotSections[entry.id].name != nullptr;
+    if (known_id && view.sections[entry.id].present()) {
       return E::Error(BinaryError("duplicate " + where));
     }
-    if (ElemWidth(entry.elem_kind) == 0) {
+    if (entry.elem_kind >= std::size(kSnapshotElemKinds)) {
       return E::Error(BinaryError(where + ": unknown element kind"));
     }
     if (entry.count > kMaxSectionElems) {
@@ -921,9 +585,10 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
         entry.size > payload_size - entry.offset) {
       return E::Error(BinaryError(where + ": payload out of bounds"));
     }
-    if (kind == 0xff) {
+    if (!known_id) {
       return E::Error(BinaryError("unknown " + where));
     }
+    const std::uint8_t kind = kSnapshotSections[entry.id].elem_kind;
     if (kind != entry.elem_kind) {
       return E::Error(
           BinaryError(where + ": element kind does not match section id"));
@@ -955,21 +620,6 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
   return view;
 }
 
-void MaterializeSection(const SnapshotSectionRef& section,
-                        std::vector<double>* out) {
-  MaterializeSectionImpl(section, out);
-}
-
-void MaterializeSection(const SnapshotSectionRef& section,
-                        std::vector<std::uint8_t>* out) {
-  MaterializeSectionImpl(section, out);
-}
-
-void MaterializeSection(const SnapshotSectionRef& section,
-                        std::vector<std::uint32_t>* out) {
-  MaterializeSectionImpl(section, out);
-}
-
 StateSnapshot MaterializeSnapshot(const SnapshotView& view) {
   StateSnapshot snap;
   snap.resource_count = view.resource_count;
@@ -982,18 +632,10 @@ StateSnapshot MaterializeSnapshot(const SnapshotView& view) {
   snap.step_iteration = view.step_iteration;
   snap.momentum_restarts = view.momentum_restarts;
   snap.price_state_primed = view.price_state_primed;
-  SnapshotSections::ForEach(
-      &snap, [&](std::uint32_t id, std::uint8_t kind, auto* vec) {
-        (void)kind;
-        MaterializeSection(view.sections[id], vec);
-      });
+  ForEachSection(&snap, [&](std::uint32_t id, auto* vec) {
+    DecodeSection(view.sections[id], vec);
+  });
   return snap;
-}
-
-Expected<StateSnapshot> LoadSnapshotBinaryFromString(const std::string& bytes) {
-  Expected<SnapshotView> view = ParseSnapshotBinary(bytes.data(), bytes.size());
-  if (!view.ok()) return Expected<StateSnapshot>::Error(view.error());
-  return MaterializeSnapshot(view.value());
 }
 
 MappedSnapshotFile::MappedSnapshotFile(MappedSnapshotFile&& other) noexcept

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,9 @@ Status SaveWorkloadToFile(const Workload& workload, const std::string& path);
 /// Lives in the model layer (plain vectors, no core types) so serialization
 /// stays dependency-free; the engine translates to/from its internal state.
 ///
-/// Every floating-point value is persisted as the hex IEEE-754 bit pattern
-/// of the double, so a save/load round-trip is bit-exact — decimal text
-/// would round and break the memcmp resume guarantee.
+/// Persisted in the binary format "b1" below, which keeps every value's
+/// exact IEEE-754 / integer bit pattern, so a save/load round trip is
+/// bit-exact — the memcmp resume guarantee depends on it.
 struct StateSnapshot {
   /// Shape guard: Restore() refuses a snapshot taken against a workload
   /// with different counts (prices would be misindexed, not just stale).
@@ -75,13 +76,14 @@ struct StateSnapshot {
   /// Trailing utility window of the convergence detector.
   std::vector<double> recent_utilities;
 
-  /// Snapshot v2: accelerated price-dynamics state (core/price_dynamics.h).
-  /// Velocity vectors per dual space plus, for Nesterov, the un-extrapolated
-  /// base iterates, the per-component momentum-ramp phases (steps since
-  /// restart, small integers stored as doubles), and the cumulative
-  /// adaptive-restart counter.  All empty / zero for plain-dynamics engines
-  /// and in v1 files — which restore as fresh (zero) momentum, the faithful
-  /// reading of a checkpoint that never carried momentum state.
+  /// Accelerated price-dynamics state (core/price_dynamics.h): velocity
+  /// vectors per dual space plus, for Nesterov, the un-extrapolated base
+  /// iterates, the per-component momentum-ramp phases (steps since restart,
+  /// small integers stored as doubles), and the cumulative adaptive-restart
+  /// counter.  All empty / zero for plain-dynamics engines and when a b1
+  /// image lacks the six dynamics sections — which restores as fresh (zero)
+  /// momentum, the faithful reading of a checkpoint that never carried
+  /// momentum state.
   std::vector<double> mu_velocity;
   std::vector<double> lambda_velocity;
   std::vector<double> mu_base;
@@ -107,22 +109,8 @@ struct StateSnapshot {
   std::vector<double> prev_path_latencies;
 };
 
-/// Parses a snapshot in either format: text v1/v2 (line-oriented hex) or
-/// binary b1, auto-detected by the leading magic bytes.  Returns the
-/// snapshot or a message locating the defect (line number for text, byte
-/// offset / section for binary).
-Expected<StateSnapshot> LoadSnapshot(std::istream& in);
-Expected<StateSnapshot> LoadSnapshotFromString(const std::string& text);
-Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path);
-
-/// Writes the line-oriented snapshot format (doubles as hex bit patterns).
-Status SaveSnapshot(const StateSnapshot& snapshot, std::ostream& out);
-Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot);
-Status SaveSnapshotToFile(const StateSnapshot& snapshot,
-                          const std::string& path);
-
-/// Binary snapshot format "b1" (DESIGN.md §7.10): an 8-byte magic + version,
-/// the scalar header, then a section table of length-prefixed sections whose
+/// Snapshot format "b1" (DESIGN.md §7.10): an 8-byte magic + version, the
+/// scalar header, then a section table of length-prefixed sections whose
 /// payloads are raw little-endian IEEE-754 bit patterns (or integer words)
 /// laid out contiguously and 8-byte aligned — so a restore is a bounds check
 /// plus memcpy per section, and the payload region is mmap-friendly.  Each
@@ -130,27 +118,71 @@ Status SaveSnapshotToFile(const StateSnapshot& snapshot,
 /// save time: raw (contiguous words), run-length (repeated words collapse —
 /// step multipliers, settled flags), or sparse (index/value pairs of the
 /// non-zero words — retired lambda).  All encodings keep the exact bit
-/// patterns, so the round-trip is bitwise-identical like the text format.
-/// The loaders above sniff the magic, so binary files flow through the same
-/// Load* entry points.
-bool SnapshotBytesAreBinary(const std::string& bytes);
-bool SnapshotBytesAreBinary(const char* data, std::size_t size);
-Status SaveSnapshotBinary(const StateSnapshot& snapshot, std::string* out);
-Expected<std::string> SaveSnapshotBinaryToString(const StateSnapshot& snapshot);
-Status SaveSnapshotBinaryToFile(const StateSnapshot& snapshot,
-                                const std::string& path);
-Expected<StateSnapshot> LoadSnapshotBinaryFromString(const std::string& bytes);
+/// patterns, and equal snapshots encode to equal bytes.
+Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot);
+Status SaveSnapshotToFile(const StateSnapshot& snapshot,
+                          const std::string& path);
+
+/// Parses a b1 image (ParseSnapshotBinary) and decodes it into an owning
+/// snapshot (MaterializeSnapshot).  The error locates the defect by byte
+/// layout or section id.  The file loader maps the file (MappedSnapshotFile)
+/// and decodes straight out of the mapping.
+Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes);
+Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path);
+
+/// Element kinds of a b1 section, indexing kSnapshotElemKinds.
+inline constexpr std::uint8_t kSnapshotElemF64 = 0;
+inline constexpr std::uint8_t kSnapshotElemU8 = 1;
+inline constexpr std::uint8_t kSnapshotElemU32 = 2;
+
+struct SnapshotElemKind {
+  const char* name;
+  std::size_t width;  ///< bytes per element
+};
+inline constexpr SnapshotElemKind kSnapshotElemKinds[] = {
+    {"f64", 8}, {"u8", 1}, {"u32", 4}};
+
+/// The b1 section catalogue, indexed by section id (slot 0 is unused): the
+/// StateSnapshot field each id carries and its element kind.  Ids and kinds
+/// are part of the format; the encoder, the parser and `lla inspect` all
+/// read this one table.
+struct SnapshotSectionSpec {
+  const char* name;  ///< nullptr: no section has this id
+  std::uint8_t elem_kind;
+};
+inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
+    {nullptr, 0},
+    {"mu", kSnapshotElemF64},
+    {"lambda", kSnapshotElemF64},
+    {"resource_step_multiplier", kSnapshotElemF64},
+    {"path_step_multiplier", kSnapshotElemF64},
+    {"recent_utilities", kSnapshotElemF64},
+    {"mu_velocity", kSnapshotElemF64},
+    {"lambda_velocity", kSnapshotElemF64},
+    {"mu_base", kSnapshotElemF64},
+    {"lambda_base", kSnapshotElemF64},
+    {"mu_phase", kSnapshotElemF64},
+    {"lambda_phase", kSnapshotElemF64},
+    {"shadow_mu", kSnapshotElemF64},
+    {"shadow_lambda", kSnapshotElemF64},
+    {"prev_share_sums", kSnapshotElemF64},
+    {"prev_path_latencies", kSnapshotElemF64},
+    {"mu_settled", kSnapshotElemU8},
+    {"lambda_settled", kSnapshotElemU8},
+    {"mu_zero_epochs", kSnapshotElemU32},
+    {"lambda_zero_epochs", kSnapshotElemU32},
+    {"mu_stable_epochs", kSnapshotElemU32},
+    {"lambda_stable_epochs", kSnapshotElemU32},
+};
 
 /// Zero-copy restore path (DESIGN.md §7.11): a parsed, NON-OWNING view of a
-/// binary b1 snapshot.  ParseSnapshotBinary decodes the scalar header and
-/// fully validates the section table and every section's encoding structure
-/// — exactly the checks LoadSnapshotBinaryFromString performs, with the
-/// same error strings — but leaves the section payloads as byte ranges
-/// aliasing the caller's buffer (an mmap'd file, typically).  Materializing
-/// a section afterwards is a single decode pass straight into the
-/// consumer's own vector (one memcpy for raw sections), with no
-/// intermediate StateSnapshot and no whole-file std::string; it cannot fail
-/// on a parsed view.  The backing bytes must outlive the view.
+/// b1 image.  ParseSnapshotBinary decodes the scalar header and fully
+/// validates the section table and every section's encoding structure, but
+/// leaves the section payloads as byte ranges aliasing the caller's buffer
+/// (an mmap'd file, typically).  MaterializeSnapshot then decodes each
+/// section exactly once, straight into the vectors of the snapshot it
+/// returns (one memcpy for raw sections); it cannot fail on a parsed view.
+/// The backing bytes must outlive the view.
 struct SnapshotSectionRef {
   std::uint8_t elem_kind = 0;
   std::uint8_t encoding = 0;
@@ -171,29 +203,16 @@ struct SnapshotView {
   std::int64_t step_iteration = 0;
   std::uint64_t momentum_restarts = 0;
   bool price_state_primed = false;
-  /// Indexed by section id (1..21, slot 0 unused); absent sections have
-  /// data == nullptr and materialize as empty vectors.
-  static constexpr std::size_t kMaxSectionId = 21;
+  /// Indexed by section id (slot 0 unused).  A section absent from the image
+  /// has data == nullptr and materializes as an empty vector.
+  static constexpr std::size_t kMaxSectionId = std::size(kSnapshotSections) - 1;
   SnapshotSectionRef sections[kMaxSectionId + 1];
 };
 
 Expected<SnapshotView> ParseSnapshotBinary(const char* data, std::size_t size);
 
-/// Decodes every section of a parsed view into an owning StateSnapshot (the
-/// one copy of the zero-copy path).  LoadSnapshotBinaryFromString is
-/// exactly ParseSnapshotBinary + this.
+/// Decodes every section of a parsed view into an owning StateSnapshot.
 StateSnapshot MaterializeSnapshot(const SnapshotView& view);
-
-/// Per-section materialization for consumers that decode straight into
-/// their own buffers (LlaEngine::Restore(const SnapshotView&)).  `out` is
-/// resized to the section's count; an absent section yields an empty
-/// vector.  The view must come from ParseSnapshotBinary (pre-validated).
-void MaterializeSection(const SnapshotSectionRef& section,
-                        std::vector<double>* out);
-void MaterializeSection(const SnapshotSectionRef& section,
-                        std::vector<std::uint8_t>* out);
-void MaterializeSection(const SnapshotSectionRef& section,
-                        std::vector<std::uint32_t>* out);
 
 /// A read-only file mapping for the zero-copy restore: mmap where the
 /// platform has it, falling back to one read into a heap buffer.  Move-only;

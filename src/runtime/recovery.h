@@ -42,9 +42,9 @@ struct ResourceAgentSnapshot {
   std::vector<double> latencies_ms;
   /// Accelerated-dynamics state (DESIGN.md §7.12).  Snapshots taken before
   /// the momentum port leave has_dynamics false and restore as FRESH
-  /// momentum (velocity/phase zero, base re-seeded at mu), mirroring the
-  /// v1 -> v2 engine-snapshot precedent: an old checkpoint is a valid
-  /// operating point, just without acceleration history.
+  /// momentum (velocity/phase zero, base re-seeded at mu), as the engine
+  /// restores a snapshot without dynamics sections: an old checkpoint is a
+  /// valid operating point, just without acceleration history.
   bool has_dynamics = false;
   double velocity = 0.0;
   /// Nesterov base iterate x (the published mu is the extrapolated point y).

@@ -256,7 +256,7 @@ void ShardAgent::RestoreResource(ResourceId r,
                         snapshot.phase};
   } else {
     // Pre-momentum snapshot: restore as fresh momentum at the restored mu
-    // (the v1 -> v2 engine-snapshot precedent).
+    // (as the engine restores a snapshot without dynamics sections).
     dynamics_[local].ReseedAt(snapshot.mu);
   }
 }

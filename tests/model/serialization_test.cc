@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -191,7 +192,7 @@ StateSnapshot MakeSnapshot() {
   snapshot.path_step_multiplier = {2.0, 1.0, 4.0};
   snapshot.step_iteration = 17;
   snapshot.recent_utilities = {100.25, 100.5, 100.625};
-  // v2 momentum state, same bit-stress values (negative velocity, -0.0).
+  // Momentum state, same bit-stress values (negative velocity, -0.0).
   snapshot.mu_velocity = {-0.125, 0.0};
   snapshot.lambda_velocity = {-0.0, 1e-300, 0.5};
   snapshot.mu_base = {0.0, 179.0};
@@ -254,53 +255,6 @@ void ExpectSnapshotsEqual(const StateSnapshot& a, const StateSnapshot& b) {
   EXPECT_EQ(a.lambda_stable_epochs, b.lambda_stable_epochs);
 }
 
-TEST(SnapshotSerializationTest, RoundTripsThroughString) {
-  const StateSnapshot original = MakeSnapshot();
-  auto saved = SaveSnapshotToString(original);
-  ASSERT_TRUE(saved.ok());
-  const std::string& text = saved.value();
-  EXPECT_NE(text.find("snapshot v2"), std::string::npos);
-  auto loaded = LoadSnapshotFromString(text);
-  ASSERT_TRUE(loaded.ok()) << loaded.error();
-  ExpectSnapshotsEqual(original, loaded.value());
-}
-
-// A v1 file (pre-momentum format: v1 header, no momentum_restarts line, no
-// velocity fvecs) must still load, with the dynamics state reading as empty
-// — the compatibility contract that keeps old durable checkpoints usable.
-TEST(SnapshotSerializationTest, ReadsV1Files) {
-  StateSnapshot original = MakeSnapshot();
-  original.mu_velocity.clear();
-  original.lambda_velocity.clear();
-  original.mu_base.clear();
-  original.lambda_base.clear();
-  original.mu_phase.clear();
-  original.lambda_phase.clear();
-  original.momentum_restarts = 0;
-  auto saved = SaveSnapshotToString(original);
-  ASSERT_TRUE(saved.ok());
-  // Rewrite the v2 text as its v1 equivalent: swap the header and drop the
-  // v2-only lines (they encode empty state, so nothing is lost).
-  std::string text = saved.value();
-  const std::size_t header = text.find("snapshot v2");
-  ASSERT_NE(header, std::string::npos);
-  text.replace(header, 11, "snapshot v1");
-  for (const char* line :
-       {"momentum_restarts 0\n", "fvec mu_velocity 0\n",
-        "fvec lambda_velocity 0\n", "fvec mu_base 0\n",
-        "fvec lambda_base 0\n", "fvec mu_phase 0\n",
-        "fvec lambda_phase 0\n"}) {
-    const std::size_t pos = text.find(line);
-    ASSERT_NE(pos, std::string::npos) << line;
-    text.erase(pos, std::strlen(line));
-  }
-  auto loaded = LoadSnapshotFromString(text);
-  ASSERT_TRUE(loaded.ok()) << loaded.error();
-  ExpectSnapshotsEqual(original, loaded.value());
-  EXPECT_TRUE(loaded.value().mu_velocity.empty());
-  EXPECT_EQ(loaded.value().momentum_restarts, 0u);
-}
-
 TEST(SnapshotSerializationTest, RoundTripsThroughFile) {
   const StateSnapshot original = MakeSnapshot();
   const std::string path = ::testing::TempDir() + "/snapshot_rt.snap";
@@ -332,51 +286,18 @@ TEST(SnapshotSerializationTest, UnprimedSnapshotOmitsActiveSetVectors) {
   EXPECT_TRUE(loaded.value().shadow_mu.empty());
 }
 
-TEST(SnapshotSerializationTest, RejectsMalformedInput) {
-  auto saved = SaveSnapshotToString(MakeSnapshot());
-  ASSERT_TRUE(saved.ok());
-  const std::string good = saved.value();
-
-  // Each mutation must fail with an error, not crash or mis-parse.
-  EXPECT_FALSE(LoadSnapshotFromString("").ok());
-  EXPECT_FALSE(LoadSnapshotFromString("snapshot v3\nend\n").ok());
-  EXPECT_FALSE(LoadSnapshotFromString("shape 1 1 1 1\nend\n").ok());
-
-  // Truncation: drop the trailing "end".
-  const std::string truncated = good.substr(0, good.rfind("end"));
-  EXPECT_FALSE(LoadSnapshotFromString(truncated).ok());
-
-  // Content after "end" is a hard error.
-  EXPECT_FALSE(LoadSnapshotFromString(good + "fvec mu 0\n").ok());
-
-  // Count/value mismatch inside a vector line.
-  std::string short_vec = good;
-  const std::size_t pos = short_vec.find("fvec mu 2 ");
-  ASSERT_NE(pos, std::string::npos);
-  short_vec.replace(pos, 10, "fvec mu 3 ");
-  EXPECT_FALSE(LoadSnapshotFromString(short_vec).ok());
-
-  // Unknown vector names are rejected (future-format safety).
-  std::string unknown = good;
-  const std::size_t mu_pos = unknown.find("fvec mu ");
-  ASSERT_NE(mu_pos, std::string::npos);
-  unknown.replace(mu_pos, 8, "fvec xx ");
-  EXPECT_FALSE(LoadSnapshotFromString(unknown).ok());
-
-  // Non-hex garbage where a double's bit pattern belongs.
-  std::string bad_hex = good;
-  const std::size_t hex_pos = bad_hex.find("fvec lambda 3 ");
-  ASSERT_NE(hex_pos, std::string::npos);
-  bad_hex.replace(hex_pos + 14, 4, "zzzz");
-  EXPECT_FALSE(LoadSnapshotFromString(bad_hex).ok());
-}
-
+// The parser's shape check: the mu / lambda section counts must equal the
+// header's resource / path counts.
 TEST(SnapshotSerializationTest, RejectsPriceVectorShapeMismatch) {
   StateSnapshot snapshot = MakeSnapshot();
   snapshot.mu.push_back(1.0);  // now disagrees with resource_count
   auto saved = SaveSnapshotToString(snapshot);
   ASSERT_TRUE(saved.ok());
-  EXPECT_FALSE(LoadSnapshotFromString(saved.value()).ok());
+  auto loaded = LoadSnapshotFromString(saved.value());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("price vectors do not match declared shape"),
+            std::string::npos)
+      << loaded.error();
 }
 
 // --- Binary snapshot format "b1" (DESIGN.md §7.10).
@@ -406,79 +327,81 @@ std::size_t B1FindEntry(const std::string& bytes, std::uint32_t id) {
 
 TEST(BinarySnapshotTest, RoundTripsBitExactlyAndDeterministically) {
   const StateSnapshot original = MakeSnapshot();
-  auto bytes = SaveSnapshotBinaryToString(original);
+  auto bytes = SaveSnapshotToString(original);
   ASSERT_TRUE(bytes.ok());
-  EXPECT_TRUE(SnapshotBytesAreBinary(bytes.value()));
-  auto loaded = LoadSnapshotBinaryFromString(bytes.value());
+  EXPECT_EQ(bytes.value().compare(0, 8, "LLASNAPB"), 0);
+  auto loaded = LoadSnapshotFromString(bytes.value());
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   ExpectSnapshotsEqual(original, loaded.value());
   // Deterministic bytes: re-serializing the loaded snapshot reproduces the
   // image exactly, so snapshot files diff/dedup cleanly.
-  auto again = SaveSnapshotBinaryToString(loaded.value());
+  auto again = SaveSnapshotToString(loaded.value());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(bytes.value(), again.value());
 }
 
+// The file entry point (MappedSnapshotFile) reads exactly what the string
+// encoder wrote, and refuses bytes without the magic — a text snapshot, an
+// empty file — with the parser's message.
 TEST(BinarySnapshotTest, GenericLoadersSniffTheMagic) {
   const StateSnapshot original = MakeSnapshot();
-  auto bytes = SaveSnapshotBinaryToString(original);
+  auto bytes = SaveSnapshotToString(original);
   ASSERT_TRUE(bytes.ok());
-  // String entry point.
-  auto loaded = LoadSnapshotFromString(bytes.value());
-  ASSERT_TRUE(loaded.ok()) << loaded.error();
-  ExpectSnapshotsEqual(original, loaded.value());
-  // File entry point (std::istream path; the file is binary-safe).
   const std::string path = ::testing::TempDir() + "/snapshot_b1.snap";
-  ASSERT_TRUE(SaveSnapshotBinaryToFile(original, path).ok());
+  std::ofstream(path, std::ios::binary) << bytes.value();
   auto from_file = LoadSnapshotFromFile(path);
   ASSERT_TRUE(from_file.ok()) << from_file.error();
   ExpectSnapshotsEqual(original, from_file.value());
+
+  std::ofstream(path) << "snapshot v2\nshape 2 3 4 2\nend\n";
+  auto text = LoadSnapshotFromFile(path);
+  ASSERT_FALSE(text.ok());
+  EXPECT_NE(text.error().find("missing magic bytes"), std::string::npos)
+      << text.error();
+  std::ofstream(path, std::ios::trunc).flush();
+  EXPECT_FALSE(LoadSnapshotFromFile(path).ok());
   std::remove(path.c_str());
-  // Text bytes are not misidentified.
-  auto text = SaveSnapshotToString(original);
-  ASSERT_TRUE(text.ok());
-  EXPECT_FALSE(SnapshotBytesAreBinary(text.value()));
+  EXPECT_FALSE(LoadSnapshotFromFile(path).ok());  // no such file
 }
 
 TEST(BinarySnapshotTest, RejectsEveryTruncation) {
-  auto bytes = SaveSnapshotBinaryToString(MakeSnapshot());
+  auto bytes = SaveSnapshotToString(MakeSnapshot());
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
   // Any prefix that loses more than the trailing alignment padding (< 8
   // bytes, bit-zero) must be rejected — header, section table, and payload
   // truncations alike.
   for (std::size_t len = 0; len + 8 <= good.size(); ++len) {
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(good.substr(0, len)).ok())
+    EXPECT_FALSE(LoadSnapshotFromString(good.substr(0, len)).ok())
         << "prefix of " << len << " bytes parsed";
   }
 }
 
 TEST(BinarySnapshotTest, RejectsHeaderCorruption) {
-  auto bytes = SaveSnapshotBinaryToString(MakeSnapshot());
+  auto bytes = SaveSnapshotToString(MakeSnapshot());
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
 
   std::string bad_magic = good;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(LoadSnapshotBinaryFromString(bad_magic).ok());
-  EXPECT_FALSE(LoadSnapshotFromString(bad_magic).ok());  // nor as text
+  EXPECT_FALSE(LoadSnapshotFromString(bad_magic).ok());
 
   std::string bad_version = good;
   bad_version[8] = 2;
-  EXPECT_FALSE(LoadSnapshotBinaryFromString(bad_version).ok());
+  EXPECT_FALSE(LoadSnapshotFromString(bad_version).ok());
 
   std::string bad_count = good;  // section count beyond the actual table
   bad_count[12] = static_cast<char>(0xff);
   bad_count[13] = static_cast<char>(0xff);
-  EXPECT_FALSE(LoadSnapshotBinaryFromString(bad_count).ok());
+  EXPECT_FALSE(LoadSnapshotFromString(bad_count).ok());
 
   std::string bad_flag = good;
   bad_flag[80] = 2;  // converged must be 0/1
-  EXPECT_FALSE(LoadSnapshotBinaryFromString(bad_flag).ok());
+  EXPECT_FALSE(LoadSnapshotFromString(bad_flag).ok());
 }
 
 TEST(BinarySnapshotTest, RejectsSectionTableCorruption) {
-  auto bytes = SaveSnapshotBinaryToString(MakeSnapshot());
+  auto bytes = SaveSnapshotToString(MakeSnapshot());
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
   const std::size_t mu_entry = B1FindEntry(good, 1);
@@ -489,47 +412,47 @@ TEST(BinarySnapshotTest, RejectsSectionTableCorruption) {
   {
     std::string bad = good;  // unknown section id
     bad[mu_entry] = 99;
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // duplicate section id
     bad[lambda_entry] = 1;
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // unknown element kind
     bad[mu_entry + 4] = 7;
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // unknown encoding
     bad[mu_entry + 5] = 9;
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // element count no longer matches payload size
     ++bad[mu_entry + 8];
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // hostile count: must refuse to allocate
     std::memset(bad.data() + mu_entry + 8, 0xff, 8);
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // misaligned payload offset
     ++bad[mu_entry + 16];
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // offset past the payload region
     std::memset(bad.data() + mu_entry + 16, 0x7f, 8);
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // size overrunning the payload region
     std::memset(bad.data() + mu_entry + 24, 0x7f, 8);
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
 }
 
@@ -549,10 +472,10 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
   snapshot.lambda_stable_epochs.clear();
   snapshot.shadow_lambda.clear();
   snapshot.prev_path_latencies.clear();
-  auto bytes = SaveSnapshotBinaryToString(snapshot);
+  auto bytes = SaveSnapshotToString(snapshot);
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
-  ASSERT_TRUE(LoadSnapshotBinaryFromString(good).ok());
+  ASSERT_TRUE(LoadSnapshotFromString(good).ok());
 
   const std::size_t payload_start =
       kB1Header + B1SectionCount(good) * kB1Entry;
@@ -573,23 +496,23 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
     std::string bad = good;  // sparse index out of range (>= count)
     const std::uint32_t index = 64;
     std::memcpy(bad.data() + payload_start + lambda_off + 8, &index, 4);
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // sparse nnz disagrees with section size
     ++bad[payload_start + lambda_off];
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // rle run count disagrees with section size
     ++bad[payload_start + rle_off];
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     std::string bad = good;  // rle run length exceeds the element count
     const std::uint64_t run_len = 65;
     std::memcpy(bad.data() + payload_start + rle_off + 8, &run_len, 8);
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
   {
     // rle run count crafted so 8 + runs * 16 wraps u64 back to the real
@@ -600,7 +523,7 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
     std::memcpy(&size, bad.data() + rle_entry + 24, 8);
     const std::uint64_t runs = ((size - 8) / 16) + (1ull << 60);
     std::memcpy(bad.data() + payload_start + rle_off, &runs, 8);
-    EXPECT_FALSE(LoadSnapshotBinaryFromString(bad).ok());
+    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
   }
 }
 

@@ -3,10 +3,11 @@
 // bit-identically — every subsequent iteration's latencies and prices
 // memcmp-equal (tolerance 0) to an uninterrupted reference run, at every
 // thread count, in dense and active-set mode, and with the snapshot pushed
-// through the durable text serialization (string and file round trips).
+// through the durable b1 encoding (string and file round trips).
 //
 // This is the guarantee that makes checkpointed restart a pure fast-path:
 // a restore is indistinguishable from never having crashed.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -72,7 +73,7 @@ void ExpectBitIdentical(const Trajectory& expected, const Trajectory& actual,
   }
 }
 
-enum class RoundTrip { kInMemory, kString, kFile, kBinary };
+enum class RoundTrip { kInMemory, kString, kFile };
 
 // Runs `pre` iterations, checkpoints, runs `post` more on the original
 // engine, then restores the snapshot (optionally via the serialized form)
@@ -88,27 +89,19 @@ void CheckResume(const Workload& workload, const LlaConfig& config, int pre,
   const Trajectory expected = StepAndRecord(&reference, post);
 
   if (round_trip == RoundTrip::kString) {
-    auto text = SaveSnapshotToString(snapshot);
-    ASSERT_TRUE(text.ok()) << label;
-    auto loaded = LoadSnapshotFromString(text.value());
+    auto bytes = SaveSnapshotToString(snapshot);
+    ASSERT_TRUE(bytes.ok()) << label;
+    auto loaded = LoadSnapshotFromString(bytes.value());
     ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.error();
     snapshot = loaded.value();
   } else if (round_trip == RoundTrip::kFile) {
+    // The file loader decodes straight out of the mmap'd image.
     const std::string path = ::testing::TempDir() + "/recovery_prop.snap";
     ASSERT_TRUE(SaveSnapshotToFile(snapshot, path).ok()) << label;
     auto loaded = LoadSnapshotFromFile(path);
     ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.error();
     snapshot = loaded.value();
     std::remove(path.c_str());
-  } else if (round_trip == RoundTrip::kBinary) {
-    // Binary b1, deliberately loaded through the generic (magic-sniffing)
-    // entry point rather than the binary-specific one.
-    auto bytes = SaveSnapshotBinaryToString(snapshot);
-    ASSERT_TRUE(bytes.ok()) << label;
-    ASSERT_TRUE(SnapshotBytesAreBinary(bytes.value())) << label;
-    auto loaded = LoadSnapshotFromString(bytes.value());
-    ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.error();
-    snapshot = loaded.value();
   }
 
   LlaEngine restored(workload, model, config);
@@ -153,9 +146,9 @@ TEST(RecoveryPropertyTest, ResumesBitIdenticallyOnRandomWorkloads) {
   }
 }
 
-// The durable text format must preserve the guarantee exactly: every double
-// round-trips through its hex bit pattern, so a snapshot pushed through
-// serialization resumes the same bitwise trajectory as the in-memory one.
+// The durable b1 encoding must preserve the guarantee exactly: every double
+// round-trips as its bit pattern, so a snapshot pushed through serialization
+// resumes the same bitwise trajectory as the in-memory one.
 TEST(RecoveryPropertyTest, SerializedSnapshotResumesBitIdentically) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -168,9 +161,9 @@ TEST(RecoveryPropertyTest, SerializedSnapshotResumesBitIdentically) {
               "active via file");
 }
 
-// Same guarantee for binary b1 (DESIGN.md §7.10): the RLE/sparse encodings
-// preserve exact bit patterns, so a binary round trip resumes the same
-// bitwise trajectory — dense and active-set, threads 1 and 8.
+// The RLE/sparse section encodings (DESIGN.md §7.10) preserve exact bit
+// patterns too, so a b1 round trip resumes the same bitwise trajectory —
+// dense and active-set, threads 1 and 8.
 TEST(RecoveryPropertyTest, BinarySnapshotResumesBitIdentically) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -181,51 +174,8 @@ TEST(RecoveryPropertyTest, BinarySnapshotResumesBitIdentically) {
       std::snprintf(label, sizeof(label), "binary %s threads=%d",
                     active ? "active" : "dense", num_threads);
       CheckResume(w, MakeConfig(num_threads, active), 60, 60,
-                  RoundTrip::kBinary, label);
+                  RoundTrip::kString, label);
     }
-  }
-}
-
-// Cross-format identity: text -> binary -> text reproduces the first text
-// image byte-for-byte, and binary -> text -> binary reproduces the binary
-// image — neither format drops or perturbs any state the other carries.
-// Covers both a dense engine (active-set sections empty) and an active-set
-// engine (all 21 sections populated).
-TEST(RecoveryPropertyTest, TextBinaryCrossRoundTripIsLossless) {
-  auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  LatencyModel model(w);
-  for (const bool active : {false, true}) {
-    SCOPED_TRACE(active ? "active" : "dense");
-    LlaEngine engine(w, model, MakeConfig(active ? 8 : 1, active));
-    for (int i = 0; i < 60; ++i) engine.Step();
-    const StateSnapshot snapshot = engine.Checkpoint();
-
-    auto text = SaveSnapshotToString(snapshot);
-    auto binary = SaveSnapshotBinaryToString(snapshot);
-    ASSERT_TRUE(text.ok());
-    ASSERT_TRUE(binary.ok());
-    ASSERT_TRUE(SnapshotBytesAreBinary(binary.value()));
-    ASSERT_FALSE(SnapshotBytesAreBinary(text.value()));
-
-    // text -> load -> binary -> load -> text
-    auto from_text = LoadSnapshotFromString(text.value());
-    ASSERT_TRUE(from_text.ok()) << from_text.error();
-    auto binary2 = SaveSnapshotBinaryToString(from_text.value());
-    ASSERT_TRUE(binary2.ok());
-    ASSERT_EQ(binary.value().size(), binary2.value().size());
-    EXPECT_EQ(std::memcmp(binary.value().data(), binary2.value().data(),
-                          binary.value().size()),
-              0);
-    auto from_binary = LoadSnapshotFromString(binary2.value());
-    ASSERT_TRUE(from_binary.ok()) << from_binary.error();
-    auto text2 = SaveSnapshotToString(from_binary.value());
-    ASSERT_TRUE(text2.ok());
-    ASSERT_EQ(text.value().size(), text2.value().size());
-    EXPECT_EQ(std::memcmp(text.value().data(), text2.value().data(),
-                          text.value().size()),
-              0);
   }
 }
 
@@ -242,7 +192,7 @@ TEST(RecoveryPropertyTest, CheckpointAtIterationZeroRestores) {
 // Accelerated dynamics (DESIGN.md §7.8) add velocity and Nesterov base
 // vectors to the dual state; a checkpoint must capture them so the restored
 // momentum continues mid-flight, not from rest.  Tolerance 0 including the
-// durable text form (snapshot v2).
+// durable b1 form.
 TEST(RecoveryPropertyTest, DynamicsStateResumesBitIdentically) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -278,10 +228,10 @@ TEST(RecoveryPropertyTest, DiminishingScheduleResumesBitIdentically) {
               "diminishing via string");
 }
 
-// Backward compatibility: a v1 snapshot (no momentum_restarts line, no
-// velocity/base fvecs) must still restore and, for a plain-dynamics engine,
-// resume bit-identically — the dynamics fields it lacks are exactly the
-// ones a plain engine never reads.
+// A checkpoint that never carried momentum state — a b1 image whose six
+// dynamics sections (ids 6..11) are absent — must still restore and, for a
+// plain-dynamics engine, resume bit-identically: absent sections decode as
+// empty vectors, exactly the fields a plain engine never reads.
 TEST(RecoveryPropertyTest, V1SnapshotStillRestores) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -291,35 +241,40 @@ TEST(RecoveryPropertyTest, V1SnapshotStillRestores) {
   LlaEngine reference(w, model, config);
   for (int i = 0; i < 60; ++i) reference.Step();
 
-  auto text = SaveSnapshotToString(reference.Checkpoint());
-  ASSERT_TRUE(text.ok());
-  // Rewrite the v2 text into what the v1 writer produced: old header, no
-  // momentum line, no (empty) dynamics vectors.
-  std::string v1 = text.value();
-  const auto strip = [&v1](const std::string& line) {
-    const std::size_t pos = v1.find(line);
-    ASSERT_NE(pos, std::string::npos) << line;
-    v1.erase(pos, line.size());
-  };
-  const std::size_t header = v1.find("snapshot v2\n");
-  ASSERT_NE(header, std::string::npos);
-  v1.replace(header, std::strlen("snapshot v2"), "snapshot v1");
-  strip("momentum_restarts 0\n");
-  strip("fvec mu_velocity 0\n");
-  strip("fvec lambda_velocity 0\n");
-  strip("fvec mu_base 0\n");
-  strip("fvec lambda_base 0\n");
-  strip("fvec mu_phase 0\n");
-  strip("fvec lambda_phase 0\n");
+  auto bytes = SaveSnapshotToString(reference.Checkpoint());
+  ASSERT_TRUE(bytes.ok());
+  // Drop the dynamics rows from the section table.  Payload offsets count
+  // from the end of the table, so the remaining rows stay valid.
+  constexpr std::size_t kHeader = 88;
+  constexpr std::size_t kEntry = 32;
+  const std::string& full = bytes.value();
+  std::uint32_t sections = 0;
+  std::memcpy(&sections, full.data() + 12, 4);
+  std::string image = full.substr(0, kHeader);
+  std::uint32_t kept = 0;
+  for (std::uint32_t s = 0; s < sections; ++s) {
+    const std::size_t row = kHeader + s * kEntry;
+    std::uint32_t id = 0;
+    std::memcpy(&id, full.data() + row, 4);
+    if (id >= 6 && id <= 11) continue;
+    image.append(full, row, kEntry);
+    ++kept;
+  }
+  ASSERT_EQ(kept, sections - 6);
+  std::memcpy(image.data() + 12, &kept, 4);
+  image.append(full, kHeader + sections * kEntry, std::string::npos);
 
-  auto loaded = LoadSnapshotFromString(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  auto view = ParseSnapshotBinary(image.data(), image.size());
+  ASSERT_TRUE(view.ok()) << view.error();
+  for (std::size_t id = 6; id <= 11; ++id) {
+    EXPECT_FALSE(view.value().sections[id].present()) << "section " << id;
+  }
 
   const Trajectory expected = StepAndRecord(&reference, 60);
   LlaEngine restored(w, model, config);
-  ASSERT_TRUE(restored.Restore(loaded.value()).ok());
+  ASSERT_TRUE(restored.Restore(MaterializeSnapshot(view.value())).ok());
   const Trajectory actual = StepAndRecord(&restored, 60);
-  ExpectBitIdentical(expected, actual, "v1 snapshot");
+  ExpectBitIdentical(expected, actual, "snapshot without dynamics sections");
 }
 
 // Restore must reject snapshots from a different workload shape instead of

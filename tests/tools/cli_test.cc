@@ -1,6 +1,7 @@
 // End-to-end tests for the `lla` binary: the documented exit-code scheme
-// (0 success, 2 usage, 3 load error, 4 not converged/infeasible) and the
-// `trace` subcommand's JSONL output.  The binary path is injected by CMake
+// (0 success, 2 usage, 3 load error, 4 not converged/infeasible), the one
+// strict flag parser every subcommand shares, snapshot checkpoint / restore
+// / inspect, and the `trace` subcommand's JSONL output.  The binary path is injected by CMake
 // via LLA_CLI_PATH; commands run through std::system with streams redirected
 // to files under the build tree.
 #include <gtest/gtest.h>
@@ -16,11 +17,11 @@ namespace {
 const char* kCli = LLA_CLI_PATH;
 const char* kPaperWorkload = LLA_SOURCE_DIR "/examples/data/paper_table1.lla";
 
-// Runs `lla <args>` with stdout/stderr discarded and returns the exit code,
-// or -1 if the shell could not launch it.
-int RunCli(const std::string& args) {
-  const std::string command =
-      std::string(kCli) + " " + args + " >/dev/null 2>/dev/null";
+// Runs `lla <args>` with stdout redirected to `stdout_path` and stderr
+// discarded; returns the exit code, or -1 if the shell could not launch it.
+int RunCliTo(const std::string& args, const std::string& stdout_path) {
+  const std::string command = std::string(kCli) + " " + args + " >" +
+                              stdout_path + " 2>/dev/null";
   const int status = std::system(command.c_str());
   if (status < 0) return -1;
 #ifdef WIFEXITED
@@ -31,11 +32,26 @@ int RunCli(const std::string& args) {
 #endif
 }
 
+int RunCli(const std::string& args) { return RunCliTo(args, "/dev/null"); }
+
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+// RunCli, with stdout captured into *out.  The capture file is named after
+// the running test, since ctest may run CliTest cases concurrently.
+int RunCliCapture(const std::string& args, std::string* out) {
+  const std::string path =
+      ::testing::TempDir() + "/cli_stdout_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
+  const int code = RunCliTo(args, path);
+  *out = ReadFile(path);
+  std::remove(path.c_str());
+  return code;
 }
 
 TEST(CliTest, SolveSucceedsOnPaperWorkload) {
@@ -145,64 +161,67 @@ TEST(CliTest, RoundThreadsAcceptsDynamicsFlags) {
   // Engine-only flags stay rejected on the distributed path.
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --threads=2"), 2);
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --epsilon-quiescence=1e-4"), 2);
+  EXPECT_EQ(RunCli(solve + " --round-threads=2 --restore=state.snap"), 2);
   // Bad dynamics values are usage errors here too.
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --dynamics=adam"), 2);
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --momentum=1.5"), 2);
 }
 
+// `lla checkpoint` writes a b1 image, and `solve --restore` resumes from it
+// in either flag form.
 TEST(CliTest, CheckpointThenRestoreRoundTrips) {
   const std::string snap = ::testing::TempDir() + "/cli_state.snap";
   std::remove(snap.c_str());
   ASSERT_EQ(RunCli(std::string("checkpoint ") + kPaperWorkload + " " + snap +
                    " --iters 50"),
             0);
-  EXPECT_NE(ReadFile(snap).find("snapshot v2"), std::string::npos);
+  const std::string bytes = ReadFile(snap);
+  ASSERT_GE(bytes.size(), 8u);
+  EXPECT_EQ(bytes.compare(0, 8, "LLASNAPB"), 0);
   // Resuming the dual iteration from the mid-run snapshot converges.
   EXPECT_EQ(RunCli(std::string("solve ") + kPaperWorkload +
                    " --restore=" + snap),
             0);
+  EXPECT_EQ(RunCli(std::string("solve ") + kPaperWorkload + " --restore " +
+                   snap),
+            0);
   std::remove(snap.c_str());
 }
 
-// --format=binary writes a b1 image (magic bytes, no text header), and
-// `solve --restore=` sniffs the format — the same restore flag consumes
-// either encoding with no extra flag.
+// The checkpoint carries the b1 magic bytes and no text header, and
+// `solve --restore=` recognises it by that magic: the same image with one
+// magic byte flipped is refused as a load error (3), not decoded.
 TEST(CliTest, BinaryCheckpointRestoresThroughAutoDetection) {
   const std::string snap = ::testing::TempDir() + "/cli_state_b1.snap";
   std::remove(snap.c_str());
   ASSERT_EQ(RunCli(std::string("checkpoint ") + kPaperWorkload + " " + snap +
-                   " --iters 50 --format=binary"),
+                   " --iters 50"),
             0);
-  const std::string bytes = ReadFile(snap);
+  std::string bytes = ReadFile(snap);
   ASSERT_GE(bytes.size(), 8u);
   EXPECT_EQ(bytes.compare(0, 8, "LLASNAPB"), 0);
   EXPECT_EQ(bytes.find("snapshot v"), std::string::npos);
-  EXPECT_EQ(RunCli(std::string("solve ") + kPaperWorkload +
-                   " --restore=" + snap),
-            0);
+  const std::string solve = std::string("solve ") + kPaperWorkload;
+  EXPECT_EQ(RunCli(solve + " --restore=" + snap), 0);
+
+  bytes[7] = 'X';  // LLASNAPB -> LLASNAPX, body intact
+  const std::string bad = ::testing::TempDir() + "/cli_state_badmagic.snap";
+  std::ofstream(bad, std::ios::binary) << bytes;
+  EXPECT_EQ(RunCli(solve + " --restore=" + bad), 3);
+  std::remove(bad.c_str());
   std::remove(snap.c_str());
 }
 
-// --format=text is the explicit spelling of the default.
-TEST(CliTest, TextFormatFlagMatchesDefault) {
-  const std::string snap = ::testing::TempDir() + "/cli_state_text.snap";
-  std::remove(snap.c_str());
-  ASSERT_EQ(RunCli(std::string("checkpoint ") + kPaperWorkload + " " + snap +
-                   " --iters 50 --format=text"),
-            0);
-  EXPECT_NE(ReadFile(snap).find("snapshot v2"), std::string::npos);
-  std::remove(snap.c_str());
-}
-
+// There is one snapshot format, so --format is an unknown flag everywhere.
 TEST(CliTest, InvalidFormatValueReturnsTwo) {
   const std::string checkpoint = std::string("checkpoint ") + kPaperWorkload +
                                  " " + ::testing::TempDir() +
                                  "/cli_fmt.snap --iters 5";
-  EXPECT_EQ(RunCli(checkpoint + " --format=json"), 2);   // unknown format
-  EXPECT_EQ(RunCli(checkpoint + " --format=Binary"), 2); // case-sensitive
-  EXPECT_EQ(RunCli(checkpoint + " --format="), 2);       // empty value
-  EXPECT_EQ(RunCli(checkpoint + " --format"), 2);        // missing value
-  // --format belongs to checkpoint, not solve.
+  EXPECT_EQ(RunCli(checkpoint + " --format=binary"), 2);
+  EXPECT_EQ(RunCli(checkpoint + " --format=text"), 2);
+  EXPECT_EQ(RunCli(checkpoint + " --format=json"), 2);
+  EXPECT_EQ(RunCli(checkpoint + " --format="), 2);
+  EXPECT_EQ(RunCli(checkpoint + " --format"), 2);
   EXPECT_EQ(RunCli(std::string("solve ") + kPaperWorkload +
                    " --format=binary"),
             2);
@@ -217,15 +236,110 @@ TEST(CliTest, CheckpointAndRestoreErrors) {
   EXPECT_EQ(RunCli(solve + " --restore="), 2);  // empty path
   EXPECT_EQ(RunCli(solve + " --restore=/nonexistent/state.snap"), 3);
 
-  // A corrupt snapshot is a load error (3), not a crash.
+  // A file without the b1 magic, such as a text snapshot, is a load error
+  // (3), not a crash.
   const std::string bad = ::testing::TempDir() + "/cli_bad.snap";
-  std::ofstream(bad) << "snapshot v1\nshape 1 1\n";  // malformed shape line
+  std::ofstream(bad) << "snapshot v2\nshape 8 9 21 3\nend\n";
   EXPECT_EQ(RunCli(solve + " --restore=" + bad), 3);
 
   // So is a truncated binary snapshot (valid magic, cut-off body).
   std::ofstream(bad, std::ios::binary) << "LLASNAPB\x01";
   EXPECT_EQ(RunCli(solve + " --restore=" + bad), 3);
   std::remove(bad.c_str());
+}
+
+// `lla inspect` renders the b1 header and section table.
+TEST(CliTest, InspectListsSnapshotSections) {
+  const std::string snap = ::testing::TempDir() + "/cli_inspect.snap";
+  std::remove(snap.c_str());
+  ASSERT_EQ(RunCli(std::string("checkpoint ") + kPaperWorkload + " " + snap +
+                   " --iters 50"),
+            0);
+  std::string out;
+  ASSERT_EQ(RunCliCapture("inspect " + snap, &out), 0);
+  EXPECT_NE(out.find("iteration 50"), std::string::npos) << out;
+  EXPECT_NE(out.find("\nmu "), std::string::npos) << out;
+  EXPECT_NE(out.find("\nlambda_stable_epochs "), std::string::npos) << out;
+
+  // A truncated image and a text file are load errors with the parser's
+  // message; a missing path is a usage error.
+  const std::string bytes = ReadFile(snap);
+  const std::string bad = ::testing::TempDir() + "/cli_inspect_bad.snap";
+  std::ofstream(bad, std::ios::binary) << bytes.substr(0, bytes.size() / 2);
+  EXPECT_EQ(RunCli("inspect " + bad), 3);
+  std::ofstream(bad) << "snapshot v2\nend\n";
+  EXPECT_EQ(RunCli("inspect " + bad), 3);
+  EXPECT_EQ(RunCli("inspect /nonexistent/state.snap"), 3);
+  EXPECT_EQ(RunCli("inspect"), 2);
+  EXPECT_EQ(RunCli("inspect " + snap + " --iters 5"), 2);  // takes no flags
+  std::remove(bad.c_str());
+  std::remove(snap.c_str());
+}
+
+// Every flag value parses in full and in range, and a flag appears once: a
+// prefix parse, a fallback to the default or a last-one-wins repeat would
+// run something the user did not ask for.
+TEST(CliTest, MalformedOrRepeatedFlagsReturnTwo) {
+  const std::string solve = std::string("solve ") + kPaperWorkload;
+  EXPECT_EQ(RunCli(solve + " --variant bogus"), 2);
+  EXPECT_EQ(RunCli(solve + " --iters 5x"), 2);
+  EXPECT_EQ(RunCli(solve + " --iters 99999999999"), 2);  // overflows int
+  EXPECT_EQ(RunCli(solve + " --iters -5"), 2);
+  EXPECT_EQ(RunCli(solve + " --dynamics=heavy-ball --dynamics=nesterov"), 2);
+  EXPECT_EQ(RunCli(std::string("check ") + kPaperWorkload + " --iters 5x"),
+            2);
+  const std::string trace = std::string("trace ") + kPaperWorkload;
+  EXPECT_EQ(RunCli(trace + " --iters 5x --out /dev/null"), 2);
+  EXPECT_EQ(RunCli(trace + " --threads=2 --threads=3 --out /dev/null"), 2);
+  EXPECT_EQ(RunCli(trace + " --out="), 2);  // empty path
+  const std::string churn = std::string("churn ") + kPaperWorkload;
+  EXPECT_EQ(RunCli(churn + " --mutations=3x --seed=abc"), 2);
+  EXPECT_EQ(RunCli(churn + " --mutations=3x"), 2);
+  EXPECT_EQ(RunCli(churn + " --seed=abc"), 2);
+  EXPECT_EQ(RunCli(churn + " --seed=-1"), 2);
+  EXPECT_EQ(RunCli(churn + " --threads=2 --threads 2"), 2);
+  EXPECT_EQ(RunCli(std::string("generate ") + ::testing::TempDir() +
+                   "/cli_gen.lla --tasks 3x"),
+            2);
+  EXPECT_EQ(RunCli(std::string("describe ") + kPaperWorkload + " --iters 5"),
+            2);  // describe takes no flags
+}
+
+// <seconds> is a finite positive number: "nan" would simulate zero job sets
+// and report every task ok, and "inf" would never return.
+TEST(CliTest, SimulateRejectsNonFiniteSeconds) {
+  const std::string simulate = std::string("simulate ") + kPaperWorkload;
+  EXPECT_EQ(RunCli(simulate + " nan"), 2);
+  EXPECT_EQ(RunCli(simulate + " inf"), 2);
+  EXPECT_EQ(RunCli(simulate + " -3"), 2);
+  EXPECT_EQ(RunCli(simulate + " 0"), 2);
+  EXPECT_EQ(RunCli(simulate + " 2s"), 2);
+  EXPECT_EQ(RunCli(simulate + " 2 --sfs=yes"), 2);  // a switch takes no value
+  EXPECT_EQ(RunCli(simulate + " 2 --sfs"), 0);
+}
+
+// Both value forms work for every flag.
+TEST(CliTest, EveryFlagTakesBothValueForms) {
+  const std::string solve = std::string("solve ") + kPaperWorkload;
+  EXPECT_EQ(RunCli(solve + " --iters=12000 --variant=path-weighted"), 0);
+  EXPECT_EQ(RunCli(solve + " --iters 12000 --variant sum"), 0);
+  EXPECT_EQ(RunCli(solve + " --round-threads 1"), 0);
+  EXPECT_EQ(RunCli(std::string("check ") + kPaperWorkload + " --iters=6000"),
+            0);
+  EXPECT_EQ(RunCli(std::string("churn ") + kPaperWorkload +
+                   " --mutations 12 --seed 5 --threads 2"),
+            0);
+  const std::string generated = ::testing::TempDir() + "/cli_gen_forms.lla";
+  EXPECT_EQ(RunCli("generate " + generated + " --seed=7 --tasks=6 "
+                   "--resources 8"),
+            0);
+  EXPECT_EQ(RunCli("describe " + generated), 0);
+  std::remove(generated.c_str());
+  const std::string out = ::testing::TempDir() + "/cli_forms.jsonl";
+  EXPECT_EQ(RunCli(std::string("trace ") + kPaperWorkload + " --out=" + out),
+            0);
+  EXPECT_NE(ReadFile(out).find("run_end"), std::string::npos);
+  std::remove(out.c_str());
 }
 
 TEST(CliTest, LoadErrorsReturnThree) {

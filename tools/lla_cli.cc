@@ -2,21 +2,20 @@
 //
 //   lla solve <workload-file> [--variant sum|path-weighted] [--iters N]
 //       Optimize and print the latency assignment, shares and prices.
-//       --restore=path resumes the dual iteration from a state snapshot
-//       previously written by `lla checkpoint` (bit-identical resume); the
-//       snapshot format (text v1/v2 or binary b1) is auto-detected from the
-//       file's magic bytes; binary files restore through the zero-copy
-//       mmap path (DESIGN.md §7.11).
-//       --round-threads=N runs the distributed synchronous deployment
+//       --restore <snapshot> resumes the dual iteration from a snapshot
+//       written by `lla checkpoint` (bit-identical resume); the file is
+//       mmap'd and each section decoded once (DESIGN.md §7.11).
+//       --round-threads N runs the distributed synchronous deployment
 //       instead of the single-process engine: min(8, R) shard agents plus
 //       parallel coordinator rounds on an N-thread pool (bit-identical to
 //       N=1 at any thread count, DESIGN.md §7.11).
 //   lla checkpoint <workload-file> <snapshot-file> [--iters N]
-//                  [--format=text|binary]
 //       Run N iterations, then save the engine's dual state (prices, step
-//       multipliers, active-set shadow state) as a durable snapshot — text
-//       by default (diff-able, DESIGN.md §7.7), binary b1 on request
-//       (compact, DESIGN.md §7.10).
+//       multipliers, active-set shadow state) as a b1 snapshot
+//       (DESIGN.md §7.10).
+//   lla inspect <snapshot-file>
+//       Print a snapshot's header and one row per section: name, element
+//       kind, encoding, element count and encoded bytes.
 //   lla check <workload-file> [--iters N]
 //       Schedulability verdict (LLA run + Phase-I cross-check).
 //   lla simulate <workload-file> <seconds> [--sfs]
@@ -28,23 +27,34 @@
 //   lla trace <workload-file> [--iters N] [--out path]
 //       Optimize while streaming per-iteration JSONL (default: stdout);
 //       engine phase timings and counters go to stderr.
-//   lla churn <workload-file> [--mutations=N] [--seed=S] [--threads=N]
+//   lla churn <workload-file> [--mutations N] [--seed S] [--threads N]
 //       Apply a deterministic join/leave/WCET mutation storm against the
 //       live engine (admission-gated joins, structural warm starts) and
 //       report sustained mutations/sec and re-convergence percentiles.
 //
+// Every flag is one row of kFlags.  A flag takes its value as `--flag value`
+// or `--flag=value` (the `--sfs` switch takes none), may appear once, and
+// its value must parse in full and lie in range; anything else is a usage
+// error.
+//
 // Exit codes: 0 success; 1 runtime error (generation/save failure);
-// 2 usage; 3 workload load/parse error; 4 solve not converged / infeasible
-// (or workload unschedulable for `check`).
+// 2 usage; 3 workload or snapshot load/parse error; 4 solve not converged /
+// infeasible (or workload unschedulable for `check`).
 //
 // Example files live in examples/data/.
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "common/stats.h"
 #include "core/engine.h"
@@ -53,6 +63,7 @@
 #include "workloads/transform.h"
 #include "core/schedulability.h"
 #include "model/evaluation.h"
+#include "model/section_codec.h"
 #include "model/serialization.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -76,185 +87,271 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  lla solve <file> [--variant sum|path-weighted] [--iters N] "
-               "[--threads=N] [--epsilon-quiescence=X]\n"
-               "            [--dynamics=plain|heavy-ball|nesterov] "
-               "[--momentum=B] [--restore=snapshot] [--round-threads=N]\n"
+               "[--threads N] [--epsilon-quiescence X]\n"
+               "            [--dynamics plain|heavy-ball|nesterov] "
+               "[--momentum B] [--restore snapshot] [--round-threads N]\n"
                "            (--dynamics/--momentum apply to both the engine "
                "and the --round-threads distributed path)\n"
                "  lla checkpoint <file> <snapshot> [--variant "
-               "sum|path-weighted] [--iters N] [--threads=N] "
-               "[--epsilon-quiescence=X] [--format=text|binary]\n"
-               "            [--dynamics=plain|heavy-ball|nesterov] "
-               "[--momentum=B]\n"
+               "sum|path-weighted] [--iters N] [--threads N] "
+               "[--epsilon-quiescence X]\n"
+               "            [--dynamics plain|heavy-ball|nesterov] "
+               "[--momentum B]\n"
+               "  lla inspect <snapshot>\n"
                "  lla check <file> [--iters N]\n"
                "  lla simulate <file> <seconds> [--sfs]\n"
                "  lla describe <file>\n"
                "  lla generate <file> [--seed N] [--tasks N] "
                "[--resources N]\n"
                "  lla trace <file> [--variant sum|path-weighted] [--iters N] "
-               "[--out path] [--threads=N]\n"
-               "            [--dynamics=plain|heavy-ball|nesterov] "
-               "[--momentum=B]\n"
-               "  lla churn <file> [--mutations=N] [--seed=S] "
-               "[--threads=N]\n"
+               "[--out path] [--threads N]\n"
+               "            [--dynamics plain|heavy-ball|nesterov] "
+               "[--momentum B]\n"
+               "  lla churn <file> [--mutations N] [--seed S] [--threads N]\n"
+               "flags take `--flag value` or `--flag=value`, at most once "
+               "each\n"
                "exit codes: 0 ok, 1 runtime error, 2 usage, 3 load error, "
                "4 not converged/infeasible\n");
   return kExitUsage;
 }
 
-// Strict parse for --threads values: the whole token must be a positive
-// decimal integer.  "4x", "", "-2" and "0" are usage errors — a silently
-// atoi'd 0 would run the engine with no pool while looking accepted.
-bool ParseThreadCount(const char* text, int* out) {
+enum Command : unsigned {
+  kSolve = 1u << 0,
+  kCheckpoint = 1u << 1,
+  kInspect = 1u << 2,
+  kCheck = 1u << 3,
+  kSimulate = 1u << 4,
+  kDescribe = 1u << 5,
+  kGenerate = 1u << 6,
+  kTrace = 1u << 7,
+  kChurn = 1u << 8,
+};
+
+struct CommandSpec {
+  const char* name;
+  Command command;
+  int positionals;    ///< arguments between the command and its flags
+  int default_iters;  ///< --iters when not given
+};
+
+constexpr CommandSpec kCommands[] = {
+    {"solve", kSolve, 1, 12000},   {"checkpoint", kCheckpoint, 2, 1000},
+    {"inspect", kInspect, 1, 0},   {"check", kCheck, 1, 2000},
+    {"simulate", kSimulate, 2, 0}, {"describe", kDescribe, 1, 0},
+    {"generate", kGenerate, 1, 0}, {"trace", kTrace, 1, 12000},
+    {"churn", kChurn, 1, 0},
+};
+
+/// Every flag's value, at its default until the flag is given.
+struct Options {
+  UtilityVariant variant = UtilityVariant::kPathWeighted;
+  int iters = 0;
+  int threads = 1;
+  int round_threads = 0;  ///< 0: the single-process engine
+  double epsilon_quiescence = 0.0;
+  DynamicsConfig dynamics;
+  std::string restore_path;
+  std::string out_path = "-";
+  bool sfs = false;
+  std::uint64_t seed = 1;
+  int tasks = RandomWorkloadConfig{}.num_tasks;
+  int resources = RandomWorkloadConfig{}.num_resources;
+  int mutations = 50;
+  unsigned given = 0;  ///< bit i set: kFlags[i] appeared
+};
+
+// Strict value parsers: the whole token must parse and lie in range.
+
+/// Decimal digits only (no sign, blank or base prefix) in [min, max].
+template <typename T>
+bool ParseInteger(const char* text, unsigned long long min,
+                  unsigned long long max, T* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
   char* end = nullptr;
   errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  if (value < 1 || value > 4096) return false;
-  *out = static_cast<int>(value);
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || value < min || value > max) {
+    return false;
+  }
+  *out = static_cast<T>(value);
   return true;
 }
 
-// Accepts "--threads N" and "--threads=N"; advances *i past a consumed
-// separate value.  Returns false (usage error) on a malformed value or a
-// missing one.
-bool MatchThreadsFlag(int argc, char** argv, int* i, int* threads,
-                      bool* matched) {
-  *matched = false;
-  const char* arg = argv[*i];
-  if (std::strncmp(arg, "--threads=", 10) == 0) {
-    *matched = true;
-    return ParseThreadCount(arg + 10, threads);
+/// A finite, unsigned decimal ("1.5", "2e-3", ".5"; not "-1", "inf", "nan").
+bool ParseFinite(const char* text, double* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) && text[0] != '.') {
+    return false;
   }
-  if (std::strcmp(arg, "--threads") == 0) {
-    *matched = true;
-    if (*i + 1 >= argc) return false;
-    return ParseThreadCount(argv[++*i], threads);
-  }
-  return true;  // not a --threads flag at all
-}
-
-// Accepts "--round-threads N" and "--round-threads=N" (same strict value
-// rules as --threads); advances *i past a consumed separate value.
-bool MatchRoundThreadsFlag(int argc, char** argv, int* i, int* threads,
-                           bool* matched) {
-  *matched = false;
-  const char* arg = argv[*i];
-  if (std::strncmp(arg, "--round-threads=", 16) == 0) {
-    *matched = true;
-    return ParseThreadCount(arg + 16, threads);
-  }
-  if (std::strcmp(arg, "--round-threads") == 0) {
-    *matched = true;
-    if (*i + 1 >= argc) return false;
-    return ParseThreadCount(argv[++*i], threads);
-  }
-  return true;  // not a --round-threads flag at all
-}
-
-// Strict parse for --epsilon-quiescence: the whole token must be a finite
-// decimal in [0, 1) — the range ActiveSetConfig accepts.  Anything else
-// (including a bare "--epsilon-quiescence" with no value) is a usage error;
-// a silently clamped value would run an approximation the user did not ask
-// for.
-bool ParseEpsilonQuiescence(const char* text, double* out) {
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  if (!(value >= 0.0) || value >= 1.0) return false;
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(value)) return false;
   *out = value;
   return true;
 }
 
-// Accepts "--epsilon-quiescence X" and "--epsilon-quiescence=X"; advances
-// *i past a consumed separate value.  Returns false (usage error) on a
-// malformed or missing value.
-bool MatchEpsilonFlag(int argc, char** argv, int* i, double* epsilon,
-                      bool* matched) {
-  *matched = false;
-  const char* arg = argv[*i];
-  constexpr const char* kFlag = "--epsilon-quiescence";
-  const std::size_t len = std::strlen(kFlag);
-  if (std::strncmp(arg, kFlag, len) == 0 && arg[len] == '=') {
-    *matched = true;
-    return ParseEpsilonQuiescence(arg + len + 1, epsilon);
-  }
-  if (std::strcmp(arg, kFlag) == 0) {
-    *matched = true;
-    if (*i + 1 >= argc) return false;
-    return ParseEpsilonQuiescence(argv[++*i], epsilon);
-  }
-  return true;  // not an --epsilon-quiescence flag at all
+/// [0, 1): the range ActiveSetConfig accepts for epsilon_quiescence and
+/// DynamicsConfig for the momentum (beta = 1 would make the velocity
+/// recursion marginally stable).
+bool ParseFraction(const char* text, double* out) {
+  double value = 0.0;
+  if (!ParseFinite(text, &value) || value >= 1.0) return false;
+  *out = value;
+  return true;
 }
 
-// Strict parse for --dynamics: exactly one of the policy names.  Anything
-// else is a usage error.
-bool ParseDynamicsKind(const char* text, DynamicsKind* out) {
-  if (std::strcmp(text, "plain") == 0) {
-    *out = DynamicsKind::kPlain;
-    return true;
-  }
-  if (std::strcmp(text, "heavy-ball") == 0) {
-    *out = DynamicsKind::kHeavyBall;
-    return true;
-  }
-  if (std::strcmp(text, "nesterov") == 0) {
-    *out = DynamicsKind::kNesterov;
-    return true;
+/// Exactly the ToString() name of one of `values`.
+template <typename E>
+bool ParseName(const char* text, std::initializer_list<E> values, E* out) {
+  for (const E value : values) {
+    if (std::strcmp(text, ToString(value)) == 0) {
+      *out = value;
+      return true;
+    }
   }
   return false;
 }
 
-// Accepts "--dynamics X" and "--dynamics=X"; advances *i past a consumed
-// separate value.  Returns false (usage error) on a malformed or missing
-// value.
-bool MatchDynamicsFlag(int argc, char** argv, int* i, DynamicsKind* kind,
-                       bool* matched) {
-  *matched = false;
-  const char* arg = argv[*i];
-  if (std::strncmp(arg, "--dynamics=", 11) == 0) {
-    *matched = true;
-    return ParseDynamicsKind(arg + 11, kind);
-  }
-  if (std::strcmp(arg, "--dynamics") == 0) {
-    *matched = true;
-    if (*i + 1 >= argc) return false;
-    return ParseDynamicsKind(argv[++*i], kind);
-  }
-  return true;  // not a --dynamics flag at all
-}
-
-// Strict parse for --momentum: a finite decimal in [0, 1), the range
-// DynamicsConfig accepts (beta = 1 would make the velocity recursion
-// marginally stable).
-bool ParseMomentum(const char* text, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  if (!(value >= 0.0) || value >= 1.0) return false;
-  *out = value;
+bool ParsePath(const char* text, std::string* out) {
+  if (text[0] == '\0') return false;
+  *out = text;
   return true;
 }
 
-// Accepts "--momentum X" and "--momentum=X"; advances *i past a consumed
-// separate value.  Returns false (usage error) on a malformed or missing
-// value.
-bool MatchMomentumFlag(int argc, char** argv, int* i, double* momentum,
-                       bool* matched) {
-  *matched = false;
-  const char* arg = argv[*i];
-  if (std::strncmp(arg, "--momentum=", 11) == 0) {
-    *matched = true;
-    return ParseMomentum(arg + 11, momentum);
+constexpr unsigned kEngineCommands = kSolve | kCheckpoint | kTrace;
+constexpr unsigned long long kMaxInt = INT_MAX;
+constexpr unsigned long long kMaxThreads = 4096;
+
+struct Flag {
+  const char* name;
+  unsigned commands;  ///< Command bits that accept the flag
+  /// Parses the value into Options; false rejects it.  A switch takes no
+  /// value and gets nullptr.
+  bool (*apply)(const char* value, Options* options);
+  bool is_switch = false;
+};
+
+const Flag kFlags[] = {
+    {"--variant", kEngineCommands,
+     [](const char* v, Options* o) {
+       return ParseName(
+           v, {UtilityVariant::kSum, UtilityVariant::kPathWeighted},
+           &o->variant);
+     }},
+    {"--iters", kEngineCommands | kCheck,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 1, kMaxInt, &o->iters);
+     }},
+    {"--threads", kEngineCommands | kChurn,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 1, kMaxThreads, &o->threads);
+     }},
+    {"--round-threads", kSolve,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 1, kMaxThreads, &o->round_threads);
+     }},
+    {"--epsilon-quiescence", kSolve | kCheckpoint,
+     [](const char* v, Options* o) {
+       return ParseFraction(v, &o->epsilon_quiescence);
+     }},
+    {"--dynamics", kEngineCommands,
+     [](const char* v, Options* o) {
+       return ParseName(v,
+                        {DynamicsKind::kPlain, DynamicsKind::kHeavyBall,
+                         DynamicsKind::kNesterov},
+                        &o->dynamics.kind);
+     }},
+    {"--momentum", kEngineCommands,
+     [](const char* v, Options* o) {
+       return ParseFraction(v, &o->dynamics.momentum);
+     }},
+    {"--restore", kSolve,
+     [](const char* v, Options* o) { return ParsePath(v, &o->restore_path); }},
+    {"--out", kTrace,
+     [](const char* v, Options* o) { return ParsePath(v, &o->out_path); }},
+    {"--sfs", kSimulate,
+     [](const char*, Options* o) {
+       o->sfs = true;
+       return true;
+     },
+     true},
+    {"--seed", kGenerate | kChurn,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 0, ULLONG_MAX, &o->seed);
+     }},
+    {"--tasks", kGenerate,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 1, kMaxInt, &o->tasks);
+     }},
+    {"--resources", kGenerate,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 1, kMaxInt, &o->resources);
+     }},
+    {"--mutations", kChurn,
+     [](const char* v, Options* o) {
+       return ParseInteger(v, 1, kMaxInt, &o->mutations);
+     }},
+};
+static_assert(std::size(kFlags) <= sizeof(Options::given) * CHAR_BIT);
+
+/// Parses argv[first, argc) against the flags `command` accepts.  False on
+/// a usage error: an unknown or repeated flag, a missing value, or a value
+/// its parser rejects.
+bool ParseFlags(int argc, char** argv, int first, Command command,
+                Options* options) {
+  for (int i = first; i < argc; ++i) {
+    const char* arg = argv[i];
+    const char* eq = std::strchr(arg, '=');
+    const std::size_t name_length =
+        eq != nullptr ? static_cast<std::size_t>(eq - arg) : std::strlen(arg);
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags), [&](const Flag& f) {
+          return (f.commands & command) != 0 &&
+                 std::strlen(f.name) == name_length &&
+                 std::strncmp(f.name, arg, name_length) == 0;
+        });
+    if (flag == std::end(kFlags)) return false;
+    const unsigned bit = 1u << (flag - std::begin(kFlags));
+    if ((options->given & bit) != 0) return false;
+    options->given |= bit;
+    const char* value = nullptr;
+    if (flag->is_switch) {
+      if (eq != nullptr) return false;
+    } else if (eq != nullptr) {
+      value = eq + 1;
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      return false;
+    }
+    if (!flag->apply(value, options)) return false;
   }
-  if (std::strcmp(arg, "--momentum") == 0) {
-    *matched = true;
-    if (*i + 1 >= argc) return false;
-    return ParseMomentum(argv[++*i], momentum);
+  return true;
+}
+
+bool Given(const Options& options, const char* name) {
+  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
+    if (std::strcmp(kFlags[i].name, name) == 0) {
+      return ((options.given >> i) & 1u) != 0;
+    }
   }
-  return true;  // not a --momentum flag at all
+  return false;
+}
+
+/// The engine configuration solve, checkpoint and trace share.
+LlaConfig EngineConfig(const Options& options) {
+  LlaConfig config;
+  config.solver.variant = options.variant;
+  config.gamma0 = 3.0;
+  config.num_threads = options.threads;
+  config.active_set.epsilon_quiescence = options.epsilon_quiescence;
+  config.dynamics = options.dynamics;
+  return config;
+}
+
+int RunExitCode(const RunResult& run) {
+  return run.converged && run.final_feasibility.feasible ? kExitSuccess
+                                                         : kExitNotConverged;
 }
 
 Expected<Workload> Load(const char* path) {
@@ -287,131 +384,12 @@ int Describe(const Workload& w) {
   return 0;
 }
 
-int Solve(const Workload& w, UtilityVariant variant, int iters,
-          int threads, double epsilon_quiescence,
-          const DynamicsConfig& dynamics, const std::string& restore_path) {
-  LatencyModel model(w);
-  LlaConfig config;
-  config.solver.variant = variant;
-  config.gamma0 = 3.0;
-  config.num_threads = threads;
-  config.active_set.epsilon_quiescence = epsilon_quiescence;
-  config.dynamics = dynamics;
-  LlaEngine engine(w, model, config);
-  if (!restore_path.empty()) {
-    // Binary b1 snapshots restore through the zero-copy path: mmap the
-    // file, parse a non-owning view, decode each section once straight
-    // into the engine (DESIGN.md §7.11).  Text snapshots take the classic
-    // owning loader off the same mapped bytes.
-    auto mapped = MappedSnapshotFile::Open(restore_path);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "error loading snapshot %s: %s\n",
-                   restore_path.c_str(), mapped.error().c_str());
-      return kExitLoadError;
-    }
-    const MappedSnapshotFile& file = mapped.value();
-    long long resume_iteration = 0;
-    if (SnapshotBytesAreBinary(file.data(), file.size())) {
-      auto view = ParseSnapshotBinary(file.data(), file.size());
-      if (!view.ok()) {
-        std::fprintf(stderr, "error loading snapshot %s: %s\n",
-                     restore_path.c_str(), view.error().c_str());
-        return kExitLoadError;
-      }
-      const Status restored = engine.Restore(view.value());
-      if (!restored.ok()) {
-        std::fprintf(stderr, "error restoring snapshot %s: %s\n",
-                     restore_path.c_str(), restored.error().c_str());
-        return kExitLoadError;
-      }
-      resume_iteration = view.value().iteration;
-    } else {
-      auto snapshot =
-          LoadSnapshotFromString(std::string(file.data(), file.size()));
-      if (!snapshot.ok()) {
-        std::fprintf(stderr, "error loading snapshot %s: %s\n",
-                     restore_path.c_str(), snapshot.error().c_str());
-        return kExitLoadError;
-      }
-      const Status restored = engine.Restore(snapshot.value());
-      if (!restored.ok()) {
-        std::fprintf(stderr, "error restoring snapshot %s: %s\n",
-                     restore_path.c_str(), restored.error().c_str());
-        return kExitLoadError;
-      }
-      resume_iteration = snapshot.value().iteration;
-    }
-    std::printf("restored dual state from %s (resuming at iteration %lld)\n",
-                restore_path.c_str(), resume_iteration);
-  }
-  const RunResult run = engine.Run(iters);
-  std::printf("%s after %d iterations; utility %.3f (%s variant); "
-              "feasible: %s\n",
-              run.converged ? "converged" : "NOT converged", run.iterations,
-              run.final_utility, ToString(variant),
-              run.final_feasibility.feasible ? "yes" : "no");
-  if (epsilon_quiescence > 0.0) {
-    std::printf("epsilon-quiescence %.3g: %llu subtask solves (approximate "
-                "mode; objective within O(epsilon) of exact)\n",
-                epsilon_quiescence,
-                static_cast<unsigned long long>(run.subtask_solves));
-  }
-  std::printf("\n");
-  std::printf("%-24s %12s %10s\n", "subtask", "latency(ms)", "share");
-  for (const SubtaskInfo& sub : w.subtasks()) {
-    const double latency = engine.latencies()[sub.id.value()];
-    std::printf("%-24s %12.3f %10.4f\n", sub.name.c_str(), latency,
-                model.share(sub.id).Share(latency));
-  }
-  std::printf("\n%-24s %14s %14s\n", "task", "critical path", "deadline");
-  for (const TaskInfo& task : w.tasks()) {
-    std::printf("%-24s %14.2f %14.1f\n", task.name.c_str(),
-                CriticalPathLatency(w, task.id, engine.latencies()),
-                task.critical_time_ms);
-  }
-  std::printf("\n%-16s %12s %10s\n", "resource", "share sum", "price");
-  const auto report = engine.Feasibility();
-  for (const ResourceInfo& resource : w.resources()) {
-    std::printf("%-16s %9.4f/%.2f %10.2f\n", resource.name.c_str(),
-                report.resource_share_sums[resource.id.value()],
-                resource.capacity, engine.prices().mu[resource.id.value()]);
-  }
-  return run.converged && run.final_feasibility.feasible ? kExitSuccess
-                                                         : kExitNotConverged;
-}
-
-// `lla solve --round-threads=N`: the distributed synchronous deployment —
-// min(8, R) shard agents on an in-process bus, with the coordinator fanning
-// each round's controller solves, shard price updates and delivery waves
-// across an N-thread pool (DESIGN.md §7.11).  The fixed point is
-// bit-identical at any thread count, so N only changes wall-clock time.
-int SolveDistributed(const Workload& w, UtilityVariant variant, int iters,
-                     int round_threads, const DynamicsConfig& dynamics) {
-  LatencyModel model(w);
-  runtime::CoordinatorConfig config;
-  config.solver.variant = variant;
-  config.step.gamma0 = 3.0;
-  // Accelerated mu dynamics for the shard agents (DESIGN.md §7.12); the
-  // coordinator copies this into every agent's step config.
-  config.dynamics = dynamics;
-  config.bus.base_delay_ms = 0.0;
-  config.record_history = false;
-  config.num_shards = static_cast<int>(
-      std::min<std::size_t>(8, w.resource_count()));
-  config.round_threads = round_threads;
-  runtime::Coordinator coordinator(w, model, config);
-  const RunResult run = coordinator.RunSync(iters);
-  // With record_history off, RunResult carries no per-round utility —
-  // evaluate the enacted assignment directly.
-  std::printf("%s after %d distributed rounds (%d round threads, %zu "
-              "shards); utility %.3f (%s variant); feasible: %s\n",
-              run.converged ? "converged" : "NOT converged", run.iterations,
-              round_threads, coordinator.shard_count(),
-              coordinator.CurrentUtility(), ToString(variant),
-              run.final_feasibility.feasible ? "yes" : "no");
-  const Assignment latencies = coordinator.CurrentAssignment();
-  const PriceVector prices = coordinator.CurrentPrices();
-  const auto report = coordinator.CurrentFeasibility();
+/// The allocation tables `solve` prints, for the engine and the distributed
+/// deployment alike.
+void PrintAllocation(const Workload& w, const LatencyModel& model,
+                     const Assignment& latencies,
+                     const FeasibilityReport& report,
+                     const std::vector<double>& mu) {
   std::printf("\n%-24s %12s %10s\n", "subtask", "latency(ms)", "share");
   for (const SubtaskInfo& sub : w.subtasks()) {
     const double latency = latencies[sub.id.value()];
@@ -428,67 +406,165 @@ int SolveDistributed(const Workload& w, UtilityVariant variant, int iters,
   for (const ResourceInfo& resource : w.resources()) {
     std::printf("%-16s %9.4f/%.2f %10.2f\n", resource.name.c_str(),
                 report.resource_share_sums[resource.id.value()],
-                resource.capacity, prices.mu[resource.id.value()]);
+                resource.capacity, mu[resource.id.value()]);
   }
-  return run.converged && run.final_feasibility.feasible ? kExitSuccess
-                                                         : kExitNotConverged;
 }
 
-int Checkpoint(const Workload& w, UtilityVariant variant, int iters,
-               int threads, double epsilon_quiescence,
-               const DynamicsConfig& dynamics,
-               const std::string& snapshot_path, bool binary_format) {
+int Solve(const Workload& w, const Options& options) {
   LatencyModel model(w);
-  LlaConfig config;
-  config.solver.variant = variant;
-  config.gamma0 = 3.0;
-  config.num_threads = threads;
-  config.active_set.epsilon_quiescence = epsilon_quiescence;
-  config.dynamics = dynamics;
-  LlaEngine engine(w, model, config);
-  const RunResult run = engine.Run(iters);
-  const StateSnapshot snapshot = engine.Checkpoint();
-  const Status saved = binary_format
-                           ? SaveSnapshotBinaryToFile(snapshot, snapshot_path)
-                           : SaveSnapshotToFile(snapshot, snapshot_path);
+  LlaEngine engine(w, model, EngineConfig(options));
+  if (!options.restore_path.empty()) {
+    const char* path = options.restore_path.c_str();
+    auto snapshot = LoadSnapshotFromFile(options.restore_path);
+    if (!snapshot.ok()) {
+      std::fprintf(stderr, "error loading snapshot %s: %s\n", path,
+                   snapshot.error().c_str());
+      return kExitLoadError;
+    }
+    const long long resume_iteration = snapshot.value().iteration;
+    const Status restored = engine.Restore(std::move(snapshot).value());
+    if (!restored.ok()) {
+      std::fprintf(stderr, "error restoring snapshot %s: %s\n", path,
+                   restored.error().c_str());
+      return kExitLoadError;
+    }
+    std::printf("restored dual state from %s (resuming at iteration %lld)\n",
+                path, resume_iteration);
+  }
+  const RunResult run = engine.Run(options.iters);
+  std::printf("%s after %d iterations; utility %.3f (%s variant); "
+              "feasible: %s\n",
+              run.converged ? "converged" : "NOT converged", run.iterations,
+              run.final_utility, ToString(options.variant),
+              run.final_feasibility.feasible ? "yes" : "no");
+  if (options.epsilon_quiescence > 0.0) {
+    std::printf("epsilon-quiescence %.3g: %llu subtask solves (approximate "
+                "mode; objective within O(epsilon) of exact)\n",
+                options.epsilon_quiescence,
+                static_cast<unsigned long long>(run.subtask_solves));
+  }
+  PrintAllocation(w, model, engine.latencies(), engine.Feasibility(),
+                  engine.prices().mu);
+  return RunExitCode(run);
+}
+
+// `lla solve --round-threads=N`: the distributed synchronous deployment —
+// min(8, R) shard agents on an in-process bus, with the coordinator fanning
+// each round's controller solves, shard price updates and delivery waves
+// across an N-thread pool (DESIGN.md §7.11).  The fixed point is
+// bit-identical at any thread count, so N only changes wall-clock time.
+int SolveDistributed(const Workload& w, const Options& options) {
+  LatencyModel model(w);
+  runtime::CoordinatorConfig config;
+  config.solver.variant = options.variant;
+  config.step.gamma0 = 3.0;
+  // Accelerated mu dynamics for the shard agents (DESIGN.md §7.12); the
+  // coordinator copies this into every agent's step config.
+  config.dynamics = options.dynamics;
+  config.bus.base_delay_ms = 0.0;
+  config.record_history = false;
+  config.num_shards = static_cast<int>(
+      std::min<std::size_t>(8, w.resource_count()));
+  config.round_threads = options.round_threads;
+  runtime::Coordinator coordinator(w, model, config);
+  const RunResult run = coordinator.RunSync(options.iters);
+  // With record_history off, RunResult carries no per-round utility —
+  // evaluate the enacted assignment directly.
+  std::printf("%s after %d distributed rounds (%d round threads, %zu "
+              "shards); utility %.3f (%s variant); feasible: %s\n",
+              run.converged ? "converged" : "NOT converged", run.iterations,
+              options.round_threads, coordinator.shard_count(),
+              coordinator.CurrentUtility(), ToString(options.variant),
+              run.final_feasibility.feasible ? "yes" : "no");
+  PrintAllocation(w, model, coordinator.CurrentAssignment(),
+                  coordinator.CurrentFeasibility(),
+                  coordinator.CurrentPrices().mu);
+  return RunExitCode(run);
+}
+
+int Checkpoint(const Workload& w, const char* snapshot_path,
+               const Options& options) {
+  LatencyModel model(w);
+  LlaEngine engine(w, model, EngineConfig(options));
+  const RunResult run = engine.Run(options.iters);
+  const Status saved = SaveSnapshotToFile(engine.Checkpoint(), snapshot_path);
   if (!saved.ok()) {
-    std::fprintf(stderr, "error saving snapshot %s: %s\n",
-                 snapshot_path.c_str(), saved.error().c_str());
+    std::fprintf(stderr, "error saving snapshot %s: %s\n", snapshot_path,
+                 saved.error().c_str());
     return kExitRuntimeError;
   }
-  std::printf("wrote %s (%s) at iteration %d (%s, utility %.6f); resume "
-              "with `lla solve ... --restore=%s`\n",
-              snapshot_path.c_str(), binary_format ? "binary b1" : "text v2",
-              run.iterations, run.converged ? "converged" : "not converged",
-              run.final_utility, snapshot_path.c_str());
+  std::printf("wrote %s at iteration %d (%s, utility %.6f); resume with "
+              "`lla solve ... --restore=%s`\n",
+              snapshot_path, run.iterations,
+              run.converged ? "converged" : "not converged",
+              run.final_utility, snapshot_path);
   return kExitSuccess;
 }
 
-int Trace(const Workload& w, UtilityVariant variant, int iters,
-          const std::string& out_path, int threads,
-          const DynamicsConfig& dynamics) {
-  obs::JsonlTraceSink sink(out_path);
+int Inspect(const char* path) {
+  auto file = MappedSnapshotFile::Open(path);
+  if (!file.ok()) {
+    std::fprintf(stderr, "error loading snapshot %s: %s\n", path,
+                 file.error().c_str());
+    return kExitLoadError;
+  }
+  auto parsed = ParseSnapshotBinary(file.value().data(), file.value().size());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error loading snapshot %s: %s\n", path,
+                 parsed.error().c_str());
+    return kExitLoadError;
+  }
+  const SnapshotView& view = parsed.value();
+  using ull = unsigned long long;
+  std::printf("%s: snapshot b1, %zu bytes\n", path, file.value().size());
+  std::printf("shape: %llu resources, %llu paths, %llu subtasks, %llu "
+              "tasks\n",
+              static_cast<ull>(view.resource_count),
+              static_cast<ull>(view.path_count),
+              static_cast<ull>(view.subtask_count),
+              static_cast<ull>(view.task_count));
+  std::printf("iteration %lld (step iteration %lld, %llu subtask solves), "
+              "converged: %s, primed: %s, momentum restarts: %llu\n",
+              static_cast<long long>(view.iteration),
+              static_cast<long long>(view.step_iteration),
+              static_cast<ull>(view.total_subtask_solves),
+              view.converged ? "yes" : "no",
+              view.price_state_primed ? "yes" : "no",
+              static_cast<ull>(view.momentum_restarts));
+  std::printf("\n%-26s %-4s %-8s %10s %12s\n", "section", "kind", "encoding",
+              "count", "bytes");
+  for (std::size_t id = 1; id <= SnapshotView::kMaxSectionId; ++id) {
+    const SnapshotSectionRef& section = view.sections[id];
+    if (!section.present()) continue;
+    std::printf("%-26s %-4s %-8s %10llu %12llu\n", kSnapshotSections[id].name,
+                kSnapshotElemKinds[section.elem_kind].name,
+                b1::kEncodingNames[section.encoding],
+                static_cast<ull>(section.count),
+                static_cast<ull>(section.size));
+  }
+  return kExitSuccess;
+}
+
+int Trace(const Workload& w, const Options& options) {
+  obs::JsonlTraceSink sink(options.out_path);
   if (!sink.ok()) {
-    std::fprintf(stderr, "error opening trace output %s\n", out_path.c_str());
+    std::fprintf(stderr, "error opening trace output %s\n",
+                 options.out_path.c_str());
     return kExitRuntimeError;
   }
   obs::MetricRegistry metrics;
   LatencyModel model(w);
-  LlaConfig config;
-  config.solver.variant = variant;
-  config.gamma0 = 3.0;
-  config.num_threads = threads;
-  config.dynamics = dynamics;
+  LlaConfig config = EngineConfig(options);
   config.trace_sink = &sink;
   config.metrics = &metrics;
 
   obs::RunInfo info;
-  info.label = ToString(variant);
+  info.label = ToString(options.variant);
   info.resource_count = w.resource_count();
   info.path_count = w.path_count();
   sink.OnRunBegin(info);
   LlaEngine engine(w, model, config);
-  const RunResult run = engine.Run(iters);
+  const RunResult run = engine.Run(options.iters);
   sink.OnRunEnd();
 
   std::fprintf(stderr, "%s after %d iterations; utility %.6f; feasible: %s\n",
@@ -496,8 +572,7 @@ int Trace(const Workload& w, UtilityVariant variant, int iters,
                run.final_utility,
                run.final_feasibility.feasible ? "yes" : "no");
   std::fprintf(stderr, "%s", metrics.Snapshot().RenderText().c_str());
-  return run.converged && run.final_feasibility.feasible ? kExitSuccess
-                                                         : kExitNotConverged;
+  return RunExitCode(run);
 }
 
 int Check(const Workload& w, int iters) {
@@ -558,22 +633,44 @@ int Simulate(const Workload& w, double seconds, bool use_sfs) {
   return 0;
 }
 
-int Churn(const Workload& w, std::size_t mutations, std::uint64_t seed,
-          int threads) {
+int Generate(const char* path, const Options& options) {
+  RandomWorkloadConfig config;
+  config.seed = options.seed;
+  config.num_tasks = options.tasks;
+  config.num_resources = options.resources;
+  auto generated = MakeRandomWorkload(config);
+  if (!generated.ok()) {
+    std::fprintf(stderr, "generation failed: %s\n",
+                 generated.error().c_str());
+    return kExitRuntimeError;
+  }
+  const Status saved = SaveWorkloadToFile(generated.value(), path);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "save failed: %s\n", saved.error().c_str());
+    return kExitRuntimeError;
+  }
+  std::printf("wrote %s (%zu tasks, %zu subtasks, %d resources, seed %llu)\n",
+              path, generated.value().task_count(),
+              generated.value().subtask_count(), config.num_resources,
+              static_cast<unsigned long long>(config.seed));
+  return 0;
+}
+
+int Churn(const Workload& w, const Options& options) {
   const WorkloadSpecs specs = ExtractSpecs(w);
 
   runtime::ChurnConfig config;
   config.lla.step_policy = StepPolicyKind::kAdaptive;
   config.lla.gamma0 = 3.0;
   config.lla.record_history = false;
-  config.lla.num_threads = threads;
+  config.lla.num_threads = options.threads;
   config.min_tasks = 1;
   config.admission.lla = config.lla;
-  config.admission.probe_threads = threads;
+  config.admission.probe_threads = options.threads;
 
   runtime::ChurnScriptConfig script_config;
-  script_config.seed = seed;
-  script_config.mutations = mutations;
+  script_config.seed = options.seed;
+  script_config.mutations = static_cast<std::size_t>(options.mutations);
   script_config.num_resources = static_cast<int>(specs.resources.size());
   auto script = runtime::MakeChurnScript(script_config);
   if (!script.ok()) {
@@ -641,238 +738,65 @@ int Churn(const Workload& w, std::size_t mutations, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  const std::string command = argv[1];
-
-  if (command == "generate") {
-    RandomWorkloadConfig config;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        config.seed = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--tasks") == 0 && i + 1 < argc) {
-        config.num_tasks = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--resources") == 0 && i + 1 < argc) {
-        config.num_resources = std::atoi(argv[++i]);
-      } else {
-        return Usage();
-      }
-    }
-    if (config.num_tasks < 1 || config.num_resources < 1) return Usage();
-    auto generated = MakeRandomWorkload(config);
-    if (!generated.ok()) {
-      std::fprintf(stderr, "generation failed: %s\n",
-                   generated.error().c_str());
-      return kExitRuntimeError;
-    }
-    const Status saved = SaveWorkloadToFile(generated.value(), argv[2]);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "save failed: %s\n", saved.error().c_str());
-      return kExitRuntimeError;
-    }
-    std::printf("wrote %s (%zu tasks, %zu subtasks, %d resources, "
-                "seed %llu)\n",
-                argv[2], generated.value().task_count(),
-                generated.value().subtask_count(), config.num_resources,
-                static_cast<unsigned long long>(config.seed));
-    return 0;
+  if (argc < 2) return Usage();
+  const CommandSpec* spec = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const CommandSpec& c) { return std::strcmp(c.name, argv[1]) == 0; });
+  if (spec == std::end(kCommands)) return Usage();
+  const int first_flag = 2 + spec->positionals;
+  if (argc < first_flag) return Usage();
+  for (int i = 2; i < first_flag; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) return Usage();
   }
-
-  // Reject unknown commands before touching the filesystem, so a bad command
-  // name is a usage error (2), not a load error (3).
-  if (command != "describe" && command != "solve" && command != "check" &&
-      command != "simulate" && command != "trace" &&
-      command != "checkpoint" && command != "churn") {
+  Options options;
+  options.iters = spec->default_iters;
+  if (!ParseFlags(argc, argv, first_flag, spec->command, &options)) {
+    return Usage();
+  }
+  // Usage errors are all reported before touching the filesystem, so a bad
+  // invocation is a 2, never a 3.
+  double seconds = 0.0;
+  if (spec->command == kSimulate &&
+      (!ParseFinite(argv[3], &seconds) || seconds <= 0.0)) {
+    return Usage();
+  }
+  // The distributed path has no engine to thread, restore or damp; those
+  // flags would silently do nothing there, so reject the mix.
+  // (--dynamics/--momentum ARE honored: they configure the shard agents'
+  // accelerated mu updates, DESIGN.md §7.12.)
+  if (options.round_threads > 0 &&
+      (Given(options, "--threads") ||
+       Given(options, "--epsilon-quiescence") ||
+       Given(options, "--restore"))) {
     return Usage();
   }
 
-  auto workload = Load(argv[2]);
+  const char* path = argv[2];
+  if (spec->command == kGenerate) return Generate(path, options);
+  if (spec->command == kInspect) return Inspect(path);
+
+  auto workload = Load(path);
   if (!workload.ok()) return kExitLoadError;
   const Workload& w = workload.value();
-
-  if (command == "describe") return Describe(w);
-
-  if (command == "solve" || command == "checkpoint") {
-    // `checkpoint` takes the snapshot path as its second positional
-    // argument; flags start after it.
-    const bool is_checkpoint = command == "checkpoint";
-    std::string snapshot_path;
-    int first_flag = 3;
-    if (is_checkpoint) {
-      if (argc < 4 || std::strncmp(argv[3], "--", 2) == 0) return Usage();
-      snapshot_path = argv[3];
-      first_flag = 4;
-    }
-    UtilityVariant variant = UtilityVariant::kPathWeighted;
-    int iters = is_checkpoint ? 1000 : 12000;
-    int threads = 1;
-    double epsilon_quiescence = 0.0;
-    DynamicsConfig dynamics;
-    std::string restore_path;
-    bool binary_format = false;
-    bool threads_seen = false;
-    int round_threads = 0;
-    bool round_threads_seen = false;
-    bool engine_only_flag_seen = false;
-    for (int i = first_flag; i < argc; ++i) {
-      bool is_threads = false;
-      bool is_round_threads = false;
-      bool is_epsilon = false;
-      bool is_dynamics = false;
-      bool is_momentum = false;
-      if (std::strcmp(argv[i], "--variant") == 0 && i + 1 < argc) {
-        variant = std::strcmp(argv[++i], "sum") == 0
-                      ? UtilityVariant::kSum
-                      : UtilityVariant::kPathWeighted;
-      } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-        iters = std::atoi(argv[++i]);
-      } else if (!is_checkpoint &&
-                 std::strncmp(argv[i], "--restore=", 10) == 0) {
-        restore_path = argv[i] + 10;
-        if (restore_path.empty()) return Usage();
-        engine_only_flag_seen = true;
-      } else if (is_checkpoint &&
-                 std::strncmp(argv[i], "--format=", 9) == 0) {
-        // Strict: exactly "text" or "binary", anything else is usage (2).
-        const char* format = argv[i] + 9;
-        if (std::strcmp(format, "binary") == 0) {
-          binary_format = true;
-        } else if (std::strcmp(format, "text") != 0) {
-          return Usage();
-        }
-      } else if (!MatchThreadsFlag(argc, argv, &i, &threads, &is_threads)) {
-        return Usage();
-      } else if (is_threads) {
-        // A repeated --threads is ambiguous (which value wins?); reject it
-        // instead of silently taking the last one.
-        if (threads_seen) return Usage();
-        threads_seen = true;
-        engine_only_flag_seen = true;
-      } else if (!is_checkpoint &&
-                 !MatchRoundThreadsFlag(argc, argv, &i, &round_threads,
-                                        &is_round_threads)) {
-        return Usage();
-      } else if (is_round_threads) {
-        if (round_threads_seen) return Usage();
-        round_threads_seen = true;
-      } else if (!MatchEpsilonFlag(argc, argv, &i, &epsilon_quiescence,
-                                   &is_epsilon)) {
-        return Usage();
-      } else if (is_epsilon) {
-        engine_only_flag_seen = true;
-      } else if (!MatchDynamicsFlag(argc, argv, &i, &dynamics.kind,
-                                    &is_dynamics)) {
-        return Usage();
-      } else if (is_dynamics) {
-        // Valid on both paths: the engine's PriceDynamicsPolicy and the
-        // distributed agents' per-resource dynamics (DESIGN.md §7.12).
-      } else if (!MatchMomentumFlag(argc, argv, &i, &dynamics.momentum,
-                                    &is_momentum)) {
-        return Usage();
-      } else if (!is_momentum) {
-        return Usage();
-      }
-    }
-    if (iters < 1) return Usage();
-    if (is_checkpoint) {
-      return Checkpoint(w, variant, iters, threads, epsilon_quiescence,
-                        dynamics, snapshot_path, binary_format);
-    }
-    if (round_threads_seen) {
-      // The distributed path has no engine to thread, restore, or damp;
-      // mixing those flags in would silently do nothing, so reject.
-      // (--dynamics/--momentum ARE honored here: they configure the shard
-      // agents' accelerated mu updates.)
-      if (engine_only_flag_seen) return Usage();
-      return SolveDistributed(w, variant, iters, round_threads, dynamics);
-    }
-    return Solve(w, variant, iters, threads, epsilon_quiescence, dynamics,
-                 restore_path);
+  switch (spec->command) {
+    case kSolve:
+      return options.round_threads > 0 ? SolveDistributed(w, options)
+                                       : Solve(w, options);
+    case kCheckpoint:
+      return Checkpoint(w, argv[3], options);
+    case kCheck:
+      return Check(w, options.iters);
+    case kSimulate:
+      return Simulate(w, seconds, options.sfs);
+    case kDescribe:
+      return Describe(w);
+    case kTrace:
+      return Trace(w, options);
+    case kChurn:
+      return Churn(w, options);
+    case kInspect:
+    case kGenerate:
+      break;
   }
-
-  if (command == "trace") {
-    UtilityVariant variant = UtilityVariant::kPathWeighted;
-    int iters = 12000;
-    int threads = 1;
-    DynamicsConfig dynamics;
-    std::string out_path = "-";
-    for (int i = 3; i < argc; ++i) {
-      bool is_threads = false;
-      bool is_dynamics = false;
-      bool is_momentum = false;
-      if (std::strcmp(argv[i], "--variant") == 0 && i + 1 < argc) {
-        variant = std::strcmp(argv[++i], "sum") == 0
-                      ? UtilityVariant::kSum
-                      : UtilityVariant::kPathWeighted;
-      } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-        iters = std::atoi(argv[++i]);
-      } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-        out_path = argv[++i];
-      } else if (!MatchThreadsFlag(argc, argv, &i, &threads, &is_threads)) {
-        return Usage();
-      } else if (is_threads) {
-      } else if (!MatchDynamicsFlag(argc, argv, &i, &dynamics.kind,
-                                    &is_dynamics)) {
-        return Usage();
-      } else if (is_dynamics) {
-      } else if (!MatchMomentumFlag(argc, argv, &i, &dynamics.momentum,
-                                    &is_momentum)) {
-        return Usage();
-      } else if (!is_momentum) {
-        return Usage();
-      }
-    }
-    if (iters < 1) return Usage();
-    return Trace(w, variant, iters, out_path, threads, dynamics);
-  }
-
-  if (command == "check") {
-    int iters = 2000;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-        iters = std::atoi(argv[++i]);
-      } else {
-        return Usage();
-      }
-    }
-    if (iters < 1) return Usage();
-    return Check(w, iters);
-  }
-
-  if (command == "simulate") {
-    if (argc < 4) return Usage();
-    const double seconds = std::atof(argv[3]);
-    if (seconds <= 0.0) return Usage();
-    bool use_sfs = false;
-    for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--sfs") == 0) {
-        use_sfs = true;
-      } else {
-        return Usage();
-      }
-    }
-    return Simulate(w, seconds, use_sfs);
-  }
-
-  if (command == "churn") {
-    std::size_t mutations = 50;
-    std::uint64_t seed = 1;
-    int threads = 1;
-    for (int i = 3; i < argc; ++i) {
-      bool is_threads = false;
-      if (std::strncmp(argv[i], "--mutations=", 12) == 0) {
-        const int value = std::atoi(argv[i] + 12);
-        if (value < 1) return Usage();
-        mutations = static_cast<std::size_t>(value);
-      } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        seed = std::strtoull(argv[i] + 7, nullptr, 10);
-      } else if (!MatchThreadsFlag(argc, argv, &i, &threads, &is_threads)) {
-        return Usage();
-      } else if (!is_threads) {
-        return Usage();
-      }
-    }
-    return Churn(w, mutations, seed, threads);
-  }
-
   return Usage();
 }
