@@ -29,20 +29,12 @@ LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
       config_(config),
       solver_(workload, model, config.solver),
       updater_(workload, model),
-      step_policy_(MakeStepPolicy(config)),
-      // Plain dynamics short-circuit to the original inline arithmetic (a
-      // null policy), so default configurations pay nothing for the layer.
-      dynamics_(config.dynamics.kind == DynamicsKind::kPlain
-                    ? nullptr
-                    : MakeDynamicsPolicy(config.dynamics)) {
+      step_policy_(MakeStepPolicy(config)) {
+  ValidateDynamicsConfig(config_.dynamics, "LlaEngine");
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads,
                                          config_.parallel);
   }
-  assert(config_.active_set.epsilon_quiescence >= 0.0 &&
-         config_.active_set.epsilon_quiescence < 1.0);
-  assert(config_.active_set.quiescence_epochs >= 1);
-  assert(config_.dynamics.momentum >= 0.0 && config_.dynamics.momentum < 1.0);
   if (config_.metrics != nullptr) {
     steps_counter_ = config_.metrics->GetCounter("engine.steps");
     solve_timer_ = config_.metrics->GetTimer("engine.solve");
@@ -61,9 +53,8 @@ LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
           config_.metrics->GetCounter("engine.active.mu_skipped");
       active_lambda_skipped_ =
           config_.metrics->GetCounter("engine.active.lambda_skipped");
-      active_frozen_ = config_.metrics->GetCounter("engine.active.frozen");
     }
-    if (dynamics_ != nullptr) {
+    if (config_.dynamics.kind != DynamicsKind::kPlain) {
       momentum_restarts_counter_ =
           config_.metrics->GetCounter("engine.momentum.restarts");
     }
@@ -81,7 +72,7 @@ void LlaEngine::Reset() {
                                  config_.initial_lambda);
   latencies_.assign(workload_->subtask_count(), 0.0);
   step_policy_->Reset(*workload_);
-  if (dynamics_ != nullptr) dynamics_->Reset(*workload_, prices_);
+  ResetDynamics();
   iteration_ = 0;
   converged_ = false;
   total_subtask_solves_ = 0;
@@ -106,6 +97,18 @@ void LlaEngine::PrimeOrSolve() {
     if (active_primes_ != nullptr) active_primes_->Increment();
   } else {
     solver_.SolveAll(prices_, &latencies_, pool_.get());
+  }
+}
+
+void LlaEngine::ResetDynamics() {
+  if (config_.dynamics.kind == DynamicsKind::kPlain) return;
+  mu_dynamics_.resize(prices_.mu.size());
+  lambda_dynamics_.resize(prices_.lambda.size());
+  for (std::size_t r = 0; r < prices_.mu.size(); ++r) {
+    mu_dynamics_[r].ReseedAt(prices_.mu[r]);
+  }
+  for (std::size_t p = 0; p < prices_.lambda.size(); ++p) {
+    lambda_dynamics_[p].ReseedAt(prices_.lambda[p]);
   }
 }
 
@@ -144,7 +147,7 @@ void LlaEngine::WarmStart(const PriceVector& prices) {
   for (double& mu : prices_.mu) mu = std::max(0.0, mu);
   for (double& lambda : prices_.lambda) lambda = std::max(0.0, lambda);
   step_policy_->Reset(*workload_);
-  if (dynamics_ != nullptr) dynamics_->Reset(*workload_, prices_);
+  ResetDynamics();
   ClearConvergenceWindow();
   total_subtask_solves_ = 0;
   // Same prime as Reset: warm-started engines (coordinator what-ifs,
@@ -298,17 +301,30 @@ StateSnapshot LlaEngine::Checkpoint() const {
   snap.step_iteration = policy_state.iteration;
   snap.recent_utilities.assign(recent_utilities_.begin(),
                                recent_utilities_.end());
-  if (dynamics_ != nullptr) {
-    // The momentum state.  Plain engines leave these sections empty.
-    DynamicsPolicyState dynamics_state;
-    dynamics_->SaveState(&dynamics_state);
-    snap.mu_velocity = std::move(dynamics_state.mu_velocity);
-    snap.lambda_velocity = std::move(dynamics_state.lambda_velocity);
-    snap.mu_base = std::move(dynamics_state.mu_base);
-    snap.lambda_base = std::move(dynamics_state.lambda_base);
-    snap.mu_phase = std::move(dynamics_state.mu_phase);
-    snap.lambda_phase = std::move(dynamics_state.lambda_phase);
-    snap.momentum_restarts = dynamics_state.restarts;
+  if (config_.dynamics.kind != DynamicsKind::kPlain) {
+    // The momentum state.  Plain engines leave these sections empty, and
+    // only Nesterov has a base iterate to save.
+    const auto gather = [](const std::vector<ComponentDynamicsState>& states,
+                           double ComponentDynamicsState::*field) {
+      std::vector<double> values;
+      values.reserve(states.size());
+      for (const ComponentDynamicsState& state : states) {
+        values.push_back(state.*field);
+      }
+      return values;
+    };
+    snap.mu_velocity = gather(mu_dynamics_, &ComponentDynamicsState::velocity);
+    snap.lambda_velocity =
+        gather(lambda_dynamics_, &ComponentDynamicsState::velocity);
+    if (config_.dynamics.kind == DynamicsKind::kNesterov) {
+      snap.mu_base = gather(mu_dynamics_, &ComponentDynamicsState::base);
+      snap.lambda_base =
+          gather(lambda_dynamics_, &ComponentDynamicsState::base);
+    }
+    snap.mu_phase = gather(mu_dynamics_, &ComponentDynamicsState::phase);
+    snap.lambda_phase =
+        gather(lambda_dynamics_, &ComponentDynamicsState::phase);
+    snap.momentum_restarts = momentum_restarts_;
   }
   snap.price_state_primed = price_state_.primed;
   if (price_state_.primed) {
@@ -316,10 +332,6 @@ StateSnapshot LlaEngine::Checkpoint() const {
     snap.lambda_settled = price_state_.lambda_settled;
     snap.mu_zero_epochs = price_state_.mu_zero_epochs;
     snap.lambda_zero_epochs = price_state_.lambda_zero_epochs;
-    snap.mu_stable_epochs = price_state_.mu_stable_epochs;
-    snap.lambda_stable_epochs = price_state_.lambda_stable_epochs;
-    snap.shadow_mu = price_state_.shadow_mu;
-    snap.shadow_lambda = price_state_.shadow_lambda;
     snap.prev_share_sums = price_state_.prev_share_sums;
     snap.prev_path_latencies = price_state_.prev_path_latencies;
   }
@@ -364,9 +376,6 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
     if (snapshot.mu_settled.size() != R || snapshot.lambda_settled.size() != P ||
         snapshot.mu_zero_epochs.size() != R ||
         snapshot.lambda_zero_epochs.size() != P ||
-        snapshot.mu_stable_epochs.size() != R ||
-        snapshot.lambda_stable_epochs.size() != P ||
-        snapshot.shadow_mu.size() != R || snapshot.shadow_lambda.size() != P ||
         snapshot.prev_share_sums.size() != R ||
         snapshot.prev_path_latencies.size() != P) {
       return Status::Error(
@@ -385,22 +394,44 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
   policy_state.path_multiplier = std::move(snapshot.path_step_multiplier);
   policy_state.iteration = snapshot.step_iteration;
   step_policy_->LoadState(policy_state);
-  if (dynamics_ != nullptr) {
-    // Reset sizes (and, for Nesterov, seeds the base iterate from the
-    // restored prices); LoadState then adopts any matching-size saved
-    // vectors.  A plain-engine snapshot carries none, so a momentum engine
-    // restores with fresh (zero) velocity — the correct reading of a
-    // checkpoint that never had momentum state.
-    dynamics_->Reset(*workload_, prices_);
-    DynamicsPolicyState dynamics_state;
-    dynamics_state.mu_velocity = std::move(snapshot.mu_velocity);
-    dynamics_state.lambda_velocity = std::move(snapshot.lambda_velocity);
-    dynamics_state.mu_base = std::move(snapshot.mu_base);
-    dynamics_state.lambda_base = std::move(snapshot.lambda_base);
-    dynamics_state.mu_phase = std::move(snapshot.mu_phase);
-    dynamics_state.lambda_phase = std::move(snapshot.lambda_phase);
-    dynamics_state.restarts = snapshot.momentum_restarts;
-    dynamics_->LoadState(dynamics_state);
+  if (config_.dynamics.kind != DynamicsKind::kPlain) {
+    // Start from fresh momentum re-based at the restored prices, then adopt
+    // each saved pair of vectors that fits this workload.  A plain-engine
+    // snapshot carries none, so a momentum engine restores with fresh
+    // (zero) velocity — the correct reading of a checkpoint that never had
+    // momentum state.  Nesterov adopts its velocity only together with the
+    // base iterate it was realized against; heavy-ball has no base.
+    ResetDynamics();
+    const auto fits = [&](const std::vector<double>& mu,
+                          const std::vector<double>& lambda) {
+      return mu.size() == mu_dynamics_.size() &&
+             lambda.size() == lambda_dynamics_.size();
+    };
+    const auto adopt = [&](const std::vector<double>& mu,
+                           const std::vector<double>& lambda,
+                           double ComponentDynamicsState::*field) {
+      for (std::size_t r = 0; r < mu.size(); ++r) {
+        mu_dynamics_[r].*field = mu[r];
+      }
+      for (std::size_t p = 0; p < lambda.size(); ++p) {
+        lambda_dynamics_[p].*field = lambda[p];
+      }
+    };
+    const bool nesterov = config_.dynamics.kind == DynamicsKind::kNesterov;
+    if (fits(snapshot.mu_velocity, snapshot.lambda_velocity) &&
+        (!nesterov || fits(snapshot.mu_base, snapshot.lambda_base))) {
+      adopt(snapshot.mu_velocity, snapshot.lambda_velocity,
+            &ComponentDynamicsState::velocity);
+      if (nesterov) {
+        adopt(snapshot.mu_base, snapshot.lambda_base,
+              &ComponentDynamicsState::base);
+      }
+    }
+    if (fits(snapshot.mu_phase, snapshot.lambda_phase)) {
+      adopt(snapshot.mu_phase, snapshot.lambda_phase,
+            &ComponentDynamicsState::phase);
+    }
+    momentum_restarts_ = snapshot.momentum_restarts;
   }
   iteration_ = static_cast<int>(snapshot.iteration);
   converged_ = snapshot.converged;
@@ -410,7 +441,7 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
   history_.clear();
   // Re-derive latencies_ and the workspace from the restored prices.  This
   // is deliberately NOT PrimeOrSolve(): that would leave price_state_
-  // invalidated, losing the restored retirement/freeze counters.  The dense
+  // invalidated, losing the restored retirement counters.  The dense
   // prime at prices_ reproduces bitwise the latencies the checkpointed
   // engine held (the active-set invariant: a full solve at the same price
   // bits equals the incremental state), after which the saved price state
@@ -429,11 +460,6 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
       price_state_.lambda_settled = std::move(snapshot.lambda_settled);
       price_state_.mu_zero_epochs = std::move(snapshot.mu_zero_epochs);
       price_state_.lambda_zero_epochs = std::move(snapshot.lambda_zero_epochs);
-      price_state_.mu_stable_epochs = std::move(snapshot.mu_stable_epochs);
-      price_state_.lambda_stable_epochs =
-          std::move(snapshot.lambda_stable_epochs);
-      price_state_.shadow_mu = std::move(snapshot.shadow_mu);
-      price_state_.shadow_lambda = std::move(snapshot.shadow_lambda);
       price_state_.prev_share_sums = std::move(snapshot.prev_share_sums);
       price_state_.prev_path_latencies =
           std::move(snapshot.prev_path_latencies);
@@ -475,28 +501,23 @@ IterationStats LlaEngine::Step() {
   {
     obs::ScopedTimer timing(price_timer_);
     step_policy_->Update(*workload_, workspace_.resource_congested, &steps_);
-    const std::uint64_t restarts_before =
-        dynamics_ != nullptr ? dynamics_->total_restarts() : 0;
+    const std::uint64_t restarts_before = momentum_restarts_;
     if (config_.active_set.enabled) {
       last_price_work_ = updater_.UpdateActive(
           workspace_.resource_share_sums, workspace_.path_latencies, steps_,
-          config_.active_set.epsilon_quiescence,
-          config_.active_set.quiescence_epochs, &prices_, &price_state_,
-          dynamics_.get());
-      last_step_updates_ = last_price_work_.mu_updated +
-                           last_price_work_.mu_frozen +
-                           last_price_work_.lambda_updated +
-                           last_price_work_.lambda_frozen;
+          config_.dynamics, &mu_dynamics_, &lambda_dynamics_,
+          &momentum_restarts_, &prices_, &price_state_);
+      last_step_updates_ =
+          last_price_work_.mu_updated + last_price_work_.lambda_updated;
     } else {
       updater_.Update(workspace_.resource_share_sums,
-                      workspace_.path_latencies, steps_, &prices_,
-                      dynamics_.get());
+                      workspace_.path_latencies, steps_, config_.dynamics,
+                      &mu_dynamics_, &lambda_dynamics_, &momentum_restarts_,
+                      &prices_);
       last_step_updates_ = workload_->resource_count() +
                            workload_->path_count();
     }
-    last_step_restarts_ =
-        dynamics_ != nullptr ? dynamics_->total_restarts() - restarts_before
-                             : 0;
+    last_step_restarts_ = momentum_restarts_ - restarts_before;
     if (momentum_restarts_counter_ != nullptr) {
       momentum_restarts_counter_->Increment(last_step_restarts_);
     }
@@ -513,8 +534,6 @@ IterationStats LlaEngine::Step() {
     if (work.primed) active_primes_->Increment();
     active_mu_skipped_->Increment(last_price_work_.mu_skipped);
     active_lambda_skipped_->Increment(last_price_work_.lambda_skipped);
-    active_frozen_->Increment(last_price_work_.mu_frozen +
-                              last_price_work_.lambda_frozen);
   }
 
   IterationStats stats;
@@ -559,14 +578,14 @@ void LlaEngine::EmitTrace(const IterationStats& stats) {
     trace_.active_mu = -1;
     trace_.active_lambda = -1;
   }
-  if (dynamics_ != nullptr) {
+  if (config_.dynamics.kind != DynamicsKind::kPlain) {
     // Per-step restart count and the effective momentum actually applied:
     // a restarted component contributed beta * 0, so the mean coefficient
     // across computed updates is beta * (1 - restarts / updates).  A
     // diverging run shows up in JSONL as effective_beta pinned well below
     // the configured beta (restarts firing every step).
     trace_.momentum_restarts = static_cast<int>(last_step_restarts_);
-    const double beta = dynamics_->beta();
+    const double beta = config_.dynamics.momentum;
     trace_.effective_beta =
         last_step_updates_ > 0
             ? beta * (1.0 - static_cast<double>(last_step_restarts_) /

@@ -72,26 +72,10 @@ struct ConvergenceConfig {
 /// The incremental (active-set) stepping mode: dirty-tracked sparse dual
 /// iteration.  See DESIGN.md §7.6.
 struct ActiveSetConfig {
-  /// Master switch.  Enabled (the default) with epsilon_quiescence == 0 is
-  /// EXACT: every skip is keyed on bitwise-unchanged inputs, so the
-  /// trajectory is bit-for-bit the dense one at any thread count — only the
-  /// work per step shrinks.
+  /// Master switch.  Enabled (the default) is EXACT: every skip is keyed on
+  /// bitwise-unchanged inputs, so the trajectory is bit-for-bit the dense
+  /// one at any thread count — only the work per step shrinks.
   bool enabled = true;
-  /// Opt-in approximation: freeze (stop publishing) a multiplier whose
-  /// per-update movement stayed within epsilon_quiescence * max(1, |value|)
-  /// for quiescence_epochs consecutive updates.  The dynamics are never
-  /// frozen — a shadow copy keeps integrating Eq. 8/9, and the price is
-  /// re-published the moment its accumulated drift from the published value
-  /// exceeds the same threshold.  Published prices therefore track the
-  /// shadow dual trajectory with per-component relative error <= epsilon,
-  /// which bounds the final objective gap at O(epsilon) relative (DESIGN.md
-  /// §7.6 gives the argument; active_set_property_test pins the bound with
-  /// a measured constant).  0 (the default) disables freezing.  Must be
-  /// >= 0 and < 1.
-  double epsilon_quiescence = 0.0;
-  /// Consecutive quiescent updates before a clamped-at-zero constraint is
-  /// retired / a stable multiplier is frozen.  Must be >= 1.
-  int quiescence_epochs = 3;
 };
 
 struct LlaConfig {
@@ -104,12 +88,13 @@ struct LlaConfig {
   /// adaptive restart; see price_dynamics.h).  Orthogonal to step_policy:
   /// the step-size policy still chooses gamma per component per iteration,
   /// the dynamics decide how the gradient step is applied.  The default
-  /// (plain) runs the original Eq. 8/9 arithmetic unchanged.
+  /// (plain) runs the original Eq. 8/9 arithmetic unchanged.  The momentum
+  /// must be finite and in [0, 1); the constructor aborts otherwise.
   DynamicsConfig dynamics;
   double initial_mu = 0.0;
   double initial_lambda = 0.0;
   ConvergenceConfig convergence;
-  /// Incremental active-set stepping (exact by default; see the struct).
+  /// Incremental active-set stepping (exact; see the struct).
   ActiveSetConfig active_set;
   /// Record per-iteration stats (utility traces for the figures).
   bool record_history = true;
@@ -212,11 +197,12 @@ class LlaEngine {
                              const StructuralChange& change);
 
   /// Captures the complete dual state — prices, step-size policy state,
-  /// convergence window, counters, and the active-set price state — into a
-  /// durable snapshot (DESIGN.md §7.7).  Restore() of the snapshot into a
-  /// fresh engine on the same workload resumes the dense trajectory
-  /// bit-identically: every subsequent Step() produces bitwise the same
-  /// prices and latencies the checkpointed engine would have produced.
+  /// momentum state, convergence window, counters, and the active-set price
+  /// state — into a durable snapshot (DESIGN.md §7.7).  Restore() of the
+  /// snapshot into a fresh engine on the same workload resumes the dense
+  /// trajectory bit-identically: every subsequent Step() produces bitwise
+  /// the same prices and latencies the checkpointed engine would have
+  /// produced.
   /// History is diagnostics and is not captured.
   StateSnapshot Checkpoint() const;
 
@@ -233,11 +219,10 @@ class LlaEngine {
 
   bool Converged() const { return converged_; }
   int iteration() const { return iteration_; }
-  /// Cumulative adaptive-restart count of the momentum dynamics since the
-  /// last Reset/WarmStart/Restore (0 under plain dynamics).
-  std::uint64_t momentum_restarts() const {
-    return dynamics_ != nullptr ? dynamics_->total_restarts() : 0;
-  }
+  /// Cumulative adaptive-restart count of the momentum dynamics since
+  /// construction (0 under plain dynamics).  Reset and WarmStart keep
+  /// counting; Restore adopts the total the snapshot carries.
+  std::uint64_t momentum_restarts() const { return momentum_restarts_; }
   /// Cumulative subtask solves performed by Step() since the last
   /// Reset/WarmStart (the dense mode counts every subtask every step).
   std::uint64_t total_subtask_solves() const { return total_subtask_solves_; }
@@ -262,6 +247,9 @@ class LlaEngine {
   /// Invalidates the dirty-tracking state, then runs the initial solve at
   /// prices_: the dense active-set prime when enabled, else SolveAll.
   void PrimeOrSolve();
+  /// Fresh momentum re-based at prices_ (no-op under plain dynamics): no
+  /// velocity, no ramp credit, Nesterov base at the published point.
+  void ResetDynamics();
 
   const Workload* workload_;
   const LatencyModel* model_;
@@ -269,11 +257,12 @@ class LlaEngine {
   LatencySolver solver_;
   PriceUpdater updater_;
   std::unique_ptr<StepSizePolicy> step_policy_;
-  /// Null for DynamicsKind::kPlain: the default configuration executes the
-  /// pre-existing inline arithmetic with zero dispatch overhead, and the
-  /// null check doubles as the "momentum is active" flag for traces,
-  /// metrics, and snapshot state.
-  std::unique_ptr<PriceDynamicsPolicy> dynamics_;
+  /// Momentum state, one per mu and one per lambda, stepped by
+  /// StepComponentDynamics inside the serial price update.  Empty under
+  /// plain dynamics, which keep none.
+  std::vector<ComponentDynamicsState> mu_dynamics_;
+  std::vector<ComponentDynamicsState> lambda_dynamics_;
+  std::uint64_t momentum_restarts_ = 0;
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads <= 1
   StepSizes steps_;
   PriceVector prices_;
@@ -307,7 +296,6 @@ class LlaEngine {
   obs::Counter* active_primes_ = nullptr;
   obs::Counter* active_mu_skipped_ = nullptr;
   obs::Counter* active_lambda_skipped_ = nullptr;
-  obs::Counter* active_frozen_ = nullptr;
   obs::Counter* momentum_restarts_counter_ = nullptr;
   obs::Counter* reprime_tasks_counter_ = nullptr;
   obs::Counter* reprime_resources_counter_ = nullptr;

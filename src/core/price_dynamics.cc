@@ -1,8 +1,8 @@
 #include "core/price_dynamics.h"
 
 #include <algorithm>
-#include <cassert>
-#include <sstream>
+#include <cstdio>
+#include <cstdlib>
 
 namespace lla {
 
@@ -18,277 +18,103 @@ const char* ToString(DynamicsKind kind) {
   return "?";
 }
 
-void PriceDynamicsPolicy::SaveState(DynamicsPolicyState* out) const {
-  out->restarts = total_restarts_;
+void ValidateDynamicsConfig(const DynamicsConfig& config, const char* owner) {
+  // Written so that NaN fails too: every comparison with NaN is false.
+  if (!(config.momentum >= 0.0 && config.momentum < 1.0)) {
+    std::fprintf(stderr,
+                 "%s: dynamics momentum %g is outside [0, 1) (a NaN or "
+                 "out-of-range beta would poison or destabilize every "
+                 "velocity)\n",
+                 owner, config.momentum);
+    std::abort();
+  }
 }
 
-void PriceDynamicsPolicy::LoadState(const DynamicsPolicyState& in) {
-  total_restarts_ = in.restarts;
-}
+namespace internal {
 
-// ---------------------------------------------------------------------------
-// Per-component steps (shared by the vector policies and the distributed
-// agents, DESIGN.md §7.12)
-
-DynamicsStep HeavyBallComponentStep(double beta, bool adaptive_restart,
-                                    double value, double gamma, double slack,
-                                    double* velocity, double* phase,
-                                    std::uint64_t* restarts) {
-  double v = *velocity;
-  double t = *phase;
+DynamicsStep StepAcceleratedDynamics(const DynamicsConfig& config,
+                                     ComponentDynamicsState* state,
+                                     double value, double gamma, double slack,
+                                     std::uint64_t* restarts) {
   // Ascent gradient of the dual in this component (Eq. 8/9 move the price
   // up while its constraint is violated, i.e. while slack < 0).
   const double g = -slack;
-  if (adaptive_restart && v * g < 0.0) {
-    // Momentum points against the current gradient: built-up velocity would
-    // carry the multiplier uphill.  Drop it and restart the ramp (gradient
-    // restart).
-    v = 0.0;
-    t = 0.0;
-    if (restarts != nullptr) ++*restarts;
-  }
-  // The ramp (see header): momentum re-earns its coefficient after every
-  // restart, so a component in an overshoot/restart cycle near the optimum
-  // runs nearly plain while a long monotone crawl gets the full beta.
-  const double beta_t =
-      adaptive_restart ? std::min(beta, t / (t + 3.0)) : beta;
-  v = beta_t * v + gamma * g;
-  const double proposed = std::max(0.0, value + v);
-  // Zero-clamp: a multiplier parked at the projection boundary carries no
-  // velocity and no ramp credit.  This is what makes (0, 0, 0) an absorbing
-  // state the active-set retirement proof can rely on (see header).
-  if (proposed == 0.0) {
-    v = 0.0;
-    t = 0.0;
-  } else {
-    t += 1.0;
-  }
-  *velocity = v;
-  *phase = t;
-  // Unlike the plain update, a momentum step can project to 0 while the
-  // constraint is still violated (leftover negative velocity outweighs a
-  // positive gradient for one step).  Such a zero is NOT absorbing — the
-  // next computed step lifts off it — so `settled` additionally requires
-  // g <= 0: only then does a recompute from (0, 0) with unchanged inputs
-  // return (0, 0) for every step size, which is what retirement skips rely
-  // on.
-  return {proposed, proposed == 0.0 && g <= 0.0};
-}
-
-DynamicsStep NesterovComponentStep(double beta, bool adaptive_restart,
-                                   double value, double gamma, double slack,
-                                   double* velocity, double* base,
-                                   double* phase, std::uint64_t* restarts) {
-  // `value` is the extrapolated point y the last step published; the solve
-  // that produced `slack` evaluated the gradient THERE, so this is the real
-  // Nesterov scheme, not a lookahead approximation.
-  const double g = -slack;
-  double t = *phase;
-  const double x_new = std::max(0.0, value + gamma * g);
-  double v = x_new - *base;
-  if (x_new == 0.0) v = 0.0;  // zero-clamp, as in heavy-ball
-  if (adaptive_restart && v * g < 0.0) {
-    // The freshly realized step opposes the gradient at the extrapolated
-    // point: overshoot.  Publish the un-extrapolated iterate and restart
-    // the ramp.
-    v = 0.0;
-    t = 0.0;
-    if (restarts != nullptr) ++*restarts;
-  }
-  // Same ramp as heavy-ball: extrapolation re-earns its coefficient after
-  // every restart.
-  const double beta_t =
-      adaptive_restart ? std::min(beta, t / (t + 3.0)) : beta;
-  const double y_new = std::max(0.0, x_new + beta_t * v);
-  *base = x_new;
-  *velocity = v;
-  if (x_new == 0.0) {
-    t = 0.0;  // zero-clamp the ramp, as for the velocity
-  } else {
-    t += 1.0;
-  }
-  *phase = t;
-  // x_new == 0 forces v == 0 and hence y_new == 0: the whole component
-  // state is at zero.  As in heavy-ball, the zero is only absorbing (and
-  // hence retirable) when the gradient also points down or is flat.
-  return {y_new, x_new == 0.0 && g <= 0.0};
-}
-
-DynamicsStep StepComponentDynamics(const DynamicsConfig& config,
-                                   ComponentDynamicsState* state, double value,
-                                   double gamma, double slack,
-                                   std::uint64_t* restarts) {
   switch (config.kind) {
     case DynamicsKind::kPlain:
       break;
-    case DynamicsKind::kHeavyBall:
-      return HeavyBallComponentStep(config.momentum, config.adaptive_restart,
-                                    value, gamma, slack, &state->velocity,
-                                    &state->phase, restarts);
-    case DynamicsKind::kNesterov:
-      return NesterovComponentStep(config.momentum, config.adaptive_restart,
-                                   value, gamma, slack, &state->velocity,
-                                   &state->base, &state->phase, restarts);
+    case DynamicsKind::kHeavyBall: {
+      double v = state->velocity;
+      double t = state->phase;
+      if (v * g < 0.0) {
+        // Momentum points against the current gradient: built-up velocity
+        // would carry the multiplier uphill.  Drop it and restart the ramp
+        // (gradient restart).
+        v = 0.0;
+        t = 0.0;
+        if (restarts != nullptr) ++*restarts;
+      }
+      // The ramp (price_dynamics.h): momentum re-earns its coefficient
+      // after every restart, so a component in an overshoot/restart cycle
+      // near the optimum runs nearly plain while a long monotone crawl gets
+      // the full beta.
+      const double beta_t = std::min(config.momentum, t / (t + 3.0));
+      v = beta_t * v + gamma * g;
+      const double proposed = std::max(0.0, value + v);
+      // Zero-clamp: a multiplier parked at the projection boundary carries
+      // no velocity and no ramp credit.  This is what makes (0, 0, 0) an
+      // absorbing state the active-set retirement proof can rely on.
+      if (proposed == 0.0) {
+        v = 0.0;
+        t = 0.0;
+      } else {
+        t += 1.0;
+      }
+      state->velocity = v;
+      state->phase = t;
+      // With the restart above, a zero can only be reached while g <= 0 for
+      // gamma > 0; the guard keeps `settled` meaning "a recompute from
+      // (0, 0) with unchanged inputs returns (0, 0) for every step size",
+      // which is what retirement skips rely on.
+      return {proposed, proposed == 0.0 && g <= 0.0};
+    }
+    case DynamicsKind::kNesterov: {
+      // `value` is the extrapolated point y the last step published; the
+      // solve that produced `slack` evaluated the gradient THERE, so this is
+      // the real Nesterov scheme, not a lookahead approximation.
+      double t = state->phase;
+      const double x_new = std::max(0.0, value + gamma * g);
+      double v = x_new - state->base;
+      if (x_new == 0.0) v = 0.0;  // zero-clamp, as in heavy-ball
+      if (v * g < 0.0) {
+        // The freshly realized step opposes the gradient at the
+        // extrapolated point: overshoot.  Publish the un-extrapolated
+        // iterate and restart the ramp.
+        v = 0.0;
+        t = 0.0;
+        if (restarts != nullptr) ++*restarts;
+      }
+      // Same ramp as heavy-ball.
+      const double beta_t = std::min(config.momentum, t / (t + 3.0));
+      const double y_new = std::max(0.0, x_new + beta_t * v);
+      state->base = x_new;
+      state->velocity = v;
+      if (x_new == 0.0) {
+        t = 0.0;  // zero-clamp the ramp, as for the velocity
+      } else {
+        t += 1.0;
+      }
+      state->phase = t;
+      // x_new == 0 forces v == 0 and hence y_new == 0: the whole component
+      // state is at zero.  As in heavy-ball, the zero is only absorbing
+      // (and hence retirable) when the gradient also points down or is
+      // flat.
+      return {y_new, x_new == 0.0 && g <= 0.0};
+    }
   }
-  const double proposed = std::max(0.0, value - gamma * slack);
-  return {proposed, proposed == 0.0};
+  // StepComponentDynamics steps kPlain inline and never sends it here.
+  return StepComponentDynamics(config, state, value, gamma, slack, restarts);
 }
 
-// ---------------------------------------------------------------------------
-// Plain
-
-void PlainDynamics::Reset(const Workload& /*workload*/,
-                          const PriceVector& /*prices*/) {}
-
-DynamicsStep PlainDynamics::Step(DualSpace /*space*/, std::size_t /*i*/,
-                                 double value, double gamma, double slack) {
-  const double proposed = std::max(0.0, value - gamma * slack);
-  return {proposed, proposed == 0.0};
-}
-
-std::string PlainDynamics::Describe() const { return "plain"; }
-
-// ---------------------------------------------------------------------------
-// Heavy-ball
-
-HeavyBallDynamics::HeavyBallDynamics(double beta, bool adaptive_restart)
-    : beta_(beta), adaptive_restart_(adaptive_restart) {
-  assert(beta >= 0.0 && beta < 1.0);
-}
-
-void HeavyBallDynamics::Reset(const Workload& workload,
-                              const PriceVector& /*prices*/) {
-  mu_velocity_.assign(workload.resource_count(), 0.0);
-  lambda_velocity_.assign(workload.path_count(), 0.0);
-  mu_phase_.assign(workload.resource_count(), 0.0);
-  lambda_phase_.assign(workload.path_count(), 0.0);
-}
-
-DynamicsStep HeavyBallDynamics::Step(DualSpace space, std::size_t i,
-                                     double value, double gamma,
-                                     double slack) {
-  std::vector<double>& velocity =
-      space == DualSpace::kResource ? mu_velocity_ : lambda_velocity_;
-  std::vector<double>& phase =
-      space == DualSpace::kResource ? mu_phase_ : lambda_phase_;
-  assert(i < velocity.size());
-  return HeavyBallComponentStep(beta_, adaptive_restart_, value, gamma, slack,
-                                &velocity[i], &phase[i], &total_restarts_);
-}
-
-void HeavyBallDynamics::SaveState(DynamicsPolicyState* out) const {
-  PriceDynamicsPolicy::SaveState(out);
-  out->mu_velocity = mu_velocity_;
-  out->lambda_velocity = lambda_velocity_;
-  out->mu_phase = mu_phase_;
-  out->lambda_phase = lambda_phase_;
-}
-
-void HeavyBallDynamics::LoadState(const DynamicsPolicyState& in) {
-  PriceDynamicsPolicy::LoadState(in);
-  if (in.mu_velocity.size() == mu_velocity_.size() &&
-      in.lambda_velocity.size() == lambda_velocity_.size()) {
-    mu_velocity_ = in.mu_velocity;
-    lambda_velocity_ = in.lambda_velocity;
-  }
-  if (in.mu_phase.size() == mu_phase_.size() &&
-      in.lambda_phase.size() == lambda_phase_.size()) {
-    mu_phase_ = in.mu_phase;
-    lambda_phase_ = in.lambda_phase;
-  }
-}
-
-std::string HeavyBallDynamics::Describe() const {
-  std::ostringstream os;
-  os << "heavy-ball(beta=" << beta_
-     << (adaptive_restart_ ? ", restart" : ", no-restart") << ")";
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Nesterov
-
-NesterovDynamics::NesterovDynamics(double beta, bool adaptive_restart)
-    : beta_(beta), adaptive_restart_(adaptive_restart) {
-  assert(beta >= 0.0 && beta < 1.0);
-}
-
-void NesterovDynamics::Reset(const Workload& workload,
-                             const PriceVector& prices) {
-  assert(prices.mu.size() == workload.resource_count());
-  assert(prices.lambda.size() == workload.path_count());
-  mu_velocity_.assign(workload.resource_count(), 0.0);
-  lambda_velocity_.assign(workload.path_count(), 0.0);
-  mu_phase_.assign(workload.resource_count(), 0.0);
-  lambda_phase_.assign(workload.path_count(), 0.0);
-  // Before any momentum the published vector is the base iterate.
-  mu_base_ = prices.mu;
-  lambda_base_ = prices.lambda;
-}
-
-DynamicsStep NesterovDynamics::Step(DualSpace space, std::size_t i,
-                                    double value, double gamma,
-                                    double slack) {
-  std::vector<double>& velocity =
-      space == DualSpace::kResource ? mu_velocity_ : lambda_velocity_;
-  std::vector<double>& base =
-      space == DualSpace::kResource ? mu_base_ : lambda_base_;
-  std::vector<double>& phase =
-      space == DualSpace::kResource ? mu_phase_ : lambda_phase_;
-  assert(i < velocity.size());
-  return NesterovComponentStep(beta_, adaptive_restart_, value, gamma, slack,
-                               &velocity[i], &base[i], &phase[i],
-                               &total_restarts_);
-}
-
-void NesterovDynamics::SaveState(DynamicsPolicyState* out) const {
-  PriceDynamicsPolicy::SaveState(out);
-  out->mu_velocity = mu_velocity_;
-  out->lambda_velocity = lambda_velocity_;
-  out->mu_base = mu_base_;
-  out->lambda_base = lambda_base_;
-  out->mu_phase = mu_phase_;
-  out->lambda_phase = lambda_phase_;
-}
-
-void NesterovDynamics::LoadState(const DynamicsPolicyState& in) {
-  PriceDynamicsPolicy::LoadState(in);
-  if (in.mu_velocity.size() == mu_velocity_.size() &&
-      in.lambda_velocity.size() == lambda_velocity_.size() &&
-      in.mu_base.size() == mu_base_.size() &&
-      in.lambda_base.size() == lambda_base_.size()) {
-    mu_velocity_ = in.mu_velocity;
-    lambda_velocity_ = in.lambda_velocity;
-    mu_base_ = in.mu_base;
-    lambda_base_ = in.lambda_base;
-  }
-  if (in.mu_phase.size() == mu_phase_.size() &&
-      in.lambda_phase.size() == lambda_phase_.size()) {
-    mu_phase_ = in.mu_phase;
-    lambda_phase_ = in.lambda_phase;
-  }
-}
-
-std::string NesterovDynamics::Describe() const {
-  std::ostringstream os;
-  os << "nesterov(beta=" << beta_
-     << (adaptive_restart_ ? ", restart" : ", no-restart") << ")";
-  return os.str();
-}
-
-std::unique_ptr<PriceDynamicsPolicy> MakeDynamicsPolicy(
-    const DynamicsConfig& config) {
-  switch (config.kind) {
-    case DynamicsKind::kPlain:
-      return std::make_unique<PlainDynamics>();
-    case DynamicsKind::kHeavyBall:
-      return std::make_unique<HeavyBallDynamics>(config.momentum,
-                                                 config.adaptive_restart);
-    case DynamicsKind::kNesterov:
-      return std::make_unique<NesterovDynamics>(config.momentum,
-                                                config.adaptive_restart);
-  }
-  return std::make_unique<PlainDynamics>();
-}
+}  // namespace internal
 
 }  // namespace lla

@@ -1,11 +1,7 @@
 #include "core/price_update.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
-
-#include "core/price_dynamics.h"
 
 namespace lla {
 namespace {
@@ -17,16 +13,19 @@ inline bool SameBits(double a, double b) {
   return ba == bb;
 }
 
-// One projected dual step for component `i`: the policy's accelerated
-// variant when `dynamics` is set, the inline Eq. 8/9 arithmetic otherwise.
-inline DynamicsStep ProjectedStep(PriceDynamicsPolicy* dynamics,
-                                  DualSpace space, std::size_t i, double value,
-                                  double gamma, double slack) {
-  if (dynamics != nullptr) {
-    return dynamics->Step(space, i, value, gamma, slack);
-  }
-  const double proposed = std::max(0.0, value - gamma * slack);
-  return {proposed, proposed == 0.0};
+// The momentum states as a raw array, null under plain dynamics (which keep
+// none).  The loops below take it, and a copy of the DynamicsConfig, into
+// locals once: their byte-sized stores may alias any memory, so reading
+// either through the caller's objects would reload it per component.
+inline ComponentDynamicsState* StatesOf(
+    std::vector<ComponentDynamicsState>* states) {
+  return states->empty() ? nullptr : states->data();
+}
+
+// Component i's momentum state, or null.
+inline ComponentDynamicsState* At(ComponentDynamicsState* states,
+                                  std::size_t i) {
+  return states != nullptr ? states + i : nullptr;
 }
 
 }  // namespace
@@ -44,7 +43,10 @@ void PriceUpdater::UpdateResourcePrices(const Assignment& latencies,
     const double share_sum =
         ResourceShareSum(*workload_, *model_, resource.id, latencies);
     const double slack = resource.capacity - share_sum;
-    prices->mu[r] = std::max(0.0, prices->mu[r] - steps.resource[r] * slack);
+    prices->mu[r] = StepComponentDynamics(DynamicsConfig{}, nullptr,
+                                          prices->mu[r], steps.resource[r],
+                                          slack, nullptr)
+                        .value;
   }
 }
 
@@ -57,8 +59,10 @@ void PriceUpdater::UpdatePathPrices(const Assignment& latencies,
     const std::size_t p = path.id.value();
     const double latency = PathLatency(*workload_, path.id, latencies);
     const double slack = 1.0 - latency / path.critical_time_ms;
-    prices->lambda[p] =
-        std::max(0.0, prices->lambda[p] - steps.path[p] * slack);
+    prices->lambda[p] = StepComponentDynamics(DynamicsConfig{}, nullptr,
+                                              prices->lambda[p], steps.path[p],
+                                              slack, nullptr)
+                            .value;
   }
 }
 
@@ -70,33 +74,44 @@ void PriceUpdater::Update(const Assignment& latencies, const StepSizes& steps,
 
 void PriceUpdater::Update(const std::vector<double>& resource_share_sums,
                           const std::vector<double>& path_latencies,
-                          const StepSizes& steps, PriceVector* prices,
-                          PriceDynamicsPolicy* dynamics) const {
+                          const StepSizes& steps,
+                          const DynamicsConfig& dynamics,
+                          std::vector<ComponentDynamicsState>* mu_state,
+                          std::vector<ComponentDynamicsState>* lambda_state,
+                          std::uint64_t* restarts, PriceVector* prices) const {
   assert(resource_share_sums.size() == workload_->resource_count());
   assert(path_latencies.size() == workload_->path_count());
   assert(steps.resource.size() == workload_->resource_count());
   assert(steps.path.size() == workload_->path_count());
+  const DynamicsConfig config = dynamics;
+  ComponentDynamicsState* const mu_states = StatesOf(mu_state);
+  ComponentDynamicsState* const lambda_states = StatesOf(lambda_state);
   for (const ResourceInfo& resource : workload_->resources()) {
     const std::size_t r = resource.id.value();
     const double slack = resource.capacity - resource_share_sums[r];
-    prices->mu[r] = ProjectedStep(dynamics, DualSpace::kResource, r,
-                                  prices->mu[r], steps.resource[r], slack)
-                        .value;
+    prices->mu[r] =
+        StepComponentDynamics(config, At(mu_states, r), prices->mu[r],
+                              steps.resource[r], slack, restarts)
+            .value;
   }
   for (const PathInfo& path : workload_->paths()) {
     const std::size_t p = path.id.value();
     const double slack = 1.0 - path_latencies[p] / path.critical_time_ms;
-    prices->lambda[p] = ProjectedStep(dynamics, DualSpace::kPath, p,
-                                      prices->lambda[p], steps.path[p], slack)
-                            .value;
+    prices->lambda[p] =
+        StepComponentDynamics(config, At(lambda_states, p), prices->lambda[p],
+                              steps.path[p], slack, restarts)
+            .value;
   }
 }
 
 ActivePriceWork PriceUpdater::UpdateActive(
     const std::vector<double>& resource_share_sums,
     const std::vector<double>& path_latencies, const StepSizes& steps,
-    double epsilon_quiescence, int quiescence_epochs, PriceVector* prices,
-    ActivePriceState* state, PriceDynamicsPolicy* dynamics) const {
+    const DynamicsConfig& dynamics,
+    std::vector<ComponentDynamicsState>* mu_state,
+    std::vector<ComponentDynamicsState>* lambda_state,
+    std::uint64_t* restarts, PriceVector* prices,
+    ActivePriceState* state) const {
   const std::size_t resource_count = workload_->resource_count();
   const std::size_t path_count = workload_->path_count();
   assert(resource_share_sums.size() == resource_count);
@@ -105,8 +120,6 @@ ActivePriceWork PriceUpdater::UpdateActive(
   assert(steps.path.size() == path_count);
   assert(prices->mu.size() == resource_count);
   assert(prices->lambda.size() == path_count);
-  assert(epsilon_quiescence >= 0.0);
-  assert(quiescence_epochs >= 1);
 
   ActivePriceWork work;
   const bool primed = state->primed &&
@@ -117,15 +130,12 @@ ActivePriceWork PriceUpdater::UpdateActive(
     state->lambda_settled.assign(path_count, 0);
     state->mu_zero_epochs.assign(resource_count, 0);
     state->lambda_zero_epochs.assign(path_count, 0);
-    state->mu_stable_epochs.assign(resource_count, 0);
-    state->lambda_stable_epochs.assign(path_count, 0);
-    state->shadow_mu = prices->mu;
-    state->shadow_lambda = prices->lambda;
     state->prev_share_sums.resize(resource_count);
     state->prev_path_latencies.resize(path_count);
   }
-  const std::uint32_t retire_after =
-      static_cast<std::uint32_t>(quiescence_epochs);
+  const DynamicsConfig config = dynamics;
+  ComponentDynamicsState* const mu_states = StatesOf(mu_state);
+  ComponentDynamicsState* const lambda_states = StatesOf(lambda_state);
 
   const std::vector<ResourceInfo>& resources = workload_->resources();
   for (std::size_t r = 0; r < resource_count; ++r) {
@@ -133,56 +143,20 @@ ActivePriceWork PriceUpdater::UpdateActive(
     const bool changed = !primed || !SameBits(sum, state->prev_share_sums[r]);
     // Retired: multiplier clamped at 0 long enough, input bits unchanged.
     if (!changed && prices->mu[r] == 0.0 && state->mu_settled[r] != 0 &&
-        state->mu_zero_epochs[r] >= retire_after) {
+        state->mu_zero_epochs[r] >= kRetireAfterEpochs) {
       ++state->mu_zero_epochs[r];
       ++work.mu_skipped;
       continue;
     }
-    const double old_mu = prices->mu[r];
     const double slack = resources[r].capacity - sum;
-    bool settled;
-    bool write = true;
-    if (epsilon_quiescence > 0.0) {
-      // The shadow integrates Eq. 8 unconditionally; publishing is lazy.
-      // Freezing only ever suppresses writes, so a slow persistent drift
-      // accumulates in the shadow and forces a re-publish once it exceeds
-      // the epsilon threshold — the publish error stays <= epsilon
-      // (relative) no matter how long the freeze lasts.  Under accelerated
-      // dynamics the shadow is the dynamical variable: velocity follows the
-      // shadow trajectory, never the frozen published value.
-      const DynamicsStep ds =
-          ProjectedStep(dynamics, DualSpace::kResource, r, state->shadow_mu[r],
-                        steps.resource[r], slack);
-      const double proposed = ds.value;
-      state->shadow_mu[r] = proposed;
-      settled = ds.settled;
-      const bool stable =
-          std::fabs(proposed - old_mu) <=
-          epsilon_quiescence * std::max(1.0, std::fabs(old_mu));
-      const bool frozen = state->mu_stable_epochs[r] >= retire_after;
-      if (!stable) state->mu_stable_epochs[r] = 0;
-      if (frozen) {
-        write = !stable;
-      } else if (stable && ++state->mu_stable_epochs[r] >= retire_after) {
-        write = false;
-      }
-      if (write) {
-        prices->mu[r] = proposed;
-        ++work.mu_updated;
-      } else {
-        ++work.mu_frozen;
-      }
-    } else {
-      const DynamicsStep ds = ProjectedStep(dynamics, DualSpace::kResource, r,
-                                            old_mu, steps.resource[r], slack);
-      settled = ds.settled;
-      prices->mu[r] = ds.value;
-      ++work.mu_updated;
-    }
-    state->mu_zero_epochs[r] = (settled && prices->mu[r] == 0.0)
-                                   ? state->mu_zero_epochs[r] + 1
-                                   : 0;
-    state->mu_settled[r] = settled ? 1 : 0;
+    const DynamicsStep ds =
+        StepComponentDynamics(config, At(mu_states, r), prices->mu[r],
+                              steps.resource[r], slack, restarts);
+    prices->mu[r] = ds.value;
+    ++work.mu_updated;
+    // `settled` implies the value is exactly 0.
+    state->mu_zero_epochs[r] = ds.settled ? state->mu_zero_epochs[r] + 1 : 0;
+    state->mu_settled[r] = ds.settled ? 1 : 0;
     state->prev_share_sums[r] = sum;
   }
 
@@ -193,50 +167,20 @@ ActivePriceWork PriceUpdater::UpdateActive(
         !primed || !SameBits(latency, state->prev_path_latencies[p]);
     if (!changed && prices->lambda[p] == 0.0 &&
         state->lambda_settled[p] != 0 &&
-        state->lambda_zero_epochs[p] >= retire_after) {
+        state->lambda_zero_epochs[p] >= kRetireAfterEpochs) {
       ++state->lambda_zero_epochs[p];
       ++work.lambda_skipped;
       continue;
     }
-    const double old_lambda = prices->lambda[p];
     const double slack = 1.0 - latency / paths[p].critical_time_ms;
-    bool settled;
-    bool write = true;
-    if (epsilon_quiescence > 0.0) {
-      const DynamicsStep ds =
-          ProjectedStep(dynamics, DualSpace::kPath, p,
-                        state->shadow_lambda[p], steps.path[p], slack);
-      const double proposed = ds.value;
-      state->shadow_lambda[p] = proposed;
-      settled = ds.settled;
-      const bool stable =
-          std::fabs(proposed - old_lambda) <=
-          epsilon_quiescence * std::max(1.0, std::fabs(old_lambda));
-      const bool frozen = state->lambda_stable_epochs[p] >= retire_after;
-      if (!stable) state->lambda_stable_epochs[p] = 0;
-      if (frozen) {
-        write = !stable;
-      } else if (stable &&
-                 ++state->lambda_stable_epochs[p] >= retire_after) {
-        write = false;
-      }
-      if (write) {
-        prices->lambda[p] = proposed;
-        ++work.lambda_updated;
-      } else {
-        ++work.lambda_frozen;
-      }
-    } else {
-      const DynamicsStep ds = ProjectedStep(dynamics, DualSpace::kPath, p,
-                                            old_lambda, steps.path[p], slack);
-      settled = ds.settled;
-      prices->lambda[p] = ds.value;
-      ++work.lambda_updated;
-    }
-    state->lambda_zero_epochs[p] = (settled && prices->lambda[p] == 0.0)
-                                       ? state->lambda_zero_epochs[p] + 1
-                                       : 0;
-    state->lambda_settled[p] = settled ? 1 : 0;
+    const DynamicsStep ds =
+        StepComponentDynamics(config, At(lambda_states, p), prices->lambda[p],
+                              steps.path[p], slack, restarts);
+    prices->lambda[p] = ds.value;
+    ++work.lambda_updated;
+    state->lambda_zero_epochs[p] =
+        ds.settled ? state->lambda_zero_epochs[p] + 1 : 0;
+    state->lambda_settled[p] = ds.settled ? 1 : 0;
     state->prev_path_latencies[p] = latency;
   }
   state->primed = true;

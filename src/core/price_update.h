@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/price_dynamics.h"
 #include "core/prices.h"
 #include "core/step_size.h"
 #include "model/evaluation.h"
@@ -24,12 +25,14 @@
 
 namespace lla {
 
-class PriceDynamicsPolicy;
+/// Consecutive settled updates at exactly 0 before UpdateActive retires a
+/// constraint.
+inline constexpr std::uint32_t kRetireAfterEpochs = 3;
 
 /// Dirty/quiescence state of the incremental price update (UpdateActive).
 ///
 /// A constraint is RETIRED when its multiplier has sat clamped at exactly 0
-/// for `quiescence_epochs` consecutive computed updates; retired constraints
+/// for kRetireAfterEpochs consecutive computed updates; retired constraints
 /// skip the gradient-projection arithmetic entirely until any input bit
 /// changes.  The skip is exact and step-size independent: a computed update
 /// that output 0 proves mu_prev - gamma * slack <= 0 with mu_prev >= 0,
@@ -43,18 +46,6 @@ struct ActivePriceState {
   /// Consecutive updates (computed or skipped) with the multiplier at 0.
   std::vector<std::uint32_t> mu_zero_epochs;
   std::vector<std::uint32_t> lambda_zero_epochs;
-  /// Consecutive computed updates with |proposed - published| within
-  /// epsilon (relative); feeds the opt-in epsilon_quiescence freeze.
-  std::vector<std::uint32_t> mu_stable_epochs;
-  std::vector<std::uint32_t> lambda_stable_epochs;
-  /// epsilon_quiescence > 0 only: the un-frozen dual state.  The shadow
-  /// keeps integrating Eq. 8/9 every computed update even while the
-  /// published price is frozen, so a slow persistent drift accumulates here
-  /// and eventually forces a re-publish — freezing suppresses writes, never
-  /// the dynamics.  Invariant: |published - shadow| <= epsilon *
-  /// max(1, |published|) after every update.
-  std::vector<double> shadow_mu;
-  std::vector<double> shadow_lambda;
   /// Inputs of the previous update, for exact (bitwise) change detection.
   std::vector<double> prev_share_sums;
   std::vector<double> prev_path_latencies;
@@ -66,10 +57,8 @@ struct ActivePriceState {
 struct ActivePriceWork {
   std::size_t mu_updated = 0;
   std::size_t mu_skipped = 0;  ///< retired constraints (exact, at 0)
-  std::size_t mu_frozen = 0;   ///< epsilon-quiescence holds (opt-in mode)
   std::size_t lambda_updated = 0;
   std::size_t lambda_skipped = 0;
-  std::size_t lambda_frozen = 0;
   std::size_t mu_nonzero = 0;      ///< active-set size after the update
   std::size_t lambda_nonzero = 0;
 };
@@ -93,41 +82,34 @@ class PriceUpdater {
   /// Both updates from precomputed per-resource share sums and per-path
   /// latencies (as filled by FillStepWorkspace) — no workload re-walk.
   ///
-  /// `dynamics` selects the accelerated variant of the projected step
-  /// (heavy-ball / Nesterov, see price_dynamics.h); nullptr runs the
-  /// original inline Eq. 8/9 arithmetic, which PlainDynamics matches
-  /// bit-for-bit.
+  /// Every multiplier moves by StepComponentDynamics under `dynamics`
+  /// (price_dynamics.h).  Momentum kinds read and write one
+  /// ComponentDynamicsState per multiplier, `(*mu_state)[r]` and
+  /// `(*lambda_state)[p]`, and count adaptive restarts into `*restarts`;
+  /// plain dynamics keep no state, so plain callers pass empty vectors.
   void Update(const std::vector<double>& resource_share_sums,
               const std::vector<double>& path_latencies,
-              const StepSizes& steps, PriceVector* prices,
-              PriceDynamicsPolicy* dynamics = nullptr) const;
+              const StepSizes& steps, const DynamicsConfig& dynamics,
+              std::vector<ComponentDynamicsState>* mu_state,
+              std::vector<ComponentDynamicsState>* lambda_state,
+              std::uint64_t* restarts, PriceVector* prices) const;
 
-  /// The array-form Update with retirement and (opt-in) epsilon freezing.
-  ///
-  /// With epsilon_quiescence == 0 the written prices are bit-identical to
-  /// Update() for every constraint: non-retired constraints run the same
-  /// arithmetic, and retired ones skip a computation proven to output +0.0
-  /// (see ActivePriceState).  With epsilon_quiescence > 0, a multiplier
-  /// whose computed move stayed within epsilon * max(1, |published|) for
-  /// `quiescence_epochs` consecutive updates is frozen (not written); its
-  /// shadow keeps integrating the dynamics and the price is re-published as
-  /// soon as the accumulated drift exceeds the same threshold.  Published
-  /// prices therefore track the shadow dual trajectory with per-component
-  /// relative error <= epsilon — a documented suboptimality trade
-  /// (DESIGN.md §7.6), not an exact mode.
-  /// With a non-null `dynamics`, the per-component arithmetic (including the
-  /// epsilon-mode shadow integration) is delegated to the policy's Step();
-  /// retirement then keys off the policy's `settled` bit, which certifies
-  /// the component's whole dynamics state (value AND velocity) is at the
+  /// The array-form Update with retirement: the written prices and
+  /// dynamics state are bit-identical to Update() for every constraint.
+  /// Non-retired constraints run the same step, and retired ones skip a
+  /// step proven to leave them at +0.0 (see ActivePriceState).  Retirement
+  /// keys off StepComponentDynamics' `settled` bit, which certifies the
+  /// component's whole dynamics state (value AND velocity) is at the
   /// absorbing zero — that is what keeps sparse and dense momentum
-  /// trajectories bit-identical in exact mode.
-  ActivePriceWork UpdateActive(const std::vector<double>& resource_share_sums,
-                               const std::vector<double>& path_latencies,
-                               const StepSizes& steps,
-                               double epsilon_quiescence,
-                               int quiescence_epochs, PriceVector* prices,
-                               ActivePriceState* state,
-                               PriceDynamicsPolicy* dynamics = nullptr) const;
+  /// trajectories bit-identical.
+  ActivePriceWork UpdateActive(
+      const std::vector<double>& resource_share_sums,
+      const std::vector<double>& path_latencies, const StepSizes& steps,
+      const DynamicsConfig& dynamics,
+      std::vector<ComponentDynamicsState>* mu_state,
+      std::vector<ComponentDynamicsState>* lambda_state,
+      std::uint64_t* restarts, PriceVector* prices,
+      ActivePriceState* state) const;
 
   /// True for every resource whose share sum exceeds its capacity at the
   /// given latencies (the congestion signal the adaptive policy consumes).

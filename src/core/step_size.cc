@@ -61,12 +61,8 @@ void AdaptiveStepSize::Update(const Workload& workload,
     Reset(workload);
   }
   for (std::size_t r = 0; r < workload.resource_count(); ++r) {
-    if (resource_congested[r]) {
-      resource_multiplier_[r] =
-          std::min(resource_multiplier_[r] * 2.0, max_multiplier_);
-    } else {
-      resource_multiplier_[r] = 1.0;  // revert as soon as uncongested
-    }
+    resource_multiplier_[r] = NextStepMultiplier(
+        resource_multiplier_[r], resource_congested[r], max_multiplier_);
   }
   // A path doubles while any resource it traverses is congested.
   for (const PathInfo& path : workload.paths()) {
@@ -78,7 +74,7 @@ void AdaptiveStepSize::Update(const Workload& workload,
       }
     }
     double& mult = path_multiplier_[path.id.value()];
-    mult = any_congested ? std::min(mult * 2.0, max_multiplier_) : 1.0;
+    mult = NextStepMultiplier(mult, any_congested, max_multiplier_);
   }
 
   steps->resource.resize(workload.resource_count());

@@ -9,6 +9,7 @@
 // convergence-guaranteed alternative.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -111,6 +112,15 @@ class DiminishingStepSize final : public StepSizePolicy {
   double tau_;
   int iteration_ = 0;
 };
+
+/// The Sec. 5.2 doubling rule for one step-size multiplier: double while
+/// congested, capped at `cap`, and revert to 1 as soon as uncongested.  The
+/// engine's AdaptiveStepSize and the distributed agents all step their
+/// multipliers through this one definition.
+inline double NextStepMultiplier(double multiplier, bool congested,
+                                 double cap) {
+  return congested ? std::min(multiplier * 2.0, cap) : 1.0;
+}
 
 /// Which policy an LlaConfig selects.
 enum class StepPolicyKind { kFixed, kAdaptive, kDiminishing };

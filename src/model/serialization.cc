@@ -358,12 +358,13 @@ constexpr std::uint8_t ElemKindOf() {
 /// type must match the catalogue's kind.
 template <std::uint32_t Id, typename Vec, typename Fn>
 void BindSection(Vec* field, Fn& fn) {
+  static_assert(!kSnapshotSections[Id].retired);
   static_assert(kSnapshotSections[Id].elem_kind ==
                 ElemKindOf<typename Vec::value_type>());
   fn(Id, field);
 }
 
-/// Calls fn(id, &field) for every kSnapshotSections row, in id order.
+/// Calls fn(id, &field) for every live kSnapshotSections row, in id order.
 /// `Snapshot` is StateSnapshot or const StateSnapshot.
 template <typename Snapshot, typename Fn>
 void ForEachSection(Snapshot* snap, Fn&& fn) {
@@ -378,16 +379,16 @@ void ForEachSection(Snapshot* snap, Fn&& fn) {
   BindSection<9>(&snap->lambda_base, fn);
   BindSection<10>(&snap->mu_phase, fn);
   BindSection<11>(&snap->lambda_phase, fn);
-  BindSection<12>(&snap->shadow_mu, fn);
-  BindSection<13>(&snap->shadow_lambda, fn);
+  static_assert(kSnapshotSections[12].retired &&
+                kSnapshotSections[13].retired);
   BindSection<14>(&snap->prev_share_sums, fn);
   BindSection<15>(&snap->prev_path_latencies, fn);
   BindSection<16>(&snap->mu_settled, fn);
   BindSection<17>(&snap->lambda_settled, fn);
   BindSection<18>(&snap->mu_zero_epochs, fn);
   BindSection<19>(&snap->lambda_zero_epochs, fn);
-  BindSection<20>(&snap->mu_stable_epochs, fn);
-  BindSection<21>(&snap->lambda_stable_epochs, fn);
+  static_assert(kSnapshotSections[20].retired &&
+                kSnapshotSections[21].retired);
   static_assert(SnapshotView::kMaxSectionId == 21);
 }
 

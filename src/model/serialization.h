@@ -92,19 +92,15 @@ struct StateSnapshot {
   std::vector<double> lambda_phase;
   std::uint64_t momentum_restarts = 0;
 
-  /// Active-set price state (ActivePriceState): retirement / quiescence
-  /// counters, epsilon-freeze shadow prices, and the bitwise change-detection
-  /// baselines.  All empty when `price_state_primed` is false (dense mode,
-  /// or a checkpoint taken before the first step).
+  /// Active-set price state (ActivePriceState): retirement counters and
+  /// the bitwise change-detection baselines.  All empty when
+  /// `price_state_primed` is false (dense mode, or a checkpoint taken before
+  /// the first step).
   bool price_state_primed = false;
   std::vector<std::uint8_t> mu_settled;
   std::vector<std::uint8_t> lambda_settled;
   std::vector<std::uint32_t> mu_zero_epochs;
   std::vector<std::uint32_t> lambda_zero_epochs;
-  std::vector<std::uint32_t> mu_stable_epochs;
-  std::vector<std::uint32_t> lambda_stable_epochs;
-  std::vector<double> shadow_mu;
-  std::vector<double> shadow_lambda;
   std::vector<double> prev_share_sums;
   std::vector<double> prev_path_latencies;
 };
@@ -145,10 +141,15 @@ inline constexpr SnapshotElemKind kSnapshotElemKinds[] = {
 /// The b1 section catalogue, indexed by section id (slot 0 is unused): the
 /// StateSnapshot field each id carries and its element kind.  Ids and kinds
 /// are part of the format; the encoder, the parser and `lla inspect` all
-/// read this one table.
+/// read this one table.  A RETIRED row names state the engine no longer
+/// keeps (ids 12, 13, 20, 21: the epsilon-quiescence shadow prices and
+/// stability counters).  The encoder never writes it; the parser still
+/// validates it, so older images keep restoring, and materialization
+/// ignores it.
 struct SnapshotSectionSpec {
   const char* name;  ///< nullptr: no section has this id
   std::uint8_t elem_kind;
+  bool retired = false;
 };
 inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
     {nullptr, 0},
@@ -163,16 +164,16 @@ inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
     {"lambda_base", kSnapshotElemF64},
     {"mu_phase", kSnapshotElemF64},
     {"lambda_phase", kSnapshotElemF64},
-    {"shadow_mu", kSnapshotElemF64},
-    {"shadow_lambda", kSnapshotElemF64},
+    {"shadow_mu", kSnapshotElemF64, true},
+    {"shadow_lambda", kSnapshotElemF64, true},
     {"prev_share_sums", kSnapshotElemF64},
     {"prev_path_latencies", kSnapshotElemF64},
     {"mu_settled", kSnapshotElemU8},
     {"lambda_settled", kSnapshotElemU8},
     {"mu_zero_epochs", kSnapshotElemU32},
     {"lambda_zero_epochs", kSnapshotElemU32},
-    {"mu_stable_epochs", kSnapshotElemU32},
-    {"lambda_stable_epochs", kSnapshotElemU32},
+    {"mu_stable_epochs", kSnapshotElemU32, true},
+    {"lambda_stable_epochs", kSnapshotElemU32, true},
 };
 
 /// Zero-copy restore path (DESIGN.md §7.11): a parsed, NON-OWNING view of a
@@ -204,7 +205,8 @@ struct SnapshotView {
   std::uint64_t momentum_restarts = 0;
   bool price_state_primed = false;
   /// Indexed by section id (slot 0 unused).  A section absent from the image
-  /// has data == nullptr and materializes as an empty vector.
+  /// has data == nullptr and materializes as an empty vector; a retired one
+  /// is kept here for `lla inspect` and never materialized.
   static constexpr std::size_t kMaxSectionId = std::size(kSnapshotSections) - 1;
   SnapshotSectionRef sections[kMaxSectionId + 1];
 };

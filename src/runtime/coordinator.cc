@@ -18,9 +18,7 @@ constexpr std::uint64_t kMonitorTimer = 3;
 Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
                          CoordinatorConfig config)
     : workload_(&workload), model_(&model), config_(config) {
-  // CoordinatorConfig::dynamics is authoritative for the agents' mu updates
-  // (DESIGN.md §7.12); copy it into the step config every agent receives.
-  config_.step.dynamics = config_.dynamics;
+  ValidateDynamicsConfig(config_.dynamics, "Coordinator");
   if (config_.metrics != nullptr) {
     rounds_counter_ = config_.metrics->GetCounter("coordinator.rounds");
     samples_counter_ = config_.metrics->GetCounter("coordinator.samples");
@@ -62,7 +60,7 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
     shard_agents_.push_back(std::make_unique<ShardAgent>(
         workload, model, static_cast<std::uint32_t>(s),
         ResourceId(static_cast<std::uint32_t>(first)), last - first,
-        config_.step));
+        config_.step, config_.dynamics));
     for (std::size_t r = first; r < last; ++r) {
       resource_shard_[r] = static_cast<std::uint32_t>(s);
     }

@@ -48,12 +48,11 @@ struct CoordinatorConfig {
   ConvergenceConfig convergence;
   /// Accelerated price dynamics for the distributed Eq. 8 mu updates
   /// (DESIGN.md §7.12): velocity/base/phase state lives per resource inside
-  /// each ShardAgent, with the same adaptive restart + ramp the engine's
-  /// PriceDynamicsPolicy applies.  Authoritative: the coordinator copies
-  /// this into step.dynamics before building agents (beta = 0 or kPlain
-  /// keeps the classic update bit-for-bit).  Path lambdas stay plain — they
-  /// live on the task controllers, whose Eq. 9 update this config does not
-  /// touch.
+  /// each ShardAgent, which steps it through the same StepComponentDynamics
+  /// as the engine (beta = 0 or kPlain keeps the classic update
+  /// bit-for-bit).  The momentum must be finite and in [0, 1); the
+  /// constructor aborts otherwise.  Path lambdas stay plain — they live on
+  /// the task controllers, whose Eq. 9 update this config does not touch.
   DynamicsConfig dynamics;
   /// Shard width (DESIGN.md §7.10): partition the resources into this many
   /// shard agents, each owning a contiguous range and exchanging one

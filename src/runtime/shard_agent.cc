@@ -9,16 +9,20 @@
 #include <set>
 #include <utility>
 
+#include "core/step_size.h"
+
 namespace lla::runtime {
 
 ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
                        std::uint32_t shard, ResourceId first_resource,
-                       std::size_t count, AgentStepConfig config)
+                       std::size_t count, AgentStepConfig config,
+                       DynamicsConfig dynamics)
     : workload_(&workload),
       model_(&model),
       shard_(shard),
       first_(first_resource.value()),
-      config_(config) {
+      config_(config),
+      dynamics_config_(dynamics) {
   resources_.reserve(count);
   latency_offset_.reserve(count + 1);
   latency_offset_.push_back(0);
@@ -343,21 +347,16 @@ void ShardAgent::ComputePricesAndBroadcast(
     congested_[i] = congested ? 1 : 0;
 
     // Adaptive step (Sec. 5.2): double while congested, revert when not.
-    if (config_.adaptive) {
-      gamma_multiplier_[i] =
-          congested ? std::min(gamma_multiplier_[i] * 2.0,
-                               config_.adaptive_max_multiplier)
-                    : 1.0;
-    }
+    gamma_multiplier_[i] = NextStepMultiplier(
+        gamma_multiplier_[i], congested, config_.adaptive_max_multiplier);
     const double gamma = config_.gamma0 * gamma_multiplier_[i];
 
     // Eq. 8 with projection at zero, optionally accelerated (DESIGN.md
-    // §7.12): the velocity half-step is applied BEFORE the non-negativity
-    // projection, exactly as the engine's PriceDynamicsPolicy does, so
-    // (value, velocity, phase) = (0, 0, 0) stays absorbing and beta = 0
-    // heavy-ball is bit-identical to the plain update.
+    // §7.12): the same StepComponentDynamics the engine's price update
+    // takes, so (value, velocity, phase) = (0, 0, 0) stays absorbing and
+    // beta = 0 heavy-ball is bit-identical to the plain update.
     const double slack = info.capacity - share_sum;
-    mu_[i] = StepComponentDynamics(config_.dynamics, &dynamics_[i], mu_[i],
+    mu_[i] = StepComponentDynamics(dynamics_config_, &dynamics_[i], mu_[i],
                                    gamma, slack, &momentum_restarts_)
                  .value;
   }

@@ -48,31 +48,28 @@
 
 namespace lla::runtime {
 
+/// Step-size and repair settings shared by the shard agents and the task
+/// controllers.  Steps always adapt by the Sec. 5.2 doubling rule.
 struct AgentStepConfig {
   double gamma0 = 3.0;
-  bool adaptive = true;
   double adaptive_max_multiplier = 8.0;
   /// Cold restart: a restarted resource's price entries go out stale for
   /// this many timer ticks (or until the first RepairResponse is absorbed,
   /// whichever first) so a reset mu=0 never reaches the controllers while
   /// repair is in flight.
   int repair_grace_ticks = 3;
-  /// Accelerated price dynamics for the Eq. 8 mu update (DESIGN.md §7.12).
-  /// The per-resource velocity/base/phase state lives inside the shard agent
-  /// and is applied before the non-negativity projection, exactly as the
-  /// engine applies PriceDynamicsPolicy — beta = 0 heavy-ball is
-  /// bit-identical to plain.  Set through CoordinatorConfig::dynamics in a
-  /// coordinator deployment (the coordinator copies it here before building
-  /// agents).
-  DynamicsConfig dynamics;
 };
 
 class ShardAgent {
  public:
   /// The shard owns resources [first_resource, first_resource + count).
+  /// `dynamics` selects the accelerated Eq. 8 mu update (DESIGN.md §7.12):
+  /// every hosted resource steps through StepComponentDynamics with its own
+  /// ComponentDynamicsState, exactly as the engine's price update does.
   ShardAgent(const Workload& workload, const LatencyModel& model,
              std::uint32_t shard, ResourceId first_resource,
-             std::size_t count, AgentStepConfig config);
+             std::size_t count, AgentStepConfig config,
+             DynamicsConfig dynamics);
 
   /// Wires the agent to the bus.  `controller_endpoints[t]` is the endpoint
   /// of task t's controller (non-owning; the coordinator keeps the vector
@@ -161,6 +158,7 @@ class ShardAgent {
   std::uint32_t shard_;
   std::size_t first_;
   AgentStepConfig config_;
+  DynamicsConfig dynamics_config_;
 
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;

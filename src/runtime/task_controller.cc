@@ -8,6 +8,9 @@
 #include <set>
 #include <string>
 
+#include "core/price_dynamics.h"
+#include "core/step_size.h"
+
 namespace lla::runtime {
 
 TaskController::TaskController(const Workload& workload,
@@ -313,16 +316,16 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
         any_congested = true;
       }
     }
-    if (step_config_.adaptive) {
-      path_gamma_multiplier_[p] =
-          any_congested ? std::min(path_gamma_multiplier_[p] * 2.0,
-                                   step_config_.adaptive_max_multiplier)
-                        : 1.0;
-    }
+    path_gamma_multiplier_[p] =
+        NextStepMultiplier(path_gamma_multiplier_[p], any_congested,
+                           step_config_.adaptive_max_multiplier);
     const double gamma = step_config_.gamma0 * path_gamma_multiplier_[p];
     const double slack = 1.0 - latency / path.critical_time_ms;
-    local_lambdas_[p] =
-        std::max(0.0, local_lambdas_[p] - gamma * slack);
+    // Path lambdas stay plain in the distributed deployment.
+    local_lambdas_[p] = StepComponentDynamics(DynamicsConfig{}, nullptr,
+                                              local_lambdas_[p], gamma, slack,
+                                              nullptr)
+                            .value;
   }
 
   // 4. Send the new latencies: one batched positional message per shard

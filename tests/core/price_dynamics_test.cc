@@ -1,6 +1,6 @@
-// PriceDynamicsPolicy (DESIGN.md §7.8): accelerated dual dynamics.
+// StepComponentDynamics (DESIGN.md §7.8): accelerated dual dynamics.
 //
-// The anchors ISSUE 6 requires:
+// The anchors:
 //   * beta = 0 reduces every accelerated variant to the plain dynamics
 //     bit-for-bit (memcmp on prices and latencies, every step);
 //   * the adaptive restart rule actually fires on an oscillating run
@@ -9,7 +9,8 @@
 //     momentum — velocity is bounded by gamma*|g|/(1-beta), mirroring the
 //     AdaptiveStepSize max_multiplier cap rationale;
 //   * a component that projects to zero carries exactly zero velocity (the
-//     absorbing-state invariant active-set retirement relies on).
+//     absorbing-state invariant active-set retirement relies on);
+//   * a NaN or out-of-range beta is refused loudly in every build mode.
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -130,75 +131,46 @@ TEST(PriceDynamicsTest, UnschedulableWorkloadStaysFinite) {
 // store velocity exactly +0.0 (and, for Nesterov, base 0), so a retired
 // skip and a computed update are indistinguishable for any step size.
 TEST(PriceDynamicsTest, ProjectedZeroCarriesZeroVelocity) {
-  auto workload = MakeScaledSimWorkload(1, /*scale_critical_times=*/true);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  const PriceVector prices = PriceVector::Uniform(w, 1.0, 1.0);
   for (const DynamicsKind kind :
        {DynamicsKind::kHeavyBall, DynamicsKind::kNesterov}) {
     DynamicsConfig config;
     config.kind = kind;
     config.momentum = 0.9;
-    auto policy = MakeDynamicsPolicy(config);
-    policy->Reset(w, prices);
+    // Fresh momentum at a published price of 1.0.
+    ComponentDynamicsState state;
+    state.ReseedAt(1.0);
     // Positive slack (satisfied constraint) large enough to project to 0.
     const DynamicsStep step =
-        policy->Step(DualSpace::kResource, 0, /*value=*/1.0, /*gamma=*/1.0,
-                     /*slack=*/5.0);
+        StepComponentDynamics(config, &state, /*value=*/1.0, /*gamma=*/1.0,
+                              /*slack=*/5.0, nullptr);
     EXPECT_EQ(step.value, 0.0) << ToString(kind);
     EXPECT_TRUE(step.settled) << ToString(kind);
-    DynamicsPolicyState state;
-    policy->SaveState(&state);
-    ASSERT_FALSE(state.mu_velocity.empty()) << ToString(kind);
-    EXPECT_EQ(state.mu_velocity[0], 0.0) << ToString(kind);
-    EXPECT_FALSE(std::signbit(state.mu_velocity[0])) << ToString(kind);
+    EXPECT_EQ(state.velocity, 0.0) << ToString(kind);
+    EXPECT_FALSE(std::signbit(state.velocity)) << ToString(kind);
     // The momentum ramp resets with the velocity: the absorbing state is
     // (value, velocity, phase) = (0, 0, 0).
-    ASSERT_FALSE(state.mu_phase.empty()) << ToString(kind);
-    EXPECT_EQ(state.mu_phase[0], 0.0) << ToString(kind);
+    EXPECT_EQ(state.phase, 0.0) << ToString(kind);
     if (kind == DynamicsKind::kNesterov) {
-      ASSERT_FALSE(state.mu_base.empty());
-      EXPECT_EQ(state.mu_base[0], 0.0);
+      EXPECT_EQ(state.base, 0.0);
     }
   }
-}
-
-// A momentum step can project to 0 while the gradient still points up
-// (velocity overshoot).  That zero is NOT settled — retiring it would
-// freeze a multiplier dense dynamics would lift off zero next step.
-TEST(PriceDynamicsTest, ZeroWithUphillGradientIsNotSettled) {
-  auto workload = MakeScaledSimWorkload(1, /*scale_critical_times=*/true);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  HeavyBallDynamics policy(/*beta=*/0.5, /*adaptive_restart=*/false);
-  policy.Reset(w, PriceVector::Uniform(w, 1.0, 1.0));
-  // Build large downhill velocity: two satisfied-constraint steps from a
-  // high value (no projection to 0 yet).
-  policy.Step(DualSpace::kResource, 0, 100.0, 1.0, 10.0);
-  policy.Step(DualSpace::kResource, 0, 90.0, 1.0, 10.0);
-  // Now the constraint flips to violated (slack < 0, ascent gradient up),
-  // but the residual downhill velocity (v = 0.5 * -15 + 1 = -6.5) still
-  // drags the value to 0.
-  const DynamicsStep step =
-      policy.Step(DualSpace::kResource, 0, 6.0, 1.0, /*slack=*/-1.0);
-  EXPECT_EQ(step.value, 0.0);
-  EXPECT_FALSE(step.settled);
 }
 
 // Restart accounting: velocity built downhill, then a flipped gradient
 // must reset it and count one restart per opposing component step.
 TEST(PriceDynamicsTest, RestartCountsOpposingSteps) {
-  auto workload = MakeScaledSimWorkload(1, /*scale_critical_times=*/true);
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  HeavyBallDynamics policy(/*beta=*/0.9, /*adaptive_restart=*/true);
-  policy.Reset(w, PriceVector::Uniform(w, 1.0, 1.0));
+  DynamicsConfig config;
+  config.kind = DynamicsKind::kHeavyBall;
+  config.momentum = 0.9;
+  ComponentDynamicsState state;
+  state.ReseedAt(1.0);
+  std::uint64_t restarts = 0;
   // Violated constraint: velocity accumulates upward (v > 0, g > 0).
-  policy.Step(DualSpace::kResource, 0, 1.0, 1.0, /*slack=*/-2.0);
-  EXPECT_EQ(policy.total_restarts(), 0u);
+  StepComponentDynamics(config, &state, 1.0, 1.0, /*slack=*/-2.0, &restarts);
+  EXPECT_EQ(restarts, 0u);
   // Constraint flips satisfied: v * g < 0 -> restart.
-  policy.Step(DualSpace::kResource, 0, 3.0, 1.0, /*slack=*/1.0);
-  EXPECT_EQ(policy.total_restarts(), 1u);
+  StepComponentDynamics(config, &state, 3.0, 1.0, /*slack=*/1.0, &restarts);
+  EXPECT_EQ(restarts, 1u);
 }
 
 // Momentum trace fields flow end-to-end through the engine: present (and
@@ -233,15 +205,26 @@ TEST(PriceDynamicsTest, NamesAndFactory) {
   EXPECT_STREQ(ToString(DynamicsKind::kPlain), "plain");
   EXPECT_STREQ(ToString(DynamicsKind::kHeavyBall), "heavy-ball");
   EXPECT_STREQ(ToString(DynamicsKind::kNesterov), "nesterov");
-  DynamicsConfig config;
-  for (const DynamicsKind kind :
-       {DynamicsKind::kPlain, DynamicsKind::kHeavyBall,
-        DynamicsKind::kNesterov}) {
-    config.kind = kind;
-    auto policy = MakeDynamicsPolicy(config);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->kind(), kind);
-    EXPECT_FALSE(policy->Describe().empty());
+}
+
+// A NaN beta poisons every velocity (std::min(NaN, ramp) is NaN) and
+// std::max(0.0, NaN) then pins every multiplier at 0, so the run burns its
+// whole budget unconverged; beta >= 1 makes the velocity recursion
+// unstable.  Release builds compile asserts out, so the engine refuses
+// these in every build mode, whatever the dynamics kind.
+TEST(PriceDynamicsDeathTest, EngineRejectsInvalidMomentum) {
+  auto workload = MakeScaledSimWorkload(1, /*scale_critical_times=*/true);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  LatencyModel model(workload.value());
+  for (const double beta : {std::nan(""), -0.1, 1.0}) {
+    for (const DynamicsKind kind :
+         {DynamicsKind::kPlain, DynamicsKind::kHeavyBall,
+          DynamicsKind::kNesterov}) {
+      EXPECT_DEATH(
+          LlaEngine(workload.value(), model, MakeConfig(kind, beta, true, 1)),
+          "LlaEngine: dynamics momentum .* is outside \\[0, 1\\)")
+          << ToString(kind) << " beta " << beta;
+    }
   }
 }
 

@@ -205,10 +205,6 @@ StateSnapshot MakeSnapshot() {
   snapshot.lambda_settled = {0, 1, 0};
   snapshot.mu_zero_epochs = {3, 0};
   snapshot.lambda_zero_epochs = {0, 0, 9};
-  snapshot.mu_stable_epochs = {1, 2};
-  snapshot.lambda_stable_epochs = {4, 5, 6};
-  snapshot.shadow_mu = {-0.0, 179.033203125};
-  snapshot.shadow_lambda = {0.1, 1e-300, 3.5};
   snapshot.prev_share_sums = {0.25, 0.75};
   snapshot.prev_path_latencies = {1.5, 2.5, 3.5};
   return snapshot;
@@ -243,16 +239,12 @@ void ExpectSnapshotsEqual(const StateSnapshot& a, const StateSnapshot& b) {
   expect_bits(a.mu_phase, b.mu_phase);
   expect_bits(a.lambda_phase, b.lambda_phase);
   EXPECT_EQ(a.momentum_restarts, b.momentum_restarts);
-  expect_bits(a.shadow_mu, b.shadow_mu);
-  expect_bits(a.shadow_lambda, b.shadow_lambda);
   expect_bits(a.prev_share_sums, b.prev_share_sums);
   expect_bits(a.prev_path_latencies, b.prev_path_latencies);
   EXPECT_EQ(a.mu_settled, b.mu_settled);
   EXPECT_EQ(a.lambda_settled, b.lambda_settled);
   EXPECT_EQ(a.mu_zero_epochs, b.mu_zero_epochs);
   EXPECT_EQ(a.lambda_zero_epochs, b.lambda_zero_epochs);
-  EXPECT_EQ(a.mu_stable_epochs, b.mu_stable_epochs);
-  EXPECT_EQ(a.lambda_stable_epochs, b.lambda_stable_epochs);
 }
 
 TEST(SnapshotSerializationTest, RoundTripsThroughFile) {
@@ -272,10 +264,6 @@ TEST(SnapshotSerializationTest, UnprimedSnapshotOmitsActiveSetVectors) {
   snapshot.lambda_settled.clear();
   snapshot.mu_zero_epochs.clear();
   snapshot.lambda_zero_epochs.clear();
-  snapshot.mu_stable_epochs.clear();
-  snapshot.lambda_stable_epochs.clear();
-  snapshot.shadow_mu.clear();
-  snapshot.shadow_lambda.clear();
   snapshot.prev_share_sums.clear();
   snapshot.prev_path_latencies.clear();
   auto saved = SaveSnapshotToString(snapshot);
@@ -283,7 +271,7 @@ TEST(SnapshotSerializationTest, UnprimedSnapshotOmitsActiveSetVectors) {
   auto loaded = LoadSnapshotFromString(saved.value());
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   EXPECT_FALSE(loaded.value().price_state_primed);
-  EXPECT_TRUE(loaded.value().shadow_mu.empty());
+  EXPECT_TRUE(loaded.value().prev_share_sums.empty());
 }
 
 // The parser's shape check: the mu / lambda section counts must equal the
@@ -469,8 +457,6 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
   snapshot.lambda_phase.clear();
   snapshot.lambda_settled.clear();
   snapshot.lambda_zero_epochs.clear();
-  snapshot.lambda_stable_epochs.clear();
-  snapshot.shadow_lambda.clear();
   snapshot.prev_path_latencies.clear();
   auto bytes = SaveSnapshotToString(snapshot);
   ASSERT_TRUE(bytes.ok());

@@ -1,7 +1,6 @@
 // Determinism properties of the accelerated price dynamics (DESIGN.md §7.8).
 //
-// Per accelerated policy (heavy-ball, Nesterov), in exact mode
-// (epsilon_quiescence == 0):
+// Per accelerated dynamics kind (heavy-ball, Nesterov):
 //   1. THREAD INVARIANCE: the trajectory — latencies AND dual prices at
 //      every iteration — is bit-identical (memcmp, tolerance 0) across
 //      thread counts {1, 8}, dense and active-set.  Momentum state is

@@ -9,7 +9,10 @@
 // a restore is indistinguishable from never having crashed.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -275,6 +278,122 @@ TEST(RecoveryPropertyTest, V1SnapshotStillRestores) {
   ASSERT_TRUE(restored.Restore(MaterializeSnapshot(view.value())).ok());
   const Trajectory actual = StepAndRecord(&restored, 60);
   ExpectBitIdentical(expected, actual, "snapshot without dynamics sections");
+}
+
+// One raw section row to splice into a b1 image.
+struct SplicedSection {
+  std::uint32_t id;
+  std::uint8_t elem_kind;
+  std::uint64_t count;
+};
+
+// Appends `extra` rows to a b1 image's section table, their payloads (all
+// bytes 0x01, so nothing reads as an empty default) after the existing ones.
+// Payload offsets count from the end of the table, so the rows already there
+// stay valid.
+std::string SpliceSections(const std::string& image,
+                           const std::vector<SplicedSection>& extra) {
+  constexpr std::size_t kHeader = 88;
+  constexpr std::size_t kEntry = 32;
+  std::uint32_t sections = 0;
+  std::memcpy(&sections, image.data() + 12, 4);
+  std::string table = image.substr(kHeader, sections * kEntry);
+  std::string payload = image.substr(kHeader + sections * kEntry);
+  for (const SplicedSection& section : extra) {
+    while (payload.size() % 8 != 0) payload.push_back('\0');
+    const std::uint64_t offset = payload.size();
+    const std::uint64_t size =
+        section.count * kSnapshotElemKinds[section.elem_kind].width;
+    payload.append(size, '\x01');
+    char row[kEntry] = {};
+    std::memcpy(row, &section.id, 4);
+    row[4] = static_cast<char>(section.elem_kind);
+    row[5] = 0;  // raw encoding
+    std::memcpy(row + 8, &section.count, 8);
+    std::memcpy(row + 16, &offset, 8);
+    std::memcpy(row + 24, &size, 8);
+    table.append(row, kEntry);
+  }
+  std::string out = image.substr(0, kHeader);
+  const auto total = static_cast<std::uint32_t>(sections + extra.size());
+  std::memcpy(out.data() + 12, &total, 4);
+  return out + table + payload;
+}
+
+// Images written while the approximate epsilon-quiescence mode existed carry
+// four more sections: shadow_mu / shadow_lambda (ids 12, 13) and
+// mu_stable_epochs / lambda_stable_epochs (ids 20, 21), now retired rows of
+// the catalogue.  Such an image must still parse, `lla inspect` must still
+// list the rows, and the engine must resume from it bit-identically, whatever
+// the rows hold.  Id 22 was never assigned and stays an unknown section.
+TEST(RecoveryPropertyTest, RetiredSectionsStillRestore) {
+  auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  const std::uint64_t R = w.resource_count();
+  const std::uint64_t P = w.path_count();
+  for (const DynamicsKind kind :
+       {DynamicsKind::kPlain, DynamicsKind::kNesterov}) {
+    SCOPED_TRACE(ToString(kind));
+    LlaConfig config = MakeConfig(1, /*active=*/true);
+    config.dynamics.kind = kind;
+    LlaEngine reference(w, model, config);
+    for (int i = 0; i < 60; ++i) reference.Step();
+    auto bytes = SaveSnapshotToString(reference.Checkpoint());
+    ASSERT_TRUE(bytes.ok());
+
+    const std::string image =
+        SpliceSections(bytes.value(), {{12, kSnapshotElemF64, R},
+                                       {13, kSnapshotElemF64, P},
+                                       {20, kSnapshotElemU32, R},
+                                       {21, kSnapshotElemU32, P}});
+    auto view = ParseSnapshotBinary(image.data(), image.size());
+    ASSERT_TRUE(view.ok()) << view.error();
+    for (const std::size_t id : {12u, 13u, 20u, 21u}) {
+      EXPECT_TRUE(kSnapshotSections[id].retired) << "section " << id;
+      EXPECT_TRUE(view.value().sections[id].present()) << "section " << id;
+    }
+#ifdef LLA_CLI_PATH
+    // `lla inspect` renders the parsed view: one row per retired section,
+    // marked as such.
+    const std::string path = ::testing::TempDir() + "/recovery_retired.snap";
+    const std::string listing = path + ".txt";
+    std::ofstream(path, std::ios::binary) << image;
+    ASSERT_EQ(std::system((std::string(LLA_CLI_PATH) + " inspect " + path +
+                           " >" + listing)
+                              .c_str()),
+              0);
+    std::ifstream in(listing);
+    std::ostringstream out;
+    out << in.rdbuf();
+    for (const char* name : {"shadow_mu", "shadow_lambda", "mu_stable_epochs",
+                             "lambda_stable_epochs"}) {
+      const std::size_t row = out.str().find(std::string("\n") + name + " ");
+      ASSERT_NE(row, std::string::npos) << name << "\n" << out.str();
+      const std::size_t end = out.str().find('\n', row + 1);
+      EXPECT_NE(out.str().substr(row, end - row).find("retired"),
+                std::string::npos)
+          << name;
+    }
+    std::remove(path.c_str());
+    std::remove(listing.c_str());
+#endif
+
+    const Trajectory expected = StepAndRecord(&reference, 60);
+    LlaEngine restored(w, model, config);
+    ASSERT_TRUE(restored.Restore(MaterializeSnapshot(view.value())).ok());
+    const Trajectory actual = StepAndRecord(&restored, 60);
+    ExpectBitIdentical(expected, actual, "image with retired sections");
+
+    const std::string unknown =
+        SpliceSections(bytes.value(), {{22, kSnapshotElemF64, R}});
+    auto rejected = ParseSnapshotBinary(unknown.data(), unknown.size());
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_NE(rejected.error().find("unknown section id 22"),
+              std::string::npos)
+        << rejected.error();
+  }
 }
 
 // Restore must reject snapshots from a different workload shape instead of

@@ -13,10 +13,12 @@
 //     restored agent broadcasts immediately instead of inheriting the grace
 //     hold, and its stale repair bookkeeping is gone.
 //   * Snapshot restores with the wrong identity or shape — of one
-//     resource's slots or of a task controller — and fault-injection calls
-//     with out-of-range ids abort LOUDLY in every build mode instead of
-//     mis-mapping state or indexing out of bounds (these used to be
-//     NDEBUG-erasable asserts or silent skips).
+//     resource's slots or of a task controller — fault-injection calls
+//     with out-of-range ids, and a NaN or out-of-range beta abort LOUDLY in
+//     every build mode instead of mis-mapping state, indexing out of bounds
+//     or poisoning every price (these used to be NDEBUG-erasable asserts,
+//     silent skips, or unchecked).
+#include <cmath>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -319,6 +321,25 @@ TEST(DistributedDynamicsDeathTest, FaultInjectionRejectsOutOfRangeIds) {
                "RestartEndpoint: task id 8 is out of range");
   EXPECT_DEATH(coordinator.CheckpointController(bad_task),
                "CheckpointController: task id 8 is out of range");
+}
+
+// The shard agents step mu with the configured beta, so the coordinator
+// refuses a NaN or out-of-range one at construction, in every build mode
+// and for every dynamics kind, exactly as LlaEngine does.
+TEST(DistributedDynamicsDeathTest, RejectsInvalidMomentum) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  for (const double beta : {std::nan(""), -0.1, 1.0}) {
+    for (const DynamicsKind kind :
+         {DynamicsKind::kPlain, DynamicsKind::kHeavyBall,
+          DynamicsKind::kNesterov}) {
+      EXPECT_DEATH(Coordinator(w, model, DynamicsCoordinatorConfig(kind, beta)),
+                   "Coordinator: dynamics momentum .* is outside \\[0, 1\\)")
+          << ToString(kind) << " beta " << beta;
+    }
+  }
 }
 
 }  // namespace

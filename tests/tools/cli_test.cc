@@ -102,24 +102,23 @@ TEST(CliTest, DuplicateThreadsFlagReturnsTwo) {
   EXPECT_EQ(RunCli(solve + " --threads=2 --threads 4"), 2);  // mixed forms
 }
 
-TEST(CliTest, EpsilonQuiescenceFlagAcceptedOnSolve) {
-  const std::string solve = std::string("solve ") + kPaperWorkload;
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=1e-3"), 0);
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence 1e-4"), 0);  // space form
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=0"), 0);     // exact mode
-}
-
+// The approximate epsilon-quiescence mode is gone, so
+// --epsilon-quiescence is an unknown flag everywhere, in every spelling.
 TEST(CliTest, InvalidEpsilonQuiescenceValueReturnsTwo) {
   const std::string solve = std::string("solve ") + kPaperWorkload;
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=-0.1"), 2);  // negative
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=-1"), 2);    // negative
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=1"), 2);     // >= 1
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=1.5"), 2);   // >= 1
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=abc"), 2);   // not a number
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=1e-3x"), 2); // garbage
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence="), 2);      // empty value
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence"), 2);       // missing
-  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=nan"), 2);   // not finite
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=1e-3"), 2);
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence 1e-4"), 2);  // space form
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=0"), 2);     // was exact
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=-0.1"), 2);
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=1.5"), 2);
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence=abc"), 2);
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence="), 2);
+  EXPECT_EQ(RunCli(solve + " --epsilon-quiescence"), 2);
+  EXPECT_EQ(RunCli(solve + " --round-threads=2 --epsilon-quiescence=1e-4"), 2);
+  EXPECT_EQ(RunCli(std::string("checkpoint ") + kPaperWorkload + " " +
+                   ::testing::TempDir() +
+                   "/cli_eps.snap --iters 5 --epsilon-quiescence=1e-3"),
+            2);
 }
 
 TEST(CliTest, DynamicsFlagAcceptedOnSolve) {
@@ -160,7 +159,6 @@ TEST(CliTest, RoundThreadsAcceptsDynamicsFlags) {
   EXPECT_EQ(RunCli(solve + " --round-threads=1 --dynamics=nesterov"), 0);
   // Engine-only flags stay rejected on the distributed path.
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --threads=2"), 2);
-  EXPECT_EQ(RunCli(solve + " --round-threads=2 --epsilon-quiescence=1e-4"), 2);
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --restore=state.snap"), 2);
   // Bad dynamics values are usage errors here too.
   EXPECT_EQ(RunCli(solve + " --round-threads=2 --dynamics=adam"), 2);
@@ -259,7 +257,11 @@ TEST(CliTest, InspectListsSnapshotSections) {
   ASSERT_EQ(RunCliCapture("inspect " + snap, &out), 0);
   EXPECT_NE(out.find("iteration 50"), std::string::npos) << out;
   EXPECT_NE(out.find("\nmu "), std::string::npos) << out;
-  EXPECT_NE(out.find("\nlambda_stable_epochs "), std::string::npos) << out;
+  EXPECT_NE(out.find("\nlambda_zero_epochs "), std::string::npos) << out;
+  // Retired sections are never written.
+  EXPECT_EQ(out.find("shadow_"), std::string::npos) << out;
+  EXPECT_EQ(out.find("stable_epochs"), std::string::npos) << out;
+  EXPECT_EQ(out.find("retired"), std::string::npos) << out;
 
   // A truncated image and a text file are load errors with the parser's
   // message; a missing path is a usage error.

@@ -11,11 +11,12 @@
 //       N=1 at any thread count, DESIGN.md §7.11).
 //   lla checkpoint <workload-file> <snapshot-file> [--iters N]
 //       Run N iterations, then save the engine's dual state (prices, step
-//       multipliers, active-set shadow state) as a b1 snapshot
-//       (DESIGN.md §7.10).
+//       multipliers, momentum and active-set retirement state) as a b1
+//       snapshot (DESIGN.md §7.10).
 //   lla inspect <snapshot-file>
 //       Print a snapshot's header and one row per section: name, element
-//       kind, encoding, element count and encoded bytes.
+//       kind, encoding, element count and encoded bytes (retired sections
+//       of older images are marked and ignored on restore).
 //   lla check <workload-file> [--iters N]
 //       Schedulability verdict (LLA run + Phase-I cross-check).
 //   lla simulate <workload-file> <seconds> [--sfs]
@@ -87,14 +88,13 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  lla solve <file> [--variant sum|path-weighted] [--iters N] "
-               "[--threads N] [--epsilon-quiescence X]\n"
+               "[--threads N]\n"
                "            [--dynamics plain|heavy-ball|nesterov] "
                "[--momentum B] [--restore snapshot] [--round-threads N]\n"
                "            (--dynamics/--momentum apply to both the engine "
                "and the --round-threads distributed path)\n"
                "  lla checkpoint <file> <snapshot> [--variant "
-               "sum|path-weighted] [--iters N] [--threads N] "
-               "[--epsilon-quiescence X]\n"
+               "sum|path-weighted] [--iters N] [--threads N]\n"
                "            [--dynamics plain|heavy-ball|nesterov] "
                "[--momentum B]\n"
                "  lla inspect <snapshot>\n"
@@ -148,7 +148,6 @@ struct Options {
   int iters = 0;
   int threads = 1;
   int round_threads = 0;  ///< 0: the single-process engine
-  double epsilon_quiescence = 0.0;
   DynamicsConfig dynamics;
   std::string restore_path;
   std::string out_path = "-";
@@ -190,9 +189,8 @@ bool ParseFinite(const char* text, double* out) {
   return true;
 }
 
-/// [0, 1): the range ActiveSetConfig accepts for epsilon_quiescence and
-/// DynamicsConfig for the momentum (beta = 1 would make the velocity
-/// recursion marginally stable).
+/// [0, 1): the range DynamicsConfig accepts for the momentum (beta = 1
+/// would make the velocity recursion marginally stable).
 bool ParseFraction(const char* text, double* out) {
   double value = 0.0;
   if (!ParseFinite(text, &value) || value >= 1.0) return false;
@@ -249,10 +247,6 @@ const Flag kFlags[] = {
     {"--round-threads", kSolve,
      [](const char* v, Options* o) {
        return ParseInteger(v, 1, kMaxThreads, &o->round_threads);
-     }},
-    {"--epsilon-quiescence", kSolve | kCheckpoint,
-     [](const char* v, Options* o) {
-       return ParseFraction(v, &o->epsilon_quiescence);
      }},
     {"--dynamics", kEngineCommands,
      [](const char* v, Options* o) {
@@ -344,7 +338,6 @@ LlaConfig EngineConfig(const Options& options) {
   config.solver.variant = options.variant;
   config.gamma0 = 3.0;
   config.num_threads = options.threads;
-  config.active_set.epsilon_quiescence = options.epsilon_quiescence;
   config.dynamics = options.dynamics;
   return config;
 }
@@ -437,12 +430,6 @@ int Solve(const Workload& w, const Options& options) {
               run.converged ? "converged" : "NOT converged", run.iterations,
               run.final_utility, ToString(options.variant),
               run.final_feasibility.feasible ? "yes" : "no");
-  if (options.epsilon_quiescence > 0.0) {
-    std::printf("epsilon-quiescence %.3g: %llu subtask solves (approximate "
-                "mode; objective within O(epsilon) of exact)\n",
-                options.epsilon_quiescence,
-                static_cast<unsigned long long>(run.subtask_solves));
-  }
   PrintAllocation(w, model, engine.latencies(), engine.Feasibility(),
                   engine.prices().mu);
   return RunExitCode(run);
@@ -458,8 +445,7 @@ int SolveDistributed(const Workload& w, const Options& options) {
   runtime::CoordinatorConfig config;
   config.solver.variant = options.variant;
   config.step.gamma0 = 3.0;
-  // Accelerated mu dynamics for the shard agents (DESIGN.md §7.12); the
-  // coordinator copies this into every agent's step config.
+  // Accelerated mu dynamics for the shard agents (DESIGN.md §7.12).
   config.dynamics = options.dynamics;
   config.bus.base_delay_ms = 0.0;
   config.record_history = false;
@@ -536,11 +522,13 @@ int Inspect(const char* path) {
   for (std::size_t id = 1; id <= SnapshotView::kMaxSectionId; ++id) {
     const SnapshotSectionRef& section = view.sections[id];
     if (!section.present()) continue;
-    std::printf("%-26s %-4s %-8s %10llu %12llu\n", kSnapshotSections[id].name,
+    std::printf("%-26s %-4s %-8s %10llu %12llu%s\n",
+                kSnapshotSections[id].name,
                 kSnapshotElemKinds[section.elem_kind].name,
                 b1::kEncodingNames[section.encoding],
                 static_cast<ull>(section.count),
-                static_cast<ull>(section.size));
+                static_cast<ull>(section.size),
+                kSnapshotSections[id].retired ? "  retired" : "");
   }
   return kExitSuccess;
 }
@@ -760,14 +748,12 @@ int main(int argc, char** argv) {
       (!ParseFinite(argv[3], &seconds) || seconds <= 0.0)) {
     return Usage();
   }
-  // The distributed path has no engine to thread, restore or damp; those
-  // flags would silently do nothing there, so reject the mix.
+  // The distributed path has no engine to thread or restore; those flags
+  // would silently do nothing there, so reject the mix.
   // (--dynamics/--momentum ARE honored: they configure the shard agents'
   // accelerated mu updates, DESIGN.md §7.12.)
   if (options.round_threads > 0 &&
-      (Given(options, "--threads") ||
-       Given(options, "--epsilon-quiescence") ||
-       Given(options, "--restore"))) {
+      (Given(options, "--threads") || Given(options, "--restore"))) {
     return Usage();
   }
 
