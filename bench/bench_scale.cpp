@@ -9,8 +9,9 @@
 //   * coordinator sync-round latency (mean and p50/p99), messages/round and
 //     bytes/round at one shard per resource (the paper's one agent per
 //     resource) vs. 8 multi-resource shards, and a round-threads sweep of
-//     the parallel coordinator rounds with per-row effective_threads /
-//     clamped stamps.
+//     the parallel coordinator rounds (controller solves and shard price
+//     computations fanned out, delivery serial) with per-row
+//     effective_threads / clamped stamps.
 //
 // The random_1m tier runs 8 shards only (one shard per resource would
 // queue ~2M messages per round) and is skipped in --quick mode to keep the
@@ -26,7 +27,7 @@
 //     are numerically identical; the pin guards the claim),
 //   * the zero-copy wire path moves strictly fewer bytes per round than the
 //     id-carrying PR 8 format would on the same workload (analytic),
-//   * parallel rounds at 4 threads are >= 2x faster than serial delivery —
+//   * parallel rounds at 4 threads are >= 2x faster than the serial round —
 //     suppressed (not failed) when the host has < 4 hardware threads, where
 //     every width clamps and the ratio is meaningless; the CI bench matrix
 //     runs on >= 4-thread runners, so the gate is real there.
@@ -101,10 +102,6 @@ CoordinatorRun RunCoordinator(const Workload& workload,
   config.num_shards = num_shards;
   config.round_threads = round_threads;
   config.bus.base_delay_ms = 0.0;
-  // The per-delivery serialize+deserialize self-check would dominate the
-  // round timing at 10^5 subtasks; wire-format correctness is pinned by the
-  // message and runtime tests instead.
-  config.bus.verify_wire_format = false;
   config.record_history = false;
   runtime::Coordinator coordinator(workload, model, config);
 

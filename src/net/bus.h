@@ -8,6 +8,11 @@
 // virtual clock and an event queue; endpoints also schedule local timers
 // through it, which is what drives the asynchronous runtime.
 //
+// Delivery hands each handler the Message its sender gave Send; no bytes
+// cross the bus.  BusStats::bytes counts every message at its wire size
+// (WireSize == Serialize().size(), pinned by message_test): what a real
+// transport would carry.
+//
 // Determinism: all randomness (jitter, drops) comes from a seeded generator,
 // and simultaneous events break ties by sequence number, so a given seed
 // always yields the same trace.
@@ -23,10 +28,6 @@
 #include "net/message.h"
 #include "obs/metrics.h"
 
-namespace lla {
-class ThreadPool;
-}  // namespace lla
-
 namespace lla::net {
 
 using EndpointId = std::uint32_t;
@@ -36,9 +37,6 @@ struct BusConfig {
   double jitter_ms = 0.0;       ///< uniform extra delay in [0, jitter_ms)
   double drop_probability = 0.0;
   std::uint64_t seed = 1;
-  /// Deserialize-after-serialize on every delivery (exercises the wire
-  /// format; off saves time in big sweeps).
-  bool verify_wire_format = true;
   /// Registry for the bus counters: global bus.sent / bus.delivered /
   /// bus.dropped / bus.delayed (messages that drew extra jitter delay) /
   /// bus.timers_fired, plus per-endpoint bus.endpoint.<name>.sent /
@@ -112,21 +110,6 @@ class InProcessBus {
   /// rescheduling timers should use RunUntil).
   void RunAll();
 
-  /// RunAll with multi-threaded delivery (DESIGN.md §7.11): all events
-  /// sharing the earliest virtual time form a *wave*; the wave's messages
-  /// are grouped by receiver (first-touch order) and the groups fan out
-  /// across `pool`, each endpoint's inbox draining in (endpoint, seq) order
-  /// on exactly one worker.  Handler sends are deferred to per-lane
-  /// outboxes and committed serially in group order after the join, so the
-  /// resulting event sequence is deterministic at any thread count — and,
-  /// when handlers do not send (the sync-round phases), byte-identical to
-  /// serial RunAll.  Waves containing timer events, and single-event waves,
-  /// dispatch serially with classic semantics.  Requires an RNG-free
-  /// configuration (drop_probability == 0 && jitter_ms == 0): the serial
-  /// path draws randoms in send order, which a deferred commit would
-  /// permute.  A null or single-thread pool falls back to RunAll.
-  void RunAllParallel(ThreadPool* pool);
-
   double now_ms() const { return now_ms_; }
   const BusStats& stats() const { return stats_; }
   std::size_t pending() const { return events_.size(); }
@@ -165,12 +148,9 @@ class InProcessBus {
   };
 
   void Push(double at_ms, Event event);
+  /// The one path from Send to a handler: hands the receiver the Message
+  /// the sender gave Send (or fires the timer).
   void Dispatch(double at_ms, const Event& event);
-  /// One parallel wave: serial blackout drops + receiver grouping, the
-  /// fan-out, then the serial commit (stats, slot recycling, deferred
-  /// sends).
-  void DispatchWaveParallel(double at_ms, const std::vector<EventKey>& wave,
-                            ThreadPool* pool);
 
   BusConfig config_;
   Rng rng_;
@@ -183,19 +163,6 @@ class InProcessBus {
   double now_ms_ = 0.0;
   std::uint64_t next_seq_ = 0;
   BusStats stats_;
-
-  /// Scratch for RunAllParallel, reused across waves to avoid per-wave
-  /// allocation: the receiver groups (endpoint + its wave slots in seq
-  /// order), the endpoint -> active-group map (-1 when untouched), and the
-  /// per-lane deferred-send outboxes.
-  struct WaveGroup {
-    EndpointId endpoint = 0;
-    std::vector<std::size_t> slots;
-  };
-  std::vector<WaveGroup> wave_groups_;
-  std::vector<int> endpoint_wave_group_;
-  std::vector<std::vector<Message>> lane_outboxes_;
-  std::vector<EventKey> wave_scratch_;
 
   /// Global counters (null when no registry is configured).
   obs::Counter* sent_counter_ = nullptr;

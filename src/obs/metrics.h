@@ -14,9 +14,9 @@
 // entity (`bus.endpoint.<name>.sent`).  Phase timers use the phase name
 // (engine.solve, engine.evaluate, engine.price_update).
 //
-// Counters are relaxed-atomic so bus handlers may increment them from the
-// parallel delivery phase (DESIGN.md §7.11); everything else (timers, the
-// registry itself) must still be driven from the owning thread.
+// Counters are relaxed-atomic so a pool worker may increment one safely;
+// everything else (timers, the registry itself) must still be driven from
+// the owning thread.
 #pragma once
 
 #include <atomic>
@@ -31,7 +31,7 @@
 namespace lla::obs {
 
 /// Monotonic event count.  Increments are relaxed atomics: safe from
-/// concurrent delivery workers, and the summed value is deterministic (the
+/// concurrent pool workers, and the summed value is deterministic (the
 /// order of additions does not matter); reads from the owning thread after
 /// a join observe every increment.
 class Counter {

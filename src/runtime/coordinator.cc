@@ -260,7 +260,8 @@ RoundStats Coordinator::RunSyncRound() {
     // across the pool with sends deferred to per-lane outboxes; committing
     // the lanes in order reproduces the serial send order exactly (lanes own
     // contiguous ascending chunks), so the bus sees the same (seq, payload)
-    // stream and the fixed point is bit-identical at any thread count.
+    // stream, draws its drop/jitter randoms in the same order, and delivers
+    // serially: the fixed point is bit-identical at any thread count.
     controller_shared_->solver.PrepareSolve();
     const int lanes =
         pool->ParticipantsFor(controllers_.size(), /*min_items_per_thread=*/1);
@@ -273,7 +274,7 @@ RoundStats Coordinator::RunSyncRound() {
       }
     });
     CommitLaneOutboxes(lanes);
-    bus_->RunAllParallel(pool);
+    bus_->RunAll();
     if (!shard_agents_.empty()) {
       const int shard_lanes = pool->ParticipantsFor(shard_agents_.size(),
                                                     /*min_items_per_thread=*/1);
@@ -286,7 +287,7 @@ RoundStats Coordinator::RunSyncRound() {
       });
       CommitLaneOutboxes(shard_lanes);
     }
-    bus_->RunAllParallel(pool);
+    bus_->RunAll();
   }
   ++round_;
   if (rounds_counter_ != nullptr) rounds_counter_->Increment();

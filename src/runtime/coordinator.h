@@ -63,11 +63,12 @@ struct CoordinatorConfig {
   int num_shards = 0;
   /// Parallel synchronous rounds (DESIGN.md §7.11): with N > 1 the
   /// coordinator owns an N-thread pool and each RunSyncRound fans the
-  /// controller solves, the shard price computations and the bus delivery
-  /// waves across it, with all sends deferred to per-lane outboxes and
-  /// committed serially in lane order — the fixed point is bit-identical to
-  /// the single-threaded round at any thread count.  Requires an RNG-free
-  /// bus (drop_probability == 0 && jitter_ms == 0); async mode ignores it.
+  /// controller solves and the shard price computations across it, with
+  /// all sends deferred to per-lane outboxes and committed serially in lane
+  /// order; the bus then delivers serially, as in the single-threaded round.
+  /// The fixed point is bit-identical to that round at any thread count,
+  /// on any bus (drop and jitter randoms are drawn in the same send order).
+  /// Async mode ignores it.
   int round_threads = 1;
   /// Relative utility change that triggers an enactment.
   double enactment_threshold = 0.01;

@@ -75,6 +75,9 @@ struct RecoveryHooks {
   /// Messages rejected because their incarnation predates the sender's
   /// latest known restart.
   obs::Counter* stale_rejected = nullptr;
+  /// Shard updates rejected as malformed: an entry count that disagrees
+  /// with the static binding, or a payload the shard decoders refuse.
+  obs::Counter* malformed_rejected = nullptr;
   /// RepairResponses absorbed by restarted resources.
   obs::Counter* repair_rounds = nullptr;
 
@@ -83,6 +86,8 @@ struct RecoveryHooks {
     if (metrics != nullptr) {
       hooks.restarts = metrics->GetCounter("recovery.restarts");
       hooks.stale_rejected = metrics->GetCounter("recovery.stale_rejected");
+      hooks.malformed_rejected =
+          metrics->GetCounter("recovery.malformed_rejected");
       hooks.repair_rounds = metrics->GetCounter("recovery.repair_rounds");
     }
     return hooks;

@@ -137,9 +137,15 @@ void ShardAgent::ApplyLatencyUpdate(std::size_t c,
   const std::vector<std::size_t>& slots = client_latency_slots_[c];
   // The positional contract: the sender's entry list is derived from the
   // same static membership, so the counts must agree; a mismatch means a
-  // stale or foreign binding and the whole message is ignored.
-  if (update.count != slots.size()) return;
-  if (!net::DecodeShardLatencyUpdate(update, &decode_scratch_)) return;
+  // stale or foreign binding and the whole message is ignored, as is a
+  // payload that does not decode.
+  if (update.count != slots.size() ||
+      !net::DecodeShardLatencyUpdate(update, &decode_scratch_)) {
+    if (hooks_.malformed_rejected != nullptr) {
+      hooks_.malformed_rejected->Increment();
+    }
+    return;
+  }
   if (!any_resource_faulted_) {
     for (std::size_t j = 0; j < slots.size(); ++j) {
       latencies_[slots[j]] = decode_scratch_[j];

@@ -126,11 +126,17 @@ void TaskController::OnMessage(const net::Message& message) {
     }
     // Positional apply (DESIGN.md §7.11): entry j is the j-th element of
     // this task's used-resource list on the shard.  A count mismatch means
-    // the sender's binding disagrees with ours — ignore the whole message.
+    // the sender's binding disagrees with ours — ignore the whole message,
+    // as for a payload that does not decode.
     const std::uint32_t first = shard_slot_begin_[s];
-    if (update->count != shard_slot_begin_[s + 1] - first) return;
     net::ShardPriceBitsets bits;
-    if (!net::DecodeShardPriceUpdate(*update, &mu_scratch_, &bits)) return;
+    if (update->count != shard_slot_begin_[s + 1] - first ||
+        !net::DecodeShardPriceUpdate(*update, &mu_scratch_, &bits)) {
+      if (hooks_.malformed_rejected != nullptr) {
+        hooks_.malformed_rejected->Increment();
+      }
+      return;
+    }
     for (std::size_t j = 0; j < update->count; ++j) {
       // A stale bit marks a resource that is crashed or mid-repair: keep
       // the cached price, as if its last broadcast were still current.

@@ -1,6 +1,12 @@
 #include "net/message.h"
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "model/section_codec.h"
 
 namespace lla::net {
 namespace {
@@ -32,14 +38,14 @@ Message MakeRepairResponseMessage() {
   return message;
 }
 
-Message MakeShardLatencyMessage() {
+Message ShardLatencyMessage(const std::vector<double>& latencies) {
   auto arena = std::make_shared<std::string>();
-  const double latencies[] = {4.5, 9.25, -1.75};
-  const ArenaSpan span = AppendShardLatencyPayload(latencies, 3, arena.get());
+  const ArenaSpan span = AppendShardLatencyPayload(
+      latencies.data(), latencies.size(), arena.get());
   ShardLatencyUpdate update;
   update.task = TaskId(5u);
   update.shard = 2;
-  update.count = 3;
+  update.count = static_cast<std::uint32_t>(latencies.size());
   update.payload = WireSlice(
       std::shared_ptr<const std::string>(std::move(arena)), span.offset,
       span.length);
@@ -50,17 +56,18 @@ Message MakeShardLatencyMessage() {
   return message;
 }
 
-Message MakeShardPriceMessage(bool with_stale) {
+/// `stale` empty sends no stale flags.
+Message ShardPriceMessage(const std::vector<double>& mu,
+                          const std::vector<std::uint8_t>& congested,
+                          const std::vector<std::uint8_t>& stale) {
   auto arena = std::make_shared<std::string>();
-  const double mu[] = {10.0, 0.0, 256.5};
-  const std::uint8_t congested[] = {1, 0, 1};
-  const std::uint8_t stale[] = {0, 1, 0};
   const ArenaSpan span = AppendShardPricePayload(
-      mu, congested, with_stale ? stale : nullptr, 3, arena.get());
+      mu.data(), congested.data(), stale.empty() ? nullptr : stale.data(),
+      mu.size(), arena.get());
   ShardPriceUpdate update;
   update.shard = 1;
   update.epoch = 77;
-  update.count = 3;
+  update.count = static_cast<std::uint32_t>(mu.size());
   update.payload = WireSlice(
       std::shared_ptr<const std::string>(std::move(arena)), span.offset,
       span.length);
@@ -69,6 +76,78 @@ Message MakeShardPriceMessage(bool with_stale) {
   message.receiver = 11;
   message.payload = std::move(update);
   return message;
+}
+
+Message MakeShardLatencyMessage() {
+  return ShardLatencyMessage({4.5, 9.25, -1.75});
+}
+
+Message MakeShardPriceMessage(bool with_stale) {
+  return ShardPriceMessage({10.0, 0.0, 256.5}, {1, 0, 1},
+                           with_stale ? std::vector<std::uint8_t>{0, 1, 0}
+                                      : std::vector<std::uint8_t>{});
+}
+
+// Shard payload cases covering every b1 encoding the wire can carry.
+// EncodeWords picks the smallest: distinct values stay raw, a constant
+// nonzero vector is one rle run, and a cold start (all zero) or a
+// mostly-zero vector goes sparse.  One entry is always raw: its 8 bytes
+// beat rle's 24, and sparse (8 or 20 bytes) is never strictly smaller.  The
+// counts straddle the 8-entry bytes of the congested and stale bitsets.
+enum class Pattern { kDistinct, kConstant, kAllZero, kOneNonzero };
+
+struct ShardPayloadCase {
+  std::size_t count;
+  Pattern pattern;
+  std::uint8_t encoding;  ///< the encoding EncodeWords must pick
+
+  std::vector<double> Values() const {
+    std::vector<double> values(count, 0.0);
+    for (std::size_t i = 0; i < count; ++i) {
+      const double x = static_cast<double>(i);
+      if (pattern == Pattern::kDistinct) values[i] = 1.5 * x - 2.25;
+      if (pattern == Pattern::kConstant) values[i] = 37.5;
+      if (pattern == Pattern::kOneNonzero && i == count / 2) values[i] = 3.5;
+    }
+    return values;
+  }
+  std::vector<std::uint8_t> Congested() const {
+    std::vector<std::uint8_t> bits(count);
+    for (std::size_t i = 0; i < count; ++i) bits[i] = i % 3 != 1 ? 1 : 0;
+    return bits;
+  }
+  std::vector<std::uint8_t> Stale() const {
+    std::vector<std::uint8_t> bits(count);
+    for (std::size_t i = 0; i < count; ++i) bits[i] = i % 2 == 0 ? 1 : 0;
+    return bits;
+  }
+};
+
+std::vector<ShardPayloadCase> ShardPayloadCases() {
+  std::vector<ShardPayloadCase> cases;
+  for (const std::size_t count : {1u, 7u, 8u, 9u, 64u}) {
+    const bool one = count == 1;
+    cases.push_back({count, Pattern::kDistinct, b1::kEncodingRaw});
+    cases.push_back({count, Pattern::kConstant,
+                     one ? b1::kEncodingRaw : b1::kEncodingRle});
+    cases.push_back({count, Pattern::kAllZero,
+                     one ? b1::kEncodingRaw : b1::kEncodingSparse});
+    cases.push_back({count, Pattern::kOneNonzero,
+                     one ? b1::kEncodingRaw : b1::kEncodingSparse});
+  }
+  return cases;
+}
+
+std::string Describe(const ShardPayloadCase& c) {
+  return "count=" + std::to_string(c.count) + " pattern=" +
+         std::to_string(static_cast<int>(c.pattern)) + " encoding=" +
+         b1::kEncodingNames[c.encoding];
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 TEST(MessageTest, RepairRequestRoundTrips) {
@@ -155,50 +234,71 @@ TEST(MessageTest, RejectsEmptyInput) {
 }
 
 TEST(MessageTest, ShardLatencyUpdateRoundTrips) {
-  const Message original = MakeShardLatencyMessage();
-  const auto decoded = Deserialize(Serialize(original));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, original);
-  const auto& update = std::get<ShardLatencyUpdate>(decoded->payload);
-  std::vector<double> latencies;
-  ASSERT_TRUE(DecodeShardLatencyUpdate(update, &latencies));
-  ASSERT_EQ(latencies.size(), 3u);
-  EXPECT_DOUBLE_EQ(latencies[0], 4.5);
-  EXPECT_DOUBLE_EQ(latencies[2], -1.75);
-}
-
-TEST(MessageTest, ShardPriceUpdateRoundTrips) {
-  for (const bool with_stale : {false, true}) {
-    const Message original = MakeShardPriceMessage(with_stale);
+  for (const ShardPayloadCase& c : ShardPayloadCases()) {
+    SCOPED_TRACE(Describe(c));
+    const std::vector<double> values = c.Values();
+    const Message original = ShardLatencyMessage(values);
+    const auto& sent = std::get<ShardLatencyUpdate>(original.payload);
+    // Payload layout: [encoding u8][words...].
+    EXPECT_EQ(static_cast<std::uint8_t>(sent.payload.data()[0]), c.encoding);
     const auto decoded = Deserialize(Serialize(original));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, original);
-    const auto& update = std::get<ShardPriceUpdate>(decoded->payload);
-    EXPECT_EQ(update.epoch, 77u);
-    std::vector<double> mu;
-    ShardPriceBitsets bits;
-    ASSERT_TRUE(DecodeShardPriceUpdate(update, &mu, &bits));
-    ASSERT_EQ(mu.size(), 3u);
-    EXPECT_DOUBLE_EQ(mu[0], 10.0);
-    EXPECT_DOUBLE_EQ(mu[2], 256.5);
-    EXPECT_TRUE(TestWireBit(bits.congested, 0));
-    EXPECT_FALSE(TestWireBit(bits.congested, 1));
-    EXPECT_TRUE(TestWireBit(bits.congested, 2));
-    if (with_stale) {
-      ASSERT_NE(bits.stale, nullptr);
-      EXPECT_FALSE(TestWireBit(bits.stale, 0));
-      EXPECT_TRUE(TestWireBit(bits.stale, 1));
-    } else {
-      EXPECT_EQ(bits.stale, nullptr);
+    std::vector<double> latencies;
+    ASSERT_TRUE(DecodeShardLatencyUpdate(
+        std::get<ShardLatencyUpdate>(decoded->payload), &latencies));
+    EXPECT_TRUE(SameBits(latencies, values));
+  }
+}
+
+TEST(MessageTest, ShardPriceUpdateRoundTrips) {
+  for (const ShardPayloadCase& c : ShardPayloadCases()) {
+    for (const bool with_stale : {false, true}) {
+      SCOPED_TRACE(Describe(c) + (with_stale ? " stale" : ""));
+      const std::vector<double> mu = c.Values();
+      const std::vector<std::uint8_t> congested = c.Congested();
+      const std::vector<std::uint8_t> stale = c.Stale();
+      const Message original = ShardPriceMessage(
+          mu, congested, with_stale ? stale : std::vector<std::uint8_t>{});
+      const auto& sent = std::get<ShardPriceUpdate>(original.payload);
+      // Payload layout: [flags u8][encoding u8][words...][bitsets].
+      EXPECT_EQ(static_cast<std::uint8_t>(sent.payload.data()[0]),
+                with_stale ? 1 : 0);
+      EXPECT_EQ(static_cast<std::uint8_t>(sent.payload.data()[1]),
+                c.encoding);
+      const auto decoded = Deserialize(Serialize(original));
+      ASSERT_TRUE(decoded.has_value());
+      EXPECT_EQ(*decoded, original);
+      const auto& update = std::get<ShardPriceUpdate>(decoded->payload);
+      EXPECT_EQ(update.epoch, 77u);
+      std::vector<double> decoded_mu;
+      ShardPriceBitsets bits;
+      ASSERT_TRUE(DecodeShardPriceUpdate(update, &decoded_mu, &bits));
+      EXPECT_TRUE(SameBits(decoded_mu, mu));
+      if (with_stale) {
+        ASSERT_NE(bits.stale, nullptr);
+      } else {
+        EXPECT_EQ(bits.stale, nullptr);
+      }
+      for (std::size_t j = 0; j < c.count; ++j) {
+        EXPECT_EQ(TestWireBit(bits.congested, j), congested[j] != 0) << j;
+        if (with_stale) {
+          EXPECT_EQ(TestWireBit(bits.stale, j), stale[j] != 0) << j;
+        }
+      }
     }
   }
 }
 
 TEST(MessageTest, ShardWireSizeMatchesSerializedLength) {
-  for (const Message& message :
-       {MakeShardLatencyMessage(), MakeShardPriceMessage(false),
-        MakeShardPriceMessage(true)}) {
-    EXPECT_EQ(WireSize(message), Serialize(message).size());
+  for (const ShardPayloadCase& c : ShardPayloadCases()) {
+    SCOPED_TRACE(Describe(c));
+    for (const Message& message :
+         {ShardLatencyMessage(c.Values()),
+          ShardPriceMessage(c.Values(), c.Congested(), {}),
+          ShardPriceMessage(c.Values(), c.Congested(), c.Stale())}) {
+      EXPECT_EQ(WireSize(message), Serialize(message).size());
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Property suite for the parallel sharded round (DESIGN.md §7.11): the
-// deferred-commit delivery must leave the coordinator in a BIT-IDENTICAL
-// state to single-threaded delivery at any thread count.  We check this by
+// deferred-commit round must leave the coordinator in a BIT-IDENTICAL
+// state to the single-threaded round at any thread count.  We check this by
 // memcmp-ing the raw double words of the dual prices and the enacted
 // assignment — not EXPECT_NEAR; the determinism argument promises exact
 // equality, so any ulp of drift is a bug in lane partitioning or outbox
@@ -8,8 +8,11 @@
 //
 // The sweep crosses thread counts {1, 2, 8} with both local-solver gather
 // modes (dense lambda gather vs the active-set compaction), since the two
-// paths exercise different per-lane scratch shapes, and with two shard
-// widths: 4 multi-resource shards and the default one shard per resource.
+// paths exercise different per-lane scratch shapes, with two shard widths
+// (4 multi-resource shards and the default one shard per resource), and
+// with two buses: zero-delay lossless, and a seeded one that drops and
+// jitters messages, whose randoms are drawn in send order — the order the
+// lane commit must reproduce.
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -24,7 +27,19 @@ struct RoundOutcome {
   PriceVector prices;
   Assignment assignment;
   double utility = 0.0;
+  std::uint64_t dropped = 0;
 };
+
+net::BusConfig TestBus(bool lossy) {
+  net::BusConfig bus;
+  bus.base_delay_ms = 0.0;
+  if (lossy) {
+    bus.drop_probability = 0.05;
+    bus.jitter_ms = 0.5;
+    bus.seed = 29;
+  }
+  return bus;
+}
 
 bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -38,10 +53,10 @@ class ParallelRoundEquivalence
   RoundOutcome RunSharded(const Workload& w, const LatencyModel& model,
                           int round_threads, bool compact_gather,
                           DynamicsKind dynamics = DynamicsKind::kPlain,
-                          int num_shards = 4) {
+                          int num_shards = 4, bool lossy_bus = false) {
     CoordinatorConfig config;
     config.step.gamma0 = 3.0;
-    config.bus.base_delay_ms = 0.0;
+    config.bus = TestBus(lossy_bus);
     config.solver.compact_lambda_gather = compact_gather;
     config.record_history = false;
     config.num_shards = num_shards;
@@ -54,6 +69,7 @@ class ParallelRoundEquivalence
     outcome.prices = coordinator.CurrentPrices();
     outcome.assignment = coordinator.CurrentAssignment();
     outcome.utility = coordinator.CurrentUtility();
+    outcome.dropped = coordinator.bus().stats().dropped;
     return outcome;
   }
 };
@@ -71,23 +87,30 @@ TEST_P(ParallelRoundEquivalence, ShardedRoundsBitIdenticalAcrossThreads) {
   const Workload& w = workload.value();
   LatencyModel model(w);
 
-  for (const int num_shards : {4, 0}) {
-    SCOPED_TRACE(num_shards == 0 ? "one shard per resource" : "4 shards");
-    for (const bool compact_gather : {false, true}) {
-      SCOPED_TRACE(compact_gather ? "active-set gather" : "dense gather");
-      const RoundOutcome serial = RunSharded(
-          w, model, 1, compact_gather, DynamicsKind::kPlain, num_shards);
-      for (const int threads : {2, 8}) {
-        SCOPED_TRACE("round_threads=" + std::to_string(threads));
-        const RoundOutcome parallel =
-            RunSharded(w, model, threads, compact_gather,
-                       DynamicsKind::kPlain, num_shards);
-        EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
-        EXPECT_TRUE(
-            SameDoubles(serial.prices.lambda, parallel.prices.lambda));
-        EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
-        EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
-                                 sizeof(double)));
+  for (const bool lossy_bus : {false, true}) {
+    SCOPED_TRACE(lossy_bus ? "dropping, jittered bus" : "lossless bus");
+    for (const int num_shards : {4, 0}) {
+      SCOPED_TRACE(num_shards == 0 ? "one shard per resource" : "4 shards");
+      for (const bool compact_gather : {false, true}) {
+        SCOPED_TRACE(compact_gather ? "active-set gather" : "dense gather");
+        const RoundOutcome serial =
+            RunSharded(w, model, 1, compact_gather, DynamicsKind::kPlain,
+                       num_shards, lossy_bus);
+        // The lossy input is only an input if the bus really dropped.
+        EXPECT_EQ(serial.dropped > 0, lossy_bus);
+        for (const int threads : {2, 8}) {
+          SCOPED_TRACE("round_threads=" + std::to_string(threads));
+          const RoundOutcome parallel =
+              RunSharded(w, model, threads, compact_gather,
+                         DynamicsKind::kPlain, num_shards, lossy_bus);
+          EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
+          EXPECT_TRUE(
+              SameDoubles(serial.prices.lambda, parallel.prices.lambda));
+          EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
+          EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
+                                   sizeof(double)));
+          EXPECT_EQ(serial.dropped, parallel.dropped);
+        }
       }
     }
   }

@@ -7,6 +7,7 @@
 // or a snapshot (checkpoint restart).
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -267,6 +268,8 @@ TEST(CrashRestartTest, ColdRestartOfEachResourceAgentReconverges) {
     EXPECT_EQ(CounterValue(&metrics, "recovery.restarts"), 1u);
     EXPECT_GE(CounterValue(&metrics, "recovery.stale_rejected"), 1u);
     EXPECT_GE(CounterValue(&metrics, "recovery.repair_rounds"), 1u);
+    // Stale is not malformed: crash traffic never trips the decoders.
+    EXPECT_EQ(CounterValue(&metrics, "recovery.malformed_rejected"), 0u);
     EXPECT_EQ(std::count(events.types.begin(), events.types.end(),
                          "recovery.crash"),
               1);
@@ -535,6 +538,107 @@ TEST(FailureRecoveryTest, ShardedResourcePartitionHealsAndReconverges) {
   EXPECT_NEAR(coordinator.CurrentUtility(), before,
               0.01 * std::fabs(before));
   EXPECT_GT(coordinator.bus().stats().dropped, 0u);
+}
+
+// The shard decoders are the only validation on the delivery path: a shard
+// update with a count that disagrees with the static binding, or with a
+// payload that does not decode, is counted in recovery.malformed_rejected
+// and leaves the receiver's state untouched.
+TEST(MalformedMessageTest, RejectedShardUpdatesAreCountedAndIgnored) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  obs::MetricRegistry metrics;
+  CoordinatorConfig config;
+  config.step.gamma0 = 3.0;
+  config.bus.base_delay_ms = 0.0;
+  config.num_shards = 1;
+  config.metrics = &metrics;
+  Coordinator coordinator(w, model, config);
+  coordinator.RunSync(50);  // nonzero prices and latencies to protect
+
+  net::InProcessBus& bus = coordinator.bus();
+  const net::EndpointId injector = bus.Register("injector", nullptr);
+  const TaskInfo& task = w.tasks().front();
+  net::EndpointId controller = injector, shard = injector;
+  for (net::EndpointId id = 0; id < injector; ++id) {
+    if (bus.endpoint_name(id) == "controller/" + task.name) controller = id;
+    if (bus.endpoint_name(id) == "shard/0") shard = id;
+  }
+  ASSERT_NE(controller, injector);
+  ASSERT_NE(shard, injector);
+
+  std::vector<ResourceId> used;
+  for (const SubtaskId sid : task.subtasks) {
+    used.push_back(w.subtask(sid).resource);
+  }
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  const auto mu_seen = [&] {
+    std::vector<double> mu;
+    for (const ResourceId r : used) {
+      mu.push_back(coordinator.controller(task.id).mu_seen(r));
+    }
+    return mu;
+  };
+  const auto shard_latencies = [&] {
+    std::vector<std::vector<double>> latencies;
+    for (std::size_t r = 0; r < w.resource_count(); ++r) {
+      latencies.push_back(
+          coordinator.CheckpointResource(ResourceId(r)).latencies_ms);
+    }
+    return latencies;
+  };
+  const std::vector<double> mu_before = mu_seen();
+  const std::vector<std::vector<double>> latencies_before = shard_latencies();
+  ASSERT_GT(*std::max_element(mu_before.begin(), mu_before.end()), 0.0);
+
+  // Well-formed payloads for `count` entries, far from the current state;
+  // `corrupt_at` (when set) overwrites that payload byte with an unknown
+  // encoding.
+  const auto send_price = [&](std::size_t count, int corrupt_at) {
+    auto arena = std::make_shared<std::string>();
+    const std::vector<double> mu(count, 1e6);
+    const std::vector<std::uint8_t> congested(count, 1);
+    const net::ArenaSpan span = net::AppendShardPricePayload(
+        mu.data(), congested.data(), nullptr, count, arena.get());
+    if (corrupt_at >= 0) (*arena)[span.offset + corrupt_at] = 0x7f;
+    net::Message message;
+    message.sender = injector;
+    message.receiver = controller;
+    message.payload = net::ShardPriceUpdate{
+        0, 1u << 30, static_cast<std::uint32_t>(count),
+        net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
+                       span.offset, span.length)};
+    bus.Send(std::move(message));
+  };
+  const std::uint64_t rejected_before =
+      CounterValue(&metrics, "recovery.malformed_rejected");
+  send_price(used.size() + 1, -1);  // wrong count, payload decodes
+  send_price(used.size(), 1);       // [flags][encoding]: corrupt encoding
+  {
+    auto arena = std::make_shared<std::string>();
+    const std::vector<double> latencies(task.subtasks.size(), 1e6);
+    const net::ArenaSpan span = net::AppendShardLatencyPayload(
+        latencies.data(), latencies.size(), arena.get());
+    (*arena)[span.offset] = 0x7f;  // [encoding]: corrupt encoding
+    net::Message message;
+    message.sender = injector;
+    message.receiver = shard;
+    message.payload = net::ShardLatencyUpdate{
+        task.id, 0, static_cast<std::uint32_t>(latencies.size()),
+        net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
+                       span.offset, span.length)};
+    bus.Send(std::move(message));
+  }
+  bus.RunAll();
+
+  EXPECT_EQ(bus.stats().dropped, 0u);
+  EXPECT_EQ(CounterValue(&metrics, "recovery.malformed_rejected"),
+            rejected_before + 3);
+  EXPECT_EQ(mu_seen(), mu_before);
+  EXPECT_EQ(shard_latencies(), latencies_before);
 }
 
 }  // namespace

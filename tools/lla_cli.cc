@@ -437,9 +437,9 @@ int Solve(const Workload& w, const Options& options) {
 
 // `lla solve --round-threads=N`: the distributed synchronous deployment —
 // min(8, R) shard agents on an in-process bus, with the coordinator fanning
-// each round's controller solves, shard price updates and delivery waves
-// across an N-thread pool (DESIGN.md §7.11).  The fixed point is
-// bit-identical at any thread count, so N only changes wall-clock time.
+// each round's controller solves and shard price updates across an
+// N-thread pool (DESIGN.md §7.11).  The fixed point is bit-identical at any
+// thread count, so N only changes wall-clock time.
 int SolveDistributed(const Workload& w, const Options& options) {
   LatencyModel model(w);
   runtime::CoordinatorConfig config;
