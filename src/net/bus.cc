@@ -1,16 +1,38 @@
 #include "net/bus.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace lla::net {
+namespace {
+
+// Aborts unless `value` is finite and >= 0.  Written so that NaN fails too:
+// every comparison with NaN is false.
+void CheckDelay(double value, const char* what) {
+  if (!(std::isfinite(value) && value >= 0.0)) {
+    std::fprintf(stderr,
+                 "InProcessBus: %s %g is not a finite delay >= 0 (a "
+                 "negative or NaN delay would move the clock backwards)\n",
+                 what, value);
+    std::abort();
+  }
+}
+
+}  // namespace
 
 InProcessBus::InProcessBus(BusConfig config)
     : config_(config), rng_(config.seed) {
-  assert(config.base_delay_ms >= 0.0);
-  assert(config.jitter_ms >= 0.0);
-  assert(config.drop_probability >= 0.0 && config.drop_probability <= 1.0);
+  CheckDelay(config_.base_delay_ms, "base_delay_ms");
+  CheckDelay(config_.jitter_ms, "jitter_ms");
+  if (!(config_.drop_probability >= 0.0 && config_.drop_probability <= 1.0)) {
+    std::fprintf(stderr,
+                 "InProcessBus: drop_probability %g is outside [0, 1]\n",
+                 config_.drop_probability);
+    std::abort();
+  }
   if (config_.metrics != nullptr) {
     sent_counter_ = config_.metrics->GetCounter("bus.sent");
     delivered_counter_ = config_.metrics->GetCounter("bus.delivered");
@@ -37,6 +59,16 @@ EndpointId InProcessBus::Register(std::string name, MessageHandler on_message,
   return id;
 }
 
+void InProcessBus::CheckEndpoint(EndpointId endpoint, const char* what) const {
+  if (endpoint >= endpoints_.size()) {
+    std::fprintf(stderr,
+                 "InProcessBus::%s: endpoint %u is not registered (%zu "
+                 "endpoints)\n",
+                 what, endpoint, endpoints_.size());
+    std::abort();
+  }
+}
+
 void InProcessBus::CountDrop(const Message& message) {
   ++stats_.dropped;
   // The endpoint counters are resolved independently of the global one
@@ -54,7 +86,7 @@ void InProcessBus::CountDrop(const Message& message) {
 }
 
 void InProcessBus::BlackoutEndpoint(EndpointId endpoint, double until_ms) {
-  assert(endpoint < endpoints_.size());
+  CheckEndpoint(endpoint, "BlackoutEndpoint");
   blackout_until_ms_[endpoint] =
       std::max(blackout_until_ms_[endpoint], until_ms);
 }
@@ -64,37 +96,34 @@ bool InProcessBus::IsBlackedOut(EndpointId endpoint) const {
 }
 
 void InProcessBus::CrashEndpoint(EndpointId endpoint) {
-  assert(endpoint < endpoints_.size());
+  CheckEndpoint(endpoint, "CrashEndpoint");
   blackout_until_ms_[endpoint] = std::numeric_limits<double>::infinity();
 }
 
 void InProcessBus::RestartEndpoint(EndpointId endpoint) {
-  assert(endpoint < endpoints_.size());
+  CheckEndpoint(endpoint, "RestartEndpoint");
   blackout_until_ms_[endpoint] = -1.0;
   ++incarnation_[endpoint];
 }
 
 void InProcessBus::BumpIncarnation(EndpointId endpoint) {
-  assert(endpoint < endpoints_.size());
+  CheckEndpoint(endpoint, "BumpIncarnation");
   ++incarnation_[endpoint];
 }
 
-void InProcessBus::Push(double at_ms, Event event) {
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(event);
-  } else {
-    slot = slots_.size();
-    slots_.push_back(std::move(event));
+std::size_t InProcessBus::AcquireSlot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return slots_.size() - 1;
   }
-  events_.push(EventKey{at_ms, next_seq_++, slot});
+  const std::size_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
 }
 
 void InProcessBus::Send(Message message) {
-  assert(message.sender < endpoints_.size());
-  assert(message.receiver < endpoints_.size());
+  CheckEndpoint(message.sender, "Send");
+  CheckEndpoint(message.receiver, "Send");
   // Stamp the sender's incarnation before any accounting so the wire bytes
   // and the delivered message agree.
   message.incarnation = incarnation_[message.sender];
@@ -114,29 +143,62 @@ void InProcessBus::Send(Message message) {
     return;
   }
   double delay = config_.base_delay_ms;
-  if (config_.jitter_ms > 0.0) {
+  const bool jittered = config_.jitter_ms > 0.0;
+  if (jittered) {
     const double jitter = rng_.Uniform(0.0, config_.jitter_ms);
     delay += jitter;
     if (jitter > 0.0 && delayed_counter_ != nullptr) {
       delayed_counter_->Increment();
     }
   }
-  Event event;
+  const std::size_t slot = AcquireSlot();
+  Event& event = slots_[slot];
   event.is_timer = false;
   event.endpoint = message.receiver;
   event.message = std::move(message);
-  Push(now_ms_ + delay, std::move(event));
+  const EventKey key{now_ms_ + delay, next_seq_++, slot};
+  // Without jitter every message arrives base_delay_ms after its send and
+  // the clock never runs backwards, so these keys arrive sorted.
+  if (jittered) {
+    heap_.push(key);
+  } else {
+    fifo_.push_back(key);
+  }
 }
 
 void InProcessBus::ScheduleTimer(EndpointId endpoint, double delay_ms,
                                  std::uint64_t token) {
-  assert(endpoint < endpoints_.size());
-  assert(delay_ms >= 0.0);
-  Event event;
+  CheckEndpoint(endpoint, "ScheduleTimer");
+  CheckDelay(delay_ms, "timer delay_ms");
+  const std::size_t slot = AcquireSlot();
+  Event& event = slots_[slot];
   event.is_timer = true;
   event.endpoint = endpoint;
   event.token = token;
-  Push(now_ms_ + delay_ms, std::move(event));
+  heap_.push(EventKey{now_ms_ + delay_ms, next_seq_++, slot});
+}
+
+bool InProcessBus::FifoIsNext() const {
+  return fifo_head_ < fifo_.size() &&
+         (heap_.empty() || EventLater{}(heap_.top(), fifo_[fifo_head_]));
+}
+
+InProcessBus::EventKey InProcessBus::PopNext() {
+  if (!FifoIsNext()) {
+    const EventKey key = heap_.top();
+    heap_.pop();
+    return key;
+  }
+  const EventKey key = fifo_[fifo_head_++];
+  if (fifo_head_ == fifo_.size()) {
+    fifo_.clear();
+    fifo_head_ = 0;
+  } else if (fifo_head_ > fifo_.size() / 2) {
+    fifo_.erase(fifo_.begin(),
+                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+    fifo_head_ = 0;
+  }
+  return key;
 }
 
 void InProcessBus::Dispatch(double at_ms, const Event& event) {
@@ -159,11 +221,11 @@ void InProcessBus::Dispatch(double at_ms, const Event& event) {
 }
 
 bool InProcessBus::DeliverNext() {
-  if (events_.empty()) return false;
-  const EventKey key = events_.top();
-  events_.pop();
-  // Move the payload out of the slot before dispatch: the handler may push
-  // new events and recycle slots.
+  if (pending() == 0) return false;
+  const EventKey key = PopNext();
+  // Move the payload out of the slot before dispatch: the handler may send,
+  // which can reuse the slot or grow slots_.  The local copy dies after
+  // dispatch, releasing the message's hold on its sender's wire arena.
   Event event = std::move(slots_[key.slot]);
   free_slots_.push_back(key.slot);
   Dispatch(key.at_ms, event);
@@ -171,7 +233,10 @@ bool InProcessBus::DeliverNext() {
 }
 
 void InProcessBus::RunUntil(double until_ms) {
-  while (!events_.empty() && events_.top().at_ms <= until_ms) DeliverNext();
+  while (pending() > 0 &&
+         (FifoIsNext() ? fifo_[fifo_head_] : heap_.top()).at_ms <= until_ms) {
+    DeliverNext();
+  }
   now_ms_ = std::max(now_ms_, until_ms);
 }
 

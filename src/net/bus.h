@@ -16,6 +16,18 @@
 // Determinism: all randomness (jitter, drops) comes from a seeded generator,
 // and simultaneous events break ties by sequence number, so a given seed
 // always yields the same trace.
+//
+// Event lanes: pending events wait in one of two queues, and delivery always
+// takes the earlier front by (at_ms, seq).  A message sent with no jitter
+// arrives exactly base_delay_ms after its send, and the clock never runs
+// backwards, so those messages are issued already sorted by (at_ms, seq):
+// they go to a FIFO, which costs no heap operation.  Timers and jittered
+// messages arrive out of send order and go to a binary heap.  Each lane is
+// sorted by the same key and seq numbers are unique, so merging the two
+// fronts yields exactly the order one heap over all events would have.  The
+// configuration checks (delays finite and >= 0, drop probability in [0, 1],
+// registered endpoints) abort in every build: a negative or NaN delay would
+// move the clock backwards and break the FIFO's sortedness.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +47,7 @@ using EndpointId = std::uint32_t;
 struct BusConfig {
   double base_delay_ms = 0.1;   ///< fixed propagation delay per message
   double jitter_ms = 0.0;       ///< uniform extra delay in [0, jitter_ms)
-  double drop_probability = 0.0;
+  double drop_probability = 0.0;  ///< in [0, 1]
   std::uint64_t seed = 1;
   /// Registry for the bus counters: global bus.sent / bus.delivered /
   /// bus.dropped / bus.delayed (messages that drew extra jitter delay) /
@@ -67,6 +79,7 @@ class InProcessBus {
                       TimerHandler on_timer = nullptr);
 
   /// Queues a message for delivery after the configured delay (or drops it).
+  /// Aborts unless sender and receiver are registered endpoints.
   void Send(Message message);
 
   /// Failure injection: all messages to or from `endpoint` sent while
@@ -95,7 +108,8 @@ class InProcessBus {
     return incarnation_[endpoint];
   }
 
-  /// Schedules a timer at now + delay_ms for the endpoint.
+  /// Schedules a timer at now + delay_ms for the endpoint; aborts unless
+  /// delay_ms is finite and >= 0.
   void ScheduleTimer(EndpointId endpoint, double delay_ms,
                      std::uint64_t token);
 
@@ -112,7 +126,10 @@ class InProcessBus {
 
   double now_ms() const { return now_ms_; }
   const BusStats& stats() const { return stats_; }
-  std::size_t pending() const { return events_.size(); }
+  /// Events queued in either lane.
+  std::size_t pending() const {
+    return heap_.size() + (fifo_.size() - fifo_head_);
+  }
   const std::string& endpoint_name(EndpointId id) const {
     return endpoints_[id].name;
   }
@@ -133,8 +150,10 @@ class InProcessBus {
     std::uint64_t token = 0;  // timers
     Message message;          // messages
   };
-  /// Heap entries are small and trivially copyable; payloads live in the
-  /// slot table (also avoids moving std::variant through heap operations).
+  /// Lane entries are small and trivially copyable; payloads live in the
+  /// slot table, built in place, so no std::variant moves through a lane.
+  /// Both lanes order by (at_ms, seq); seq is unique, so the order is
+  /// total.
   struct EventKey {
     double at_ms;
     std::uint64_t seq;  ///< tie-break for determinism
@@ -147,7 +166,15 @@ class InProcessBus {
     }
   };
 
-  void Push(double at_ms, Event event);
+  /// Aborts (in every build) unless `endpoint` is registered.
+  void CheckEndpoint(EndpointId endpoint, const char* what) const;
+  /// Index of a slot of slots_ for a new event (a freed one when any).
+  std::size_t AcquireSlot();
+  /// True when the FIFO lane holds the earliest pending event.
+  bool FifoIsNext() const;
+  /// Removes and returns the earliest pending event's key, from whichever
+  /// lane holds it (requires pending() > 0).
+  EventKey PopNext();
   /// The one path from Send to a handler: hands the receiver the Message
   /// the sender gave Send (or fires the timer).
   void Dispatch(double at_ms, const Event& event);
@@ -157,7 +184,12 @@ class InProcessBus {
   std::vector<Endpoint> endpoints_;
   std::vector<double> blackout_until_ms_;  ///< parallel to endpoints_
   std::vector<std::uint32_t> incarnation_;  ///< parallel to endpoints_
-  std::priority_queue<EventKey, std::vector<EventKey>, EventLater> events_;
+  /// Timers and jittered messages.
+  std::priority_queue<EventKey, std::vector<EventKey>, EventLater> heap_;
+  /// Messages sent with no jitter, in send order: fifo_[fifo_head_..] are
+  /// pending.  Reset when drained, compacted once the head passes half.
+  std::vector<EventKey> fifo_;
+  std::size_t fifo_head_ = 0;
   std::vector<Event> slots_;
   std::vector<std::size_t> free_slots_;
   double now_ms_ = 0.0;

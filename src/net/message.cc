@@ -100,6 +100,15 @@ WireSlice WireSlice::Copy(const char* data, std::size_t size) {
   return WireSlice(std::move(arena), 0, static_cast<std::uint32_t>(size));
 }
 
+std::string* RecycleArena(std::shared_ptr<std::string>* arena) {
+  if (*arena != nullptr && arena->use_count() == 1) {
+    (*arena)->clear();
+  } else {
+    *arena = std::make_shared<std::string>();
+  }
+  return arena->get();
+}
+
 ArenaSpan AppendShardLatencyPayload(const double* latencies,
                                     std::size_t count, std::string* arena) {
   ArenaSpan span;

@@ -24,7 +24,8 @@
 // b1-encoded value array — no resource or subtask ids.  The encoded bytes
 // live in an arena built once per round and each message holds a WireSlice
 // into it, so a batched update is encoded once and sliced per client
-// instead of copied per message.
+// instead of copied per message, and the arena is reused when no message
+// holds it (RecycleArena).
 //
 // Path prices never travel: each controller owns its task's paths and
 // computes lambda_p locally (Sec. 4.3).  Every Message additionally carries
@@ -169,6 +170,14 @@ struct ArenaSpan {
   std::uint32_t offset = 0;
   std::uint32_t length = 0;
 };
+
+/// Readies `*arena` for a new send's payloads and returns it.  When no
+/// WireSlice still references the arena (use_count() == 1: every message
+/// of the previous send was delivered or dropped) it is cleared and reused
+/// with its capacity kept, so a steady-state synchronous round allocates
+/// nothing.  Otherwise (or when null) a fresh arena replaces it, and the
+/// in-flight messages keep the old bytes alive.
+std::string* RecycleArena(std::shared_ptr<std::string>* arena);
 
 /// Appends the ShardLatencyUpdate payload encoding of latencies[0..count)
 /// to *arena.

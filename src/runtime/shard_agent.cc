@@ -373,8 +373,11 @@ void ShardAgent::ComputePricesAndBroadcast(
   // that client reads (a whole-shard vector to every client would multiply
   // the round's byte volume by shard_width / task_resources_per_shard on
   // sparse workloads).  All clients' payloads are encoded into one arena,
-  // then sliced per message — encode once, slice per client.
-  std::string arena;
+  // then sliced per message — encode once, slice per client, and reuse the
+  // arena when no message holds it.  In the parallel round this use_count
+  // read runs in a pool lane after the serial drain that released the last
+  // broadcast, and the pool's region start orders the two.
+  std::string& arena = *net::RecycleArena(&arena_);
   arena.reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
   client_spans_.resize(client_tasks_.size());
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
@@ -399,14 +402,12 @@ void ShardAgent::ComputePricesAndBroadcast(
         gather_mu_.data(), gather_congested_.data(), stale, locals.size(),
         &arena);
   }
-  const auto shared_arena =
-      std::make_shared<const std::string>(std::move(arena));
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
     net::ShardPriceUpdate update;
     update.shard = shard_;
     update.epoch = epoch_;
     update.count = static_cast<std::uint32_t>(client_resources_[c].size());
-    update.payload = net::WireSlice(shared_arena, client_spans_[c].offset,
+    update.payload = net::WireSlice(arena_, client_spans_[c].offset,
                                     client_spans_[c].length);
     net::Message message;
     message.sender = self_;

@@ -23,7 +23,8 @@
 // — latency slots for inbound updates, used resources for outbound prices —
 // and the wire carries only b1-encoded value arrays.  All clients' price
 // payloads are encoded into ONE arena per round and each message holds a
-// WireSlice into it (encode once, slice per client).
+// WireSlice into it (encode once, slice per client); the arena is reused
+// when no message still holds it.
 //
 // Per-resource fault injection (DESIGN.md §7.7): a single hosted resource can
 // be crashed, cold-restarted, checkpointed and restored from a snapshot.  A
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -224,6 +226,8 @@ class ShardAgent {
   std::vector<std::uint8_t> gather_stale_;
   std::vector<net::ArenaSpan> client_spans_;
   std::vector<double> decode_scratch_;
+  /// The wire arena of the last broadcast, reused once no message holds it.
+  std::shared_ptr<std::string> arena_;
 
   RecoveryHooks hooks_;
 };

@@ -33,6 +33,15 @@ TaskController::TaskController(const Workload& workload,
     used.insert(workload.subtask(sid).resource);
   }
   used_resources_.assign(used.begin(), used.end());
+  // Every path subtask belongs to this task, so its resource is used here.
+  path_slot_begin_.assign(1, 0);
+  for (PathId path : info.paths) {
+    for (SubtaskId sid : workload.path(path).subtasks) {
+      const int slot = UsedIndex(workload.subtask(sid).resource);
+      path_slots_.push_back(static_cast<std::uint32_t>(slot));
+    }
+    path_slot_begin_.push_back(static_cast<std::uint32_t>(path_slots_.size()));
+  }
   mu_cache_.assign(used_resources_.size(), 0.0);
   used_congested_.assign(used_resources_.size(), 0);
   used_epoch_.assign(used_resources_.size(), 0);
@@ -313,14 +322,12 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
   // step doubles while any resource it traverses reports congestion.
   for (std::size_t p = 0; p < info.paths.size(); ++p) {
     const PathInfo& path = workload_->path(info.paths[p]);
+    const std::uint32_t* slot = path_slots_.data() + path_slot_begin_[p];
     bool any_congested = false;
     double latency = 0.0;
     for (SubtaskId sid : path.subtasks) {
       latency += scratch[sid.value()];
-      const int k = UsedIndex(workload_->subtask(sid).resource);
-      if (k >= 0 && used_congested_[static_cast<std::size_t>(k)] != 0) {
-        any_congested = true;
-      }
+      if (used_congested_[*slot++] != 0) any_congested = true;
     }
     path_gamma_multiplier_[p] =
         NextStepMultiplier(path_gamma_multiplier_[p], any_congested,
@@ -338,8 +345,11 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
   // touched.  One arena per round: every shard's payload is encoded
   // back-to-back, then sliced per message (the messages share ownership of
   // the arena).  The b1 chooser never exceeds the raw encoding, so
-  // Σ(1 + 8n) bounds the arena.
-  std::string arena;
+  // Σ(1 + 8n) bounds the arena.  The arena is reused once no message of the
+  // last send is alive; in the parallel round this use_count read runs in a
+  // pool lane after the serial drain that released those messages, and the
+  // pool's region start orders the two.
+  std::string& arena = *net::RecycleArena(&arena_);
   arena.reserve(used_shards_.size() + 8 * shard_subtasks_.size());
   latency_spans_.resize(used_shards_.size());
   for (std::size_t s = 0; s < used_shards_.size(); ++s) {
@@ -352,13 +362,12 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
     latency_spans_[s] = net::AppendShardLatencyPayload(
         gather_latencies_.data(), end - begin, &arena);
   }
-  auto shared_arena = std::make_shared<const std::string>(std::move(arena));
   for (std::size_t s = 0; s < used_shards_.size(); ++s) {
     net::ShardLatencyUpdate update;
     update.task = task_;
     update.shard = used_shards_[s];
     update.count = shard_subtask_begin_[s + 1] - shard_subtask_begin_[s];
-    update.payload = net::WireSlice(shared_arena, latency_spans_[s].offset,
+    update.payload = net::WireSlice(arena_, latency_spans_[s].offset,
                                     latency_spans_[s].length);
     net::Message message;
     message.sender = self_;

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/latency_solver.h"
@@ -152,6 +154,12 @@ class TaskController {
   std::vector<std::uint32_t> shard_subtask_begin_;
   std::vector<std::uint32_t> shard_subtasks_;
 
+  /// Path p's subtasks, as slots of used_resources_ in path order:
+  /// path_slots_[path_slot_begin_[p] .. path_slot_begin_[p+1]).  Built once,
+  /// so the per-round Eq. 9 loop reads used_congested_ directly.
+  std::vector<std::uint32_t> path_slot_begin_;
+  std::vector<std::uint32_t> path_slots_;
+
   /// Compact per-used-resource caches, parallel to used_resources_.
   std::vector<double> mu_cache_;
   std::vector<std::uint8_t> used_congested_;
@@ -172,6 +180,8 @@ class TaskController {
   std::vector<double> mu_scratch_;
   std::vector<double> gather_latencies_;
   std::vector<net::ArenaSpan> latency_spans_;
+  /// The wire arena of the last send, reused once no message holds it.
+  std::shared_ptr<std::string> arena_;
 };
 
 }  // namespace lla::runtime

@@ -1,9 +1,14 @@
 #include "net/bus.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 
 namespace lla::net {
@@ -211,6 +216,178 @@ TEST(BusTest, InFlightMessageDropsWhenReceiverCrashesBeforeDelivery) {
   bus.RunAll();  // delivery attempt happens while a is down
   EXPECT_EQ(received, 0);
   EXPECT_EQ(bus.stats().dropped, 1u);
+}
+
+TEST(BusTest, TimersAndMessagesAtOneInstantRunInSendOrder) {
+  // A message, a timer and a message all due at one at_ms: messages and
+  // timers wait in different lanes, and delivery still follows issue order.
+  for (const double delay : {0.0, 1.0}) {
+    SCOPED_TRACE(delay);
+    BusConfig config;
+    config.base_delay_ms = delay;
+    InProcessBus bus(config);
+    std::vector<int> order;
+    std::vector<double> at;
+    const EndpointId a = bus.Register(
+        "a",
+        [&](const Message& m) {
+          order.push_back(static_cast<int>(
+              std::get<RepairResponse>(m.payload).mu));
+          at.push_back(bus.now_ms());
+        },
+        [&](std::uint64_t token) {
+          order.push_back(static_cast<int>(token));
+          at.push_back(bus.now_ms());
+        });
+    bus.Send(Ping(a, a, 0.0));
+    bus.ScheduleTimer(a, delay, 1);
+    bus.Send(Ping(a, a, 2.0));
+    EXPECT_EQ(bus.pending(), 3u);
+    bus.RunAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(at, (std::vector<double>(3, delay)));
+    EXPECT_EQ(bus.pending(), 0u);
+  }
+}
+
+TEST(BusTest, RandomizedTrafficKeepsOneTotalOrder) {
+  // Handlers send messages and schedule timers with delays from {0, 0.5, 1}
+  // while the test alternates RunUntil horizons with single deliveries.
+  // Whatever lane an event waits in, the bus must deliver every event once,
+  // in (time, issue order), and count exactly what is still queued.
+  constexpr double kDelays[] = {0.0, 0.5, 1.0};
+  constexpr std::uint64_t kBudget = 400;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    for (const double jitter : {0.0, 0.7}) {
+      for (const double base : kDelays) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " jitter "
+                                        << jitter << " base " << base);
+        BusConfig config;
+        config.base_delay_ms = base;
+        config.jitter_ms = jitter;
+        config.seed = seed;
+        InProcessBus bus(config);
+        Rng rng(seed + 100);
+        std::uint64_t issued = 0;
+        std::vector<double> delivered_at;  // by issue id; NaN until delivered
+        std::vector<int> deliveries;       // by issue id
+        std::vector<std::uint64_t> order;  // issue ids in delivery order
+        EndpointId a = 0;
+        const auto issue = [&] {
+          const std::uint64_t id = issued++;
+          delivered_at.push_back(std::numeric_limits<double>::quiet_NaN());
+          deliveries.push_back(0);
+          if (rng.NextDouble() < 0.5) {
+            bus.Send(Ping(a, a, static_cast<double>(id)));
+          } else {
+            bus.ScheduleTimer(a, kDelays[rng.Next() % 3], id);
+          }
+        };
+        const auto on_event = [&](std::uint64_t id) {
+          ASSERT_LT(id, issued);
+          ++deliveries[id];
+          delivered_at[id] = bus.now_ms();
+          if (!order.empty()) {
+            const double last = delivered_at[order.back()];
+            EXPECT_GE(bus.now_ms(), last);
+            if (bus.now_ms() == last) {
+              EXPECT_GT(id, order.back());
+            }
+          }
+          order.push_back(id);
+          EXPECT_EQ(bus.pending(), issued - order.size());
+          const int spawn = static_cast<int>(rng.Next() % 3);
+          for (int k = 0; k < spawn && issued < kBudget; ++k) issue();
+        };
+        a = bus.Register(
+            "a",
+            [&](const Message& m) {
+              on_event(static_cast<std::uint64_t>(
+                  std::get<RepairResponse>(m.payload).mu));
+            },
+            on_event);
+        for (int k = 0; k < 20; ++k) issue();
+        while (bus.pending() > 0) {
+          if (rng.NextDouble() < 0.3) {
+            ASSERT_TRUE(bus.DeliverNext());
+            continue;
+          }
+          const double horizon = bus.now_ms() + kDelays[rng.Next() % 3];
+          const std::size_t before = order.size();
+          bus.RunUntil(horizon);
+          EXPECT_EQ(bus.now_ms(), horizon);
+          for (std::size_t k = before; k < order.size(); ++k) {
+            EXPECT_LE(delivered_at[order[k]], horizon);
+          }
+          // Exactly the events due after the horizon stay queued: all of
+          // them, and the next delivery (so, by the order checked above,
+          // every later one) is strictly after it.
+          EXPECT_EQ(bus.pending(),
+                    static_cast<std::size_t>(std::count(
+                        deliveries.begin(), deliveries.end(), 0)));
+          if (bus.DeliverNext()) {
+            EXPECT_GT(delivered_at[order.back()], horizon);
+          }
+        }
+        EXPECT_FALSE(bus.DeliverNext());
+        EXPECT_EQ(order.size(), issued);
+        for (std::uint64_t id = 0; id < issued; ++id) {
+          EXPECT_EQ(deliveries[id], 1) << "event " << id;
+        }
+        EXPECT_EQ(bus.stats().delivered + bus.stats().timers_fired, issued);
+      }
+    }
+  }
+}
+
+// The configuration and endpoint checks abort in every build, not only
+// where assert() is compiled in.
+TEST(BusDeathTest, RejectsNegativeOrNaNBaseDelay) {
+  for (const double bad : {-1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    BusConfig config;
+    config.base_delay_ms = bad;
+    EXPECT_DEATH(InProcessBus{config}, "base_delay_ms");
+  }
+}
+
+TEST(BusDeathTest, RejectsNegativeOrNaNJitter) {
+  for (const double bad : {-0.5, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    BusConfig config;
+    config.jitter_ms = bad;
+    EXPECT_DEATH(InProcessBus{config}, "jitter_ms");
+  }
+}
+
+TEST(BusDeathTest, RejectsDropProbabilityOutsideUnitInterval) {
+  for (const double bad : {-0.1, 1.5, std::nan("")}) {
+    BusConfig config;
+    config.drop_probability = bad;
+    EXPECT_DEATH(InProcessBus{config}, "drop_probability");
+  }
+}
+
+TEST(BusDeathTest, RejectsNegativeOrNonFiniteTimerDelay) {
+  for (const double bad : {-1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    InProcessBus bus;
+    const EndpointId a = bus.Register("a", nullptr);
+    EXPECT_DEATH(bus.ScheduleTimer(a, bad, 1), "timer delay_ms");
+  }
+}
+
+TEST(BusDeathTest, RejectsUnregisteredEndpoints) {
+  InProcessBus bus;
+  const EndpointId a = bus.Register("a", nullptr);
+  const EndpointId ghost = a + 1;
+  EXPECT_DEATH(bus.Send(Ping(ghost, a)), "not registered");
+  EXPECT_DEATH(bus.Send(Ping(a, ghost)), "not registered");
+  EXPECT_DEATH(bus.ScheduleTimer(ghost, 1.0, 1), "not registered");
+  EXPECT_DEATH(bus.BlackoutEndpoint(ghost, 1.0), "not registered");
+  EXPECT_DEATH(bus.CrashEndpoint(ghost), "not registered");
+  EXPECT_DEATH(bus.RestartEndpoint(ghost), "not registered");
+  EXPECT_DEATH(bus.BumpIncarnation(ghost), "not registered");
 }
 
 }  // namespace

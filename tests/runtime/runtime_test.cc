@@ -1,10 +1,20 @@
 #include "runtime/coordinator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "net/message.h"
+#include "runtime/task_controller.h"
 #include "workloads/paper.h"
 
 namespace lla::runtime {
@@ -140,6 +150,156 @@ TEST(RuntimeTest, ControllerSeesResourcePrices) {
       const ResourceId r = w.subtask(sid).resource;
       EXPECT_NEAR(coordinator.controller(task.id).mu_seen(r),
                   coordinator.shard_of(r).mu(r), 1e-9);
+    }
+  }
+}
+
+// One task controller of the paper workload on its own bus, with one shard
+// endpoint per resource that keeps every message it receives.
+struct LoneController {
+  LoneController(const Workload& w, TaskId task, double base_delay_ms)
+      : model(w),
+        shared(w, model, LatencySolverConfig{}),
+        controller(w, model, task, AgentStepConfig{}, &shared),
+        bus([&] {
+          net::BusConfig config;
+          config.base_delay_ms = base_delay_ms;
+          return config;
+        }()) {
+    for (const ResourceInfo& resource : w.resources()) {
+      resource_shard.push_back(resource.id.value());
+      shard_endpoints.push_back(bus.Register(
+          "shard/" + std::to_string(resource.id.value()),
+          [this](const net::Message& m) { received.push_back(m); }));
+    }
+    self = bus.Register("controller", nullptr);
+    controller.Bind(&bus, self, &shard_endpoints, &resource_shard);
+  }
+
+  // Hands the controller resource r's price, as its shard would send it.
+  void ReceivePrice(ResourceId r, double mu, bool congested) {
+    auto arena = std::make_shared<std::string>();
+    const std::uint8_t flag = congested ? 1 : 0;
+    const net::ArenaSpan payload =
+        net::AppendShardPricePayload(&mu, &flag, nullptr, 1, arena.get());
+    net::Message price;
+    price.sender = shard_endpoints[r.value()];
+    price.receiver = self;
+    price.payload = net::ShardPriceUpdate{
+        r.value(), 1, 1,
+        net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
+                       payload.offset, payload.length)};
+    controller.OnMessage(price);
+  }
+
+  LatencyModel model;
+  ControllerShared shared;
+  TaskController controller;
+  net::InProcessBus bus;
+  std::vector<net::Message> received;
+  std::vector<net::EndpointId> shard_endpoints;
+  std::vector<std::uint32_t> resource_shard;
+  net::EndpointId self = 0;
+};
+
+TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
+  // Two sends before any delivery: the second may not recycle the arena the
+  // first send's messages still hold.  (That a steady-state round does
+  // recycle it is pinned by round_allocation_test.)
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  const TaskInfo& task = w.tasks().front();
+  LoneController lone(w, task.id, /*base_delay_ms=*/5.0);
+  std::vector<net::Message>& received = lone.received;
+
+  // What a send carries to each shard endpoint: the controller's latencies
+  // of its subtasks there, in local subtask order.
+  const auto sent = [&] {
+    std::map<net::EndpointId, std::vector<double>> by_shard;
+    for (std::size_t i = 0; i < task.subtasks.size(); ++i) {
+      const ResourceId r = w.subtask(task.subtasks[i]).resource;
+      by_shard[lone.shard_endpoints[r.value()]].push_back(
+          lone.controller.latencies()[i]);
+    }
+    return by_shard;
+  };
+  // The address range of the slices in received[begin, end).
+  const auto span = [&](std::size_t begin, std::size_t end) {
+    std::pair<const char*, const char*> range{nullptr, nullptr};
+    for (std::size_t k = begin; k < end; ++k) {
+      const net::WireSlice& slice =
+          std::get<net::ShardLatencyUpdate>(received[k].payload).payload;
+      if (range.first == nullptr ||
+          std::less<const char*>()(slice.data(), range.first)) {
+        range.first = slice.data();
+      }
+      if (range.second == nullptr ||
+          std::less<const char*>()(range.second,
+                                   slice.data() + slice.size())) {
+        range.second = slice.data() + slice.size();
+      }
+    }
+    return range;
+  };
+
+  lone.controller.AllocateAndSend();
+  const auto first = sent();
+  // A high price on one used resource moves the second send's solve.
+  lone.ReceivePrice(w.subtask(task.subtasks.front()).resource, 1e3, false);
+  lone.controller.AllocateAndSend();
+  const auto second = sent();
+  ASSERT_NE(first, second);
+  const std::size_t n = first.size();
+  ASSERT_EQ(lone.bus.pending(), 2 * n);
+
+  lone.bus.RunAll();
+  ASSERT_EQ(received.size(), 2 * n);
+  // Delivery follows send order, so the first n messages are the first
+  // send's; each decodes to what its own send carried.
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    std::vector<double> decoded;
+    ASSERT_TRUE(net::DecodeShardLatencyUpdate(
+        std::get<net::ShardLatencyUpdate>(received[k].payload), &decoded));
+    EXPECT_EQ(decoded, (k < n ? first : second).at(received[k].receiver))
+        << "message " << k;
+  }
+  const auto first_arena = span(0, n);
+  const auto second_arena = span(n, 2 * n);
+  const std::less<const char*> before;
+  EXPECT_TRUE(!before(second_arena.first, first_arena.second) ||
+              !before(first_arena.first, second_arena.second))
+      << "the second send wrote into the first send's in-flight arena";
+}
+
+TEST(RuntimeTest, PathStepDoublesExactlyOnPathsThroughACongestedResource) {
+  // The Eq. 9 step of a path doubles while any resource it traverses
+  // reports congestion.  Flag one used resource of one task at a time and
+  // check every path of the task after a single allocation.
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  for (const TaskInfo& task : w.tasks()) {
+    std::set<ResourceId> used;
+    for (const SubtaskId sid : task.subtasks) {
+      used.insert(w.subtask(sid).resource);
+    }
+    for (const ResourceId congested : used) {
+      SCOPED_TRACE(testing::Message() << "task " << task.id.value()
+                                      << " resource " << congested.value());
+      LoneController lone(w, task.id, /*base_delay_ms=*/0.0);
+      lone.ReceivePrice(congested, 0.0, true);
+      lone.controller.AllocateAndSend();
+      const std::vector<double>& steps =
+          lone.controller.path_step_multipliers();
+      ASSERT_EQ(steps.size(), task.paths.size());
+      for (std::size_t p = 0; p < task.paths.size(); ++p) {
+        bool traverses = false;
+        for (const SubtaskId sid : w.path(task.paths[p]).subtasks) {
+          traverses = traverses || w.subtask(sid).resource == congested;
+        }
+        EXPECT_EQ(steps[p], traverses ? 2.0 : 1.0) << "path " << p;
+      }
     }
   }
 }
