@@ -252,7 +252,7 @@ DistributedRun RunDistributed(const Workload& workload,
     coordinator.RestartEndpoint(victim);
   }
 
-  const double monitor_period = 10.0;
+  const double monitor_period = runtime::kMonitorPeriodMs;
   const int max_rounds = 1000;
   const auto price_recovered = [&] {
     return !host.resource_crashed(victim) &&

@@ -79,19 +79,9 @@ class ScalarReferenceEngine {
 
  private:
   void UpdateConvergence(double utility) {
-    const ConvergenceConfig& conv = config_.convergence;
-    recent_utilities_.push_back(utility);
-    while (static_cast<int>(recent_utilities_.size()) > conv.window) {
-      recent_utilities_.pop_front();
-    }
-    if (static_cast<int>(recent_utilities_.size()) < conv.window) return;
-    double lo = recent_utilities_.front(), hi = recent_utilities_.front();
-    for (double u : recent_utilities_) {
-      lo = std::min(lo, u);
-      hi = std::max(hi, u);
-    }
-    bool settled = (hi - lo) <= conv.rel_tol * std::max(1.0, std::fabs(hi));
-    if (settled && conv.require_complementary_slackness) {
+    bool settled = UtilityWindowSettled(&recent_utilities_, utility,
+                                        config_.convergence.rel_tol);
+    if (settled) {
       double residual = 0.0;
       for (const ResourceInfo& resource : workload_->resources()) {
         const double slack =
@@ -108,11 +98,9 @@ class ScalarReferenceEngine {
         residual = std::max(residual, prices_.lambda[path.id.value()] *
                                           std::max(0.0, slack));
       }
-      settled = residual <= conv.complementarity_tol;
-    }
-    if (settled && conv.require_feasible) {
-      settled = CheckFeasibility(*workload_, *model_, latencies_,
-                                 conv.feasibility_tol)
+      settled = residual <= kComplementarityTol &&
+                CheckFeasibility(*workload_, *model_, latencies_,
+                                 ConvergenceConfig::feasibility_tol)
                     .feasible;
     }
   }

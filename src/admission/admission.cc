@@ -88,16 +88,13 @@ std::vector<ProbeResult> AdmissionController::ProbeAllImpl(
     auto model = std::make_unique<LatencyModel>(*workload);
 
     // Fast certificate: Phase-I finds (or fails to find) an interior point.
-    if (config_.phase1_precheck) {
-      Phase1Solver phase1(*workload, *model);
-      const Phase1Result result = phase1.Solve();
-      if (!result.strictly_feasible && result.max_violation > 1e-3) {
-        std::ostringstream os;
-        os << "Phase-I residual " << result.max_violation
-           << ": no feasible assignment exists";
-        out.reason = os.str();
-        continue;
-      }
+    const Phase1Result phase1 = Phase1Solver(*workload, *model).Solve();
+    if (!phase1.strictly_feasible && phase1.max_violation > 1e-3) {
+      std::ostringstream os;
+      os << "Phase-I residual " << phase1.max_violation
+         << ": no feasible assignment exists";
+      out.reason = os.str();
+      continue;
     }
     pending.push_back({i, std::move(workload), std::move(model)});
   }

@@ -43,8 +43,6 @@ struct AdmissionConfig {
   /// kNetBenefit: required utility improvement over the incumbent-only
   /// optimum.
   double min_net_benefit = 0.0;
-  /// Run the Phase-I solver before the full optimizer (fast reject).
-  bool phase1_precheck = true;
   /// Threads for concurrent admission probes: TryAdmit runs its
   /// incumbent-only and with-candidate optimizations side by side, and
   /// ProbeAll fans independent what-if sets across an EngineBatch.  Each
@@ -93,7 +91,7 @@ class AdmissionController {
   double CurrentUtility() const;
 
   /// What-if probes: evaluates every candidate task set through the full
-  /// pipeline (validation, min-share precheck, optional Phase-I, LLA run)
+  /// pipeline (validation, min-share precheck, Phase-I, LLA run)
   /// without touching the admitted set.  The optimizer runs of all sets
   /// that survive the prechecks execute concurrently across
   /// config.probe_threads (EngineBatch); each result is bit-identical to a

@@ -7,6 +7,12 @@
 namespace lla::baselines {
 namespace {
 
+// Proportional gain on the utilization error, the relative rate move below
+// which the loop has converged, and the rate cap relative to nominal.
+constexpr double kGain = 0.5;
+constexpr double kTolerance = 1e-6;
+constexpr double kRateMaxFactor = 1.0;
+
 /// Utilization of every resource at the given task rates.
 std::vector<double> Utilizations(const Workload& workload,
                                  const std::vector<double>& rates) {
@@ -51,16 +57,15 @@ RateControlResult RunRateControl(const Workload& workload,
       const double error = config.utilization_setpoint - bottleneck;
       const std::size_t t = task.id.value();
       const double updated = std::clamp(
-          result.rates[t] * (1.0 + config.gain * error),
-          config.rate_min_factor * nominal[t],
-          config.rate_max_factor * nominal[t]);
+          result.rates[t] * (1.0 + kGain * error),
+          config.rate_min_factor * nominal[t], kRateMaxFactor * nominal[t]);
       max_update = std::max(
           max_update, std::fabs(updated - result.rates[t]) /
                           std::max(nominal[t], 1e-12));
       result.rates[t] = updated;
     }
     result.iterations = iteration + 1;
-    if (max_update < config.tolerance) {
+    if (max_update < kTolerance) {
       result.converged = true;
       break;
     }

@@ -12,7 +12,7 @@
 //   u_r(rates) = sum over subtasks on r of rate_i * wcet_s / 1000
 //   per iteration, each task nudges its rate toward the point where the
 //   most-utilized resource it touches hits the setpoint, clamped to
-//   [rate_min_factor, rate_max_factor] x nominal.
+//   [rate_min_factor, 1] x nominal.
 //
 // For evaluation the controlled rates are mapped to proportional shares
 // (each subtask receives capacity in proportion to its utilization demand)
@@ -32,14 +32,10 @@ struct RateControlConfig {
   /// Target utilization per resource (the classic schedulable-bound
   /// setpoint; EUC papers use values near 0.7).
   double utilization_setpoint = 0.7;
-  /// Proportional feedback gain on the relative utilization error.
-  double gain = 0.5;
   int max_iterations = 300;
-  double tolerance = 1e-6;
-  /// Rate bounds relative to the nominal (trigger) rate: tasks may be
-  /// throttled down to the min factor, never boosted past the max.
+  /// Lower rate bound relative to the nominal (trigger) rate: tasks may be
+  /// throttled down to this factor, never boosted past the nominal rate.
   double rate_min_factor = 0.1;
-  double rate_max_factor = 1.0;
 };
 
 struct RateControlResult {

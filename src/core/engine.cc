@@ -28,9 +28,14 @@ LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
       model_(&model),
       config_(config),
       solver_(workload, model, config.solver),
-      updater_(workload, model),
-      step_policy_(MakeStepPolicy(config)) {
+      updater_(workload, model) {
   ValidateDynamicsConfig(config_.dynamics, "LlaEngine");
+  RequirePositiveStepParameter(config_.gamma0, "LlaEngine", "gamma0");
+  RequireStepMultiplierCap(config_.adaptive_max_multiplier, "LlaEngine",
+                           "adaptive_max_multiplier");
+  RequirePositiveStepParameter(config_.diminishing_tau, "LlaEngine",
+                               "diminishing_tau");
+  step_policy_ = MakeStepPolicy(config_);
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads,
                                          config_.parallel);
@@ -598,22 +603,24 @@ void LlaEngine::EmitTrace(const IterationStats& stats) {
   config_.trace_sink->OnIteration(trace_);
 }
 
-void LlaEngine::UpdateConvergence(double utility, bool feasible) {
-  const ConvergenceConfig& conv = config_.convergence;
-  recent_utilities_.push_back(utility);
-  while (static_cast<int>(recent_utilities_.size()) > conv.window) {
-    recent_utilities_.pop_front();
+bool UtilityWindowSettled(std::deque<double>* recent, double utility,
+                          double rel_tol) {
+  recent->push_back(utility);
+  while (static_cast<int>(recent->size()) > kConvergenceWindow) {
+    recent->pop_front();
   }
-  if (static_cast<int>(recent_utilities_.size()) < conv.window) {
-    converged_ = false;
-    return;
-  }
+  if (static_cast<int>(recent->size()) < kConvergenceWindow) return false;
   const auto [min_it, max_it] =
-      std::minmax_element(recent_utilities_.begin(), recent_utilities_.end());
+      std::minmax_element(recent->begin(), recent->end());
   const double spread = *max_it - *min_it;
   const double scale = std::max(1.0, std::fabs(*max_it));
-  bool settled = spread <= conv.rel_tol * scale;
-  if (settled && conv.require_complementary_slackness) {
+  return spread <= rel_tol * scale;
+}
+
+void LlaEngine::UpdateConvergence(double utility, bool feasible) {
+  bool settled = UtilityWindowSettled(&recent_utilities_, utility,
+                                      config_.convergence.rel_tol);
+  if (settled) {
     // At a dual fixed point every constraint is tight or its price ~0.
     // The workspace holds this step's share sums / path latencies.
     double residual = 0.0;
@@ -631,10 +638,7 @@ void LlaEngine::UpdateConvergence(double utility, bool feasible) {
       residual = std::max(residual, prices_.lambda[path.id.value()] *
                                         std::max(0.0, slack));
     }
-    settled = residual <= conv.complementarity_tol;
-  }
-  if (settled && conv.require_feasible) {
-    settled = feasible;
+    settled = residual <= kComplementarityTol && feasible;
   }
   converged_ = settled;
 }

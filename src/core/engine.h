@@ -54,20 +54,24 @@ struct ConvergenceConfig {
   /// Converged when the relative utility change across the trailing window
   /// stays below this.
   double rel_tol = 1e-5;
-  int window = 10;
-  /// Additionally require near-feasibility before declaring convergence
-  /// (the dual approaches the constraint boundary, so allow this slack).
-  bool require_feasible = true;
-  double feasibility_tol = 1e-3;
-  /// Utility can plateau while the dual state is far from its fixed point
-  /// (e.g. all latencies pinned at box bounds under inflated prices, slack
-  /// resources still carrying large mu).  Convergence therefore also
-  /// requires approximate complementary slackness: for every resource,
-  /// mu_r * slack_r / B_r below this (and the path analogue); at a true
-  /// dual fixed point either the constraint is tight or its price is ~0.
-  bool require_complementary_slackness = true;
-  double complementarity_tol = 0.1;
+  /// ... and near-feasibility (the dual approaches the boundary).
+  static constexpr double feasibility_tol = 1e-3;
 };
+
+/// Length of the trailing utility window of the stop rule.
+inline constexpr int kConvergenceWindow = 10;
+
+/// Utility can plateau far from the dual fixed point (latencies pinned at box
+/// bounds under inflated prices), so the engine also requires approximate
+/// complementary slackness: mu_r * slack_r / B_r at most this for every
+/// resource, and the path analogue.
+inline constexpr double kComplementarityTol = 0.1;
+
+/// The stop rule's utility window, shared by the engine and the coordinator:
+/// pushes `utility` onto `recent`, keeps the last kConvergenceWindow values
+/// and is true once they are all in and spread at most rel_tol * max(1, |max|).
+bool UtilityWindowSettled(std::deque<double>* recent, double utility,
+                          double rel_tol);
 
 /// The incremental (active-set) stepping mode: dirty-tracked sparse dual
 /// iteration.  See DESIGN.md §7.6.

@@ -7,12 +7,35 @@
 #include "common/math.h"
 
 namespace lla {
+namespace {
+// Tolerance and iteration cap of the per-task fixed point (nonlinear f_i).
+constexpr double kFixedPointTol = 1e-10;
+constexpr int kFixedPointMaxIter = 200;
+}  // namespace
+
+LatencyBox SubtaskLatencyBox(const Workload& workload,
+                             const LatencyModel& model, SubtaskId id) {
+  const SubtaskInfo& sub = workload.subtask(id);
+  const ShareFunction& share = model.share(id);
+  const double cap = workload.resource(sub.resource).capacity;
+  // The subtask may not demand more than the whole available fraction; with
+  // corrected models the inverse can dip to/below MinLatency, so guard it.
+  const double floor =
+      std::max(share.MinLatency() * (1.0 + 1e-12) + 1e-12, 1e-9);
+  LatencyBox box;
+  box.lo = std::max(share.LatencyForShare(cap), floor);
+  const double critical_time = workload.task(sub.task).critical_time_ms;
+  const double hi = sub.min_share > 0.0
+                        ? share.LatencyForShare(sub.min_share)
+                        : kLatCapFactor * critical_time;
+  box.hi = std::max(hi, box.lo);
+  return box;
+}
 
 LatencySolver::LatencySolver(const Workload& workload,
                              const LatencyModel& model,
                              LatencySolverConfig config)
     : workload_(&workload), model_(&model), config_(config) {
-  assert(config.lat_cap_factor >= 1.0);
   const std::size_t n = workload.subtask_count();
   weight_.reserve(n);
   resource_index_.reserve(n);
@@ -47,27 +70,6 @@ LatencySolver::LatencySolver(const Workload& workload,
   }
 }
 
-double LatencySolver::ComputeLatLo(SubtaskId id) const {
-  const SubtaskInfo& sub = workload_->subtask(id);
-  const ShareFunction& share = model_->share(id);
-  const double cap = workload_->resource(sub.resource).capacity;
-  // The subtask may not demand more than the whole available fraction; with
-  // corrected models the inverse can dip to/below MinLatency, so guard it.
-  const double floor =
-      std::max(share.MinLatency() * (1.0 + 1e-12) + 1e-12, 1e-9);
-  return std::max(share.LatencyForShare(cap), floor);
-}
-
-double LatencySolver::ComputeLatHi(SubtaskId id) const {
-  const SubtaskInfo& sub = workload_->subtask(id);
-  const ShareFunction& share = model_->share(id);
-  const double critical_time =
-      workload_->task(sub.task).critical_time_ms;
-  double hi = sub.min_share > 0.0 ? share.LatencyForShare(sub.min_share)
-                                  : config_.lat_cap_factor * critical_time;
-  return std::max(hi, ComputeLatLo(id));
-}
-
 void LatencySolver::EnsureCacheFresh() const {
   if (!config_.cache_invariants) return;
   if (cache_valid_ && cached_revision_ == model_->revision()) return;
@@ -81,8 +83,9 @@ void LatencySolver::EnsureCacheFresh() const {
   std::vector<std::uint8_t> closed(n, 0);
   for (std::size_t s = 0; s < n; ++s) {
     const SubtaskId id(s);
-    lat_lo_[s] = ComputeLatLo(id);
-    lat_hi_[s] = ComputeLatHi(id);
+    const LatencyBox box = SubtaskLatencyBox(*workload_, *model_, id);
+    lat_lo_[s] = box.lo;
+    lat_hi_[s] = box.hi;
     share_[s] = &model_->share(id);
     double work = 0.0, err = 0.0;
     if (share_[s]->ReciprocalForm(&work, &err)) {
@@ -112,15 +115,13 @@ void LatencySolver::InvalidateModelCache() {
 }
 
 double LatencySolver::LatLo(SubtaskId id) const {
-  if (!config_.cache_invariants) return ComputeLatLo(id);
   EnsureCacheFresh();
-  return lat_lo_[id.value()];
+  return Box(id).lo;
 }
 
 double LatencySolver::LatHi(SubtaskId id) const {
-  if (!config_.cache_invariants) return ComputeLatHi(id);
   EnsureCacheFresh();
-  return lat_hi_[id.value()];
+  return Box(id).hi;
 }
 
 double LatencySolver::SolveSubtask(SubtaskId id, double utility_slope,
@@ -128,8 +129,7 @@ double LatencySolver::SolveSubtask(SubtaskId id, double utility_slope,
   const std::size_t s = id.value();
   const bool cached = config_.cache_invariants;
   const ShareFunction& share = cached ? *share_[s] : model_->share(id);
-  const double lo = cached ? lat_lo_[s] : ComputeLatLo(id);
-  const double hi = cached ? lat_hi_[s] : ComputeLatHi(id);
+  const auto [lo, hi] = Box(id);
   if (lo >= hi) return lo;
 
   const double w = weight_[s];
@@ -228,9 +228,9 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
   // Bracket the coupling value X = sum of weighted latencies.
   double x_lo = 0.0, x_hi = 0.0;
   for (SubtaskId sid : info.subtasks) {
-    const std::size_t s = sid.value();
-    x_lo += weight_[s] * (cached ? lat_lo_[s] : ComputeLatLo(sid));
-    x_hi += weight_[s] * (cached ? lat_hi_[s] : ComputeLatHi(sid));
+    const LatencyBox box = Box(sid);
+    x_lo += weight_[sid.value()] * box.lo;
+    x_hi += weight_[sid.value()] * box.hi;
   }
 
   // If f' is (numerically) constant over the bracket — the linear case —
@@ -262,11 +262,11 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
     };
     double lo = x_lo, hi = x_hi;
     double x = 0.5 * (lo + hi);
-    for (int iter = 0; iter < config_.fixed_point_max_iter; ++iter) {
+    for (int iter = 0; iter < kFixedPointMaxIter; ++iter) {
       x = 0.5 * (lo + hi);
       const double gap = h(x) - x;
-      if (std::fabs(gap) <= config_.fixed_point_tol * (1.0 + x) ||
-          (hi - lo) <= config_.fixed_point_tol * (1.0 + x)) {
+      if (std::fabs(gap) <= kFixedPointTol * (1.0 + x) ||
+          (hi - lo) <= kFixedPointTol * (1.0 + x)) {
         break;
       }
       if (gap > 0.0) {

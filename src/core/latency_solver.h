@@ -16,7 +16,7 @@
 // Latencies are clamped to [lat_lo, lat_hi]:
 //   lat_lo: share may not exceed the resource capacity B_r;
 //   lat_hi: share may not drop below the sustainable minimum (min_share),
-//           else a configurable multiple of the critical time.
+//           else a fixed multiple of the critical time (SubtaskLatencyBox).
 //
 // The bounds, variant weights and the subtask->path price index depend only
 // on the workload, the model and the config, not on the prices, so the
@@ -41,13 +41,22 @@
 
 namespace lla {
 
+/// lat_hi of a subtask without a min_share floor, per unit critical time.
+inline constexpr double kLatCapFactor = 10.0;
+
+struct LatencyBox {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// The latency box of subtask `id` (see the file comment).  LatencySolver,
+/// BarrierSolver and Phase1Solver all clamp to it, so the reference solvers
+/// solve LLA's box by construction.
+LatencyBox SubtaskLatencyBox(const Workload& workload,
+                             const LatencyModel& model, SubtaskId id);
+
 struct LatencySolverConfig {
   UtilityVariant variant = UtilityVariant::kPathWeighted;
-  /// lat_hi = lat_cap_factor * critical_time when no min_share floor.
-  double lat_cap_factor = 10.0;
-  /// Tolerance/iteration cap for the per-task fixed point (nonlinear f_i).
-  double fixed_point_tol = 1e-10;
-  int fixed_point_max_iter = 200;
   /// Disables the per-subtask invariant cache: bounds, weights and path
   /// price sums are recomputed on every evaluation, as the pre-workspace
   /// solver did.  Reference/bench mode only — results are bit-identical
@@ -133,10 +142,12 @@ class LatencySolver {
   /// entering any parallel region).
   void EnsureCacheFresh() const;
 
-  /// Uncached bound computations (the cache builder and reference path).
-  double ComputeLatLo(SubtaskId id) const;
-  double ComputeLatHi(SubtaskId id) const;
-
+  /// The subtask's box: cached, or recomputed when cache_invariants is off.
+  LatencyBox Box(SubtaskId id) const {
+    return config_.cache_invariants
+               ? LatencyBox{lat_lo_[id.value()], lat_hi_[id.value()]}
+               : SubtaskLatencyBox(*workload_, *model_, id);
+  }
   /// lat_s given the utility slope f_i'(X) at the coupling value X.
   double SolveSubtask(SubtaskId id, double utility_slope,
                       const PriceVector& prices) const;

@@ -5,6 +5,15 @@
 #include <sstream>
 
 namespace lla {
+namespace {
+// A non-converged run is unschedulable when, averaged over the last
+// kStableWindow iterations (one oscillation spike is no verdict), its
+// critical path exceeds kViolationThreshold critical times or a share sum
+// exceeds B_r by kResourceExcessThreshold (Figure 7 shows both).
+constexpr double kViolationThreshold = 1.05;
+constexpr double kResourceExcessThreshold = 0.05;
+constexpr int kStableWindow = 25;
+}  // namespace
 
 const char* ToString(Schedulability verdict) {
   switch (verdict) {
@@ -56,8 +65,8 @@ SchedulabilityReport SchedulabilityTester::Test() {
 
   // Trailing-window means of the violation signals.
   const auto& history = engine.history();
-  const int window = std::min<int>(config_.stable_window,
-                                   static_cast<int>(history.size()));
+  const int window =
+      std::min<int>(kStableWindow, static_cast<int>(history.size()));
   double mean_ratio = 0.0;
   double mean_excess = 0.0;
   for (int i = 0; i < window; ++i) {
@@ -76,8 +85,8 @@ SchedulabilityReport SchedulabilityTester::Test() {
     report.verdict = Schedulability::kSchedulable;
     os << "converged to a feasible assignment after " << run.iterations
        << " iterations";
-  } else if (mean_ratio > config_.violation_threshold ||
-             mean_excess > config_.resource_excess_threshold) {
+  } else if (mean_ratio > kViolationThreshold ||
+             mean_excess > kResourceExcessThreshold) {
     report.verdict = Schedulability::kUnschedulable;
     os << "no convergence after " << run.iterations
        << " iterations; critical paths persistently at " << mean_ratio

@@ -24,16 +24,6 @@ const char* ToString(Schedulability verdict);
 struct SchedulabilityConfig {
   LlaConfig lla;
   int max_iterations = 2000;
-  /// Critical-path-to-critical-time ratio above which a non-converged run
-  /// is declared unschedulable.
-  double violation_threshold = 1.05;
-  /// Resource share excess (sum of shares minus B_r) above which a
-  /// non-converged run is declared unschedulable (Figure 7 also shows the
-  /// share sums failing to settle below capacity).
-  double resource_excess_threshold = 0.05;
-  /// The violations must persist on average over this many trailing
-  /// iterations (a single oscillation spike is not a verdict).
-  int stable_window = 25;
 };
 
 struct SchedulabilityReport {

@@ -2,9 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace lla {
+namespace {
+
+void RequireStepParameter(bool in_range, double value, const char* owner,
+                          const char* name, const char* range) {
+  if (in_range && std::isfinite(value)) return;
+  std::fprintf(stderr, "%s: step parameter %s = %g must be finite and %s\n",
+               owner, name, value, range);
+  std::abort();
+}
+
+}  // namespace
+
+void RequirePositiveStepParameter(double value, const char* owner,
+                                  const char* name) {
+  RequireStepParameter(value > 0.0, value, owner, name, "> 0");
+}
+
+void RequireStepMultiplierCap(double value, const char* owner,
+                              const char* name) {
+  RequireStepParameter(value >= 1.0, value, owner, name, ">= 1");
+}
 
 const char* ToString(StepPolicyKind kind) {
   switch (kind) {
@@ -19,7 +43,7 @@ const char* ToString(StepPolicyKind kind) {
 }
 
 FixedStepSize::FixedStepSize(double gamma) : gamma_(gamma) {
-  assert(gamma > 0.0);
+  RequirePositiveStepParameter(gamma, "FixedStepSize", "gamma");
 }
 
 void FixedStepSize::Reset(const Workload& /*workload*/) {}
@@ -39,8 +63,9 @@ std::string FixedStepSize::Describe() const {
 
 AdaptiveStepSize::AdaptiveStepSize(double gamma0, double max_multiplier)
     : gamma0_(gamma0), max_multiplier_(max_multiplier) {
-  assert(gamma0 > 0.0);
-  assert(max_multiplier >= 1.0);
+  RequirePositiveStepParameter(gamma0, "AdaptiveStepSize", "gamma0");
+  RequireStepMultiplierCap(max_multiplier, "AdaptiveStepSize",
+                           "max_multiplier");
 }
 
 void AdaptiveStepSize::Reset(const Workload& workload) {
@@ -110,8 +135,8 @@ std::string AdaptiveStepSize::Describe() const {
 
 DiminishingStepSize::DiminishingStepSize(double gamma0, double tau)
     : gamma0_(gamma0), tau_(tau) {
-  assert(gamma0 > 0.0);
-  assert(tau > 0.0);
+  RequirePositiveStepParameter(gamma0, "DiminishingStepSize", "gamma0");
+  RequirePositiveStepParameter(tau, "DiminishingStepSize", "tau");
 }
 
 void DiminishingStepSize::Reset(const Workload& /*workload*/) {

@@ -122,6 +122,14 @@ inline double NextStepMultiplier(double multiplier, bool congested,
   return congested ? std::min(multiplier * 2.0, cap) : 1.0;
 }
 
+/// Range checks on step parameters, in every build mode: each aborts with a
+/// message naming `owner` and `name` unless `value` is finite and > 0 (a
+/// step, tau) or finite and >= 1 (a doubling cap).
+void RequirePositiveStepParameter(double value, const char* owner,
+                                  const char* name);
+void RequireStepMultiplierCap(double value, const char* owner,
+                              const char* name);
+
 /// Which policy an LlaConfig selects.
 enum class StepPolicyKind { kFixed, kAdaptive, kDiminishing };
 

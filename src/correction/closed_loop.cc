@@ -3,6 +3,10 @@
 #include <cassert>
 
 namespace lla::correction {
+namespace {
+// Optimizer budget per epoch; the engine keeps its prices across epochs.
+constexpr int kOptimizerIterationsPerEpoch = 4000;
+}  // namespace
 
 ClosedLoop::ClosedLoop(const Workload& workload, ClosedLoopConfig config)
     : workload_(&workload), config_(config), model_(workload) {
@@ -29,7 +33,7 @@ std::vector<EpochRecord> ClosedLoop::Run() {
     // 1. Optimize on the current model and enact.  The engine keeps its
     // price state across epochs, mirroring the continuously-running
     // optimizer of Sec. 4.4 (model updates shift its fixed point).
-    const RunResult run = engine.Run(config_.optimizer_iterations_per_epoch);
+    const RunResult run = engine.Run(kOptimizerIterationsPerEpoch);
     record.optimizer_utility = run.final_utility;
     record.optimizer_converged = run.converged;
 

@@ -40,7 +40,6 @@ struct ClosedLoopConfig {
   /// Epoch index at which correction turns on (epochs before it reproduce
   /// the uncorrected phase); negative disables correction entirely.
   int enable_correction_at_epoch = 5;
-  int optimizer_iterations_per_epoch = 4000;
 };
 
 struct EpochRecord {

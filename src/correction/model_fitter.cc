@@ -7,6 +7,10 @@
 #include "model/share.h"
 
 namespace lla::correction {
+namespace {
+// Observation windows with fewer latency samples than this are skipped.
+constexpr std::size_t kMinWindowSamples = 20;
+}  // namespace
 
 ShareModelFitter::ShareModelFitter(const Workload& workload,
                                    LatencyModel* model, FitterConfig config)
@@ -25,7 +29,7 @@ void ShareModelFitter::Observe(const std::vector<SampleQuantile>& measured,
   assert(enacted_shares.size() == workload_->subtask_count());
   for (const SubtaskInfo& sub : workload_->subtasks()) {
     const std::size_t s = sub.id.value();
-    if (measured[s].count() < config_.min_window_samples) continue;
+    if (measured[s].count() < kMinWindowSamples) continue;
     const double share = enacted_shares[s];
     if (share <= 0.0) continue;
 

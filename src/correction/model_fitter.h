@@ -35,8 +35,6 @@ struct FitterConfig {
   std::size_t min_samples = 3;
   /// Required relative spread of 1/share across remembered observations.
   double min_regressor_spread = 0.05;
-  /// Observation windows with fewer latency samples than this are skipped.
-  std::size_t min_window_samples = 20;
   /// Fitted work must stay positive and within sanity bounds relative to
   /// the nominal (wcet + lag); otherwise the fit is rejected this round.
   double max_work_ratio = 4.0;

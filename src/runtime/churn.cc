@@ -9,6 +9,11 @@
 #include "workloads/transform.h"
 
 namespace lla::runtime {
+namespace {
+// MakeChurnScript's mutation mix; the remainder are WCET perturbations.
+constexpr double kJoinFraction = 0.4;
+constexpr double kLeaveFraction = 0.3;
+}  // namespace
 
 const char* ToString(ChurnKind kind) {
   switch (kind) {
@@ -114,10 +119,7 @@ void ChurnDriver::RunAndRecord(std::size_t prime_solves,
   record->subtask_solves =
       static_cast<std::uint64_t>(prime_solves) + result.subtask_solves;
   record->final_utility = result.final_utility;
-  if (!result.converged && config_.cold_restart_on_stall) {
-    // Warm continuation stalled (see ChurnConfig::cold_restart_on_stall):
-    // restart from cold once, charging the retry — including its dense
-    // prime — to the same record.
+  if (!result.converged) {
     engine_->Reset();
     const RunResult retry = engine_->Run(config_.max_iterations);
     record->converged = retry.converged;
@@ -133,21 +135,10 @@ void ChurnDriver::RunAndRecord(std::size_t prime_solves,
   record->tasks_after = workload_->task_count();
 }
 
-ChurnRecord ChurnDriver::ApplyJoin(const TaskSpec& candidate,
-                                   bool pre_approved) {
+ChurnRecord ChurnDriver::ApplyJoin(const TaskSpec& candidate) {
   ChurnRecord record;
   record.kind = ChurnKind::kJoin;
   record.tasks_after = workload_->task_count();
-  if (!pre_approved && config_.gate_joins) {
-    std::vector<TaskSpec> with_candidate = CorrectedSpecs();
-    with_candidate.push_back(candidate);
-    const auto probes = admission_->ProbeAll({std::move(with_candidate)});
-    if (!probes.front().schedulable) {
-      record.note = probes.front().reason.empty() ? "not schedulable"
-                                                  : probes.front().reason;
-      return record;
-    }
-  }
   std::vector<TaskSpec> new_tasks = tasks_;
   new_tasks.push_back(candidate);
   const TaskId added(static_cast<std::uint32_t>(new_tasks.size() - 1));
@@ -213,7 +204,8 @@ ChurnRecord ChurnDriver::ApplyPerturb(const ChurnMutation& mutation) {
 ChurnRecord ChurnDriver::Apply(const ChurnMutation& mutation) {
   switch (mutation.kind) {
     case ChurnKind::kJoin:
-      return ApplyJoin(mutation.join_task, /*pre_approved=*/false);
+      // A one-join burst: ApplyAll's gate probes exactly this candidate set.
+      return ApplyAll({mutation}).front();
     case ChurnKind::kLeave:
       return ApplyLeave(mutation.leave_index);
     case ChurnKind::kWcetPerturb:
@@ -228,7 +220,7 @@ std::vector<ChurnRecord> ChurnDriver::ApplyAll(
   records.reserve(script.size());
   std::size_t i = 0;
   while (i < script.size()) {
-    if (script[i].kind != ChurnKind::kJoin || !config_.gate_joins) {
+    if (script[i].kind != ChurnKind::kJoin) {
       records.push_back(Apply(script[i]));
       ++i;
       continue;
@@ -256,8 +248,7 @@ std::vector<ChurnRecord> ChurnDriver::ApplyAll(
       std::size_t prefix = 0;
       while (prefix < probes.size() && probes[prefix].schedulable) ++prefix;
       for (std::size_t k = 0; k < prefix; ++k) {
-        records.push_back(
-            ApplyJoin(script[i + k].join_task, /*pre_approved=*/true));
+        records.push_back(ApplyJoin(script[i + k].join_task));
       }
       i += prefix;
       if (i < burst_end) {
@@ -303,12 +294,12 @@ Expected<std::vector<ChurnMutation>> MakeChurnScript(
   for (std::size_t m = 0; m < config.mutations; ++m) {
     const double draw = rng.NextDouble();
     ChurnMutation mutation;
-    if (draw < config.join_fraction) {
+    if (draw < kJoinFraction) {
       mutation.kind = ChurnKind::kJoin;
       mutation.join_task = pool[joins % pool.size()];
       mutation.join_task.name = "join_" + std::to_string(joins);
       ++joins;
-    } else if (draw < config.join_fraction + config.leave_fraction) {
+    } else if (draw < kJoinFraction + kLeaveFraction) {
       mutation.kind = ChurnKind::kLeave;
       mutation.leave_index = static_cast<std::size_t>(rng.Below(1u << 30));
     } else {

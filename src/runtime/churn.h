@@ -64,17 +64,6 @@ struct ChurnConfig {
   std::size_t min_tasks = 1;
   /// ProbeAll gate for joins (its own LlaConfig + probe_threads).
   admission::AdmissionConfig admission;
-  /// Escape hatch for warm-continuation stalls: near the saturation
-  /// boundary the dual dynamics resumed from a stale operating point can
-  /// limit-cycle (observed: an in-place WCET correction left the warm
-  /// engine at 1.6e-5 resource excess for 120k+ iterations while a COLD
-  /// solve of the identical system converged in 9k).  When a mutation's
-  /// re-convergence misses max_iterations, Reset() and re-run once from
-  /// cold; both attempts are charged to the record (note says so).
-  bool cold_restart_on_stall = true;
-  /// Disable to apply joins unprobed (property tests exercising the engine
-  /// path without paying for admission probes).
-  bool gate_joins = true;
 };
 
 /// Outcome of one mutation, the bench's unit of record.
@@ -135,13 +124,18 @@ class ChurnDriver {
   /// stall the live engine on an infeasible join.
   std::vector<TaskSpec> CorrectedSpecs() const;
 
-  ChurnRecord ApplyJoin(const TaskSpec& candidate, bool pre_approved);
+  /// Applies a join the admission gate has already approved.
+  ChurnRecord ApplyJoin(const TaskSpec& candidate);
   ChurnRecord ApplyLeave(std::size_t leave_index);
   ChurnRecord ApplyPerturb(const ChurnMutation& mutation);
   /// Swaps in a rebuilt workload/model/engine warm-started from the live
   /// prices; returns false (live system untouched) on any failure.
   bool CommitStructural(std::vector<TaskSpec> new_tasks,
                         StructuralChange change, std::string* error);
+  /// Re-converges the live engine within max_iterations.  A warm run that
+  /// misses the budget is retried once from cold (DESIGN.md §7.9: near
+  /// saturation a resumed dual can limit-cycle where a cold solve
+  /// converges), charging both runs and the cold prime to the record.
   void RunAndRecord(std::size_t prime_solves, ChurnRecord* record);
   /// Re-applies the accumulated WCET corrections to a fresh model.
   void ReplayWcetErrors();
@@ -158,15 +152,14 @@ class ChurnDriver {
   std::map<std::pair<std::string, std::size_t>, double> wcet_errors_;
 };
 
-/// Deterministic churn script generator (pure function of the config).
+/// Deterministic churn script generator (pure function of the config): 40%
+/// joins, 30% leaves, the rest WCET perturbations.
 struct ChurnScriptConfig {
   std::uint64_t seed = 1;
   std::size_t mutations = 100;
   /// Resource-id space the generated join candidates reference; must equal
   /// the target system's resource count.
   int num_resources = 8;
-  double join_fraction = 0.4;
-  double leave_fraction = 0.3;  ///< remainder: WCET perturbations
   /// Perturbation magnitude: each kWcetPerturb draws uniformly from
   /// [-wcet_error_ms, wcet_error_ms).
   double wcet_error_ms = 0.02;

@@ -13,12 +13,21 @@ namespace {
 constexpr std::uint64_t kControllerTimer = 1;
 constexpr std::uint64_t kResourceTimer = 2;
 constexpr std::uint64_t kMonitorTimer = 3;
+// Async mode: the controllers' and the shards' re-optimization periods, and
+// the phase stagger between consecutive agents' first ticks.
+constexpr double kControllerPeriodMs = 10.0;
+constexpr double kResourcePeriodMs = 10.0;
+constexpr double kPhaseSpreadMs = 1.0;
 }  // namespace
 
 Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
                          CoordinatorConfig config)
     : workload_(&workload), model_(&model), config_(config) {
   ValidateDynamicsConfig(config_.dynamics, "Coordinator");
+  RequirePositiveStepParameter(config_.step.gamma0, "Coordinator",
+                               "step.gamma0");
+  RequireStepMultiplierCap(config_.step.adaptive_max_multiplier,
+                           "Coordinator", "step.adaptive_max_multiplier");
   if (config_.metrics != nullptr) {
     rounds_counter_ = config_.metrics->GetCounter("coordinator.rounds");
     samples_counter_ = config_.metrics->GetCounter("coordinator.samples");
@@ -87,7 +96,7 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
       "monitor", nullptr, [this](std::uint64_t token) {
         if (token != kMonitorTimer) return;
         RecordSample(bus_->now_ms());
-        bus_->ScheduleTimer(monitor_endpoint_, config_.monitor_period_ms,
+        bus_->ScheduleTimer(monitor_endpoint_, kMonitorPeriodMs,
                             kMonitorTimer);
       });
 
@@ -101,6 +110,7 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
                            &controller_endpoints_);
   }
 
+  workspace_.Resize(workload);
   recovery_hooks_ = RecoveryHooks::Resolve(config_.metrics);
   for (auto& controller : controllers_) {
     controller->set_recovery_hooks(recovery_hooks_);
@@ -323,13 +333,13 @@ void Coordinator::ArmAsyncTimers() {
                          controller->AllocateAndSend();
                          bus_->ScheduleTimer(
                              controller_timer_endpoints_[endpoint_slot],
-                             config_.controller_period_ms, kControllerTimer);
+                             kControllerPeriodMs, kControllerTimer);
                        });
     controller_timer_endpoints_.push_back(endpoint);
     bus_->ScheduleTimer(endpoint, phase, kControllerTimer);
-    phase += config_.phase_spread_ms;
+    phase += kPhaseSpreadMs;
   }
-  phase = 0.5 * config_.resource_period_ms;
+  phase = 0.5 * kResourcePeriodMs;
   for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
     ShardAgent* agent = shard_agents_[s].get();
     const net::EndpointId endpoint =
@@ -338,14 +348,13 @@ void Coordinator::ArmAsyncTimers() {
                          agent->ComputePricesAndBroadcast();
                          bus_->ScheduleTimer(
                              shard_timer_endpoints_[endpoint_slot],
-                             config_.resource_period_ms, kResourceTimer);
+                             kResourcePeriodMs, kResourceTimer);
                        });
     shard_timer_endpoints_.push_back(endpoint);
     bus_->ScheduleTimer(endpoint, phase, kResourceTimer);
-    phase += config_.phase_spread_ms;
+    phase += kPhaseSpreadMs;
   }
-  bus_->ScheduleTimer(monitor_endpoint_, config_.monitor_period_ms,
-                      kMonitorTimer);
+  bus_->ScheduleTimer(monitor_endpoint_, kMonitorPeriodMs, kMonitorTimer);
 }
 
 void Coordinator::RunAsync(double duration_ms) {
@@ -421,25 +430,17 @@ double Coordinator::CurrentUtility() const {
 
 FeasibilityReport Coordinator::CurrentFeasibility() const {
   return CheckFeasibility(*workload_, *model_, CurrentAssignment(),
-                          config_.convergence.feasibility_tol);
+                          ConvergenceConfig::feasibility_tol);
 }
 
 void Coordinator::RecordSample(double at_ms) {
-  // One fused evaluation sweep into reused buffers (same arrays the engine's
-  // StepWorkspace uses), instead of re-walking the workload per quantity.
+  // The engine's fused evaluation sweep, into the reused workspace.
   CollectAssignment(&scratch_assignment_);
-  FillResourceShareSums(*workload_, *model_, scratch_assignment_,
-                        &scratch_share_sums_);
-  FillPathLatencies(*workload_, scratch_assignment_,
-                    &scratch_path_latencies_);
-  FillTaskAggregates(*workload_, scratch_assignment_, config_.solver.variant,
-                     &scratch_task_weighted_, &scratch_task_utilities_);
-  double utility = 0.0;
-  for (double task_utility : scratch_task_utilities_) utility += task_utility;
-  const FeasibilitySummary summary =
-      SummarizeFeasibility(*workload_, scratch_share_sums_,
-                           scratch_path_latencies_,
-                           config_.convergence.feasibility_tol);
+  FillStepWorkspace(*workload_, *model_, scratch_assignment_,
+                    config_.solver.variant, ConvergenceConfig::feasibility_tol,
+                    /*pool=*/nullptr, &workspace_);
+  const double utility = workspace_.total_utility;
+  const FeasibilitySummary& summary = workspace_.feasibility;
   if (config_.record_history) {
     RoundStats stats;
     stats.round = round_;
@@ -451,24 +452,28 @@ void Coordinator::RecordSample(double at_ms) {
     history_.push_back(std::move(stats));
   }
   if (samples_counter_ != nullptr) samples_counter_->Increment();
-  if (config_.trace_sink != nullptr) EmitTrace(at_ms, utility, summary);
-  UpdateConvergence(utility, summary.feasible);
+  if (config_.trace_sink != nullptr) EmitTrace(at_ms);
+  // The window (which records every sample) plus feasibility.  The engine's
+  // complementary-slackness test waits for ROADMAP's first item: it moves
+  // dist_solve's rounds.
+  const bool settled = UtilityWindowSettled(&recent_utilities_, utility,
+                                            config_.convergence.rel_tol);
+  converged_ = settled && summary.feasible;
   MaybeEnact(at_ms);
 }
 
-void Coordinator::EmitTrace(double at_ms, double utility,
-                            const FeasibilitySummary& summary) {
-  // Share sums and path latencies come from the scratch buffers RecordSample
-  // just filled; the dual state is collected from the agents (mu lives on
-  // the shard agents, lambda on the task controllers).
+void Coordinator::EmitTrace(double at_ms) {
+  // Evaluations come from the workspace RecordSample just filled; mu comes
+  // from the shard agents, lambda from the task controllers.
+  const FeasibilitySummary& summary = workspace_.feasibility;
   trace_.iteration = round_;
   trace_.at_ms = at_ms;
-  trace_.total_utility = utility;
+  trace_.total_utility = workspace_.total_utility;
   trace_.feasible = summary.feasible;
   trace_.max_resource_excess = summary.max_resource_excess;
   trace_.max_path_ratio = summary.max_path_ratio;
-  trace_.resource_share_sums = scratch_share_sums_;
-  trace_.path_latencies = scratch_path_latencies_;
+  trace_.resource_share_sums = workspace_.resource_share_sums;
+  trace_.path_latencies = workspace_.path_latencies;
   trace_.resource_mu.resize(workload_->resource_count());
   trace_.resource_step.resize(workload_->resource_count());
   for (const ResourceInfo& resource : workload_->resources()) {
@@ -491,27 +496,6 @@ void Coordinator::EmitTrace(double at_ms, double utility,
     }
   }
   config_.trace_sink->OnIteration(trace_);
-}
-
-void Coordinator::UpdateConvergence(double utility, bool feasible) {
-  const ConvergenceConfig& conv = config_.convergence;
-  recent_utilities_.push_back(utility);
-  while (static_cast<int>(recent_utilities_.size()) > conv.window) {
-    recent_utilities_.pop_front();
-  }
-  if (static_cast<int>(recent_utilities_.size()) < conv.window) {
-    converged_ = false;
-    return;
-  }
-  const auto [min_it, max_it] =
-      std::minmax_element(recent_utilities_.begin(), recent_utilities_.end());
-  const double spread = *max_it - *min_it;
-  const double scale = std::max(1.0, std::fabs(*max_it));
-  bool settled = spread <= conv.rel_tol * scale;
-  if (settled && conv.require_feasible) {
-    settled = feasible;
-  }
-  converged_ = settled;
 }
 
 void Coordinator::MaybeEnact(double at_ms) {

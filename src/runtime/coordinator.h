@@ -41,6 +41,9 @@
 
 namespace lla::runtime {
 
+/// Async mode: the monitor's sampling period (virtual time).
+inline constexpr double kMonitorPeriodMs = 10.0;
+
 struct CoordinatorConfig {
   AgentStepConfig step;
   LatencySolverConfig solver;
@@ -72,12 +75,6 @@ struct CoordinatorConfig {
   int round_threads = 1;
   /// Relative utility change that triggers an enactment.
   double enactment_threshold = 0.01;
-  /// Async mode: local re-optimization periods and initial phase stagger.
-  double controller_period_ms = 10.0;
-  double resource_period_ms = 10.0;
-  double phase_spread_ms = 1.0;
-  /// Async mode: cadence of the monitor that samples utility/enactments.
-  double monitor_period_ms = 10.0;
   bool record_history = true;
   /// Receives one IterationTrace per monitor sample (sync round or async
   /// monitor tick) with the per-resource mu / per-path lambda collected from
@@ -217,7 +214,6 @@ class Coordinator {
   }
   void CollectAssignment(Assignment* latencies) const;
   void RecordSample(double at_ms);
-  void UpdateConvergence(double utility, bool feasible);
   void MaybeEnact(double at_ms);
   void ArmAsyncTimers();
   void EmitRecoveryEvent(const char* type, net::EndpointId endpoint,
@@ -258,13 +254,9 @@ class Coordinator {
   std::vector<RoundStats> history_;
   std::vector<Enactment> enactments_;
 
-  /// Reused by RecordSample so monitor sampling reuses the fused evaluators
-  /// without per-sample allocation.
+  /// RecordSample's reused buffers (no per-sample allocation).
   Assignment scratch_assignment_;
-  std::vector<double> scratch_share_sums_;
-  std::vector<double> scratch_path_latencies_;
-  std::vector<double> scratch_task_weighted_;
-  std::vector<double> scratch_task_utilities_;
+  StepWorkspace workspace_;
 
   /// Observability handles (null when config.metrics is null) and the
   /// reused trace record buffer.
@@ -275,8 +267,7 @@ class Coordinator {
   RecoveryHooks recovery_hooks_;
   obs::IterationTrace trace_;
 
-  void EmitTrace(double at_ms, double utility,
-                 const FeasibilitySummary& summary);
+  void EmitTrace(double at_ms);
 };
 
 }  // namespace lla::runtime

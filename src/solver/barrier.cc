@@ -6,12 +6,20 @@
 #include <limits>
 
 #include "common/math.h"
+#include "core/latency_solver.h"
 #include "solver/phase1.h"
 
 namespace lla {
 namespace {
 constexpr double kBoxMargin = 1e-9;
-}
+// t runs from kT0 to kTMax by factors of kTGrowth (duality gap m/t); a stage
+// takes at most kMaxGradientStepsPerStage steps, fewer at kGradientTol.
+constexpr double kT0 = 1.0;
+constexpr double kTGrowth = 8.0;
+constexpr double kTMax = 1e8;
+constexpr int kMaxGradientStepsPerStage = 4000;
+constexpr double kGradientTol = 1e-8;
+}  // namespace
 
 BarrierSolver::BarrierSolver(const Workload& workload,
                              const LatencyModel& model,
@@ -20,16 +28,9 @@ BarrierSolver::BarrierSolver(const Workload& workload,
   lo_.resize(workload.subtask_count());
   hi_.resize(workload.subtask_count());
   for (const SubtaskInfo& sub : workload.subtasks()) {
-    const ShareFunction& share = model.share(sub.id);
-    const double cap = workload.resource(sub.resource).capacity;
-    const double floor =
-        std::max(share.MinLatency() * (1.0 + 1e-12) + 1e-12, 1e-9);
-    lo_[sub.id.value()] = std::max(share.LatencyForShare(cap), floor);
-    const double critical = workload.task(sub.task).critical_time_ms;
-    double hi = sub.min_share > 0.0
-                    ? share.LatencyForShare(sub.min_share)
-                    : config.lat_cap_factor * critical;
-    hi_[sub.id.value()] = std::max(hi, lo_[sub.id.value()]);
+    const LatencyBox box = SubtaskLatencyBox(workload, model, sub.id);
+    lo_[sub.id.value()] = box.lo;
+    hi_[sub.id.value()] = box.hi;
   }
 }
 
@@ -81,9 +82,7 @@ Expected<Assignment> BarrierSolver::FindInteriorPoint() const {
   // Scaling the equal-split witness failed (typical for workloads parked
   // exactly at capacity, like the Table 1 instance): fall back to the
   // Phase-I solver, which minimizes the smoothed maximum violation.
-  Phase1Config phase1_config;
-  phase1_config.lat_cap_factor = config_.lat_cap_factor;
-  Phase1Solver phase1(*workload_, *model_, phase1_config);
+  Phase1Solver phase1(*workload_, *model_);
   const Phase1Result result = phase1.Solve();
   if (result.strictly_feasible && StrictlyFeasible(result.latencies)) {
     return result.latencies;
@@ -173,8 +172,8 @@ Expected<BarrierResult> BarrierSolver::SolveFrom(
   Assignment lat = start;
   Assignment grad(lat.size()), trial(lat.size());
 
-  for (double t = config_.t0; t <= config_.t_max; t *= config_.t_growth) {
-    for (int step = 0; step < config_.max_gradient_steps_per_stage; ++step) {
+  for (double t = kT0; t <= kTMax; t *= kTGrowth) {
+    for (int step = 0; step < kMaxGradientStepsPerStage; ++step) {
       Gradient(lat, t, &grad);
       const double base_value = Objective(lat, t);
 
@@ -186,7 +185,7 @@ Expected<BarrierResult> BarrierSolver::SolveFrom(
         if (lat[s] >= hi_[s] - kBoxMargin && g > 0.0) g = 0.0;
         stationarity = std::max(stationarity, std::fabs(g));
       }
-      if (stationarity <= config_.gradient_tol) break;
+      if (stationarity <= kGradientTol) break;
       ++result.total_gradient_steps;
 
       // Backtracking line search along the projected gradient arc.

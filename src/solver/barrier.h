@@ -20,13 +20,6 @@ namespace lla {
 
 struct BarrierSolverConfig {
   UtilityVariant variant = UtilityVariant::kPathWeighted;
-  double t0 = 1.0;
-  double t_growth = 8.0;
-  double t_max = 1e8;
-  int max_gradient_steps_per_stage = 4000;
-  double gradient_tol = 1e-8;
-  /// Box upper bound when no min_share floor: factor * critical time.
-  double lat_cap_factor = 10.0;
 };
 
 struct BarrierResult {
@@ -61,7 +54,7 @@ class BarrierSolver {
   const Workload* workload_;
   const LatencyModel* model_;
   BarrierSolverConfig config_;
-  Assignment lo_;  ///< per-subtask box bounds
+  Assignment lo_;  ///< per-subtask box bounds (SubtaskLatencyBox)
   Assignment hi_;
 };
 

@@ -6,28 +6,30 @@
 #include <limits>
 
 #include "common/math.h"
+#include "core/latency_solver.h"
 
 namespace lla {
 namespace {
 constexpr double kBoxMargin = 1e-9;
-}
+// t runs from kT0 to kTMax by factors of kTGrowth; a stage takes at most
+// kMaxGradientStepsPerStage steps, fewer at kGradientTol.  The solve stops
+// once the max violation is below -kTargetMargin (normalized units).
+constexpr double kT0 = 2.0;
+constexpr double kTGrowth = 4.0;
+constexpr double kTMax = 4096.0;
+constexpr int kMaxGradientStepsPerStage = 2000;
+constexpr double kGradientTol = 1e-9;
+constexpr double kTargetMargin = 1e-4;
+}  // namespace
 
-Phase1Solver::Phase1Solver(const Workload& workload, const LatencyModel& model,
-                           Phase1Config config)
-    : workload_(&workload), model_(&model), config_(config) {
+Phase1Solver::Phase1Solver(const Workload& workload, const LatencyModel& model)
+    : workload_(&workload), model_(&model) {
   lo_.resize(workload.subtask_count());
   hi_.resize(workload.subtask_count());
   for (const SubtaskInfo& sub : workload.subtasks()) {
-    const ShareFunction& share = model.share(sub.id);
-    const double cap = workload.resource(sub.resource).capacity;
-    const double floor =
-        std::max(share.MinLatency() * (1.0 + 1e-12) + 1e-12, 1e-9);
-    lo_[sub.id.value()] = std::max(share.LatencyForShare(cap), floor);
-    const double critical = workload.task(sub.task).critical_time_ms;
-    const double hi = sub.min_share > 0.0
-                          ? share.LatencyForShare(sub.min_share)
-                          : config.lat_cap_factor * critical;
-    hi_[sub.id.value()] = std::max(hi, lo_[sub.id.value()]);
+    const LatencyBox box = SubtaskLatencyBox(workload, model, sub.id);
+    lo_[sub.id.value()] = box.lo;
+    hi_[sub.id.value()] = box.hi;
   }
 }
 
@@ -129,9 +131,9 @@ Phase1Result Phase1Solver::SolveFrom(const Assignment& start) const {
   Assignment lat = start;
   Assignment grad(lat.size()), trial(lat.size());
 
-  for (double t = config_.t0; t <= config_.t_max; t *= config_.t_growth) {
-    for (int step = 0; step < config_.max_gradient_steps_per_stage; ++step) {
-      if (MaxViolation(lat) < -config_.target_margin) break;  // done early
+  for (double t = kT0; t <= kTMax; t *= kTGrowth) {
+    for (int step = 0; step < kMaxGradientStepsPerStage; ++step) {
+      if (MaxViolation(lat) < -kTargetMargin) break;  // done early
       Gradient(lat, t, &grad);
       const double base = SmoothedMax(lat, t);
 
@@ -142,7 +144,7 @@ Phase1Result Phase1Solver::SolveFrom(const Assignment& start) const {
         if (lat[s] >= hi_[s] - kBoxMargin && g < 0.0) g = 0.0;
         stationarity = std::max(stationarity, std::fabs(g));
       }
-      if (stationarity <= config_.gradient_tol) break;
+      if (stationarity <= kGradientTol) break;
       ++result.total_gradient_steps;
 
       double alpha = 1.0;
@@ -162,7 +164,7 @@ Phase1Result Phase1Solver::SolveFrom(const Assignment& start) const {
       }
       if (!accepted) break;
     }
-    if (MaxViolation(lat) < -config_.target_margin) break;
+    if (MaxViolation(lat) < -kTargetMargin) break;
   }
 
   result.latencies = lat;

@@ -26,18 +26,6 @@
 
 namespace lla {
 
-struct Phase1Config {
-  double t0 = 2.0;
-  double t_growth = 4.0;
-  double t_max = 4096.0;
-  int max_gradient_steps_per_stage = 2000;
-  double gradient_tol = 1e-9;
-  /// Stop as soon as the true max violation is below -margin (strictly
-  /// interior by at least this much, in normalized units).
-  double target_margin = 1e-4;
-  double lat_cap_factor = 10.0;
-};
-
 struct Phase1Result {
   Assignment latencies;
   /// max over constraints of the normalized violation at `latencies`;
@@ -49,8 +37,8 @@ struct Phase1Result {
 
 class Phase1Solver {
  public:
-  Phase1Solver(const Workload& workload, const LatencyModel& model,
-               Phase1Config config = {});
+  /// Works on LLA's latency box (SubtaskLatencyBox).
+  Phase1Solver(const Workload& workload, const LatencyModel& model);
 
   /// Runs from the equal-split witness (or a caller-supplied start).
   Phase1Result Solve() const;
@@ -63,7 +51,6 @@ class Phase1Solver {
 
   const Workload* workload_;
   const LatencyModel* model_;
-  Phase1Config config_;
   Assignment lo_;
   Assignment hi_;
 };

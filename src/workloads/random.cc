@@ -13,6 +13,12 @@
 #include "model/utility.h"
 
 namespace lla {
+namespace {
+// WCETs are uniform in [kMinWcetMs, kMaxWcetMs); f_i(x) = kUtilityK C_i - x.
+constexpr double kMinWcetMs = 1.0;
+constexpr double kMaxWcetMs = 8.0;
+constexpr double kUtilityK = 2.0;
+}  // namespace
 
 Expected<Workload> MakeRandomWorkload(const RandomWorkloadConfig& config) {
   using E = Expected<Workload>;
@@ -75,7 +81,7 @@ Expected<Workload> MakeRandomWorkload(const RandomWorkloadConfig& config) {
       SubtaskSpec sub;
       sub.name = task.name + ".s" + std::to_string(i);
       sub.resource = ResourceId(static_cast<std::size_t>(resource_ids[i]));
-      sub.wcet_ms = rng.Uniform(config.min_wcet_ms, config.max_wcet_ms);
+      sub.wcet_ms = rng.Uniform(kMinWcetMs, kMaxWcetMs);
       sub.min_share = sub.wcet_ms / config.trigger_period_ms;
       task.subtasks.push_back(std::move(sub));
     }
@@ -94,7 +100,7 @@ Expected<Workload> MakeRandomWorkload(const RandomWorkloadConfig& config) {
     // Placeholder critical time; calibrated below once the workload (and so
     // the path structure) exists.
     task.critical_time_ms = 1.0;
-    task.utility = MakePaperSimUtility(1.0, config.utility_k);
+    task.utility = MakePaperSimUtility(1.0, kUtilityK);
     tasks.push_back(std::move(task));
   }
 
@@ -121,7 +127,7 @@ Expected<Workload> MakeRandomWorkload(const RandomWorkloadConfig& config) {
     const double critical_time = crit / config.target_utilization;
     tasks[task.id.value()].critical_time_ms = critical_time;
     tasks[task.id.value()].utility =
-        MakePaperSimUtility(critical_time, config.utility_k);
+        MakePaperSimUtility(critical_time, kUtilityK);
   }
 
   return Workload::Create(std::move(resources), std::move(tasks));
@@ -146,7 +152,7 @@ RandomWorkloadConfig ScaledRandomWorkloadConfig(std::size_t num_subtasks,
   // equal-split schedulable witness comfortable.
   const double per_resource =
       static_cast<double>(num_subtasks) / config.num_resources;
-  const double mean_wcet = 0.5 * (config.min_wcet_ms + config.max_wcet_ms);
+  const double mean_wcet = 0.5 * (kMinWcetMs + kMaxWcetMs);
   config.trigger_period_ms =
       std::max(100.0, per_resource * mean_wcet / (0.3 * config.capacity));
   config.scaled_sampling = true;

@@ -1,7 +1,8 @@
 // Random workload generation for property tests and stress benches.
 //
 // Generates tasks with random DAG shapes (chains, trees, general DAGs) and
-// random execution times, then calibrates critical times so that the
+// random execution times (uniform in [1, 8) ms) under the paper's simulation
+// utility f_i(x) = 2 C_i - x, then calibrates critical times so that the
 // equal-split share assignment (every subtask on resource r receives
 // B_r / n_r) meets all deadlines with a configurable margin — a
 // constructive witness that the workload is schedulable.  Setting
@@ -22,8 +23,6 @@ struct RandomWorkloadConfig {
   int num_tasks = 4;
   int min_subtasks = 3;
   int max_subtasks = 6;  ///< must be <= num_resources
-  double min_wcet_ms = 1.0;
-  double max_wcet_ms = 8.0;
   double lag_ms = 1.0;
   double capacity = 1.0;
   /// Probability that a non-root node gets a second incoming edge,
@@ -33,8 +32,6 @@ struct RandomWorkloadConfig {
   /// < 1 leaves slack (schedulable); > 1 overconstrains.
   double target_utilization = 0.8;
   double trigger_period_ms = 100.0;
-  /// Utility f_i(x) = k*C_i - x.
-  double utility_k = 2.0;
   /// Samples each task's resources with a partial Fisher-Yates over a
   /// persistent pool — O(subtasks) per task instead of O(num_resources) —
   /// which is what makes 10^5-subtask generation cheap.  The draw produces

@@ -1,7 +1,11 @@
 #include "core/step_size.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "workloads/paper.h"
 #include "workloads/transform.h"
 
@@ -171,6 +175,70 @@ TEST_F(StepSizeTest, DescribeMentionsParameters) {
             std::string::npos);
   EXPECT_NE(DiminishingStepSize(1.0, 9.0).Describe().find("diminishing"),
             std::string::npos);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A zero, negative, infinite or NaN step, or a doubling cap below 1, used to
+// pass the policy constructors' asserts silently in NDEBUG builds (the
+// default RelWithDebInfo and Release).  Every build mode now refuses them.
+TEST(StepSizeDeathTest, PoliciesRejectInvalidParameters) {
+  for (const double bad : {0.0, -1.0, kInf, std::nan("")}) {
+    EXPECT_DEATH(FixedStepSize{bad},
+                 "FixedStepSize: step parameter gamma = .* must be finite "
+                 "and > 0")
+        << bad;
+    EXPECT_DEATH((AdaptiveStepSize{bad, 8.0}),
+                 "AdaptiveStepSize: step parameter gamma0 = .* must be "
+                 "finite and > 0")
+        << bad;
+    EXPECT_DEATH((DiminishingStepSize{1.0, bad}),
+                 "DiminishingStepSize: step parameter tau = .* must be "
+                 "finite and > 0")
+        << bad;
+  }
+  for (const double bad : {0.5, 0.0, kInf, std::nan("")}) {
+    EXPECT_DEATH((AdaptiveStepSize{1.0, bad}),
+                 "AdaptiveStepSize: step parameter max_multiplier = .* must "
+                 "be finite and >= 1")
+        << bad;
+  }
+}
+
+// The engine checks every step parameter of its config, whichever policy
+// it selects, before building the policy.
+TEST(StepSizeDeathTest, EngineRejectsInvalidStepConfig) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const LatencyModel model(workload.value());
+  for (const StepPolicyKind policy :
+       {StepPolicyKind::kFixed, StepPolicyKind::kAdaptive,
+        StepPolicyKind::kDiminishing}) {
+    for (const double bad : {0.0, -3.0, kInf, std::nan("")}) {
+      LlaConfig config;
+      config.step_policy = policy;
+      config.gamma0 = bad;
+      EXPECT_DEATH(LlaEngine(workload.value(), model, config),
+                   "LlaEngine: step parameter gamma0 = .* must be finite "
+                   "and > 0")
+          << ToString(policy) << " gamma0 " << bad;
+      config.gamma0 = 1.0;
+      config.diminishing_tau = bad;
+      EXPECT_DEATH(LlaEngine(workload.value(), model, config),
+                   "LlaEngine: step parameter diminishing_tau = .* must be "
+                   "finite and > 0")
+          << ToString(policy) << " tau " << bad;
+    }
+    for (const double bad : {0.5, -kInf, kInf, std::nan("")}) {
+      LlaConfig config;
+      config.step_policy = policy;
+      config.adaptive_max_multiplier = bad;
+      EXPECT_DEATH(LlaEngine(workload.value(), model, config),
+                   "LlaEngine: step parameter adaptive_max_multiplier = .* "
+                   "must be finite and >= 1")
+          << ToString(policy) << " cap " << bad;
+    }
+  }
 }
 
 }  // namespace

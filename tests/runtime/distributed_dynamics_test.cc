@@ -17,9 +17,11 @@
 //     with out-of-range ids, and a NaN or out-of-range beta abort LOUDLY in
 //     every build mode instead of mis-mapping state, indexing out of bounds
 //     or poisoning every price (these used to be NDEBUG-erasable asserts,
-//     silent skips, or unchecked).
+//     silent skips, or unchecked).  So do a zero, negative, infinite or
+//     NaN agent step and a doubling cap below 1.
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -339,6 +341,35 @@ TEST(DistributedDynamicsDeathTest, RejectsInvalidMomentum) {
                    "Coordinator: dynamics momentum .* is outside \\[0, 1\\)")
           << ToString(kind) << " beta " << beta;
     }
+  }
+}
+
+// The shard agents and the task controllers step their prices with
+// config.step, so the coordinator checks it at construction in every build
+// mode; nothing checked it before.
+TEST(DistributedDynamicsDeathTest, RejectsInvalidStepConfig) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -3.0, kInf, std::nan("")}) {
+    CoordinatorConfig config = DynamicsCoordinatorConfig(DynamicsKind::kPlain,
+                                                         0.0);
+    config.step.gamma0 = bad;
+    EXPECT_DEATH(Coordinator(w, model, config),
+                 "Coordinator: step parameter step.gamma0 = .* must be "
+                 "finite and > 0")
+        << "gamma0 " << bad;
+  }
+  for (const double bad : {0.5, -kInf, kInf, std::nan("")}) {
+    CoordinatorConfig config = DynamicsCoordinatorConfig(DynamicsKind::kPlain,
+                                                         0.0);
+    config.step.adaptive_max_multiplier = bad;
+    EXPECT_DEATH(Coordinator(w, model, config),
+                 "Coordinator: step parameter step.adaptive_max_multiplier = "
+                 ".* must be finite and >= 1")
+        << "cap " << bad;
   }
 }
 

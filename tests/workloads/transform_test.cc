@@ -225,7 +225,7 @@ TEST(TransformTest, WarmStartFromOwnOptimumConvergesImmediately) {
   EXPECT_TRUE(run.converged);
   // Re-detecting convergence needs at least the detector window; allow a
   // small multiple of it.
-  EXPECT_LE(run.iterations, 3 * config.convergence.window);
+  EXPECT_LE(run.iterations, 3 * kConvergenceWindow);
 }
 
 TEST(TransformTest, WarmStartProjectsNegativePrices) {
