@@ -17,73 +17,6 @@ double Clamp(double x, double lo, double hi) {
   return std::min(std::max(x, lo), hi);
 }
 
-RootFindResult Bisect(const std::function<double(double)>& f, double lo,
-                      double hi, double x_tol, double f_tol, int max_iter) {
-  RootFindResult result;
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (std::fabs(flo) <= f_tol) return {lo, 0, true};
-  if (std::fabs(fhi) <= f_tol) return {hi, 0, true};
-  if (flo * fhi > 0.0) return {0.5 * (lo + hi), 0, false};
-
-  double mid = 0.5 * (lo + hi);
-  for (int i = 0; i < max_iter; ++i) {
-    mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    result.iterations = i + 1;
-    if (std::fabs(fmid) <= f_tol || (hi - lo) <= x_tol) {
-      return {mid, result.iterations, true};
-    }
-    if (flo * fmid <= 0.0) {
-      hi = mid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  return {mid, result.iterations, false};
-}
-
-RootFindResult SafeguardedNewton(const std::function<double(double)>& f,
-                                 const std::function<double(double)>& df,
-                                 double lo, double hi, double x_tol,
-                                 double f_tol, int max_iter) {
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (std::fabs(flo) <= f_tol) return {lo, 0, true};
-  if (std::fabs(fhi) <= f_tol) return {hi, 0, true};
-  if (flo * fhi > 0.0) {
-    // No sign change: report the endpoint with smaller |f| as non-converged
-    // best effort; callers treat this as "solution at boundary".
-    return {std::fabs(flo) < std::fabs(fhi) ? lo : hi, 0, false};
-  }
-
-  double x = 0.5 * (lo + hi);
-  for (int i = 0; i < max_iter; ++i) {
-    const double fx = f(x);
-    if (std::fabs(fx) <= f_tol) return {x, i + 1, true};
-    // Maintain the bracket.
-    if (flo * fx <= 0.0) {
-      hi = x;
-    } else {
-      lo = x;
-      flo = fx;
-    }
-    if ((hi - lo) <= x_tol) return {0.5 * (lo + hi), i + 1, true};
-
-    const double dfx = df(x);
-    double next;
-    if (dfx != 0.0) {
-      next = x - fx / dfx;
-      if (next <= lo || next >= hi) next = 0.5 * (lo + hi);  // safeguard
-    } else {
-      next = 0.5 * (lo + hi);
-    }
-    x = next;
-  }
-  return {x, max_iter, false};
-}
-
 double GoldenSectionMax(const std::function<double(double)>& f, double lo,
                         double hi, double x_tol) {
   static const double kInvPhi = (std::sqrt(5.0) - 1.0) / 2.0;

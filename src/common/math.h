@@ -1,16 +1,13 @@
-// Numeric helpers: comparisons with tolerance and 1-D root finding.
+// Numeric helpers: comparisons with tolerance, clamping, and a
+// golden-section maximizer that tests use as an independent oracle.
 //
-// The latency-allocation step of LLA solves the stationarity condition
-// (paper Eq. 7) per subtask.  For linear utilities the solution is closed
-// form; for general concave utilities we need a robust scalar root finder.
-// `SafeguardedNewton` is Newton's method that falls back to bisection when a
-// step leaves the bracketing interval — guaranteed convergence for continuous
-// functions with a sign change, fast convergence near the root.
+// The latency solver needs no generic root finder: each subtask's
+// stationarity condition (paper Eq. 7) has a closed form under the share
+// model, and the per-task coupling of a concave utility is a monotone scalar
+// fixed point that LatencySolver bisects in place.
 #pragma once
 
-#include <cmath>
 #include <functional>
-#include <optional>
 
 namespace lla {
 
@@ -20,26 +17,6 @@ bool AlmostEqual(double a, double b, double rel_tol = 1e-9,
 
 /// Clamps `x` to [lo, hi]; requires lo <= hi.
 double Clamp(double x, double lo, double hi);
-
-struct RootFindResult {
-  double root = 0.0;
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Finds a root of `f` in [lo, hi] by bisection.  Requires f(lo) and f(hi)
-/// to have opposite signs (or one of them to be ~0).  Tolerances are on the
-/// interval width and |f|.
-RootFindResult Bisect(const std::function<double(double)>& f, double lo,
-                      double hi, double x_tol = 1e-10, double f_tol = 1e-12,
-                      int max_iter = 200);
-
-/// Newton's method on [lo, hi] with bisection safeguard.  `f` must be
-/// continuous with a sign change over [lo, hi]; `df` is its derivative.
-RootFindResult SafeguardedNewton(const std::function<double(double)>& f,
-                                 const std::function<double(double)>& df,
-                                 double lo, double hi, double x_tol = 1e-12,
-                                 double f_tol = 1e-12, int max_iter = 100);
 
 /// Golden-section maximization of a unimodal function on [lo, hi].
 /// Used by tests to cross-check solver outputs.

@@ -122,15 +122,6 @@ void LlaEngine::ClearConvergenceWindow() {
   converged_ = false;
 }
 
-void LlaEngine::InvalidateModelCache() {
-  solver_.InvalidateModelCache();
-  // In-place share mutations change solve/aggregation results without a
-  // revision bump, so every dirty-tracking baseline is stale: force a dense
-  // re-prime and a fully computed price update on the next Step().
-  active_state_.Invalidate();
-  price_state_.Invalidate();
-}
-
 void LlaEngine::WarmStart(const PriceVector& prices) {
   if (prices.mu.size() != workload_->resource_count() ||
       prices.lambda.size() != workload_->path_count()) {

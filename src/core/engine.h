@@ -22,10 +22,8 @@
 // simulation experiments (Secs. 5.2-5.4); the message-passing deployment of
 // the same iteration lives in src/runtime.  Online error correction applied
 // between steps (Sec. 6.3) is picked up automatically: the solver's cached
-// model invariants are keyed to LatencyModel::revision().  Call
-// InvalidateModelCache() only when a share function object was mutated in
-// place (a replacement via SetShareFunction/SetAdditiveError bumps the
-// revision by itself).
+// model invariants and the active-set baseline are keyed to
+// LatencyModel::revision(), which every share replacement bumps.
 #pragma once
 
 #include <cstdint>
@@ -165,11 +163,6 @@ class LlaEngine {
   /// changes so a previously settled engine re-evaluates from its warm
   /// price state instead of reporting stale convergence).
   void ClearConvergenceWindow();
-
-  /// Drops the solver's cached model invariants (box bounds, share
-  /// pointers).  Needed only when a share function was mutated in place;
-  /// replacing one through the LatencyModel is detected automatically.
-  void InvalidateModelCache();
 
   /// Seeds the dual state from a previous run (typically on a transformed
   /// workload with the same structure: after a capacity or critical-time

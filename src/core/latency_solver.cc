@@ -47,70 +47,44 @@ LatencySolver::LatencySolver(const Workload& workload,
     for (PathId pid : sub.paths) path_index_.push_back(pid.value());
     path_offset_.push_back(path_index_.size());
   }
-  // Per-task subtask spans.  Workload construction assigns subtask ids in
-  // task order, so spans are contiguous in practice; the flag guards the
-  // flat kernel against any future layout that breaks that.
+  // Per-task subtask spans.  Workload::Create numbers subtasks task by
+  // task, so each task owns the contiguous id range SolveClosedSpan walks.
   const std::vector<TaskInfo>& tasks = workload.tasks();
-  task_begin_.resize(tasks.size(), 0);
-  task_end_.resize(tasks.size(), 0);
-  task_contiguous_.resize(tasks.size(), 0);
+  task_begin_.resize(tasks.size());
+  task_end_.resize(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     const std::vector<SubtaskId>& subs = tasks[t].subtasks;
-    if (subs.empty()) {
-      task_contiguous_[t] = 1;  // empty span, kernel trivially applies
-      continue;
-    }
     task_begin_[t] = subs.front().value();
     task_end_[t] = subs.back().value() + 1;
-    bool contiguous = task_end_[t] - task_begin_[t] == subs.size();
-    for (std::size_t i = 0; contiguous && i < subs.size(); ++i) {
-      contiguous = subs[i].value() == task_begin_[t] + i;
-    }
-    task_contiguous_[t] = contiguous ? 1 : 0;
+    assert(task_end_[t] - task_begin_[t] == subs.size());
   }
+  if (config_.cache_invariants) RebuildCache();
 }
 
 void LatencySolver::EnsureCacheFresh() const {
-  if (!config_.cache_invariants) return;
-  if (cache_valid_ && cached_revision_ == model_->revision()) return;
+  if (config_.cache_invariants && cached_revision_ != model_->revision()) {
+    RebuildCache();
+  }
+}
+
+void LatencySolver::RebuildCache() const {
   const std::size_t n = workload_->subtask_count();
   lat_lo_.resize(n);
   lat_hi_.resize(n);
-  share_.resize(n);
   closed_work_.resize(n);
   closed_err_.resize(n);
   lambda_scratch_.resize(n);
-  std::vector<std::uint8_t> closed(n, 0);
   for (std::size_t s = 0; s < n; ++s) {
     const SubtaskId id(s);
     const LatencyBox box = SubtaskLatencyBox(*workload_, *model_, id);
     lat_lo_[s] = box.lo;
     lat_hi_[s] = box.hi;
-    share_[s] = &model_->share(id);
-    double work = 0.0, err = 0.0;
-    if (share_[s]->ReciprocalForm(&work, &err)) {
-      closed_work_[s] = work;
-      closed_err_[s] = err;
-      closed[s] = 1;
-    }
-  }
-  const std::vector<TaskInfo>& tasks = workload_->tasks();
-  task_closed_.assign(tasks.size(), 0);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    bool all_closed = task_contiguous_[t] != 0;
-    for (std::size_t s = task_begin_[t]; all_closed && s < task_end_[t]; ++s) {
-      all_closed = closed[s] != 0;
-    }
-    task_closed_[t] = all_closed ? 1 : 0;
+    const ShareFunction& share = model_->share(id);
+    closed_work_[s] = share.work_ms();
+    closed_err_[s] = share.error_ms();
   }
   cached_revision_ = model_->revision();
-  cache_valid_ = true;
   // Cache rebuild means the model moved; stale compaction can't be trusted.
-  active_csr_valid_ = false;
-}
-
-void LatencySolver::InvalidateModelCache() {
-  cache_valid_ = false;
   active_csr_valid_ = false;
 }
 
@@ -127,8 +101,6 @@ double LatencySolver::LatHi(SubtaskId id) const {
 double LatencySolver::SolveSubtask(SubtaskId id, double utility_slope,
                                    const PriceVector& prices) const {
   const std::size_t s = id.value();
-  const bool cached = config_.cache_invariants;
-  const ShareFunction& share = cached ? *share_[s] : model_->share(id);
   const auto [lo, hi] = Box(id);
   if (lo >= hi) return lo;
 
@@ -157,7 +129,7 @@ double LatencySolver::SolveSubtask(SubtaskId id, double utility_slope,
     // the resource entirely.
     return hi;
   }
-  return share.LatencyForNegSlope(pressure / mu, lo, hi);
+  return model_->share(id).LatencyForNegSlope(pressure / mu, lo, hi);
 }
 
 void LatencySolver::SolveClosedSpan(std::size_t begin, std::size_t end,
@@ -181,9 +153,9 @@ void LatencySolver::SolveClosedSpan(std::size_t begin, std::size_t end,
     lambda_scratch_[s] = lambda_sum;
   }
   // Closed-form pass over flat arrays.  Every expression mirrors
-  // SolveSubtask / LatencyForNegSlope operation-for-operation (division by
-  // mu first, then work/g, then err + sqrt, then clamp) so the result is
-  // bit-identical to the virtual-dispatch path.
+  // SolveSubtask / ShareFunction::LatencyForNegSlope operation-for-operation
+  // (division by mu first, then work/g, then err + sqrt, then clamp) so the
+  // result is bit-identical to the scalar reference path.
   const double* mu = prices.mu.data();
   for (std::size_t s = begin; s < end; ++s) {
     const double lo = lat_lo_[s];
@@ -221,7 +193,6 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
   const TaskInfo& info = workload_->task(task);
   const UtilityFunction& f = *info.utility;
   const bool cached = config_.cache_invariants;
-  const bool closed = cached && task_closed_[task.value()] != 0;
   const std::size_t span_begin = task_begin_[task.value()];
   const std::size_t span_end = task_end_[task.value()];
 
@@ -248,7 +219,7 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
     const auto h = [&](double x) {
       const double fx = f.Derivative(x);
       double sum = 0.0;
-      if (closed) {
+      if (cached) {
         SolveClosedSpan(span_begin, span_end, fx, prices, latencies->data());
         for (std::size_t s = span_begin; s < span_end; ++s) {
           sum += weight_[s] * (*latencies)[s];
@@ -278,7 +249,7 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
     slope = f.Derivative(x);
   }
 
-  if (closed) {
+  if (cached) {
     SolveClosedSpan(span_begin, span_end, slope, prices, latencies->data());
   } else {
     for (SubtaskId sid : info.subtasks) {

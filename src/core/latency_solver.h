@@ -8,26 +8,27 @@
 //
 // Rearranged: -share_s'(lat_s) = (Lambda_s - w_s * f_i'(X_i)) / mu_r.
 // For linear f_i the right-hand side is a constant and each subtask solves
-// independently (closed form sqrt(mu*work/(w+Lambda)) for the WCET/lag share
-// model).  For general concave f_i the subtasks of a task couple through
-// X_i; because f_i' is non-increasing, lat_s(X) is non-increasing in X, so
-// X = h(X) is a monotone scalar fixed point solved by bisection.
+// independently (closed form err + sqrt(mu*work/(Lambda - w*f')) for the
+// share model work/(lat - err)).  For general concave f_i the subtasks of a
+// task couple through X_i; because f_i' is non-increasing, lat_s(X) is
+// non-increasing in X, so X = h(X) is a monotone scalar fixed point solved
+// by bisection.
 //
 // Latencies are clamped to [lat_lo, lat_hi]:
 //   lat_lo: share may not exceed the resource capacity B_r;
 //   lat_hi: share may not drop below the sustainable minimum (min_share),
 //           else a fixed multiple of the critical time (SubtaskLatencyBox).
 //
-// The bounds, variant weights and the subtask->path price index depend only
-// on the workload, the model and the config, not on the prices, so the
-// solver caches them in flat arrays (the bisection's h(x) used to recompute
-// the bounds on every evaluation).  The cache is keyed to
-// LatencyModel::revision(), so replacing a share function (online error
-// correction, Sec. 6.3) is picked up on the next solve automatically;
-// InvalidateModelCache() covers share objects mutated in place, which no
-// revision bump can observe.  SolveAll optionally fans the independent
-// per-task solves out across a thread pool; tasks write disjoint latency
-// slots, so results are bit-identical for any thread count.
+// The bounds, variant weights, share coefficients and the subtask->path
+// price index depend only on the workload, the model and the config, not on
+// the prices, so the solver caches them in flat arrays (the bisection's h(x)
+// used to recompute the bounds on every evaluation) and every cached solve
+// runs the flat closed-form kernel SolveClosedSpan.  The cache is keyed to
+// LatencyModel::revision(): shares change only through the model's setters,
+// which bump it, so an online correction (Sec. 6.3) is picked up on the next
+// solve.  SolveAll optionally fans the independent per-task solves out across
+// a thread pool; tasks write disjoint latency slots, so results are
+// bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +58,10 @@ LatencyBox SubtaskLatencyBox(const Workload& workload,
 
 struct LatencySolverConfig {
   UtilityVariant variant = UtilityVariant::kPathWeighted;
-  /// Disables the per-subtask invariant cache: bounds, weights and path
-  /// price sums are recomputed on every evaluation, as the pre-workspace
-  /// solver did.  Reference/bench mode only — results are bit-identical
-  /// either way.
+  /// Disables the per-subtask invariant cache: bounds are recomputed on
+  /// every evaluation and each subtask solves through the scalar
+  /// SolveSubtask path, as the pre-workspace solver did.  Reference/bench
+  /// mode only — results are bit-identical either way.
   bool cache_invariants = true;
   /// PrepareSolve(prices) compacts the subtask->path CSR down to paths with
   /// lambda != 0 so the gather skips retired path constraints.  Bit-exact:
@@ -74,6 +75,8 @@ class LatencySolver {
   /// Both `workload` and `model` must outlive the solver.  The model is
   /// consulted through a revision-checked cache, so online corrections
   /// (which replace share functions) still apply on the next solve.
+  /// `workload` must number each task's subtasks contiguously, as
+  /// Workload::Create does.
   LatencySolver(const Workload& workload, const LatencyModel& model,
                 LatencySolverConfig config = {});
 
@@ -129,18 +132,14 @@ class LatencySolver {
   /// PrepareSolve(prices)).
   bool has_active_gather() const { return active_csr_valid_; }
 
-  /// Drops the cached per-subtask model invariants so the next solve
-  /// rebuilds them.  Share-function *replacements* are detected via
-  /// LatencyModel::revision() without this call; use it after mutating a
-  /// share object in place.
-  void InvalidateModelCache();
-
   const LatencySolverConfig& config() const { return config_; }
 
  private:
   /// Rebuilds the cache if the model revision moved (serial; call before
   /// entering any parallel region).
   void EnsureCacheFresh() const;
+  /// Recomputes the model-derived invariants at the current revision.
+  void RebuildCache() const;
 
   /// The subtask's box: cached, or recomputed when cache_invariants is off.
   LatencyBox Box(SubtaskId id) const {
@@ -158,7 +157,7 @@ class LatencySolver {
   /// [begin, end): lat = clamp(err + sqrt(work / ((Lambda - w f') / mu))),
   /// evaluated over the cached SoA arrays with exactly the arithmetic of
   /// SolveSubtask + LatencyForNegSlope, so results are bit-identical to the
-  /// virtual-dispatch path.  `out` is indexed by global subtask id.
+  /// scalar path.  `out` is indexed by global subtask id.
   void SolveClosedSpan(std::size_t begin, std::size_t end,
                        double utility_slope, const PriceVector& prices,
                        double* out) const;
@@ -174,19 +173,14 @@ class LatencySolver {
   std::vector<std::size_t> resource_index_;  ///< subtask -> ResourceId value
   std::vector<std::size_t> task_begin_;  ///< task -> first subtask id
   std::vector<std::size_t> task_end_;    ///< task -> one-past-last subtask id
-  std::vector<std::uint8_t> task_contiguous_;  ///< span covers exactly the task
 
-  // Model-derived invariants, rebuilt when the model revision moves.
+  // Model-derived invariants, built in the constructor and rebuilt when the
+  // model revision moves (cache_invariants only).
   mutable std::uint64_t cached_revision_ = 0;
-  mutable bool cache_valid_ = false;
   mutable std::vector<double> lat_lo_;
   mutable std::vector<double> lat_hi_;
-  mutable std::vector<const ShareFunction*> share_;
-  mutable std::vector<double> closed_work_;  ///< reciprocal-form work coeff
-  mutable std::vector<double> closed_err_;   ///< reciprocal-form error coeff
-  /// task -> every subtask has a reciprocal-form share AND the task's
-  /// subtask ids are contiguous, i.e. SolveClosedSpan applies.
-  mutable std::vector<std::uint8_t> task_closed_;
+  mutable std::vector<double> closed_work_;  ///< share work_ms per subtask
+  mutable std::vector<double> closed_err_;   ///< share error_ms per subtask
   /// Per-subtask scratch for the kernel's path-price gather; tasks own
   /// disjoint spans, so parallel chunks never collide.
   mutable std::vector<double> lambda_scratch_;

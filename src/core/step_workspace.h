@@ -77,9 +77,10 @@ void SolveAndFillStepWorkspace(const LatencySolver& solver,
 /// the dense arithmetic (never delta-updated), which makes the incremental
 /// trajectory bit-for-bit equal to the dense one at any thread count.
 ///
-/// Invalidate() (or a LatencyModel::revision() move, or a shape change)
-/// forces a dense re-prime on the next step — required whenever the model is
-/// mutated in place (see LlaEngine::InvalidateModelCache).
+/// Invalidate(), a LatencyModel::revision() move or a shape change forces a
+/// dense re-prime on the next step: a model correction changes solve results
+/// without moving a price bit, so the revision check is what keeps the
+/// baseline honest.
 struct ActiveSetState {
   bool primed = false;
   std::uint64_t model_revision = 0;

@@ -87,19 +87,15 @@ void ShareModelFitter::TryInstall(SubtaskId id) {
   fit.work_ms = work;
   fit.offset_ms = offset;
   fit.valid = true;
-  // CorrectedWcetLagShare(wcet=work, lag=0, error=offset) realizes
-  // share(lat) = work / (lat - offset).
-  model_->SetShareFunction(
-      id, std::make_shared<CorrectedWcetLagShare>(work, 0.0, offset));
+  // share(lat) = work / (lat - offset) inverts the fitted curve.
+  model_->SetShareFunction(id, ShareFunction(work, offset));
 }
 
 void ShareModelFitter::Reset() {
   states_.assign(workload_->subtask_count(), RlsState{});
   fits_.assign(workload_->subtask_count(), Fit{});
   for (const SubtaskInfo& sub : workload_->subtasks()) {
-    const double lag = workload_->resource(sub.resource).lag_ms;
-    model_->SetShareFunction(
-        sub.id, std::make_shared<WcetLagShare>(sub.wcet_ms, lag));
+    model_->SetShareFunction(sub.id, ShareFunction(sub.work_ms, 0.0));
   }
 }
 

@@ -9,8 +9,8 @@
 // by recursive least squares over observed (enacted share, measured
 // latency-percentile) pairs, with exponential forgetting so drifting
 // systems keep adapting.  The fitted curve is installed into the
-// LatencyModel as a CorrectedWcetLagShare(work_eff, 0, offset) — exactly
-// the family the optimizer already knows how to invert in closed form.
+// LatencyModel as ShareFunction(work_eff, offset) — exactly the family the
+// optimizer already knows how to invert in closed form.
 //
 // A fit requires diversity: at least `min_samples` observations whose
 // 1/share values span a minimal relative spread (a constant-share history

@@ -7,32 +7,20 @@ namespace lla {
 LatencyModel::LatencyModel(const Workload& workload) : workload_(&workload) {
   shares_.reserve(workload.subtask_count());
   for (const SubtaskInfo& sub : workload.subtasks()) {
-    const double lag = workload.resource(sub.resource).lag_ms;
-    shares_.push_back(std::make_shared<WcetLagShare>(sub.wcet_ms, lag));
+    shares_.emplace_back(sub.work_ms, 0.0);
   }
 }
 
-void LatencyModel::SetShareFunction(SubtaskId id, SharePtr share) {
-  assert(share != nullptr);
+void LatencyModel::SetShareFunction(SubtaskId id, ShareFunction share) {
   assert(id.value() < shares_.size());
-  shares_[id.value()] = std::move(share);
+  shares_[id.value()] = share;
   ++revision_;
 }
 
 void LatencyModel::SetAdditiveError(SubtaskId id, double error_ms) {
   assert(id.value() < shares_.size());
-  const SubtaskInfo& sub = workload_->subtask(id);
-  const double lag = workload_->resource(sub.resource).lag_ms;
-  shares_[id.value()] =
-      std::make_shared<CorrectedWcetLagShare>(sub.wcet_ms, lag, error_ms);
+  shares_[id.value()] = ShareFunction(workload_->subtask(id).work_ms, error_ms);
   ++revision_;
-}
-
-double LatencyModel::AdditiveError(SubtaskId id) const {
-  assert(id.value() < shares_.size());
-  const auto* corrected =
-      dynamic_cast<const CorrectedWcetLagShare*>(shares_[id.value()].get());
-  return corrected ? corrected->error_ms() : 0.0;
 }
 
 }  // namespace lla

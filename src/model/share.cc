@@ -2,92 +2,10 @@
 
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 #include "common/math.h"
 
 namespace lla {
-
-double ShareFunction::LatencyForNegSlope(double g, double lo, double hi) const {
-  assert(g >= 0.0);
-  assert(lo <= hi);
-  // -DShareDLat is strictly decreasing in lat.
-  if (-DShareDLat(lo) <= g) return lo;
-  if (-DShareDLat(hi) >= g) return hi;
-  const auto f = [this, g](double lat) { return -DShareDLat(lat) - g; };
-  return Bisect(f, lo, hi, 1e-12 * (hi - lo) + 1e-15, 0.0, 200).root;
-}
-
-WcetLagShare::WcetLagShare(double wcet_ms, double lag_ms)
-    : work_ms_(wcet_ms + lag_ms) {
-  assert(wcet_ms > 0.0);
-  assert(lag_ms >= 0.0);
-}
-
-double WcetLagShare::Share(double latency_ms) const {
-  assert(latency_ms > 0.0);
-  return work_ms_ / latency_ms;
-}
-
-double WcetLagShare::DShareDLat(double latency_ms) const {
-  assert(latency_ms > 0.0);
-  return -work_ms_ / (latency_ms * latency_ms);
-}
-
-double WcetLagShare::LatencyForShare(double share) const {
-  assert(share > 0.0);
-  return work_ms_ / share;
-}
-
-double WcetLagShare::LatencyForNegSlope(double g, double lo, double hi) const {
-  assert(g >= 0.0);
-  assert(lo <= hi);
-  if (g == 0.0) return hi;
-  return Clamp(std::sqrt(work_ms_ / g), lo, hi);
-}
-
-std::string WcetLagShare::Describe() const {
-  std::ostringstream os;
-  os << "wcet_lag(" << work_ms_ << "/lat)";
-  return os.str();
-}
-
-CorrectedWcetLagShare::CorrectedWcetLagShare(double wcet_ms, double lag_ms,
-                                             double error_ms)
-    : work_ms_(wcet_ms + lag_ms), error_ms_(error_ms) {
-  assert(wcet_ms > 0.0);
-  assert(lag_ms >= 0.0);
-}
-
-double CorrectedWcetLagShare::Share(double latency_ms) const {
-  assert(latency_ms > MinLatency());
-  return work_ms_ / (latency_ms - error_ms_);
-}
-
-double CorrectedWcetLagShare::DShareDLat(double latency_ms) const {
-  assert(latency_ms > MinLatency());
-  const double d = latency_ms - error_ms_;
-  return -work_ms_ / (d * d);
-}
-
-double CorrectedWcetLagShare::LatencyForShare(double share) const {
-  assert(share > 0.0);
-  return work_ms_ / share + error_ms_;
-}
-
-double CorrectedWcetLagShare::LatencyForNegSlope(double g, double lo,
-                                                 double hi) const {
-  assert(g >= 0.0);
-  assert(lo <= hi);
-  if (g == 0.0) return hi;
-  return Clamp(error_ms_ + std::sqrt(work_ms_ / g), lo, hi);
-}
-
-std::string CorrectedWcetLagShare::Describe() const {
-  std::ostringstream os;
-  os << "corrected_wcet_lag(" << work_ms_ << "/(lat - " << error_ms_ << "))";
-  return os.str();
-}
 
 bool CheckShareFunction(const ShareFunction& s, double lo, double hi,
                         int samples) {

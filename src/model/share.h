@@ -1,4 +1,4 @@
-// Share functions: the latency <-> resource-share model (paper Eq. 10).
+// Share function: the latency <-> resource-share model (paper Eq. 10).
 //
 // Under proportional-share scheduling, a subtask that receives share sigma of
 // its resource finishes a job of worst-case execution time c in roughly
@@ -6,110 +6,70 @@
 // demanded by a target latency: share(lat) = (c + l)/lat — strictly convex
 // and decreasing, as the dual decomposition requires.
 //
-// The error-corrected variant (paper Sec. 6.3) shifts the model by a measured
+// Online error correction (paper Sec. 6.3) shifts the model by a measured
 // additive error e: predicted latency = (c + l)/sigma + e, i.e.
-// share(lat) = (c + l)/(lat - e).
+// share(lat) = (c + l)/(lat - e).  The uncorrected model is e = 0, and the
+// online model fitter installs fitted (work, offset) pairs in the same form,
+// so one value type covers every model in the repository.  At e = 0 every
+// method computes exactly the uncorrected arithmetic: lat - 0.0 == lat, and
+// q + 0.0 == q for the positive quotients involved.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <algorithm>
+#include <cassert>
+#include <cmath>
 
 namespace lla {
 
-/// Strictly convex, strictly decreasing, continuously differentiable mapping
-/// from latency (ms) to the fraction of the resource required.
+/// share(lat) = work / (lat - error): strictly convex, strictly decreasing
+/// and continuously differentiable for lat > MinLatency().
 class ShareFunction {
  public:
-  virtual ~ShareFunction() = default;
+  /// `work_ms` > 0 is the numerator (wcet + lag for the paper's model);
+  /// `error_ms` may be negative (the common case: the uncorrected model
+  /// over-predicts latency because job releases are not synchronized).
+  ShareFunction(double work_ms, double error_ms)
+      : work_ms_(work_ms), error_ms_(error_ms) {
+    assert(work_ms > 0.0);
+  }
 
   /// Resource fraction needed to achieve `latency_ms`; latency must exceed
   /// MinLatency().
-  virtual double Share(double latency_ms) const = 0;
+  double Share(double latency_ms) const {
+    assert(latency_ms > MinLatency());
+    return work_ms_ / (latency_ms - error_ms_);
+  }
 
   /// d(share)/d(latency); < 0.
-  virtual double DShareDLat(double latency_ms) const = 0;
+  double DShareDLat(double latency_ms) const {
+    assert(latency_ms > MinLatency());
+    const double d = latency_ms - error_ms_;
+    return -work_ms_ / (d * d);
+  }
 
   /// Inverse of Share(); `share` must be > 0.
-  virtual double LatencyForShare(double share) const = 0;
-
-  /// Infimum of achievable latencies (share -> 1 as latency -> MinLatency
-  /// for the WCET/lag model; exact semantics per subclass).  Latency inputs
-  /// must be strictly greater than this.
-  virtual double MinLatency() const = 0;
-
-  /// Solves -DShareDLat(lat) = g for lat in [lo, hi]; this is the inverse
-  /// operation of the stationarity condition (paper Eq. 7).  Since the share
-  /// function is strictly convex, -DShareDLat is strictly decreasing, so the
-  /// solution is unique; values outside the bracket clamp to lo/hi.
-  /// Requires g >= 0.  The default implementation bisects; subclasses with a
-  /// closed form override.
-  virtual double LatencyForNegSlope(double g, double lo, double hi) const;
-
-  /// If the share function has the reciprocal form work/(lat - error) — so
-  /// LatencyForNegSlope(g) = clamp(error + sqrt(work/g)) — writes the two
-  /// coefficients and returns true.  The solver uses this to hoist the
-  /// closed-form stationarity solve out of the virtual call into a flat
-  /// array kernel; the kernel must produce bit-identical results to
-  /// LatencyForNegSlope, so overrides must describe exactly the computation
-  /// their LatencyForNegSlope performs.
-  virtual bool ReciprocalForm(double* work_ms, double* error_ms) const {
-    (void)work_ms;
-    (void)error_ms;
-    return false;
+  double LatencyForShare(double share) const {
+    assert(share > 0.0);
+    return work_ms_ / share + error_ms_;
   }
 
-  virtual std::string Describe() const = 0;
-};
+  /// Infimum of achievable latencies; latency inputs must be strictly
+  /// greater than this.
+  double MinLatency() const { return error_ms_ > 0 ? error_ms_ : 0.0; }
 
-using SharePtr = std::shared_ptr<const ShareFunction>;
-
-/// share(lat) = work / lat with work = wcet + lag (paper Eq. 10).
-class WcetLagShare final : public ShareFunction {
- public:
-  /// `wcet_ms` > 0, `lag_ms` >= 0.
-  WcetLagShare(double wcet_ms, double lag_ms);
-
-  double Share(double latency_ms) const override;
-  double DShareDLat(double latency_ms) const override;
-  double LatencyForShare(double share) const override;
-  double MinLatency() const override { return 0.0; }
-  /// Closed form: work/lat^2 = g  =>  lat = sqrt(work/g).
-  double LatencyForNegSlope(double g, double lo, double hi) const override;
-  bool ReciprocalForm(double* work_ms, double* error_ms) const override {
-    *work_ms = work_ms_;
-    *error_ms = 0.0;
-    return true;
+  /// Solves -DShareDLat(lat) = g for lat in [lo, hi], the inverse of the
+  /// stationarity condition (paper Eq. 7), in closed form:
+  /// work/(lat - e)^2 = g  =>  lat = e + sqrt(work/g), clamped to [lo, hi].
+  /// Requires g >= 0; g == 0 (no pressure) returns hi.
+  double LatencyForNegSlope(double g, double lo, double hi) const {
+    assert(g >= 0.0);
+    assert(lo <= hi);
+    if (g == 0.0) return hi;
+    return std::min(std::max(error_ms_ + std::sqrt(work_ms_ / g), lo), hi);
   }
-  std::string Describe() const override;
 
   double work_ms() const { return work_ms_; }
-
- private:
-  double work_ms_;  ///< wcet + lag
-};
-
-/// Additively corrected model: share(lat) = work / (lat - error).
-/// `error_ms` may be negative (the common case: the uncorrected model
-/// over-predicts latency because job releases are not synchronized).
-class CorrectedWcetLagShare final : public ShareFunction {
- public:
-  CorrectedWcetLagShare(double wcet_ms, double lag_ms, double error_ms);
-
-  double Share(double latency_ms) const override;
-  double DShareDLat(double latency_ms) const override;
-  double LatencyForShare(double share) const override;
-  double MinLatency() const override { return error_ms_ > 0 ? error_ms_ : 0.0; }
-  /// Closed form: work/(lat-e)^2 = g  =>  lat = e + sqrt(work/g).
-  double LatencyForNegSlope(double g, double lo, double hi) const override;
-  bool ReciprocalForm(double* work_ms, double* error_ms) const override {
-    *work_ms = work_ms_;
-    *error_ms = error_ms_;
-    return true;
-  }
-  std::string Describe() const override;
-
   double error_ms() const { return error_ms_; }
-  double work_ms() const { return work_ms_; }
 
  private:
   double work_ms_;

@@ -5,9 +5,11 @@
 // prototype).  The model generalizes to Poisson and bursty arrivals, which
 // the paper motivates ("real-life workloads with bursty arrivals") — the
 // discrete-event substrate honours all three.
+//
+// The factories only fill fields; Workload::Create checks them (finite
+// numbers, period and rate > 0, burst size >= 1, spread >= 0), so a bad
+// spec read from a file is an error message in every build mode.
 #pragma once
-
-#include <cassert>
 
 namespace lla {
 
@@ -22,7 +24,6 @@ struct TriggerSpec {
   double burst_spread_ms = 0.0; ///< bursty: spacing inside a burst
 
   static TriggerSpec Periodic(double period_ms, double phase_ms = 0.0) {
-    assert(period_ms > 0.0);
     TriggerSpec t;
     t.kind = Kind::kPeriodic;
     t.period_ms = period_ms;
@@ -31,7 +32,6 @@ struct TriggerSpec {
   }
 
   static TriggerSpec Poisson(double rate_per_s) {
-    assert(rate_per_s > 0.0);
     TriggerSpec t;
     t.kind = Kind::kPoisson;
     t.rate_per_s = rate_per_s;
@@ -40,9 +40,6 @@ struct TriggerSpec {
 
   static TriggerSpec Bursty(double period_ms, int burst_size,
                             double burst_spread_ms) {
-    assert(period_ms > 0.0);
-    assert(burst_size >= 1);
-    assert(burst_spread_ms >= 0.0);
     TriggerSpec t;
     t.kind = Kind::kBursty;
     t.period_ms = period_ms;

@@ -1,9 +1,38 @@
 #include "model/workload.h"
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
 namespace lla {
+namespace {
+
+bool PositiveFinite(double x) { return std::isfinite(x) && x > 0.0; }
+bool NonNegativeFinite(double x) { return std::isfinite(x) && x >= 0.0; }
+
+// Why `t` cannot drive a release stream, or "" when it can.  Every field is
+// checked whatever the kind, so the spec stays valid if the kind changes.
+std::string TriggerProblem(const TriggerSpec& t) {
+  const auto problem = [](const char* field, double value, const char* want) {
+    std::ostringstream os;
+    os << field << ' ' << value << " is not " << want;
+    return os.str();
+  };
+  if (!PositiveFinite(t.period_ms)) {
+    return problem("period", t.period_ms, "a finite number > 0");
+  }
+  if (!std::isfinite(t.phase_ms)) return problem("phase", t.phase_ms, "finite");
+  if (!PositiveFinite(t.rate_per_s)) {
+    return problem("rate", t.rate_per_s, "a finite number > 0");
+  }
+  if (t.burst_size < 1) return problem("burst size", t.burst_size, ">= 1");
+  if (!NonNegativeFinite(t.burst_spread_ms)) {
+    return problem("burst spread", t.burst_spread_ms, "a finite number >= 0");
+  }
+  return {};
+}
+
+}  // namespace
 
 const char* ToString(ResourceKind kind) {
   switch (kind) {
@@ -36,15 +65,16 @@ Expected<Workload> Workload::Create(std::vector<ResourceSpec> resources,
   w.resources_.reserve(resources.size());
   for (std::size_t r = 0; r < resources.size(); ++r) {
     const ResourceSpec& spec = resources[r];
-    if (spec.capacity <= 0.0 || spec.capacity > 1.0) {
+    if (!PositiveFinite(spec.capacity) || spec.capacity > 1.0) {
       std::ostringstream os;
       os << "Workload: resource '" << spec.name << "' capacity "
          << spec.capacity << " outside (0, 1]";
       return E::Error(os.str());
     }
-    if (spec.lag_ms < 0.0) {
+    if (!NonNegativeFinite(spec.lag_ms)) {
       std::ostringstream os;
-      os << "Workload: resource '" << spec.name << "' has negative lag";
+      os << "Workload: resource '" << spec.name << "' lag " << spec.lag_ms
+         << " is not a finite number >= 0";
       return E::Error(os.str());
     }
     ResourceInfo info;
@@ -60,9 +90,16 @@ Expected<Workload> Workload::Create(std::vector<ResourceSpec> resources,
     TaskSpec& spec = tasks[t];
     const std::string task_name =
         spec.name.empty() ? "task" + std::to_string(t) : spec.name;
-    if (spec.critical_time_ms <= 0.0) {
-      return E::Error("Workload: task '" + task_name +
-                      "' has non-positive critical time");
+    if (!PositiveFinite(spec.critical_time_ms)) {
+      std::ostringstream os;
+      os << "Workload: task '" << task_name << "' critical time "
+         << spec.critical_time_ms << " is not a finite number > 0";
+      return E::Error(os.str());
+    }
+    const std::string trigger_problem = TriggerProblem(spec.trigger);
+    if (!trigger_problem.empty()) {
+      return E::Error("Workload: task '" + task_name + "' trigger " +
+                      trigger_problem);
     }
     if (!spec.utility) {
       return E::Error("Workload: task '" + task_name + "' has no utility");
@@ -95,13 +132,13 @@ Expected<Workload> Workload::Create(std::vector<ResourceSpec> resources,
            << " references invalid resource";
         return E::Error(os.str());
       }
-      if (sub.wcet_ms <= 0.0) {
+      if (!PositiveFinite(sub.wcet_ms)) {
         std::ostringstream os;
         os << "Workload: task '" << task_name << "' subtask " << local
-           << " has non-positive wcet";
+           << " wcet " << sub.wcet_ms << " is not a finite number > 0";
         return E::Error(os.str());
       }
-      if (sub.min_share < 0.0 ||
+      if (!NonNegativeFinite(sub.min_share) ||
           sub.min_share > w.resources_[sub.resource.value()].capacity) {
         std::ostringstream os;
         os << "Workload: task '" << task_name << "' subtask " << local

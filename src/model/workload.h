@@ -121,9 +121,13 @@ class Workload {
   using Options = WorkloadOptions;
 
   /// Validates and builds.  Errors include: empty task/resource lists,
-  /// invalid resource references, non-positive WCETs/critical times/
-  /// capacities, capacities > 1, malformed DAGs, missing utilities, and
-  /// (unless allowed) repeated resources within a task.
+  /// invalid resource references, a non-finite number anywhere (NaN or
+  /// +-inf capacity, lag, critical time, WCET, min_share or trigger field),
+  /// non-positive WCETs/critical times/capacities/trigger periods/rates,
+  /// capacities > 1, negative lags/min_shares/burst spreads, burst sizes
+  /// below 1, malformed DAGs, missing utilities, and (unless allowed)
+  /// repeated resources within a task.  Subtask ids are assigned task by
+  /// task, so each task's subtasks form one contiguous id range.
   static Expected<Workload> Create(std::vector<ResourceSpec> resources,
                                    std::vector<TaskSpec> tasks,
                                    WorkloadOptions options = {});

@@ -378,10 +378,6 @@ Assignment Coordinator::CurrentAssignment() const {
   return latencies;
 }
 
-void Coordinator::InvalidateModelCache() {
-  controller_shared_->solver.InvalidateModelCache();
-}
-
 PriceVector Coordinator::CurrentPrices() const {
   PriceVector prices = PriceVector::Zero(*workload_);
   for (const ResourceInfo& resource : workload_->resources()) {

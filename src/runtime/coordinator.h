@@ -18,6 +18,10 @@
 //     staggered phases while the bus applies delay, jitter and drops; this
 //     is the regime a real deployment would see.
 //
+// The task controllers share one LatencySolver, keyed to
+// LatencyModel::revision(), so a model correction between rounds reaches
+// every controller's next solve without a call on the coordinator.
+//
 // The coordinator also implements the enactment policy of Sec. 4.4: the
 // running allocation is only "enacted" (recorded for the executing system)
 // when utility has improved by more than a threshold since the last
@@ -177,11 +181,6 @@ class Coordinator {
   std::vector<RunResult> EvaluateScenarios(const std::vector<LlaConfig>& configs,
                                            int max_iterations,
                                            int num_threads = 1) const;
-
-  /// Drops the task controllers' cached solver invariants; needed only when
-  /// a share function was mutated in place (replacements through the
-  /// LatencyModel are detected automatically via its revision).
-  void InvalidateModelCache();
 
   const std::vector<RoundStats>& history() const { return history_; }
   const std::vector<Enactment>& enactments() const { return enactments_; }

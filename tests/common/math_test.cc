@@ -1,7 +1,5 @@
 #include "common/math.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace lla {
@@ -28,59 +26,6 @@ TEST(ClampTest, Basics) {
   EXPECT_DOUBLE_EQ(Clamp(3.0, 3.0, 3.0), 3.0);
 }
 
-TEST(BisectTest, FindsRootOfMonotoneFunction) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  const auto result = Bisect(f, 0.0, 2.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.root, std::sqrt(2.0), 1e-9);
-}
-
-TEST(BisectTest, AcceptsRootAtEndpoint) {
-  const auto f = [](double x) { return x - 1.0; };
-  const auto at_lo = Bisect(f, 1.0, 2.0);
-  EXPECT_TRUE(at_lo.converged);
-  EXPECT_DOUBLE_EQ(at_lo.root, 1.0);
-  const auto at_hi = Bisect(f, 0.0, 1.0);
-  EXPECT_TRUE(at_hi.converged);
-  EXPECT_DOUBLE_EQ(at_hi.root, 1.0);
-}
-
-TEST(BisectTest, ReportsFailureWithoutSignChange) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  const auto result = Bisect(f, -1.0, 1.0);
-  EXPECT_FALSE(result.converged);
-}
-
-TEST(SafeguardedNewtonTest, ConvergesFastOnSmoothFunction) {
-  const auto f = [](double x) { return x * x * x - 8.0; };
-  const auto df = [](double x) { return 3.0 * x * x; };
-  const auto result = SafeguardedNewton(f, df, 0.0, 10.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.root, 2.0, 1e-9);
-  EXPECT_LT(result.iterations, 30);
-}
-
-TEST(SafeguardedNewtonTest, SurvivesZeroDerivative) {
-  // f'(0) = 0; the safeguard must bisect through it.
-  const auto f = [](double x) { return x * x * x - 1.0; };
-  const auto df = [](double x) { return 3.0 * x * x; };
-  const auto result = SafeguardedNewton(f, df, -1.0, 2.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.root, 1.0, 1e-9);
-}
-
-TEST(SafeguardedNewtonTest, KeepsIterateInsideBracket) {
-  // Steep function whose Newton step from the midpoint escapes the bracket.
-  const auto f = [](double x) { return std::tanh(10.0 * (x - 0.9)); };
-  const auto df = [](double x) {
-    const double t = std::tanh(10.0 * (x - 0.9));
-    return 10.0 * (1.0 - t * t);
-  };
-  const auto result = SafeguardedNewton(f, df, 0.0, 1.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.root, 0.9, 1e-8);
-}
-
 TEST(GoldenSectionMaxTest, FindsMaximumOfConcaveFunction) {
   const auto f = [](double x) { return -(x - 3.0) * (x - 3.0); };
   EXPECT_NEAR(GoldenSectionMax(f, 0.0, 10.0), 3.0, 1e-7);
@@ -90,28 +35,6 @@ TEST(GoldenSectionMaxTest, HandlesBoundaryMaximum) {
   const auto f = [](double x) { return -x; };
   EXPECT_NEAR(GoldenSectionMax(f, 2.0, 5.0), 2.0, 1e-6);
 }
-
-// Property sweep: Bisect and SafeguardedNewton agree on a family of
-// monotone functions of the shape the latency solver inverts
-// (work/lat^2 - g).
-class RootFinderAgreement : public ::testing::TestWithParam<double> {};
-
-TEST_P(RootFinderAgreement, NewtonMatchesBisection) {
-  const double g = GetParam();
-  const double work = 6.0;
-  const auto f = [&](double lat) { return work / (lat * lat) - g; };
-  const auto df = [&](double lat) { return -2.0 * work / (lat * lat * lat); };
-  const auto newton = SafeguardedNewton(f, df, 1e-3, 1e4);
-  const auto bisect = Bisect(f, 1e-3, 1e4);
-  ASSERT_TRUE(newton.converged);
-  ASSERT_TRUE(bisect.converged);
-  EXPECT_NEAR(newton.root, std::sqrt(work / g), 1e-6 * newton.root);
-  EXPECT_NEAR(newton.root, bisect.root, 1e-5 * newton.root);
-}
-
-INSTANTIATE_TEST_SUITE_P(SlopeTargets, RootFinderAgreement,
-                         ::testing::Values(1e-4, 1e-2, 0.5, 1.0, 7.3, 123.0,
-                                           4096.0));
 
 }  // namespace
 }  // namespace lla

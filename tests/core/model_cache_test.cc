@@ -1,14 +1,11 @@
-// Cache-invalidation contract of the solver's model-invariant cache
-// (regression for the online error-correction flow, paper Sec. 6.3):
-//
-//  1. replacing a share function through the LatencyModel bumps the model
-//     revision and the cached solver picks it up on the next solve — a
-//     warm-started engine after a correction must follow exactly the same
-//     trajectory as a freshly constructed engine;
-//  2. mutating a share object *in place* is invisible to the revision
-//     counter, so the cached bounds go stale until InvalidateModelCache().
-#include <cmath>
-#include <memory>
+// Freshness rule of every model-derived cache (regression for the online
+// error-correction flow, paper Sec. 6.3): shares change only through the
+// LatencyModel's setters, each bumps revision(), and the solver's invariant
+// cache and the active-set baseline rebuild on the next solve when it
+// moved.  A warm-started engine after a correction must follow exactly the
+// same trajectory as a freshly constructed engine, and the corrector's
+// reset to error 0 must be the default model bit for bit.
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,7 +14,8 @@
 #include "core/engine.h"
 #include "core/latency_solver.h"
 #include "model/latency_model.h"
-#include "workloads/paper.h"
+#include "model/utility.h"
+#include "runtime/coordinator.h"
 #include "workloads/random.h"
 
 namespace lla {
@@ -40,6 +38,11 @@ LlaConfig TestConfig() {
   return config;
 }
 
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 // After an online model correction, an engine that keeps running via
 // WarmStart must be bit-identical to a fresh engine built on the corrected
 // model and warm-started from the same prices.
@@ -57,9 +60,8 @@ TEST(ModelCacheTest, WarmStartAfterCorrectionMatchesFreshEngine) {
   model.SetAdditiveError(SubtaskId(std::size_t{3}), 0.25);
   model.SetAdditiveError(SubtaskId(w.subtask_count() - 1), -0.2);
 
-  // Explicit invalidation (harmless here — the revision check would catch
-  // the replacement anyway) plus warm restart from the checkpoint prices.
-  live.InvalidateModelCache();
+  // The revision bump alone reaches the live engine's caches; warm restart
+  // from the checkpoint prices.
   live.WarmStart(checkpoint);
 
   LlaEngine fresh(w, model, config);
@@ -103,107 +105,44 @@ TEST(ModelCacheTest, RevisionDetectsReplacementWithoutExplicitInvalidate) {
   EXPECT_GT(cached.LatLo(target), lo_before);
 }
 
-// A share function whose parameters change behind the model's back: the
-// revision cannot see it, so this is the case that requires the explicit
-// InvalidateModelCache() hook.
-class MutableWorkShare final : public ShareFunction {
- public:
-  explicit MutableWorkShare(double work_ms) : work_ms_(work_ms) {}
-
-  void set_work_ms(double work_ms) { work_ms_ = work_ms; }
-
-  double Share(double latency_ms) const override {
-    return work_ms_ / latency_ms;
-  }
-  double DShareDLat(double latency_ms) const override {
-    return -work_ms_ / (latency_ms * latency_ms);
-  }
-  double LatencyForShare(double share) const override {
-    return work_ms_ / share;
-  }
-  double MinLatency() const override { return 0.0; }
-  double LatencyForNegSlope(double g, double lo, double hi) const override {
-    const double lat = std::sqrt(work_ms_ / g);
-    return std::min(std::max(lat, lo), hi);
-  }
-  std::string Describe() const override { return "mutable-work"; }
-
- private:
-  double work_ms_;
-};
-
-TEST(ModelCacheTest, InPlaceMutationRequiresExplicitInvalidate) {
-  const Workload w = MakeWorkload(31);
-  LatencyModel model(w);
-
-  const SubtaskId target(std::size_t{0});
-  auto mutable_share = std::make_shared<MutableWorkShare>(6.0);
-  model.SetShareFunction(target, mutable_share);
-
-  LatencySolver solver(w, model);
-  const double lo_initial = solver.LatLo(target);
-
-  // In-place mutation: same object, same revision — the cached bound is now
-  // stale and the solver must NOT see the change yet (that staleness is the
-  // documented contract, not a bug).
-  mutable_share->set_work_ms(12.0);
-  EXPECT_EQ(solver.LatLo(target), lo_initial);
-
-  // The explicit hook flushes the cache; the rebuilt bound matches an
-  // uncached reference solver.
-  solver.InvalidateModelCache();
-  LatencySolverConfig uncached_config;
-  uncached_config.cache_invariants = false;
-  const LatencySolver uncached(w, model, uncached_config);
-  EXPECT_EQ(solver.LatLo(target), uncached.LatLo(target));
-  EXPECT_EQ(solver.LatHi(target), uncached.LatHi(target));
-  EXPECT_GT(solver.LatLo(target), lo_initial);
+// Task "alone" owns cpu0 and link0; tasks "x" and "y" share cpu1 and
+// link1.  Prices start at 0, and alone's stay at exactly 0: its subtasks sit
+// at their box floor, which fills each resource exactly, and its path has
+// slack.
+Workload MakeSplitWorkload() {
+  std::vector<ResourceSpec> resources = {
+      {"cpu0", ResourceKind::kCpu, 1.0, 1.0},
+      {"link0", ResourceKind::kNetworkLink, 1.0, 1.0},
+      {"cpu1", ResourceKind::kCpu, 1.0, 1.0},
+      {"link1", ResourceKind::kNetworkLink, 1.0, 1.0}};
+  const auto chain = [](const std::string& name, std::size_t cpu,
+                        std::size_t link, double wcet) {
+    TaskSpec task;
+    task.name = name;
+    task.critical_time_ms = 40.0;
+    task.utility = MakePaperSimUtility(40.0);
+    task.subtasks = {{name + ".a", ResourceId(cpu), wcet, 0.0},
+                     {name + ".b", ResourceId(link), wcet + 1.0, 0.0}};
+    task.edges = {{0, 1}};
+    return task;
+  };
+  auto workload = Workload::Create(
+      std::move(resources),
+      {chain("alone", 0, 1, 2.0), chain("x", 2, 3, 2.0),
+       chain("y", 2, 3, 3.0)});
+  EXPECT_TRUE(workload.ok()) << workload.error();
+  return std::move(workload.value());
 }
 
-// End-to-end on a paper workload: the engine-level InvalidateModelCache()
-// forwards to the solver, so an in-place mutation followed by the hook and
-// a warm restart matches a fresh engine.
-TEST(ModelCacheTest, EngineInvalidateAfterInPlaceMutation) {
-  auto workload = MakeSimWorkload();
-  ASSERT_TRUE(workload.ok()) << workload.error();
-  const Workload& w = workload.value();
-  LatencyModel model(w);
-
-  const SubtaskId target(std::size_t{2});
-  auto mutable_share = std::make_shared<MutableWorkShare>(5.0);
-  model.SetShareFunction(target, mutable_share);
-
-  const LlaConfig config = TestConfig();
-  LlaEngine live(w, model, config);
-  for (int i = 0; i < 200; ++i) live.Step();
-  const PriceVector checkpoint = live.prices();
-
-  mutable_share->set_work_ms(9.0);
-  live.InvalidateModelCache();
-  live.WarmStart(checkpoint);
-
-  LlaEngine fresh(w, model, config);
-  fresh.WarmStart(checkpoint);
-
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(live.Step().total_utility, fresh.Step().total_utility)
-        << "step " << i;
-  }
-  EXPECT_EQ(live.latencies(), fresh.latencies());
-}
-
-// Regression: InvalidateModelCache() must also invalidate the active-set
-// dirty-tracking state.  An in-place share mutation changes solve results
-// without changing a single price bit, so if the active engine kept its
-// baseline it would classify every task as clean and serve stale workspace
-// latencies forever.  A dense engine stepped in lockstep is the oracle.
+// The revision bump must invalidate the active-set dirty tracking.  A
+// correction to "alone" lands mid-run with no call on either engine: it
+// changes that task's solve without moving a single price bit, so if the
+// active engine kept its baseline it would classify the task as clean and
+// serve its stale latency forever.  A dense engine stepped in lockstep is
+// the oracle.
 TEST(ModelCacheTest, InvalidateResetsActiveSetDirtyTracking) {
-  const Workload w = MakeWorkload(37);
+  const Workload w = MakeSplitWorkload();
   LatencyModel model(w);
-
-  const SubtaskId target(std::size_t{1});
-  auto mutable_share = std::make_shared<MutableWorkShare>(4.0);
-  model.SetShareFunction(target, mutable_share);
 
   LlaConfig dense_config = TestConfig();
   dense_config.active_set.enabled = false;
@@ -215,22 +154,92 @@ TEST(ModelCacheTest, InvalidateResetsActiveSetDirtyTracking) {
   for (int i = 0; i < 150; ++i) {
     dense.Step();
     active.Step();
-    ASSERT_EQ(dense.latencies(), active.latencies()) << "pre step " << i;
+    ASSERT_TRUE(SameBits(dense.latencies(), active.latencies()))
+        << "pre step " << i;
   }
 
-  // The mutation is invisible to the model revision AND to the price bits:
-  // only the explicit hook can tell the active engine its baseline is void.
-  mutable_share->set_work_ms(8.0);
-  dense.InvalidateModelCache();
-  active.InvalidateModelCache();
+  const SubtaskId target(std::size_t{0});  // alone.a on cpu0
+  const PriceVector prices_before = dense.prices();
+  const double latency_before = dense.latencies()[target.value()];
+  model.SetAdditiveError(target, 0.6);
 
   for (int i = 0; i < 150; ++i) {
     dense.Step();
     active.Step();
-    ASSERT_EQ(dense.latencies(), active.latencies()) << "post step " << i;
-    ASSERT_EQ(dense.prices().mu, active.prices().mu) << "post step " << i;
-    ASSERT_EQ(dense.prices().lambda, active.prices().lambda)
+    ASSERT_TRUE(SameBits(dense.latencies(), active.latencies()))
         << "post step " << i;
+    ASSERT_TRUE(SameBits(dense.prices().mu, active.prices().mu))
+        << "post step " << i;
+    ASSERT_TRUE(SameBits(dense.prices().lambda, active.prices().lambda))
+        << "post step " << i;
+  }
+  // The correction moved alone's latency and none of its prices.
+  EXPECT_NE(dense.latencies()[target.value()], latency_before);
+  for (const std::size_t r : {0u, 1u}) {
+    EXPECT_EQ(prices_before.mu[r], 0.0);
+    EXPECT_EQ(dense.prices().mu[r], 0.0);
+  }
+  EXPECT_EQ(prices_before.lambda[0], 0.0);
+  EXPECT_EQ(dense.prices().lambda[0], 0.0);
+}
+
+// The error corrector's reset writes SetAdditiveError(id, 0.0) on every
+// subtask.  Error 0 is the default model's arithmetic bit for bit, so a
+// reset model steps every consumer exactly like a fresh one: the dense and
+// active-set engines and an 8-shard coordinator in synchronous rounds.
+TEST(ModelCacheTest, ZeroErrorResetMatchesFreshModel) {
+  RandomWorkloadConfig workload_config;
+  workload_config.seed = 43;
+  workload_config.num_resources = 16;
+  workload_config.num_tasks = 8;
+  workload_config.target_utilization = 0.75;
+  auto workload = MakeRandomWorkload(workload_config);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+
+  const LatencyModel fresh(w);
+  LatencyModel reset(w);
+  for (const SubtaskInfo& sub : w.subtasks()) {
+    reset.SetAdditiveError(sub.id, -0.3);
+  }
+  for (const SubtaskInfo& sub : w.subtasks()) {
+    reset.SetAdditiveError(sub.id, 0.0);
+  }
+  ASSERT_NE(reset.revision(), fresh.revision());
+
+  for (const bool active_set : {false, true}) {
+    LlaConfig config = TestConfig();
+    config.active_set.enabled = active_set;
+    LlaEngine a(w, fresh, config);
+    LlaEngine b(w, reset, config);
+    for (int i = 0; i < 300; ++i) {
+      a.Step();
+      b.Step();
+      ASSERT_TRUE(SameBits(a.latencies(), b.latencies()))
+          << "active_set " << active_set << " step " << i;
+      ASSERT_TRUE(SameBits(a.prices().mu, b.prices().mu))
+          << "active_set " << active_set << " step " << i;
+      ASSERT_TRUE(SameBits(a.prices().lambda, b.prices().lambda))
+          << "active_set " << active_set << " step " << i;
+    }
+  }
+
+  runtime::CoordinatorConfig config;
+  config.step.gamma0 = 3.0;
+  config.bus.base_delay_ms = 0.0;
+  config.num_shards = 8;
+  runtime::Coordinator a(w, fresh, config);
+  runtime::Coordinator b(w, reset, config);
+  ASSERT_EQ(a.shard_count(), 8u);
+  for (int round = 0; round < 300; ++round) {
+    a.RunSyncRound();
+    b.RunSyncRound();
+    ASSERT_TRUE(SameBits(a.CurrentAssignment(), b.CurrentAssignment()))
+        << "round " << round;
+    const PriceVector pa = a.CurrentPrices();
+    const PriceVector pb = b.CurrentPrices();
+    ASSERT_TRUE(SameBits(pa.mu, pb.mu)) << "round " << round;
+    ASSERT_TRUE(SameBits(pa.lambda, pb.lambda)) << "round " << round;
   }
 }
 

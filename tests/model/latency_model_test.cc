@@ -35,8 +35,7 @@ TEST(LatencyModelTest, SetShareFunctionReplaces) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
   LatencyModel model(workload.value());
-  model.SetShareFunction(SubtaskId(2u),
-                         std::make_shared<WcetLagShare>(10.0, 0.0));
+  model.SetShareFunction(SubtaskId(2u), ShareFunction(10.0 + 0.0, 0.0));
   EXPECT_DOUBLE_EQ(model.share(SubtaskId(2u)).Share(20.0), 0.5);
 }
 

@@ -1,5 +1,7 @@
 #include "model/workload.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "model/trigger.h"
@@ -93,6 +95,109 @@ TEST(WorkloadTest, RejectsBadCriticalTime) {
   auto task = SimpleChainTask();
   task.critical_time_ms = 0.0;
   EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok());
+}
+
+// NaN fails every ordered comparison, so a check written `x <= 0.0` lets it
+// through; +inf passes the one-sided checks.  Every numeric field must be
+// finite.
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(WorkloadTest, RejectsNonFiniteCapacity) {
+  for (const double capacity : {kNaN, kInf, -kInf}) {
+    auto resources = TwoResources();
+    resources[0].capacity = capacity;
+    EXPECT_FALSE(Workload::Create(resources, {SimpleChainTask()}).ok())
+        << capacity;
+  }
+}
+
+TEST(WorkloadTest, RejectsNonFiniteLag) {
+  for (const double lag : {kNaN, kInf, -kInf}) {
+    auto resources = TwoResources();
+    resources[1].lag_ms = lag;
+    EXPECT_FALSE(Workload::Create(resources, {SimpleChainTask()}).ok())
+        << lag;
+  }
+}
+
+TEST(WorkloadTest, RejectsNonFiniteCriticalTime) {
+  for (const double critical_time : {kNaN, kInf}) {
+    auto task = SimpleChainTask();
+    task.critical_time_ms = critical_time;
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok())
+        << critical_time;
+  }
+}
+
+TEST(WorkloadTest, RejectsNonFiniteWcet) {
+  for (const double wcet : {kNaN, kInf}) {
+    auto task = SimpleChainTask();
+    task.subtasks[0].wcet_ms = wcet;
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok()) << wcet;
+  }
+}
+
+TEST(WorkloadTest, RejectsNonFiniteMinShare) {
+  for (const double min_share : {kNaN, kInf}) {
+    auto task = SimpleChainTask();
+    task.subtasks[1].min_share = min_share;
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok()) << min_share;
+  }
+}
+
+TEST(WorkloadTest, RejectsBadTriggerPeriod) {
+  for (const double period : {0.0, -5.0, kNaN, kInf}) {
+    auto periodic = SimpleChainTask();
+    periodic.trigger = TriggerSpec::Periodic(period);
+    EXPECT_FALSE(Workload::Create(TwoResources(), {periodic}).ok()) << period;
+    auto bursty = SimpleChainTask();
+    bursty.trigger = TriggerSpec::Bursty(period, 2, 1.0);
+    EXPECT_FALSE(Workload::Create(TwoResources(), {bursty}).ok()) << period;
+  }
+}
+
+TEST(WorkloadTest, RejectsNonFiniteTriggerPhase) {
+  for (const double phase : {kNaN, kInf, -kInf}) {
+    auto task = SimpleChainTask();
+    task.trigger = TriggerSpec::Periodic(100.0, phase);
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok()) << phase;
+  }
+}
+
+TEST(WorkloadTest, RejectsBadTriggerRate) {
+  for (const double rate : {0.0, -1.0, kNaN, kInf}) {
+    auto task = SimpleChainTask();
+    task.trigger = TriggerSpec::Poisson(rate);
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok()) << rate;
+  }
+}
+
+TEST(WorkloadTest, RejectsBadBurstSize) {
+  for (const int burst_size : {0, -3}) {
+    auto task = SimpleChainTask();
+    task.trigger = TriggerSpec::Bursty(100.0, burst_size, 1.0);
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok()) << burst_size;
+  }
+}
+
+TEST(WorkloadTest, RejectsBadBurstSpread) {
+  for (const double spread : {-1.0, kNaN, kInf}) {
+    auto task = SimpleChainTask();
+    task.trigger = TriggerSpec::Bursty(100.0, 2, spread);
+    EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok()) << spread;
+  }
+}
+
+TEST(WorkloadTest, AcceptsEveryValidTriggerKind) {
+  for (const TriggerSpec& trigger :
+       {TriggerSpec::Periodic(100.0, 2.5), TriggerSpec::Poisson(10.0),
+        TriggerSpec::Bursty(100.0, 3, 0.0)}) {
+    auto task = SimpleChainTask();
+    task.trigger = trigger;
+    auto workload = Workload::Create(TwoResources(), {task});
+    EXPECT_TRUE(workload.ok()) << workload.error();
+  }
 }
 
 TEST(WorkloadTest, RejectsMissingUtility) {

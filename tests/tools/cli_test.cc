@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -19,8 +20,13 @@ const char* kPaperWorkload = LLA_SOURCE_DIR "/examples/data/paper_table1.lla";
 
 // Runs `lla <args>` with stdout redirected to `stdout_path` and stderr
 // discarded; returns the exit code, or -1 if the shell could not launch it.
-int RunCliTo(const std::string& args, const std::string& stdout_path) {
-  const std::string command = std::string(kCli) + " " + args + " >" +
+// A positive `timeout_s` runs it under timeout(1), which kills it after that
+// many seconds and exits 124.
+int RunCliTo(const std::string& args, const std::string& stdout_path,
+             int timeout_s = 0) {
+  const std::string prefix =
+      timeout_s > 0 ? "timeout " + std::to_string(timeout_s) + " " : "";
+  const std::string command = prefix + std::string(kCli) + " " + args + " >" +
                               stdout_path + " 2>/dev/null";
   const int status = std::system(command.c_str());
   if (status < 0) return -1;
@@ -32,7 +38,9 @@ int RunCliTo(const std::string& args, const std::string& stdout_path) {
 #endif
 }
 
-int RunCli(const std::string& args) { return RunCliTo(args, "/dev/null"); }
+int RunCli(const std::string& args, int timeout_s = 0) {
+  return RunCliTo(args, "/dev/null", timeout_s);
+}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
@@ -347,6 +355,65 @@ TEST(CliTest, EveryFlagTakesBothValueForms) {
 TEST(CliTest, LoadErrorsReturnThree) {
   EXPECT_EQ(RunCli("describe /nonexistent/workload.lla"), 3);
   EXPECT_EQ(RunCli("solve /nonexistent/workload.lla"), 3);
+}
+
+// A two-subtask workload whose `field` (cap, lag, critical, wcet or
+// trigger) reads `value`; every other field holds a valid number.
+std::string TwoSubtaskWorkload(const std::string& field,
+                               const std::string& value) {
+  const auto pick = [&](const char* name, const char* fallback) {
+    return field == name ? value : std::string(fallback);
+  };
+  return "resource cpu0 cpu " + pick("cap", "1") + " " + pick("lag", "1") +
+         "\nresource link0 link 1 1\n"
+         "task t " + pick("critical", "40") + "\n"
+         "  utility linear 80 1\n"
+         "  trigger " + pick("trigger", "periodic 100") + "\n"
+         "  subtask a cpu0 " + pick("wcet", "2") + "\n"
+         "  subtask b link0 3\n"
+         "  edge 0 1\n"
+         "end\n";
+}
+
+std::string WriteWorkload(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/cli_" + name + ".lla";
+  std::ofstream(path) << text;
+  return path;
+}
+
+// Non-finite and out-of-range numbers in a .lla file are load errors (the
+// reader's std::stod accepts "nan" and "inf").  Past the loader, a NaN
+// capacity solves to latency nan reported "feasible: yes", and a NaN
+// critical time reports "converged".
+TEST(CliTest, NonFiniteWorkloadNumbersReturnThree) {
+  const std::string valid = WriteWorkload("valid", TwoSubtaskWorkload("", ""));
+  EXPECT_EQ(RunCli("solve " + valid), 0);
+  std::remove(valid.c_str());
+  const std::pair<const char*, const char*> cases[] = {
+      {"cap", "nan"},      {"cap", "inf"},       {"lag", "nan"},
+      {"lag", "inf"},      {"critical", "nan"},  {"critical", "inf"},
+      {"wcet", "nan"},     {"wcet", "inf"},      {"trigger", "periodic nan"},
+      {"trigger", "poisson inf"}, {"trigger", "bursty 100 0 1"}};
+  for (const auto& [field, value] : cases) {
+    const std::string path =
+        WriteWorkload("bad_number", TwoSubtaskWorkload(field, value));
+    EXPECT_EQ(RunCli("solve " + path), 3) << field << " " << value;
+    std::remove(path.c_str());
+  }
+}
+
+// A periodic trigger with period 0 or below would make `simulate` release
+// jobs forever at one instant.  The run goes through `timeout`, so a hang
+// fails the test instead of stalling the suite.
+TEST(CliTest, SimulateRejectsNonPositiveTriggerPeriod) {
+  for (const char* period : {"0", "-5"}) {
+    const std::string path = WriteWorkload(
+        "bad_period", TwoSubtaskWorkload("trigger", std::string("periodic ") +
+                                                        period));
+    EXPECT_EQ(RunCli("simulate " + path + " 1", /*timeout_s=*/10), 3)
+        << period;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CliTest, NotConvergedReturnsFour) {
