@@ -156,8 +156,12 @@ int main(int argc, char** argv) {
       "bench_throughput — full LLA iterations per second",
       "engine hot path (fused one-region step + invariant caching + "
       "EngineBatch coarse parallelism)",
-      "fused >= 2x the scalar reference single-threaded; steps/s must not "
-      "decrease as threads increase past the grain cutoff");
+      "reports steps/s of the scalar reference, the fused engine at 1, 2 "
+      "and 4 threads and a 4-engine EngineBatch; the only check is that "
+      "fused and scalar agree bit for bit (exit 1 otherwise).  Recorded on "
+      "a 4-thread host: fused 1.2-1.3x scalar single-threaded, in-engine "
+      "threads 0.8-1.4x the 1-thread rate, EngineBatch 2.0x and 3.2x it at "
+      "4 threads");
 
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware_concurrency: %u%s\n", hardware,

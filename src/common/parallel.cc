@@ -7,6 +7,9 @@
 namespace lla {
 namespace {
 
+/// Doorbell/done spins before falling back to the parking condvar.
+constexpr int kSpinCount = 4096;
+
 int HardwareCap() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
@@ -17,7 +20,6 @@ int HardwareCap() {
 ThreadPool::ThreadPool(int num_threads, ParallelConfig config)
     : config_(config) {
   if (config_.min_items_per_thread < 1) config_.min_items_per_thread = 1;
-  if (config_.spin_count < 0) config_.spin_count = 0;
   const int cap =
       config_.max_concurrency > 0 ? config_.max_concurrency : HardwareCap();
   const int participants = std::max(1, std::min(num_threads, cap));
@@ -86,7 +88,7 @@ bool ThreadPool::AllDone(std::uint64_t gen, int participants) const {
 }
 
 void ThreadPool::AwaitDone(std::uint64_t gen, int participants) {
-  for (int spins = 0; spins < config_.spin_count; ++spins) {
+  for (int spins = 0; spins < kSpinCount; ++spins) {
     if (AllDone(gen, participants)) return;
     CpuRelax();
   }
@@ -132,7 +134,7 @@ void ThreadPool::WorkerLoop(int worker_index) {
     int spins = 0;
     while ((gen = slot.job.load(std::memory_order_acquire)) == seen) {
       if (stop_.load(std::memory_order_relaxed)) return;
-      if (++spins > config_.spin_count) {
+      if (++spins > kSpinCount) {
         if (!ParkWorker(slot, seen)) return;
         spins = 0;
       } else {

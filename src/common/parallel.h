@@ -98,8 +98,6 @@ struct ParallelConfig {
   /// contention.  Tests force a value to exercise parallelism regardless of
   /// host size.
   int max_concurrency = 0;
-  /// Doorbell/done spins before falling back to the parking condvar.
-  int spin_count = 4096;
 };
 
 /// The half-open index range of chunk `index` when [0, n) is split into

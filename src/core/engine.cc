@@ -54,10 +54,6 @@ LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
       active_paths_refreshed_ =
           config_.metrics->GetCounter("engine.active.paths_refreshed");
       active_primes_ = config_.metrics->GetCounter("engine.active.primes");
-      active_mu_skipped_ =
-          config_.metrics->GetCounter("engine.active.mu_skipped");
-      active_lambda_skipped_ =
-          config_.metrics->GetCounter("engine.active.lambda_skipped");
     }
     if (config_.dynamics.kind != DynamicsKind::kPlain) {
       momentum_restarts_counter_ =
@@ -92,13 +88,11 @@ void LlaEngine::Reset() {
 
 void LlaEngine::PrimeOrSolve() {
   active_state_.Invalidate();
-  price_state_.Invalidate();
   if (config_.active_set.enabled) {
-    const ActiveStepWork work = ActiveSolveAndFillStepWorkspace(
+    ActiveSolveAndFillStepWorkspace(
         solver_, *workload_, *model_, prices_, config_.solver.variant,
         config_.convergence.feasibility_tol, pool_.get(), &latencies_,
         &workspace_, &active_state_);
-    (void)work;
     if (active_primes_ != nullptr) active_primes_->Increment();
   } else {
     solver_.SolveAll(prices_, &latencies_, pool_.get());
@@ -322,15 +316,6 @@ StateSnapshot LlaEngine::Checkpoint() const {
         gather(lambda_dynamics_, &ComponentDynamicsState::phase);
     snap.momentum_restarts = momentum_restarts_;
   }
-  snap.price_state_primed = price_state_.primed;
-  if (price_state_.primed) {
-    snap.mu_settled = price_state_.mu_settled;
-    snap.lambda_settled = price_state_.lambda_settled;
-    snap.mu_zero_epochs = price_state_.mu_zero_epochs;
-    snap.lambda_zero_epochs = price_state_.lambda_zero_epochs;
-    snap.prev_share_sums = price_state_.prev_share_sums;
-    snap.prev_path_latencies = price_state_.prev_path_latencies;
-  }
   return snap;
 }
 
@@ -362,20 +347,6 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
         misshapen(snapshot.mu_phase, R) ||
         misshapen(snapshot.lambda_phase, P)) {
       return Status::Error("Restore: snapshot dynamics state is misshapen");
-    }
-  }
-  if (snapshot.price_state_primed) {
-    // UpdateActive indexes every primed vector unchecked; refuse a corrupt
-    // snapshot up front rather than reading out of bounds later.
-    const std::size_t R = workload_->resource_count();
-    const std::size_t P = workload_->path_count();
-    if (snapshot.mu_settled.size() != R || snapshot.lambda_settled.size() != P ||
-        snapshot.mu_zero_epochs.size() != R ||
-        snapshot.lambda_zero_epochs.size() != P ||
-        snapshot.prev_share_sums.size() != R ||
-        snapshot.prev_path_latencies.size() != P) {
-      return Status::Error(
-          "Restore: snapshot active-set price state is misshapen");
     }
   }
   prices_.mu = std::move(snapshot.mu);
@@ -435,34 +406,11 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
   recent_utilities_.assign(snapshot.recent_utilities.begin(),
                            snapshot.recent_utilities.end());
   history_.clear();
-  // Re-derive latencies_ and the workspace from the restored prices.  This
-  // is deliberately NOT PrimeOrSolve(): that would leave price_state_
-  // invalidated, losing the restored retirement counters.  The dense
-  // prime at prices_ reproduces bitwise the latencies the checkpointed
-  // engine held (the active-set invariant: a full solve at the same price
-  // bits equals the incremental state), after which the saved price state
-  // is layered back on.
-  active_state_.Invalidate();
-  price_state_.Invalidate();
-  if (config_.active_set.enabled) {
-    ActiveSolveAndFillStepWorkspace(
-        solver_, *workload_, *model_, prices_, config_.solver.variant,
-        config_.convergence.feasibility_tol, pool_.get(), &latencies_,
-        &workspace_, &active_state_);
-    if (active_primes_ != nullptr) active_primes_->Increment();
-    if (snapshot.price_state_primed) {
-      price_state_.primed = true;
-      price_state_.mu_settled = std::move(snapshot.mu_settled);
-      price_state_.lambda_settled = std::move(snapshot.lambda_settled);
-      price_state_.mu_zero_epochs = std::move(snapshot.mu_zero_epochs);
-      price_state_.lambda_zero_epochs = std::move(snapshot.lambda_zero_epochs);
-      price_state_.prev_share_sums = std::move(snapshot.prev_share_sums);
-      price_state_.prev_path_latencies =
-          std::move(snapshot.prev_path_latencies);
-    }
-  } else {
-    solver_.SolveAll(prices_, &latencies_, pool_.get());
-  }
+  // Re-derive latencies_ and the workspace from the restored prices: a
+  // full solve at the same price bits reproduces bitwise the latencies the
+  // checkpointed engine held (the active-set invariant), so the next Step()
+  // continues its trajectory.
+  PrimeOrSolve();
   return Status{};
 }
 
@@ -498,21 +446,9 @@ IterationStats LlaEngine::Step() {
     obs::ScopedTimer timing(price_timer_);
     step_policy_->Update(*workload_, workspace_.resource_congested, &steps_);
     const std::uint64_t restarts_before = momentum_restarts_;
-    if (config_.active_set.enabled) {
-      last_price_work_ = updater_.UpdateActive(
-          workspace_.resource_share_sums, workspace_.path_latencies, steps_,
-          config_.dynamics, &mu_dynamics_, &lambda_dynamics_,
-          &momentum_restarts_, &prices_, &price_state_);
-      last_step_updates_ =
-          last_price_work_.mu_updated + last_price_work_.lambda_updated;
-    } else {
-      updater_.Update(workspace_.resource_share_sums,
-                      workspace_.path_latencies, steps_, config_.dynamics,
-                      &mu_dynamics_, &lambda_dynamics_, &momentum_restarts_,
-                      &prices_);
-      last_step_updates_ = workload_->resource_count() +
-                           workload_->path_count();
-    }
+    updater_.Update(workspace_.resource_share_sums, workspace_.path_latencies,
+                    steps_, config_.dynamics, &mu_dynamics_, &lambda_dynamics_,
+                    &momentum_restarts_, &prices_);
     last_step_restarts_ = momentum_restarts_ - restarts_before;
     if (momentum_restarts_counter_ != nullptr) {
       momentum_restarts_counter_->Increment(last_step_restarts_);
@@ -528,8 +464,6 @@ IterationStats LlaEngine::Step() {
     active_resources_refreshed_->Increment(work.resources_refreshed);
     active_paths_refreshed_->Increment(work.paths_refreshed);
     if (work.primed) active_primes_->Increment();
-    active_mu_skipped_->Increment(last_price_work_.mu_skipped);
-    active_lambda_skipped_->Increment(last_price_work_.lambda_skipped);
   }
 
   IterationStats stats;
@@ -566,8 +500,13 @@ void LlaEngine::EmitTrace(const IterationStats& stats) {
   if (config_.active_set.enabled) {
     trace_.tasks_solved = stats.tasks_solved;
     trace_.subtasks_solved = stats.subtasks_solved;
-    trace_.active_mu = static_cast<int>(last_price_work_.mu_nonzero);
-    trace_.active_lambda = static_cast<int>(last_price_work_.lambda_nonzero);
+    const auto nonzero = [](const std::vector<double>& prices) {
+      return static_cast<int>(
+          std::count_if(prices.begin(), prices.end(),
+                        [](double price) { return price != 0.0; }));
+    };
+    trace_.active_mu = nonzero(prices_.mu);
+    trace_.active_lambda = nonzero(prices_.lambda);
   } else {
     trace_.tasks_solved = -1;
     trace_.subtasks_solved = -1;
@@ -577,16 +516,15 @@ void LlaEngine::EmitTrace(const IterationStats& stats) {
   if (config_.dynamics.kind != DynamicsKind::kPlain) {
     // Per-step restart count and the effective momentum actually applied:
     // a restarted component contributed beta * 0, so the mean coefficient
-    // across computed updates is beta * (1 - restarts / updates).  A
+    // across all R + P components is beta * (1 - restarts / (R + P)).  A
     // diverging run shows up in JSONL as effective_beta pinned well below
     // the configured beta (restarts firing every step).
     trace_.momentum_restarts = static_cast<int>(last_step_restarts_);
-    const double beta = config_.dynamics.momentum;
+    const double components =
+        static_cast<double>(prices_.mu.size() + prices_.lambda.size());
     trace_.effective_beta =
-        last_step_updates_ > 0
-            ? beta * (1.0 - static_cast<double>(last_step_restarts_) /
-                                static_cast<double>(last_step_updates_))
-            : beta;
+        config_.dynamics.momentum *
+        (1.0 - static_cast<double>(last_step_restarts_) / components);
   } else {
     trace_.momentum_restarts = -1;
     trace_.effective_beta = -1.0;

@@ -104,7 +104,7 @@ struct LlaConfig {
   /// default) runs serially with no pool; any value produces bit-identical
   /// results (static partitioning, serial reductions).
   int num_threads = 1;
-  /// Pool tuning: grain cutoff, hardware-concurrency clamp, spin budget.
+  /// Pool tuning: grain cutoff and hardware-concurrency clamp.
   /// None of these can change results, only scheduling (see parallel.h).
   ParallelConfig parallel;
   /// Receives one IterationTrace per Step(), sourced from the fused
@@ -194,12 +194,11 @@ class LlaEngine {
                              const StructuralChange& change);
 
   /// Captures the complete dual state — prices, step-size policy state,
-  /// momentum state, convergence window, counters, and the active-set price
-  /// state — into a durable snapshot (DESIGN.md §7.7).  Restore() of the
-  /// snapshot into a fresh engine on the same workload resumes the dense
-  /// trajectory bit-identically: every subsequent Step() produces bitwise
-  /// the same prices and latencies the checkpointed engine would have
-  /// produced.
+  /// momentum state, convergence window and counters — into a durable
+  /// snapshot (DESIGN.md §7.7).  Restore() of the snapshot into a fresh
+  /// engine on the same workload resumes the dense trajectory
+  /// bit-identically: every subsequent Step() produces bitwise the same
+  /// prices and latencies the checkpointed engine would have produced.
   /// History is diagnostics and is not captured.
   StateSnapshot Checkpoint() const;
 
@@ -266,18 +265,14 @@ class LlaEngine {
   Assignment latencies_;
   StepWorkspace workspace_;
   ActiveSetState active_state_;
-  ActivePriceState price_state_;
   int iteration_ = 0;
   bool converged_ = false;
   std::uint64_t total_subtask_solves_ = 0;
   std::size_t last_reprime_tasks_ = 0;
   std::size_t last_reprime_resources_ = 0;
-  /// Sparsity of the last Step's price update (trace/metric source).
-  ActivePriceWork last_price_work_;
-  /// Momentum diagnostics of the last Step (trace/metric source): adaptive
-  /// restarts fired and components whose update was actually computed.
+  /// Adaptive restarts the last Step's price update fired (trace/metric
+  /// source).
   std::uint64_t last_step_restarts_ = 0;
-  std::uint64_t last_step_updates_ = 0;
   std::deque<double> recent_utilities_;
   std::vector<IterationStats> history_;
 
@@ -291,8 +286,6 @@ class LlaEngine {
   obs::Counter* active_resources_refreshed_ = nullptr;
   obs::Counter* active_paths_refreshed_ = nullptr;
   obs::Counter* active_primes_ = nullptr;
-  obs::Counter* active_mu_skipped_ = nullptr;
-  obs::Counter* active_lambda_skipped_ = nullptr;
   obs::Counter* momentum_restarts_counter_ = nullptr;
   obs::Counter* reprime_tasks_counter_ = nullptr;
   obs::Counter* reprime_resources_counter_ = nullptr;

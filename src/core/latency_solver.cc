@@ -275,7 +275,6 @@ void LatencySolver::PrepareSolve() const {
 void LatencySolver::PrepareSolve(const PriceVector& prices) const {
   EnsureCacheFresh();
   active_csr_valid_ = false;
-  if (!config_.compact_lambda_gather) return;
   const std::size_t n = workload_->subtask_count();
   active_path_offset_.resize(n + 1);
   active_path_index_.clear();

@@ -63,11 +63,6 @@ struct LatencySolverConfig {
   /// SolveSubtask path, as the pre-workspace solver did.  Reference/bench
   /// mode only — results are bit-identical either way.
   bool cache_invariants = true;
-  /// PrepareSolve(prices) compacts the subtask->path CSR down to paths with
-  /// lambda != 0 so the gather skips retired path constraints.  Bit-exact:
-  /// lambda entries are outputs of max(0.0, .) (never -0.0), and x + 0.0 == x
-  /// bitwise for any x that is itself a partial sum of non-negative terms.
-  bool compact_lambda_gather = true;
 };
 
 class LatencySolver {
@@ -99,10 +94,11 @@ class LatencySolver {
 
   /// PrepareSolve plus active-set compaction (serial): rebuilds the
   /// subtask->path gather CSR keeping only paths with lambda != 0, so
-  /// retired path constraints cost nothing in the solve.  The compacted
-  /// index is valid ONLY for solves against bitwise the same `prices` —
-  /// callers must re-prepare whenever lambda changes.  Disabled (falls back
-  /// to the full CSR) when config.compact_lambda_gather is false.
+  /// zero-priced path constraints cost nothing in the solve.  Bit-exact:
+  /// lambda entries are outputs of max(0.0, .) (never -0.0), and x + 0.0 == x
+  /// bitwise for any x that is itself a partial sum of non-negative terms.
+  /// The compacted index is valid ONLY for solves against the same lambda
+  /// zero pattern — callers must re-prepare whenever it moves.
   void PrepareSolve(const PriceVector& prices) const;
 
   /// Solves tasks [begin, end) — the chunk body of a parallel solve.

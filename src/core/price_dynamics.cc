@@ -32,10 +32,10 @@ void ValidateDynamicsConfig(const DynamicsConfig& config, const char* owner) {
 
 namespace internal {
 
-DynamicsStep StepAcceleratedDynamics(const DynamicsConfig& config,
-                                     ComponentDynamicsState* state,
-                                     double value, double gamma, double slack,
-                                     std::uint64_t* restarts) {
+double StepAcceleratedDynamics(const DynamicsConfig& config,
+                               ComponentDynamicsState* state, double value,
+                               double gamma, double slack,
+                               std::uint64_t* restarts) {
   // Ascent gradient of the dual in this component (Eq. 8/9 move the price
   // up while its constraint is violated, i.e. while slack < 0).
   const double g = -slack;
@@ -61,8 +61,7 @@ DynamicsStep StepAcceleratedDynamics(const DynamicsConfig& config,
       v = beta_t * v + gamma * g;
       const double proposed = std::max(0.0, value + v);
       // Zero-clamp: a multiplier parked at the projection boundary carries
-      // no velocity and no ramp credit.  This is what makes (0, 0, 0) an
-      // absorbing state the active-set retirement proof can rely on.
+      // no velocity and no ramp credit (price_dynamics.h).
       if (proposed == 0.0) {
         v = 0.0;
         t = 0.0;
@@ -71,11 +70,7 @@ DynamicsStep StepAcceleratedDynamics(const DynamicsConfig& config,
       }
       state->velocity = v;
       state->phase = t;
-      // With the restart above, a zero can only be reached while g <= 0 for
-      // gamma > 0; the guard keeps `settled` meaning "a recompute from
-      // (0, 0) with unchanged inputs returns (0, 0) for every step size",
-      // which is what retirement skips rely on.
-      return {proposed, proposed == 0.0 && g <= 0.0};
+      return proposed;
     }
     case DynamicsKind::kNesterov: {
       // `value` is the extrapolated point y the last step published; the
@@ -104,11 +99,7 @@ DynamicsStep StepAcceleratedDynamics(const DynamicsConfig& config,
         t += 1.0;
       }
       state->phase = t;
-      // x_new == 0 forces v == 0 and hence y_new == 0: the whole component
-      // state is at zero.  As in heavy-ball, the zero is only absorbing
-      // (and hence retirable) when the gradient also points down or is
-      // flat.
-      return {y_new, x_new == 0.0 && g <= 0.0};
+      return y_new;
     }
   }
   // StepComponentDynamics steps kPlain inline and never sends it here.

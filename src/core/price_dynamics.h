@@ -35,12 +35,15 @@
 //     settles at.  Without the ramp a beta=0.9 warm restart takes ~12x the
 //     plain iteration count on the paper workload; with it, parity.
 //   * Zero-clamp: whenever a multiplier projects to exactly 0, its velocity
-//     (and Nesterov base iterate) is forced to exactly +0.0.  This keeps
-//     the absorbing state of the active-set retirement proof intact: a
-//     settled multiplier is (value=0, velocity=0, base=0), from which a
-//     computed update with unchanged inputs returns the same state for ANY
-//     step size — so retired constraints can skip the arithmetic and the
-//     sparse trajectory stays bit-identical to the dense one.
+//     (and Nesterov base iterate) is forced to exactly +0.0 and its ramp
+//     restarts, so a component parked at the projection boundary holds
+//     exactly the state ReseedAt(0) gives a fresh one.  Without it a parked
+//     heavy-ball multiplier would keep integrating a negative velocity the
+//     projection swallows, and the first violated step after it would be
+//     counted as a restart.  With the clamp, (0, 0, 0) is a fixed point of
+//     every step whose slack is >= 0, whatever the step size, so the price
+//     update can walk every component every step without a parked one's
+//     hidden state drifting.
 //
 // With beta = 0 every variant reduces to the plain update bit-for-bit
 // (0*v contributes a signed zero that IEEE addition absorbs), which is the
@@ -69,16 +72,6 @@ struct DynamicsConfig {
 /// and pin every multiplier at 0, and beta >= 1 makes the velocity
 /// recursion unstable.
 void ValidateDynamicsConfig(const DynamicsConfig& config, const char* owner);
-
-/// Result of one per-component dynamics step.
-struct DynamicsStep {
-  /// The projected published multiplier.
-  double value = 0.0;
-  /// True when the component's whole state (published value, velocity and,
-  /// for Nesterov, the base iterate) is at the absorbing zero — the
-  /// precondition for active-set retirement.
-  bool settled = false;
-};
 
 /// Momentum state of ONE dual component.  The engine keeps one per mu and
 /// per lambda, a shard agent one per hosted resource (DESIGN.md §7.12);
@@ -116,32 +109,30 @@ namespace internal {
 /// The heavy-ball and Nesterov cases of StepComponentDynamics.  Out of line
 /// so the plain case stays a few inline instructions at every call site;
 /// call StepComponentDynamics, never this.
-DynamicsStep StepAcceleratedDynamics(const DynamicsConfig& config,
-                                     ComponentDynamicsState* state,
-                                     double value, double gamma, double slack,
-                                     std::uint64_t* restarts);
+double StepAcceleratedDynamics(const DynamicsConfig& config,
+                               ComponentDynamicsState* state, double value,
+                               double gamma, double slack,
+                               std::uint64_t* restarts);
 }  // namespace internal
 
 /// The projected Eq. 8/9 step on one component: the only definition of the
 /// price move in the tree.  `value` is the published multiplier, `gamma` the
 /// step size the StepSizePolicy chose and `slack` the constraint slack
-/// (positive = satisfied), so the ascent gradient is -slack.  Momentum
-/// kinds read and write `*state`; plain dynamics never touch it, so plain
-/// callers may pass null.  `restarts` (nullable) is incremented on each
-/// adaptive restart.  The plain case compiles inline to the bare
-/// max(0, value - gamma * slack); every other rule is one case of
-/// internal::StepAcceleratedDynamics.
-inline DynamicsStep StepComponentDynamics(const DynamicsConfig& config,
-                                          ComponentDynamicsState* state,
-                                          double value, double gamma,
-                                          double slack,
-                                          std::uint64_t* restarts) {
+/// (positive = satisfied), so the ascent gradient is -slack.  Returns the
+/// projected published multiplier.  Momentum kinds read and write
+/// `*state`; plain dynamics never touch it, so plain callers may pass null.
+/// `restarts` (nullable) is incremented on each adaptive restart.  The
+/// plain case compiles inline to the bare max(0, value - gamma * slack);
+/// every other rule is one case of internal::StepAcceleratedDynamics.
+inline double StepComponentDynamics(const DynamicsConfig& config,
+                                    ComponentDynamicsState* state,
+                                    double value, double gamma, double slack,
+                                    std::uint64_t* restarts) {
   if (config.kind != DynamicsKind::kPlain) {
     return internal::StepAcceleratedDynamics(config, state, value, gamma,
                                              slack, restarts);
   }
-  const double proposed = std::max(0.0, value - gamma * slack);
-  return {proposed, proposed == 0.0};
+  return std::max(0.0, value - gamma * slack);
 }
 
 }  // namespace lla

@@ -25,44 +25,6 @@
 
 namespace lla {
 
-/// Consecutive settled updates at exactly 0 before UpdateActive retires a
-/// constraint.
-inline constexpr std::uint32_t kRetireAfterEpochs = 3;
-
-/// Dirty/quiescence state of the incremental price update (UpdateActive).
-///
-/// A constraint is RETIRED when its multiplier has sat clamped at exactly 0
-/// for kRetireAfterEpochs consecutive computed updates; retired constraints
-/// skip the gradient-projection arithmetic entirely until any input bit
-/// changes.  The skip is exact and step-size independent: a computed update
-/// that output 0 proves mu_prev - gamma * slack <= 0 with mu_prev >= 0,
-/// hence slack >= 0; with the share sum (or path latency) bitwise unchanged,
-/// max(0, 0 - gamma' * slack) == +0.0 for ANY gamma' >= 0.
-struct ActivePriceState {
-  bool primed = false;
-  /// Last computed update for this constraint output exactly 0.0.
-  std::vector<std::uint8_t> mu_settled;
-  std::vector<std::uint8_t> lambda_settled;
-  /// Consecutive updates (computed or skipped) with the multiplier at 0.
-  std::vector<std::uint32_t> mu_zero_epochs;
-  std::vector<std::uint32_t> lambda_zero_epochs;
-  /// Inputs of the previous update, for exact (bitwise) change detection.
-  std::vector<double> prev_share_sums;
-  std::vector<double> prev_path_latencies;
-
-  void Invalidate() { primed = false; }
-};
-
-/// Work/sparsity report of one UpdateActive call.
-struct ActivePriceWork {
-  std::size_t mu_updated = 0;
-  std::size_t mu_skipped = 0;  ///< retired constraints (exact, at 0)
-  std::size_t lambda_updated = 0;
-  std::size_t lambda_skipped = 0;
-  std::size_t mu_nonzero = 0;      ///< active-set size after the update
-  std::size_t lambda_nonzero = 0;
-};
-
 class PriceUpdater {
  public:
   PriceUpdater(const Workload& workload, const LatencyModel& model);
@@ -81,6 +43,7 @@ class PriceUpdater {
 
   /// Both updates from precomputed per-resource share sums and per-path
   /// latencies (as filled by FillStepWorkspace) — no workload re-walk.
+  /// The engine's only price update, with the active set on or off.
   ///
   /// Every multiplier moves by StepComponentDynamics under `dynamics`
   /// (price_dynamics.h).  Momentum kinds read and write one
@@ -93,23 +56,6 @@ class PriceUpdater {
               std::vector<ComponentDynamicsState>* mu_state,
               std::vector<ComponentDynamicsState>* lambda_state,
               std::uint64_t* restarts, PriceVector* prices) const;
-
-  /// The array-form Update with retirement: the written prices and
-  /// dynamics state are bit-identical to Update() for every constraint.
-  /// Non-retired constraints run the same step, and retired ones skip a
-  /// step proven to leave them at +0.0 (see ActivePriceState).  Retirement
-  /// keys off StepComponentDynamics' `settled` bit, which certifies the
-  /// component's whole dynamics state (value AND velocity) is at the
-  /// absorbing zero — that is what keeps sparse and dense momentum
-  /// trajectories bit-identical.
-  ActivePriceWork UpdateActive(
-      const std::vector<double>& resource_share_sums,
-      const std::vector<double>& path_latencies, const StepSizes& steps,
-      const DynamicsConfig& dynamics,
-      std::vector<ComponentDynamicsState>* mu_state,
-      std::vector<ComponentDynamicsState>* lambda_state,
-      std::uint64_t* restarts, PriceVector* prices,
-      ActivePriceState* state) const;
 
   /// True for every resource whose share sum exceeds its capacity at the
   /// given latencies (the congestion signal the adaptive policy consumes).

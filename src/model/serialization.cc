@@ -1,5 +1,6 @@
 #include "model/serialization.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -52,6 +53,15 @@ bool ParseInt(const std::string& token, int* out) {
     return false;
   }
   return consumed == token.size();
+}
+
+// Installs a U built from `params` into `*out` when they lie in U's range,
+// else returns why they do not (U::ParamProblem) and leaves `*out` alone.
+template <typename U, typename... Params>
+std::string MakeUtility(UtilityPtr* out, Params... params) {
+  std::string problem = U::ParamProblem(params...);
+  if (problem.empty()) *out = std::make_shared<U>(params...);
+  return problem;
 }
 
 std::string LineError(int line, const std::string& message) {
@@ -127,23 +137,27 @@ Expected<Workload> LoadWorkload(std::istream& in) {
         return E::Error(LineError(line_number, "utility outside task"));
       }
       double a = 0, b = 0, c = 0;
-      if (tokens.size() >= 4 && tokens[1] == "linear" &&
-          ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b) &&
-          tokens.size() == 4) {
-        current.utility = std::make_shared<LinearUtility>(a, b);
+      std::string problem;
+      if (tokens.size() == 4 && tokens[1] == "linear" &&
+          ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b)) {
+        problem = MakeUtility<LinearUtility>(&current.utility, a, b);
       } else if (tokens.size() == 5 && tokens[1] == "power" &&
                  ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b) &&
                  ParseDouble(tokens[4], &c)) {
-        current.utility = std::make_shared<PowerUtility>(a, b, c);
+        problem = MakeUtility<PowerUtility>(&current.utility, a, b, c);
       } else if (tokens.size() == 4 && tokens[1] == "negexp" &&
                  ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b)) {
-        current.utility = std::make_shared<NegExpUtility>(a, b);
+        problem = MakeUtility<NegExpUtility>(&current.utility, a, b);
       } else if (tokens.size() == 5 && tokens[1] == "inelastic" &&
                  ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b) &&
                  ParseDouble(tokens[4], &c)) {
-        current.utility = std::make_shared<InelasticUtility>(a, b, c);
+        problem = MakeUtility<InelasticUtility>(&current.utility, a, b, c);
       } else {
         return E::Error(LineError(line_number, "bad utility spec"));
+      }
+      if (!problem.empty()) {
+        return E::Error(
+            LineError(line_number, "utility " + tokens[1] + ": " + problem));
       }
     } else if (keyword == "trigger") {
       if (!in_task) {
@@ -313,7 +327,8 @@ Status SaveWorkloadToFile(const Workload& workload, const std::string& path) {
 //   [16..80)  scalar header: u64 resource/path/subtask/task counts,
 //             i64 iteration, u64 total_subtask_solves, i64 step_iteration,
 //             u64 momentum_restarts
-//   [80..88)  u8 converged, u8 price_state_primed, 6 pad bytes
+//   [80..88)  u8 converged, u8 0 (older images may hold 1: the retired
+//             active-set price state was present), 6 pad bytes
 //   [88..88+32n)  section table, 32 bytes per entry:
 //             u32 id, u8 elem_kind, u8 encoding, u16 pad,
 //             u64 count (decoded elements), u64 offset (from payload start),
@@ -324,9 +339,8 @@ Status SaveWorkloadToFile(const Workload& workload, const std::string& path) {
 // so the round-trip is bit-exact.  The encoding is chosen per section by
 // encoded size: raw (count * width contiguous words — the mmap-friendly
 // default), rle (u64 run_count, then (u64 run_len, word) pairs — collapses
-// settled flags and all-1.0 step multipliers), or sparse (u64 nnz, then
-// (u32 index, word) pairs, indices strictly increasing — collapses
-// mostly-zero retired lambda).
+// all-1.0 step multipliers), or sparse (u64 nnz, then (u32 index, word)
+// pairs, indices strictly increasing — collapses mostly-zero lambda).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -379,17 +393,12 @@ void ForEachSection(Snapshot* snap, Fn&& fn) {
   BindSection<9>(&snap->lambda_base, fn);
   BindSection<10>(&snap->mu_phase, fn);
   BindSection<11>(&snap->lambda_phase, fn);
-  static_assert(kSnapshotSections[12].retired &&
-                kSnapshotSections[13].retired);
-  BindSection<14>(&snap->prev_share_sums, fn);
-  BindSection<15>(&snap->prev_path_latencies, fn);
-  BindSection<16>(&snap->mu_settled, fn);
-  BindSection<17>(&snap->lambda_settled, fn);
-  BindSection<18>(&snap->mu_zero_epochs, fn);
-  BindSection<19>(&snap->lambda_zero_epochs, fn);
-  static_assert(kSnapshotSections[20].retired &&
-                kSnapshotSections[21].retired);
-  static_assert(SnapshotView::kMaxSectionId == 21);
+  // Ids 12-21 are retired rows: the parser validates them, nothing binds.
+  static_assert(std::all_of(std::begin(kSnapshotSections) + 12,
+                            std::end(kSnapshotSections),
+                            [](const SnapshotSectionSpec& spec) {
+                              return spec.retired;
+                            }));
 }
 
 struct SectionEntry {
@@ -483,8 +492,7 @@ Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot) {
   PutWord<std::int64_t>(&out, snapshot.step_iteration);
   PutWord<std::uint64_t>(&out, snapshot.momentum_restarts);
   out.push_back(snapshot.converged ? 1 : 0);
-  out.push_back(snapshot.price_state_primed ? 1 : 0);
-  out.append(6, '\0');
+  out.append(7, '\0');
   for (const SectionEntry& entry : table) {
     PutWord<std::uint32_t>(&out, entry.id);
     out.push_back(static_cast<char>(entry.elem_kind));
@@ -551,12 +559,13 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
   view.step_iteration = GetWord<std::int64_t>(data + 64);
   view.momentum_restarts = GetWord<std::uint64_t>(data + 72);
   const std::uint8_t converged = static_cast<std::uint8_t>(data[80]);
-  const std::uint8_t primed = static_cast<std::uint8_t>(data[81]);
-  if (converged > 1 || primed > 1) {
+  // Byte 81 is 0 in new images; older ones set it to 1 alongside the now
+  // retired active-set price sections.
+  const std::uint8_t retired_primed = static_cast<std::uint8_t>(data[81]);
+  if (converged > 1 || retired_primed > 1) {
     return E::Error(BinaryError("bad header flags"));
   }
   view.converged = converged == 1;
-  view.price_state_primed = primed == 1;
 
   const char* payload = data + table_end;
   const std::size_t payload_size = size - table_end;
@@ -632,7 +641,6 @@ StateSnapshot MaterializeSnapshot(const SnapshotView& view) {
   snap.total_subtask_solves = view.total_subtask_solves;
   snap.step_iteration = view.step_iteration;
   snap.momentum_restarts = view.momentum_restarts;
-  snap.price_state_primed = view.price_state_primed;
   ForEachSection(&snap, [&](std::uint32_t id, auto* vec) {
     DecodeSection(view.sections[id], vec);
   });

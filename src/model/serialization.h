@@ -91,18 +91,6 @@ struct StateSnapshot {
   std::vector<double> mu_phase;
   std::vector<double> lambda_phase;
   std::uint64_t momentum_restarts = 0;
-
-  /// Active-set price state (ActivePriceState): retirement counters and
-  /// the bitwise change-detection baselines.  All empty when
-  /// `price_state_primed` is false (dense mode, or a checkpoint taken before
-  /// the first step).
-  bool price_state_primed = false;
-  std::vector<std::uint8_t> mu_settled;
-  std::vector<std::uint8_t> lambda_settled;
-  std::vector<std::uint32_t> mu_zero_epochs;
-  std::vector<std::uint32_t> lambda_zero_epochs;
-  std::vector<double> prev_share_sums;
-  std::vector<double> prev_path_latencies;
 };
 
 /// Snapshot format "b1" (DESIGN.md §7.10): an 8-byte magic + version, the
@@ -112,9 +100,9 @@ struct StateSnapshot {
 /// plus memcpy per section, and the payload region is mmap-friendly.  Each
 /// section additionally records one of three encodings chosen by size at
 /// save time: raw (contiguous words), run-length (repeated words collapse —
-/// step multipliers, settled flags), or sparse (index/value pairs of the
-/// non-zero words — retired lambda).  All encodings keep the exact bit
-/// patterns, and equal snapshots encode to equal bytes.
+/// all-1.0 step multipliers), or sparse (index/value pairs of the non-zero
+/// words — mostly-zero lambda and velocities).  All encodings keep the
+/// exact bit patterns, and equal snapshots encode to equal bytes.
 Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot);
 Status SaveSnapshotToFile(const StateSnapshot& snapshot,
                           const std::string& path);
@@ -142,10 +130,11 @@ inline constexpr SnapshotElemKind kSnapshotElemKinds[] = {
 /// StateSnapshot field each id carries and its element kind.  Ids and kinds
 /// are part of the format; the encoder, the parser and `lla inspect` all
 /// read this one table.  A RETIRED row names state the engine no longer
-/// keeps (ids 12, 13, 20, 21: the epsilon-quiescence shadow prices and
-/// stability counters).  The encoder never writes it; the parser still
-/// validates it, so older images keep restoring, and materialization
-/// ignores it.
+/// keeps: ids 12, 13, 20, 21 (the epsilon-quiescence shadow prices and
+/// stability counters) and 14-19 (the active-set price retirement's
+/// change-detection baselines, settled flags and zero-streak counters).
+/// The encoder never writes it; the parser still validates it, so older
+/// images keep restoring, and materialization ignores it.
 struct SnapshotSectionSpec {
   const char* name;  ///< nullptr: no section has this id
   std::uint8_t elem_kind;
@@ -166,12 +155,12 @@ inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
     {"lambda_phase", kSnapshotElemF64},
     {"shadow_mu", kSnapshotElemF64, true},
     {"shadow_lambda", kSnapshotElemF64, true},
-    {"prev_share_sums", kSnapshotElemF64},
-    {"prev_path_latencies", kSnapshotElemF64},
-    {"mu_settled", kSnapshotElemU8},
-    {"lambda_settled", kSnapshotElemU8},
-    {"mu_zero_epochs", kSnapshotElemU32},
-    {"lambda_zero_epochs", kSnapshotElemU32},
+    {"prev_share_sums", kSnapshotElemF64, true},
+    {"prev_path_latencies", kSnapshotElemF64, true},
+    {"mu_settled", kSnapshotElemU8, true},
+    {"lambda_settled", kSnapshotElemU8, true},
+    {"mu_zero_epochs", kSnapshotElemU32, true},
+    {"lambda_zero_epochs", kSnapshotElemU32, true},
     {"mu_stable_epochs", kSnapshotElemU32, true},
     {"lambda_stable_epochs", kSnapshotElemU32, true},
 };
@@ -203,7 +192,6 @@ struct SnapshotView {
   std::uint64_t total_subtask_solves = 0;
   std::int64_t step_iteration = 0;
   std::uint64_t momentum_restarts = 0;
-  bool price_state_primed = false;
   /// Indexed by section id (slot 0 unused).  A section absent from the image
   /// has data == nullptr and materializes as an empty vector; a retired one
   /// is kept here for `lla inspect` and never materialized.

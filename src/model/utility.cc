@@ -2,13 +2,58 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <sstream>
 
 namespace lla {
+namespace {
+
+// "" when `x` is finite and at least `min` (above it when `strict`), else
+// "<name> <x> is not a finite number >= min" (or "> min").
+std::string RangeProblem(const char* name, double x, double min,
+                         bool strict = false) {
+  if (std::isfinite(x) && (strict ? x > min : x >= min)) return {};
+  std::ostringstream os;
+  os << name << ' ' << x << " is not a finite number " << (strict ? ">" : ">=")
+     << ' ' << min;
+  return os.str();
+}
+
+std::string FiniteProblem(const char* name, double x) {
+  if (std::isfinite(x)) return {};
+  std::ostringstream os;
+  os << name << ' ' << x << " is not finite";
+  return os.str();
+}
+
+// The first non-empty problem of a parameter list, or "".
+std::string FirstProblem(std::initializer_list<std::string> problems) {
+  for (const std::string& problem : problems) {
+    if (!problem.empty()) return problem;
+  }
+  return {};
+}
+
+// The constructors' check: aborts with `owner: problem` unless `problem` is
+// empty, in every build mode.
+void RequireValid(const char* owner, const std::string& problem) {
+  if (problem.empty()) return;
+  std::fprintf(stderr, "%s: %s\n", owner, problem.c_str());
+  std::abort();
+}
+
+}  // namespace
 
 LinearUtility::LinearUtility(double offset, double slope)
     : offset_(offset), slope_(slope) {
-  assert(slope >= 0.0);
+  RequireValid("LinearUtility", ParamProblem(offset, slope));
+}
+
+std::string LinearUtility::ParamProblem(double offset, double slope) {
+  return FirstProblem(
+      {FiniteProblem("offset", offset), RangeProblem("slope", slope, 0.0)});
 }
 
 double LinearUtility::Value(double x) const { return offset_ - slope_ * x; }
@@ -23,8 +68,14 @@ std::string LinearUtility::Describe() const {
 
 PowerUtility::PowerUtility(double offset, double coeff, double exponent)
     : offset_(offset), coeff_(coeff), exponent_(exponent) {
-  assert(coeff >= 0.0);
-  assert(exponent >= 1.0);
+  RequireValid("PowerUtility", ParamProblem(offset, coeff, exponent));
+}
+
+std::string PowerUtility::ParamProblem(double offset, double coeff,
+                                       double exponent) {
+  return FirstProblem({FiniteProblem("offset", offset),
+                       RangeProblem("coeff", coeff, 0.0),
+                       RangeProblem("exponent", exponent, 1.0)});
 }
 
 double PowerUtility::Value(double x) const {
@@ -43,7 +94,12 @@ std::string PowerUtility::Describe() const {
 
 NegExpUtility::NegExpUtility(double offset, double rate)
     : offset_(offset), rate_(rate) {
-  assert(rate > 0.0);
+  RequireValid("NegExpUtility", ParamProblem(offset, rate));
+}
+
+std::string NegExpUtility::ParamProblem(double offset, double rate) {
+  return FirstProblem({FiniteProblem("offset", offset),
+                       RangeProblem("rate", rate, 0.0, /*strict=*/true)});
 }
 
 double NegExpUtility::Value(double x) const {
@@ -63,8 +119,16 @@ std::string NegExpUtility::Describe() const {
 InelasticUtility::InelasticUtility(double plateau, double flat_until,
                                    double steepness)
     : plateau_(plateau), flat_until_(flat_until), steepness_(steepness) {
-  assert(flat_until >= 0.0);
-  assert(steepness > 0.0);
+  RequireValid("InelasticUtility",
+               ParamProblem(plateau, flat_until, steepness));
+}
+
+std::string InelasticUtility::ParamProblem(double plateau, double flat_until,
+                                           double steepness) {
+  return FirstProblem(
+      {FiniteProblem("plateau", plateau),
+       RangeProblem("flat_until", flat_until, 0.0),
+       RangeProblem("steepness", steepness, 0.0, /*strict=*/true)});
 }
 
 double InelasticUtility::Value(double x) const {

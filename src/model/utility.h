@@ -32,10 +32,17 @@ class UtilityFunction {
 
 using UtilityPtr = std::shared_ptr<const UtilityFunction>;
 
+// Each concrete utility states its parameter range once, in a static
+// ParamProblem: every parameter finite, plus the shape's own bounds.  The
+// constructor aborts with that message in every build mode, and the `.lla`
+// reader calls ParamProblem first so a bad file fails with its line number.
+
 /// f(x) = offset - slope * x, slope >= 0.  The paper's workhorse.
 class LinearUtility final : public UtilityFunction {
  public:
   LinearUtility(double offset, double slope);
+  /// Why (offset, slope) make no LinearUtility, or "" when they do.
+  static std::string ParamProblem(double offset, double slope);
   double Value(double x) const override;
   double Derivative(double x) const override;
   std::string Describe() const override;
@@ -52,6 +59,9 @@ class LinearUtility final : public UtilityFunction {
 class PowerUtility final : public UtilityFunction {
  public:
   PowerUtility(double offset, double coeff, double exponent);
+  /// Why the parameters make no PowerUtility, or "" when they do.
+  static std::string ParamProblem(double offset, double coeff,
+                                  double exponent);
   double Value(double x) const override;
   double Derivative(double x) const override;
   std::string Describe() const override;
@@ -70,6 +80,8 @@ class PowerUtility final : public UtilityFunction {
 class NegExpUtility final : public UtilityFunction {
  public:
   NegExpUtility(double offset, double rate);
+  /// Why (offset, rate) make no NegExpUtility, or "" when they do.
+  static std::string ParamProblem(double offset, double rate);
   double Value(double x) const override;
   double Derivative(double x) const override;
   std::string Describe() const override;
@@ -88,6 +100,9 @@ class NegExpUtility final : public UtilityFunction {
 class InelasticUtility final : public UtilityFunction {
  public:
   InelasticUtility(double plateau, double flat_until, double steepness);
+  /// Why the parameters make no InelasticUtility, or "" when they do.
+  static std::string ParamProblem(double plateau, double flat_until,
+                                  double steepness);
   double Value(double x) const override;
   double Derivative(double x) const override;
   std::string Describe() const override;

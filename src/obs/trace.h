@@ -64,10 +64,10 @@ struct IterationTrace {
   int active_lambda = -1;
   /// Accelerated price dynamics (core/price_dynamics.h): adaptive restarts
   /// fired this step and the mean momentum coefficient actually applied
-  /// across computed updates, beta * (1 - restarts / updates).  A diverging
-  /// momentum run is diagnosable from JSONL alone: effective_beta pinned
-  /// well below the configured beta means restarts fire every step.  -1
-  /// (the default) means the producer runs plain dynamics; sinks omit
+  /// across all R + P components, beta * (1 - restarts / (R + P)).  A
+  /// diverging momentum run is diagnosable from JSONL alone: effective_beta
+  /// pinned well below the configured beta means restarts fire every step.
+  /// -1 (the default) means the producer runs plain dynamics; sinks omit
   /// negative values.
   int momentum_restarts = -1;
   double effective_beta = -1.0;

@@ -363,8 +363,7 @@ void ShardAgent::ComputePricesAndBroadcast(
     // beta = 0 heavy-ball is bit-identical to the plain update.
     const double slack = info.capacity - share_sum;
     mu_[i] = StepComponentDynamics(dynamics_config_, &dynamics_[i], mu_[i],
-                                   gamma, slack, &momentum_restarts_)
-                 .value;
+                                   gamma, slack, &momentum_restarts_);
   }
   any_resource_faulted_ = still_faulted;
   ++epoch_;

@@ -337,8 +337,7 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
     // Path lambdas stay plain in the distributed deployment.
     local_lambdas_[p] = StepComponentDynamics(DynamicsConfig{}, nullptr,
                                               local_lambdas_[p], gamma, slack,
-                                              nullptr)
-                            .value;
+                                              nullptr);
   }
 
   // 4. Send the new latencies: one batched positional message per shard

@@ -8,8 +8,8 @@
 //   * an unschedulable workload (Figure 7) does not overflow or NaN under
 //     momentum — velocity is bounded by gamma*|g|/(1-beta), mirroring the
 //     AdaptiveStepSize max_multiplier cap rationale;
-//   * a component that projects to zero carries exactly zero velocity (the
-//     absorbing-state invariant active-set retirement relies on);
+//   * a component that projects to zero carries exactly zero velocity, the
+//     state of a fresh component at zero;
 //   * a NaN or out-of-range beta is refused loudly in every build mode.
 #include <cmath>
 #include <cstring>
@@ -128,8 +128,8 @@ TEST(PriceDynamicsTest, UnschedulableWorkloadStaysFinite) {
 }
 
 // The zero-clamp invariant: any component the projection parks at 0 must
-// store velocity exactly +0.0 (and, for Nesterov, base 0), so a retired
-// skip and a computed update are indistinguishable for any step size.
+// store velocity exactly +0.0 (and, for Nesterov, base 0), the state a
+// fresh component has at 0.
 TEST(PriceDynamicsTest, ProjectedZeroCarriesZeroVelocity) {
   for (const DynamicsKind kind :
        {DynamicsKind::kHeavyBall, DynamicsKind::kNesterov}) {
@@ -140,11 +140,10 @@ TEST(PriceDynamicsTest, ProjectedZeroCarriesZeroVelocity) {
     ComponentDynamicsState state;
     state.ReseedAt(1.0);
     // Positive slack (satisfied constraint) large enough to project to 0.
-    const DynamicsStep step =
+    const double value =
         StepComponentDynamics(config, &state, /*value=*/1.0, /*gamma=*/1.0,
                               /*slack=*/5.0, nullptr);
-    EXPECT_EQ(step.value, 0.0) << ToString(kind);
-    EXPECT_TRUE(step.settled) << ToString(kind);
+    EXPECT_EQ(value, 0.0) << ToString(kind);
     EXPECT_EQ(state.velocity, 0.0) << ToString(kind);
     EXPECT_FALSE(std::signbit(state.velocity)) << ToString(kind);
     // The momentum ramp resets with the velocity: the absorbing state is

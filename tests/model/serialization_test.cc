@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,31 @@ TEST(SerializationTest, ErrorsCarryLineNumbers) {
   EXPECT_NE(bad_kind.error().find("cpu or link"), std::string::npos);
 }
 
+// A utility line whose parameters fall outside the shape's range fails on
+// that line, with the offending parameter named.
+TEST(SerializationTest, UtilityParametersOutOfRangeCarryLineNumbers) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"linear nan 1", "offset nan"},
+      {"linear 80 -1", "slope -1"},
+      {"power 80 -1 2", "coeff -1"},
+      {"power 80 1 0.5", "exponent 0.5"},
+      {"negexp 0 0", "rate 0"},
+      {"negexp 80 inf", "rate inf"},
+      {"inelastic 80 -1 1", "flat_until -1"},
+      {"inelastic 80 10 0", "steepness 0"},
+  };
+  for (const auto& [utility, problem] : cases) {
+    const auto loaded = LoadWorkloadFromString(
+        std::string("resource r cpu 1 0\ntask t 10\n  utility ") + utility +
+        "\n  subtask s r 1\nend\n");
+    ASSERT_FALSE(loaded.ok()) << utility;
+    EXPECT_NE(loaded.error().find("line 3: utility "), std::string::npos)
+        << loaded.error();
+    EXPECT_NE(loaded.error().find(problem), std::string::npos)
+        << loaded.error();
+  }
+}
+
 TEST(SerializationTest, ValidationStillApplies) {
   // Parses fine, but the DAG has a cycle: Workload::Create must reject.
   const auto cyclic = LoadWorkloadFromString(R"(
@@ -200,13 +226,6 @@ StateSnapshot MakeSnapshot() {
   snapshot.mu_phase = {12.0, 0.0};
   snapshot.lambda_phase = {0.0, 7.0, 1.0};
   snapshot.momentum_restarts = 23;
-  snapshot.price_state_primed = true;
-  snapshot.mu_settled = {1, 0};
-  snapshot.lambda_settled = {0, 1, 0};
-  snapshot.mu_zero_epochs = {3, 0};
-  snapshot.lambda_zero_epochs = {0, 0, 9};
-  snapshot.prev_share_sums = {0.25, 0.75};
-  snapshot.prev_path_latencies = {1.5, 2.5, 3.5};
   return snapshot;
 }
 
@@ -219,7 +238,6 @@ void ExpectSnapshotsEqual(const StateSnapshot& a, const StateSnapshot& b) {
   EXPECT_EQ(a.converged, b.converged);
   EXPECT_EQ(a.total_subtask_solves, b.total_subtask_solves);
   EXPECT_EQ(a.step_iteration, b.step_iteration);
-  EXPECT_EQ(a.price_state_primed, b.price_state_primed);
   // memcmp on the raw doubles: the format must preserve exact bit patterns,
   // including the sign of -0.0.
   auto expect_bits = [](const std::vector<double>& x,
@@ -239,12 +257,6 @@ void ExpectSnapshotsEqual(const StateSnapshot& a, const StateSnapshot& b) {
   expect_bits(a.mu_phase, b.mu_phase);
   expect_bits(a.lambda_phase, b.lambda_phase);
   EXPECT_EQ(a.momentum_restarts, b.momentum_restarts);
-  expect_bits(a.prev_share_sums, b.prev_share_sums);
-  expect_bits(a.prev_path_latencies, b.prev_path_latencies);
-  EXPECT_EQ(a.mu_settled, b.mu_settled);
-  EXPECT_EQ(a.lambda_settled, b.lambda_settled);
-  EXPECT_EQ(a.mu_zero_epochs, b.mu_zero_epochs);
-  EXPECT_EQ(a.lambda_zero_epochs, b.lambda_zero_epochs);
 }
 
 TEST(SnapshotSerializationTest, RoundTripsThroughFile) {
@@ -255,23 +267,6 @@ TEST(SnapshotSerializationTest, RoundTripsThroughFile) {
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   ExpectSnapshotsEqual(original, loaded.value());
   std::remove(path.c_str());
-}
-
-TEST(SnapshotSerializationTest, UnprimedSnapshotOmitsActiveSetVectors) {
-  StateSnapshot snapshot = MakeSnapshot();
-  snapshot.price_state_primed = false;
-  snapshot.mu_settled.clear();
-  snapshot.lambda_settled.clear();
-  snapshot.mu_zero_epochs.clear();
-  snapshot.lambda_zero_epochs.clear();
-  snapshot.prev_share_sums.clear();
-  snapshot.prev_path_latencies.clear();
-  auto saved = SaveSnapshotToString(snapshot);
-  ASSERT_TRUE(saved.ok());
-  auto loaded = LoadSnapshotFromString(saved.value());
-  ASSERT_TRUE(loaded.ok()) << loaded.error();
-  EXPECT_FALSE(loaded.value().price_state_primed);
-  EXPECT_TRUE(loaded.value().prev_share_sums.empty());
 }
 
 // The parser's shape check: the mu / lambda section counts must equal the
@@ -386,6 +381,10 @@ TEST(BinarySnapshotTest, RejectsHeaderCorruption) {
   std::string bad_flag = good;
   bad_flag[80] = 2;  // converged must be 0/1
   EXPECT_FALSE(LoadSnapshotFromString(bad_flag).ok());
+
+  std::string bad_primed = good;
+  bad_primed[81] = 2;  // the retired primed byte too
+  EXPECT_FALSE(LoadSnapshotFromString(bad_primed).ok());
 }
 
 TEST(BinarySnapshotTest, RejectsSectionTableCorruption) {
@@ -455,9 +454,6 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
   snapshot.lambda_velocity.clear();
   snapshot.lambda_base.clear();
   snapshot.lambda_phase.clear();
-  snapshot.lambda_settled.clear();
-  snapshot.lambda_zero_epochs.clear();
-  snapshot.prev_path_latencies.clear();
   auto bytes = SaveSnapshotToString(snapshot);
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();

@@ -69,6 +69,21 @@ TEST(InelasticUtilityTest, ContinuouslyDifferentiableAtKink) {
   EXPECT_NEAR(u.Derivative(5.0 - eps), u.Derivative(5.0 + eps), 1e-5);
 }
 
+// The parameter ranges used to be asserts, compiled out of the default
+// RelWithDebInfo and Release builds; every build mode now refuses them.
+TEST(UtilityDeathTest, ConstructorsRejectOutOfRangeParameters) {
+  const double nan = std::nan("");
+  EXPECT_DEATH(LinearUtility(nan, 1.0), "LinearUtility: offset nan");
+  EXPECT_DEATH(LinearUtility(80.0, -1.0), "LinearUtility: slope -1");
+  EXPECT_DEATH(PowerUtility(80.0, -1.0, 2.0), "PowerUtility: coeff -1");
+  EXPECT_DEATH(PowerUtility(80.0, 1.0, 0.5), "PowerUtility: exponent 0.5");
+  EXPECT_DEATH(NegExpUtility(0.0, 0.0), "NegExpUtility: rate 0");
+  EXPECT_DEATH(InelasticUtility(80.0, -1.0, 1.0),
+               "InelasticUtility: flat_until -1");
+  EXPECT_DEATH(InelasticUtility(80.0, 10.0, 0.0),
+               "InelasticUtility: steepness 0");
+}
+
 // Every provided utility must pass the concavity/monotonicity property.
 TEST(ConcavityCheckTest, AllProvidedUtilitiesPass) {
   std::vector<UtilityPtr> utilities = {

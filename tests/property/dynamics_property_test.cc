@@ -7,11 +7,11 @@
 //      per-component and written from the same static partitioning as the
 //      prices, so width must not be observable.
 //   2. SPARSE == DENSE: the active-set engine's trajectory is bit-identical
-//      to the dense engine's.  This is the sharp one: a retirement skip is
-//      only sound because a settled component carries exactly zero velocity
-//      (and zero Nesterov base), making (value, v, base) = (0, 0, 0) an
-//      absorbing state for ANY step size the skipped iterations would have
-//      used.
+//      to the dense engine's.  Both take the same price update over every
+//      component; the active set only skips re-solving tasks whose prices
+//      kept their bits, which momentum must not make unsound: a parked
+//      component's velocity and Nesterov base are exactly zero, so its
+//      published price stays +0.0 for any step size.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -131,8 +131,8 @@ TEST(DynamicsPropertyTest, RandomWorkloadsDeterministic) {
 }
 
 // Run long enough to pass through convergence: late iterations are where
-// multipliers retire (the skip path the velocity zero-clamp makes sound).
-// A wrong settled certificate shows up here as a late-step divergence.
+// multipliers park at zero and most tasks stop re-solving.  A task skipped
+// on stale prices shows up here as a late-step divergence.
 TEST(DynamicsPropertyTest, SparseMatchesDenseThroughConvergence) {
   auto workload = MakeScaledSimWorkload(1, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();

@@ -6,13 +6,13 @@
 // equality, so any ulp of drift is a bug in lane partitioning or outbox
 // commit order.
 //
-// The sweep crosses thread counts {1, 2, 8} with both local-solver gather
-// modes (dense lambda gather vs the active-set compaction), since the two
-// paths exercise different per-lane scratch shapes, with two shard widths
-// (4 multi-resource shards and the default one shard per resource), and
-// with two buses: zero-delay lossless, and a seeded one that drops and
-// jitters messages, whose randoms are drawn in send order — the order the
-// lane commit must reproduce.
+// The sweep crosses thread counts {1, 2, 8} with two shard widths (4
+// multi-resource shards and the default one shard per resource) and two
+// buses: zero-delay lossless, and a seeded one that drops and jitters
+// messages, whose randoms are drawn in send order — the order the lane
+// commit must reproduce.  The controllers' local solves always take the
+// full lambda gather (the compacted one is the engine's active set, pinned
+// by active_set_property_test).
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -51,13 +51,12 @@ class ParallelRoundEquivalence
     : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   RoundOutcome RunSharded(const Workload& w, const LatencyModel& model,
-                          int round_threads, bool compact_gather,
+                          int round_threads,
                           DynamicsKind dynamics = DynamicsKind::kPlain,
                           int num_shards = 4, bool lossy_bus = false) {
     CoordinatorConfig config;
     config.step.gamma0 = 3.0;
     config.bus = TestBus(lossy_bus);
-    config.solver.compact_lambda_gather = compact_gather;
     config.record_history = false;
     config.num_shards = num_shards;
     config.round_threads = round_threads;
@@ -91,26 +90,20 @@ TEST_P(ParallelRoundEquivalence, ShardedRoundsBitIdenticalAcrossThreads) {
     SCOPED_TRACE(lossy_bus ? "dropping, jittered bus" : "lossless bus");
     for (const int num_shards : {4, 0}) {
       SCOPED_TRACE(num_shards == 0 ? "one shard per resource" : "4 shards");
-      for (const bool compact_gather : {false, true}) {
-        SCOPED_TRACE(compact_gather ? "active-set gather" : "dense gather");
-        const RoundOutcome serial =
-            RunSharded(w, model, 1, compact_gather, DynamicsKind::kPlain,
-                       num_shards, lossy_bus);
-        // The lossy input is only an input if the bus really dropped.
-        EXPECT_EQ(serial.dropped > 0, lossy_bus);
-        for (const int threads : {2, 8}) {
-          SCOPED_TRACE("round_threads=" + std::to_string(threads));
-          const RoundOutcome parallel =
-              RunSharded(w, model, threads, compact_gather,
-                         DynamicsKind::kPlain, num_shards, lossy_bus);
-          EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
-          EXPECT_TRUE(
-              SameDoubles(serial.prices.lambda, parallel.prices.lambda));
-          EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
-          EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
-                                   sizeof(double)));
-          EXPECT_EQ(serial.dropped, parallel.dropped);
-        }
+      const RoundOutcome serial = RunSharded(
+          w, model, 1, DynamicsKind::kPlain, num_shards, lossy_bus);
+      // The lossy input is only an input if the bus really dropped.
+      EXPECT_EQ(serial.dropped > 0, lossy_bus);
+      for (const int threads : {2, 8}) {
+        SCOPED_TRACE("round_threads=" + std::to_string(threads));
+        const RoundOutcome parallel = RunSharded(
+            w, model, threads, DynamicsKind::kPlain, num_shards, lossy_bus);
+        EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
+        EXPECT_TRUE(SameDoubles(serial.prices.lambda, parallel.prices.lambda));
+        EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
+        EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
+                                 sizeof(double)));
+        EXPECT_EQ(serial.dropped, parallel.dropped);
       }
     }
   }
@@ -129,8 +122,8 @@ TEST_P(ParallelRoundEquivalence, OversubscribedThreadsStillBitIdentical) {
   const Workload& w = workload.value();
   LatencyModel model(w);
 
-  const RoundOutcome serial = RunSharded(w, model, 1, false);
-  const RoundOutcome wide = RunSharded(w, model, 8, false);
+  const RoundOutcome serial = RunSharded(w, model, 1);
+  const RoundOutcome wide = RunSharded(w, model, 8);
   EXPECT_TRUE(SameDoubles(serial.prices.mu, wide.prices.mu));
   EXPECT_TRUE(SameDoubles(serial.prices.lambda, wide.prices.lambda));
   EXPECT_TRUE(SameDoubles(serial.assignment, wide.assignment));
@@ -157,8 +150,8 @@ TEST_P(ParallelRoundEquivalence, MomentumRoundsBitIdenticalAcrossThreads) {
   for (const DynamicsKind dynamics :
        {DynamicsKind::kHeavyBall, DynamicsKind::kNesterov}) {
     SCOPED_TRACE(ToString(dynamics));
-    const RoundOutcome serial = RunSharded(w, model, 1, false, dynamics);
-    const RoundOutcome parallel = RunSharded(w, model, 8, false, dynamics);
+    const RoundOutcome serial = RunSharded(w, model, 1, dynamics);
+    const RoundOutcome parallel = RunSharded(w, model, 8, dynamics);
     EXPECT_TRUE(SameDoubles(serial.prices.mu, parallel.prices.mu));
     EXPECT_TRUE(SameDoubles(serial.prices.lambda, parallel.prices.lambda));
     EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));

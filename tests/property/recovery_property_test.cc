@@ -322,10 +322,13 @@ std::string SpliceSections(const std::string& image,
 
 // Images written while the approximate epsilon-quiescence mode existed carry
 // four more sections: shadow_mu / shadow_lambda (ids 12, 13) and
-// mu_stable_epochs / lambda_stable_epochs (ids 20, 21), now retired rows of
-// the catalogue.  Such an image must still parse, `lla inspect` must still
-// list the rows, and the engine must resume from it bit-identically, whatever
-// the rows hold.  Id 22 was never assigned and stays an unknown section.
+// mu_stable_epochs / lambda_stable_epochs (ids 20, 21).  Images written while
+// the active set retired zero prices carry six more (ids 14-19: the
+// change-detection baselines, settled flags and zero-streak counters) and
+// set header byte 81.  All ten are retired rows of the catalogue.  Such an
+// image must still parse, `lla inspect` must still list the rows, and the
+// engine must resume from it bit-identically, whatever the rows hold.  Id 22
+// was never assigned and stays an unknown section.
 TEST(RecoveryPropertyTest, RetiredSectionsStillRestore) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -343,14 +346,21 @@ TEST(RecoveryPropertyTest, RetiredSectionsStillRestore) {
     auto bytes = SaveSnapshotToString(reference.Checkpoint());
     ASSERT_TRUE(bytes.ok());
 
-    const std::string image =
+    std::string image =
         SpliceSections(bytes.value(), {{12, kSnapshotElemF64, R},
                                        {13, kSnapshotElemF64, P},
+                                       {14, kSnapshotElemF64, R},
+                                       {15, kSnapshotElemF64, P},
+                                       {16, kSnapshotElemU8, R},
+                                       {17, kSnapshotElemU8, P},
+                                       {18, kSnapshotElemU32, R},
+                                       {19, kSnapshotElemU32, P},
                                        {20, kSnapshotElemU32, R},
                                        {21, kSnapshotElemU32, P}});
+    image[81] = 1;  // the retired active-set price state was present
     auto view = ParseSnapshotBinary(image.data(), image.size());
     ASSERT_TRUE(view.ok()) << view.error();
-    for (const std::size_t id : {12u, 13u, 20u, 21u}) {
+    for (std::size_t id = 12; id <= 21; ++id) {
       EXPECT_TRUE(kSnapshotSections[id].retired) << "section " << id;
       EXPECT_TRUE(view.value().sections[id].present()) << "section " << id;
     }
@@ -367,8 +377,11 @@ TEST(RecoveryPropertyTest, RetiredSectionsStillRestore) {
     std::ifstream in(listing);
     std::ostringstream out;
     out << in.rdbuf();
-    for (const char* name : {"shadow_mu", "shadow_lambda", "mu_stable_epochs",
-                             "lambda_stable_epochs"}) {
+    for (const char* name :
+         {"shadow_mu", "shadow_lambda", "prev_share_sums",
+          "prev_path_latencies", "mu_settled", "lambda_settled",
+          "mu_zero_epochs", "lambda_zero_epochs", "mu_stable_epochs",
+          "lambda_stable_epochs"}) {
       const std::size_t row = out.str().find(std::string("\n") + name + " ");
       ASSERT_NE(row, std::string::npos) << name << "\n" << out.str();
       const std::size_t end = out.str().find('\n', row + 1);

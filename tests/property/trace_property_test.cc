@@ -74,9 +74,9 @@ TEST_P(TraceNonInterference, PaperWorkloadTrajectoryUnchanged) {
 
   ExpectBitIdentical(plain, traced);
   EXPECT_EQ(sink.total_received(), static_cast<std::uint64_t>(iterations));
-  // engine.steps, the seven engine.active.* skipped-work counters, and the
+  // engine.steps, the five engine.active.* skipped-work counters, and the
   // two engine.reprime.* structural warm-start counters.
-  EXPECT_EQ(metrics.Snapshot().counters.size(), 10u);
+  EXPECT_EQ(metrics.Snapshot().counters.size(), 8u);
   // The newest retained record reflects the final engine state exactly.
   const obs::IterationTrace& last = sink.at(sink.size() - 1);
   EXPECT_EQ(last.iteration, iterations);

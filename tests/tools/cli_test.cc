@@ -265,10 +265,14 @@ TEST(CliTest, InspectListsSnapshotSections) {
   ASSERT_EQ(RunCliCapture("inspect " + snap, &out), 0);
   EXPECT_NE(out.find("iteration 50"), std::string::npos) << out;
   EXPECT_NE(out.find("\nmu "), std::string::npos) << out;
-  EXPECT_NE(out.find("\nlambda_zero_epochs "), std::string::npos) << out;
-  // Retired sections are never written.
+  EXPECT_NE(out.find("\nrecent_utilities "), std::string::npos) << out;
+  // Retired sections are never written, nor the retired primed flag shown.
   EXPECT_EQ(out.find("shadow_"), std::string::npos) << out;
   EXPECT_EQ(out.find("stable_epochs"), std::string::npos) << out;
+  EXPECT_EQ(out.find("zero_epochs"), std::string::npos) << out;
+  EXPECT_EQ(out.find("_settled"), std::string::npos) << out;
+  EXPECT_EQ(out.find("prev_"), std::string::npos) << out;
+  EXPECT_EQ(out.find("primed"), std::string::npos) << out;
   EXPECT_EQ(out.find("retired"), std::string::npos) << out;
 
   // A truncated image and a text file are load errors with the parser's
@@ -357,8 +361,8 @@ TEST(CliTest, LoadErrorsReturnThree) {
   EXPECT_EQ(RunCli("solve /nonexistent/workload.lla"), 3);
 }
 
-// A two-subtask workload whose `field` (cap, lag, critical, wcet or
-// trigger) reads `value`; every other field holds a valid number.
+// A two-subtask workload whose `field` (cap, lag, critical, utility, wcet
+// or trigger) reads `value`; every other field holds a valid number.
 std::string TwoSubtaskWorkload(const std::string& field,
                                const std::string& value) {
   const auto pick = [&](const char* name, const char* fallback) {
@@ -367,7 +371,7 @@ std::string TwoSubtaskWorkload(const std::string& field,
   return "resource cpu0 cpu " + pick("cap", "1") + " " + pick("lag", "1") +
          "\nresource link0 link 1 1\n"
          "task t " + pick("critical", "40") + "\n"
-         "  utility linear 80 1\n"
+         "  utility " + pick("utility", "linear 80 1") + "\n"
          "  trigger " + pick("trigger", "periodic 100") + "\n"
          "  subtask a cpu0 " + pick("wcet", "2") + "\n"
          "  subtask b link0 3\n"
@@ -398,6 +402,23 @@ TEST(CliTest, NonFiniteWorkloadNumbersReturnThree) {
     const std::string path =
         WriteWorkload("bad_number", TwoSubtaskWorkload(field, value));
     EXPECT_EQ(RunCli("solve " + path), 3) << field << " " << value;
+    std::remove(path.c_str());
+  }
+}
+
+// Utility parameters outside their shape's range are load errors in every
+// build mode.  Past the loader, `linear nan 1` and `negexp 0 0` solved to
+// utility nan and -inf (exit 4), and `linear 80 -1` (a utility that rises
+// with latency) reported "converged" (exit 0).
+TEST(CliTest, OutOfRangeUtilityParametersReturnThree) {
+  for (const char* utility :
+       {"linear nan 1", "linear 80 -1", "linear inf 1", "linear 80 nan",
+        "power 80 -1 2", "power 80 1 0.5", "power 80 1 inf",
+        "negexp 0 0", "negexp 80 -1", "negexp 80 nan",
+        "inelastic 80 -1 1", "inelastic 80 10 0", "inelastic nan 10 1"}) {
+    const std::string path =
+        WriteWorkload("bad_utility", TwoSubtaskWorkload("utility", utility));
+    EXPECT_EQ(RunCli("solve " + path), 3) << utility;
     std::remove(path.c_str());
   }
 }

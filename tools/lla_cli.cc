@@ -11,8 +11,7 @@
 //       N=1 at any thread count, DESIGN.md §7.11).
 //   lla checkpoint <workload-file> <snapshot-file> [--iters N]
 //       Run N iterations, then save the engine's dual state (prices, step
-//       multipliers, momentum and active-set retirement state) as a b1
-//       snapshot (DESIGN.md §7.10).
+//       multipliers, momentum state) as a b1 snapshot (DESIGN.md §7.10).
 //   lla inspect <snapshot-file>
 //       Print a snapshot's header and one row per section: name, element
 //       kind, encoding, element count and encoded bytes (retired sections
@@ -510,12 +509,11 @@ int Inspect(const char* path) {
               static_cast<ull>(view.subtask_count),
               static_cast<ull>(view.task_count));
   std::printf("iteration %lld (step iteration %lld, %llu subtask solves), "
-              "converged: %s, primed: %s, momentum restarts: %llu\n",
+              "converged: %s, momentum restarts: %llu\n",
               static_cast<long long>(view.iteration),
               static_cast<long long>(view.step_iteration),
               static_cast<ull>(view.total_subtask_solves),
               view.converged ? "yes" : "no",
-              view.price_state_primed ? "yes" : "no",
               static_cast<ull>(view.momentum_restarts));
   std::printf("\n%-26s %-4s %-8s %10s %12s\n", "section", "kind", "encoding",
               "count", "bytes");
