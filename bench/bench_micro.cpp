@@ -48,9 +48,8 @@ void BM_PriceUpdate(benchmark::State& state) {
   LatencyModel model(w);
   PriceUpdater updater(w, model);
   PriceVector prices = PriceVector::Uniform(w, 50.0, 1.0);
-  StepSizes steps;
-  steps.resource.assign(w.resource_count(), 1.0);
-  steps.path.assign(w.path_count(), 1.0);
+  const StepSchedule steps(StepPolicyKind::kFixed, /*gamma0=*/1.0,
+                           /*cap=*/8.0, /*tau=*/50.0);
   Assignment latencies(w.subtask_count(), 12.0);
   for (auto _ : state) {
     updater.Update(latencies, steps, &prices);

@@ -5,7 +5,7 @@
 //   * workload generation time and engine solve throughput (dense-mode
 //     steps/sec, plus final utility/feasibility after a bounded run),
 //   * b1 snapshot size against the same sections stored raw, save and load
-//     time, plus the zero-copy mmap restore time (DESIGN.md §7.10-11),
+//     time, plus the file restore time (DESIGN.md §7.10-11),
 //   * coordinator sync-round latency (mean and p50/p99), messages/round and
 //     bytes/round at one shard per resource (the paper's one agent per
 //     resource) vs. 8 multi-resource shards, and a round-threads sweep of
@@ -259,26 +259,18 @@ int main(int argc, char** argv) {
     const double load_ms = BestMs([&] {
       if (!LoadSnapshotFromString(snapshot_bytes).ok()) std::abort();
     });
-    // Zero-copy restore (DESIGN.md §7.11): mmap the file, parse the
-    // non-owning view, materialize once — the path `lla solve --restore`
-    // takes.
-    const std::string mmap_path = "bench_scale_snapshot.tmp";
-    double mmap_load_ms = 0.0;
+    // File restore (DESIGN.md §7.11): read the file, check the header's
+    // shape against the workload, decode each section once — the path
+    // `lla solve --restore` takes.
+    const std::string file_path = "bench_scale_snapshot.tmp";
+    double file_load_ms = 0.0;
     {
-      const Status saved = SaveSnapshotToFile(snapshot, mmap_path);
+      const Status saved = SaveSnapshotToFile(snapshot, file_path);
       if (!saved.ok()) std::abort();
-      mmap_load_ms = BestMs([&] {
-        auto mapped = MappedSnapshotFile::Open(mmap_path);
-        if (!mapped.ok()) std::abort();
-        auto view =
-            ParseSnapshotBinary(mapped.value().data(), mapped.value().size());
-        if (!view.ok()) std::abort();
-        const StateSnapshot materialized = MaterializeSnapshot(view.value());
-        if (materialized.resource_count != snapshot.resource_count) {
-          std::abort();
-        }
+      file_load_ms = BestMs([&] {
+        if (!LoadSnapshotFromFile(file_path, &workload).ok()) std::abort();
       });
-      std::remove(mmap_path.c_str());
+      std::remove(file_path.c_str());
     }
     // The same sections stored raw: element count times element width,
     // read from the parsed section table.
@@ -305,9 +297,9 @@ int main(int argc, char** argv) {
     }
     const double raw_ratio = raw_bytes / snapshot_bytes.size();
     std::printf("snapshot: %zu B, %.0f B raw (%.1fx smaller), save %.3f ms, "
-                "load %.3f ms, mmap load %.3f ms, lossless: %s\n",
+                "load %.3f ms, file load %.3f ms, lossless: %s\n",
                 snapshot_bytes.size(), raw_bytes, raw_ratio, save_ms, load_ms,
-                mmap_load_ms, lossless ? "yes" : "NO");
+                file_load_ms, lossless ? "yes" : "NO");
 
     // Coordinator round cost, one shard per resource vs 8 shards.  The
     // 10^6 tier runs 8 shards only: one shard per resource would enqueue
@@ -475,8 +467,8 @@ int main(int argc, char** argv) {
                      .Add("raw_ratio", bench::JsonValue::Number(raw_ratio))
                      .Add("save_ms", bench::JsonValue::Number(save_ms))
                      .Add("load_ms", bench::JsonValue::Number(load_ms))
-                     .Add("mmap_load_ms",
-                          bench::JsonValue::Number(mmap_load_ms))
+                     .Add("file_load_ms",
+                          bench::JsonValue::Number(file_load_ms))
                      .Add("lossless", bench::JsonValue::Bool(lossless)))
             .Add("coordinator", std::move(coordinator_json)));
   }

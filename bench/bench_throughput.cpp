@@ -47,11 +47,12 @@ class ScalarReferenceEngine {
                   return solver_config;
                 }()),
         updater_(workload, model),
-        step_policy_(MakeStepPolicy(config)) {
+        schedule_(config.step_policy, config.gamma0,
+                  config.adaptive_max_multiplier, config.diminishing_tau) {
     prices_ = PriceVector::Uniform(workload, config.initial_mu,
                                    config.initial_lambda);
     latencies_.assign(workload.subtask_count(), 0.0);
-    step_policy_->Reset(workload);
+    schedule_.Reset(workload);
     solver_.SolveAll(prices_, &latencies_);
   }
 
@@ -59,8 +60,8 @@ class ScalarReferenceEngine {
     solver_.SolveAll(prices_, &latencies_);
     const std::vector<bool> congested =
         updater_.ResourceCongestion(latencies_);
-    step_policy_->Update(*workload_, congested, &steps_);
-    updater_.Update(latencies_, steps_, &prices_);
+    schedule_.Advance(*workload_, congested);
+    updater_.Update(latencies_, schedule_, &prices_);
     ++iteration_;
 
     IterationStats stats;
@@ -110,8 +111,7 @@ class ScalarReferenceEngine {
   LlaConfig config_;
   LatencySolver solver_;
   PriceUpdater updater_;
-  std::unique_ptr<StepSizePolicy> step_policy_;
-  StepSizes steps_;
+  StepSchedule schedule_;
   PriceVector prices_;
   Assignment latencies_;
   int iteration_ = 0;

@@ -5,22 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 namespace lla {
-
-std::unique_ptr<StepSizePolicy> MakeStepPolicy(const LlaConfig& config) {
-  switch (config.step_policy) {
-    case StepPolicyKind::kFixed:
-      return std::make_unique<FixedStepSize>(config.gamma0);
-    case StepPolicyKind::kAdaptive:
-      return std::make_unique<AdaptiveStepSize>(
-          config.gamma0, config.adaptive_max_multiplier);
-    case StepPolicyKind::kDiminishing:
-      return std::make_unique<DiminishingStepSize>(config.gamma0,
-                                                   config.diminishing_tau);
-  }
-  return std::make_unique<FixedStepSize>(config.gamma0);
-}
 
 LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
                      LlaConfig config)
@@ -28,14 +16,11 @@ LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
       model_(&model),
       config_(config),
       solver_(workload, model, config.solver),
-      updater_(workload, model) {
+      updater_(workload, model),
+      schedule_(config.step_policy, config.gamma0,
+                config.adaptive_max_multiplier, config.diminishing_tau,
+                "LlaEngine") {
   ValidateDynamicsConfig(config_.dynamics, "LlaEngine");
-  RequirePositiveStepParameter(config_.gamma0, "LlaEngine", "gamma0");
-  RequireStepMultiplierCap(config_.adaptive_max_multiplier, "LlaEngine",
-                           "adaptive_max_multiplier");
-  RequirePositiveStepParameter(config_.diminishing_tau, "LlaEngine",
-                               "diminishing_tau");
-  step_policy_ = MakeStepPolicy(config_);
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads,
                                          config_.parallel);
@@ -72,7 +57,7 @@ void LlaEngine::Reset() {
   prices_ = PriceVector::Uniform(*workload_, config_.initial_mu,
                                  config_.initial_lambda);
   latencies_.assign(workload_->subtask_count(), 0.0);
-  step_policy_->Reset(*workload_);
+  schedule_.Reset(*workload_);
   ResetDynamics();
   iteration_ = 0;
   converged_ = false;
@@ -136,7 +121,7 @@ void LlaEngine::WarmStart(const PriceVector& prices) {
   prices_ = prices;
   for (double& mu : prices_.mu) mu = std::max(0.0, mu);
   for (double& lambda : prices_.lambda) lambda = std::max(0.0, lambda);
-  step_policy_->Reset(*workload_);
+  schedule_.Reset(*workload_);
   ResetDynamics();
   ClearConvergenceWindow();
   total_subtask_solves_ = 0;
@@ -284,11 +269,9 @@ StateSnapshot LlaEngine::Checkpoint() const {
   snap.total_subtask_solves = total_subtask_solves_;
   snap.mu = prices_.mu;
   snap.lambda = prices_.lambda;
-  StepPolicyState policy_state;
-  step_policy_->SaveState(&policy_state);
-  snap.resource_step_multiplier = std::move(policy_state.resource_multiplier);
-  snap.path_step_multiplier = std::move(policy_state.path_multiplier);
-  snap.step_iteration = policy_state.iteration;
+  snap.resource_step_multiplier = schedule_.resource_multiplier();
+  snap.path_step_multiplier = schedule_.path_multiplier();
+  snap.step_iteration = schedule_.iteration();
   snap.recent_utilities.assign(recent_utilities_.begin(),
                                recent_utilities_.end());
   if (config_.dynamics.kind != DynamicsKind::kPlain) {
@@ -331,6 +314,16 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
       snapshot.lambda.size() != workload_->path_count()) {
     return Status::Error("Restore: snapshot price vectors are misshapen");
   }
+  // The engine counts steps in an int, and a negative step iteration would
+  // drive the diminishing schedule's 1 + t / tau through zero.
+  if (snapshot.iteration < 0 ||
+      snapshot.iteration > std::numeric_limits<int>::max() ||
+      snapshot.step_iteration < 0) {
+    return Status::Error(
+        "Restore: snapshot iteration " + std::to_string(snapshot.iteration) +
+        " or step iteration " + std::to_string(snapshot.step_iteration) +
+        " is out of range");
+  }
   {
     // Dynamics state is optional (empty in snapshots taken by plain engines
     // and when the b1 image omits its sections), but when present it must
@@ -351,16 +344,14 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
   }
   prices_.mu = std::move(snapshot.mu);
   prices_.lambda = std::move(snapshot.lambda);
-  // Reset sizes the policy's vectors for this workload; LoadState then
-  // overwrites the saved fields (and ignores a foreign-policy snapshot —
-  // e.g. a fixed-policy checkpoint restored into an adaptive engine simply
-  // keeps the reset state).
-  step_policy_->Reset(*workload_);
-  StepPolicyState policy_state;
-  policy_state.resource_multiplier = std::move(snapshot.resource_step_multiplier);
-  policy_state.path_multiplier = std::move(snapshot.path_step_multiplier);
-  policy_state.iteration = snapshot.step_iteration;
-  step_policy_->LoadState(policy_state);
+  // Reset sizes the schedule for this workload; Adopt then takes what this
+  // schedule's kind saved and ignores another kind's state — e.g. a
+  // fixed-policy checkpoint restored into an adaptive engine simply keeps
+  // the reset multipliers.
+  schedule_.Reset(*workload_);
+  schedule_.Adopt(std::move(snapshot.resource_step_multiplier),
+                  std::move(snapshot.path_step_multiplier),
+                  snapshot.step_iteration);
   if (config_.dynamics.kind != DynamicsKind::kPlain) {
     // Start from fresh momentum re-based at the restored prices, then adopt
     // each saved pair of vectors that fits this workload.  A plain-engine
@@ -400,7 +391,7 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
     }
     momentum_restarts_ = snapshot.momentum_restarts;
   }
-  iteration_ = static_cast<int>(snapshot.iteration);
+  iteration_ = static_cast<int>(snapshot.iteration);  // range-checked above
   converged_ = snapshot.converged;
   total_subtask_solves_ = snapshot.total_subtask_solves;
   recent_utilities_.assign(snapshot.recent_utilities.begin(),
@@ -440,15 +431,15 @@ IterationStats LlaEngine::Step() {
     }
   }
 
-  // 2. Price computation: congestion feedback chooses the step sizes, then
-  //    gradient projection moves the prices.
+  // 2. Price computation: congestion feedback advances the step schedule,
+  //    then gradient projection moves the prices.
   {
     obs::ScopedTimer timing(price_timer_);
-    step_policy_->Update(*workload_, workspace_.resource_congested, &steps_);
+    schedule_.Advance(*workload_, workspace_.resource_congested);
     const std::uint64_t restarts_before = momentum_restarts_;
     updater_.Update(workspace_.resource_share_sums, workspace_.path_latencies,
-                    steps_, config_.dynamics, &mu_dynamics_, &lambda_dynamics_,
-                    &momentum_restarts_, &prices_);
+                    schedule_, config_.dynamics, &mu_dynamics_,
+                    &lambda_dynamics_, &momentum_restarts_, &prices_);
     last_step_restarts_ = momentum_restarts_ - restarts_before;
     if (momentum_restarts_counter_ != nullptr) {
       momentum_restarts_counter_->Increment(last_step_restarts_);
@@ -483,8 +474,8 @@ IterationStats LlaEngine::Step() {
 
 void LlaEngine::EmitTrace(const IterationStats& stats) {
   // Everything comes from the workspace, the price vector and the step
-  // sizes already computed this step — no extra evaluation sweeps.  The
-  // vector assignments reuse trace_'s capacity after the first iteration.
+  // schedule this step advanced — no extra evaluation sweeps.  The vector
+  // assignments reuse trace_'s capacity after the first iteration.
   trace_.iteration = stats.iteration;
   trace_.at_ms = -1.0;
   trace_.total_utility = stats.total_utility;
@@ -493,10 +484,16 @@ void LlaEngine::EmitTrace(const IterationStats& stats) {
   trace_.max_path_ratio = stats.max_path_ratio;
   trace_.resource_share_sums = workspace_.resource_share_sums;
   trace_.resource_mu = prices_.mu;
-  trace_.resource_step = steps_.resource;
+  trace_.resource_step.resize(prices_.mu.size());
+  for (std::size_t r = 0; r < prices_.mu.size(); ++r) {
+    trace_.resource_step[r] = schedule_.resource_step(r);
+  }
   trace_.path_latencies = workspace_.path_latencies;
   trace_.path_lambda = prices_.lambda;
-  trace_.path_step = steps_.path;
+  trace_.path_step.resize(prices_.lambda.size());
+  for (std::size_t p = 0; p < prices_.lambda.size(); ++p) {
+    trace_.path_step[p] = schedule_.path_step(p);
+  }
   if (config_.active_set.enabled) {
     trace_.tasks_solved = stats.tasks_solved;
     trace_.subtasks_solved = stats.subtasks_solved;

@@ -5,7 +5,7 @@
 //      at the current prices (LatencySolver);
 //   2. price computation — every resource and every controller moves its
 //      prices by gradient projection (PriceUpdater), with step sizes chosen
-//      by the configured policy.
+//      by the engine's StepSchedule.
 //
 // Between the half-steps the engine fills a StepWorkspace once — resource
 // share sums, path latencies, task utility aggregates — and every per-step
@@ -58,6 +58,8 @@ struct ConvergenceConfig {
 
 /// Length of the trailing utility window of the stop rule.
 inline constexpr int kConvergenceWindow = 10;
+static_assert(kConvergenceWindow == kSnapshotUtilityWindow,
+              "a b1 image holds the whole utility window and no more");
 
 /// Utility can plateau far from the dual fixed point (latencies pinned at box
 /// bounds under inflated prices), so the engine also requires approximate
@@ -88,7 +90,7 @@ struct LlaConfig {
   double diminishing_tau = 50.0;
   /// Accelerated price dynamics (heavy-ball / Nesterov momentum with
   /// adaptive restart; see price_dynamics.h).  Orthogonal to step_policy:
-  /// the step-size policy still chooses gamma per component per iteration,
+  /// the step schedule still chooses gamma per component per iteration,
   /// the dynamics decide how the gradient step is applied.  The default
   /// (plain) runs the original Eq. 8/9 arithmetic unchanged.  The momentum
   /// must be finite and in [0, 1); the constructor aborts otherwise.
@@ -193,7 +195,7 @@ class LlaEngine {
                              const PriceVector& old_prices,
                              const StructuralChange& change);
 
-  /// Captures the complete dual state — prices, step-size policy state,
+  /// Captures the complete dual state — prices, step-schedule state,
   /// momentum state, convergence window and counters — into a durable
   /// snapshot (DESIGN.md §7.7).  Restore() of the snapshot into a fresh
   /// engine on the same workload resumes the dense trajectory
@@ -204,13 +206,15 @@ class LlaEngine {
 
   /// Adopts a snapshot taken by Checkpoint() (possibly in another process).
   /// Fails without touching the engine if the snapshot's shape does not
-  /// match this workload.  On success the engine's latencies and workspace
-  /// are re-derived from the restored prices by a dense solve, history is
-  /// cleared, and the next Step() continues the checkpointed trajectory
-  /// bit-for-bit (any thread count, active-set on or off).  Takes the
-  /// snapshot by value and moves its vectors into place, so restoring a
-  /// freshly decoded one — `Restore(MaterializeSnapshot(view))` on an
-  /// mmap'd b1 file (DESIGN.md §7.11) — copies no vector.
+  /// match this workload, its iteration lies outside [0, INT_MAX] or its
+  /// step iteration is negative.  On success the engine's latencies and
+  /// workspace are re-derived from the restored prices by a dense solve,
+  /// history is cleared, and the next Step() continues the checkpointed
+  /// trajectory bit-for-bit (any thread count, active-set on or off).  The
+  /// schedule adopts only what its own step policy saved
+  /// (StepSchedule::Adopt).  Takes the snapshot by value and moves its
+  /// vectors into place; decode b1 bytes for it with the loaders given this
+  /// engine's workload (DESIGN.md §7.11).
   Status Restore(StateSnapshot snapshot);
 
   bool Converged() const { return converged_; }
@@ -252,7 +256,7 @@ class LlaEngine {
   LlaConfig config_;
   LatencySolver solver_;
   PriceUpdater updater_;
-  std::unique_ptr<StepSizePolicy> step_policy_;
+  StepSchedule schedule_;
   /// Momentum state, one per mu and one per lambda, stepped by
   /// StepComponentDynamics inside the serial price update.  Empty under
   /// plain dynamics, which keep none.
@@ -260,7 +264,6 @@ class LlaEngine {
   std::vector<ComponentDynamicsState> lambda_dynamics_;
   std::uint64_t momentum_restarts_ = 0;
   std::unique_ptr<ThreadPool> pool_;  ///< null when num_threads <= 1
-  StepSizes steps_;
   PriceVector prices_;
   Assignment latencies_;
   StepWorkspace workspace_;
@@ -291,9 +294,5 @@ class LlaEngine {
   obs::Counter* reprime_resources_counter_ = nullptr;
   obs::IterationTrace trace_;
 };
-
-/// Builds the step-size policy an LlaConfig describes (also used by the
-/// distributed runtime).
-std::unique_ptr<StepSizePolicy> MakeStepPolicy(const LlaConfig& config);
 
 }  // namespace lla

@@ -7,8 +7,8 @@
 // converge in a fraction of the iterations when augmented with a momentum
 // term.  This file defines the one projected step every price holder takes
 // — the engine's PriceUpdater and the distributed shard agents alike — for
-// each variant, composed with any StepSizePolicy (the step sizes gamma stay
-// per-resource / per-path and per-iteration, chosen exactly as before):
+// each variant, composed with any step schedule (the step sizes gamma stay
+// per-resource / per-path and per-iteration, chosen by core/step_size.h):
 //
 //   plain       mu <- [mu + gamma*g]+                       (g = -slack)
 //   heavy-ball  v  <- beta*v + gamma*g;  mu <- [mu + v]+
@@ -117,7 +117,7 @@ double StepAcceleratedDynamics(const DynamicsConfig& config,
 
 /// The projected Eq. 8/9 step on one component: the only definition of the
 /// price move in the tree.  `value` is the published multiplier, `gamma` the
-/// step size the StepSizePolicy chose and `slack` the constraint slack
+/// step size the step schedule chose and `slack` the constraint slack
 /// (positive = satisfied), so the ascent gradient is -slack.  Returns the
 /// projected published multiplier.  Momentum kinds read and write
 /// `*state`; plain dynamics never touch it, so plain callers may pass null.

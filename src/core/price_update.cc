@@ -27,9 +27,8 @@ PriceUpdater::PriceUpdater(const Workload& workload, const LatencyModel& model)
     : workload_(&workload), model_(&model) {}
 
 void PriceUpdater::UpdateResourcePrices(const Assignment& latencies,
-                                        const StepSizes& steps,
+                                        const StepSchedule& steps,
                                         PriceVector* prices) const {
-  assert(steps.resource.size() == workload_->resource_count());
   assert(prices->mu.size() == workload_->resource_count());
   for (const ResourceInfo& resource : workload_->resources()) {
     const std::size_t r = resource.id.value();
@@ -37,27 +36,29 @@ void PriceUpdater::UpdateResourcePrices(const Assignment& latencies,
         ResourceShareSum(*workload_, *model_, resource.id, latencies);
     const double slack = resource.capacity - share_sum;
     prices->mu[r] = StepComponentDynamics(DynamicsConfig{}, nullptr,
-                                          prices->mu[r], steps.resource[r],
-                                          slack, nullptr);
+                                          prices->mu[r],
+                                          steps.resource_step(r), slack,
+                                          nullptr);
   }
 }
 
 void PriceUpdater::UpdatePathPrices(const Assignment& latencies,
-                                    const StepSizes& steps,
+                                    const StepSchedule& steps,
                                     PriceVector* prices) const {
-  assert(steps.path.size() == workload_->path_count());
   assert(prices->lambda.size() == workload_->path_count());
   for (const PathInfo& path : workload_->paths()) {
     const std::size_t p = path.id.value();
     const double latency = PathLatency(*workload_, path.id, latencies);
     const double slack = 1.0 - latency / path.critical_time_ms;
     prices->lambda[p] = StepComponentDynamics(DynamicsConfig{}, nullptr,
-                                              prices->lambda[p], steps.path[p],
-                                              slack, nullptr);
+                                              prices->lambda[p],
+                                              steps.path_step(p), slack,
+                                              nullptr);
   }
 }
 
-void PriceUpdater::Update(const Assignment& latencies, const StepSizes& steps,
+void PriceUpdater::Update(const Assignment& latencies,
+                          const StepSchedule& steps,
                           PriceVector* prices) const {
   UpdateResourcePrices(latencies, steps, prices);
   UpdatePathPrices(latencies, steps, prices);
@@ -65,15 +66,13 @@ void PriceUpdater::Update(const Assignment& latencies, const StepSizes& steps,
 
 void PriceUpdater::Update(const std::vector<double>& resource_share_sums,
                           const std::vector<double>& path_latencies,
-                          const StepSizes& steps,
+                          const StepSchedule& steps,
                           const DynamicsConfig& dynamics,
                           std::vector<ComponentDynamicsState>* mu_state,
                           std::vector<ComponentDynamicsState>* lambda_state,
                           std::uint64_t* restarts, PriceVector* prices) const {
   assert(resource_share_sums.size() == workload_->resource_count());
   assert(path_latencies.size() == workload_->path_count());
-  assert(steps.resource.size() == workload_->resource_count());
-  assert(steps.path.size() == workload_->path_count());
   const DynamicsConfig config = dynamics;
   ComponentDynamicsState* const mu_states = StatesOf(mu_state);
   ComponentDynamicsState* const lambda_states = StatesOf(lambda_state);
@@ -82,32 +81,26 @@ void PriceUpdater::Update(const std::vector<double>& resource_share_sums,
     const double slack = resource.capacity - resource_share_sums[r];
     prices->mu[r] =
         StepComponentDynamics(config, At(mu_states, r), prices->mu[r],
-                              steps.resource[r], slack, restarts);
+                              steps.resource_step(r), slack, restarts);
   }
   for (const PathInfo& path : workload_->paths()) {
     const std::size_t p = path.id.value();
     const double slack = 1.0 - path_latencies[p] / path.critical_time_ms;
     prices->lambda[p] =
         StepComponentDynamics(config, At(lambda_states, p), prices->lambda[p],
-                              steps.path[p], slack, restarts);
+                              steps.path_step(p), slack, restarts);
   }
 }
 
 std::vector<bool> PriceUpdater::ResourceCongestion(
     const Assignment& latencies) const {
-  std::vector<bool> congested;
-  ResourceCongestion(latencies, &congested);
-  return congested;
-}
-
-void PriceUpdater::ResourceCongestion(const Assignment& latencies,
-                                      std::vector<bool>* congested) const {
-  congested->resize(workload_->resource_count());
+  std::vector<bool> congested(workload_->resource_count());
   for (const ResourceInfo& resource : workload_->resources()) {
     const double share_sum =
         ResourceShareSum(*workload_, *model_, resource.id, latencies);
-    (*congested)[resource.id.value()] = share_sum > resource.capacity;
+    congested[resource.id.value()] = share_sum > resource.capacity;
   }
+  return congested;
 }
 
 }  // namespace lla

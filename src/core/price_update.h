@@ -31,14 +31,15 @@ class PriceUpdater {
 
   /// Applies Eq. 8 to every resource price.
   void UpdateResourcePrices(const Assignment& latencies,
-                            const StepSizes& steps, PriceVector* prices) const;
+                            const StepSchedule& steps,
+                            PriceVector* prices) const;
 
   /// Applies Eq. 9 to every path price.
-  void UpdatePathPrices(const Assignment& latencies, const StepSizes& steps,
+  void UpdatePathPrices(const Assignment& latencies, const StepSchedule& steps,
                         PriceVector* prices) const;
 
   /// Both updates (scalar form: re-evaluates the workload).
-  void Update(const Assignment& latencies, const StepSizes& steps,
+  void Update(const Assignment& latencies, const StepSchedule& steps,
               PriceVector* prices) const;
 
   /// Both updates from precomputed per-resource share sums and per-path
@@ -52,19 +53,15 @@ class PriceUpdater {
   /// plain dynamics keep no state, so plain callers pass empty vectors.
   void Update(const std::vector<double>& resource_share_sums,
               const std::vector<double>& path_latencies,
-              const StepSizes& steps, const DynamicsConfig& dynamics,
+              const StepSchedule& steps, const DynamicsConfig& dynamics,
               std::vector<ComponentDynamicsState>* mu_state,
               std::vector<ComponentDynamicsState>* lambda_state,
               std::uint64_t* restarts, PriceVector* prices) const;
 
   /// True for every resource whose share sum exceeds its capacity at the
-  /// given latencies (the congestion signal the adaptive policy consumes).
+  /// given latencies (the congestion signal the adaptive schedule consumes;
+  /// the engine reads it from its StepWorkspace instead).
   std::vector<bool> ResourceCongestion(const Assignment& latencies) const;
-
-  /// Allocation-free variant: writes into `congested` (resized to
-  /// resource_count); reuse the buffer across iterations.
-  void ResourceCongestion(const Assignment& latencies,
-                          std::vector<bool>* congested) const;
 
  private:
   const Workload* workload_;

@@ -1,11 +1,10 @@
 #include "core/step_size.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <utility>
 
 namespace lla {
 namespace {
@@ -42,54 +41,46 @@ const char* ToString(StepPolicyKind kind) {
   return "?";
 }
 
-FixedStepSize::FixedStepSize(double gamma) : gamma_(gamma) {
-  RequirePositiveStepParameter(gamma, "FixedStepSize", "gamma");
+StepSchedule::StepSchedule(StepPolicyKind kind, double gamma0, double cap,
+                           double tau, const char* owner)
+    : kind_(kind), gamma0_(gamma0), cap_(cap), tau_(tau), gamma_(gamma0) {
+  RequirePositiveStepParameter(gamma0, owner, "gamma0");
+  RequireStepMultiplierCap(cap, owner, "adaptive_max_multiplier");
+  RequirePositiveStepParameter(tau, owner, "diminishing_tau");
 }
 
-void FixedStepSize::Reset(const Workload& /*workload*/) {}
-
-void FixedStepSize::Update(const Workload& workload,
-                           const std::vector<bool>& /*resource_congested*/,
-                           StepSizes* steps) {
-  steps->resource.assign(workload.resource_count(), gamma_);
-  steps->path.assign(workload.path_count(), gamma_);
+void StepSchedule::Reset(const Workload& workload) {
+  gamma_ = gamma0_;
+  iteration_ = 0;
+  if (kind_ == StepPolicyKind::kAdaptive) {
+    resource_multiplier_.assign(workload.resource_count(), 1.0);
+    path_multiplier_.assign(workload.path_count(), 1.0);
+  }
 }
 
-std::string FixedStepSize::Describe() const {
-  std::ostringstream os;
-  os << "fixed(gamma=" << gamma_ << ")";
-  return os.str();
-}
-
-AdaptiveStepSize::AdaptiveStepSize(double gamma0, double max_multiplier)
-    : gamma0_(gamma0), max_multiplier_(max_multiplier) {
-  RequirePositiveStepParameter(gamma0, "AdaptiveStepSize", "gamma0");
-  RequireStepMultiplierCap(max_multiplier, "AdaptiveStepSize",
-                           "max_multiplier");
-}
-
-void AdaptiveStepSize::Reset(const Workload& workload) {
-  resource_multiplier_.assign(workload.resource_count(), 1.0);
-  path_multiplier_.assign(workload.path_count(), 1.0);
-}
-
-void AdaptiveStepSize::Update(const Workload& workload,
-                              const std::vector<bool>& resource_congested,
-                              StepSizes* steps) {
+void StepSchedule::Advance(const Workload& workload,
+                           const std::vector<bool>& resource_congested) {
   assert(resource_congested.size() == workload.resource_count());
-  // Rebuild on any size mismatch.  Checking only the resource vector left
-  // path_multiplier_ stale (or undersized — an out-of-bounds write below)
-  // when a workload transform changed the path count but not the resource
-  // count, e.g. a task add/remove on a fixed resource set.
+  if (kind_ == StepPolicyKind::kDiminishing) {
+    gamma_ = gamma0_ / (1.0 + static_cast<double>(iteration_) / tau_);
+    ++iteration_;
+  }
+  if (kind_ != StepPolicyKind::kAdaptive) return;
+  // Every engine binds one workload for life, so a mismatch is a caller
+  // bug; resizing here would resume misindexed (or out-of-bounds) state.
   if (resource_multiplier_.size() != workload.resource_count() ||
       path_multiplier_.size() != workload.path_count()) {
-    Reset(workload);
+    std::fprintf(stderr,
+                 "StepSchedule::Advance: workload shape (%zu resources, %zu "
+                 "paths) does not match the schedule's (%zu, %zu)\n",
+                 workload.resource_count(), workload.path_count(),
+                 resource_multiplier_.size(), path_multiplier_.size());
+    std::abort();
   }
-  for (std::size_t r = 0; r < workload.resource_count(); ++r) {
+  for (std::size_t r = 0; r < resource_multiplier_.size(); ++r) {
     resource_multiplier_[r] = NextStepMultiplier(
-        resource_multiplier_[r], resource_congested[r], max_multiplier_);
+        resource_multiplier_[r], resource_congested[r], cap_);
   }
-  // A path doubles while any resource it traverses is congested.
   for (const PathInfo& path : workload.paths()) {
     bool any_congested = false;
     for (SubtaskId sid : path.subtasks) {
@@ -99,71 +90,23 @@ void AdaptiveStepSize::Update(const Workload& workload,
       }
     }
     double& mult = path_multiplier_[path.id.value()];
-    mult = NextStepMultiplier(mult, any_congested, max_multiplier_);
-  }
-
-  steps->resource.resize(workload.resource_count());
-  for (std::size_t r = 0; r < workload.resource_count(); ++r) {
-    steps->resource[r] = gamma0_ * resource_multiplier_[r];
-  }
-  steps->path.resize(workload.path_count());
-  for (std::size_t p = 0; p < workload.path_count(); ++p) {
-    steps->path[p] = gamma0_ * path_multiplier_[p];
+    mult = NextStepMultiplier(mult, any_congested, cap_);
   }
 }
 
-void AdaptiveStepSize::SaveState(StepPolicyState* out) const {
-  out->resource_multiplier = resource_multiplier_;
-  out->path_multiplier = path_multiplier_;
-}
-
-void AdaptiveStepSize::LoadState(const StepPolicyState& in) {
-  // Size mismatches fall back to the Reset() state (all 1.0) rather than
-  // adopting misindexed multipliers; Update() rebuilds on mismatch anyway.
-  if (in.resource_multiplier.size() == resource_multiplier_.size() &&
-      in.path_multiplier.size() == path_multiplier_.size()) {
-    resource_multiplier_ = in.resource_multiplier;
-    path_multiplier_ = in.path_multiplier;
+void StepSchedule::Adopt(std::vector<double> resource_multiplier,
+                         std::vector<double> path_multiplier,
+                         std::int64_t iteration) {
+  assert(iteration >= 0);
+  if (kind_ == StepPolicyKind::kDiminishing) iteration_ = iteration;
+  // A misfit keeps the Reset() state (all 1.0) rather than adopting
+  // misindexed multipliers.
+  if (kind_ == StepPolicyKind::kAdaptive &&
+      resource_multiplier.size() == resource_multiplier_.size() &&
+      path_multiplier.size() == path_multiplier_.size()) {
+    resource_multiplier_ = std::move(resource_multiplier);
+    path_multiplier_ = std::move(path_multiplier);
   }
-}
-
-std::string AdaptiveStepSize::Describe() const {
-  std::ostringstream os;
-  os << "adaptive(gamma0=" << gamma0_ << ", cap=" << max_multiplier_ << ")";
-  return os.str();
-}
-
-DiminishingStepSize::DiminishingStepSize(double gamma0, double tau)
-    : gamma0_(gamma0), tau_(tau) {
-  RequirePositiveStepParameter(gamma0, "DiminishingStepSize", "gamma0");
-  RequirePositiveStepParameter(tau, "DiminishingStepSize", "tau");
-}
-
-void DiminishingStepSize::Reset(const Workload& /*workload*/) {
-  iteration_ = 0;
-}
-
-void DiminishingStepSize::Update(const Workload& workload,
-                                 const std::vector<bool>& /*congested*/,
-                                 StepSizes* steps) {
-  const double gamma = gamma0_ / (1.0 + iteration_ / tau_);
-  ++iteration_;
-  steps->resource.assign(workload.resource_count(), gamma);
-  steps->path.assign(workload.path_count(), gamma);
-}
-
-void DiminishingStepSize::SaveState(StepPolicyState* out) const {
-  out->iteration = iteration_;
-}
-
-void DiminishingStepSize::LoadState(const StepPolicyState& in) {
-  iteration_ = static_cast<int>(in.iteration);
-}
-
-std::string DiminishingStepSize::Describe() const {
-  std::ostringstream os;
-  os << "diminishing(gamma0=" << gamma0_ << ", tau=" << tau_ << ")";
-  return os.str();
 }
 
 }  // namespace lla

@@ -1,4 +1,4 @@
-// Step-size policies for the gradient-projection price updates (Eqs. 8-9).
+// The step size gamma of the gradient-projection price updates (Eqs. 8-9).
 //
 // The paper studies fixed step sizes (Figure 5: gamma = 0.1 converges
 // slowly, 1 converges in ~500 iterations, 10 oscillates) and proposes an
@@ -6,116 +6,26 @@
 // step size and the step sizes of all paths traversing it; revert to the
 // initial value once it becomes uncongested.  A diminishing schedule
 // (gamma_t = gamma0 / (1 + t/tau)) is included as the textbook
-// convergence-guaranteed alternative.
+// convergence-guaranteed alternative.  All three only choose gamma; how a
+// price moves by it is core/price_dynamics.h.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "model/workload.h"
 
 namespace lla {
 
-/// Per-resource and per-path step sizes for one price update.
-struct StepSizes {
-  std::vector<double> resource;  ///< indexed by ResourceId
-  std::vector<double> path;      ///< indexed by PathId
-};
+/// Which schedule an LlaConfig selects.
+enum class StepPolicyKind { kFixed, kAdaptive, kDiminishing };
 
-/// Serializable state of a step-size policy, for engine checkpoints
-/// (DESIGN.md §7.7).  A policy only fills / reads the fields it owns:
-/// adaptive uses the multiplier vectors, diminishing the iteration counter,
-/// fixed nothing.
-struct StepPolicyState {
-  std::vector<double> resource_multiplier;
-  std::vector<double> path_multiplier;
-  std::int64_t iteration = 0;
-};
-
-class StepSizePolicy {
- public:
-  virtual ~StepSizePolicy() = default;
-
-  /// Clears internal state and sizes the output for `workload`.
-  virtual void Reset(const Workload& workload) = 0;
-
-  /// Computes the step sizes for the next price update.
-  /// `resource_congested[r]` reports whether Eq. 3 is violated at the
-  /// latencies just produced by latency allocation.
-  virtual void Update(const Workload& workload,
-                      const std::vector<bool>& resource_congested,
-                      StepSizes* steps) = 0;
-
-  /// Checkpoint hooks: SaveState writes the policy's mutable state into
-  /// `out` (leaving foreign fields untouched); LoadState restores it.
-  /// Stateless policies inherit the no-ops.  Call Reset() before LoadState
-  /// so vectors not covered by the saved state are correctly sized.
-  virtual void SaveState(StepPolicyState* out) const { (void)out; }
-  virtual void LoadState(const StepPolicyState& in) { (void)in; }
-
-  virtual std::string Describe() const = 0;
-};
-
-/// Constant gamma for all resources and paths.
-class FixedStepSize final : public StepSizePolicy {
- public:
-  explicit FixedStepSize(double gamma);
-  void Reset(const Workload& workload) override;
-  void Update(const Workload& workload,
-              const std::vector<bool>& resource_congested,
-              StepSizes* steps) override;
-  std::string Describe() const override;
-
- private:
-  double gamma_;
-};
-
-/// The paper's doubling heuristic.  `max_multiplier` caps the growth (the
-/// paper does not cap, but an unschedulable workload — Figure 7 — keeps
-/// resources congested indefinitely and an uncapped double overflows).
-class AdaptiveStepSize final : public StepSizePolicy {
- public:
-  explicit AdaptiveStepSize(double gamma0, double max_multiplier = 8.0);
-  void Reset(const Workload& workload) override;
-  void Update(const Workload& workload,
-              const std::vector<bool>& resource_congested,
-              StepSizes* steps) override;
-  void SaveState(StepPolicyState* out) const override;
-  void LoadState(const StepPolicyState& in) override;
-  std::string Describe() const override;
-
- private:
-  double gamma0_;
-  double max_multiplier_;
-  std::vector<double> resource_multiplier_;
-  std::vector<double> path_multiplier_;
-};
-
-/// gamma_t = gamma0 / (1 + t / tau): satisfies the diminishing-step
-/// conditions under which dual subgradient methods provably converge.
-class DiminishingStepSize final : public StepSizePolicy {
- public:
-  DiminishingStepSize(double gamma0, double tau);
-  void Reset(const Workload& workload) override;
-  void Update(const Workload& workload,
-              const std::vector<bool>& resource_congested,
-              StepSizes* steps) override;
-  void SaveState(StepPolicyState* out) const override;
-  void LoadState(const StepPolicyState& in) override;
-  std::string Describe() const override;
-
- private:
-  double gamma0_;
-  double tau_;
-  int iteration_ = 0;
-};
+const char* ToString(StepPolicyKind kind);
 
 /// The Sec. 5.2 doubling rule for one step-size multiplier: double while
 /// congested, capped at `cap`, and revert to 1 as soon as uncongested.  The
-/// engine's AdaptiveStepSize and the distributed agents all step their
+/// engine's StepSchedule and the distributed agents all step their
 /// multipliers through this one definition.
 inline double NextStepMultiplier(double multiplier, bool congested,
                                  double cap) {
@@ -130,9 +40,62 @@ void RequirePositiveStepParameter(double value, const char* owner,
 void RequireStepMultiplierCap(double value, const char* owner,
                               const char* name);
 
-/// Which policy an LlaConfig selects.
-enum class StepPolicyKind { kFixed, kAdaptive, kDiminishing };
+/// The step sizes of one engine, as a value.  Component c (a resource or a
+/// path) steps gamma_t * m_c, or gamma_t alone when the schedule keeps no
+/// multipliers, which only adaptive does:
+///   fixed        gamma_t = gamma0;
+///   adaptive     gamma_t = gamma0, and each m_c moves by NextStepMultiplier
+///                (a path is congested while any resource it crosses is);
+///   diminishing  gamma_t = gamma0 / (1 + t / tau), t counting Advance calls.
+class StepSchedule {
+ public:
+  /// Aborts, naming `owner`, in every build mode unless gamma0 and tau are
+  /// finite and > 0 and cap is finite and >= 1, whatever `kind` selects.
+  StepSchedule(StepPolicyKind kind, double gamma0, double cap, double tau,
+               const char* owner = "StepSchedule");
 
-const char* ToString(StepPolicyKind kind);
+  /// Back to t = 0 for `workload`: adaptive multipliers all 1, counter 0.
+  void Reset(const Workload& workload);
+
+  /// Chooses the steps of the next price update from the Eq. 3 congestion
+  /// flags of the latencies just allocated.  Aborts in every build mode when
+  /// `workload` is not the shape the last Reset() sized the multipliers for.
+  void Advance(const Workload& workload,
+               const std::vector<bool>& resource_congested);
+
+  double resource_step(std::size_t r) const {
+    return resource_multiplier_.empty() ? gamma_
+                                        : gamma_ * resource_multiplier_[r];
+  }
+  double path_step(std::size_t p) const {
+    return path_multiplier_.empty() ? gamma_ : gamma_ * path_multiplier_[p];
+  }
+
+  /// The checkpointed state (DESIGN.md §7.7): the multipliers (empty unless
+  /// adaptive) and the counter (0 unless diminishing).
+  const std::vector<double>& resource_multiplier() const {
+    return resource_multiplier_;
+  }
+  const std::vector<double>& path_multiplier() const {
+    return path_multiplier_;
+  }
+  std::int64_t iteration() const { return iteration_; }
+
+  /// Adopts checkpointed state after Reset(), keeping only what this kind
+  /// saves: adaptive takes the multipliers when both vectors fit, diminishing
+  /// the counter (>= 0), fixed nothing.
+  void Adopt(std::vector<double> resource_multiplier,
+             std::vector<double> path_multiplier, std::int64_t iteration);
+
+ private:
+  StepPolicyKind kind_;
+  double gamma0_;
+  double cap_;
+  double tau_;
+  double gamma_;
+  std::vector<double> resource_multiplier_;
+  std::vector<double> path_multiplier_;
+  std::int64_t iteration_ = 0;
+};
 
 }  // namespace lla

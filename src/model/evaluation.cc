@@ -189,32 +189,4 @@ FeasibilitySummary SummarizeFeasibility(
   return summary;
 }
 
-FeasibilityReport FeasibilityFromArrays(
-    const Workload& workload, const std::vector<double>& resource_share_sums,
-    const std::vector<double>& path_latencies, double tolerance) {
-  assert(resource_share_sums.size() == workload.resource_count());
-  assert(path_latencies.size() == workload.path_count());
-  FeasibilityReport report;
-  report.resource_share_sums = resource_share_sums;
-  for (const ResourceInfo& resource : workload.resources()) {
-    const double excess =
-        resource_share_sums[resource.id.value()] - resource.capacity;
-    report.max_resource_excess = std::max(report.max_resource_excess, excess);
-    if (excess > tolerance * resource.capacity) report.feasible = false;
-  }
-  report.critical_paths.reserve(workload.task_count());
-  for (const TaskInfo& task : workload.tasks()) {
-    double crit = 0.0;
-    for (PathId pid : task.paths) {
-      crit = std::max(crit, path_latencies[pid.value()]);
-    }
-    report.critical_paths.push_back(crit);
-    const double ratio = crit / task.critical_time_ms;
-    report.max_path_ratio = std::max(report.max_path_ratio, ratio);
-    if (ratio > 1.0 + tolerance) report.feasible = false;
-  }
-  report.max_resource_excess = std::max(report.max_resource_excess, 0.0);
-  return report;
-}
-
 }  // namespace lla

@@ -126,10 +126,4 @@ FeasibilitySummary SummarizeFeasibility(
     const Workload& workload, const std::vector<double>& resource_share_sums,
     const std::vector<double>& path_latencies, double tolerance = 1e-6);
 
-/// Full CheckFeasibility report from the same arrays (for callers that need
-/// the per-resource/per-task vectors, e.g. the distributed coordinator).
-FeasibilityReport FeasibilityFromArrays(
-    const Workload& workload, const std::vector<double>& resource_share_sums,
-    const std::vector<double>& path_latencies, double tolerance = 1e-6);
-
 }  // namespace lla

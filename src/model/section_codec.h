@@ -4,7 +4,7 @@
 //
 // A "section" is a contiguous array of fixed-width words (f64 / u32 / u8
 // bit patterns) stored in one of three encodings, chosen by encoded size:
-//   raw    — count * width contiguous little-endian words (mmap-friendly);
+//   raw    — count * width contiguous little-endian words;
 //   rle    — u64 run_count, then (u64 run_len, word) pairs;
 //   sparse — u64 nnz, then (u32 index, word) pairs, strictly increasing.
 // Every encoding preserves the exact bit patterns (zero means bit-pattern

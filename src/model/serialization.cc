@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define LLA_HAVE_MMAP 1
-#endif
 
 #include "model/section_codec.h"
 #include "model/utility.h"
@@ -337,10 +330,10 @@ Status SaveWorkloadToFile(const Workload& workload, const std::string& path) {
 //
 // Values keep their raw IEEE-754 / integer bit patterns in every encoding,
 // so the round-trip is bit-exact.  The encoding is chosen per section by
-// encoded size: raw (count * width contiguous words — the mmap-friendly
-// default), rle (u64 run_count, then (u64 run_len, word) pairs — collapses
-// all-1.0 step multipliers), or sparse (u64 nnz, then (u32 index, word)
-// pairs, indices strictly increasing — collapses mostly-zero lambda).
+// encoded size: raw (count * width contiguous words — the default), rle
+// (u64 run_count, then (u64 run_len, word) pairs — collapses all-1.0 step
+// multipliers), or sparse (u64 nnz, then (u32 index, word) pairs, indices
+// strictly increasing — collapses mostly-zero lambda).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -352,6 +345,9 @@ constexpr std::size_t kSectionEntrySize = 32;
 /// Alloc guard when decoding corrupt tables: generous for the 10^6-subtask
 /// north star, tiny next to what a hostile u64 count could demand.
 constexpr std::uint64_t kMaxSectionElems = 1ull << 28;
+/// The same guard on the file reader: 10^6-subtask images are tens of KB
+/// (tens of MB were every section raw), a path can name a file of any size.
+constexpr std::uintmax_t kMaxSnapshotFileBytes = std::uintmax_t{1} << 30;
 
 using b1::GetWord;
 using b1::PutWord;
@@ -461,12 +457,11 @@ std::string BinaryError(const std::string& message) {
   return "snapshot b1: " + message;
 }
 
-Expected<StateSnapshot> LoadSnapshotFromBytes(const char* data,
-                                              std::size_t size) {
-  Expected<SnapshotView> view = ParseSnapshotBinary(data, size);
-  if (!view.ok()) return Expected<StateSnapshot>::Error(view.error());
-  return MaterializeSnapshot(view.value());
-}
+// Live sections whose count is 0 or the header's resource count (the step
+// and dynamics state of the resource side), and the path-side analogues.
+constexpr std::uint32_t kResourceSideSections[] = {3, 6, 8, 10};
+constexpr std::uint32_t kPathSideSections[] = {4, 7, 9, 11};
+constexpr std::uint32_t kUtilityWindowSection = 5;
 
 }  // namespace
 
@@ -516,14 +511,63 @@ Status SaveSnapshotToFile(const StateSnapshot& snapshot,
   return Status{};
 }
 
-Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes) {
-  return LoadSnapshotFromBytes(bytes.data(), bytes.size());
+Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes,
+                                               const Workload* workload) {
+  using E = Expected<StateSnapshot>;
+  Expected<SnapshotView> parsed = ParseSnapshotBinary(bytes.data(),
+                                                      bytes.size());
+  if (!parsed.ok()) return E::Error(parsed.error());
+  const SnapshotView& view = parsed.value();
+  if (workload != nullptr &&
+      (view.resource_count != workload->resource_count() ||
+       view.path_count != workload->path_count() ||
+       view.subtask_count != workload->subtask_count() ||
+       view.task_count != workload->task_count())) {
+    const auto shape = [](std::uint64_t r, std::uint64_t p, std::uint64_t s,
+                          std::uint64_t t) {
+      return std::to_string(r) + " resources, " + std::to_string(p) +
+             " paths, " + std::to_string(s) + " subtasks, " +
+             std::to_string(t) + " tasks";
+    };
+    return E::Error(BinaryError(
+        "header shape (" +
+        shape(view.resource_count, view.path_count, view.subtask_count,
+              view.task_count) +
+        ") does not match the workload (" +
+        shape(workload->resource_count(), workload->path_count(),
+              workload->subtask_count(), workload->task_count()) +
+        ")"));
+  }
+  return MaterializeSnapshot(view);
 }
 
-Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path) {
-  Expected<MappedSnapshotFile> file = MappedSnapshotFile::Open(path);
-  if (!file.ok()) return Expected<StateSnapshot>::Error(file.error());
-  return LoadSnapshotFromBytes(file.value().data(), file.value().size());
+Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path,
+                                             const Workload* workload) {
+  Expected<std::string> bytes = ReadSnapshotFile(path);
+  if (!bytes.ok()) return Expected<StateSnapshot>::Error(bytes.error());
+  return LoadSnapshotFromString(bytes.value(), workload);
+}
+
+Expected<std::string> ReadSnapshotFile(const std::string& path) {
+  using E = Expected<std::string>;
+  // Sized up front, so a device or a pipe, whose read need never end, and a
+  // file larger than any image are refused instead of read whole.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    return E::Error("cannot open '" + path + "' for reading: " +
+                    error.message());
+  }
+  if (size > kMaxSnapshotFileBytes) {
+    return E::Error("'" + path + "' holds " + std::to_string(size) +
+                    " bytes, more than any snapshot image");
+  }
+  std::string bytes(size, '\0');
+  std::ifstream in(path, std::ios::binary);
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    return E::Error("cannot read '" + path + "'");
+  }
+  return bytes;
 }
 
 Expected<SnapshotView> ParseSnapshotBinary(const char* data,
@@ -619,13 +663,34 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
     ref.size = entry.size;
   }
 
-  const std::uint64_t mu_count =
-      view.sections[1].present() ? view.sections[1].count : 0;
-  const std::uint64_t lambda_count =
-      view.sections[2].present() ? view.sections[2].count : 0;
-  if (mu_count != view.resource_count || lambda_count != view.path_count) {
+  // Tie every live section's count to the header, so materializing the
+  // view allocates no more than the header declares.
+  const auto count = [&view](std::uint32_t id) {
+    return view.sections[id].present() ? view.sections[id].count : 0;
+  };
+  if (count(1) != view.resource_count || count(2) != view.path_count) {
     return E::Error(
         BinaryError("price vectors do not match declared shape"));
+  }
+  const auto misfit = [&](std::uint32_t id, const std::string& expected) {
+    return E::Error(BinaryError("section id " + std::to_string(id) + " (" +
+                                kSnapshotSections[id].name + "): " +
+                                std::to_string(count(id)) +
+                                " elements, expected " + expected));
+  };
+  for (const std::uint32_t id : kResourceSideSections) {
+    if (count(id) != 0 && count(id) != view.resource_count) {
+      return misfit(id, "0 or " + std::to_string(view.resource_count));
+    }
+  }
+  for (const std::uint32_t id : kPathSideSections) {
+    if (count(id) != 0 && count(id) != view.path_count) {
+      return misfit(id, "0 or " + std::to_string(view.path_count));
+    }
+  }
+  if (count(kUtilityWindowSection) > kSnapshotUtilityWindow) {
+    return misfit(kUtilityWindowSection,
+                  "at most " + std::to_string(kSnapshotUtilityWindow));
   }
   return view;
 }
@@ -645,81 +710,6 @@ StateSnapshot MaterializeSnapshot(const SnapshotView& view) {
     DecodeSection(view.sections[id], vec);
   });
   return snap;
-}
-
-MappedSnapshotFile::MappedSnapshotFile(MappedSnapshotFile&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
-}
-
-MappedSnapshotFile& MappedSnapshotFile::operator=(
-    MappedSnapshotFile&& other) noexcept {
-  if (this == &other) return *this;
-  this->~MappedSnapshotFile();
-  new (this) MappedSnapshotFile(std::move(other));
-  return *this;
-}
-
-MappedSnapshotFile::~MappedSnapshotFile() {
-#if defined(LLA_HAVE_MMAP)
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<char*>(data_), size_);
-  }
-#endif
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-}
-
-Expected<MappedSnapshotFile> MappedSnapshotFile::Open(const std::string& path) {
-  using E = Expected<MappedSnapshotFile>;
-  MappedSnapshotFile file;
-#if defined(LLA_HAVE_MMAP)
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st;
-    if (::fstat(fd, &st) == 0 && st.st_size >= 0) {
-      const std::size_t size = static_cast<std::size_t>(st.st_size);
-      if (size == 0) {
-        ::close(fd);
-        file.data_ = "";
-        file.size_ = 0;
-        return file;
-      }
-      void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map != MAP_FAILED) {
-        file.data_ = static_cast<const char*>(map);
-        file.size_ = size;
-        file.mapped_ = true;
-        return file;
-      }
-    } else {
-      ::close(fd);
-    }
-    // fstat/mmap failure: fall through to the buffered read.
-  }
-#endif
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return E::Error("cannot open '" + path + "' for reading");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return E::Error("cannot read '" + path + "'");
-  }
-  file.fallback_ = buffer.str();
-  file.data_ = file.fallback_.data();
-  file.size_ = file.fallback_.size();
-  file.mapped_ = false;
-  return file;
 }
 
 }  // namespace lla

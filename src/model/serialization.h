@@ -97,22 +97,40 @@ struct StateSnapshot {
 /// scalar header, then a section table of length-prefixed sections whose
 /// payloads are raw little-endian IEEE-754 bit patterns (or integer words)
 /// laid out contiguously and 8-byte aligned — so a restore is a bounds check
-/// plus memcpy per section, and the payload region is mmap-friendly.  Each
-/// section additionally records one of three encodings chosen by size at
-/// save time: raw (contiguous words), run-length (repeated words collapse —
-/// all-1.0 step multipliers), or sparse (index/value pairs of the non-zero
-/// words — mostly-zero lambda and velocities).  All encodings keep the
-/// exact bit patterns, and equal snapshots encode to equal bytes.
+/// plus memcpy per section.  Each section additionally records one of three
+/// encodings chosen by size at save time: raw (contiguous words), run-length
+/// (repeated words collapse — all-1.0 step multipliers), or sparse
+/// (index/value pairs of the non-zero words — mostly-zero lambda and
+/// velocities).  All encodings keep the exact bit patterns, and equal
+/// snapshots encode to equal bytes.
 Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot);
 Status SaveSnapshotToFile(const StateSnapshot& snapshot,
                           const std::string& path);
 
 /// Parses a b1 image (ParseSnapshotBinary) and decodes it into an owning
 /// snapshot (MaterializeSnapshot).  The error locates the defect by byte
-/// layout or section id.  The file loader maps the file (MappedSnapshotFile)
-/// and decodes straight out of the mapping.
-Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes);
-Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path);
+/// layout or section id.  Given `workload` — the workload of the engine the
+/// snapshot will restore into, which every restore from bytes passes — an
+/// image whose header declares another shape is refused before any section
+/// is decoded, so no image can make a restore allocate more than that
+/// engine's own dual state.  Without it (codec round trips) the decode is
+/// bounded by the header's declared shape.  The file loader reads the file
+/// with ReadSnapshotFile.
+Expected<StateSnapshot> LoadSnapshotFromString(
+    const std::string& bytes, const Workload* workload = nullptr);
+Expected<StateSnapshot> LoadSnapshotFromFile(
+    const std::string& path, const Workload* workload = nullptr);
+
+/// Reads a whole snapshot file into memory: the one file reader of the b1
+/// loaders and `lla inspect`.  Images are tens of KB even at the
+/// 10^6-subtask tier (BENCH_scale.json), so a mapping would save nothing.
+/// Refuses what is not a regular file (a device or pipe read need never
+/// end) and a file of more than 1 GiB.
+Expected<std::string> ReadSnapshotFile(const std::string& path);
+
+/// Most values a b1 image's recent_utilities section may hold: the stop
+/// rule's trailing window (kConvergenceWindow, core/engine.h).
+inline constexpr std::uint64_t kSnapshotUtilityWindow = 10;
 
 /// Element kinds of a b1 section, indexing kSnapshotElemKinds.
 inline constexpr std::uint8_t kSnapshotElemF64 = 0;
@@ -165,14 +183,16 @@ inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
     {"lambda_stable_epochs", kSnapshotElemU32, true},
 };
 
-/// Zero-copy restore path (DESIGN.md §7.11): a parsed, NON-OWNING view of a
-/// b1 image.  ParseSnapshotBinary decodes the scalar header and fully
-/// validates the section table and every section's encoding structure, but
-/// leaves the section payloads as byte ranges aliasing the caller's buffer
-/// (an mmap'd file, typically).  MaterializeSnapshot then decodes each
-/// section exactly once, straight into the vectors of the snapshot it
-/// returns (one memcpy for raw sections); it cannot fail on a parsed view.
-/// The backing bytes must outlive the view.
+/// A parsed, NON-OWNING view of a b1 image (DESIGN.md §7.11).
+/// ParseSnapshotBinary decodes the scalar header, fully validates the
+/// section table and every section's encoding structure, and ties every
+/// live section's count to the header: mu and lambda hold exactly the
+/// declared resource and path counts, each step and dynamics section 0 or
+/// that count on its side, recent_utilities at most kSnapshotUtilityWindow.
+/// The section payloads stay byte ranges aliasing the caller's buffer.
+/// MaterializeSnapshot then decodes each section exactly once, straight into
+/// the vectors of the snapshot it returns (one memcpy for raw sections); it
+/// cannot fail on a parsed view.  The backing bytes must outlive the view.
 struct SnapshotSectionRef {
   std::uint8_t elem_kind = 0;
   std::uint8_t encoding = 0;
@@ -203,31 +223,5 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data, std::size_t size);
 
 /// Decodes every section of a parsed view into an owning StateSnapshot.
 StateSnapshot MaterializeSnapshot(const SnapshotView& view);
-
-/// A read-only file mapping for the zero-copy restore: mmap where the
-/// platform has it, falling back to one read into a heap buffer.  Move-only;
-/// unmaps/frees on destruction.
-class MappedSnapshotFile {
- public:
-  MappedSnapshotFile() = default;
-  MappedSnapshotFile(MappedSnapshotFile&& other) noexcept;
-  MappedSnapshotFile& operator=(MappedSnapshotFile&& other) noexcept;
-  MappedSnapshotFile(const MappedSnapshotFile&) = delete;
-  MappedSnapshotFile& operator=(const MappedSnapshotFile&) = delete;
-  ~MappedSnapshotFile();
-
-  static Expected<MappedSnapshotFile> Open(const std::string& path);
-
-  const char* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  /// True when the bytes come from an actual mmap (false: heap fallback).
-  bool mapped() const { return mapped_; }
-
- private:
-  const char* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;
-  std::string fallback_;  ///< owns the bytes when !mapped_
-};
 
 }  // namespace lla

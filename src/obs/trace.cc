@@ -116,37 +116,6 @@ void JsonlTraceSink::OnRunEnd() {
   run_label_.clear();
 }
 
-CsvTraceSink::CsvTraceSink(const std::string& path) {
-  file_ = OpenOrStdout(path, &owns_file_);
-}
-
-CsvTraceSink::CsvTraceSink(std::FILE* file) : file_(file), owns_file_(false) {}
-
-CsvTraceSink::~CsvTraceSink() {
-  if (file_ != nullptr && owns_file_) std::fclose(file_);
-}
-
-void CsvTraceSink::WriteHeaderOnce() {
-  if (header_written_) return;
-  header_written_ = true;
-  std::fputs(
-      "run,iteration,at_ms,total_utility,feasible,max_resource_excess,"
-      "max_path_ratio\n",
-      file_);
-}
-
-void CsvTraceSink::OnRunBegin(const RunInfo& info) { run_label_ = info.label; }
-
-void CsvTraceSink::OnIteration(const IterationTrace& trace) {
-  if (file_ == nullptr) return;
-  WriteHeaderOnce();
-  // Labels are embedded unquoted; keep them free of commas.
-  std::fprintf(file_, "%s,%d,%.17g,%.17g,%d,%.17g,%.17g\n",
-               run_label_.c_str(), trace.iteration, trace.at_ms,
-               trace.total_utility, trace.feasible ? 1 : 0,
-               trace.max_resource_excess, trace.max_path_ratio);
-}
-
 RingBufferTraceSink::RingBufferTraceSink(std::size_t capacity)
     : capacity_(capacity) {
   assert(capacity > 0);

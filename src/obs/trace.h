@@ -120,32 +120,6 @@ class JsonlTraceSink final : public TraceSink {
   std::string run_label_;
 };
 
-/// Writes the scalar iteration fields as CSV (one header, one row per
-/// iteration; vector fields are omitted — use JSONL for those).  Events are
-/// ignored.
-class CsvTraceSink final : public TraceSink {
- public:
-  explicit CsvTraceSink(const std::string& path);
-  explicit CsvTraceSink(std::FILE* file);
-  ~CsvTraceSink() override;
-
-  CsvTraceSink(const CsvTraceSink&) = delete;
-  CsvTraceSink& operator=(const CsvTraceSink&) = delete;
-
-  bool ok() const { return file_ != nullptr; }
-
-  void OnRunBegin(const RunInfo& info) override;
-  void OnIteration(const IterationTrace& trace) override;
-
- private:
-  void WriteHeaderOnce();
-
-  std::FILE* file_ = nullptr;
-  bool owns_file_ = false;
-  bool header_written_ = false;
-  std::string run_label_;
-};
-
 /// Keeps the last `capacity` IterationTrace records in memory (deep copies).
 /// The in-process sink for tests and for attaching diagnostics to a live
 /// engine without I/O.

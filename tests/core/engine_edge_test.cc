@@ -1,5 +1,7 @@
 // Edge-case and regression tests for the engine.
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +154,59 @@ TEST(EngineEdgeTest, NonZeroInitialPricesStillConverge) {
   const RunResult run = engine.Run(12000);
   EXPECT_TRUE(run.converged);
   EXPECT_NEAR(run.final_utility, -76.0, 1.0);
+}
+
+// Restore reads the snapshot's counters as outside input.  An iteration
+// outside [0, INT_MAX] (the engine counts steps in an int: 2^32 + 5 used to
+// resume as 5) and a negative step iteration (which drives the diminishing
+// schedule's 1 + t / tau through zero) are refused without touching the
+// engine; a step iteration past INT_MAX is adopted whole, not narrowed
+// (2^32 - 50 used to narrow to -50 and, at tau = 50, put inf in mu three
+// steps later).
+TEST(EngineEdgeTest, RestoreRangeChecksTheCounters) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  LlaConfig config;
+  config.step_policy = StepPolicyKind::kDiminishing;
+  config.gamma0 = 3.0;
+  config.diminishing_tau = 50.0;
+  config.record_history = false;
+  LlaEngine donor(w, model, config);
+  for (int i = 0; i < 20; ++i) donor.Step();
+  const StateSnapshot good = donor.Checkpoint();
+
+  LlaEngine engine(w, model, config);
+  for (int i = 0; i < 5; ++i) engine.Step();
+  const PriceVector before = engine.prices();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  for (const std::int64_t iteration :
+       {std::int64_t{-1}, kIntMax + 1, (std::int64_t{1} << 32) + 5}) {
+    StateSnapshot bad = good;
+    bad.iteration = iteration;
+    const Status status = engine.Restore(bad);
+    EXPECT_FALSE(status.ok()) << "iteration " << iteration;
+  }
+  for (const std::int64_t step_iteration :
+       {std::int64_t{-1}, std::int64_t{-50}}) {
+    StateSnapshot bad = good;
+    bad.step_iteration = step_iteration;
+    EXPECT_FALSE(engine.Restore(bad).ok()) << "step iteration "
+                                           << step_iteration;
+  }
+  EXPECT_EQ(engine.iteration(), 5);
+  EXPECT_EQ(engine.prices().mu, before.mu);
+  EXPECT_EQ(engine.prices().lambda, before.lambda);
+
+  StateSnapshot far = good;
+  far.step_iteration = (std::int64_t{1} << 32) - 50;
+  ASSERT_TRUE(engine.Restore(far).ok());
+  for (int i = 0; i < 3; ++i) engine.Step();
+  for (const double mu : engine.prices().mu) EXPECT_TRUE(std::isfinite(mu));
+  for (const double lambda : engine.prices().lambda) {
+    EXPECT_TRUE(std::isfinite(lambda));
+  }
 }
 
 }  // namespace

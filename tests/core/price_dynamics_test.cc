@@ -7,7 +7,7 @@
 //     (large fixed step sizes, the Figure 5 regime);
 //   * an unschedulable workload (Figure 7) does not overflow or NaN under
 //     momentum — velocity is bounded by gamma*|g|/(1-beta), mirroring the
-//     AdaptiveStepSize max_multiplier cap rationale;
+//     adaptive schedule's multiplier cap rationale;
 //   * a component that projects to zero carries exactly zero velocity, the
 //     state of a fresh component at zero;
 //   * a NaN or out-of-range beta is refused loudly in every build mode.

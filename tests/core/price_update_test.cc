@@ -27,11 +27,9 @@ Workload MakeFixture(double capacity0 = 1.0) {
   return std::move(workload).value();
 }
 
-StepSizes UniformSteps(const Workload& w, double gamma) {
-  StepSizes steps;
-  steps.resource.assign(w.resource_count(), gamma);
-  steps.path.assign(w.path_count(), gamma);
-  return steps;
+// Every resource and path steps `gamma`: a fixed schedule.
+StepSchedule UniformSteps(double gamma) {
+  return StepSchedule(StepPolicyKind::kFixed, gamma, 8.0, 50.0);
 }
 
 TEST(PriceUpdateTest, ResourcePriceRisesUnderCongestion) {
@@ -41,7 +39,7 @@ TEST(PriceUpdateTest, ResourcePriceRisesUnderCongestion) {
   PriceVector prices = PriceVector::Zero(w);
   // lat_a = 2 -> share 2.0 on r0: excess 1.0.
   const Assignment lat = {2.0, 4.0};
-  updater.UpdateResourcePrices(lat, UniformSteps(w, 0.5), &prices);
+  updater.UpdateResourcePrices(lat, UniformSteps(0.5), &prices);
   // mu = 0 - 0.5 * (1 - 2) = 0.5.
   EXPECT_DOUBLE_EQ(prices.mu[0], 0.5);
   // r1: share 0.5, slack 0.5, price stays projected at 0.
@@ -55,7 +53,7 @@ TEST(PriceUpdateTest, ResourcePriceDecaysWithSlack) {
   PriceVector prices = PriceVector::Zero(w);
   prices.mu = {2.0, 2.0};
   const Assignment lat = {8.0, 4.0};  // shares 0.5 each, slack 0.5
-  updater.UpdateResourcePrices(lat, UniformSteps(w, 1.0), &prices);
+  updater.UpdateResourcePrices(lat, UniformSteps(1.0), &prices);
   EXPECT_DOUBLE_EQ(prices.mu[0], 1.5);
   EXPECT_DOUBLE_EQ(prices.mu[1], 1.5);
 }
@@ -67,7 +65,7 @@ TEST(PriceUpdateTest, ProjectionKeepsPricesNonNegative) {
   PriceVector prices = PriceVector::Zero(w);
   prices.mu = {0.1, 0.0};
   const Assignment lat = {8.0, 4.0};  // slack 0.5 on both
-  updater.UpdateResourcePrices(lat, UniformSteps(w, 10.0), &prices);
+  updater.UpdateResourcePrices(lat, UniformSteps(10.0), &prices);
   EXPECT_DOUBLE_EQ(prices.mu[0], 0.0);
   EXPECT_DOUBLE_EQ(prices.mu[1], 0.0);
 }
@@ -79,7 +77,7 @@ TEST(PriceUpdateTest, PathPriceFollowsNormalizedSlack) {
   PriceVector prices = PriceVector::Zero(w);
   // Path latency 30 vs C = 20: violation by 50%.
   const Assignment lat = {20.0, 10.0};
-  updater.UpdatePathPrices(lat, UniformSteps(w, 2.0), &prices);
+  updater.UpdatePathPrices(lat, UniformSteps(2.0), &prices);
   // lambda = 0 - 2 * (1 - 30/20) = 1.0.
   EXPECT_DOUBLE_EQ(prices.lambda[0], 1.0);
 }
@@ -91,7 +89,7 @@ TEST(PriceUpdateTest, PathPriceDecaysWhenMeetingDeadline) {
   PriceVector prices = PriceVector::Zero(w);
   prices.lambda[0] = 1.0;
   const Assignment lat = {5.0, 5.0};  // latency 10, slack 50%
-  updater.UpdatePathPrices(lat, UniformSteps(w, 1.0), &prices);
+  updater.UpdatePathPrices(lat, UniformSteps(1.0), &prices);
   EXPECT_DOUBLE_EQ(prices.lambda[0], 0.5);
 }
 
@@ -118,7 +116,7 @@ TEST(PriceUpdateTest, ExactBoundaryIsNotCongested) {
   // And the price update leaves mu unchanged (zero gradient).
   PriceVector prices = PriceVector::Zero(w);
   prices.mu[0] = 3.0;
-  updater.UpdateResourcePrices(boundary, UniformSteps(w, 1.0), &prices);
+  updater.UpdateResourcePrices(boundary, UniformSteps(1.0), &prices);
   EXPECT_DOUBLE_EQ(prices.mu[0], 3.0);
 }
 

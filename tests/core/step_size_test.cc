@@ -23,84 +23,126 @@ class StepSizeTest : public ::testing::Test {
   std::unique_ptr<Workload> workload_;
 };
 
+// The steps the schedule hands the price update, as vectors.
+std::vector<double> ResourceSteps(const StepSchedule& schedule,
+                                  const Workload& w) {
+  std::vector<double> steps;
+  for (std::size_t r = 0; r < w.resource_count(); ++r) {
+    steps.push_back(schedule.resource_step(r));
+  }
+  return steps;
+}
+
+std::vector<double> PathSteps(const StepSchedule& schedule,
+                              const Workload& w) {
+  std::vector<double> steps;
+  for (std::size_t p = 0; p < w.path_count(); ++p) {
+    steps.push_back(schedule.path_step(p));
+  }
+  return steps;
+}
+
+StepSchedule Fixed(double gamma) {
+  return StepSchedule(StepPolicyKind::kFixed, gamma, 8.0, 50.0);
+}
+StepSchedule Adaptive(double gamma0, double cap) {
+  return StepSchedule(StepPolicyKind::kAdaptive, gamma0, cap, 50.0);
+}
+StepSchedule Diminishing(double gamma0, double tau) {
+  return StepSchedule(StepPolicyKind::kDiminishing, gamma0, 8.0, tau);
+}
+
 TEST_F(StepSizeTest, FixedIsConstant) {
-  FixedStepSize policy(2.5);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Fixed(2.5);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), true);
-  policy.Update(workload(), congested, &steps);
-  for (double g : steps.resource) EXPECT_DOUBLE_EQ(g, 2.5);
-  for (double g : steps.path) EXPECT_DOUBLE_EQ(g, 2.5);
+  schedule.Advance(workload(), congested);
+  for (double g : ResourceSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 2.5);
+  for (double g : PathSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 2.5);
   // Congestion has no effect.
-  policy.Update(workload(), congested, &steps);
-  for (double g : steps.resource) EXPECT_DOUBLE_EQ(g, 2.5);
+  schedule.Advance(workload(), congested);
+  for (double g : ResourceSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 2.5);
 }
 
 TEST_F(StepSizeTest, AdaptiveDoublesWhileCongested) {
-  AdaptiveStepSize policy(1.0, /*max_multiplier=*/64.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Adaptive(1.0, /*cap=*/64.0);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), false);
   congested[0] = true;
 
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 2.0);
-  EXPECT_DOUBLE_EQ(steps.resource[1], 1.0);
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 4.0);
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 8.0);
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 2.0);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(1), 1.0);
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 4.0);
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 8.0);
 }
 
 TEST_F(StepSizeTest, AdaptiveRevertsOnUncongestion) {
-  AdaptiveStepSize policy(1.0, 64.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Adaptive(1.0, 64.0);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), false);
   congested[0] = true;
-  policy.Update(workload(), congested, &steps);
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 4.0);
+  schedule.Advance(workload(), congested);
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 4.0);
   congested[0] = false;
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 1.0);
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 1.0);
 }
 
 TEST_F(StepSizeTest, AdaptiveHonorsCap) {
-  AdaptiveStepSize policy(1.0, 8.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Adaptive(1.0, 8.0);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), true);
-  for (int i = 0; i < 20; ++i) policy.Update(workload(), congested, &steps);
-  for (double g : steps.resource) EXPECT_DOUBLE_EQ(g, 8.0);
-  for (double g : steps.path) EXPECT_DOUBLE_EQ(g, 8.0);
+  for (int i = 0; i < 20; ++i) schedule.Advance(workload(), congested);
+  for (double g : ResourceSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 8.0);
+  for (double g : PathSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 8.0);
 }
 
 TEST_F(StepSizeTest, AdaptivePathsFollowTraversedResources) {
-  AdaptiveStepSize policy(1.0, 64.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Adaptive(1.0, 64.0);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), false);
   // Resource 7 is used only by task 2 (T28) and task 3 (T36): the paths of
   // task 1 must not double.
   congested[7] = true;
-  policy.Update(workload(), congested, &steps);
+  schedule.Advance(workload(), congested);
   const Workload& w = workload();
   for (const PathInfo& path : w.paths()) {
     bool traverses = false;
     for (SubtaskId sid : path.subtasks) {
       if (w.subtask(sid).resource.value() == 7u) traverses = true;
     }
-    EXPECT_DOUBLE_EQ(steps.path[path.id.value()], traverses ? 2.0 : 1.0)
+    EXPECT_DOUBLE_EQ(schedule.path_step(path.id.value()),
+                     traverses ? 2.0 : 1.0)
         << "path " << path.id;
   }
 }
 
-// Regression: Update() used to rebuild its per-resource/per-path state only
-// when the *resource* vector size mismatched.  A workload transform that
-// changes the path count but keeps the resource count (task removal on a
-// fixed resource set) then left path_multiplier_ stale — or, in the growing
-// direction, undersized and written out of bounds.
+// A schedule moves to a workload of another path count only through
+// Reset(), which rebuilds the multipliers fresh for the new shape; Advance
+// alone refuses the move (StepSizeDeathTest.AdvanceRejectsAnotherWorkloadShape).
+TEST_F(StepSizeTest, AdaptiveRebuildsWhenPathCountGrows) {
+  auto removed = WithoutTask(workload(), TaskId(2u));
+  ASSERT_TRUE(removed.ok()) << removed.error();
+  const Workload& smaller = removed.value();
+  ASSERT_EQ(smaller.resource_count(), workload().resource_count());
+  ASSERT_LT(smaller.path_count(), workload().path_count());
+
+  StepSchedule schedule = Adaptive(1.0, 64.0);
+  schedule.Reset(smaller);
+  std::vector<bool> congested(workload().resource_count(), true);
+  schedule.Advance(smaller, congested);
+
+  // Task re-admission: more paths than the schedule was sized for.
+  schedule.Reset(workload());
+  ASSERT_EQ(schedule.path_multiplier().size(), workload().path_count());
+  schedule.Advance(workload(), congested);
+  for (double g : PathSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 2.0);
+}
+
 TEST_F(StepSizeTest, AdaptiveRebuildsWhenPathCountShrinks) {
   auto removed = WithoutTask(workload(), TaskId(1u));
   ASSERT_TRUE(removed.ok()) << removed.error();
@@ -108,105 +150,104 @@ TEST_F(StepSizeTest, AdaptiveRebuildsWhenPathCountShrinks) {
   ASSERT_EQ(smaller.resource_count(), workload().resource_count());
   ASSERT_LT(smaller.path_count(), workload().path_count());
 
-  AdaptiveStepSize policy(1.0, 64.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Adaptive(1.0, 64.0);
+  schedule.Reset(workload());
   // Congestion streak on the full workload: every multiplier climbs to 8x.
   std::vector<bool> congested(workload().resource_count(), true);
-  for (int i = 0; i < 3; ++i) policy.Update(workload(), congested, &steps);
-  for (double g : steps.path) EXPECT_DOUBLE_EQ(g, 8.0);
+  for (int i = 0; i < 3; ++i) schedule.Advance(workload(), congested);
+  for (double g : PathSteps(schedule, workload())) EXPECT_DOUBLE_EQ(g, 8.0);
 
-  // Mid-run transform to the path-shrunk workload: the first update must
-  // start from fresh multipliers (one doubling from 1.0), not resume the
-  // stale 8x streak.
-  policy.Update(smaller, congested, &steps);
-  ASSERT_EQ(steps.path.size(), smaller.path_count());
-  for (double g : steps.path) EXPECT_DOUBLE_EQ(g, 2.0);
-  for (double g : steps.resource) EXPECT_DOUBLE_EQ(g, 2.0);
-}
-
-TEST_F(StepSizeTest, AdaptiveRebuildsWhenPathCountGrows) {
-  auto removed = WithoutTask(workload(), TaskId(2u));
-  ASSERT_TRUE(removed.ok()) << removed.error();
-  const Workload& smaller = removed.value();
-  ASSERT_EQ(smaller.resource_count(), workload().resource_count());
-
-  AdaptiveStepSize policy(1.0, 64.0);
-  policy.Reset(smaller);
-  StepSizes steps;
-  std::vector<bool> congested(workload().resource_count(), true);
-  policy.Update(smaller, congested, &steps);
-
-  // Task re-admission: more paths than the policy's state.  Without the
-  // rebuild this wrote past the end of path_multiplier_.
-  policy.Update(workload(), congested, &steps);
-  ASSERT_EQ(steps.path.size(), workload().path_count());
-  for (double g : steps.path) EXPECT_DOUBLE_EQ(g, 2.0);
+  // Moving to the path-shrunk workload starts from fresh multipliers (one
+  // doubling from 1.0), not the stale 8x streak.
+  schedule.Reset(smaller);
+  ASSERT_EQ(schedule.path_multiplier().size(), smaller.path_count());
+  schedule.Advance(smaller, congested);
+  for (double g : PathSteps(schedule, smaller)) EXPECT_DOUBLE_EQ(g, 2.0);
+  for (double g : ResourceSteps(schedule, smaller)) EXPECT_DOUBLE_EQ(g, 2.0);
 }
 
 TEST_F(StepSizeTest, DiminishingSchedule) {
-  DiminishingStepSize policy(10.0, 5.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Diminishing(10.0, 5.0);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), false);
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 10.0);  // t = 0
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 10.0 / (1.0 + 1.0 / 5.0));
-  for (int i = 0; i < 48; ++i) policy.Update(workload(), congested, &steps);
-  EXPECT_NEAR(steps.resource[0], 10.0 / (1.0 + 49.0 / 5.0), 1e-12);
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 10.0);  // t = 0
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 10.0 / (1.0 + 1.0 / 5.0));
+  for (int i = 0; i < 48; ++i) schedule.Advance(workload(), congested);
+  EXPECT_NEAR(schedule.resource_step(0), 10.0 / (1.0 + 49.0 / 5.0), 1e-12);
 }
 
 TEST_F(StepSizeTest, DiminishingResetRestartsSchedule) {
-  DiminishingStepSize policy(10.0, 5.0);
-  policy.Reset(workload());
-  StepSizes steps;
+  StepSchedule schedule = Diminishing(10.0, 5.0);
+  schedule.Reset(workload());
   std::vector<bool> congested(workload().resource_count(), false);
-  policy.Update(workload(), congested, &steps);
-  policy.Update(workload(), congested, &steps);
-  policy.Reset(workload());
-  policy.Update(workload(), congested, &steps);
-  EXPECT_DOUBLE_EQ(steps.resource[0], 10.0);
-}
-
-TEST_F(StepSizeTest, DescribeMentionsParameters) {
-  EXPECT_NE(FixedStepSize(2.0).Describe().find("2"), std::string::npos);
-  EXPECT_NE(AdaptiveStepSize(1.0, 8.0).Describe().find("adaptive"),
-            std::string::npos);
-  EXPECT_NE(DiminishingStepSize(1.0, 9.0).Describe().find("diminishing"),
-            std::string::npos);
+  schedule.Advance(workload(), congested);
+  schedule.Advance(workload(), congested);
+  schedule.Reset(workload());
+  schedule.Advance(workload(), congested);
+  EXPECT_DOUBLE_EQ(schedule.resource_step(0), 10.0);
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // A zero, negative, infinite or NaN step, or a doubling cap below 1, used to
 // pass the policy constructors' asserts silently in NDEBUG builds (the
-// default RelWithDebInfo and Release).  Every build mode now refuses them.
+// default RelWithDebInfo and Release).  Every build mode now refuses them,
+// whatever kind the schedule selects.
 TEST(StepSizeDeathTest, PoliciesRejectInvalidParameters) {
   for (const double bad : {0.0, -1.0, kInf, std::nan("")}) {
-    EXPECT_DEATH(FixedStepSize{bad},
-                 "FixedStepSize: step parameter gamma = .* must be finite "
+    EXPECT_DEATH(Fixed(bad),
+                 "StepSchedule: step parameter gamma0 = .* must be finite "
                  "and > 0")
         << bad;
-    EXPECT_DEATH((AdaptiveStepSize{bad, 8.0}),
-                 "AdaptiveStepSize: step parameter gamma0 = .* must be "
+    EXPECT_DEATH(Adaptive(bad, 8.0),
+                 "StepSchedule: step parameter gamma0 = .* must be "
                  "finite and > 0")
         << bad;
-    EXPECT_DEATH((DiminishingStepSize{1.0, bad}),
-                 "DiminishingStepSize: step parameter tau = .* must be "
+    EXPECT_DEATH(Diminishing(1.0, bad),
+                 "StepSchedule: step parameter diminishing_tau = .* must be "
                  "finite and > 0")
         << bad;
   }
   for (const double bad : {0.5, 0.0, kInf, std::nan("")}) {
-    EXPECT_DEATH((AdaptiveStepSize{1.0, bad}),
-                 "AdaptiveStepSize: step parameter max_multiplier = .* must "
-                 "be finite and >= 1")
+    EXPECT_DEATH(Adaptive(1.0, bad),
+                 "StepSchedule: step parameter adaptive_max_multiplier = .* "
+                 "must be finite and >= 1")
         << bad;
   }
 }
 
+// Every engine binds one workload for life, so an adaptive schedule handed
+// a workload of another shape is a caller bug: Advance aborts in every
+// build mode instead of resizing its multipliers (which resumed a stale
+// streak, or wrote out of bounds, when the path count changed under a fixed
+// resource count).
+TEST(StepSizeDeathTest, AdvanceRejectsAnotherWorkloadShape) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& full = workload.value();
+  for (const unsigned task : {1u, 2u}) {
+    auto removed = WithoutTask(full, TaskId(task));
+    ASSERT_TRUE(removed.ok()) << removed.error();
+    const Workload& smaller = removed.value();
+    ASSERT_EQ(smaller.resource_count(), full.resource_count());
+    ASSERT_LT(smaller.path_count(), full.path_count());
+    const std::vector<bool> congested(full.resource_count(), true);
+
+    StepSchedule grown = Adaptive(1.0, 64.0);
+    grown.Reset(smaller);
+    EXPECT_DEATH(grown.Advance(full, congested),
+                 "StepSchedule::Advance: workload shape .* does not match");
+    StepSchedule shrunk = Adaptive(1.0, 64.0);
+    shrunk.Reset(full);
+    EXPECT_DEATH(shrunk.Advance(smaller, congested),
+                 "StepSchedule::Advance: workload shape .* does not match");
+  }
+}
+
 // The engine checks every step parameter of its config, whichever policy
-// it selects, before building the policy.
+// it selects, as it builds its schedule.
 TEST(StepSizeDeathTest, EngineRejectsInvalidStepConfig) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok()) << workload.error();

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -283,6 +284,43 @@ TEST(SnapshotSerializationTest, RejectsPriceVectorShapeMismatch) {
       << loaded.error();
 }
 
+// Every live section's count is tied to the header: the step and dynamics
+// sections hold 0 or the declared resource / path count, recent_utilities
+// at most kSnapshotUtilityWindow values.  The parser refuses anything else,
+// so decoding a parsed view allocates no more than the header declares.
+TEST(SnapshotSerializationTest, RejectsSectionCountsTheHeaderDoesNotDeclare) {
+  using Field = std::vector<double> StateSnapshot::*;
+  for (const Field field :
+       {&StateSnapshot::resource_step_multiplier,
+        &StateSnapshot::path_step_multiplier, &StateSnapshot::mu_velocity,
+        &StateSnapshot::lambda_velocity, &StateSnapshot::mu_base,
+        &StateSnapshot::lambda_base, &StateSnapshot::mu_phase,
+        &StateSnapshot::lambda_phase}) {
+    StateSnapshot snapshot = MakeSnapshot();
+    (snapshot.*field).push_back(1.0);
+    auto loaded =
+        LoadSnapshotFromString(SaveSnapshotToString(snapshot).value());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.error().find(" elements, expected 0 or "),
+              std::string::npos)
+        << loaded.error();
+    (snapshot.*field).clear();  // absent state is no misfit
+    EXPECT_TRUE(
+        LoadSnapshotFromString(SaveSnapshotToString(snapshot).value()).ok());
+  }
+  StateSnapshot snapshot = MakeSnapshot();
+  snapshot.recent_utilities.assign(kSnapshotUtilityWindow, 100.5);
+  EXPECT_TRUE(
+      LoadSnapshotFromString(SaveSnapshotToString(snapshot).value()).ok());
+  snapshot.recent_utilities.push_back(100.5);
+  auto loaded = LoadSnapshotFromString(SaveSnapshotToString(snapshot).value());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("recent_utilities): 11 elements, expected at "
+                                "most 10"),
+            std::string::npos)
+      << loaded.error();
+}
+
 // --- Binary snapshot format "b1" (DESIGN.md §7.10).
 
 // Helpers that poke the fixed layout: magic(8) + version(4) + section
@@ -323,7 +361,7 @@ TEST(BinarySnapshotTest, RoundTripsBitExactlyAndDeterministically) {
   EXPECT_EQ(bytes.value(), again.value());
 }
 
-// The file entry point (MappedSnapshotFile) reads exactly what the string
+// The file entry point (ReadSnapshotFile) reads exactly what the string
 // encoder wrote, and refuses bytes without the magic — a text snapshot, an
 // empty file — with the parser's message.
 TEST(BinarySnapshotTest, GenericLoadersSniffTheMagic) {

@@ -129,31 +129,6 @@ TEST(JsonlTraceSinkTest, RoundTripsDoublesExactly) {
   std::remove(path.c_str());
 }
 
-TEST(CsvTraceSinkTest, HeaderAndScalarRows) {
-  const std::string path = ::testing::TempDir() + "/trace.csv";
-  {
-    CsvTraceSink sink(path);
-    ASSERT_TRUE(sink.ok());
-    RunInfo info;
-    info.label = "run1";
-    sink.OnRunBegin(info);
-    sink.OnIteration(MakeTrace(1));
-    sink.OnIteration(MakeTrace(2));
-  }
-  const std::string csv = ReadFile(path);
-  std::istringstream lines(csv);
-  std::string line;
-  std::vector<std::string> rows;
-  while (std::getline(lines, line)) rows.push_back(line);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0],
-            "run,iteration,at_ms,total_utility,feasible,"
-            "max_resource_excess,max_path_ratio");
-  EXPECT_EQ(rows[1].find("run1,1,"), 0u);
-  EXPECT_NE(rows[1].find(",0,0.25,"), std::string::npos);  // feasible = 0
-  EXPECT_NE(rows[2].find(",1,0.25,"), std::string::npos);  // feasible = 1
-}
-
 TEST(RingBufferTraceSinkTest, KeepsDeepCopies) {
   RingBufferTraceSink sink(4);
   IterationTrace trace = MakeTrace(1);

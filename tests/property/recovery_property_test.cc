@@ -98,7 +98,7 @@ void CheckResume(const Workload& workload, const LlaConfig& config, int pre,
     ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.error();
     snapshot = loaded.value();
   } else if (round_trip == RoundTrip::kFile) {
-    // The file loader decodes straight out of the mmap'd image.
+    // The file loader reads the image into memory, then decodes it.
     const std::string path = ::testing::TempDir() + "/recovery_prop.snap";
     ASSERT_TRUE(SaveSnapshotToFile(snapshot, path).ok()) << label;
     auto loaded = LoadSnapshotFromFile(path);
@@ -229,6 +229,64 @@ TEST(RecoveryPropertyTest, DiminishingScheduleResumesBitIdentically) {
               "diminishing");
   CheckResume(workload.value(), config, 60, 60, RoundTrip::kString,
               "diminishing via string");
+}
+
+// The fixed schedule keeps no state: its checkpoint carries empty step
+// multiplier sections and a zero step iteration, and still resumes
+// bit-identically.
+TEST(RecoveryPropertyTest, FixedScheduleResumesBitIdentically) {
+  auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  LlaConfig config = MakeConfig(1, /*active=*/true);
+  config.step_policy = StepPolicyKind::kFixed;
+  config.gamma0 = 3.0;
+  CheckResume(workload.value(), config, 60, 80, RoundTrip::kInMemory,
+              "fixed");
+  CheckResume(workload.value(), config, 60, 60, RoundTrip::kString,
+              "fixed via string");
+}
+
+// A snapshot of one step policy restored into an engine of another: the
+// restoring schedule adopts only what its own kind saved, and here there is
+// none of that (a fixed or diminishing checkpoint carries no multipliers,
+// an adaptive one a zero step iteration).  So the restored engine steps
+// exactly like a WarmStart at the snapshot's prices.
+TEST(RecoveryPropertyTest, CrossPolicyRestoreStepsLikeWarmStart) {
+  auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  const StepPolicyKind pairs[][2] = {
+      {StepPolicyKind::kAdaptive, StepPolicyKind::kFixed},
+      {StepPolicyKind::kAdaptive, StepPolicyKind::kDiminishing},
+      {StepPolicyKind::kFixed, StepPolicyKind::kAdaptive},
+      {StepPolicyKind::kDiminishing, StepPolicyKind::kAdaptive}};
+  for (const auto& pair : pairs) {
+    char label[64];
+    std::snprintf(label, sizeof(label), "%s -> %s", ToString(pair[0]),
+                  ToString(pair[1]));
+    LlaConfig from = MakeConfig(1, /*active=*/true);
+    from.step_policy = pair[0];
+    from.gamma0 = 3.0;
+    LlaConfig to = from;
+    to.step_policy = pair[1];
+    LlaEngine donor(w, model, from);
+    for (int i = 0; i < 60; ++i) donor.Step();
+    const StateSnapshot snapshot = donor.Checkpoint();
+
+    LlaEngine warm(w, model, to);
+    PriceVector prices;
+    prices.mu = snapshot.mu;
+    prices.lambda = snapshot.lambda;
+    warm.WarmStart(prices);
+    const Trajectory expected = StepAndRecord(&warm, 60);
+
+    LlaEngine restored(w, model, to);
+    const Status status = restored.Restore(snapshot);
+    ASSERT_TRUE(status.ok()) << label << ": " << status.error();
+    const Trajectory actual = StepAndRecord(&restored, 60);
+    ExpectBitIdentical(expected, actual, label);
+  }
 }
 
 // A checkpoint that never carried momentum state — a b1 image whose six

@@ -6,8 +6,11 @@
 // to files under the build tree.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -252,6 +255,62 @@ TEST(CliTest, CheckpointAndRestoreErrors) {
   std::ofstream(bad, std::ios::binary) << "LLASNAPB\x01";
   EXPECT_EQ(RunCli(solve + " --restore=" + bad), 3);
   std::remove(bad.c_str());
+}
+
+// `solve --restore` refuses an image whose counters the engine cannot hold:
+// an iteration outside [0, INT_MAX] (2^32 + 5 used to resume as 5) or a
+// negative step iteration.
+TEST(CliTest, RestoreRefusesOutOfRangeCounters) {
+  const std::string snap = ::testing::TempDir() + "/cli_counters.snap";
+  std::remove(snap.c_str());
+  ASSERT_EQ(RunCli(std::string("checkpoint ") + kPaperWorkload + " " + snap +
+                   " --iters 50"),
+            0);
+  const std::string good = ReadFile(snap);
+  const std::string bad = ::testing::TempDir() + "/cli_counters_bad.snap";
+  // Header bytes [48, 56) hold the i64 iteration, [64, 72) the step
+  // iteration.
+  const auto restore_with = [&](std::size_t offset, std::int64_t value) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    std::ofstream(bad, std::ios::binary) << bytes;
+    return RunCli(std::string("solve ") + kPaperWorkload +
+                  " --restore=" + bad);
+  };
+  EXPECT_EQ(restore_with(48, (std::int64_t{1} << 32) + 5), 3);
+  EXPECT_EQ(restore_with(48, -1), 3);
+  EXPECT_EQ(restore_with(64, -1), 3);
+  EXPECT_EQ(restore_with(64, 0), 0);  // the image as written
+  std::remove(bad.c_str());
+  std::remove(snap.c_str());
+}
+
+// The snapshot reader sizes a file before it reads it, so a device, whose
+// read need never end, and a file larger than any image (a 2 GiB sparse
+// file here) are load errors (3) rather than reads without bound.  The
+// run's address space is capped, so a reader that regressed fails here
+// instead of exhausting the host; sanitizer builds reserve more address
+// space than the cap, so they only bound the time.
+TEST(CliTest, SnapshotReaderRefusesDevicesAndOversizedFiles) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const std::string bound = "timeout 20 ";
+#else
+  const std::string bound = "ulimit -v 1000000; timeout 20 ";
+#endif
+  const std::string big = ::testing::TempDir() + "/cli_big.snap";
+  std::ofstream(big, std::ios::binary) << "LLASNAPB";
+  std::filesystem::resize_file(big, std::uintmax_t{1} << 31);
+  for (const std::string& args :
+       {std::string("inspect /dev/zero"), "inspect " + big,
+        std::string("solve ") + kPaperWorkload + " --restore=/dev/zero",
+        std::string("solve ") + kPaperWorkload + " --restore=" + big}) {
+    const std::string command =
+        bound + std::string(kCli) + " " + args + " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(status >= 0 && WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 3) << args;
+  }
+  std::remove(big.c_str());
 }
 
 // `lla inspect` renders the b1 header and section table.

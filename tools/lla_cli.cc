@@ -3,8 +3,9 @@
 //   lla solve <workload-file> [--variant sum|path-weighted] [--iters N]
 //       Optimize and print the latency assignment, shares and prices.
 //       --restore <snapshot> resumes the dual iteration from a snapshot
-//       written by `lla checkpoint` (bit-identical resume); the file is
-//       mmap'd and each section decoded once (DESIGN.md §7.11).
+//       written by `lla checkpoint` (bit-identical resume); the image's
+//       shape must match the workload before any section is decoded
+//       (DESIGN.md §7.11).
 //       --round-threads N runs the distributed synchronous deployment
 //       instead of the single-process engine: min(8, R) shard agents plus
 //       parallel coordinator rounds on an N-thread pool (bit-identical to
@@ -407,7 +408,7 @@ int Solve(const Workload& w, const Options& options) {
   LlaEngine engine(w, model, EngineConfig(options));
   if (!options.restore_path.empty()) {
     const char* path = options.restore_path.c_str();
-    auto snapshot = LoadSnapshotFromFile(options.restore_path);
+    auto snapshot = LoadSnapshotFromFile(options.restore_path, &w);
     if (!snapshot.ok()) {
       std::fprintf(stderr, "error loading snapshot %s: %s\n", path,
                    snapshot.error().c_str());
@@ -487,7 +488,7 @@ int Checkpoint(const Workload& w, const char* snapshot_path,
 }
 
 int Inspect(const char* path) {
-  auto file = MappedSnapshotFile::Open(path);
+  auto file = ReadSnapshotFile(path);
   if (!file.ok()) {
     std::fprintf(stderr, "error loading snapshot %s: %s\n", path,
                  file.error().c_str());
