@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "model/utility.h"
 #include "workloads/paper.h"
+#include "workloads/transform.h"
 
 using namespace lla;
 
@@ -63,57 +64,33 @@ int main() {
   // Rebuild the workload with different concave shapes per task.
   struct ShapeCase {
     const char* label;
-    UtilityPtr (*make)(double critical);
+    Utility (*make)(double critical);
   };
   const ShapeCase shapes[] = {
       {"linear f = 2C - x",
        [](double critical) { return MakePaperSimUtility(critical); }},
       {"quadratic f = 2C - x^2/C",
-       [](double critical) -> UtilityPtr {
-         return std::make_shared<PowerUtility>(2.0 * critical,
-                                               1.0 / critical, 2.0);
+       [](double critical) {
+         return Utility::Power(2.0 * critical, 1.0 / critical, 2.0);
        }},
       {"neg-exp f = 2C - e^(x/3C)*3C",
-       [](double critical) -> UtilityPtr {
+       [](double critical) {
          // A rate of 1/C is numerically explosive over the solver's full
          // latency bracket (slope ~ e^40 far from the optimum destabilizes
          // the price dynamics); 1/(3C) keeps the same qualitative shape.
-         return std::make_shared<NegExpUtility>(2.0 * critical,
-                                                1.0 / (3.0 * critical));
+         return Utility::NegExp(2.0 * critical, 1.0 / (3.0 * critical));
        }},
       {"inelastic plateau to 0.6C",
-       [](double critical) -> UtilityPtr {
-         return std::make_shared<InelasticUtility>(critical, 0.6 * critical,
-                                                   2.0 / critical);
+       [](double critical) {
+         return Utility::Inelastic(critical, 0.6 * critical, 2.0 / critical);
        }},
   };
   for (const ShapeCase& shape : shapes) {
-    SimWorkloadOptions options;
-    auto base = MakeSimWorkload(options);
     // Replace each task's utility with the shaped one.  Rebuilding from
     // specs keeps validation in force.
-    const Workload& proto = base.value();
-    std::vector<ResourceSpec> resources;
-    for (const ResourceInfo& resource : proto.resources()) {
-      resources.push_back({resource.name, resource.kind, resource.capacity,
-                           resource.lag_ms});
-    }
-    std::vector<TaskSpec> tasks;
-    for (const TaskInfo& task : proto.tasks()) {
-      TaskSpec spec;
-      spec.name = task.name;
-      spec.critical_time_ms = task.critical_time_ms;
-      spec.utility = shape.make(task.critical_time_ms);
-      spec.trigger = task.trigger;
-      spec.edges = task.dag.edges();
-      for (SubtaskId sid : task.subtasks) {
-        const SubtaskInfo& sub = proto.subtask(sid);
-        spec.subtasks.push_back(
-            {sub.name, sub.resource, sub.wcet_ms, sub.min_share});
-      }
-      tasks.push_back(std::move(spec));
-    }
-    auto shaped = Workload::Create(std::move(resources), std::move(tasks));
+    auto shaped = Rebuild(w, nullptr, [&](TaskId, TaskSpec& spec) {
+      spec.utility = shape.make(spec.critical_time_ms);
+    });
     if (!shaped.ok()) {
       std::printf("%-34s workload error: %s\n", shape.label,
                   shaped.error().c_str());

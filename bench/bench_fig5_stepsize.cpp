@@ -128,6 +128,10 @@ int main(int argc, char** argv) {
   }
   const std::vector<RunSummary> runs =
       RunPolicies(policies, w, model, iterations, &sink);
+  if (!sink.ok()) {
+    std::fprintf(stderr, "error writing %s\n", trace_path.c_str());
+    return 1;
+  }
 
   std::printf("\nPer-iteration series written to %s (one labelled run per "
               "policy;\nfilter on \"run\" to reconstruct each Figure 5 "

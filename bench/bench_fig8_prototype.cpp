@@ -85,6 +85,10 @@ int main(int argc, char** argv) {
     sink.OnEvent(event);
   }
   sink.OnRunEnd();
+  if (!sink.ok()) {
+    std::fprintf(stderr, "error writing %s\n", trace_path.c_str());
+    return 1;
+  }
 
   std::printf("\n(one epoch = one 20 s observation window; correction "
               "enabled at epoch %d; per-epoch series written to %s)\n",

@@ -9,6 +9,7 @@
 #include "sim/ps_scheduler.h"
 #include "sim/system_sim.h"
 #include "workloads/paper.h"
+#include "workloads/transform.h"
 
 namespace lla {
 namespace {
@@ -62,28 +63,10 @@ void BM_NonlinearUtilitySolve(benchmark::State& state) {
   // The coupled fixed-point path (quadratic utility) vs the linear closed
   // form measured by BM_LatencyAllocation.
   auto base = MakeSimWorkload();
-  const Workload& proto = base.value();
-  std::vector<ResourceSpec> resources;
-  for (const ResourceInfo& r : proto.resources()) {
-    resources.push_back({r.name, r.kind, r.capacity, r.lag_ms});
-  }
-  std::vector<TaskSpec> tasks;
-  for (const TaskInfo& task : proto.tasks()) {
-    TaskSpec spec;
-    spec.name = task.name;
-    spec.critical_time_ms = task.critical_time_ms;
-    spec.utility = std::make_shared<PowerUtility>(
-        2.0 * task.critical_time_ms, 1.0 / task.critical_time_ms, 2.0);
-    spec.trigger = task.trigger;
-    spec.edges = task.dag.edges();
-    for (SubtaskId sid : task.subtasks) {
-      const SubtaskInfo& sub = proto.subtask(sid);
-      spec.subtasks.push_back(
-          {sub.name, sub.resource, sub.wcet_ms, sub.min_share});
-    }
-    tasks.push_back(std::move(spec));
-  }
-  auto workload = Workload::Create(std::move(resources), std::move(tasks));
+  auto workload = Rebuild(base.value(), nullptr, [](TaskId, TaskSpec& spec) {
+    spec.utility = Utility::Power(2.0 * spec.critical_time_ms,
+                                  1.0 / spec.critical_time_ms, 2.0);
+  });
   const Workload& w = workload.value();
   LatencyModel model(w);
   LatencySolver solver(w, model);

@@ -19,8 +19,7 @@ TaskSpec Tenant(const std::string& name, double wcet_ms, double critical_ms,
   TaskSpec task;
   task.name = name;
   task.critical_time_ms = critical_ms;
-  task.utility = std::make_shared<LinearUtility>(
-      2.0 * critical_ms * value_slope, value_slope);
+  task.utility = Utility::Linear(2.0 * critical_ms * value_slope, value_slope);
   task.trigger = TriggerSpec::Periodic(1000.0 / rate_per_s);
   const double min_share = rate_per_s * wcet_ms / 1000.0;
   task.subtasks = {{name + "/ingest", ResourceId(0u), wcet_ms, min_share},

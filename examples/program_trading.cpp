@@ -47,7 +47,7 @@ Expected<Workload> BuildTradingSystem(double feed_link_capacity) {
   };
   orders.edges = {{0, 1}, {1, 2}};
   // Orders are the most valuable traffic: steeper slope.
-  orders.utility = std::make_shared<LinearUtility>(4.0 * 15.0, 3.0);
+  orders.utility = Utility::Linear(4.0 * 15.0, 3.0);
   orders.trigger = TriggerSpec::Bursty(100.0, 4, 2.0);
 
   // Risk/analytics: elastic background consumer of the same fabric.

@@ -191,7 +191,7 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
                                    Assignment* latencies) const {
   assert(latencies->size() == workload_->subtask_count());
   const TaskInfo& info = workload_->task(task);
-  const UtilityFunction& f = *info.utility;
+  const Utility& f = info.utility;
   const bool cached = config_.cache_invariants;
   const std::size_t span_begin = task_begin_[task.value()];
   const std::size_t span_end = task_end_[task.value()];

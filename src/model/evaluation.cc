@@ -13,7 +13,7 @@ double TaskUtility(const Workload& workload, TaskId task,
   for (SubtaskId sid : info.subtasks) {
     weighted += workload.Weight(sid, variant) * latencies[sid.value()];
   }
-  return info.utility->Value(weighted);
+  return info.utility.Value(weighted);
 }
 
 double TotalUtility(const Workload& workload, const Assignment& latencies,
@@ -144,7 +144,7 @@ void FillTaskAggregatesRange(const Workload& workload,
       weighted += workload.Weight(sid, variant) * latencies[sid.value()];
     }
     (*weighted_latencies)[t] = weighted;
-    (*utilities)[t] = tasks[t].utility->Value(weighted);
+    (*utilities)[t] = tasks[t].utility.Value(weighted);
   }
 }
 

@@ -84,7 +84,12 @@ Expected<Dag> Dag::Create(int node_count,
   }
   dag.topo_ = std::move(topo);
 
-  dag.ComputeDerived();
+  if (!dag.ComputeDerived()) {
+    std::ostringstream os;
+    os << "Dag: the root-to-leaf paths would hold more than the limit of "
+       << kMaxPathEntries << " entries";
+    return Expected<Dag>::Error(os.str());
+  }
   return dag;
 }
 
@@ -98,17 +103,41 @@ Dag Dag::Chain(int node_count) {
   return std::move(dag).value();
 }
 
-void Dag::ComputeDerived() {
-  // Leaves.
+bool Dag::ComputeDerived() {
   leaves_.clear();
   for (int v = 0; v < node_count_; ++v) {
     if (succ_[v].empty()) leaves_.push_back(v);
   }
 
-  // Path enumeration via DFS from the root (successor lists are sorted, so
-  // the order is deterministic).
+  // up[v] = #paths root->v, down[v] = #paths v->any leaf; paths through v =
+  // up[v] * down[v].  Every count saturates at kCap, so each product stays
+  // below 2^50, and a saturated count already puts the total past the limit.
+  constexpr std::int64_t kCap = kMaxPathEntries + 1;
+  std::vector<std::int64_t> up(node_count_, 0), down(node_count_, 0);
+  up[root_] = 1;
+  for (int v : topo_) {
+    for (int w : succ_[v]) up[w] = std::min(up[w] + up[v], kCap);
+  }
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+    const int v = *it;
+    if (succ_[v].empty()) {
+      down[v] = 1;
+    } else {
+      for (int w : succ_[v]) down[v] = std::min(down[v] + down[w], kCap);
+    }
+  }
+  std::int64_t entries = 0;
+  path_counts_.assign(node_count_, 0);
+  for (int v = 0; v < node_count_; ++v) {
+    const std::int64_t through = std::min(up[v] * down[v], kCap);
+    path_counts_[v] = static_cast<int>(through);
+    entries = std::min(entries + through, kCap);
+  }
+  if (entries > kMaxPathEntries) return false;
+
+  // Iterative DFS from the root keeping the current path (successor lists
+  // are sorted, so the order is deterministic).
   paths_.clear();
-  // Iterative DFS keeping the current path.
   struct Frame {
     int node;
     std::size_t next_succ;
@@ -131,26 +160,7 @@ void Dag::ComputeDerived() {
     frames.push_back({child, 0});
     current.push_back(child);
   }
-
-  // Path counts: up[v] = #paths root->v, down[v] = #paths v->any leaf;
-  // paths through v = up[v] * down[v].
-  std::vector<std::int64_t> up(node_count_, 0), down(node_count_, 0);
-  up[root_] = 1;
-  for (int v : topo_) {
-    for (int w : succ_[v]) up[w] += up[v];
-  }
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const int v = *it;
-    if (succ_[v].empty()) {
-      down[v] = 1;
-    } else {
-      for (int w : succ_[v]) down[v] += down[w];
-    }
-  }
-  path_counts_.assign(node_count_, 0);
-  for (int v = 0; v < node_count_; ++v) {
-    path_counts_[v] = static_cast<int>(up[v] * down[v]);
-  }
+  return true;
 }
 
 }  // namespace lla

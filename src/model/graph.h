@@ -15,6 +15,13 @@
 
 namespace lla {
 
+/// Most path entries (path lengths summed over all root-to-leaf paths) one
+/// workload may hold: a Dag or a Workload past it is refused.  Paths grow
+/// exponentially with depth (a chain of 26 diamonds, 79 nodes, has 2^26), so
+/// a few-KB `.lla` file could otherwise demand any amount of memory.  The
+/// largest tier, random_1m, holds 1,478,828 entries, about an eleventh.
+inline constexpr std::int64_t kMaxPathEntries = std::int64_t{1} << 24;
+
 /// Immutable validated DAG over nodes [0, n).  Node indices are local to the
 /// owning task.
 class Dag {
@@ -24,7 +31,8 @@ class Dag {
 
   /// Validates and builds.  Requirements: n >= 1; edges reference valid
   /// nodes; no self loops or duplicate edges; acyclic; exactly one node with
-  /// in-degree zero (the root); every node reachable from the root.
+  /// in-degree zero (the root); every node reachable from the root; at most
+  /// kMaxPathEntries path entries, counted before any path is built.
   static Expected<Dag> Create(int node_count,
                               std::vector<std::pair<int, int>> edges);
 
@@ -46,11 +54,13 @@ class Dag {
   const std::vector<std::vector<int>>& paths() const { return paths_; }
 
   /// Number of root-to-leaf paths passing through each node (the
-  /// path-weighted utility weights).
+  /// path-weighted utility weights).  Their sum is the path entries.
   const std::vector<int>& path_counts() const { return path_counts_; }
 
  private:
-  void ComputeDerived();
+  /// Fills leaves_, path_counts_ and paths_; false, before any path is
+  /// built, when the paths would hold more than kMaxPathEntries entries.
+  bool ComputeDerived();
 
   int node_count_ = 0;
   int root_ = 0;

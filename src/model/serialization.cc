@@ -48,15 +48,6 @@ bool ParseInt(const std::string& token, int* out) {
   return consumed == token.size();
 }
 
-// Installs a U built from `params` into `*out` when they lie in U's range,
-// else returns why they do not (U::ParamProblem) and leaves `*out` alone.
-template <typename U, typename... Params>
-std::string MakeUtility(UtilityPtr* out, Params... params) {
-  std::string problem = U::ParamProblem(params...);
-  if (problem.empty()) *out = std::make_shared<U>(params...);
-  return problem;
-}
-
 std::string LineError(int line, const std::string& message) {
   std::ostringstream os;
   os << "line " << line << ": " << message;
@@ -130,28 +121,30 @@ Expected<Workload> LoadWorkload(std::istream& in) {
         return E::Error(LineError(line_number, "utility outside task"));
       }
       double a = 0, b = 0, c = 0;
-      std::string problem;
+      Utility::Shape shape;
       if (tokens.size() == 4 && tokens[1] == "linear" &&
           ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b)) {
-        problem = MakeUtility<LinearUtility>(&current.utility, a, b);
+        shape = Utility::Shape::kLinear;
       } else if (tokens.size() == 5 && tokens[1] == "power" &&
                  ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b) &&
                  ParseDouble(tokens[4], &c)) {
-        problem = MakeUtility<PowerUtility>(&current.utility, a, b, c);
+        shape = Utility::Shape::kPower;
       } else if (tokens.size() == 4 && tokens[1] == "negexp" &&
                  ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b)) {
-        problem = MakeUtility<NegExpUtility>(&current.utility, a, b);
+        shape = Utility::Shape::kNegExp;
       } else if (tokens.size() == 5 && tokens[1] == "inelastic" &&
                  ParseDouble(tokens[2], &a) && ParseDouble(tokens[3], &b) &&
                  ParseDouble(tokens[4], &c)) {
-        problem = MakeUtility<InelasticUtility>(&current.utility, a, b, c);
+        shape = Utility::Shape::kInelastic;
       } else {
         return E::Error(LineError(line_number, "bad utility spec"));
       }
+      const std::string problem = Utility::ParamProblem(shape, a, b, c);
       if (!problem.empty()) {
         return E::Error(
             LineError(line_number, "utility " + tokens[1] + ": " + problem));
       }
+      current.utility = Utility(shape, a, b, c);
     } else if (keyword == "trigger") {
       if (!in_task) {
         return E::Error(LineError(line_number, "trigger outside task"));
@@ -248,27 +241,19 @@ Status SaveWorkload(const Workload& workload, std::ostream& out) {
   for (const TaskInfo& task : workload.tasks()) {
     out << "task " << task.name << ' ' << task.critical_time_ms << '\n';
 
-    const UtilityFunction* utility = task.utility.get();
-    if (const auto* linear = dynamic_cast<const LinearUtility*>(utility)) {
-      out << "  utility linear " << linear->offset() << ' '
-          << linear->slope() << '\n';
-    } else if (const auto* power =
-                   dynamic_cast<const PowerUtility*>(utility)) {
-      out << "  utility power " << power->offset() << ' ' << power->coeff()
-          << ' ' << power->exponent() << '\n';
-    } else if (const auto* negexp =
-                   dynamic_cast<const NegExpUtility*>(utility)) {
-      out << "  utility negexp " << negexp->offset() << ' ' << negexp->rate()
-          << '\n';
-    } else if (const auto* inelastic =
-                   dynamic_cast<const InelasticUtility*>(utility)) {
-      out << "  utility inelastic " << inelastic->plateau() << ' '
-          << inelastic->flat_until() << ' ' << inelastic->steepness()
-          << '\n';
-    } else {
-      return Status::Error("SaveWorkload: unknown utility class for task '" +
-                           task.name + "'");
+    const Utility& u = task.utility;
+    out << "  utility " << Utility::Name(u.shape()) << ' ' << u.a() << ' '
+        << u.b();
+    switch (u.shape()) {
+      case Utility::Shape::kPower:
+      case Utility::Shape::kInelastic:
+        out << ' ' << u.c();
+        break;
+      case Utility::Shape::kLinear:
+      case Utility::Shape::kNegExp:
+        break;
     }
+    out << '\n';
 
     switch (task.trigger.kind) {
       case TriggerSpec::Kind::kPeriodic:
@@ -295,6 +280,7 @@ Status SaveWorkload(const Workload& workload, std::ostream& out) {
     }
     out << "end\n";
   }
+  if (!out) return Status::Error("SaveWorkload: the stream failed");
   return Status{};
 }
 
@@ -308,7 +294,10 @@ Expected<std::string> SaveWorkloadToString(const Workload& workload) {
 Status SaveWorkloadToFile(const Workload& workload, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::Error("cannot open '" + path + "' for writing");
-  return SaveWorkload(workload, out);
+  const bool written = SaveWorkload(workload, out).ok();
+  out.close();  // flushes: a full device took every write but fails here
+  if (!written || !out) return Status::Error("cannot write '" + path + "'");
+  return Status{};
 }
 
 // ---------------------------------------------------------------------------
@@ -507,6 +496,7 @@ Status SaveSnapshotToFile(const StateSnapshot& snapshot,
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::Error("cannot open '" + path + "' for writing");
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();  // flushes: a full device took the write but fails here
   if (!out) return Status::Error("cannot write '" + path + "'");
   return Status{};
 }

@@ -16,8 +16,13 @@
 //   end
 //
 // Resources must be declared before tasks; subtask indices within a task
-// follow declaration order.  SaveWorkload emits exactly this format, so
-// save/load round-trips.
+// follow declaration order.  SaveWorkload emits exactly this format, with
+// numbers at the stream's default six significant digits.  So save/load
+// round-trips a workload whose values have at most six significant digits;
+// any other value is rounded by the first save, after which the text is a
+// fixed point: loading and saving it again reproduces it byte for byte.
+// (The perfbench instance pool is this text, so a change of precision
+// waits for a change of the benchmark.)
 #pragma once
 
 #include <cstdint>
@@ -37,8 +42,8 @@ Expected<Workload> LoadWorkload(std::istream& in);
 Expected<Workload> LoadWorkloadFromString(const std::string& text);
 Expected<Workload> LoadWorkloadFromFile(const std::string& path);
 
-/// Serializes the workload.  Fails only if a task uses a utility class the
-/// format cannot express.
+/// Serializes the workload.  Fails only when the stream (or file) refuses
+/// the text, e.g. on a full device.
 Status SaveWorkload(const Workload& workload, std::ostream& out);
 Expected<std::string> SaveWorkloadToString(const Workload& workload);
 Status SaveWorkloadToFile(const Workload& workload, const std::string& path);

@@ -86,6 +86,7 @@ Expected<Workload> Workload::Create(std::vector<ResourceSpec> resources,
     w.resources_.push_back(std::move(info));
   }
 
+  std::int64_t path_entries = 0;  // over all tasks so far
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     TaskSpec& spec = tasks[t];
     const std::string task_name =
@@ -113,14 +114,22 @@ Expected<Workload> Workload::Create(std::vector<ResourceSpec> resources,
     if (!dag.ok()) {
       return E::Error("Workload: task '" + task_name + "': " + dag.error());
     }
+    for (int count : dag.value().path_counts()) path_entries += count;
+    if (path_entries > kMaxPathEntries) {
+      std::ostringstream os;
+      os << "Workload: task '" << task_name << "' brings the path entries to "
+         << path_entries << ", past the limit of " << kMaxPathEntries;
+      return E::Error(os.str());
+    }
 
-    TaskInfo task_info;
-    task_info.id = TaskId(t);
-    task_info.name = task_name;
-    task_info.critical_time_ms = spec.critical_time_ms;
-    task_info.utility = std::move(spec.utility);
-    task_info.trigger = spec.trigger;
-    task_info.dag = std::move(dag).value();
+    TaskInfo task_info{.id = TaskId(t),
+                       .name = task_name,
+                       .critical_time_ms = spec.critical_time_ms,
+                       .utility = *spec.utility,
+                       .trigger = spec.trigger,
+                       .dag = std::move(dag).value(),
+                       .subtasks = {},
+                       .paths = {}};
 
     std::set<ResourceId> used_resources;
     for (std::size_t local = 0; local < spec.subtasks.size(); ++local) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,7 +54,8 @@ struct TaskSpec {
   std::vector<SubtaskSpec> subtasks;
   /// Precedence edges between local subtask indices; must form a valid Dag.
   std::vector<std::pair<int, int>> edges;
-  UtilityPtr utility;
+  /// Required: Workload::Create refuses a task without one.
+  std::optional<Utility> utility;
   TriggerSpec trigger;
 };
 
@@ -102,7 +104,7 @@ struct TaskInfo {
   TaskId id;
   std::string name;
   double critical_time_ms;
-  UtilityPtr utility;
+  Utility utility;
   TriggerSpec trigger;
   Dag dag;
   std::vector<SubtaskId> subtasks;  ///< global ids, in local-index order
@@ -125,9 +127,10 @@ class Workload {
   /// +-inf capacity, lag, critical time, WCET, min_share or trigger field),
   /// non-positive WCETs/critical times/capacities/trigger periods/rates,
   /// capacities > 1, negative lags/min_shares/burst spreads, burst sizes
-  /// below 1, malformed DAGs, missing utilities, and (unless allowed)
-  /// repeated resources within a task.  Subtask ids are assigned task by
-  /// task, so each task's subtasks form one contiguous id range.
+  /// below 1, malformed DAGs, more than kMaxPathEntries path entries over
+  /// all tasks, missing utilities, and (unless allowed) repeated resources
+  /// within a task.  Subtask ids are assigned task by task, so each task's
+  /// subtasks form one contiguous id range.
   static Expected<Workload> Create(std::vector<ResourceSpec> resources,
                                    std::vector<TaskSpec> tasks,
                                    WorkloadOptions options = {});

@@ -97,8 +97,8 @@ class TraceSink {
 /// (the Fig. 5 gamma sweep) can be split back into its series.
 class JsonlTraceSink final : public TraceSink {
  public:
-  /// Opens `path` for writing ("-" streams to stdout).  ok() reports
-  /// whether the file opened; a failed sink drops all records.
+  /// Opens `path` for writing ("-" streams to stdout).  A sink whose file
+  /// did not open drops all records.
   explicit JsonlTraceSink(const std::string& path);
   /// Streams to an externally owned FILE* (not closed on destruction).
   explicit JsonlTraceSink(std::FILE* file);
@@ -107,7 +107,9 @@ class JsonlTraceSink final : public TraceSink {
   JsonlTraceSink(const JsonlTraceSink&) = delete;
   JsonlTraceSink& operator=(const JsonlTraceSink&) = delete;
 
-  bool ok() const { return file_ != nullptr; }
+  /// Whether the file opened and every record written so far reached it.
+  /// Records are buffered until OnRunEnd flushes them, so ask after it.
+  bool ok() const { return file_ != nullptr && std::ferror(file_) == 0; }
 
   void OnRunBegin(const RunInfo& info) override;
   void OnIteration(const IterationTrace& trace) override;

@@ -121,7 +121,7 @@ void BarrierSolver::Gradient(const Assignment& lat, double t,
     for (SubtaskId sid : task.subtasks) {
       x += workload_->Weight(sid, config_.variant) * lat[sid.value()];
     }
-    const double slope = task.utility->Derivative(x);
+    const double slope = task.utility.Derivative(x);
     for (SubtaskId sid : task.subtasks) {
       (*grad)[sid.value()] +=
           workload_->Weight(sid, config_.variant) * slope;

@@ -62,7 +62,7 @@ KktReport CheckKkt(const Workload& workload, const LatencyModel& model,
     for (SubtaskId sid : task.subtasks) {
       x += workload.Weight(sid, variant) * latencies[sid.value()];
     }
-    const double slope = task.utility->Derivative(x);
+    const double slope = task.utility.Derivative(x);
     for (SubtaskId sid : task.subtasks) {
       const SubtaskInfo& sub = workload.subtask(sid);
       const double w = workload.Weight(sid, variant);

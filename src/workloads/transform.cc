@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "model/utility.h"
-
 namespace lla {
 
 WorkloadSpecs ExtractSpecs(const Workload& workload) {
@@ -58,25 +56,6 @@ Expected<Workload> WithResourceCapacity(const Workload& workload,
                  [&](ResourceId id, ResourceSpec& spec) {
                    if (id == resource) spec.capacity = capacity;
                  });
-}
-
-Expected<Workload> WithScaledCriticalTimes(const Workload& workload,
-                                           double factor,
-                                           bool rescale_linear_utility) {
-  assert(factor > 0.0);
-  return Rebuild(
-      workload, nullptr, [&](TaskId, TaskSpec& spec) {
-        spec.critical_time_ms *= factor;
-        if (rescale_linear_utility) {
-          // Recognize f = offset - slope*x and rescale the offset with C so
-          // the 2C-x family keeps its meaning; other shapes stay untouched.
-          if (const auto* linear =
-                  dynamic_cast<const LinearUtility*>(spec.utility.get())) {
-            spec.utility = std::make_shared<LinearUtility>(
-                linear->offset() * factor, linear->slope());
-          }
-        }
-      });
 }
 
 Expected<Workload> WithoutTask(const Workload& workload, TaskId task) {

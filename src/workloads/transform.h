@@ -34,13 +34,6 @@ Expected<Workload> Rebuild(
 Expected<Workload> WithResourceCapacity(const Workload& workload,
                                         ResourceId resource, double capacity);
 
-/// Convenience: scales every task's critical time by `factor` and, when
-/// `rescale_linear_utility` is set, rebuilds f = 2C - x style linear
-/// utilities around the new C (non-linear utilities are kept as-is).
-Expected<Workload> WithScaledCriticalTimes(const Workload& workload,
-                                           double factor,
-                                           bool rescale_linear_utility = true);
-
 /// Convenience: removes one task (admission control evicting it).
 Expected<Workload> WithoutTask(const Workload& workload, TaskId task);
 

@@ -20,8 +20,7 @@ TaskSpec MakeTask(const std::string& name, double wcet_ms,
   TaskSpec task;
   task.name = name;
   task.critical_time_ms = critical_ms;
-  task.utility =
-      std::make_shared<LinearUtility>(2.0 * critical_ms * slope, slope);
+  task.utility = Utility::Linear(2.0 * critical_ms * slope, slope);
   task.trigger = TriggerSpec::Periodic(1000.0 / rate_per_s);
   const double min_share = rate_per_s * wcet_ms / 1000.0;
   task.subtasks = {{"a", ResourceId(0u), wcet_ms, min_share},
@@ -69,7 +68,7 @@ TEST(AdmissionTest, RejectsImpossibleDeadline) {
 TEST(AdmissionTest, RejectsInvalidSpec) {
   AdmissionController controller(TwoCpus(), TestConfig());
   TaskSpec bad = MakeTask("bad", 5.0, 100.0);
-  bad.utility = nullptr;
+  bad.utility = std::nullopt;
   EXPECT_EQ(controller.TryAdmit(bad).decision, Decision::kRejectedInvalid);
   TaskSpec cyclic = MakeTask("cyclic", 5.0, 100.0);
   cyclic.edges = {{0, 1}, {1, 0}};

@@ -96,7 +96,7 @@ TEST(EngineEdgeTest, InelasticTasksConstrainWithoutTradeoff) {
   TaskSpec hard;
   hard.name = "hard";
   hard.critical_time_ms = 60.0;
-  hard.utility = std::make_shared<InelasticUtility>(100.0, 40.0, 1.0);
+  hard.utility = Utility::Inelastic(100.0, 40.0, 1.0);
   hard.trigger = TriggerSpec::Periodic(100.0);
   hard.subtasks = {{"h", ResourceId(0u), 4.0, 0.0}};
   TaskSpec soft;

@@ -1,7 +1,6 @@
 #include "core/latency_solver.h"
 
 #include <cmath>
-#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,7 @@ namespace {
 
 // Single task, single subtask on one resource: the solver must reproduce the
 // closed form lat = sqrt(mu * work / (w + Lambda)).
-Workload OneSubtaskWorkload(UtilityPtr utility, double min_share = 0.0) {
+Workload OneSubtaskWorkload(Utility utility, double min_share = 0.0) {
   std::vector<ResourceSpec> resources = {{"r0", ResourceKind::kCpu, 1.0, 1.0}};
   TaskSpec task;
   task.name = "t";
@@ -68,8 +67,7 @@ TEST(LatencySolverTest, ZeroResourcePriceDrivesLatencyToFloor) {
 
 TEST(LatencySolverTest, FlatUtilityReleasesResource) {
   // Constant utility, no path pressure: latency goes to its cap.
-  const Workload w =
-      OneSubtaskWorkload(std::make_shared<LinearUtility>(10.0, 0.0));
+  const Workload w = OneSubtaskWorkload(Utility::Linear(10.0, 0.0));
   LatencyModel model(w);
   LatencySolver solver(w, model);
   PriceVector prices = PriceVector::Zero(w);
@@ -158,7 +156,7 @@ TEST(LatencySolverTest, NonlinearUtilityFixedPoint) {
   TaskSpec task;
   task.name = "quad";
   task.critical_time_ms = 200.0;
-  task.utility = std::make_shared<PowerUtility>(1000.0, 0.05, 2.0);
+  task.utility = Utility::Power(1000.0, 0.05, 2.0);
   task.trigger = TriggerSpec::Periodic(100.0);
   task.subtasks = {{"a", ResourceId(0u), 3.0, 0.0},
                    {"b", ResourceId(1u), 5.0, 0.0}};
@@ -177,7 +175,7 @@ TEST(LatencySolverTest, NonlinearUtilityFixedPoint) {
 
   // Verify stationarity: w*f'(X) - Lambda - mu*share'(lat) = 0 per subtask.
   const double x = lat[0] + lat[1];
-  const double slope = w.task(TaskId(0u)).utility->Derivative(x);
+  const double slope = w.task(TaskId(0u)).utility.Derivative(x);
   for (const SubtaskInfo& sub : w.subtasks()) {
     const double residual =
         slope - prices.lambda[0] -

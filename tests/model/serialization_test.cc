@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,7 +49,7 @@ TEST(SerializationTest, LoadsSample) {
   EXPECT_DOUBLE_EQ(w.resource(ResourceId(0u)).capacity, 0.9);
   const TaskInfo& pipeline = w.task(TaskId(0u));
   EXPECT_DOUBLE_EQ(pipeline.critical_time_ms, 40.0);
-  EXPECT_DOUBLE_EQ(pipeline.utility->Value(0.0), 80.0);
+  EXPECT_DOUBLE_EQ(pipeline.utility.Value(0.0), 80.0);
   EXPECT_EQ(pipeline.trigger.kind, TriggerSpec::Kind::kPeriodic);
   EXPECT_DOUBLE_EQ(w.subtask(SubtaskId(0u)).min_share, 0.08);
   EXPECT_DOUBLE_EQ(w.subtask(SubtaskId(2u)).min_share, 0.0);
@@ -74,8 +76,8 @@ TEST(SerializationTest, SaveLoadRoundTripsPaperWorkload) {
               b.subtask(SubtaskId(s)).resource);
   }
   for (std::size_t t = 0; t < a.task_count(); ++t) {
-    EXPECT_DOUBLE_EQ(a.task(TaskId(t)).utility->Value(17.0),
-                     b.task(TaskId(t)).utility->Value(17.0));
+    EXPECT_DOUBLE_EQ(a.task(TaskId(t)).utility.Value(17.0),
+                     b.task(TaskId(t)).utility.Value(17.0));
   }
 }
 
@@ -109,13 +111,108 @@ end
   for (std::size_t t = 0; t < 3; ++t) {
     for (double x : {0.0, 10.0, 25.0, 60.0}) {
       EXPECT_DOUBLE_EQ(
-          workload.value().task(TaskId(t)).utility->Value(x),
-          reloaded.value().task(TaskId(t)).utility->Value(x))
+          workload.value().task(TaskId(t)).utility.Value(x),
+          reloaded.value().task(TaskId(t)).utility.Value(x))
           << "task " << t << " x " << x;
     }
   }
   EXPECT_EQ(reloaded.value().task(TaskId(2u)).trigger.kind,
             TriggerSpec::Kind::kBursty);
+}
+
+// The writer prints every number at the stream's default six significant
+// digits: one task per utility shape, each parameter given with more, saves
+// to this text, which then loads and saves to itself.
+TEST(SerializationTest, SaveWritesEveryShapeAtSixDigits) {
+  const char* text = R"(
+resource cpu0 cpu 0.987654321 1.23456789
+resource link0 link 1 0.000123456789
+task lin 123.456789
+  utility linear 246.913578 1.00000049
+  trigger periodic 100.0000001 2.5
+  subtask a cpu0 2.71828183 0.0123456789
+  subtask b link0 3.14159265
+  edge 0 1
+end
+task pow 98.7654321
+  utility power 197.530864 0.0123456789 2.50000001
+  trigger poisson 12.3456789
+  subtask a cpu0 1.41421356
+end
+task exp 55.5555555
+  utility negexp 111.111111 0.00612345678
+  trigger bursty 200.123456 3 1.23456789
+  subtask a link0 1.73205081
+end
+task ine 77.7777777
+  utility inelastic 77.7777777 46.6666666 0.0257142857
+  trigger periodic 100
+  subtask a cpu0 2.23606798
+end
+)";
+  const std::string expected =
+      "# LLA workload (see model/serialization.h for the format)\n"
+      "resource cpu0 cpu 0.987654 1.23457\n"
+      "resource link0 link 1 0.000123457\n"
+      "task lin 123.457\n"
+      "  utility linear 246.914 1\n"
+      "  trigger periodic 100 2.5\n"
+      "  subtask a cpu0 2.71828 0.0123457\n"
+      "  subtask b link0 3.14159 0\n"
+      "  edge 0 1\n"
+      "end\n"
+      "task pow 98.7654\n"
+      "  utility power 197.531 0.0123457 2.5\n"
+      "  trigger poisson 12.3457\n"
+      "  subtask a cpu0 1.41421 0\n"
+      "end\n"
+      "task exp 55.5556\n"
+      "  utility negexp 111.111 0.00612346\n"
+      "  trigger bursty 200.123 3 1.23457\n"
+      "  subtask a link0 1.73205 0\n"
+      "end\n"
+      "task ine 77.7778\n"
+      "  utility inelastic 77.7778 46.6667 0.0257143\n"
+      "  trigger periodic 100 0\n"
+      "  subtask a cpu0 2.23607 0\n"
+      "end\n";
+  auto workload = LoadWorkloadFromString(text);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  auto saved = SaveWorkloadToString(workload.value());
+  ASSERT_TRUE(saved.ok()) << saved.error();
+  EXPECT_EQ(saved.value(), expected);
+  auto reloaded = LoadWorkloadFromString(saved.value());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.error();
+  auto resaved = SaveWorkloadToString(reloaded.value());
+  ASSERT_TRUE(resaved.ok()) << resaved.error();
+  EXPECT_EQ(resaved.value(), expected);
+}
+
+// One task chaining 26 diamonds: 79 subtasks, each on its own resource so
+// nothing but the path count can refuse it, and 2^26 root-to-leaf paths in
+// about 3 KB of text.  The loader counts the paths before building any.
+TEST(SerializationTest, RefusesExponentialPathCount) {
+  constexpr int kDiamonds = 26;
+  constexpr int kNodes = 3 * kDiamonds + 1;
+  std::ostringstream text;
+  for (int v = 0; v < kNodes; ++v) text << "resource r" << v << " cpu 1 0\n";
+  text << "task chain 1000\n  utility linear 2000 1\n";
+  for (int v = 0; v < kNodes; ++v) {
+    text << "  subtask s" << v << " r" << v << " 1\n";
+  }
+  for (int top = 0; top + 1 < kNodes; top += 3) {
+    text << "  edge " << top << ' ' << top + 1 << "\n  edge " << top << ' '
+         << top + 2 << "\n  edge " << top + 1 << ' ' << top + 3
+         << "\n  edge " << top + 2 << ' ' << top + 3 << '\n';
+  }
+  text << "end\n";
+  const auto loaded = LoadWorkloadFromString(text.str());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("task 'chain'"), std::string::npos)
+      << loaded.error();
+  EXPECT_NE(loaded.error().find(std::to_string(kMaxPathEntries)),
+            std::string::npos)
+      << loaded.error();
 }
 
 TEST(SerializationTest, ErrorsCarryLineNumbers) {
@@ -268,6 +365,16 @@ TEST(SnapshotSerializationTest, RoundTripsThroughFile) {
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   ExpectSnapshotsEqual(original, loaded.value());
   std::remove(path.c_str());
+}
+
+// A full device takes every buffered write and fails only at the flush;
+// both savers must report that instead of claiming success.
+TEST(SerializationTest, SaversReportAFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  EXPECT_FALSE(SaveWorkloadToFile(workload.value(), "/dev/full").ok());
+  EXPECT_FALSE(SaveSnapshotToFile(MakeSnapshot(), "/dev/full").ok());
 }
 
 // The parser's shape check: the mu / lambda section counts must equal the

@@ -1,7 +1,6 @@
 #include "model/utility.h"
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,7 +9,8 @@ namespace lla {
 namespace {
 
 TEST(LinearUtilityTest, ValueAndDerivative) {
-  LinearUtility u(90.0, 1.0);
+  const Utility u = Utility::Linear(90.0, 1.0);
+  EXPECT_EQ(u.Describe(), "linear(90 - 1*x)");
   EXPECT_DOUBLE_EQ(u.Value(0.0), 90.0);
   EXPECT_DOUBLE_EQ(u.Value(45.0), 45.0);
   EXPECT_DOUBLE_EQ(u.Derivative(10.0), -1.0);
@@ -19,27 +19,28 @@ TEST(LinearUtilityTest, ValueAndDerivative) {
 
 TEST(LinearUtilityTest, PaperSimFactory) {
   // f(x) = 2C - x with C = 45.
-  auto u = MakePaperSimUtility(45.0);
-  EXPECT_DOUBLE_EQ(u->Value(0.0), 90.0);
-  EXPECT_DOUBLE_EQ(u->Value(45.0), 45.0);
+  const Utility u = MakePaperSimUtility(45.0);
+  EXPECT_DOUBLE_EQ(u.Value(0.0), 90.0);
+  EXPECT_DOUBLE_EQ(u.Value(45.0), 45.0);
 }
 
 TEST(LinearUtilityTest, PrototypeFactoryIsNegLatency) {
-  auto u = MakePrototypeUtility();
-  EXPECT_DOUBLE_EQ(u->Value(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(u->Value(100.0), -100.0);
+  const Utility u = MakePrototypeUtility();
+  EXPECT_DOUBLE_EQ(u.Value(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(u.Value(100.0), -100.0);
 }
 
 TEST(PowerUtilityTest, QuadraticCase) {
-  PowerUtility u(100.0, 0.5, 2.0);
+  const Utility u = Utility::Power(100.0, 0.5, 2.0);
+  EXPECT_EQ(u.Describe(), "power(100 - 0.5*x^2)");
   EXPECT_DOUBLE_EQ(u.Value(0.0), 100.0);
   EXPECT_DOUBLE_EQ(u.Value(10.0), 50.0);
   EXPECT_DOUBLE_EQ(u.Derivative(10.0), -10.0);
 }
 
 TEST(PowerUtilityTest, ExponentOneIsLinear) {
-  PowerUtility p(10.0, 2.0, 1.0);
-  LinearUtility l(10.0, 2.0);
+  const Utility p = Utility::Power(10.0, 2.0, 1.0);
+  const Utility l = Utility::Linear(10.0, 2.0);
   for (double x : {0.0, 1.0, 5.5, 20.0}) {
     EXPECT_DOUBLE_EQ(p.Value(x), l.Value(x));
     EXPECT_DOUBLE_EQ(p.Derivative(x), l.Derivative(x));
@@ -47,14 +48,17 @@ TEST(PowerUtilityTest, ExponentOneIsLinear) {
 }
 
 TEST(NegExpUtilityTest, ValueAndDerivative) {
-  NegExpUtility u(0.0, 0.1);
+  const Utility u = Utility::NegExp(0.0, 0.1);
+  EXPECT_EQ(u.Describe(), "negexp(0 - exp(0.1*x)/0.1)");
   EXPECT_DOUBLE_EQ(u.Value(0.0), -10.0);  // -exp(0)/0.1
   EXPECT_DOUBLE_EQ(u.Derivative(0.0), -1.0);
   EXPECT_NEAR(u.Derivative(10.0), -std::exp(1.0), 1e-12);
 }
 
 TEST(InelasticUtilityTest, FlatThenQuadratic) {
-  InelasticUtility u(50.0, 20.0, 2.0);
+  const Utility u = Utility::Inelastic(50.0, 20.0, 2.0);
+  EXPECT_EQ(u.Describe(),
+            "inelastic(plateau=50, flat_until=20, steepness=2)");
   EXPECT_DOUBLE_EQ(u.Value(0.0), 50.0);
   EXPECT_DOUBLE_EQ(u.Value(20.0), 50.0);
   EXPECT_DOUBLE_EQ(u.Derivative(15.0), 0.0);
@@ -63,7 +67,7 @@ TEST(InelasticUtilityTest, FlatThenQuadratic) {
 }
 
 TEST(InelasticUtilityTest, ContinuouslyDifferentiableAtKink) {
-  InelasticUtility u(10.0, 5.0, 3.0);
+  const Utility u = Utility::Inelastic(10.0, 5.0, 3.0);
   const double eps = 1e-7;
   EXPECT_NEAR(u.Value(5.0 - eps), u.Value(5.0 + eps), 1e-6);
   EXPECT_NEAR(u.Derivative(5.0 - eps), u.Derivative(5.0 + eps), 1e-5);
@@ -73,48 +77,45 @@ TEST(InelasticUtilityTest, ContinuouslyDifferentiableAtKink) {
 // RelWithDebInfo and Release builds; every build mode now refuses them.
 TEST(UtilityDeathTest, ConstructorsRejectOutOfRangeParameters) {
   const double nan = std::nan("");
-  EXPECT_DEATH(LinearUtility(nan, 1.0), "LinearUtility: offset nan");
-  EXPECT_DEATH(LinearUtility(80.0, -1.0), "LinearUtility: slope -1");
-  EXPECT_DEATH(PowerUtility(80.0, -1.0, 2.0), "PowerUtility: coeff -1");
-  EXPECT_DEATH(PowerUtility(80.0, 1.0, 0.5), "PowerUtility: exponent 0.5");
-  EXPECT_DEATH(NegExpUtility(0.0, 0.0), "NegExpUtility: rate 0");
-  EXPECT_DEATH(InelasticUtility(80.0, -1.0, 1.0),
-               "InelasticUtility: flat_until -1");
-  EXPECT_DEATH(InelasticUtility(80.0, 10.0, 0.0),
-               "InelasticUtility: steepness 0");
+  EXPECT_DEATH(Utility::Linear(nan, 1.0), "utility linear: offset nan");
+  EXPECT_DEATH(Utility::Linear(80.0, -1.0), "utility linear: slope -1");
+  EXPECT_DEATH(Utility::Power(80.0, -1.0, 2.0), "utility power: coeff -1");
+  EXPECT_DEATH(Utility::Power(80.0, 1.0, 0.5),
+               "utility power: exponent 0.5");
+  EXPECT_DEATH(Utility::NegExp(0.0, 0.0), "utility negexp: rate 0");
+  EXPECT_DEATH(Utility::Inelastic(80.0, -1.0, 1.0),
+               "utility inelastic: flat_until -1");
+  EXPECT_DEATH(Utility::Inelastic(80.0, 10.0, 0.0),
+               "utility inelastic: steepness 0");
 }
 
 // Every provided utility must pass the concavity/monotonicity property.
 TEST(ConcavityCheckTest, AllProvidedUtilitiesPass) {
-  std::vector<UtilityPtr> utilities = {
-      std::make_shared<LinearUtility>(90.0, 1.0),
-      std::make_shared<LinearUtility>(0.0, 0.0),  // constant is allowed
-      std::make_shared<PowerUtility>(10.0, 0.1, 2.0),
-      std::make_shared<PowerUtility>(10.0, 0.1, 1.5),
-      std::make_shared<NegExpUtility>(5.0, 0.05),
-      std::make_shared<InelasticUtility>(50.0, 20.0, 2.0),
+  const std::vector<Utility> utilities = {
+      Utility::Linear(90.0, 1.0),
+      Utility::Linear(0.0, 0.0),  // constant is allowed
+      Utility::Power(10.0, 0.1, 2.0),
+      Utility::Power(10.0, 0.1, 1.5),
+      Utility::NegExp(5.0, 0.05),
+      Utility::Inelastic(50.0, 20.0, 2.0),
       MakePaperSimUtility(76.0),
       MakePrototypeUtility(),
   };
-  for (const auto& u : utilities) {
-    EXPECT_TRUE(CheckConcaveNonIncreasing(*u, 0.0, 200.0)) << u->Describe();
+  for (const Utility& u : utilities) {
+    EXPECT_TRUE(CheckConcaveNonIncreasing(u, 0.0, 200.0)) << u.Describe();
   }
 }
 
 // The checker must reject shapes the optimizer cannot handle.
-class IncreasingUtility final : public UtilityFunction {
- public:
-  double Value(double x) const override { return x; }
-  double Derivative(double) const override { return 1.0; }
-  std::string Describe() const override { return "increasing"; }
+struct IncreasingUtility {
+  double Value(double x) const { return x; }
+  double Derivative(double) const { return 1.0; }
 };
 
-class ConvexDecreasingUtility final : public UtilityFunction {
- public:
+struct ConvexDecreasingUtility {
   // exp(-x): decreasing but convex.
-  double Value(double x) const override { return std::exp(-x); }
-  double Derivative(double x) const override { return -std::exp(-x); }
-  std::string Describe() const override { return "convex-decreasing"; }
+  double Value(double x) const { return std::exp(-x); }
+  double Derivative(double x) const { return -std::exp(-x); }
 };
 
 TEST(ConcavityCheckTest, RejectsIncreasing) {
@@ -132,18 +133,18 @@ class UtilityDerivativeProperty
 
 TEST_P(UtilityDerivativeProperty, DerivativeMatchesFiniteDifference) {
   const double x = GetParam();
-  std::vector<UtilityPtr> utilities = {
-      std::make_shared<LinearUtility>(90.0, 1.0),
-      std::make_shared<PowerUtility>(10.0, 0.1, 2.0),
-      std::make_shared<PowerUtility>(10.0, 0.3, 1.7),
-      std::make_shared<NegExpUtility>(5.0, 0.05),
-      std::make_shared<InelasticUtility>(50.0, 20.0, 2.0),
+  const std::vector<Utility> utilities = {
+      Utility::Linear(90.0, 1.0),
+      Utility::Power(10.0, 0.1, 2.0),
+      Utility::Power(10.0, 0.3, 1.7),
+      Utility::NegExp(5.0, 0.05),
+      Utility::Inelastic(50.0, 20.0, 2.0),
   };
   const double h = 1e-6 * (1.0 + x);
-  for (const auto& u : utilities) {
-    const double fd = (u->Value(x + h) - u->Value(x - h)) / (2.0 * h);
-    EXPECT_NEAR(u->Derivative(x), fd, 1e-4 * (1.0 + std::fabs(fd)))
-        << u->Describe() << " at x=" << x;
+  for (const Utility& u : utilities) {
+    const double fd = (u.Value(x + h) - u.Value(x - h)) / (2.0 * h);
+    EXPECT_NEAR(u.Derivative(x), fd, 1e-4 * (1.0 + std::fabs(fd)))
+        << u.Describe() << " at x=" << x;
   }
 }
 

@@ -202,7 +202,7 @@ TEST(WorkloadTest, AcceptsEveryValidTriggerKind) {
 
 TEST(WorkloadTest, RejectsMissingUtility) {
   auto task = SimpleChainTask();
-  task.utility = nullptr;
+  task.utility = std::nullopt;
   EXPECT_FALSE(Workload::Create(TwoResources(), {task}).ok());
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -107,6 +108,18 @@ TEST(JsonlTraceSinkTest, BadPathReportsNotOkAndDropsRecords) {
   sink.OnRunBegin(RunInfo{});
   sink.OnIteration(MakeTrace(1));  // must not crash
   sink.OnRunEnd();
+}
+
+// A full device opens fine and fails only when the buffered records are
+// flushed; the sink must report that once the run ends.
+TEST(JsonlTraceSinkTest, FullDeviceReportsNotOk) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  JsonlTraceSink sink("/dev/full");
+  ASSERT_TRUE(sink.ok());
+  sink.OnRunBegin(RunInfo{"full", 2, 3});
+  sink.OnIteration(MakeTrace(1));
+  sink.OnRunEnd();
+  EXPECT_FALSE(sink.ok());
 }
 
 TEST(JsonlTraceSinkTest, RoundTripsDoublesExactly) {

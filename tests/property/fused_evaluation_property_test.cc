@@ -15,6 +15,7 @@
 #include "model/evaluation.h"
 #include "model/latency_model.h"
 #include "workloads/random.h"
+#include "workloads/transform.h"
 
 namespace lla {
 namespace {
@@ -27,6 +28,22 @@ Workload MakeWorkload(std::uint64_t seed, int num_tasks = 6) {
   auto workload = MakeRandomWorkload(config);
   EXPECT_TRUE(workload.ok()) << workload.error();
   return std::move(workload.value());
+}
+
+// MakeWorkload(seed) with its tasks cycling through the four utility
+// shapes, each scaled to the task's critical time C.
+Workload FourShapeWorkload(std::uint64_t seed) {
+  auto shaped = Rebuild(MakeWorkload(seed), nullptr,
+                        [](TaskId task, TaskSpec& spec) {
+    const double c = spec.critical_time_ms;
+    const Utility shapes[] = {
+        MakePaperSimUtility(c), Utility::Power(2.0 * c, 1.0 / c, 2.0),
+        Utility::NegExp(2.0 * c, 1.0 / (3.0 * c)),
+        Utility::Inelastic(c, 0.6 * c, 2.0 / c)};
+    spec.utility = shapes[task.value() % 4];
+  });
+  EXPECT_TRUE(shaped.ok()) << shaped.error();
+  return std::move(shaped.value());
 }
 
 Assignment RandomAssignment(const Workload& workload, std::uint64_t seed) {
@@ -123,9 +140,10 @@ TEST_P(FusedEvaluationProperty, StepWorkspaceMatchesScalarOracles) {
   }
 }
 
-TEST_P(FusedEvaluationProperty, CachedSolverMatchesUncachedReference) {
-  const std::uint64_t seed = GetParam();
-  const Workload w = MakeWorkload(seed);
+// The cached solver must match the uncached reference on `w` at random
+// prices, before and after a model correction.
+void ExpectCachedSolverMatchesReference(const Workload& w,
+                                        std::uint64_t seed) {
   LatencyModel model(w);
 
   LatencySolverConfig cached_config;
@@ -157,6 +175,16 @@ TEST_P(FusedEvaluationProperty, CachedSolverMatchesUncachedReference) {
   model.SetAdditiveError(SubtaskId(std::size_t{0}), -0.4);
   model.SetAdditiveError(SubtaskId(w.subtask_count() - 1), 0.3);
   check_all_prices();
+}
+
+TEST_P(FusedEvaluationProperty, CachedSolverMatchesUncachedReference) {
+  const std::uint64_t seed = GetParam();
+  ExpectCachedSolverMatchesReference(MakeWorkload(seed), seed);
+  // The random workloads are all linear 2C - x, solved in one closed-form
+  // pass; cycling the four shapes also drives the bisection, where each h(x)
+  // re-runs SolveClosedSpan in the cached solver.
+  SCOPED_TRACE("four-shape workload");
+  ExpectCachedSolverMatchesReference(FourShapeWorkload(seed), seed);
 }
 
 TEST_P(FusedEvaluationProperty, EngineRunBitIdenticalAcrossThreadCounts) {

@@ -1,9 +1,10 @@
 // End-to-end tests for the `lla` binary: the documented exit-code scheme
-// (0 success, 2 usage, 3 load error, 4 not converged/infeasible), the one
-// strict flag parser every subcommand shares, snapshot checkpoint / restore
-// / inspect, and the `trace` subcommand's JSONL output.  The binary path is injected by CMake
-// via LLA_CLI_PATH; commands run through std::system with streams redirected
-// to files under the build tree.
+// (0 success, 1 runtime error such as a failed write, 2 usage, 3 load error,
+// 4 not converged/infeasible), the one strict flag parser every subcommand
+// shares, snapshot checkpoint / restore / inspect, and the `trace`
+// subcommand's JSONL output.  The binary path is injected by CMake via
+// LLA_CLI_PATH; commands run through std::system with streams redirected to
+// files under the build tree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -311,6 +312,63 @@ TEST(CliTest, SnapshotReaderRefusesDevicesAndOversizedFiles) {
     EXPECT_EQ(WEXITSTATUS(status), 3) << args;
   }
   std::remove(big.c_str());
+}
+
+// A chain of 26 diamonds holds 2^26 root-to-leaf paths in 79 subtasks and
+// about 3 KB of text; `describe` used to build every path and abort on
+// bad_alloc.  The loader counts them first and refuses the file.
+TEST(CliTest, DescribeRefusesExponentialPathCount) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const std::string bound = "timeout 20 ";
+#else
+  const std::string bound = "ulimit -v 1000000; timeout 20 ";
+#endif
+  constexpr int kNodes = 3 * 26 + 1;
+  std::ostringstream text;
+  for (int v = 0; v < kNodes; ++v) text << "resource r" << v << " cpu 1 0\n";
+  text << "task chain 1000\n  utility linear 2000 1\n";
+  for (int v = 0; v < kNodes; ++v) {
+    text << "  subtask s" << v << " r" << v << " 1\n";
+  }
+  for (int top = 0; top + 1 < kNodes; top += 3) {
+    text << "  edge " << top << ' ' << top + 1 << "\n  edge " << top << ' '
+         << top + 2 << "\n  edge " << top + 1 << ' ' << top + 3
+         << "\n  edge " << top + 2 << ' ' << top + 3 << '\n';
+  }
+  text << "end\n";
+  const std::string path = ::testing::TempDir() + "/cli_diamonds.lla";
+  const std::string err = ::testing::TempDir() + "/cli_diamonds.err";
+  std::ofstream(path) << text.str();
+  const std::string command = bound + std::string(kCli) + " describe " +
+                              path + " >/dev/null 2>" + err;
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(status >= 0 && WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 3);
+  EXPECT_NE(ReadFile(err).find("16777216"), std::string::npos)
+      << ReadFile(err);
+  std::remove(path.c_str());
+  std::remove(err.c_str());
+}
+
+// A full device takes every buffered write and fails only at the flush.
+// Each writing command must exit 1 with a message naming the file, instead
+// of exiting 0 and claiming it wrote it.
+TEST(CliTest, WritesToAFullDeviceFail) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string err = ::testing::TempDir() + "/cli_full_device.err";
+  for (const std::string& args :
+       {std::string("generate /dev/full --seed 1"),
+        std::string("checkpoint ") + kPaperWorkload + " /dev/full --iters 5",
+        std::string("trace ") + kPaperWorkload + " --out /dev/full"}) {
+    const std::string command =
+        std::string(kCli) + " " + args + " >/dev/null 2>" + err;
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(status >= 0 && WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+    EXPECT_NE(ReadFile(err).find("/dev/full"), std::string::npos)
+        << args << ": " << ReadFile(err);
+  }
+  std::remove(err.c_str());
 }
 
 // `lla inspect` renders the b1 header and section table.

@@ -124,7 +124,7 @@ TEST(PaperWorkloadTest, PrototypeWorkloadShape) {
   EXPECT_DOUBLE_EQ(w.task(TaskId(0u)).critical_time_ms, 105.0);
   EXPECT_DOUBLE_EQ(w.task(TaskId(3u)).critical_time_ms, 800.0);
   // Utility is f(lat) = -lat.
-  EXPECT_DOUBLE_EQ(w.task(TaskId(0u)).utility->Value(10.0), -10.0);
+  EXPECT_DOUBLE_EQ(w.task(TaskId(0u)).utility.Value(10.0), -10.0);
 }
 
 TEST(PaperWorkloadTest, Table1ReferenceInternallyConsistent) {

@@ -51,17 +51,6 @@ TEST(TransformTest, WithResourceCapacityValidates) {
       WithResourceCapacity(workload.value(), ResourceId(3u), 1.5).ok());
 }
 
-TEST(TransformTest, WithScaledCriticalTimesRescalesLinearUtility) {
-  auto workload = MakeSimWorkload();
-  ASSERT_TRUE(workload.ok());
-  auto scaled = WithScaledCriticalTimes(workload.value(), 2.0);
-  ASSERT_TRUE(scaled.ok()) << scaled.error();
-  const TaskInfo& task = scaled.value().task(TaskId(0u));
-  EXPECT_DOUBLE_EQ(task.critical_time_ms, 90.0);
-  // f = 2C - x becomes 2*(2C) - x: value at 0 doubles.
-  EXPECT_DOUBLE_EQ(task.utility->Value(0.0), 180.0);
-}
-
 TEST(TransformTest, WithoutTaskRemovesOne) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());

@@ -371,7 +371,7 @@ int Describe(const Workload& w) {
     std::printf("task %-20s C=%.1f ms  %zu subtasks, %zu paths, utility %s, "
                 "%.1f releases/s\n",
                 t.name.c_str(), t.critical_time_ms, t.subtasks.size(),
-                t.paths.size(), t.utility->Describe().c_str(),
+                t.paths.size(), t.utility.Describe().c_str(),
                 t.trigger.MeanRatePerSecond());
   }
   return 0;
@@ -553,6 +553,11 @@ int Trace(const Workload& w, const Options& options) {
   LlaEngine engine(w, model, config);
   const RunResult run = engine.Run(options.iters);
   sink.OnRunEnd();
+  if (!sink.ok()) {
+    std::fprintf(stderr, "error writing trace output %s\n",
+                 options.out_path.c_str());
+    return kExitRuntimeError;
+  }
 
   std::fprintf(stderr, "%s after %d iterations; utility %.6f; feasible: %s\n",
                run.converged ? "converged" : "NOT converged", run.iterations,
