@@ -4,6 +4,7 @@
 //     (robustness of the price protocol);
 //   * enactment policy: how few allocation changes the executing system
 //     actually sees, and the message/byte cost of the protocol.
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
@@ -48,7 +49,7 @@ int main() {
     Coordinator coordinator(w, model, config);
     const RunResult run = coordinator.RunSync(12000);
     const auto& stats = coordinator.bus().stats();
-    std::printf("\nsync distributed:  rounds=%d utility=%.4f "
+    std::printf("\nsync distributed:  rounds=%" PRId64 " utility=%.4f "
                 "(gap to engine %.5f)\n",
                 run.iterations, run.final_utility,
                 std::fabs(run.final_utility - engine_utility));

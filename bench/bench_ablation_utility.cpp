@@ -3,6 +3,7 @@
 // with the critical path landing within 1% of the critical time.  Also
 // sweeps the utility *shape* (linear / quadratic / neg-exponential) as an
 // extension beyond the paper's linear-only experiments.
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -26,7 +27,7 @@ void RunVariant(const char* label, const Workload& w, LlaConfig config) {
     worst_gap =
         std::max(worst_gap, 1.0 - crit / task.critical_time_ms);
   }
-  std::printf("%-34s conv=%-3s iters=%6d utility=%10.2f feas=%-3s "
+  std::printf("%-34s conv=%-3s iters=%6" PRId64 " utility=%10.2f feas=%-3s "
               "max crit-path gap=%.3f%%\n",
               label, run.converged ? "yes" : "no", run.iterations,
               run.final_utility,

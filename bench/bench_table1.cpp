@@ -1,5 +1,6 @@
 // Reproduces Table 1: converged subtask latencies and critical paths for the
 // 3-task simulation workload, next to the paper's published values.
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
@@ -31,7 +32,7 @@ int main() {
   LlaEngine engine(w, model, config);
   const RunResult run = engine.Run(12000);
 
-  std::printf("\nconverged=%s after %d iterations, total utility %.3f "
+  std::printf("\nconverged=%s after %" PRId64 " iterations, total utility %.3f "
               "(path-weighted)\n\n",
               run.converged ? "yes" : "no", run.iterations,
               run.final_utility);

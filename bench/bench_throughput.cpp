@@ -1,8 +1,10 @@
 // Measures full LLA iterations per second (one Step = latency allocation +
 // price computation + stats) on the large paper and random workloads, for
 // the scalar reference path and the fused StepWorkspace engine across
-// thread counts.  Also writes BENCH_throughput.json so the perf trajectory
-// is machine-readable.
+// thread counts.  The "fused" rows (and the fused_* JSON keys) time the
+// engine as configured by default, active-set stepping included, whose
+// sweeps each fan out across the pool on their own.  Also writes
+// BENCH_throughput.json so the perf trajectory is machine-readable.
 //
 // The "scalar reference" stepper replicates the pre-StepWorkspace engine:
 // the solver recomputes its box bounds on every evaluation
@@ -154,10 +156,11 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "bench_throughput — full LLA iterations per second",
-      "engine hot path (fused one-region step + invariant caching + "
-      "EngineBatch coarse parallelism)",
-      "reports steps/s of the scalar reference, the fused engine at 1, 2 "
-      "and 4 threads and a 4-engine EngineBatch; the only check is that "
+      "engine hot path (fused StepWorkspace + invariant caching + "
+      "per-sweep fan-out + EngineBatch coarse parallelism)",
+      "reports steps/s of the scalar reference, the fused engine (the "
+      "default active-set engine) at 1, 2 and 4 threads and a 4-engine "
+      "EngineBatch; the only check is that "
       "fused and scalar agree bit for bit (exit 1 otherwise).  Recorded on "
       "a 4-thread host: fused 1.2-1.3x scalar single-threaded, in-engine "
       "threads 0.8-1.4x the 1-thread rate, EngineBatch 2.0x and 3.2x it at "

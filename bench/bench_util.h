@@ -4,6 +4,7 @@
 // BENCH_*.json artifacts for the perf trajectory.
 #pragma once
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,10 +37,11 @@ inline void PrintUtilitySeries(const std::string& label,
   const int stride = n <= max_points ? 1 : n / max_points;
   std::printf("%-24s iter:utility  ", label.c_str());
   for (int i = 0; i < n; i += stride) {
-    std::printf("%d:%.1f ", history[i].iteration, history[i].total_utility);
+    std::printf("%" PRId64 ":%.1f ", history[i].iteration,
+                history[i].total_utility);
   }
   if (n > 0 && (n - 1) % stride != 0) {
-    std::printf("%d:%.1f", history[n - 1].iteration,
+    std::printf("%" PRId64 ":%.1f", history[n - 1].iteration,
                 history[n - 1].total_utility);
   }
   std::printf("\n");

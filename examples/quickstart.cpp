@@ -6,6 +6,7 @@
 //
 // The scenario: a two-stage pipeline (parse on cpu0, publish over link0)
 // and an analytics task sharing cpu0, both triggered periodically.
+#include <cinttypes>
 #include <cstdio>
 
 #include "core/engine.h"
@@ -61,7 +62,7 @@ int main() {
   LlaEngine engine(w, model, config);
   const RunResult result = engine.Run(/*max_iterations=*/5000);
 
-  std::printf("converged: %s (after %d iterations)\n",
+  std::printf("converged: %s (after %" PRId64 " iterations)\n",
               result.converged ? "yes" : "no", result.iterations);
   std::printf("total utility: %.2f\n\n", result.final_utility);
 

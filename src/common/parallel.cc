@@ -10,6 +10,17 @@ namespace {
 /// Doorbell/done spins before falling back to the parking condvar.
 constexpr int kSpinCount = 4096;
 
+/// One bounded-spin pause (x86 PAUSE / arm YIELD when available).
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::this_thread::yield();
+#endif
+}
+
 int HardwareCap() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
@@ -56,7 +67,7 @@ int ThreadPool::ParticipantsFor(std::size_t n, int min_items_per_thread)
 
 void ThreadPool::FatalReentrancy() {
   std::fprintf(stderr,
-               "lla::ThreadPool: ParallelFor/RunRegion is not reentrant "
+               "lla::ThreadPool: ParallelFor is not reentrant "
                "(dispatch issued while another dispatch is in flight)\n");
   std::abort();
 }
@@ -101,13 +112,9 @@ void ThreadPool::AwaitDone(std::uint64_t gen, int participants) {
 }
 
 void ThreadPool::RunAssigned(int participant_index) {
-  if (job_kind_ == JobKind::kFor) {
-    const auto [begin, end] =
-        ChunkRange(job_n_, job_participants_, participant_index);
-    if (begin < end) for_body_(begin, end);
-  } else {
-    region_body_(participant_index, job_participants_);
-  }
+  const auto [begin, end] =
+      ChunkRange(job_n_, job_participants_, participant_index);
+  if (begin < end) for_body_(begin, end);
 }
 
 bool ThreadPool::ParkWorker(WorkerSlot& slot, std::uint64_t seen) {
@@ -158,26 +165,11 @@ void ThreadPool::ParallelFor(std::size_t n, int min_items_per_thread,
     if (n > 0) body(0, n);
     return;
   }
-  job_kind_ = JobKind::kFor;
   for_body_ = body;
   job_n_ = n;
   Publish(participants);
   const auto [begin, end] = ChunkRange(n, participants, 0);
   if (begin < end) body(begin, end);
-  AwaitDone(generation_, participants);
-  busy_.store(false, std::memory_order_release);
-}
-
-void ThreadPool::RunRegion(int participants, RegionBody body) {
-  participants = std::max(1, std::min(participants, size()));
-  if (participants <= 1) {
-    body(0, 1);
-    return;
-  }
-  job_kind_ = JobKind::kRegion;
-  region_body_ = body;
-  Publish(participants);
-  body(0, participants);
   AwaitDone(generation_, participants);
   busy_.store(false, std::memory_order_release);
 }

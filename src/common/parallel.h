@@ -4,12 +4,15 @@
 // The LLA iteration decomposes per task (latency allocation) and per
 // resource/path (price sweeps); given the prices those pieces are
 // independent, which is exactly the structure the paper exploits for
-// distribution.  ParallelFor splits [0, n) into contiguous chunks — chunk t
-// of P is [t*n/P, (t+1)*n/P) — so the work-to-chunk mapping depends only on
-// n and the participant count, never on scheduling.  Workers write disjoint
-// output slots and callers reduce per-item results serially in index order,
-// which makes every result bit-identical for any thread count (including
-// the no-pool serial path) and for any chunking.
+// distribution.  ParallelFor, the pool's one dispatch, splits [0, n) into
+// contiguous chunks — chunk t of P is [t*n/P, (t+1)*n/P) — so the
+// work-to-chunk mapping depends only on n and the participant count, never
+// on scheduling.  Workers write disjoint output slots and callers reduce
+// per-item results serially in index order, which makes every result
+// bit-identical for any thread count (including the no-pool serial path)
+// and for any chunking.  The engine's per-sweep fan-outs (StaticParallelFor),
+// the coordinator's round lanes and EngineBatch (ParallelSweep) all reach
+// the workers through it.
 //
 // Dispatch protocol (DESIGN.md §7.5): each worker owns a cache-line-padded
 // slot holding a `job` doorbell and a `done` acknowledgement, both
@@ -44,8 +47,8 @@ namespace lla {
 
 /// A non-owning, non-allocating reference to a callable — the pool's
 /// replacement for std::function on the dispatch path.  The referenced
-/// callable must outlive every call (always true for ParallelFor/RunRegion,
-/// which join before returning).
+/// callable must outlive every call (always true for ParallelFor, which
+/// joins before returning).
 template <typename Signature>
 class FunctionRef;
 
@@ -82,9 +85,6 @@ class FunctionRef<R(Args...)> {
 
 /// Chunked body: called with the half-open item range [begin, end).
 using ParallelBody = FunctionRef<void(std::size_t, std::size_t)>;
-/// Region body: called once per participant with (index, participants);
-/// index 0 is the dispatching thread.
-using RegionBody = FunctionRef<void(int, int)>;
 
 /// Tuning knobs for the pool; every value is deterministic configuration —
 /// none of them can change a computed result, only where/when it is
@@ -108,53 +108,6 @@ inline std::pair<std::size_t, std::size_t> ChunkRange(std::size_t n,
   const std::size_t i = static_cast<std::size_t>(index);
   return {n * i / t, n * (i + 1) / t};
 }
-
-/// One bounded-spin pause (x86 PAUSE / arm YIELD when available).
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// A reusable centralized sense-reversing barrier for the participants of a
-/// fork-join region (spin with yield fallback; regions are microseconds
-/// long).  Stack-allocate one next to the region body and have every
-/// participant call Wait() the same number of times.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(int participants) : participants_(participants) {}
-
-  SpinBarrier(const SpinBarrier&) = delete;
-  SpinBarrier& operator=(const SpinBarrier&) = delete;
-
-  void Wait() {
-    const std::uint64_t phase = phase_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        participants_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      phase_.store(phase + 1, std::memory_order_release);
-      return;
-    }
-    int spins = 0;
-    while (phase_.load(std::memory_order_acquire) == phase) {
-      if (++spins > kSpinsBeforeYield) {
-        std::this_thread::yield();
-      } else {
-        CpuRelax();
-      }
-    }
-  }
-
- private:
-  static constexpr int kSpinsBeforeYield = 1024;
-  const int participants_;
-  std::atomic<int> arrived_{0};
-  std::atomic<std::uint64_t> phase_{0};
-};
 
 class ThreadPool {
  public:
@@ -198,16 +151,7 @@ class ThreadPool {
   /// (e.g. stepping independent engines).
   void ParallelFor(std::size_t n, int min_items_per_thread, ParallelBody body);
 
-  /// Fused fork-join region: runs `body(index, participants)` once on each
-  /// of `participants` threads (index 0 = the calling thread) and joins.
-  /// The body may synchronize its phases with a SpinBarrier, which is how
-  /// the engine packs solve + evaluation sweeps into a single wake-up per
-  /// step.  `participants` is clamped to [1, size()]; 1 runs inline.
-  void RunRegion(int participants, RegionBody body);
-
  private:
-  enum class JobKind : std::uint8_t { kFor, kRegion };
-
   /// One cache line per worker: the doorbell the caller rings (`job`) and
   /// the acknowledgement the worker posts (`done`), both generation
   /// numbers.  Padding keeps one worker's spinning off its neighbours'
@@ -236,9 +180,7 @@ class ThreadPool {
 
   // Job descriptor: written by the caller before ringing doorbells, read by
   // workers after their acquire-load of the doorbell.
-  JobKind job_kind_ = JobKind::kFor;
   ParallelBody for_body_;
-  RegionBody region_body_;
   std::size_t job_n_ = 0;
   int job_participants_ = 0;
   std::uint64_t generation_ = 0;  ///< only the dispatching thread mutates

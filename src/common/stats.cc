@@ -2,116 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace lla {
-
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::Reset() { *this = RunningStats{}; }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-P2Quantile::P2Quantile(double quantile) : q_(quantile) {
-  assert(quantile > 0.0 && quantile < 1.0);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = i + 1;
-  }
-  desired_[0] = 1;
-  desired_[1] = 1 + 2 * q_;
-  desired_[2] = 1 + 4 * q_;
-  desired_[3] = 3 + 2 * q_;
-  desired_[4] = 5;
-  increments_[0] = 0;
-  increments_[1] = q_ / 2;
-  increments_[2] = q_;
-  increments_[3] = (1 + q_) / 2;
-  increments_[4] = 1;
-}
-
-void P2Quantile::Add(double x) {
-  if (count_ < 5) {
-    heights_[count_++] = x;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  // Locate cell k such that heights_[k] <= x < heights_[k+1].
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  ++count_;
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust interior markers with parabolic (falling back to linear) moves.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      const double sign = d >= 0 ? 1.0 : -1.0;
-      // P² parabolic prediction.
-      const double np = positions_[i + 1];
-      const double nm = positions_[i - 1];
-      const double n = positions_[i];
-      double candidate =
-          heights_[i] +
-          sign / (np - nm) *
-              ((n - nm + sign) * (heights_[i + 1] - heights_[i]) / (np - n) +
-               (np - n - sign) * (heights_[i] - heights_[i - 1]) / (n - nm));
-      if (heights_[i - 1] < candidate && candidate < heights_[i + 1]) {
-        heights_[i] = candidate;
-      } else {
-        // Linear fallback keeps markers ordered.
-        const int j = i + static_cast<int>(sign);
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::Value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact order statistic over the samples seen so far.
-    double sorted[5];
-    std::copy(heights_, heights_ + count_, sorted);
-    std::sort(sorted, sorted + count_);
-    const double idx = q_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(idx);
-    const std::size_t hi = std::min(lo + 1, count_ - 1);
-    const double frac = idx - static_cast<double>(lo);
-    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-  }
-  return heights_[2];
-}
 
 double SampleQuantile::Value(double q) const {
   if (samples_.empty()) return 0.0;

@@ -2,60 +2,15 @@
 //
 // The paper computes utility from configurable latency *percentiles*
 // (Sec. 2.1) and corrects its latency model from "high percentile samples
-// (greater than 90th percentile)" (Sec. 6.3).  `P2Quantile` provides constant
-// memory streaming quantile estimation (Jain & Chlamtac's P² algorithm);
-// `ReservoirQuantile` keeps an exact window for small sample counts;
-// `ExponentialSmoother` is the smoothing filter of Sec. 6.3.
+// (greater than 90th percentile)" (Sec. 6.3).  `SampleQuantile` computes
+// exact quantiles over the samples it recorded; `ExponentialSmoother` is the
+// smoothing filter of Sec. 6.3.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace lla {
-
-/// Welford-style running mean/variance plus min/max.
-class RunningStats {
- public:
-  void Add(double x);
-  void Reset();
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< sample variance (n - 1); 0 below 2 samples
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Streaming quantile estimator (P² algorithm, Jain & Chlamtac 1985).
-/// Constant memory; exact for the first five samples, approximate after.
-class P2Quantile {
- public:
-  /// `quantile` in (0, 1), e.g. 0.9 for the 90th percentile.
-  explicit P2Quantile(double quantile);
-
-  void Add(double x);
-  /// Current estimate; exact order statistic until 5 samples are seen.
-  double Value() const;
-  std::size_t count() const { return count_; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  // P² marker state.
-  double heights_[5];
-  double positions_[5];
-  double desired_[5];
-  double increments_[5];
-};
 
 /// Exact quantiles over all recorded samples (O(n) memory); used where sample
 /// counts are modest and exactness matters (tests, per-interval correction).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 namespace lla {
@@ -74,7 +73,7 @@ void LlaEngine::Reset() {
 void LlaEngine::PrimeOrSolve() {
   active_state_.Invalidate();
   if (config_.active_set.enabled) {
-    ActiveSolveAndFillStepWorkspace(
+    ActiveSolveAndFill(
         solver_, *workload_, *model_, prices_, config_.solver.variant,
         config_.convergence.feasibility_tol, pool_.get(), &latencies_,
         &workspace_, &active_state_);
@@ -314,10 +313,9 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
       snapshot.lambda.size() != workload_->path_count()) {
     return Status::Error("Restore: snapshot price vectors are misshapen");
   }
-  // The engine counts steps in an int, and a negative step iteration would
-  // drive the diminishing schedule's 1 + t / tau through zero.
-  if (snapshot.iteration < 0 ||
-      snapshot.iteration > std::numeric_limits<int>::max() ||
+  // A negative step iteration would drive the diminishing schedule's
+  // 1 + t / tau through zero.
+  if (snapshot.iteration < 0 || snapshot.iteration > kMaxRestoredIteration ||
       snapshot.step_iteration < 0) {
     return Status::Error(
         "Restore: snapshot iteration " + std::to_string(snapshot.iteration) +
@@ -391,7 +389,7 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
     }
     momentum_restarts_ = snapshot.momentum_restarts;
   }
-  iteration_ = static_cast<int>(snapshot.iteration);  // range-checked above
+  iteration_ = snapshot.iteration;
   converged_ = snapshot.converged;
   total_subtask_solves_ = snapshot.total_subtask_solves;
   recent_utilities_.assign(snapshot.recent_utilities.begin(),
@@ -406,24 +404,25 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
 }
 
 IterationStats LlaEngine::Step() {
-  // 1. Latency allocation at current prices plus the fused evaluation sweep
-  //    (share sums, path latencies, utility aggregates) as a single
-  //    fork-join region — one worker wake-up per step.  Everything below
-  //    reads the workspace arrays.  Active-set mode recomputes only what a
-  //    changed price bit can reach; results are bit-identical either way.
+  // 1. Latency allocation at current prices, then the fused evaluation
+  //    sweep (share sums, path latencies, utility aggregates); each sweep
+  //    fans out across the pool on its own.  Everything below reads the
+  //    workspace arrays.  Active-set mode recomputes only what a changed
+  //    price bit can reach; results are bit-identical either way.
   ActiveStepWork work;
   {
     obs::ScopedTimer timing(solve_timer_);
     if (config_.active_set.enabled) {
-      work = ActiveSolveAndFillStepWorkspace(
+      work = ActiveSolveAndFill(
           solver_, *workload_, *model_, prices_, config_.solver.variant,
           config_.convergence.feasibility_tol, pool_.get(), &latencies_,
           &workspace_, &active_state_);
     } else {
-      SolveAndFillStepWorkspace(solver_, *workload_, *model_, prices_,
-                                config_.solver.variant,
-                                config_.convergence.feasibility_tol,
-                                pool_.get(), &latencies_, &workspace_);
+      solver_.SolveAll(prices_, &latencies_, pool_.get());
+      FillStepWorkspace(*workload_, *model_, latencies_,
+                        config_.solver.variant,
+                        config_.convergence.feasibility_tol, pool_.get(),
+                        &workspace_);
       work.tasks_solved = workload_->task_count();
       work.subtasks_solved = workload_->subtask_count();
       work.resources_refreshed = workload_->resource_count();

@@ -13,8 +13,9 @@
 // feasibility, complementary slackness) reads those arrays instead of
 // re-walking the workload.  The workspace buffers are reused, so the
 // steady-state iteration is allocation-free.  With num_threads > 1 the
-// per-task solves and the evaluation sweeps run as ONE fork-join region per
-// step (SolveAndFillStepWorkspace) with static partitioning and a
+// per-task solves and each evaluation sweep fan out across a pool, one
+// ParallelFor per sweep (LatencySolver::SolveAll, then FillStepWorkspace;
+// the active set's sparse sweeps alike), with static partitioning and a
 // deterministic grain cutoff; results are bit-identical for any thread
 // count.
 //
@@ -60,6 +61,11 @@ struct ConvergenceConfig {
 inline constexpr int kConvergenceWindow = 10;
 static_assert(kConvergenceWindow == kSnapshotUtilityWindow,
               "a b1 image holds the whole utility window and no more");
+
+/// The largest step count Restore() adopts.  The engine counts steps in a
+/// signed 64-bit integer; this bound leaves 2^62 further steps (over a
+/// century at 10^9 steps/s) before that count could overflow.
+inline constexpr std::int64_t kMaxRestoredIteration = std::int64_t{1} << 62;
 
 /// Utility can plateau far from the dual fixed point (latencies pinned at box
 /// bounds under inflated prices), so the engine also requires approximate
@@ -115,15 +121,15 @@ struct LlaConfig {
   /// trajectory (non-owning; must outlive the engine).
   obs::TraceSink* trace_sink = nullptr;
   /// Registry for the engine's counters (engine.steps) and phase timers:
-  /// engine.solve (the fused solve+evaluate region — one fork-join per
-  /// step) and engine.price_update.  Null disables instrumentation entirely
+  /// engine.solve (the latency solve plus the workspace fill) and
+  /// engine.price_update.  Null disables instrumentation entirely
   /// (non-owning; must outlive the engine).
   obs::MetricRegistry* metrics = nullptr;
 };
 
 /// Per-iteration diagnostics (the quantities Figures 5-7 plot).
 struct IterationStats {
-  int iteration = 0;
+  std::int64_t iteration = 0;
   double total_utility = 0.0;
   double max_resource_excess = 0.0;  ///< max over r of (share sum - B_r), >= 0
   double max_path_ratio = 0.0;       ///< max over p of latency / C_i
@@ -136,7 +142,7 @@ struct IterationStats {
 
 struct RunResult {
   bool converged = false;
-  int iterations = 0;
+  std::int64_t iterations = 0;
   double final_utility = 0.0;
   FeasibilityReport final_feasibility;
   /// Sum of IterationStats::subtasks_solved over this Run's steps — the
@@ -206,19 +212,19 @@ class LlaEngine {
 
   /// Adopts a snapshot taken by Checkpoint() (possibly in another process).
   /// Fails without touching the engine if the snapshot's shape does not
-  /// match this workload, its iteration lies outside [0, INT_MAX] or its
-  /// step iteration is negative.  On success the engine's latencies and
-  /// workspace are re-derived from the restored prices by a dense solve,
-  /// history is cleared, and the next Step() continues the checkpointed
-  /// trajectory bit-for-bit (any thread count, active-set on or off).  The
-  /// schedule adopts only what its own step policy saved
-  /// (StepSchedule::Adopt).  Takes the snapshot by value and moves its
-  /// vectors into place; decode b1 bytes for it with the loaders given this
-  /// engine's workload (DESIGN.md §7.11).
+  /// match this workload, its iteration lies outside
+  /// [0, kMaxRestoredIteration] or its step iteration is negative.  On
+  /// success the engine's latencies and workspace are re-derived from the
+  /// restored prices by a dense solve, history is cleared, and the next
+  /// Step() continues the checkpointed trajectory bit-for-bit (any thread
+  /// count, active-set on or off).  The schedule adopts only what its own
+  /// step policy saved (StepSchedule::Adopt).  Takes the snapshot by value
+  /// and moves its vectors into place; decode b1 bytes for it with the
+  /// loaders given this engine's workload (DESIGN.md §7.11).
   Status Restore(StateSnapshot snapshot);
 
   bool Converged() const { return converged_; }
-  int iteration() const { return iteration_; }
+  std::int64_t iteration() const { return iteration_; }
   /// Cumulative adaptive-restart count of the momentum dynamics since
   /// construction (0 under plain dynamics).  Reset and WarmStart keep
   /// counting; Restore adopts the total the snapshot carries.
@@ -268,7 +274,7 @@ class LlaEngine {
   Assignment latencies_;
   StepWorkspace workspace_;
   ActiveSetState active_state_;
-  int iteration_ = 0;
+  std::int64_t iteration_ = 0;
   bool converged_ = false;
   std::uint64_t total_subtask_solves_ = 0;
   std::size_t last_reprime_tasks_ = 0;
@@ -282,7 +288,7 @@ class LlaEngine {
   /// Observability handles, resolved once at construction (all null when
   /// config.metrics is null) and a reused trace record buffer.
   obs::Counter* steps_counter_ = nullptr;
-  obs::Timer* solve_timer_ = nullptr;  ///< fused solve+evaluate region
+  obs::Timer* solve_timer_ = nullptr;  ///< solve + workspace fill
   obs::Timer* price_timer_ = nullptr;
   obs::Counter* active_tasks_solved_ = nullptr;
   obs::Counter* active_subtasks_solved_ = nullptr;

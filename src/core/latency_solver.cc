@@ -258,15 +258,6 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
   }
 }
 
-void LatencySolver::SolveTask(TaskId task, const PriceVector& prices,
-                              Assignment* latencies) const {
-  EnsureCacheFresh();
-  // Arbitrary prices: a compacted index built for other prices could drop a
-  // now-nonzero path, so fall back to the full gather.
-  active_csr_valid_ = false;
-  SolveTaskFresh(task, prices, latencies);
-}
-
 void LatencySolver::PrepareSolve() const {
   EnsureCacheFresh();
   active_csr_valid_ = false;

@@ -75,14 +75,11 @@ class LatencySolver {
   LatencySolver(const Workload& workload, const LatencyModel& model,
                 LatencySolverConfig config = {});
 
-  /// Computes the Lagrangian-maximizing latencies for every subtask of
-  /// `task` and stores them in `latencies` (which must have
-  /// workload.subtask_count() entries).
-  void SolveTask(TaskId task, const PriceVector& prices,
-                 Assignment* latencies) const;
-
-  /// SolveTask for every task; with a pool the independent per-task solves
-  /// run in parallel (static partitioning, bit-identical results).
+  /// Computes the Lagrangian-maximizing latencies of every subtask and
+  /// stores them in `latencies` (which must have workload.subtask_count()
+  /// entries): PrepareSolve, then SolveTaskRange over every task; with a
+  /// pool the independent per-task solves run in parallel (static
+  /// partitioning, bit-identical results).
   void SolveAll(const PriceVector& prices, Assignment* latencies,
                 ThreadPool* pool = nullptr) const;
 
@@ -101,9 +98,10 @@ class LatencySolver {
   /// zero pattern — callers must re-prepare whenever it moves.
   void PrepareSolve(const PriceVector& prices) const;
 
-  /// Solves tasks [begin, end) — the chunk body of a parallel solve.
-  /// Requires PrepareSolve first; writes only the latency slots of the
-  /// chunk's own subtasks, so disjoint chunks compose race-free.
+  /// Solves tasks [begin, end) — the chunk body of a parallel solve, and a
+  /// task controller's own solve.  Requires PrepareSolve first; writes only
+  /// the latency slots of the chunk's own subtasks, so disjoint chunks
+  /// compose race-free.
   void SolveTaskRange(std::size_t begin, std::size_t end,
                       const PriceVector& prices, Assignment* latencies) const;
 
@@ -146,7 +144,7 @@ class LatencySolver {
   /// lat_s given the utility slope f_i'(X) at the coupling value X.
   double SolveSubtask(SubtaskId id, double utility_slope,
                       const PriceVector& prices) const;
-  /// SolveTask body, assuming the cache is fresh.
+  /// One task's solve, assuming the cache is fresh.
   void SolveTaskFresh(TaskId task, const PriceVector& prices,
                       Assignment* latencies) const;
   /// Flat closed-form stationarity kernel over the contiguous subtask span

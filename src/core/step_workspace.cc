@@ -47,76 +47,6 @@ void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
   ReduceWorkspace(workload, feasibility_tol, workspace);
 }
 
-void SolveAndFillStepWorkspace(const LatencySolver& solver,
-                               const Workload& workload,
-                               const LatencyModel& model,
-                               const PriceVector& prices,
-                               UtilityVariant variant, double feasibility_tol,
-                               ThreadPool* pool, Assignment* latencies,
-                               StepWorkspace* workspace) {
-  assert(latencies->size() == workload.subtask_count());
-  workspace->Resize(workload);
-  // Cache refresh is serial; the region below only reads solver state
-  // (besides the disjoint per-task scratch/latency slots).
-  solver.PrepareSolve();
-
-  const std::size_t task_count = workload.task_count();
-  const std::size_t resource_count = workload.resource_count();
-  const std::size_t path_count = workload.path_count();
-
-  // Each sweep gets its own deterministic participant count; the region is
-  // sized for the widest sweep and narrower sweeps leave the extra threads
-  // idle for that phase.
-  const int p_task = pool != nullptr ? pool->ParticipantsFor(task_count) : 1;
-  const int p_resource =
-      pool != nullptr ? pool->ParticipantsFor(resource_count) : 1;
-  const int p_path = pool != nullptr ? pool->ParticipantsFor(path_count) : 1;
-  const int region = std::max({p_task, p_resource, p_path});
-
-  if (pool == nullptr || region <= 1) {
-    solver.SolveTaskRange(0, task_count, prices, latencies);
-    FillResourceShareSumsRange(workload, model, *latencies, 0, resource_count,
-                               &workspace->resource_share_sums);
-    FillPathLatenciesRange(workload, *latencies, 0, path_count,
-                           &workspace->path_latencies);
-    FillTaskAggregatesRange(workload, *latencies, variant, 0, task_count,
-                            &workspace->task_weighted_latencies,
-                            &workspace->task_utilities);
-    ReduceWorkspace(workload, feasibility_tol, workspace);
-    return;
-  }
-
-  SpinBarrier barrier(region);
-  pool->RunRegion(region, [&](int index, int /*participants*/) {
-    // Phase 1: latency allocation over task chunks (disjoint latency slots).
-    if (index < p_task) {
-      const auto [begin, end] = ChunkRange(task_count, p_task, index);
-      solver.SolveTaskRange(begin, end, prices, latencies);
-    }
-    // Every evaluation sweep reads latencies across chunk boundaries, so
-    // all solving must be visible first.
-    barrier.Wait();
-    // Phase 2: the three independent evaluation sweeps.
-    if (index < p_resource) {
-      const auto [begin, end] = ChunkRange(resource_count, p_resource, index);
-      FillResourceShareSumsRange(workload, model, *latencies, begin, end,
-                                 &workspace->resource_share_sums);
-    }
-    if (index < p_path) {
-      const auto [begin, end] = ChunkRange(path_count, p_path, index);
-      FillPathLatenciesRange(workload, *latencies, begin, end,
-                             &workspace->path_latencies);
-    }
-    if (index < p_task) {
-      const auto [begin, end] = ChunkRange(task_count, p_task, index);
-      FillTaskAggregatesRange(workload, *latencies, variant, begin, end,
-                              &workspace->task_weighted_latencies,
-                              &workspace->task_utilities);
-    }
-  });
-  ReduceWorkspace(workload, feasibility_tol, workspace);
-}
-
 namespace {
 
 inline bool SameBits(double a, double b) {
@@ -158,7 +88,7 @@ void BindActiveSetState(const Workload& workload, ActiveSetState* state) {
 
 }  // namespace
 
-ActiveStepWork ActiveSolveAndFillStepWorkspace(
+ActiveStepWork ActiveSolveAndFill(
     const LatencySolver& solver, const Workload& workload,
     const LatencyModel& model, const PriceVector& prices,
     UtilityVariant variant, double feasibility_tol, ThreadPool* pool,
@@ -174,8 +104,9 @@ ActiveStepWork ActiveSolveAndFillStepWorkspace(
     // it was computed from.  A baseline solve at these prices is exactly
     // what the first incremental step would recompute, so the next Step()
     // can already diff against it.
-    SolveAndFillStepWorkspace(solver, workload, model, prices, variant,
-                              feasibility_tol, pool, latencies, workspace);
+    solver.SolveAll(prices, latencies, pool);
+    FillStepWorkspace(workload, model, *latencies, variant, feasibility_tol,
+                      pool, workspace);
     BindActiveSetState(workload, state);
     state->solve_prices = prices;
     state->prev_latencies = *latencies;

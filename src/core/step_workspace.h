@@ -41,31 +41,14 @@ struct StepWorkspace {
 
 /// Fills every array and scalar of `workspace` from `latencies`: the fused
 /// replacement for the per-consumer sweeps.  The resource/path/task loops
-/// split across `pool` when given; the utility total and feasibility maxima
-/// are reduced serially in index order so results do not depend on the
-/// thread count.
+/// split across `pool` when given, one ParallelFor each; the utility total
+/// and feasibility maxima are reduced serially in index order so results do
+/// not depend on the thread count.  A dense engine step is
+/// LatencySolver::SolveAll followed by this call.
 void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
                        const Assignment& latencies, UtilityVariant variant,
                        double feasibility_tol, ThreadPool* pool,
                        StepWorkspace* workspace);
-
-/// The whole compute half of one LLA step — latency allocation at `prices`
-/// into `latencies`, then every workspace array — as a single fork-join
-/// region.  With a pool this costs ONE worker wake-up per step (the solve
-/// and evaluation sweeps are separated by an in-region SpinBarrier and the
-/// three evaluation sweeps are independent), instead of the four
-/// dispatch/join rounds of SolveAll + FillStepWorkspace.  Each internal
-/// sweep chunks by its own deterministic participant count (grain cutoff on
-/// its item count), and the reductions stay serial, so results are
-/// bit-identical to the unfused path at any thread count.  Runs serially
-/// when `pool` is null or every sweep falls under the grain cutoff.
-void SolveAndFillStepWorkspace(const LatencySolver& solver,
-                               const Workload& workload,
-                               const LatencyModel& model,
-                               const PriceVector& prices,
-                               UtilityVariant variant, double feasibility_tol,
-                               ThreadPool* pool, Assignment* latencies,
-                               StepWorkspace* workspace);
 
 /// Dirty-tracking state of the incremental (active-set) stepping mode.
 ///
@@ -118,15 +101,16 @@ struct ActiveStepWork {
   bool primed = false;  ///< this step ran the dense prime
 };
 
-/// SolveAndFillStepWorkspace with dirty tracking: only tasks whose prices
-/// changed (bitwise, vs. state->solve_prices) are re-solved, and only
-/// resources/paths/tasks with a bit-changed member latency are
-/// re-aggregated; everything else reuses the persisted workspace entries.
-/// Results are bit-identical to SolveAndFillStepWorkspace at any thread
-/// count (see ActiveSetState).  The first call (or any call after
-/// Invalidate(), a model revision move, or a shape change) primes densely.
-/// `latencies` and `workspace` must be the same objects across calls.
-ActiveStepWork ActiveSolveAndFillStepWorkspace(
+/// LatencySolver::SolveAll + FillStepWorkspace with dirty tracking: only
+/// tasks whose prices changed (bitwise, vs. state->solve_prices) are
+/// re-solved, and only resources/paths/tasks with a bit-changed member
+/// latency are re-aggregated; everything else reuses the persisted
+/// workspace entries.  Results are bit-identical to that dense pair at any
+/// thread count (see ActiveSetState).  The first call (or any call after
+/// Invalidate(), a model revision move, or a shape change) primes densely
+/// with the pair itself.  `latencies` and `workspace` must be the same
+/// objects across calls, and `workspace` must be sized (Resize).
+ActiveStepWork ActiveSolveAndFill(
     const LatencySolver& solver, const Workload& workload,
     const LatencyModel& model, const PriceVector& prices,
     UtilityVariant variant, double feasibility_tol, ThreadPool* pool,

@@ -92,11 +92,10 @@ void FillTaskAggregates(const Workload& workload, const Assignment& latencies,
                         ThreadPool* pool = nullptr);
 
 /// Range forms of the Fill* sweeps: compute items [begin, end) into
-/// already-sized output arrays.  These are the chunk bodies a caller-managed
-/// parallel region uses to pack several sweeps into one fork-join (see
-/// SolveAndFillStepWorkspace); each writes only its chunk's slots and uses
-/// the same iteration order and arithmetic as the full Fill*, so chunked
-/// results stay bit-identical to the scalar oracles.
+/// already-sized output arrays.  These are the chunk bodies of the full
+/// Fill* and of the active set's dirty-item refreshes; each writes only its
+/// chunk's slots and uses the same iteration order and arithmetic as the
+/// full Fill*, so chunked results stay bit-identical to the scalar oracles.
 void FillResourceShareSumsRange(const Workload& workload,
                                 const LatencyModel& model,
                                 const Assignment& latencies, std::size_t begin,

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <cassert>
+#include <cinttypes>
 
 namespace lla::obs {
 namespace {
@@ -62,7 +63,7 @@ void JsonlTraceSink::OnIteration(const IterationTrace& trace) {
   if (file_ == nullptr) return;
   std::fputs("{\"type\":\"iteration\",\"run\":", file_);
   WriteJsonString(file_, run_label_);
-  std::fprintf(file_, ",\"iteration\":%d", trace.iteration);
+  std::fprintf(file_, ",\"iteration\":%" PRId64, trace.iteration);
   if (trace.at_ms >= 0.0) std::fprintf(file_, ",\"at_ms\":%.17g", trace.at_ms);
   std::fprintf(file_,
                ",\"total_utility\":%.17g,\"feasible\":%s"

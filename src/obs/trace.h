@@ -21,6 +21,7 @@
 //     bracketing to the caller (benches, the CLI).
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -41,7 +42,7 @@ struct RunInfo {
 /// post-update values (the dual state entering the next iteration); share
 /// sums and latencies are the ones this iteration's allocation produced.
 struct IterationTrace {
-  int iteration = 0;
+  std::int64_t iteration = 0;
   /// Virtual bus time for distributed rounds; < 0 for the in-process engine.
   double at_ms = -1.0;
   double total_utility = 0.0;

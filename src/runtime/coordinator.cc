@@ -42,6 +42,11 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
   if (config_.round_threads > 1) {
     round_pool_ = std::make_unique<ThreadPool>(config_.round_threads);
   }
+  // One full-size price buffer and one outbox per lane a round can use.
+  const int lanes = round_pool_ != nullptr ? round_pool_->size() : 1;
+  lane_prices_.assign(static_cast<std::size_t>(lanes),
+                      PriceVector::Zero(workload));
+  lane_outboxes_.resize(static_cast<std::size_t>(lanes));
 
   // Create agents, register endpoints into the member vectors, then bind
   // (agents keep pointers into the member vectors, so the vectors must be in
@@ -239,15 +244,6 @@ void Coordinator::PartitionController(TaskId task, double duration_ms) {
       bus_->now_ms() + duration_ms);
 }
 
-void Coordinator::EnsureLaneScratch(int lanes) {
-  while (static_cast<int>(lane_prices_.size()) < lanes) {
-    lane_prices_.push_back(PriceVector::Zero(*workload_));
-  }
-  if (static_cast<int>(lane_outboxes_.size()) < lanes) {
-    lane_outboxes_.resize(static_cast<std::size_t>(lanes));
-  }
-}
-
 void Coordinator::CommitLaneOutboxes(int lanes) {
   for (int lane = 0; lane < lanes; ++lane) {
     for (net::Message& message : lane_outboxes_[lane]) {
@@ -257,48 +253,38 @@ void Coordinator::CommitLaneOutboxes(int lanes) {
   }
 }
 
+void Coordinator::RunLanes(std::size_t n,
+                           FunctionRef<void(std::size_t, std::size_t)> body) {
+  ThreadPool* pool = round_pool_.get();
+  const int lanes =
+      pool != nullptr ? pool->ParticipantsFor(n, /*min_items_per_thread=*/1)
+                      : 1;
+  ParallelSweep(pool, static_cast<std::size_t>(lanes), [&](std::size_t lane) {
+    const auto [begin, end] = ChunkRange(n, lanes, static_cast<int>(lane));
+    for (std::size_t i = begin; i < end; ++i) body(i, lane);
+  });
+  CommitLaneOutboxes(lanes);
+}
+
 RoundStats Coordinator::RunSyncRound() {
   obs::ScopedTimer timing(sync_round_timer_);
-  ThreadPool* pool = round_pool_.get();
-  if (pool == nullptr || pool->size() <= 1) {
-    for (auto& controller : controllers_) controller->AllocateAndSend();
-    bus_->RunAll();
-    for (auto& agent : shard_agents_) agent->ComputePricesAndBroadcast();
-    bus_->RunAll();
-  } else {
-    // Parallel round (DESIGN.md §7.11).  Each phase fans disjoint endpoints
-    // across the pool with sends deferred to per-lane outboxes; committing
-    // the lanes in order reproduces the serial send order exactly (lanes own
-    // contiguous ascending chunks), so the bus sees the same (seq, payload)
-    // stream, draws its drop/jitter randoms in the same order, and delivers
-    // serially: the fixed point is bit-identical at any thread count.
-    controller_shared_->solver.PrepareSolve();
-    const int lanes =
-        pool->ParticipantsFor(controllers_.size(), /*min_items_per_thread=*/1);
-    EnsureLaneScratch(std::max(lanes, pool->size()));
-    pool->RunRegion(lanes, [&](int index, int total) {
-      const auto [begin, end] = ChunkRange(controllers_.size(), total, index);
-      for (std::size_t t = begin; t < end; ++t) {
-        controllers_[t]->AllocateAndSend(&lane_prices_[index],
-                                         &lane_outboxes_[index]);
-      }
-    });
-    CommitLaneOutboxes(lanes);
-    bus_->RunAll();
-    if (!shard_agents_.empty()) {
-      const int shard_lanes = pool->ParticipantsFor(shard_agents_.size(),
-                                                    /*min_items_per_thread=*/1);
-      pool->RunRegion(shard_lanes, [&](int index, int total) {
-        const auto [begin, end] =
-            ChunkRange(shard_agents_.size(), total, index);
-        for (std::size_t s = begin; s < end; ++s) {
-          shard_agents_[s]->ComputePricesAndBroadcast(&lane_outboxes_[index]);
-        }
-      });
-      CommitLaneOutboxes(shard_lanes);
-    }
-    bus_->RunAll();
-  }
+  // Each phase runs disjoint endpoints as lanes with sends deferred to
+  // per-lane outboxes; committing the lanes in order reproduces one
+  // endpoint-order send sequence (lanes own contiguous ascending chunks), so
+  // the bus sees the same (seq, payload) stream, draws its drop/jitter
+  // randoms in the same order, and delivers serially: the fixed point is
+  // bit-identical at any thread count (DESIGN.md §7.11).  The solver's one
+  // mutable cache refresh runs serially first.
+  controller_shared_->solver.PrepareSolve();
+  RunLanes(controllers_.size(), [&](std::size_t t, std::size_t lane) {
+    controllers_[t]->AllocateAndSend(&lane_prices_[lane],
+                                     &lane_outboxes_[lane]);
+  });
+  bus_->RunAll();
+  RunLanes(shard_agents_.size(), [&](std::size_t s, std::size_t lane) {
+    shard_agents_[s]->ComputePricesAndBroadcast(&lane_outboxes_[lane]);
+  });
+  bus_->RunAll();
   ++round_;
   if (rounds_counter_ != nullptr) rounds_counter_->Increment();
   RecordSample(bus_->now_ms());
@@ -323,14 +309,19 @@ void Coordinator::ArmAsyncTimers() {
   if (async_armed_) return;
   async_armed_ = true;
   // Controllers fire first (they own the initial latencies), staggered so no
-  // two agents act at the same instant.
+  // two agents act at the same instant.  Each tick runs the round's entry
+  // point on lane 0 and sends its outbox before re-arming, so the sends
+  // leave in the order the agent made them.
   double phase = 0.0;
   for (std::size_t t = 0; t < controllers_.size(); ++t) {
     TaskController* controller = controllers_[t].get();
     const net::EndpointId endpoint =
         bus_->Register("controller-timer/" + std::to_string(t), nullptr,
                        [this, controller, endpoint_slot = t](std::uint64_t) {
-                         controller->AllocateAndSend();
+                         controller_shared_->solver.PrepareSolve();
+                         controller->AllocateAndSend(&lane_prices_[0],
+                                                     &lane_outboxes_[0]);
+                         CommitLaneOutboxes(1);
                          bus_->ScheduleTimer(
                              controller_timer_endpoints_[endpoint_slot],
                              kControllerPeriodMs, kControllerTimer);
@@ -345,7 +336,8 @@ void Coordinator::ArmAsyncTimers() {
     const net::EndpointId endpoint =
         bus_->Register("shard-timer/" + std::to_string(s), nullptr,
                        [this, agent, endpoint_slot = s](std::uint64_t) {
-                         agent->ComputePricesAndBroadcast();
+                         agent->ComputePricesAndBroadcast(&lane_outboxes_[0]);
+                         CommitLaneOutboxes(1);
                          bus_->ScheduleTimer(
                              shard_timer_endpoints_[endpoint_slot],
                              kResourcePeriodMs, kResourceTimer);

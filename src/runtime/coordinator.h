@@ -13,10 +13,12 @@
 //     allocate and send, messages flush, all shards price and send,
 //     messages flush.  With a zero-delay bus this matches the single-process
 //     LlaEngine up to the one-round staleness of the congestion flags used
-//     for path step sizes.
+//     for path step sizes.  Both fan-outs run as lanes (round_threads); one
+//     thread runs one lane.
 //   * Asynchronous — every agent runs on its own periodic timer with
 //     staggered phases while the bus applies delay, jitter and drops; this
-//     is the regime a real deployment would see.
+//     is the regime a real deployment would see.  A tick runs the same
+//     entry point as a round, on lane 0.
 //
 // The task controllers share one LatencySolver, keyed to
 // LatencyModel::revision(), so a model correction between rounds reaches
@@ -68,14 +70,14 @@ struct CoordinatorConfig {
   /// count.  0 (the default) runs one shard per resource, the paper's
   /// one-agent-per-resource deployment.
   int num_shards = 0;
-  /// Parallel synchronous rounds (DESIGN.md §7.11): with N > 1 the
-  /// coordinator owns an N-thread pool and each RunSyncRound fans the
-  /// controller solves and the shard price computations across it, with
-  /// all sends deferred to per-lane outboxes and committed serially in lane
-  /// order; the bus then delivers serially, as in the single-threaded round.
-  /// The fixed point is bit-identical to that round at any thread count,
-  /// on any bus (drop and jitter randoms are drawn in the same send order).
-  /// Async mode ignores it.
+  /// Round lanes (DESIGN.md §7.11): every RunSyncRound runs its
+  /// controllers, then its shards, as lanes of contiguous ascending chunks
+  /// whose sends are deferred to per-lane outboxes and committed serially
+  /// in lane order; the bus then delivers serially.  With N > 1 the
+  /// coordinator owns an N-thread pool and the lanes run across it; with 1
+  /// one lane runs inline.  The fixed point is bit-identical at any thread
+  /// count, on any bus (drop and jitter randoms are drawn in the same send
+  /// order).  Async mode ignores it.
   int round_threads = 1;
   /// Relative utility change that triggers an enactment.
   double enactment_threshold = 0.01;
@@ -217,12 +219,14 @@ class Coordinator {
   void ArmAsyncTimers();
   void EmitRecoveryEvent(const char* type, net::EndpointId endpoint,
                          bool is_resource, double index, bool cold);
-  /// Lane scratch for the parallel round: full-size per-lane PriceVectors
-  /// (the shared one's mu slots overlap across tasks) and deferred-send
-  /// outboxes, grown on first use.
-  void EnsureLaneScratch(int lanes);
-  /// Sends every lane's deferred messages in lane order (= the serial send
-  /// order, since lanes own contiguous ascending chunks) and clears them.
+  /// Runs `body(i, lane)` for every endpoint index i in [0, n), split into
+  /// lanes of contiguous ascending chunks (one lane per participant of the
+  /// round pool, or one inline lane without it), then commits the lanes.
+  void RunLanes(std::size_t n,
+                FunctionRef<void(std::size_t, std::size_t)> body);
+  /// Sends the deferred messages of lanes [0, lanes) in lane order (= the
+  /// endpoint order, since lanes own contiguous ascending chunks) and
+  /// clears them.
   void CommitLaneOutboxes(int lanes);
 
   const Workload* workload_;
@@ -241,8 +245,10 @@ class Coordinator {
   std::vector<std::uint32_t> resource_shard_;
   std::vector<net::EndpointId> controller_timer_endpoints_;
   std::vector<net::EndpointId> shard_timer_endpoints_;
-  /// Parallel-round pool (null when config.round_threads <= 1) and lane
-  /// scratch.
+  /// Round pool (null when config.round_threads <= 1) and the lane
+  /// scratch, sized once for the widest round: a full-size PriceVector per
+  /// lane (tasks sharing a resource write the same mu slot, so lanes cannot
+  /// share one) and a deferred-send outbox per lane.
   std::unique_ptr<ThreadPool> round_pool_;
   std::vector<PriceVector> lane_prices_;
   std::vector<std::vector<net::Message>> lane_outboxes_;

@@ -40,12 +40,7 @@ struct ResourceAgentSnapshot {
   double gamma_multiplier = 1.0;
   /// Latest latency inputs, indexed like workload.resource(id).subtasks.
   std::vector<double> latencies_ms;
-  /// Accelerated-dynamics state (DESIGN.md §7.12).  Snapshots taken before
-  /// the momentum port leave has_dynamics false and restore as FRESH
-  /// momentum (velocity/phase zero, base re-seeded at mu), as the engine
-  /// restores a snapshot without dynamics sections: an old checkpoint is a
-  /// valid operating point, just without acceleration history.
-  bool has_dynamics = false;
+  /// Accelerated-dynamics state (DESIGN.md §7.12).
   double velocity = 0.0;
   /// Nesterov base iterate x (the published mu is the extrapolated point y).
   double dynamics_base = 0.0;
@@ -60,7 +55,8 @@ struct TaskControllerSnapshot {
   std::vector<double> local_latencies;
   std::vector<double> local_lambdas;
   std::vector<double> path_gamma_multiplier;
-  /// Full-size per-resource caches (only used resources are ever non-zero).
+  /// Per-resource caches, one entry per resource the task uses, in
+  /// ascending resource order (the controller's own cache layout).
   std::vector<double> mu;
   std::vector<std::uint8_t> resource_congested;
   std::vector<std::uint32_t> resource_epoch;

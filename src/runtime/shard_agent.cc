@@ -261,14 +261,8 @@ void ShardAgent::RestoreResource(ResourceId r,
   std::copy(snapshot.latencies_ms.begin(), snapshot.latencies_ms.end(),
             latencies_.begin() +
                 static_cast<std::ptrdiff_t>(latency_offset_[local]));
-  if (snapshot.has_dynamics) {
-    dynamics_[local] = {snapshot.velocity, snapshot.dynamics_base,
-                        snapshot.phase};
-  } else {
-    // Pre-momentum snapshot: restore as fresh momentum at the restored mu
-    // (as the engine restores a snapshot without dynamics sections).
-    dynamics_[local].ReseedAt(snapshot.mu);
-  }
+  dynamics_[local] = {snapshot.velocity, snapshot.dynamics_base,
+                      snapshot.phase};
 }
 
 ResourceAgentSnapshot ShardAgent::SnapshotResource(ResourceId r) const {
@@ -281,7 +275,6 @@ ResourceAgentSnapshot ShardAgent::SnapshotResource(ResourceId r) const {
       latencies_.begin() + static_cast<std::ptrdiff_t>(latency_offset_[local]),
       latencies_.begin() +
           static_cast<std::ptrdiff_t>(latency_offset_[local + 1]));
-  snapshot.has_dynamics = true;
   snapshot.velocity = dynamics_[local].velocity;
   snapshot.dynamics_base = dynamics_[local].base;
   snapshot.phase = dynamics_[local].phase;
@@ -373,9 +366,9 @@ void ShardAgent::ComputePricesAndBroadcast(
   // the round's byte volume by shard_width / task_resources_per_shard on
   // sparse workloads).  All clients' payloads are encoded into one arena,
   // then sliced per message — encode once, slice per client, and reuse the
-  // arena when no message holds it.  In the parallel round this use_count
-  // read runs in a pool lane after the serial drain that released the last
-  // broadcast, and the pool's region start orders the two.
+  // arena when no message holds it.  With a round pool this use_count read
+  // runs in a pool lane after the serial drain that released the last
+  // broadcast, and the pool's dispatch orders the two.
   std::string& arena = *net::RecycleArena(&arena_);
   arena.reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
   client_spans_.resize(client_tasks_.size());
@@ -412,11 +405,7 @@ void ShardAgent::ComputePricesAndBroadcast(
     message.sender = self_;
     message.receiver = (*controller_endpoints_)[client_tasks_[c].value()];
     message.payload = std::move(update);
-    if (outbox != nullptr) {
-      outbox->push_back(std::move(message));
-    } else {
-      bus_->Send(std::move(message));
-    }
+    outbox->push_back(std::move(message));
   }
 }
 

@@ -24,7 +24,9 @@
 // and the wire carries only b1-encoded value arrays.  All clients' price
 // payloads are encoded into ONE arena per round and each message holds a
 // WireSlice into it (encode once, slice per client); the arena is reused
-// when no message still holds it.
+// when no message still holds it.  The broadcast appends its messages to the
+// caller's round-lane outbox, which the coordinator sends in lane order, in
+// synchronous rounds and asynchronous ticks alike.
 //
 // Per-resource fault injection (DESIGN.md §7.7): a single hosted resource can
 // be crashed, cold-restarted, checkpointed and restored from a snapshot.  A
@@ -84,10 +86,10 @@ class ShardAgent {
   void OnMessage(const net::Message& message);
 
   /// One price computation for every owned resource + a single batched
-  /// broadcast per client controller.  With an outbox, the messages are
-  /// appended to it instead of sent (the parallel round's deferred-commit
-  /// path); a null outbox sends directly.
-  void ComputePricesAndBroadcast() { ComputePricesAndBroadcast(nullptr); }
+  /// broadcast per client controller.  The messages (and any repair
+  /// re-requests of a grace-held resource) are appended to `outbox`, the
+  /// caller's round lane, which the caller sends in lane order (DESIGN.md
+  /// §7.11).
   void ComputePricesAndBroadcast(std::vector<net::Message>* outbox);
 
   /// Per-resource fault injection; each aborts loudly when `r` is not
@@ -142,8 +144,9 @@ class ShardAgent {
   bool AcceptIncarnation(std::size_t c, std::uint32_t incarnation);
   /// Index of `task` in client_tasks_ (sorted ascending), or -1.
   int ClientIndex(TaskId task) const;
-  /// RepairRequest for one restarted resource to its client controllers
-  /// (appended to `outbox` when non-null, sent directly otherwise).
+  /// RepairRequest for one restarted resource to its client controllers:
+  /// appended to `outbox` from a broadcast, sent directly (null `outbox`)
+  /// by a cold restart, which runs outside any round.
   void SendRepairRequest(std::size_t local, std::vector<net::Message>* outbox);
   void ApplyLatencyUpdate(std::size_t c,
                           const net::ShardLatencyUpdate& update);
@@ -195,8 +198,8 @@ class ShardAgent {
   std::vector<double> mu_;
   std::vector<double> gamma_multiplier_;
   /// Per-resource momentum state (DESIGN.md §7.12).  Updated only inside
-  /// ComputePricesAndBroadcast — per-resource-local, so the parallel round's
-  /// lane partition never shares a slot and the fixed point stays
+  /// ComputePricesAndBroadcast — per-resource-local, so the round's lane
+  /// partition never shares a slot and the fixed point stays
   /// bit-identical at any round_threads.  Reset whenever a resource's
   /// gradient stream becomes discontinuous — cold restart, repair adoption,
   /// snapshot restore, incarnation-stale rejection — so pre-crash momentum

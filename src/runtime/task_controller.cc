@@ -209,7 +209,7 @@ void TaskController::ColdRestart() {
 
 void TaskController::RestoreFromSnapshot(
     const TaskControllerSnapshot& snapshot) {
-  const std::size_t resources = workload_->resource_count();
+  const std::size_t resources = used_resources_.size();
   if (snapshot.task != task_ ||
       snapshot.local_latencies.size() != local_latencies_.size() ||
       snapshot.local_lambdas.size() != local_lambdas_.size() ||
@@ -224,9 +224,9 @@ void TaskController::RestoreFromSnapshot(
     // mode (the shard agents' RestoreResource policy).
     std::fprintf(stderr,
                  "TaskController::RestoreFromSnapshot: snapshot of task %u "
-                 "(%zu subtasks, %zu paths, %zu resources) does not match "
-                 "controller of task %u (%zu subtasks, %zu paths, %zu "
-                 "resources)\n",
+                 "(%zu subtasks, %zu paths, %zu used resources) does not "
+                 "match controller of task %u (%zu subtasks, %zu paths, %zu "
+                 "used resources)\n",
                  snapshot.task.value(), snapshot.local_latencies.size(),
                  snapshot.local_lambdas.size(), snapshot.mu.size(),
                  task_.value(), local_latencies_.size(),
@@ -237,12 +237,9 @@ void TaskController::RestoreFromSnapshot(
   local_latencies_ = snapshot.local_latencies;
   local_lambdas_ = snapshot.local_lambdas;
   path_gamma_multiplier_ = snapshot.path_gamma_multiplier;
-  for (std::size_t k = 0; k < used_resources_.size(); ++k) {
-    const std::size_t r = used_resources_[k].value();
-    mu_cache_[k] = snapshot.mu[r];
-    used_congested_[k] = snapshot.resource_congested[r];
-    used_epoch_[k] = snapshot.resource_epoch[r];
-  }
+  mu_cache_ = snapshot.mu;
+  used_congested_ = snapshot.resource_congested;
+  used_epoch_ = snapshot.resource_epoch;
   std::fill(shard_incarnation_.begin(), shard_incarnation_.end(), 0);
 }
 
@@ -252,68 +249,35 @@ TaskControllerSnapshot TaskController::Snapshot() const {
   snapshot.local_latencies = local_latencies_;
   snapshot.local_lambdas = local_lambdas_;
   snapshot.path_gamma_multiplier = path_gamma_multiplier_;
-  // The snapshot struct keeps the full-size layout for compatibility; only
-  // used entries are ever non-zero, exactly as the dense cache behaved.
-  snapshot.mu.assign(workload_->resource_count(), 0.0);
-  snapshot.resource_congested.assign(workload_->resource_count(), 0);
-  snapshot.resource_epoch.assign(workload_->resource_count(), 0);
-  for (std::size_t k = 0; k < used_resources_.size(); ++k) {
-    const std::size_t r = used_resources_[k].value();
-    snapshot.mu[r] = mu_cache_[k];
-    snapshot.resource_congested[r] = used_congested_[k];
-    snapshot.resource_epoch[r] = used_epoch_[k];
-  }
+  snapshot.mu = mu_cache_;
+  snapshot.resource_congested = used_congested_;
+  snapshot.resource_epoch = used_epoch_;
   return snapshot;
 }
 
-void TaskController::AllocateAndSend() {
-  AllocateAndSendImpl(shared_->prices, /*prepared_solver=*/false, nullptr);
-}
-
-void TaskController::AllocateAndSend(PriceVector* lane_prices,
+void TaskController::AllocateAndSend(PriceVector* prices,
                                      std::vector<net::Message>* outbox) {
-  assert(lane_prices != nullptr && outbox != nullptr);
-  AllocateAndSendImpl(*lane_prices, /*prepared_solver=*/true, outbox);
-}
-
-void TaskController::AllocateAndSendImpl(PriceVector& prices,
-                                         bool prepared_solver,
-                                         std::vector<net::Message>* outbox) {
   assert(bus_ != nullptr);
   if (crashed_) return;
   const TaskInfo& info = workload_->task(task_);
-  const auto emit = [&](net::Message&& message) {
-    if (outbox != nullptr) {
-      outbox->push_back(std::move(message));
-    } else {
-      bus_->Send(std::move(message));
-    }
-  };
 
-  // Publish this task's slots of the solve buffers.  Other controllers'
-  // stale entries are never read: the solver only gathers the prices of
-  // this task's own resources and paths.  In the parallel round `prices` is
-  // the lane's private PriceVector — the shared one's mu slots overlap
-  // across tasks sharing a resource and would race.
+  // Publish this task's slots of the lane's price buffer.  Other
+  // controllers' stale entries are never read: the solver only gathers the
+  // prices of this task's own resources and paths.
   for (std::size_t k = 0; k < used_resources_.size(); ++k) {
-    prices.mu[used_resources_[k].value()] = mu_cache_[k];
+    prices->mu[used_resources_[k].value()] = mu_cache_[k];
   }
   for (std::size_t p = 0; p < info.paths.size(); ++p) {
-    prices.lambda[info.paths[p].value()] = local_lambdas_[p];
+    prices->lambda[info.paths[p].value()] = local_lambdas_[p];
   }
 
-  // 3. Latency allocation at the stored prices (Eq. 7).  Both branches
-  // reach SolveTaskFresh with the full gather CSR: SolveTask refreshes the
-  // cache inline, SolveTaskRange relies on the round's serial PrepareSolve.
-  // Distinct tasks write disjoint slots of the shared scratch Assignment,
-  // so it stays shared even in the parallel round.
+  // 3. Latency allocation at the stored prices (Eq. 7), with the full
+  // gather CSR the caller's serial PrepareSolve left installed.  Distinct
+  // tasks write disjoint slots of the shared scratch Assignment, so lanes
+  // share it.
   Assignment& scratch = shared_->latencies;
-  if (prepared_solver) {
-    shared_->solver.SolveTaskRange(task_.value(), task_.value() + 1, prices,
-                                   &scratch);
-  } else {
-    shared_->solver.SolveTask(task_, prices, &scratch);
-  }
+  shared_->solver.SolveTaskRange(task_.value(), task_.value() + 1, *prices,
+                                 &scratch);
   for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
     local_latencies_[i] = scratch[info.subtasks[i].value()];
   }
@@ -345,9 +309,9 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
   // back-to-back, then sliced per message (the messages share ownership of
   // the arena).  The b1 chooser never exceeds the raw encoding, so
   // Σ(1 + 8n) bounds the arena.  The arena is reused once no message of the
-  // last send is alive; in the parallel round this use_count read runs in a
+  // last send is alive; with a round pool this use_count read runs in a
   // pool lane after the serial drain that released those messages, and the
-  // pool's region start orders the two.
+  // pool's dispatch orders the two.
   std::string& arena = *net::RecycleArena(&arena_);
   arena.reserve(used_shards_.size() + 8 * shard_subtasks_.size());
   latency_spans_.resize(used_shards_.size());
@@ -372,7 +336,7 @@ void TaskController::AllocateAndSendImpl(PriceVector& prices,
     message.sender = self_;
     message.receiver = (*shard_endpoints_)[used_shards_[s]];
     message.payload = std::move(update);
-    emit(std::move(message));
+    outbox->push_back(std::move(message));
   }
 }
 

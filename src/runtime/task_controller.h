@@ -5,18 +5,20 @@
 //      (with the sender's congestion flag, for the adaptive step sizes).
 //   2. Compute the path prices lambda_p of the task's own paths (Eq. 9).
 //   3. Compute new latencies by zeroing the Lagrangian derivative (Eq. 7)
-//      — delegated to LatencySolver::SolveTask.
+//      — delegated to LatencySolver::SolveTaskRange.
 //   4. Send the latencies to the resources hosting the subtasks: one batched
 //      message per shard agent touched (a shard hosts one resource or a
 //      contiguous range of them).
 //
 // Controllers keep only O(task) state: compact per-used-resource caches plus
 // pointers into a ControllerShared block owned by the coordinator (one
-// solver and one full-size price/latency buffer for the whole fleet).  The
-// old layout — a LatencySolver and full PriceVector per controller — was
-// O(workload) per task and the memory wall at 10^5 subtasks.  Sharing is
-// race-free because controllers run on the single-threaded bus and each one
-// writes only its own task's slots before solving.
+// solver and one full-size latency buffer for the whole fleet).  The old
+// layout — a LatencySolver and full PriceVector per controller — was
+// O(workload) per task and the memory wall at 10^5 subtasks.  The price
+// buffer a solve reads is the caller's round lane's (DESIGN.md §7.11): tasks
+// sharing a resource write the same mu slot, so lanes cannot share one.
+// Sharing the latency buffer is race-free because each controller writes
+// only its own task's slots.
 #pragma once
 
 #include <cstdint>
@@ -34,17 +36,15 @@
 namespace lla::runtime {
 
 /// Per-coordinator state shared by every task controller: the latency
-/// solver (its invariant caches are O(workload)) and the full-size solve
-/// buffers its interface requires.
+/// solver (its invariant caches are O(workload)) and the full-size latency
+/// buffer its interface requires.
 struct ControllerShared {
   ControllerShared(const Workload& workload, const LatencyModel& model,
                    LatencySolverConfig solver_config)
       : solver(workload, model, solver_config),
-        prices(PriceVector::Zero(workload)),
         latencies(workload.subtask_count(), 0.0) {}
 
   LatencySolver solver;
-  PriceVector prices;
   Assignment latencies;
 };
 
@@ -68,19 +68,13 @@ class TaskController {
   /// controller.
   void OnMessage(const net::Message& message);
 
-  /// One latency allocation + path price update + broadcast.
-  void AllocateAndSend();
-
-  /// Parallel-round variant (DESIGN.md §7.11): publishes prices into the
-  /// caller's per-lane PriceVector instead of the shared one (the shared
-  /// mu slots overlap across tasks and would race), solves through the
-  /// solver's const parallel path (the caller must have run
-  /// solver.PrepareSolve() serially this round), and appends the outgoing
-  /// messages to `outbox` for the caller's serial commit.  Bit-identical to
-  /// AllocateAndSend() — both reach SolveTaskFresh with the full gather
-  /// CSR.
-  void AllocateAndSend(PriceVector* lane_prices,
-                       std::vector<net::Message>* outbox);
+  /// One latency allocation + path price update + broadcast (DESIGN.md
+  /// §7.11).  Publishes this task's prices into `prices`, the caller's
+  /// round-lane buffer (full-size; only this task's slots are read back),
+  /// solves through the solver's const range path (the caller must have
+  /// run solver.PrepareSolve() serially first), and appends the outgoing
+  /// messages to `outbox` for the caller to send in lane order.
+  void AllocateAndSend(PriceVector* prices, std::vector<net::Message>* outbox);
 
   TaskId task() const { return task_; }
 
@@ -119,11 +113,6 @@ class TaskController {
   int ShardIndex(std::uint32_t shard) const;
   /// Incarnation-gated acceptance of a message from used shard `s`.
   bool AcceptIncarnation(std::size_t s, std::uint32_t incarnation);
-  /// Shared body of both AllocateAndSend entry points.  `prepared_solver`
-  /// selects the solver's const range path (requires a serial PrepareSolve
-  /// earlier in the round); a null outbox sends directly.
-  void AllocateAndSendImpl(PriceVector& prices, bool prepared_solver,
-                           std::vector<net::Message>* outbox);
   const Workload* workload_;
   const LatencyModel* model_;
   TaskId task_;

@@ -157,52 +157,6 @@ TEST(ThreadPoolTest, BelowGrainCutoffRunsSerially) {
   EXPECT_EQ(distinct_chunks.load(), 1);
 }
 
-TEST(ThreadPoolTest, RunRegionRunsEveryParticipantOnce) {
-  ThreadPool pool(4, Force(4));
-  std::vector<int> hits(4, 0);
-  pool.RunRegion(4, [&](int index, int participants) {
-    EXPECT_EQ(participants, 4);
-    ++hits[index];
-  });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, RunRegionWithInternalBarrier) {
-  ThreadPool pool(4, Force(4));
-  std::vector<int> phase1(4, 0);
-  std::vector<int> sums(4, -1);
-  SpinBarrier barrier(4);
-  pool.RunRegion(4, [&](int index, int participants) {
-    phase1[index] = index + 1;
-    barrier.Wait();
-    int sum = 0;
-    for (int i = 0; i < participants; ++i) sum += phase1[i];
-    sums[index] = sum;
-  });
-  // Every participant must observe every phase-1 write after the barrier.
-  for (int s : sums) EXPECT_EQ(s, 1 + 2 + 3 + 4);
-}
-
-TEST(SpinBarrierTest, ReusableAcrossPhases) {
-  ThreadPool pool(3, Force(3));
-  SpinBarrier barrier(3);
-  std::vector<int> counters(3, 0);
-  pool.RunRegion(3, [&](int index, int) {
-    for (int phase = 0; phase < 100; ++phase) {
-      ++counters[index];
-      barrier.Wait();
-      // After each barrier all counters agree.
-      for (int i = 0; i < 3; ++i) {
-        if (counters[i] != counters[index]) {
-          ADD_FAILURE() << "phase skew at phase " << phase;
-        }
-      }
-      barrier.Wait();
-    }
-  });
-  for (int c : counters) EXPECT_EQ(c, 100);
-}
-
 TEST(ParallelSweepTest, GrainOfOneCoversAllItems) {
   ThreadPool pool(4, Force(4));
   std::vector<int> hits(7, 0);

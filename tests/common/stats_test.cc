@@ -1,62 +1,9 @@
 #include "common/stats.h"
 
-#include <algorithm>
-#include <cmath>
-#include <vector>
-
 #include <gtest/gtest.h>
-
-#include "common/rng.h"
 
 namespace lla {
 namespace {
-
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MatchesDirectComputation) {
-  const std::vector<double> xs = {3.0, -1.5, 7.25, 0.0, 2.5, 2.5, -8.0};
-  RunningStats stats;
-  for (double x : xs) stats.Add(x);
-
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= xs.size();
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= xs.size() - 1;  // sample variance, matching RunningStats
-
-  EXPECT_EQ(stats.count(), xs.size());
-  EXPECT_NEAR(stats.mean(), mean, 1e-12);
-  EXPECT_NEAR(stats.variance(), var, 1e-12);
-  EXPECT_DOUBLE_EQ(stats.min(), -8.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 7.25);
-}
-
-TEST(RunningStatsTest, UsesSampleVarianceNotPopulation) {
-  // Two points where the estimators differ by a factor of two: the sample
-  // variance of {0, 2} is 2 (divide by n-1 = 1); the population variance
-  // would be 1.  Guards against a regression back to the biased estimator.
-  RunningStats stats;
-  stats.Add(0.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);  // undefined below 2 samples
-  stats.Add(2.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.stddev(), std::sqrt(2.0));
-}
-
-TEST(RunningStatsTest, ResetClears) {
-  RunningStats stats;
-  stats.Add(5.0);
-  stats.Reset();
-  EXPECT_EQ(stats.count(), 0u);
-  stats.Add(1.0);
-  EXPECT_DOUBLE_EQ(stats.mean(), 1.0);
-}
 
 TEST(SampleQuantileTest, ExactOrderStatistics) {
   SampleQuantile q;
@@ -73,51 +20,6 @@ TEST(SampleQuantileTest, EmptyReturnsZero) {
   SampleQuantile q;
   EXPECT_DOUBLE_EQ(q.Value(0.5), 0.0);
 }
-
-TEST(P2QuantileTest, ExactForFewSamples) {
-  P2Quantile q(0.5);
-  q.Add(10.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 10.0);
-  q.Add(20.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 15.0);
-  q.Add(30.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 20.0);
-}
-
-class P2QuantileAccuracy : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2QuantileAccuracy, TracksExactQuantileOnUniformData) {
-  const double target = GetParam();
-  Rng rng(42);
-  P2Quantile p2(target);
-  SampleQuantile exact;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.Uniform(0.0, 100.0);
-    p2.Add(x);
-    exact.Add(x);
-  }
-  EXPECT_NEAR(p2.Value(), exact.Value(target), 1.5)
-      << "quantile " << target;
-}
-
-TEST_P(P2QuantileAccuracy, TracksExactQuantileOnExponentialData) {
-  const double target = GetParam();
-  Rng rng(7);
-  P2Quantile p2(target);
-  SampleQuantile exact;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.Exponential(10.0);
-    p2.Add(x);
-    exact.Add(x);
-  }
-  const double reference = exact.Value(target);
-  EXPECT_NEAR(p2.Value(), reference, 0.08 * reference + 0.5)
-      << "quantile " << target;
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2QuantileAccuracy,
-                         ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9, 0.95,
-                                           0.99));
 
 TEST(ExponentialSmootherTest, FirstSampleInitializes) {
   ExponentialSmoother s(0.3);

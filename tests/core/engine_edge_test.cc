@@ -2,6 +2,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -157,12 +158,11 @@ TEST(EngineEdgeTest, NonZeroInitialPricesStillConverge) {
 }
 
 // Restore reads the snapshot's counters as outside input.  An iteration
-// outside [0, INT_MAX] (the engine counts steps in an int: 2^32 + 5 used to
-// resume as 5) and a negative step iteration (which drives the diminishing
-// schedule's 1 + t / tau through zero) are refused without touching the
-// engine; a step iteration past INT_MAX is adopted whole, not narrowed
-// (2^32 - 50 used to narrow to -50 and, at tau = 50, put inf in mu three
-// steps later).
+// outside [0, kMaxRestoredIteration] and a negative step iteration (which
+// drives the diminishing schedule's 1 + t / tau through zero) are refused
+// without touching the engine; a step iteration past INT_MAX is adopted
+// whole, not narrowed (2^32 - 50 used to narrow to -50 and, at tau = 50,
+// put inf in mu three steps later).
 TEST(EngineEdgeTest, RestoreRangeChecksTheCounters) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
@@ -180,13 +180,17 @@ TEST(EngineEdgeTest, RestoreRangeChecksTheCounters) {
   LlaEngine engine(w, model, config);
   for (int i = 0; i < 5; ++i) engine.Step();
   const PriceVector before = engine.prices();
-  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   for (const std::int64_t iteration :
-       {std::int64_t{-1}, kIntMax + 1, (std::int64_t{1} << 32) + 5}) {
+       {std::int64_t{-1}, kMaxRestoredIteration + 1,
+        std::numeric_limits<std::int64_t>::max()}) {
     StateSnapshot bad = good;
     bad.iteration = iteration;
     const Status status = engine.Restore(bad);
-    EXPECT_FALSE(status.ok()) << "iteration " << iteration;
+    ASSERT_FALSE(status.ok()) << "iteration " << iteration;
+    EXPECT_NE(status.error().find("snapshot iteration " +
+                                  std::to_string(iteration)),
+              std::string::npos)
+        << status.error();
   }
   for (const std::int64_t step_iteration :
        {std::int64_t{-1}, std::int64_t{-50}}) {
@@ -206,6 +210,35 @@ TEST(EngineEdgeTest, RestoreRangeChecksTheCounters) {
   for (const double mu : engine.prices().mu) EXPECT_TRUE(std::isfinite(mu));
   for (const double lambda : engine.prices().lambda) {
     EXPECT_TRUE(std::isfinite(lambda));
+  }
+}
+
+// The engine counts steps in 64 bits: a checkpoint at INT_MAX (or past it)
+// resumes and keeps counting instead of overflowing a signed int, and the
+// largest count Restore adopts still steps.
+TEST(EngineEdgeTest, StepCounterIsSixtyFourBits) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  LlaConfig config;
+  config.gamma0 = 3.0;
+  LlaEngine donor(w, model, config);
+  for (int i = 0; i < 20; ++i) donor.Step();
+  const StateSnapshot good = donor.Checkpoint();
+
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  for (const std::int64_t start :
+       {kIntMax, (std::int64_t{1} << 32) + 5, kMaxRestoredIteration}) {
+    LlaEngine engine(w, model, config);
+    StateSnapshot snapshot = good;
+    snapshot.iteration = start;
+    ASSERT_TRUE(engine.Restore(snapshot).ok()) << "iteration " << start;
+    EXPECT_EQ(engine.iteration(), start);
+    for (int i = 0; i < 3; ++i) engine.Step();
+    EXPECT_EQ(engine.iteration(), start + 3);
+    ASSERT_FALSE(engine.history().empty());
+    EXPECT_EQ(engine.history().back().iteration, start + 3);
   }
 }
 

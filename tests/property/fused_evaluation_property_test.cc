@@ -3,7 +3,8 @@
 // its scalar oracle bit-for-bit (EXPECT_EQ on doubles, not EXPECT_NEAR —
 // the fused sweeps promise the same arithmetic, not an approximation), the
 // cached solver must match the uncached reference solver, and a full engine
-// run must be bit-identical for any thread count.
+// run must be bit-identical for any thread count, stepping densely or by the
+// active set.
 #include <random>
 #include <vector>
 
@@ -197,35 +198,40 @@ TEST_P(FusedEvaluationProperty, EngineRunBitIdenticalAcrossThreadCounts) {
   config.gamma0 = 3.0;
 
   constexpr int kSteps = 400;
-  std::vector<IterationStats> base_history;
-  Assignment base_latencies;
-  PriceVector base_prices;
-  for (int num_threads : {1, 2, 8}) {
-    config.num_threads = num_threads;
-    config.parallel.max_concurrency = num_threads;
-    config.parallel.min_items_per_thread = 1;
-    LlaEngine engine(w, model, config);
-    for (int i = 0; i < kSteps; ++i) engine.Step();
-    if (num_threads == 1) {
-      base_history = engine.history();
-      base_latencies = engine.latencies();
-      base_prices = engine.prices();
-      continue;
+  for (const bool active_set : {true, false}) {
+    SCOPED_TRACE(active_set ? "active set" : "dense");
+    config.active_set.enabled = active_set;
+    std::vector<IterationStats> base_history;
+    Assignment base_latencies;
+    PriceVector base_prices;
+    for (int num_threads : {1, 2, 8}) {
+      config.num_threads = num_threads;
+      config.parallel.max_concurrency = num_threads;
+      config.parallel.min_items_per_thread = 1;
+      LlaEngine engine(w, model, config);
+      for (int i = 0; i < kSteps; ++i) engine.Step();
+      if (num_threads == 1) {
+        base_history = engine.history();
+        base_latencies = engine.latencies();
+        base_prices = engine.prices();
+        continue;
+      }
+      ASSERT_EQ(engine.history().size(), base_history.size());
+      for (int i = 0; i < kSteps; ++i) {
+        EXPECT_EQ(engine.history()[i].total_utility,
+                  base_history[i].total_utility)
+            << "threads=" << num_threads << " step=" << i;
+        EXPECT_EQ(engine.history()[i].max_resource_excess,
+                  base_history[i].max_resource_excess);
+        EXPECT_EQ(engine.history()[i].max_path_ratio,
+                  base_history[i].max_path_ratio);
+        EXPECT_EQ(engine.history()[i].feasible, base_history[i].feasible);
+      }
+      EXPECT_EQ(engine.latencies(), base_latencies)
+          << "threads=" << num_threads;
+      EXPECT_EQ(engine.prices().mu, base_prices.mu);
+      EXPECT_EQ(engine.prices().lambda, base_prices.lambda);
     }
-    ASSERT_EQ(engine.history().size(), base_history.size());
-    for (int i = 0; i < kSteps; ++i) {
-      EXPECT_EQ(engine.history()[i].total_utility,
-                base_history[i].total_utility)
-          << "threads=" << num_threads << " step=" << i;
-      EXPECT_EQ(engine.history()[i].max_resource_excess,
-                base_history[i].max_resource_excess);
-      EXPECT_EQ(engine.history()[i].max_path_ratio,
-                base_history[i].max_path_ratio);
-      EXPECT_EQ(engine.history()[i].feasible, base_history[i].feasible);
-    }
-    EXPECT_EQ(engine.latencies(), base_latencies) << "threads=" << num_threads;
-    EXPECT_EQ(engine.prices().mu, base_prices.mu);
-    EXPECT_EQ(engine.prices().lambda, base_prices.lambda);
   }
 }
 

@@ -7,8 +7,8 @@
 //     memcmp, not EXPECT_NEAR — at one shard per resource and at 4 shards
 //     (0 * v + gamma * g absorbs into the same IEEE additions).
 //   * Momentum state survives a checkpoint/restore round-trip, and a
-//     pre-momentum snapshot (has_dynamics = false) restores as FRESH
-//     momentum re-based at the restored mu.
+//     deployment restored endpoint by endpoint from checkpoints steps
+//     memcmp-identically to the uninterrupted one.
 //   * A snapshot restore supersedes a half-finished repair exchange: the
 //     restored agent broadcasts immediately instead of inheriting the grace
 //     hold, and its stale repair bookkeeping is gone.
@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -153,7 +154,6 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
     }
   }
   const ResourceAgentSnapshot snapshot = source.CheckpointResource(victim);
-  EXPECT_TRUE(snapshot.has_dynamics);
   const ComponentDynamicsState& live =
       source.shard_of(victim).dynamics_state(victim);
   EXPECT_EQ(snapshot.velocity, live.velocity);
@@ -170,22 +170,96 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
   EXPECT_EQ(restored.velocity, snapshot.velocity);
   EXPECT_EQ(restored.base, snapshot.dynamics_base);
   EXPECT_EQ(restored.phase, snapshot.phase);
+}
 
-  // A pre-momentum (v1-era) snapshot restores as FRESH momentum re-based at
-  // the restored mu: velocity and phase zero, base = mu.
-  ResourceAgentSnapshot old_format = snapshot;
-  old_format.has_dynamics = false;
-  old_format.velocity = 123.0;  // must be ignored
-  old_format.dynamics_base = 456.0;
-  old_format.phase = 789.0;
-  Coordinator fresh(
-      w, model, DynamicsCoordinatorConfig(DynamicsKind::kNesterov, 0.7));
-  fresh.RestartEndpoint(victim, old_format);
-  const ComponentDynamicsState& reseeded =
-      fresh.shard_of(victim).dynamics_state(victim);
-  EXPECT_EQ(reseeded.velocity, 0.0);
-  EXPECT_EQ(reseeded.phase, 0.0);
-  EXPECT_EQ(reseeded.base, snapshot.mu);
+// Checkpoint every endpoint, restore them all into a fresh deployment, and
+// the restored coordinator must then step exactly like the uninterrupted
+// one, at both shard widths and under every dynamics kind: the snapshots
+// hold everything the next rounds read.
+TEST(DistributedDynamicsTest, RestoredDeploymentStepsLikeTheUninterruptedOne) {
+  auto workload = TestWorkload(95);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+
+  struct Dynamics {
+    const char* name;
+    DynamicsKind kind;
+    double beta;
+  };
+  for (const int num_shards : {0, 4}) {
+    for (const Dynamics& dynamics :
+         {Dynamics{"plain", DynamicsKind::kPlain, 0.0},
+          Dynamics{"heavy-ball", DynamicsKind::kHeavyBall, 0.7},
+          Dynamics{"nesterov", DynamicsKind::kNesterov, 0.7}}) {
+      SCOPED_TRACE(testing::Message()
+                   << dynamics.name << ", "
+                   << (num_shards == 0 ? "one shard per resource"
+                                       : "4 shards"));
+      const CoordinatorConfig config =
+          DynamicsCoordinatorConfig(dynamics.kind, dynamics.beta, num_shards);
+      Coordinator original(w, model, config);
+      for (int round = 0; round < 40; ++round) original.RunSyncRound();
+
+      Coordinator restored(w, model, config);
+      for (const ResourceInfo& resource : w.resources()) {
+        restored.RestartEndpoint(resource.id,
+                                 original.CheckpointResource(resource.id));
+      }
+      for (const TaskInfo& task : w.tasks()) {
+        restored.RestartEndpoint(task.id,
+                                 original.CheckpointController(task.id));
+      }
+      ASSERT_TRUE(SameDoubles(original.CurrentPrices().mu,
+                              restored.CurrentPrices().mu));
+      ASSERT_TRUE(SameDoubles(original.CurrentAssignment(),
+                              restored.CurrentAssignment()));
+
+      for (int round = 0; round < 60; ++round) {
+        original.RunSyncRound();
+        restored.RunSyncRound();
+        const PriceVector expected = original.CurrentPrices();
+        const PriceVector actual = restored.CurrentPrices();
+        ASSERT_TRUE(SameDoubles(expected.mu, actual.mu)) << "round " << round;
+        ASSERT_TRUE(SameDoubles(expected.lambda, actual.lambda))
+            << "round " << round;
+        ASSERT_TRUE(SameDoubles(original.CurrentAssignment(),
+                                restored.CurrentAssignment()))
+            << "round " << round;
+      }
+    }
+  }
+}
+
+// A controller's snapshot holds what the controller holds: one entry per
+// resource its task uses, in ascending resource order, not one per
+// resource of the workload.
+TEST(DistributedDynamicsTest, ControllerSnapshotHoldsOneEntryPerUsedResource) {
+  auto workload = TestWorkload(95);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  Coordinator coordinator(
+      w, model, DynamicsCoordinatorConfig(DynamicsKind::kPlain, 0.0, 4));
+  for (int round = 0; round < 10; ++round) coordinator.RunSyncRound();
+  for (const TaskInfo& task : w.tasks()) {
+    std::set<ResourceId> used;
+    for (const SubtaskId sid : task.subtasks) {
+      used.insert(w.subtask(sid).resource);
+    }
+    const TaskController& controller = coordinator.controller(task.id);
+    const TaskControllerSnapshot snapshot =
+        coordinator.CheckpointController(task.id);
+    ASSERT_EQ(snapshot.mu.size(), used.size());
+    ASSERT_EQ(snapshot.resource_congested.size(), used.size());
+    ASSERT_EQ(snapshot.resource_epoch.size(), used.size());
+    std::size_t k = 0;
+    for (const ResourceId r : used) {
+      EXPECT_EQ(snapshot.mu[k], controller.mu_seen(r));
+      EXPECT_EQ(snapshot.resource_epoch[k], controller.mu_epoch_seen(r));
+      ++k;
+    }
+  }
 }
 
 // --- restore supersedes a half-finished repair exchange ------------------

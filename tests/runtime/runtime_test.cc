@@ -174,6 +174,16 @@ struct LoneController {
     }
     self = bus.Register("controller", nullptr);
     controller.Bind(&bus, self, &shard_endpoints, &resource_shard);
+    prices = PriceVector::Zero(w);
+  }
+
+  // One allocation as a round runs it: the serial solver refresh, the solve
+  // into a lane's price buffer and outbox, then the outbox sent in order.
+  void AllocateAndSend() {
+    shared.solver.PrepareSolve();
+    controller.AllocateAndSend(&prices, &outbox);
+    for (net::Message& message : outbox) bus.Send(std::move(message));
+    outbox.clear();
   }
 
   // Hands the controller resource r's price, as its shard would send it.
@@ -200,6 +210,8 @@ struct LoneController {
   std::vector<net::EndpointId> shard_endpoints;
   std::vector<std::uint32_t> resource_shard;
   net::EndpointId self = 0;
+  PriceVector prices;
+  std::vector<net::Message> outbox;
 };
 
 TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
@@ -243,11 +255,11 @@ TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
     return range;
   };
 
-  lone.controller.AllocateAndSend();
+  lone.AllocateAndSend();
   const auto first = sent();
   // A high price on one used resource moves the second send's solve.
   lone.ReceivePrice(w.subtask(task.subtasks.front()).resource, 1e3, false);
-  lone.controller.AllocateAndSend();
+  lone.AllocateAndSend();
   const auto second = sent();
   ASSERT_NE(first, second);
   const std::size_t n = first.size();
@@ -289,7 +301,7 @@ TEST(RuntimeTest, PathStepDoublesExactlyOnPathsThroughACongestedResource) {
                                       << " resource " << congested.value());
       LoneController lone(w, task.id, /*base_delay_ms=*/0.0);
       lone.ReceivePrice(congested, 0.0, true);
-      lone.controller.AllocateAndSend();
+      lone.AllocateAndSend();
       const std::vector<double>& steps =
           lone.controller.path_step_multipliers();
       ASSERT_EQ(steps.size(), task.paths.size());

@@ -259,8 +259,9 @@ TEST(CliTest, CheckpointAndRestoreErrors) {
 }
 
 // `solve --restore` refuses an image whose counters the engine cannot hold:
-// an iteration outside [0, INT_MAX] (2^32 + 5 used to resume as 5) or a
-// negative step iteration.
+// an iteration outside [0, 2^62] (the engine's 64-bit count keeps 2^62 steps
+// of headroom) or a negative step iteration.  An iteration past INT_MAX
+// resumes.
 TEST(CliTest, RestoreRefusesOutOfRangeCounters) {
   const std::string snap = ::testing::TempDir() + "/cli_counters.snap";
   std::remove(snap.c_str());
@@ -278,8 +279,9 @@ TEST(CliTest, RestoreRefusesOutOfRangeCounters) {
     return RunCli(std::string("solve ") + kPaperWorkload +
                   " --restore=" + bad);
   };
-  EXPECT_EQ(restore_with(48, (std::int64_t{1} << 32) + 5), 3);
+  EXPECT_EQ(restore_with(48, (std::int64_t{1} << 62) + 1), 3);
   EXPECT_EQ(restore_with(48, -1), 3);
+  EXPECT_EQ(restore_with(48, (std::int64_t{1} << 32) + 5), 0);
   EXPECT_EQ(restore_with(64, -1), 3);
   EXPECT_EQ(restore_with(64, 0), 0);  // the image as written
   std::remove(bad.c_str());

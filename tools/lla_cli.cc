@@ -47,6 +47,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -425,7 +426,7 @@ int Solve(const Workload& w, const Options& options) {
                 path, resume_iteration);
   }
   const RunResult run = engine.Run(options.iters);
-  std::printf("%s after %d iterations; utility %.3f (%s variant); "
+  std::printf("%s after %" PRId64 " iterations; utility %.3f (%s variant); "
               "feasible: %s\n",
               run.converged ? "converged" : "NOT converged", run.iterations,
               run.final_utility, ToString(options.variant),
@@ -456,7 +457,7 @@ int SolveDistributed(const Workload& w, const Options& options) {
   const RunResult run = coordinator.RunSync(options.iters);
   // With record_history off, RunResult carries no per-round utility —
   // evaluate the enacted assignment directly.
-  std::printf("%s after %d distributed rounds (%d round threads, %zu "
+  std::printf("%s after %" PRId64 " distributed rounds (%d round threads, %zu "
               "shards); utility %.3f (%s variant); feasible: %s\n",
               run.converged ? "converged" : "NOT converged", run.iterations,
               options.round_threads, coordinator.shard_count(),
@@ -479,8 +480,8 @@ int Checkpoint(const Workload& w, const char* snapshot_path,
                  saved.error().c_str());
     return kExitRuntimeError;
   }
-  std::printf("wrote %s at iteration %d (%s, utility %.6f); resume with "
-              "`lla solve ... --restore=%s`\n",
+  std::printf("wrote %s at iteration %" PRId64 " (%s, utility %.6f); "
+              "resume with `lla solve ... --restore=%s`\n",
               snapshot_path, run.iterations,
               run.converged ? "converged" : "not converged",
               run.final_utility, snapshot_path);
@@ -559,7 +560,8 @@ int Trace(const Workload& w, const Options& options) {
     return kExitRuntimeError;
   }
 
-  std::fprintf(stderr, "%s after %d iterations; utility %.6f; feasible: %s\n",
+  std::fprintf(stderr,
+               "%s after %" PRId64 " iterations; utility %.6f; feasible: %s\n",
                run.converged ? "converged" : "NOT converged", run.iterations,
                run.final_utility,
                run.final_feasibility.feasible ? "yes" : "no");
