@@ -131,7 +131,7 @@ bool RunEngineScenario(const std::string& name, const Workload& workload,
   RestartRun checkpointed;
   {
     const auto start = std::chrono::steady_clock::now();
-    auto loaded = LoadSnapshotFromString(bytes.value(), &workload);
+    auto loaded = LoadSnapshotFromString(bytes.value(), workload);
     if (!loaded.ok()) {
       std::printf("  snapshot load failed: %s\n", loaded.error().c_str());
       return false;

@@ -257,7 +257,9 @@ int main(int argc, char** argv) {
       snapshot_bytes = SaveSnapshotToString(snapshot).value();
     });
     const double load_ms = BestMs([&] {
-      if (!LoadSnapshotFromString(snapshot_bytes).ok()) std::abort();
+      if (!LoadSnapshotFromString(snapshot_bytes, workload).ok()) {
+        std::abort();
+      }
     });
     // File restore (DESIGN.md §7.11): read the file, check the header's
     // shape against the workload, decode each section once — the path
@@ -268,7 +270,7 @@ int main(int argc, char** argv) {
       const Status saved = SaveSnapshotToFile(snapshot, file_path);
       if (!saved.ok()) std::abort();
       file_load_ms = BestMs([&] {
-        if (!LoadSnapshotFromFile(file_path, &workload).ok()) std::abort();
+        if (!LoadSnapshotFromFile(file_path, workload).ok()) std::abort();
       });
       std::remove(file_path.c_str());
     }
@@ -289,7 +291,7 @@ int main(int argc, char** argv) {
     // be identical.
     bool lossless = false;
     {
-      auto reloaded = LoadSnapshotFromString(snapshot_bytes);
+      auto reloaded = LoadSnapshotFromString(snapshot_bytes, workload);
       if (reloaded.ok()) {
         auto again = SaveSnapshotToString(reloaded.value());
         lossless = again.ok() && again.value() == snapshot_bytes;

@@ -51,8 +51,7 @@ class ScalarReferenceEngine {
         updater_(workload, model),
         schedule_(config.step_policy, config.gamma0,
                   config.adaptive_max_multiplier, config.diminishing_tau) {
-    prices_ = PriceVector::Uniform(workload, config.initial_mu,
-                                   config.initial_lambda);
+    prices_ = PriceVector::Zero(workload);
     latencies_.assign(workload.subtask_count(), 0.0);
     schedule_.Reset(workload);
     solver_.SolveAll(prices_, &latencies_);

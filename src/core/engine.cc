@@ -53,8 +53,7 @@ LlaEngine::LlaEngine(const Workload& workload, const LatencyModel& model,
 }
 
 void LlaEngine::Reset() {
-  prices_ = PriceVector::Uniform(*workload_, config_.initial_mu,
-                                 config_.initial_lambda);
+  prices_ = PriceVector::Zero(*workload_);
   latencies_.assign(workload_->subtask_count(), 0.0);
   schedule_.Reset(*workload_);
   ResetDynamics();
@@ -185,8 +184,7 @@ Status LlaEngine::WarmStartStructural(const Workload& old_workload,
           "WarmStartStructural: old path count does not match this workload "
           "minus the joined task");
     }
-    mapped = MapPricesWithTask(now, old_prices, change.task,
-                               config_.initial_lambda);
+    mapped = MapPricesWithTask(now, old_prices, change.task);
     for (SubtaskId sid : now.task(change.task).subtasks) {
       dirty_resource[now.subtask(sid).resource.value()] = 1;
     }
@@ -227,7 +225,7 @@ Status LlaEngine::WarmStartStructural(const Workload& old_workload,
   // Eq. 8 decays an inflated mu only at gamma * slack <= gamma * B_r per
   // step while the complementary-slackness convergence test blocks until it
   // reaches ~0 — the measured 8x-worse-than-cold regression.  Re-seeding
-  // the closure's mu at initial_mu lets congestion-driven rises (fast:
+  // the closure's mu at 0.0 lets congestion-driven rises (fast:
   // adaptive step doubling) rediscover the right level, exactly as a cold
   // start would, while non-closure prices stay bit-identical so their tasks
   // never re-solve.  A JOIN is the fast direction: added demand RAISES mu,
@@ -243,7 +241,7 @@ Status LlaEngine::WarmStartStructural(const Workload& old_workload,
     if (dirty_resource[r] == 0) continue;
     ++reprime_resources;
     if (change.kind == StructuralChange::Kind::kTaskLeave) {
-      mapped.mu[r] = config_.initial_mu;
+      mapped.mu[r] = 0.0;
     }
   }
   last_reprime_tasks_ = reprime_tasks;

@@ -101,8 +101,6 @@ struct LlaConfig {
   /// (plain) runs the original Eq. 8/9 arithmetic unchanged.  The momentum
   /// must be finite and in [0, 1); the constructor aborts otherwise.
   DynamicsConfig dynamics;
-  double initial_mu = 0.0;
-  double initial_lambda = 0.0;
   ConvergenceConfig convergence;
   /// Incremental active-set stepping (exact; see the struct).
   ActiveSetConfig active_set;
@@ -163,7 +161,7 @@ class LlaEngine {
   /// whichever first.
   RunResult Run(int max_iterations);
 
-  /// Resets prices, step-size state, convergence state and history;
+  /// Resets prices (to zero), step-size state, convergence state and history;
   /// keeps the workload/model bindings.
   void Reset();
 
@@ -188,15 +186,15 @@ class LlaEngine {
   /// followed by the selective re-prime policy of DESIGN.md §7.9: the dirty
   /// set is the transitive closure of the changed task's resources over the
   /// task<->resource sharing graph, and after a LEAVE the closure resources'
-  /// mu is re-seeded at config.initial_mu (the mapped values are upper-
-  /// biased — the departed demand is gone — and Eq. 8 decays an inflated mu
-  /// only at gamma*slack per step, which is why a naive mapped warm start
-  /// re-converges slower than cold).  Everything outside the closure keeps
-  /// its mapped prices bit-identical, so untouched tasks re-quiesce without
-  /// re-solving.  A JOIN keeps all mapped multipliers (congestion-driven
-  /// rises are fast) and seeds the newcomer's lambda at
-  /// config.initial_lambda.  Fails without touching the engine when the
-  /// shapes are inconsistent.
+  /// mu is re-seeded at 0.0, where Reset starts it (the mapped values are
+  /// upper-biased — the departed demand is gone — and Eq. 8 decays an
+  /// inflated mu only at gamma*slack per step, which is why a naive mapped
+  /// warm start re-converges slower than cold).  Everything outside the
+  /// closure keeps its mapped prices bit-identical, so untouched tasks
+  /// re-quiesce without re-solving.  A JOIN keeps all mapped multipliers
+  /// (congestion-driven rises are fast) and seeds the newcomer's lambda at
+  /// 0.0.  Fails without touching the engine when the shapes are
+  /// inconsistent.
   Status WarmStartStructural(const Workload& old_workload,
                              const PriceVector& old_prices,
                              const StructuralChange& change);

@@ -61,7 +61,7 @@ LatencySolver::LatencySolver(const Workload& workload,
   if (config_.cache_invariants) RebuildCache();
 }
 
-void LatencySolver::EnsureCacheFresh() const {
+void LatencySolver::PrepareSolve() const {
   if (config_.cache_invariants && cached_revision_ != model_->revision()) {
     RebuildCache();
   }
@@ -84,17 +84,15 @@ void LatencySolver::RebuildCache() const {
     closed_err_[s] = share.error_ms();
   }
   cached_revision_ = model_->revision();
-  // Cache rebuild means the model moved; stale compaction can't be trusted.
-  active_csr_valid_ = false;
 }
 
 double LatencySolver::LatLo(SubtaskId id) const {
-  EnsureCacheFresh();
+  PrepareSolve();
   return Box(id).lo;
 }
 
 double LatencySolver::LatHi(SubtaskId id) const {
-  EnsureCacheFresh();
+  PrepareSolve();
   return Box(id).hi;
 }
 
@@ -105,13 +103,9 @@ double LatencySolver::SolveSubtask(SubtaskId id, double utility_slope,
   if (lo >= hi) return lo;
 
   const double w = weight_[s];
-  const std::size_t* off =
-      active_csr_valid_ ? active_path_offset_.data() : path_offset_.data();
-  const std::size_t* idx =
-      active_csr_valid_ ? active_path_index_.data() : path_index_.data();
   double lambda_sum = 0.0;
-  for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
-    lambda_sum += prices.lambda[idx[i]];
+  for (std::size_t i = path_offset_[s]; i < path_offset_[s + 1]; ++i) {
+    lambda_sum += prices.lambda[path_index_[i]];
   }
   const double mu =
       prices.mu[workload_->subtask(id).resource.value()];
@@ -137,18 +131,12 @@ void LatencySolver::SolveClosedSpan(std::size_t begin, std::size_t end,
                                     const PriceVector& prices,
                                     double* out) const {
   // Gather pass: per-subtask path-price sums, accumulated in CSR order
-  // (matching SolveSubtask exactly).  The active-compacted index only drops
-  // lambda == 0 entries, and adding 0.0 to a partial sum of non-negatives
-  // is a bitwise no-op, so both indexes produce the same bits.
+  // (matching SolveSubtask exactly).
   const double* lambda = prices.lambda.data();
-  const std::size_t* off =
-      active_csr_valid_ ? active_path_offset_.data() : path_offset_.data();
-  const std::size_t* idx =
-      active_csr_valid_ ? active_path_index_.data() : path_index_.data();
   for (std::size_t s = begin; s < end; ++s) {
     double lambda_sum = 0.0;
-    for (std::size_t i = off[s]; i < off[s + 1]; ++i) {
-      lambda_sum += lambda[idx[i]];
+    for (std::size_t i = path_offset_[s]; i < path_offset_[s + 1]; ++i) {
+      lambda_sum += lambda[path_index_[i]];
     }
     lambda_scratch_[s] = lambda_sum;
   }
@@ -256,30 +244,6 @@ void LatencySolver::SolveTaskFresh(TaskId task, const PriceVector& prices,
       (*latencies)[sid.value()] = SolveSubtask(sid, slope, prices);
     }
   }
-}
-
-void LatencySolver::PrepareSolve() const {
-  EnsureCacheFresh();
-  active_csr_valid_ = false;
-}
-
-void LatencySolver::PrepareSolve(const PriceVector& prices) const {
-  EnsureCacheFresh();
-  active_csr_valid_ = false;
-  const std::size_t n = workload_->subtask_count();
-  active_path_offset_.resize(n + 1);
-  active_path_index_.clear();
-  active_path_index_.reserve(path_index_.size());
-  active_path_offset_[0] = 0;
-  const double* lambda = prices.lambda.data();
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t i = path_offset_[s]; i < path_offset_[s + 1]; ++i) {
-      const std::size_t p = path_index_[i];
-      if (lambda[p] != 0.0) active_path_index_.push_back(p);
-    }
-    active_path_offset_[s + 1] = active_path_index_.size();
-  }
-  active_csr_valid_ = true;
 }
 
 void LatencySolver::SolveTaskRange(std::size_t begin, std::size_t end,

@@ -26,9 +26,11 @@
 // runs the flat closed-form kernel SolveClosedSpan.  The cache is keyed to
 // LatencyModel::revision(): shares change only through the model's setters,
 // which bump it, so an online correction (Sec. 6.3) is picked up on the next
-// solve.  SolveAll optionally fans the independent per-task solves out across
-// a thread pool; tasks write disjoint latency slots, so results are
-// bit-identical for any thread count.
+// solve.  The solver keeps no price-derived state: every solve gathers
+// Lambda_s from the prices it is handed over the one subtask->path CSR, so
+// a price move never needs a re-prepare.  SolveAll optionally fans the
+// independent per-task solves out across a thread pool; tasks write
+// disjoint latency slots, so results are bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -83,20 +85,10 @@ class LatencySolver {
   void SolveAll(const PriceVector& prices, Assignment* latencies,
                 ThreadPool* pool = nullptr) const;
 
-  /// Refreshes the invariant cache (serial).  Call once before fanning
-  /// SolveTaskRange out across threads; workers then only read the cache.
-  /// Invalidates any active-compacted CSR (full gather until the next
-  /// PrepareSolve(prices)).
+  /// Refreshes the model-derived invariant cache if the model revision
+  /// moved (serial).  Call once before fanning SolveTaskRange or
+  /// SolveTaskList out across threads; workers then only read the cache.
   void PrepareSolve() const;
-
-  /// PrepareSolve plus active-set compaction (serial): rebuilds the
-  /// subtask->path gather CSR keeping only paths with lambda != 0, so
-  /// zero-priced path constraints cost nothing in the solve.  Bit-exact:
-  /// lambda entries are outputs of max(0.0, .) (never -0.0), and x + 0.0 == x
-  /// bitwise for any x that is itself a partial sum of non-negative terms.
-  /// The compacted index is valid ONLY for solves against the same lambda
-  /// zero pattern — callers must re-prepare whenever it moves.
-  void PrepareSolve(const PriceVector& prices) const;
 
   /// Solves tasks [begin, end) — the chunk body of a parallel solve, and a
   /// task controller's own solve.  Requires PrepareSolve first; writes only
@@ -116,22 +108,9 @@ class LatencySolver {
   double LatLo(SubtaskId id) const;
   double LatHi(SubtaskId id) const;
 
-  /// EnsureCacheFresh without dropping an installed active-compacted CSR
-  /// (unless the model cache actually rebuilds).  The incremental stepping
-  /// path uses this: the compacted index survives across steps as long as
-  /// the lambda zero-pattern is unchanged.
-  void RefreshCache() const { EnsureCacheFresh(); }
-
-  /// True when an active-compacted gather CSR is installed (see
-  /// PrepareSolve(prices)).
-  bool has_active_gather() const { return active_csr_valid_; }
-
   const LatencySolverConfig& config() const { return config_; }
 
  private:
-  /// Rebuilds the cache if the model revision moved (serial; call before
-  /// entering any parallel region).
-  void EnsureCacheFresh() const;
   /// Recomputes the model-derived invariants at the current revision.
   void RebuildCache() const;
 
@@ -178,13 +157,6 @@ class LatencySolver {
   /// Per-subtask scratch for the kernel's path-price gather; tasks own
   /// disjoint spans, so parallel chunks never collide.
   mutable std::vector<double> lambda_scratch_;
-
-  // Active-compacted gather CSR (PrepareSolve(prices)).  Valid only for the
-  // prices it was built from; every other entry point clears the flag so
-  // solves fall back to the full CSR rather than drop a now-nonzero term.
-  mutable bool active_csr_valid_ = false;
-  mutable std::vector<std::size_t> active_path_offset_;
-  mutable std::vector<std::size_t> active_path_index_;
 };
 
 }  // namespace lla

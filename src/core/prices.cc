@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 namespace lla {
 
@@ -27,32 +26,6 @@ double PriceVector::PathPriceSum(const Workload& workload,
     sum += lambda[pid.value()];
   }
   return sum;
-}
-
-namespace {
-
-inline std::uint8_t BitsDiffer(double a, double b) {
-  std::uint64_t ba, bb;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba != bb ? 1 : 0;
-}
-
-}  // namespace
-
-void DiffPrices(const PriceVector& now, const PriceVector& prev,
-                std::vector<std::uint8_t>* mu_changed,
-                std::vector<std::uint8_t>* lambda_changed) {
-  assert(now.mu.size() == prev.mu.size());
-  assert(now.lambda.size() == prev.lambda.size());
-  mu_changed->resize(now.mu.size());
-  lambda_changed->resize(now.lambda.size());
-  for (std::size_t r = 0; r < now.mu.size(); ++r) {
-    (*mu_changed)[r] = BitsDiffer(now.mu[r], prev.mu[r]);
-  }
-  for (std::size_t p = 0; p < now.lambda.size(); ++p) {
-    (*lambda_changed)[p] = BitsDiffer(now.lambda[p], prev.lambda[p]);
-  }
 }
 
 }  // namespace lla

@@ -2,11 +2,12 @@
 //
 // mu[r] is the price per unit of resource r (multiplier of Eq. 3);
 // lambda[p] is the price of path p (multiplier of Eq. 4).  Both are
-// non-negative; gradient projection keeps them so.
+// non-negative; gradient projection keeps them so.  The active set's dirty
+// pass (ActiveSolveAndFill, core/step_workspace.h) compares two price
+// vectors entry by entry, bitwise, to find the tasks whose inputs moved.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "model/workload.h"
@@ -41,16 +42,5 @@ struct PriceVector {
   /// (the Lambda_s term of the stationarity condition, Eq. 7).
   double PathPriceSum(const Workload& workload, SubtaskId s) const;
 };
-
-/// Bitwise (memcmp-style) per-entry diff of two price vectors of the same
-/// shape: changed[i] = 1 iff the doubles differ in representation.  This is
-/// the dirty signal of the active-set engine — exact equality of bits, not
-/// of values, so -0.0 vs +0.0 counts as changed (conservative) and a NaN
-/// that keeps its payload counts as unchanged (a re-solve with the same NaN
-/// inputs reproduces the same outputs).  The output vectors are resized and
-/// fully overwritten; reuse them across steps to stay allocation-free.
-void DiffPrices(const PriceVector& now, const PriceVector& prev,
-                std::vector<std::uint8_t>* mu_changed,
-                std::vector<std::uint8_t>* lambda_changed);
 
 }  // namespace lla

@@ -38,12 +38,24 @@ void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
                        double feasibility_tol, ThreadPool* pool,
                        StepWorkspace* workspace) {
   assert(latencies.size() == workload.subtask_count());
-  FillResourceShareSums(workload, model, latencies,
-                        &workspace->resource_share_sums, pool);
-  FillPathLatencies(workload, latencies, &workspace->path_latencies, pool);
-  FillTaskAggregates(workload, latencies, variant,
-                     &workspace->task_weighted_latencies,
-                     &workspace->task_utilities, pool);
+  StaticParallelFor(pool, workload.resource_count(),
+                    [&](std::size_t begin, std::size_t end) {
+                      FillResourceShareSumsRange(
+                          workload, model, latencies, begin, end,
+                          &workspace->resource_share_sums);
+                    });
+  StaticParallelFor(pool, workload.path_count(),
+                    [&](std::size_t begin, std::size_t end) {
+                      FillPathLatenciesRange(workload, latencies, begin, end,
+                                             &workspace->path_latencies);
+                    });
+  StaticParallelFor(pool, workload.task_count(),
+                    [&](std::size_t begin, std::size_t end) {
+                      FillTaskAggregatesRange(
+                          workload, latencies, variant, begin, end,
+                          &workspace->task_weighted_latencies,
+                          &workspace->task_utilities);
+                    });
   ReduceWorkspace(workload, feasibility_tol, workspace);
 }
 
@@ -121,53 +133,42 @@ ActiveStepWork ActiveSolveAndFill(
   }
   assert(latencies->size() == workload.subtask_count());
 
-  // 1. Diff the prices against the ones the current buffers were solved at.
-  DiffPrices(prices, state->solve_prices, &state->mu_changed,
-             &state->lambda_changed);
-
-  // 2. Mark dirty tasks: any task with a subtask on a changed-mu resource or
-  //    a changed-lambda path must re-solve.  Also detect whether the lambda
-  //    ZERO-PATTERN moved — only then does the compacted gather CSR need a
-  //    rebuild (a nonzero->nonzero change keeps the index valid).
+  // 1. Mark dirty tasks in one pass per index space: a task with a subtask
+  //    on a resource whose mu changed, or owning a path whose lambda
+  //    changed, must re-solve.  "Changed" compares bits, not values, against
+  //    the prices the current buffers were solved at, and no tolerance ever
+  //    creeps in: -0.0 and +0.0 count as different (conservative), and a NaN
+  //    that keeps its payload counts as unchanged (a re-solve with the same
+  //    NaN inputs reproduces the same outputs).  Each changed entry is
+  //    copied into the baseline as it is found.
   state->dirty_tasks.clear();
-  bool lambda_pattern_changed = false;
-  for (std::size_t r = 0; r < state->mu_changed.size(); ++r) {
-    if (state->mu_changed[r] == 0) continue;
-    for (std::size_t i = state->res_task_offset[r];
-         i < state->res_task_offset[r + 1]; ++i) {
-      const std::uint32_t t = state->res_task_index[i];
-      if (state->task_dirty[t] == 0) {
-        state->task_dirty[t] = 1;
-        state->dirty_tasks.push_back(t);
-      }
-    }
-  }
-  for (std::size_t p = 0; p < state->lambda_changed.size(); ++p) {
-    if (state->lambda_changed[p] == 0) continue;
-    if (prices.lambda[p] == 0.0 || state->solve_prices.lambda[p] == 0.0) {
-      lambda_pattern_changed = true;
-    }
-    const std::uint32_t t =
-        static_cast<std::uint32_t>(workload.path(PathId(p)).task.value());
+  const auto mark = [state](std::uint32_t t) {
     if (state->task_dirty[t] == 0) {
       state->task_dirty[t] = 1;
       state->dirty_tasks.push_back(t);
     }
+  };
+  for (std::size_t r = 0; r < prices.mu.size(); ++r) {
+    if (SameBits(prices.mu[r], state->solve_prices.mu[r])) continue;
+    state->solve_prices.mu[r] = prices.mu[r];
+    for (std::size_t i = state->res_task_offset[r];
+         i < state->res_task_offset[r + 1]; ++i) {
+      mark(state->res_task_index[i]);
+    }
   }
-
-  // Snapshot the new solve prices (vector assignment reuses capacity).
-  state->solve_prices = prices;
+  for (std::size_t p = 0; p < prices.lambda.size(); ++p) {
+    if (SameBits(prices.lambda[p], state->solve_prices.lambda[p])) continue;
+    state->solve_prices.lambda[p] = prices.lambda[p];
+    mark(static_cast<std::uint32_t>(workload.path(PathId(p)).task.value()));
+  }
 
   if (!state->dirty_tasks.empty()) {
     std::sort(state->dirty_tasks.begin(), state->dirty_tasks.end());
 
-    // 3. Re-solve the dirty tasks only.  Clean tasks would reproduce their
+    // 2. Re-solve the dirty tasks only.  Clean tasks would reproduce their
     //    persisted latencies bit-for-bit (identical inputs, identical
     //    arithmetic), so reusing the buffer entries IS the dense result.
-    solver.RefreshCache();
-    if (!solver.has_active_gather() || lambda_pattern_changed) {
-      solver.PrepareSolve(prices);
-    }
+    solver.PrepareSolve();
     const std::uint32_t* task_ids = state->dirty_tasks.data();
     StaticParallelFor(pool, state->dirty_tasks.size(),
                       [&](std::size_t begin, std::size_t end) {
@@ -175,7 +176,7 @@ ActiveStepWork ActiveSolveAndFill(
                                              latencies);
                       });
 
-    // 4. Diff the re-solved latencies; a resource/path is dirty iff one of
+    // 3. Diff the re-solved latencies; a resource/path is dirty iff one of
     //    its member subtasks changed bits.  Clean aggregates keep their
     //    persisted values (a full re-sum over unchanged bits is a no-op).
     state->dirty_resources.clear();
@@ -206,7 +207,7 @@ ActiveStepWork ActiveSolveAndFill(
     work.resources_refreshed = state->dirty_resources.size();
     work.paths_refreshed = state->dirty_paths.size();
 
-    // 5. Re-aggregate dirty items in full (never delta arithmetic): each
+    // 4. Re-aggregate dirty items in full (never delta arithmetic): each
     //    item's sum runs the dense inner loop over ALL its members in index
     //    order, so the bits match the dense sweep exactly.
     const std::uint32_t* dirty_resources = state->dirty_resources.data();
@@ -245,7 +246,7 @@ ActiveStepWork ActiveSolveAndFill(
     for (std::uint32_t p : state->dirty_paths) state->path_dirty[p] = 0;
   }
 
-  // 6. The reductions stay dense: they read only the (bit-identical)
+  // 5. The reductions stay dense: they read only the (bit-identical)
   //    workspace arrays, cost O(R + P + task paths), and keeping them whole
   //    means the congestion flags, utility total and feasibility summary
   //    need no dirtiness reasoning at all.

@@ -11,6 +11,9 @@
 // the arrays.  The buffers are reused across steps, so the steady-state
 // iteration performs no allocation, and all values are bit-identical to the
 // scalar oracles in model/evaluation.h for any thread count.
+// ActiveSolveAndFill is the sparse form of a solve plus fill: one bitwise
+// pass over each price space marks the tasks to re-solve, and only the
+// aggregates their latencies touch are re-summed (DESIGN.md §7.6).
 #pragma once
 
 #include <cstdint>
@@ -39,11 +42,12 @@ struct StepWorkspace {
   void Resize(const Workload& workload);
 };
 
-/// Fills every array and scalar of `workspace` from `latencies`: the fused
-/// replacement for the per-consumer sweeps.  The resource/path/task loops
-/// split across `pool` when given, one ParallelFor each; the utility total
-/// and feasibility maxima are reduced serially in index order so results do
-/// not depend on the thread count.  A dense engine step is
+/// Fills every array and scalar of `workspace` (sized by Resize) from
+/// `latencies`: the fused replacement for the per-consumer sweeps.  Each of
+/// the resource/path/task sweeps fans its Fill*Range body
+/// (model/evaluation.h) across `pool` when given, one ParallelFor each; the
+/// utility total and feasibility maxima are reduced serially in index order
+/// so results do not depend on the thread count.  A dense engine step is
 /// LatencySolver::SolveAll followed by this call.
 void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
                        const Assignment& latencies, UtilityVariant variant,
@@ -56,9 +60,12 @@ void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
 /// subtasks see bit-identical mu and lambda re-solves to bit-identical
 /// latencies, so its persisted latency/workspace entries ARE the re-solve's
 /// result; a resource/path whose member latencies are all bit-unchanged
-/// re-aggregates to the same sum.  Dirty items are recomputed in full with
-/// the dense arithmetic (never delta-updated), which makes the incremental
-/// trajectory bit-for-bit equal to the dense one at any thread count.
+/// re-aggregates to the same sum.  One pass over mu and one over lambda
+/// compare the new prices with solve_prices and mark the dirty tasks as they
+/// go.  Dirty items are recomputed in full with the dense arithmetic (never
+/// delta-updated) over the same path-price CSR the dense solve gathers
+/// through, which makes the incremental trajectory bit-for-bit equal to the
+/// dense one at any thread count.
 ///
 /// Invalidate(), a LatencyModel::revision() move or a shape change forces a
 /// dense re-prime on the next step: a model correction changes solve results
@@ -79,8 +86,6 @@ struct ActiveSetState {
   std::vector<std::uint32_t> res_task_index;
 
   /// Per-step scratch, reused (allocation-free in steady state).
-  std::vector<std::uint8_t> mu_changed;
-  std::vector<std::uint8_t> lambda_changed;
   std::vector<std::uint8_t> task_dirty;
   std::vector<std::uint8_t> resource_dirty;
   std::vector<std::uint8_t> path_dirty;

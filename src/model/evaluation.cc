@@ -94,18 +94,6 @@ void FillResourceShareSumsRange(const Workload& workload,
   }
 }
 
-void FillResourceShareSums(const Workload& workload, const LatencyModel& model,
-                           const Assignment& latencies,
-                           std::vector<double>* sums, ThreadPool* pool) {
-  assert(latencies.size() == workload.subtask_count());
-  sums->resize(workload.resource_count());
-  StaticParallelFor(pool, workload.resources().size(),
-                    [&](std::size_t begin, std::size_t end) {
-                      FillResourceShareSumsRange(workload, model, latencies,
-                                                 begin, end, sums);
-                    });
-}
-
 void FillPathLatenciesRange(const Workload& workload,
                             const Assignment& latencies, std::size_t begin,
                             std::size_t end,
@@ -118,17 +106,6 @@ void FillPathLatenciesRange(const Workload& workload,
     }
     (*latencies_out)[p] = sum;
   }
-}
-
-void FillPathLatencies(const Workload& workload, const Assignment& latencies,
-                       std::vector<double>* latencies_out, ThreadPool* pool) {
-  assert(latencies.size() == workload.subtask_count());
-  latencies_out->resize(workload.path_count());
-  StaticParallelFor(pool, workload.paths().size(),
-                    [&](std::size_t begin, std::size_t end) {
-                      FillPathLatenciesRange(workload, latencies, begin, end,
-                                             latencies_out);
-                    });
 }
 
 void FillTaskAggregatesRange(const Workload& workload,
@@ -146,21 +123,6 @@ void FillTaskAggregatesRange(const Workload& workload,
     (*weighted_latencies)[t] = weighted;
     (*utilities)[t] = tasks[t].utility.Value(weighted);
   }
-}
-
-void FillTaskAggregates(const Workload& workload, const Assignment& latencies,
-                        UtilityVariant variant,
-                        std::vector<double>* weighted_latencies,
-                        std::vector<double>* utilities, ThreadPool* pool) {
-  assert(latencies.size() == workload.subtask_count());
-  weighted_latencies->resize(workload.task_count());
-  utilities->resize(workload.task_count());
-  StaticParallelFor(pool, workload.tasks().size(),
-                    [&](std::size_t begin, std::size_t end) {
-                      FillTaskAggregatesRange(workload, latencies, variant,
-                                              begin, end, weighted_latencies,
-                                              utilities);
-                    });
 }
 
 FeasibilitySummary SummarizeFeasibility(

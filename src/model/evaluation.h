@@ -7,18 +7,17 @@
 //
 // Two forms are provided.  The scalar helpers (ResourceShareSum,
 // PathLatency, ...) evaluate one resource/path/task at a time and are the
-// reference oracles.  The Fill* variants evaluate everything into
-// caller-owned flat arrays in one sweep — no allocation in steady state and
-// each quantity computed exactly once per iteration — and the *FromArrays
-// helpers derive feasibility from those arrays instead of re-walking the
-// workload.  Every Fill*/FromArrays result is bit-identical to the scalar
-// oracle (same iteration order, same arithmetic), for any thread count.
+// reference oracles.  The Fill*Range sweep bodies evaluate index ranges into
+// caller-owned flat arrays — no allocation in steady state and each quantity
+// computed exactly once per iteration — and SummarizeFeasibility derives
+// feasibility from those arrays instead of re-walking the workload.  Every
+// Fill*Range/SummarizeFeasibility result is bit-identical to the scalar
+// oracle (same iteration order, same arithmetic), for any chunking.
 #pragma once
 
 #include <vector>
 
 #include "common/ids.h"
-#include "common/parallel.h"
 #include "model/latency_model.h"
 #include "model/workload.h"
 
@@ -69,33 +68,20 @@ FeasibilityReport CheckFeasibility(const Workload& workload,
                                    const Assignment& latencies,
                                    double tolerance = 1e-6);
 
-/// ResourceShareSum for every resource into `sums` (resized to
-/// resource_count; reuse the buffer to stay allocation-free).  With a pool
-/// the sweep is split over resources.
-void FillResourceShareSums(const Workload& workload, const LatencyModel& model,
-                           const Assignment& latencies,
-                           std::vector<double>* sums,
-                           ThreadPool* pool = nullptr);
-
-/// PathLatency for every path into `latencies_out` (resized to path_count).
-void FillPathLatencies(const Workload& workload, const Assignment& latencies,
-                       std::vector<double>* latencies_out,
-                       ThreadPool* pool = nullptr);
-
-/// Per-task latency aggregate X_i (the weighted subtask sum f_i is applied
-/// to) and utility f_i(X_i), both indexed by TaskId.  TotalUtility is the
-/// serial sum of `utilities` in task order.
-void FillTaskAggregates(const Workload& workload, const Assignment& latencies,
-                        UtilityVariant variant,
-                        std::vector<double>* weighted_latencies,
-                        std::vector<double>* utilities,
-                        ThreadPool* pool = nullptr);
-
-/// Range forms of the Fill* sweeps: compute items [begin, end) into
-/// already-sized output arrays.  These are the chunk bodies of the full
-/// Fill* and of the active set's dirty-item refreshes; each writes only its
-/// chunk's slots and uses the same iteration order and arithmetic as the
-/// full Fill*, so chunked results stay bit-identical to the scalar oracles.
+/// The sweep bodies of the per-step evaluation: each computes items
+/// [begin, end) into an already-sized output array, writing only its own
+/// slots with the scalar oracle's iteration order and arithmetic, so any
+/// chunking stays bit-identical to the oracles.  FillStepWorkspace
+/// (core/step_workspace.h) fans each out over the whole index space, and the
+/// active set over its dirty items.
+///   - FillResourceShareSumsRange: ResourceShareSum of resources [begin, end)
+///     into `sums`, indexed by ResourceId.
+///   - FillPathLatenciesRange: PathLatency of paths [begin, end) into
+///     `latencies_out`, indexed by PathId.
+///   - FillTaskAggregatesRange: each task's latency aggregate X_i (the
+///     weighted subtask sum f_i is applied to) and utility f_i(X_i), both
+///     indexed by TaskId.  TotalUtility is the serial sum of `utilities` in
+///     task order.
 void FillResourceShareSumsRange(const Workload& workload,
                                 const LatencyModel& model,
                                 const Assignment& latencies, std::size_t begin,
@@ -120,7 +106,8 @@ struct FeasibilitySummary {
 };
 
 /// CheckFeasibility's verdict from already-computed share sums and path
-/// latencies (as filled by FillResourceShareSums / FillPathLatencies).
+/// latencies (as filled by FillResourceShareSumsRange /
+/// FillPathLatenciesRange).
 FeasibilitySummary SummarizeFeasibility(
     const Workload& workload, const std::vector<double>& resource_share_sums,
     const std::vector<double>& path_latencies, double tolerance = 1e-6);

@@ -452,6 +452,26 @@ constexpr std::uint32_t kResourceSideSections[] = {3, 6, 8, 10};
 constexpr std::uint32_t kPathSideSections[] = {4, 7, 9, 11};
 constexpr std::uint32_t kUtilityWindowSection = 5;
 
+// Decodes every section of a parsed view into an owning StateSnapshot,
+// each exactly once, straight into the snapshot's vectors (one memcpy per
+// raw section); it cannot fail on a parsed view.
+StateSnapshot MaterializeSnapshot(const SnapshotView& view) {
+  StateSnapshot snap;
+  snap.resource_count = view.resource_count;
+  snap.path_count = view.path_count;
+  snap.subtask_count = view.subtask_count;
+  snap.task_count = view.task_count;
+  snap.iteration = view.iteration;
+  snap.converged = view.converged;
+  snap.total_subtask_solves = view.total_subtask_solves;
+  snap.step_iteration = view.step_iteration;
+  snap.momentum_restarts = view.momentum_restarts;
+  ForEachSection(&snap, [&](std::uint32_t id, auto* vec) {
+    DecodeSection(view.sections[id], vec);
+  });
+  return snap;
+}
+
 }  // namespace
 
 Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot) {
@@ -502,17 +522,16 @@ Status SaveSnapshotToFile(const StateSnapshot& snapshot,
 }
 
 Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes,
-                                               const Workload* workload) {
+                                               const Workload& workload) {
   using E = Expected<StateSnapshot>;
   Expected<SnapshotView> parsed = ParseSnapshotBinary(bytes.data(),
                                                       bytes.size());
   if (!parsed.ok()) return E::Error(parsed.error());
   const SnapshotView& view = parsed.value();
-  if (workload != nullptr &&
-      (view.resource_count != workload->resource_count() ||
-       view.path_count != workload->path_count() ||
-       view.subtask_count != workload->subtask_count() ||
-       view.task_count != workload->task_count())) {
+  if (view.resource_count != workload.resource_count() ||
+      view.path_count != workload.path_count() ||
+      view.subtask_count != workload.subtask_count() ||
+      view.task_count != workload.task_count()) {
     const auto shape = [](std::uint64_t r, std::uint64_t p, std::uint64_t s,
                           std::uint64_t t) {
       return std::to_string(r) + " resources, " + std::to_string(p) +
@@ -524,15 +543,15 @@ Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes,
         shape(view.resource_count, view.path_count, view.subtask_count,
               view.task_count) +
         ") does not match the workload (" +
-        shape(workload->resource_count(), workload->path_count(),
-              workload->subtask_count(), workload->task_count()) +
+        shape(workload.resource_count(), workload.path_count(),
+              workload.subtask_count(), workload.task_count()) +
         ")"));
   }
   return MaterializeSnapshot(view);
 }
 
 Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path,
-                                             const Workload* workload) {
+                                             const Workload& workload) {
   Expected<std::string> bytes = ReadSnapshotFile(path);
   if (!bytes.ok()) return Expected<StateSnapshot>::Error(bytes.error());
   return LoadSnapshotFromString(bytes.value(), workload);
@@ -683,23 +702,6 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
                   "at most " + std::to_string(kSnapshotUtilityWindow));
   }
   return view;
-}
-
-StateSnapshot MaterializeSnapshot(const SnapshotView& view) {
-  StateSnapshot snap;
-  snap.resource_count = view.resource_count;
-  snap.path_count = view.path_count;
-  snap.subtask_count = view.subtask_count;
-  snap.task_count = view.task_count;
-  snap.iteration = view.iteration;
-  snap.converged = view.converged;
-  snap.total_subtask_solves = view.total_subtask_solves;
-  snap.step_iteration = view.step_iteration;
-  snap.momentum_restarts = view.momentum_restarts;
-  ForEachSection(&snap, [&](std::uint32_t id, auto* vec) {
-    DecodeSection(view.sections[id], vec);
-  });
-  return snap;
 }
 
 }  // namespace lla

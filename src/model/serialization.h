@@ -112,19 +112,18 @@ Expected<std::string> SaveSnapshotToString(const StateSnapshot& snapshot);
 Status SaveSnapshotToFile(const StateSnapshot& snapshot,
                           const std::string& path);
 
-/// Parses a b1 image (ParseSnapshotBinary) and decodes it into an owning
-/// snapshot (MaterializeSnapshot).  The error locates the defect by byte
-/// layout or section id.  Given `workload` — the workload of the engine the
-/// snapshot will restore into, which every restore from bytes passes — an
-/// image whose header declares another shape is refused before any section
-/// is decoded, so no image can make a restore allocate more than that
-/// engine's own dual state.  Without it (codec round trips) the decode is
-/// bounded by the header's declared shape.  The file loader reads the file
-/// with ReadSnapshotFile.
-Expected<StateSnapshot> LoadSnapshotFromString(
-    const std::string& bytes, const Workload* workload = nullptr);
-Expected<StateSnapshot> LoadSnapshotFromFile(
-    const std::string& path, const Workload* workload = nullptr);
+/// Parses a b1 image (ParseSnapshotBinary), checks the header's shape
+/// against `workload` — the workload of the engine the snapshot will restore
+/// into — and only then decodes each section into an owning snapshot.  An
+/// image that declares another shape is refused before any section is
+/// decoded, so no image can make a load allocate more than that engine's
+/// own dual state.  These are the only decoders of section payloads.  The
+/// error locates the defect by byte layout or section id.  The file loader
+/// reads the file with ReadSnapshotFile.
+Expected<StateSnapshot> LoadSnapshotFromString(const std::string& bytes,
+                                               const Workload& workload);
+Expected<StateSnapshot> LoadSnapshotFromFile(const std::string& path,
+                                             const Workload& workload);
 
 /// Reads a whole snapshot file into memory: the one file reader of the b1
 /// loaders and `lla inspect`.  Images are tens of KB even at the
@@ -157,7 +156,7 @@ inline constexpr SnapshotElemKind kSnapshotElemKinds[] = {
 /// stability counters) and 14-19 (the active-set price retirement's
 /// change-detection baselines, settled flags and zero-streak counters).
 /// The encoder never writes it; the parser still validates it, so older
-/// images keep restoring, and materialization ignores it.
+/// images keep restoring, and the loaders ignore it.
 struct SnapshotSectionSpec {
   const char* name;  ///< nullptr: no section has this id
   std::uint8_t elem_kind;
@@ -194,10 +193,10 @@ inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
 /// live section's count to the header: mu and lambda hold exactly the
 /// declared resource and path counts, each step and dynamics section 0 or
 /// that count on its side, recent_utilities at most kSnapshotUtilityWindow.
-/// The section payloads stay byte ranges aliasing the caller's buffer.
-/// MaterializeSnapshot then decodes each section exactly once, straight into
-/// the vectors of the snapshot it returns (one memcpy for raw sections); it
-/// cannot fail on a parsed view.  The backing bytes must outlive the view.
+/// The section payloads stay byte ranges aliasing the caller's buffer, and
+/// parsing allocates nothing per section (`lla inspect` reads the table from
+/// here); the loaders above decode the payloads.  The backing bytes must
+/// outlive the view.
 struct SnapshotSectionRef {
   std::uint8_t elem_kind = 0;
   std::uint8_t encoding = 0;
@@ -218,15 +217,12 @@ struct SnapshotView {
   std::int64_t step_iteration = 0;
   std::uint64_t momentum_restarts = 0;
   /// Indexed by section id (slot 0 unused).  A section absent from the image
-  /// has data == nullptr and materializes as an empty vector; a retired one
-  /// is kept here for `lla inspect` and never materialized.
+  /// has data == nullptr and loads as an empty vector; a retired one is kept
+  /// here for `lla inspect` and never decoded.
   static constexpr std::size_t kMaxSectionId = std::size(kSnapshotSections) - 1;
   SnapshotSectionRef sections[kMaxSectionId + 1];
 };
 
 Expected<SnapshotView> ParseSnapshotBinary(const char* data, std::size_t size);
-
-/// Decodes every section of a parsed view into an owning StateSnapshot.
-StateSnapshot MaterializeSnapshot(const SnapshotView& view);
 
 }  // namespace lla

@@ -271,10 +271,9 @@ void TaskController::AllocateAndSend(PriceVector* prices,
     prices->lambda[info.paths[p].value()] = local_lambdas_[p];
   }
 
-  // 3. Latency allocation at the stored prices (Eq. 7), with the full
-  // gather CSR the caller's serial PrepareSolve left installed.  Distinct
-  // tasks write disjoint slots of the shared scratch Assignment, so lanes
-  // share it.
+  // 3. Latency allocation at the stored prices (Eq. 7), reading the model
+  // cache the caller's serial PrepareSolve refreshed.  Distinct tasks write
+  // disjoint slots of the shared scratch Assignment, so lanes share it.
   Assignment& scratch = shared_->latencies;
   shared_->solver.SolveTaskRange(task_.value(), task_.value() + 1, *prices,
                                  &scratch);

@@ -127,21 +127,6 @@ TEST(EngineEdgeTest, InelasticTasksConstrainWithoutTradeoff) {
   EXPECT_LT(soft_lat0, hard_lat);
 }
 
-TEST(EngineEdgeTest, ZeroInitialPricesMatchDefault) {
-  auto workload = MakeSimWorkload();
-  ASSERT_TRUE(workload.ok());
-  const Workload& w = workload.value();
-  LatencyModel model(w);
-  LlaConfig config;
-  config.initial_mu = 0.0;
-  config.initial_lambda = 0.0;
-  LlaEngine a(w, model, config);
-  LlaEngine b(w, model, LlaConfig{});
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(a.Step().total_utility, b.Step().total_utility);
-  }
-}
-
 TEST(EngineEdgeTest, NonZeroInitialPricesStillConverge) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
@@ -149,9 +134,8 @@ TEST(EngineEdgeTest, NonZeroInitialPricesStillConverge) {
   LatencyModel model(w);
   LlaConfig config;
   config.gamma0 = 3.0;
-  config.initial_mu = 50.0;
-  config.initial_lambda = 2.0;
   LlaEngine engine(w, model, config);
+  engine.WarmStart(PriceVector::Uniform(w, 50.0, 2.0));
   const RunResult run = engine.Run(12000);
   EXPECT_TRUE(run.converged);
   EXPECT_NEAR(run.final_utility, -76.0, 1.0);

@@ -115,7 +115,7 @@ class RestoreAllocationTest : public ::testing::Test {
     allocated_bytes.store(0);
     counting.store(true);
     Expected<StateSnapshot> loaded =
-        LoadSnapshotFromString(image, workload_.get());
+        LoadSnapshotFromString(image, *workload_);
     counting.store(false);
     *bytes = allocated_bytes.load();
     return loaded;
@@ -155,7 +155,6 @@ TEST_F(RestoreAllocationTest, OversizedUtilityWindowIsRefused) {
   EXPECT_NE(loaded.error().find("recent_utilities"), std::string::npos)
       << loaded.error();
   EXPECT_LT(bytes, kWords * sizeof(double) / 256);
-  EXPECT_FALSE(LoadSnapshotFromString(image).ok());
   EXPECT_EQ(CliRestore(image), 3);
 }
 

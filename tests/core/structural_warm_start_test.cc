@@ -73,9 +73,10 @@ TEST(StructuralWarmStartTest, LeaveResetsOnlyTheClosure) {
                         2 * sizeof(double)),
             0);
   EXPECT_EQ(warm.prices().lambda[0], optimum.lambda[0]);
-  // Cluster B's mu re-seeded at initial_mu; its lambda kept mapped.
-  EXPECT_EQ(warm.prices().mu[2], Converging().initial_mu);
-  EXPECT_EQ(warm.prices().mu[3], Converging().initial_mu);
+  // Cluster B's mu re-seeded at 0.0, where a cold start begins; its lambda
+  // kept mapped.
+  EXPECT_EQ(warm.prices().mu[2], 0.0);
+  EXPECT_EQ(warm.prices().mu[3], 0.0);
   EXPECT_EQ(warm.prices().lambda[1], optimum.lambda[1]);
   // The closure: tB plus {cpu2, cpu3}.
   EXPECT_EQ(warm.last_reprime_tasks(), 1u);
@@ -96,8 +97,7 @@ TEST(StructuralWarmStartTest, JoinKeepsMappedPricesAndSeedsNewcomer) {
       FourCpus(), {ChainTask("tA", 0, 1), ChainTask("tB", 2, 3)});
   ASSERT_TRUE(reduced.ok()) << reduced.error();
   LatencyModel reduced_model(reduced.value());
-  LlaConfig config = Converging();
-  config.initial_lambda = 0.25;  // distinguishable newcomer seed
+  const LlaConfig config = Converging();
   LlaEngine incumbent(reduced.value(), reduced_model, config);
   ASSERT_TRUE(incumbent.Run(12000).converged);
   const PriceVector before = incumbent.prices();
@@ -117,7 +117,7 @@ TEST(StructuralWarmStartTest, JoinKeepsMappedPricesAndSeedsNewcomer) {
             0);
   EXPECT_EQ(warm.prices().lambda[0], before.lambda[0]);
   EXPECT_EQ(warm.prices().lambda[1], before.lambda[1]);
-  EXPECT_EQ(warm.prices().lambda[2], 0.25);
+  EXPECT_EQ(warm.prices().lambda[2], 0.0);
   // The closure still reports what must re-converge: cluster B + newcomer.
   EXPECT_EQ(warm.last_reprime_tasks(), 2u);
   EXPECT_EQ(warm.last_reprime_resources(), 2u);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/trigger.h"
 #include "model/utility.h"
 #include "workloads/paper.h"
 
@@ -327,6 +328,45 @@ StateSnapshot MakeSnapshot() {
   return snapshot;
 }
 
+// A workload of MakeSnapshot()'s shape, for the loaders, which check the
+// header against the restoring engine's workload: 2 resources, 3 paths (the
+// fork's two and the lone task's one), 4 subtasks, 2 tasks.  Two of the
+// fork's three subtasks share a resource, so the workload allows that.
+Workload SnapshotShapedWorkload() {
+  TaskSpec fork;
+  fork.name = "fork";
+  fork.critical_time_ms = 100.0;
+  fork.utility = Utility::Linear(100.0, 1.0);
+  fork.trigger = TriggerSpec::Periodic(100.0);
+  fork.subtasks = {{"root", ResourceId(0u), 1.0, 0.0},
+                   {"left", ResourceId(1u), 1.0, 0.0},
+                   {"right", ResourceId(1u), 1.0, 0.0}};
+  fork.edges = {{0, 1}, {0, 2}};
+  TaskSpec lone = fork;
+  lone.name = "lone";
+  lone.subtasks = {{"only", ResourceId(0u), 1.0, 0.0}};
+  lone.edges.clear();
+  WorkloadOptions options;
+  options.allow_shared_resource_within_task = true;
+  auto workload = Workload::Create({{"cpu0", ResourceKind::kCpu, 1.0, 0.0},
+                                    {"cpu1", ResourceKind::kCpu, 1.0, 0.0}},
+                                   {fork, lone}, options);
+  EXPECT_TRUE(workload.ok()) << workload.error();
+  const StateSnapshot shape = MakeSnapshot();
+  EXPECT_EQ(workload.value().resource_count(), shape.resource_count);
+  EXPECT_EQ(workload.value().path_count(), shape.path_count);
+  EXPECT_EQ(workload.value().subtask_count(), shape.subtask_count);
+  EXPECT_EQ(workload.value().task_count(), shape.task_count);
+  return std::move(workload).value();
+}
+
+// The parser alone.  Every rejection below is the parser's, so the
+// rejection cases call it directly; each keeps a positive control (the
+// pristine image parses or loads) in front, so it fails for its own defect.
+Expected<SnapshotView> Parse(const std::string& bytes) {
+  return ParseSnapshotBinary(bytes.data(), bytes.size());
+}
+
 void ExpectSnapshotsEqual(const StateSnapshot& a, const StateSnapshot& b) {
   EXPECT_EQ(a.resource_count, b.resource_count);
   EXPECT_EQ(a.path_count, b.path_count);
@@ -361,7 +401,7 @@ TEST(SnapshotSerializationTest, RoundTripsThroughFile) {
   const StateSnapshot original = MakeSnapshot();
   const std::string path = ::testing::TempDir() + "/snapshot_rt.snap";
   ASSERT_TRUE(SaveSnapshotToFile(original, path).ok());
-  auto loaded = LoadSnapshotFromFile(path);
+  auto loaded = LoadSnapshotFromFile(path, SnapshotShapedWorkload());
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   ExpectSnapshotsEqual(original, loaded.value());
   std::remove(path.c_str());
@@ -381,14 +421,15 @@ TEST(SerializationTest, SaversReportAFullDevice) {
 // header's resource / path counts.
 TEST(SnapshotSerializationTest, RejectsPriceVectorShapeMismatch) {
   StateSnapshot snapshot = MakeSnapshot();
+  const std::string good = SaveSnapshotToString(snapshot).value();
+  ASSERT_TRUE(Parse(good).ok());
   snapshot.mu.push_back(1.0);  // now disagrees with resource_count
-  auto saved = SaveSnapshotToString(snapshot);
-  ASSERT_TRUE(saved.ok());
-  auto loaded = LoadSnapshotFromString(saved.value());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().find("price vectors do not match declared shape"),
+  const std::string bad = SaveSnapshotToString(snapshot).value();
+  auto parsed = Parse(bad);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().find("price vectors do not match declared shape"),
             std::string::npos)
-      << loaded.error();
+      << parsed.error();
 }
 
 // Every live section's count is tied to the header: the step and dynamics
@@ -396,6 +437,11 @@ TEST(SnapshotSerializationTest, RejectsPriceVectorShapeMismatch) {
 // at most kSnapshotUtilityWindow values.  The parser refuses anything else,
 // so decoding a parsed view allocates no more than the header declares.
 TEST(SnapshotSerializationTest, RejectsSectionCountsTheHeaderDoesNotDeclare) {
+  const Workload workload = SnapshotShapedWorkload();
+  ASSERT_TRUE(
+      LoadSnapshotFromString(SaveSnapshotToString(MakeSnapshot()).value(),
+                             workload)
+          .ok());
   using Field = std::vector<double> StateSnapshot::*;
   for (const Field field :
        {&StateSnapshot::resource_step_multiplier,
@@ -405,27 +451,30 @@ TEST(SnapshotSerializationTest, RejectsSectionCountsTheHeaderDoesNotDeclare) {
         &StateSnapshot::lambda_phase}) {
     StateSnapshot snapshot = MakeSnapshot();
     (snapshot.*field).push_back(1.0);
-    auto loaded =
-        LoadSnapshotFromString(SaveSnapshotToString(snapshot).value());
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_NE(loaded.error().find(" elements, expected 0 or "),
+    const std::string bad = SaveSnapshotToString(snapshot).value();
+    auto parsed = Parse(bad);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.error().find(" elements, expected 0 or "),
               std::string::npos)
-        << loaded.error();
+        << parsed.error();
     (snapshot.*field).clear();  // absent state is no misfit
-    EXPECT_TRUE(
-        LoadSnapshotFromString(SaveSnapshotToString(snapshot).value()).ok());
+    EXPECT_TRUE(LoadSnapshotFromString(SaveSnapshotToString(snapshot).value(),
+                                       workload)
+                    .ok());
   }
   StateSnapshot snapshot = MakeSnapshot();
   snapshot.recent_utilities.assign(kSnapshotUtilityWindow, 100.5);
-  EXPECT_TRUE(
-      LoadSnapshotFromString(SaveSnapshotToString(snapshot).value()).ok());
+  EXPECT_TRUE(LoadSnapshotFromString(SaveSnapshotToString(snapshot).value(),
+                                     workload)
+                  .ok());
   snapshot.recent_utilities.push_back(100.5);
-  auto loaded = LoadSnapshotFromString(SaveSnapshotToString(snapshot).value());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error().find("recent_utilities): 11 elements, expected at "
+  const std::string bad = SaveSnapshotToString(snapshot).value();
+  auto parsed = Parse(bad);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().find("recent_utilities): 11 elements, expected at "
                                 "most 10"),
             std::string::npos)
-      << loaded.error();
+      << parsed.error();
 }
 
 // --- Binary snapshot format "b1" (DESIGN.md §7.10).
@@ -458,7 +507,8 @@ TEST(BinarySnapshotTest, RoundTripsBitExactlyAndDeterministically) {
   auto bytes = SaveSnapshotToString(original);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(bytes.value().compare(0, 8, "LLASNAPB"), 0);
-  auto loaded = LoadSnapshotFromString(bytes.value());
+  auto loaded =
+      LoadSnapshotFromString(bytes.value(), SnapshotShapedWorkload());
   ASSERT_TRUE(loaded.ok()) << loaded.error();
   ExpectSnapshotsEqual(original, loaded.value());
   // Deterministic bytes: re-serializing the loaded snapshot reproduces the
@@ -473,35 +523,37 @@ TEST(BinarySnapshotTest, RoundTripsBitExactlyAndDeterministically) {
 // empty file — with the parser's message.
 TEST(BinarySnapshotTest, GenericLoadersSniffTheMagic) {
   const StateSnapshot original = MakeSnapshot();
+  const Workload workload = SnapshotShapedWorkload();
   auto bytes = SaveSnapshotToString(original);
   ASSERT_TRUE(bytes.ok());
   const std::string path = ::testing::TempDir() + "/snapshot_b1.snap";
   std::ofstream(path, std::ios::binary) << bytes.value();
-  auto from_file = LoadSnapshotFromFile(path);
+  auto from_file = LoadSnapshotFromFile(path, workload);
   ASSERT_TRUE(from_file.ok()) << from_file.error();
   ExpectSnapshotsEqual(original, from_file.value());
 
   std::ofstream(path) << "snapshot v2\nshape 2 3 4 2\nend\n";
-  auto text = LoadSnapshotFromFile(path);
+  auto text = LoadSnapshotFromFile(path, workload);
   ASSERT_FALSE(text.ok());
   EXPECT_NE(text.error().find("missing magic bytes"), std::string::npos)
       << text.error();
   std::ofstream(path, std::ios::trunc).flush();
-  EXPECT_FALSE(LoadSnapshotFromFile(path).ok());
+  EXPECT_FALSE(LoadSnapshotFromFile(path, workload).ok());
   std::remove(path.c_str());
-  EXPECT_FALSE(LoadSnapshotFromFile(path).ok());  // no such file
+  EXPECT_FALSE(LoadSnapshotFromFile(path, workload).ok());  // no such file
 }
 
 TEST(BinarySnapshotTest, RejectsEveryTruncation) {
   auto bytes = SaveSnapshotToString(MakeSnapshot());
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
+  ASSERT_TRUE(Parse(good).ok());
   // Any prefix that loses more than the trailing alignment padding (< 8
   // bytes, bit-zero) must be rejected — header, section table, and payload
   // truncations alike.
   for (std::size_t len = 0; len + 8 <= good.size(); ++len) {
-    EXPECT_FALSE(LoadSnapshotFromString(good.substr(0, len)).ok())
-        << "prefix of " << len << " bytes parsed";
+    const std::string prefix = good.substr(0, len);
+    EXPECT_FALSE(Parse(prefix).ok()) << "prefix of " << len << " bytes parsed";
   }
 }
 
@@ -509,27 +561,28 @@ TEST(BinarySnapshotTest, RejectsHeaderCorruption) {
   auto bytes = SaveSnapshotToString(MakeSnapshot());
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
+  ASSERT_TRUE(Parse(good).ok());
 
   std::string bad_magic = good;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(LoadSnapshotFromString(bad_magic).ok());
+  EXPECT_FALSE(Parse(bad_magic).ok());
 
   std::string bad_version = good;
   bad_version[8] = 2;
-  EXPECT_FALSE(LoadSnapshotFromString(bad_version).ok());
+  EXPECT_FALSE(Parse(bad_version).ok());
 
   std::string bad_count = good;  // section count beyond the actual table
   bad_count[12] = static_cast<char>(0xff);
   bad_count[13] = static_cast<char>(0xff);
-  EXPECT_FALSE(LoadSnapshotFromString(bad_count).ok());
+  EXPECT_FALSE(Parse(bad_count).ok());
 
   std::string bad_flag = good;
   bad_flag[80] = 2;  // converged must be 0/1
-  EXPECT_FALSE(LoadSnapshotFromString(bad_flag).ok());
+  EXPECT_FALSE(Parse(bad_flag).ok());
 
   std::string bad_primed = good;
   bad_primed[81] = 2;  // the retired primed byte too
-  EXPECT_FALSE(LoadSnapshotFromString(bad_primed).ok());
+  EXPECT_FALSE(Parse(bad_primed).ok());
 }
 
 TEST(BinarySnapshotTest, RejectsSectionTableCorruption) {
@@ -540,51 +593,52 @@ TEST(BinarySnapshotTest, RejectsSectionTableCorruption) {
   const std::size_t lambda_entry = B1FindEntry(good, 2);
   ASSERT_NE(mu_entry, std::string::npos);
   ASSERT_NE(lambda_entry, std::string::npos);
+  ASSERT_TRUE(Parse(good).ok());
 
   {
     std::string bad = good;  // unknown section id
     bad[mu_entry] = 99;
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // duplicate section id
     bad[lambda_entry] = 1;
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // unknown element kind
     bad[mu_entry + 4] = 7;
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // unknown encoding
     bad[mu_entry + 5] = 9;
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // element count no longer matches payload size
     ++bad[mu_entry + 8];
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // hostile count: must refuse to allocate
     std::memset(bad.data() + mu_entry + 8, 0xff, 8);
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // misaligned payload offset
     ++bad[mu_entry + 16];
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // offset past the payload region
     std::memset(bad.data() + mu_entry + 16, 0x7f, 8);
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // size overrunning the payload region
     std::memset(bad.data() + mu_entry + 24, 0x7f, 8);
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
 }
 
@@ -602,7 +656,7 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
   auto bytes = SaveSnapshotToString(snapshot);
   ASSERT_TRUE(bytes.ok());
   const std::string& good = bytes.value();
-  ASSERT_TRUE(LoadSnapshotFromString(good).ok());
+  ASSERT_TRUE(Parse(good).ok());
 
   const std::size_t payload_start =
       kB1Header + B1SectionCount(good) * kB1Entry;
@@ -623,23 +677,23 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
     std::string bad = good;  // sparse index out of range (>= count)
     const std::uint32_t index = 64;
     std::memcpy(bad.data() + payload_start + lambda_off + 8, &index, 4);
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // sparse nnz disagrees with section size
     ++bad[payload_start + lambda_off];
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // rle run count disagrees with section size
     ++bad[payload_start + rle_off];
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     std::string bad = good;  // rle run length exceeds the element count
     const std::uint64_t run_len = 65;
     std::memcpy(bad.data() + payload_start + rle_off + 8, &run_len, 8);
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
   {
     // rle run count crafted so 8 + runs * 16 wraps u64 back to the real
@@ -650,7 +704,7 @@ TEST(BinarySnapshotTest, RejectsCorruptCompressedPayloads) {
     std::memcpy(&size, bad.data() + rle_entry + 24, 8);
     const std::uint64_t runs = ((size - 8) / 16) + (1ull << 60);
     std::memcpy(bad.data() + payload_start + rle_off, &runs, 8);
-    EXPECT_FALSE(LoadSnapshotFromString(bad).ok());
+    EXPECT_FALSE(Parse(bad).ok());
   }
 }
 

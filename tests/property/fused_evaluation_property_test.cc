@@ -1,10 +1,10 @@
 // Property suite for the fused evaluation layer: on randomized workloads
-// and assignments, every Fill* variant and SummarizeFeasibility must equal
-// its scalar oracle bit-for-bit (EXPECT_EQ on doubles, not EXPECT_NEAR —
-// the fused sweeps promise the same arithmetic, not an approximation), the
-// cached solver must match the uncached reference solver, and a full engine
-// run must be bit-identical for any thread count, stepping densely or by the
-// active set.
+// and assignments, every FillStepWorkspace sweep and SummarizeFeasibility
+// must equal its scalar oracle bit-for-bit (EXPECT_EQ on doubles, not
+// EXPECT_NEAR — the fused sweeps promise the same arithmetic, not an
+// approximation), the cached solver must match the uncached reference
+// solver, and a full engine run must be bit-identical for any thread count,
+// stepping densely or by the active set.
 #include <random>
 #include <vector>
 
@@ -73,43 +73,42 @@ TEST_P(FusedEvaluationProperty, FillsMatchScalarOraclesExactly) {
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     for (std::uint64_t round = 0; round < 4; ++round) {
       const Assignment latencies = RandomAssignment(w, seed * 131 + round);
-
-      std::vector<double> share_sums;
-      FillResourceShareSums(w, model, latencies, &share_sums, p);
-      ASSERT_EQ(share_sums.size(), w.resource_count());
-      for (const ResourceInfo& resource : w.resources()) {
-        EXPECT_EQ(share_sums[resource.id.value()],
-                  ResourceShareSum(w, model, resource.id, latencies));
-      }
-
-      std::vector<double> path_latencies;
-      FillPathLatencies(w, latencies, &path_latencies, p);
-      ASSERT_EQ(path_latencies.size(), w.path_count());
-      for (const PathInfo& path : w.paths()) {
-        EXPECT_EQ(path_latencies[path.id.value()],
-                  PathLatency(w, path.id, latencies));
-      }
-
       for (UtilityVariant variant :
            {UtilityVariant::kPathWeighted, UtilityVariant::kSum}) {
-        std::vector<double> weighted, utilities;
-        FillTaskAggregates(w, latencies, variant, &weighted, &utilities, p);
-        ASSERT_EQ(utilities.size(), w.task_count());
+        StepWorkspace workspace;
+        workspace.Resize(w);
+        FillStepWorkspace(w, model, latencies, variant, 1e-6, p, &workspace);
+
+        for (const ResourceInfo& resource : w.resources()) {
+          EXPECT_EQ(workspace.resource_share_sums[resource.id.value()],
+                    ResourceShareSum(w, model, resource.id, latencies));
+        }
+        for (const PathInfo& path : w.paths()) {
+          EXPECT_EQ(workspace.path_latencies[path.id.value()],
+                    PathLatency(w, path.id, latencies));
+        }
         double total = 0.0;
         for (const TaskInfo& task : w.tasks()) {
-          EXPECT_EQ(utilities[task.id.value()],
+          EXPECT_EQ(workspace.task_utilities[task.id.value()],
                     TaskUtility(w, task.id, latencies, variant));
-          total += utilities[task.id.value()];
+          total += workspace.task_utilities[task.id.value()];
         }
         EXPECT_EQ(total, TotalUtility(w, latencies, variant));
-      }
+        EXPECT_EQ(workspace.total_utility, total);
 
-      const FeasibilityReport oracle = CheckFeasibility(w, model, latencies);
-      const FeasibilitySummary summary =
-          SummarizeFeasibility(w, share_sums, path_latencies);
-      EXPECT_EQ(summary.feasible, oracle.feasible);
-      EXPECT_EQ(summary.max_resource_excess, oracle.max_resource_excess);
-      EXPECT_EQ(summary.max_path_ratio, oracle.max_path_ratio);
+        const FeasibilityReport oracle =
+            CheckFeasibility(w, model, latencies);
+        const FeasibilitySummary summary = SummarizeFeasibility(
+            w, workspace.resource_share_sums, workspace.path_latencies);
+        EXPECT_EQ(summary.feasible, oracle.feasible);
+        EXPECT_EQ(summary.max_resource_excess, oracle.max_resource_excess);
+        EXPECT_EQ(summary.max_path_ratio, oracle.max_path_ratio);
+        EXPECT_EQ(workspace.feasibility.feasible, oracle.feasible);
+        EXPECT_EQ(workspace.feasibility.max_resource_excess,
+                  oracle.max_resource_excess);
+        EXPECT_EQ(workspace.feasibility.max_path_ratio,
+                  oracle.max_path_ratio);
+      }
     }
   }
 }

@@ -10,9 +10,8 @@
 // multi-resource shards and the default one shard per resource) and two
 // buses: zero-delay lossless, and a seeded one that drops and jitters
 // messages, whose randoms are drawn in send order — the order the lane
-// commit must reproduce.  The controllers' local solves always take the
-// full lambda gather (the compacted one is the engine's active set, pinned
-// by active_set_property_test).
+// commit must reproduce.  The controllers' local solves gather lambda over
+// the same path-price CSR as the engine's dense and active-set solves.
 #include <cstring>
 
 #include <gtest/gtest.h>

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,14 +95,14 @@ void CheckResume(const Workload& workload, const LlaConfig& config, int pre,
   if (round_trip == RoundTrip::kString) {
     auto bytes = SaveSnapshotToString(snapshot);
     ASSERT_TRUE(bytes.ok()) << label;
-    auto loaded = LoadSnapshotFromString(bytes.value());
+    auto loaded = LoadSnapshotFromString(bytes.value(), workload);
     ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.error();
     snapshot = loaded.value();
   } else if (round_trip == RoundTrip::kFile) {
     // The file loader reads the image into memory, then decodes it.
     const std::string path = ::testing::TempDir() + "/recovery_prop.snap";
     ASSERT_TRUE(SaveSnapshotToFile(snapshot, path).ok()) << label;
-    auto loaded = LoadSnapshotFromFile(path);
+    auto loaded = LoadSnapshotFromFile(path, workload);
     ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.error();
     snapshot = loaded.value();
     std::remove(path.c_str());
@@ -332,8 +333,10 @@ TEST(RecoveryPropertyTest, V1SnapshotStillRestores) {
   }
 
   const Trajectory expected = StepAndRecord(&reference, 60);
+  auto loaded = LoadSnapshotFromString(image, w);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
   LlaEngine restored(w, model, config);
-  ASSERT_TRUE(restored.Restore(MaterializeSnapshot(view.value())).ok());
+  ASSERT_TRUE(restored.Restore(std::move(loaded).value()).ok());
   const Trajectory actual = StepAndRecord(&restored, 60);
   ExpectBitIdentical(expected, actual, "snapshot without dynamics sections");
 }
@@ -452,8 +455,10 @@ TEST(RecoveryPropertyTest, RetiredSectionsStillRestore) {
 #endif
 
     const Trajectory expected = StepAndRecord(&reference, 60);
+    auto loaded = LoadSnapshotFromString(image, w);
+    ASSERT_TRUE(loaded.ok()) << loaded.error();
     LlaEngine restored(w, model, config);
-    ASSERT_TRUE(restored.Restore(MaterializeSnapshot(view.value())).ok());
+    ASSERT_TRUE(restored.Restore(std::move(loaded).value()).ok());
     const Trajectory actual = StepAndRecord(&restored, 60);
     ExpectBitIdentical(expected, actual, "image with retired sections");
 

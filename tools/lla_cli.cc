@@ -409,7 +409,7 @@ int Solve(const Workload& w, const Options& options) {
   LlaEngine engine(w, model, EngineConfig(options));
   if (!options.restore_path.empty()) {
     const char* path = options.restore_path.c_str();
-    auto snapshot = LoadSnapshotFromFile(options.restore_path, &w);
+    auto snapshot = LoadSnapshotFromFile(options.restore_path, w);
     if (!snapshot.ok()) {
       std::fprintf(stderr, "error loading snapshot %s: %s\n", path,
                    snapshot.error().c_str());
