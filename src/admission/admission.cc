@@ -142,15 +142,6 @@ std::vector<ProbeResult> AdmissionController::ProbeAllImpl(
   return results;
 }
 
-bool AdmissionController::Schedulable(const std::vector<TaskSpec>& tasks,
-                                      double* utility,
-                                      std::string* reason) const {
-  const ProbeResult probe = ProbeAll({tasks}).front();
-  if (probe.evaluated) *utility = probe.utility;
-  *reason = probe.reason;
-  return probe.schedulable;
-}
-
 AdmissionReport AdmissionController::TryAdmit(const TaskSpec& candidate) {
   AdmissionReport report;
 

@@ -108,10 +108,6 @@ class AdmissionController {
       const std::vector<std::vector<TaskSpec>>& candidate_sets,
       std::size_t incumbent_index) const;
 
-  /// Runs the full schedulability pipeline on a task set; fills utility.
-  bool Schedulable(const std::vector<TaskSpec>& tasks, double* utility,
-                   std::string* reason) const;
-
   std::vector<ResourceSpec> resources_;
   AdmissionConfig config_;
   std::vector<TaskSpec> tasks_;

@@ -28,7 +28,6 @@ void ReduceWorkspace(const Workload& workload, double feasibility_tol,
 void StepWorkspace::Resize(const Workload& workload) {
   resource_share_sums.resize(workload.resource_count());
   path_latencies.resize(workload.path_count());
-  task_weighted_latencies.resize(workload.task_count());
   task_utilities.resize(workload.task_count());
   resource_congested.resize(workload.resource_count());
 }
@@ -51,10 +50,9 @@ void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
                     });
   StaticParallelFor(pool, workload.task_count(),
                     [&](std::size_t begin, std::size_t end) {
-                      FillTaskAggregatesRange(
-                          workload, latencies, variant, begin, end,
-                          &workspace->task_weighted_latencies,
-                          &workspace->task_utilities);
+                      FillTaskAggregatesRange(workload, latencies, variant,
+                                              begin, end,
+                                              &workspace->task_utilities);
                     });
   ReduceWorkspace(workload, feasibility_tol, workspace);
 }
@@ -236,7 +234,6 @@ ActiveStepWork ActiveSolveAndFill(
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t t = task_ids[i];
             FillTaskAggregatesRange(workload, *latencies, variant, t, t + 1,
-                                    &workspace->task_weighted_latencies,
                                     &workspace->task_utilities);
           }
         });

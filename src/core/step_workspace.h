@@ -31,7 +31,6 @@ namespace lla {
 struct StepWorkspace {
   std::vector<double> resource_share_sums;     ///< by ResourceId (Eq. 3 lhs)
   std::vector<double> path_latencies;          ///< by PathId (Eq. 4 lhs)
-  std::vector<double> task_weighted_latencies; ///< X_i by TaskId
   std::vector<double> task_utilities;          ///< f_i(X_i) by TaskId
   std::vector<bool> resource_congested;        ///< share sum > B_r
   double total_utility = 0.0;

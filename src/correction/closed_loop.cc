@@ -18,7 +18,6 @@ std::vector<EpochRecord> ClosedLoop::Run() {
   LlaEngine engine(w, model_, config_.lla);
   ErrorCorrector corrector(w, &model_, config_.correction);
   ShareModelFitter fitter(w, &model_, config_.fitter);
-  sim::SystemSimulator simulator(w, config_.sim);
 
   std::vector<EpochRecord> records;
   records.reserve(config_.epochs);

@@ -111,16 +111,13 @@ void FillPathLatenciesRange(const Workload& workload,
 void FillTaskAggregatesRange(const Workload& workload,
                              const Assignment& latencies,
                              UtilityVariant variant, std::size_t begin,
-                             std::size_t end,
-                             std::vector<double>* weighted_latencies,
-                             std::vector<double>* utilities) {
+                             std::size_t end, std::vector<double>* utilities) {
   const std::vector<TaskInfo>& tasks = workload.tasks();
   for (std::size_t t = begin; t < end; ++t) {
     double weighted = 0.0;
     for (SubtaskId sid : tasks[t].subtasks) {
       weighted += workload.Weight(sid, variant) * latencies[sid.value()];
     }
-    (*weighted_latencies)[t] = weighted;
     (*utilities)[t] = tasks[t].utility.Value(weighted);
   }
 }

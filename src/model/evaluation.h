@@ -78,10 +78,10 @@ FeasibilityReport CheckFeasibility(const Workload& workload,
 ///     into `sums`, indexed by ResourceId.
 ///   - FillPathLatenciesRange: PathLatency of paths [begin, end) into
 ///     `latencies_out`, indexed by PathId.
-///   - FillTaskAggregatesRange: each task's latency aggregate X_i (the
-///     weighted subtask sum f_i is applied to) and utility f_i(X_i), both
-///     indexed by TaskId.  TotalUtility is the serial sum of `utilities` in
-///     task order.
+///   - FillTaskAggregatesRange: each task's utility f_i(X_i) into
+///     `utilities`, indexed by TaskId; the latency aggregate X_i (the
+///     weighted subtask sum f_i is applied to) stays a local.  TotalUtility
+///     is the serial sum of `utilities` in task order.
 void FillResourceShareSumsRange(const Workload& workload,
                                 const LatencyModel& model,
                                 const Assignment& latencies, std::size_t begin,
@@ -93,9 +93,7 @@ void FillPathLatenciesRange(const Workload& workload,
 void FillTaskAggregatesRange(const Workload& workload,
                              const Assignment& latencies,
                              UtilityVariant variant, std::size_t begin,
-                             std::size_t end,
-                             std::vector<double>* weighted_latencies,
-                             std::vector<double>* utilities);
+                             std::size_t end, std::vector<double>* utilities);
 
 /// The three FeasibilityReport scalars without the per-resource/per-task
 /// vectors — the per-iteration form (no allocation).

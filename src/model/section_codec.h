@@ -12,9 +12,12 @@
 // is bitwise-identical regardless of the encoding picked.
 //
 // The snapshot writer frames sections with a table (id/kind/count/offset/
-// size); the wire messages frame them inline with a 1-byte encoding tag and
-// derive the encoded length from the leading run/nnz word.  Both call the
-// Encode/Decode pair below, so the byte layouts stay in lockstep.
+// size); the wire messages frame them inline with a 1-byte encoding tag.
+// Both call the Encode/Decode pair below, so the byte layouts stay in
+// lockstep.  DecodeWords is the one routine that reads encoded words: it
+// derives the encoded length itself and enforces every run and index rule,
+// and with a null output it validates without storing a word, which is how
+// the snapshot parser and net::Deserialize check input they do not keep.
 #pragma once
 
 #include <algorithm>
@@ -100,60 +103,44 @@ std::uint8_t EncodeWords(const T* values, std::size_t count,
   return kEncodingRaw;
 }
 
-/// The encoded byte length of a section whose frame does not record it (the
-/// wire messages): derived from `count` for raw, from the leading run/nnz
-/// word otherwise.  False when `avail` bytes cannot hold the section or the
-/// encoding byte is unknown.
+/// The one reader of encoded words.  Reads `count` words of the given
+/// encoding from the front of [at, at + avail) and sets *used to the bytes
+/// they take: count * width for raw, derived from the leading run or nnz
+/// word for rle and sparse.  Rejected with a message: an unknown encoding,
+/// fewer than *used bytes, a run or nnz word above `count`, a zero-length
+/// or overlong run, runs that do not sum to `count`, and sparse indices out
+/// of range or not strictly increasing.  The words go to out[0..count) only
+/// when `out` is not null, so a null `out` validates under exactly the
+/// rules a decode applies, without storing or allocating.  The caller
+/// compares *used with its frame: a snapshot section must use all of its
+/// recorded size, a wire payload's bitsets follow the words.
 template <typename T>
-bool EncodedWordsSize(const char* at, std::size_t avail, std::uint8_t encoding,
-                      std::size_t count, std::size_t* size) {
+bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
+                 std::size_t count, T* out, std::size_t* used,
+                 std::string* error) {
   const std::size_t width = sizeof(T);
   if (encoding == kEncodingRaw) {
-    *size = count * width;
-  } else if (encoding == kEncodingRle) {
-    if (avail < 8) return false;
-    const std::uint64_t runs = GetWord<std::uint64_t>(at);
-    if (runs > count) return false;  // each run covers >= 1 element
-    *size = 8 + static_cast<std::size_t>(runs) * (8 + width);
-  } else if (encoding == kEncodingSparse) {
-    if (avail < 8) return false;
-    const std::uint64_t nnz = GetWord<std::uint64_t>(at);
-    if (nnz > count) return false;
-    *size = 8 + static_cast<std::size_t>(nnz) * (4 + width);
-  } else {
-    return false;
-  }
-  return *size <= avail;
-}
-
-/// Decodes `count` words of the given encoding from [at, at + size) into
-/// out[0..count).  `size` must be the exact encoded length; every malformed
-/// shape (size mismatch, zero-length or overlong runs, out-of-range or
-/// non-increasing sparse indices) is rejected with a message.
-template <typename T>
-bool DecodeWords(const char* at, std::size_t size, std::uint8_t encoding,
-                 std::size_t count, T* out, std::string* error) {
-  const std::size_t width = sizeof(T);
-  if (encoding == kEncodingRaw) {
-    if (size != count * width) {
-      *error = "raw section size does not match element count";
+    if (count > avail / width) {
+      *error = "raw section too small for its element count";
       return false;
     }
-    std::memcpy(out, at, size);
+    *used = count * width;
+    if (out != nullptr) std::memcpy(out, at, *used);
     return true;
   }
   if (encoding == kEncodingRle) {
-    if (size < 8) {
+    if (avail < 8) {
       *error = "rle section too small for its run count";
       return false;
     }
     const std::uint64_t runs = GetWord<std::uint64_t>(at);
-    // Each run covers >= 1 element, so runs <= count; with count capped by
-    // the caller this also keeps the size product below u64 overflow.
-    if (runs > count || size != 8 + runs * (8 + width)) {
-      *error = "rle section size does not match run count";
+    // Each run covers >= 1 element, so runs <= count; the size test
+    // divides, so no run word can overflow it.
+    if (runs > count || runs > (avail - 8) / (8 + width)) {
+      *error = "rle run count exceeds the element count or the bytes";
       return false;
     }
+    *used = 8 + runs * (8 + width);
     std::size_t filled = 0;
     const char* run = at + 8;
     for (std::uint64_t i = 0; i < runs; ++i) {
@@ -162,80 +149,10 @@ bool DecodeWords(const char* at, std::size_t size, std::uint8_t encoding,
         *error = "rle runs do not sum to the element count";
         return false;
       }
-      T value;
-      std::memcpy(&value, run + 8, width);
-      std::fill_n(out + filled, len, value);
-      filled += len;
-      run += 8 + width;
-    }
-    if (filled != count) {
-      *error = "rle runs do not sum to the element count";
-      return false;
-    }
-    return true;
-  }
-  if (encoding == kEncodingSparse) {
-    if (size < 8) {
-      *error = "sparse section too small for its entry count";
-      return false;
-    }
-    const std::uint64_t nnz = GetWord<std::uint64_t>(at);
-    if (size != 8 + nnz * (4 + width) || nnz > count) {
-      *error = "sparse section size does not match entry count";
-      return false;
-    }
-    std::fill(out, out + count, T{});
-    const char* pair = at + 8;
-    std::uint64_t prev_plus_one = 0;
-    for (std::uint64_t i = 0; i < nnz; ++i) {
-      const std::uint32_t index = GetWord<std::uint32_t>(pair);
-      if (index >= count || index + 1 <= prev_plus_one) {
-        *error = "sparse section indices not strictly increasing in range";
-        return false;
-      }
-      std::memcpy(&out[index], pair + 4, width);
-      prev_plus_one = static_cast<std::uint64_t>(index) + 1;
-      pair += 4 + width;
-    }
-    return true;
-  }
-  *error = "unknown section encoding";
-  return false;
-}
-
-/// DecodeWords' validation without the output writes: checks that
-/// [at, at + size) is a structurally well-formed encoding of `count` words.
-/// The zero-copy snapshot parse runs this once up front so materialization
-/// (possibly much later, straight into the consumer's buffers) cannot fail.
-/// Error strings are identical to DecodeWords'.
-template <typename T>
-bool ValidateWords(const char* at, std::size_t size, std::uint8_t encoding,
-                   std::size_t count, std::string* error) {
-  const std::size_t width = sizeof(T);
-  if (encoding == kEncodingRaw) {
-    if (size != count * width) {
-      *error = "raw section size does not match element count";
-      return false;
-    }
-    return true;
-  }
-  if (encoding == kEncodingRle) {
-    if (size < 8) {
-      *error = "rle section too small for its run count";
-      return false;
-    }
-    const std::uint64_t runs = GetWord<std::uint64_t>(at);
-    if (runs > count || size != 8 + runs * (8 + width)) {
-      *error = "rle section size does not match run count";
-      return false;
-    }
-    std::size_t filled = 0;
-    const char* run = at + 8;
-    for (std::uint64_t i = 0; i < runs; ++i) {
-      const std::uint64_t len = GetWord<std::uint64_t>(run);
-      if (len == 0 || len > count - filled) {
-        *error = "rle runs do not sum to the element count";
-        return false;
+      if (out != nullptr) {
+        T value;
+        std::memcpy(&value, run + 8, width);
+        std::fill_n(out + filled, len, value);
       }
       filled += len;
       run += 8 + width;
@@ -247,23 +164,26 @@ bool ValidateWords(const char* at, std::size_t size, std::uint8_t encoding,
     return true;
   }
   if (encoding == kEncodingSparse) {
-    if (size < 8) {
+    if (avail < 8) {
       *error = "sparse section too small for its entry count";
       return false;
     }
     const std::uint64_t nnz = GetWord<std::uint64_t>(at);
-    if (size != 8 + nnz * (4 + width) || nnz > count) {
-      *error = "sparse section size does not match entry count";
+    if (nnz > count || nnz > (avail - 8) / (4 + width)) {
+      *error = "sparse entry count exceeds the element count or the bytes";
       return false;
     }
+    *used = 8 + nnz * (4 + width);
+    if (out != nullptr) std::fill(out, out + count, T{});
     const char* pair = at + 8;
     std::uint64_t prev_plus_one = 0;
     for (std::uint64_t i = 0; i < nnz; ++i) {
       const std::uint32_t index = GetWord<std::uint32_t>(pair);
-      if (index >= count || index + 1 <= prev_plus_one) {
+      if (index >= count || index < prev_plus_one) {
         *error = "sparse section indices not strictly increasing in range";
         return false;
       }
+      if (out != nullptr) std::memcpy(&out[index], pair + 4, width);
       prev_plus_one = static_cast<std::uint64_t>(index) + 1;
       pair += 4 + width;
     }

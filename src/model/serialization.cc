@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -411,35 +413,59 @@ void AppendSection(std::uint32_t id, const std::vector<T>& values,
   table->push_back(entry);
 }
 
-/// Structural validation of one section's encoding, as ValidateWords but
+/// Reads one section's words with b1::DecodeWords: into out[0..count), or,
+/// with a null `out`, validating only.  The encoding must fill exactly the
+/// `size` bytes the section table gives it.
+template <typename T>
+bool ReadSectionWords(const char* at, std::uint64_t size,
+                      std::uint8_t encoding, std::uint64_t count, T* out,
+                      std::string* error) {
+  std::size_t used = 0;
+  if (!b1::DecodeWords(at, size, encoding, count, out, &used, error)) {
+    return false;
+  }
+  if (used != size) {
+    *error = "section size does not match its encoding";
+    return false;
+  }
+  return true;
+}
+
+/// Validates one section's encoding (ReadSectionWords with a null output),
 /// dispatched on the runtime element kind.
 bool ValidateSectionWords(const char* at, std::uint64_t size,
                           std::uint8_t encoding, std::uint8_t kind,
                           std::uint64_t count, std::string* error) {
   switch (kind) {
     case kSnapshotElemF64:
-      return b1::ValidateWords<double>(at, size, encoding, count, error);
+      return ReadSectionWords<double>(at, size, encoding, count, nullptr,
+                                      error);
     case kSnapshotElemU8:
-      return b1::ValidateWords<std::uint8_t>(at, size, encoding, count, error);
+      return ReadSectionWords<std::uint8_t>(at, size, encoding, count,
+                                            nullptr, error);
     case kSnapshotElemU32:
-      return b1::ValidateWords<std::uint32_t>(at, size, encoding, count,
-                                              error);
+      return ReadSectionWords<std::uint32_t>(at, size, encoding, count,
+                                             nullptr, error);
   }
-  *error = "unknown section encoding";
+  *error = "unknown element kind";
   return false;
 }
 
 /// Decodes one section of a parsed view into `out` (resized to its count;
-/// an absent section yields an empty vector).
+/// an absent section yields an empty vector).  ParseSnapshotBinary ran the
+/// same reader over the view, so a failure here is a bug, and aborts.
 template <typename T>
 void DecodeSection(const SnapshotSectionRef& section, std::vector<T>* out) {
   out->resize(section.count);
   if (!section.present() || section.count == 0) return;
   std::string error;
-  // The view is pre-validated by ParseSnapshotBinary, so this cannot fail.
-  const bool ok = b1::DecodeWords(section.data, section.size, section.encoding,
-                                  section.count, out->data(), &error);
-  (void)ok;
+  if (!ReadSectionWords(section.data, section.size, section.encoding,
+                        section.count, out->data(), &error)) {
+    std::fprintf(stderr,
+                 "snapshot b1: a parsed section failed to decode: %s\n",
+                 error.c_str());
+    std::abort();
+  }
 }
 
 std::string BinaryError(const std::string& message) {
@@ -656,8 +682,8 @@ Expected<SnapshotView> ParseSnapshotBinary(const char* data,
       return E::Error(
           BinaryError(where + ": element kind does not match section id"));
     }
-    // Full structural validation up front, so materialization — straight
-    // into the consumer's buffers, possibly much later — cannot fail.
+    // The loaders' reader, run with a null output: it stores and allocates
+    // nothing, and a decode of the view under the same rules cannot fail.
     std::string decode_error;
     if (!ValidateSectionWords(payload + entry.offset, entry.size,
                               entry.encoding, kind, entry.count,

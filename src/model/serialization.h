@@ -189,14 +189,17 @@ inline constexpr SnapshotSectionSpec kSnapshotSections[] = {
 
 /// A parsed, NON-OWNING view of a b1 image (DESIGN.md §7.11).
 /// ParseSnapshotBinary decodes the scalar header, fully validates the
-/// section table and every section's encoding structure, and ties every
-/// live section's count to the header: mu and lambda hold exactly the
-/// declared resource and path counts, each step and dynamics section 0 or
-/// that count on its side, recent_utilities at most kSnapshotUtilityWindow.
-/// The section payloads stay byte ranges aliasing the caller's buffer, and
-/// parsing allocates nothing per section (`lla inspect` reads the table from
-/// here); the loaders above decode the payloads.  The backing bytes must
-/// outlive the view.
+/// section table, and ties every live section's count to the header: mu
+/// and lambda hold exactly the declared resource and path counts, each step
+/// and dynamics section 0 or that count on its side, recent_utilities at
+/// most kSnapshotUtilityWindow.  It checks every section's encoding with
+/// the loaders' own reader, b1::DecodeWords, given a null output: the same
+/// rules, no word stored.  So a loader's decode of a parsed view cannot
+/// fail; if it does, the loader aborts with a message.  The section
+/// payloads stay byte ranges aliasing the caller's buffer, and parsing
+/// allocates nothing per section (`lla inspect` reads the table from here);
+/// the loaders above decode the payloads.  The backing bytes must outlive
+/// the view.
 struct SnapshotSectionRef {
   std::uint8_t elem_kind = 0;
   std::uint8_t encoding = 0;

@@ -147,17 +147,17 @@ bool DecodeShardLatencyUpdate(const ShardLatencyUpdate& update,
   const char* data = update.payload.data();
   const std::size_t size = update.payload.size();
   if (size < 1 || update.count > kMaxShardEntries) return false;
-  const auto encoding = static_cast<std::uint8_t>(data[0]);
-  std::size_t words = 0;
-  if (!b1::EncodedWordsSize<double>(data + 1, size - 1, encoding,
-                                    update.count, &words) ||
-      size != 1 + words) {
-    return false;
+  double* out = nullptr;
+  if (latencies != nullptr) {
+    latencies->resize(update.count);
+    out = latencies->data();
   }
-  latencies->resize(update.count);
+  std::size_t words = 0;
   std::string error;
-  return b1::DecodeWords<double>(data + 1, words, encoding, update.count,
-                                 latencies->data(), &error);
+  return b1::DecodeWords<double>(data + 1, size - 1,
+                                 static_cast<std::uint8_t>(data[0]),
+                                 update.count, out, &words, &error) &&
+         size == 1 + words;
 }
 
 bool DecodeShardPriceUpdate(const ShardPriceUpdate& update,
@@ -168,22 +168,22 @@ bool DecodeShardPriceUpdate(const ShardPriceUpdate& update,
   if (size < 2 || update.count > kMaxShardEntries) return false;
   const auto flags = static_cast<std::uint8_t>(data[0]);
   if (flags > 1) return false;
-  const auto encoding = static_cast<std::uint8_t>(data[1]);
+  double* out = nullptr;
+  if (mu != nullptr) {
+    mu->resize(update.count);
+    out = mu->data();
+  }
   std::size_t words = 0;
-  if (!b1::EncodedWordsSize<double>(data + 2, size - 2, encoding,
-                                    update.count, &words)) {
+  std::string error;
+  if (!b1::DecodeWords<double>(data + 2, size - 2,
+                               static_cast<std::uint8_t>(data[1]),
+                               update.count, out, &words, &error)) {
     return false;
   }
   const std::size_t bitset = (update.count + 7) / 8;
   const std::size_t expected =
       2 + words + bitset + ((flags & 1) != 0 ? bitset : 0);
   if (size != expected) return false;
-  mu->resize(update.count);
-  std::string error;
-  if (!b1::DecodeWords<double>(data + 2, words, encoding, update.count,
-                               mu->data(), &error)) {
-    return false;
-  }
   bits->congested = data + 2 + words;
   bits->stale = (flags & 1) != 0 ? data + 2 + words + bitset : nullptr;
   return true;
@@ -259,6 +259,9 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
     repair.resource = ResourceId(resource);
     repair.task = TaskId(task);
     repair.congested = congested != 0;
+    // Each entry takes 12 bytes: refuse a count the message cannot hold
+    // before reserving for it.
+    if (count > r.Remaining() / 12) return std::nullopt;
     repair.subtasks.reserve(count);
     repair.latencies_ms.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -277,11 +280,11 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
     }
     update.task = TaskId(task);
     // The payload runs to the end of the message; validate it fully (a
-    // structurally-broken payload must be rejected here, not at apply time).
+    // structurally-broken payload must be rejected here, not at apply time)
+    // with a null output, which stores and allocates nothing.
     const std::size_t remaining = r.Remaining();
     update.payload = WireSlice::Copy(r.Here(), remaining);
-    std::vector<double> scratch;
-    if (!DecodeShardLatencyUpdate(update, &scratch)) return std::nullopt;
+    if (!DecodeShardLatencyUpdate(update, nullptr)) return std::nullopt;
     r.Skip(remaining);
     message.payload = std::move(update);
   } else if (tag == kTagShardPriceUpdate) {
@@ -292,11 +295,8 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
     }
     const std::size_t remaining = r.Remaining();
     update.payload = WireSlice::Copy(r.Here(), remaining);
-    std::vector<double> scratch;
     ShardPriceBitsets bits;
-    if (!DecodeShardPriceUpdate(update, &scratch, &bits)) {
-      return std::nullopt;
-    }
+    if (!DecodeShardPriceUpdate(update, nullptr, &bits)) return std::nullopt;
     r.Skip(remaining);
     message.payload = std::move(update);
   } else {

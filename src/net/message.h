@@ -195,6 +195,7 @@ ArenaSpan AppendShardPricePayload(const double* mu,
 
 /// Decodes a latency payload into latencies[0..update.count); false on any
 /// malformed payload (wrong size, bad encoding, bad run/sparse structure).
+/// A null `latencies` validates the payload and stores nothing.
 bool DecodeShardLatencyUpdate(const ShardLatencyUpdate& update,
                               std::vector<double>* latencies);
 
@@ -206,7 +207,8 @@ struct ShardPriceBitsets {
 };
 
 /// Decodes a price payload: mu words into *mu (resized to update.count) and
-/// bitset pointers into *bits.  False on any malformed payload.
+/// bitset pointers into *bits.  False on any malformed payload.  A null
+/// `mu` validates the payload and stores no word.
 bool DecodeShardPriceUpdate(const ShardPriceUpdate& update,
                             std::vector<double>* mu, ShardPriceBitsets* bits);
 

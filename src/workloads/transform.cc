@@ -1,6 +1,5 @@
 #include "workloads/transform.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace lla {
@@ -94,19 +93,17 @@ PriceVector MapPricesWithoutTask(const Workload& old_workload,
 }
 
 PriceVector MapPricesWithTask(const Workload& new_workload,
-                              const PriceVector& old_prices, TaskId added,
-                              double initial_lambda) {
+                              const PriceVector& old_prices, TaskId added) {
   assert(old_prices.mu.size() == new_workload.resource_count());
   assert(added.valid() && added.value() < new_workload.task_count());
   PriceVector mapped;
   mapped.mu = old_prices.mu;
   mapped.lambda.reserve(new_workload.path_count());
-  const double seed = std::max(0.0, initial_lambda);
   std::size_t next_old = 0;
   for (const TaskInfo& task : new_workload.tasks()) {
     for (std::size_t k = 0; k < task.paths.size(); ++k) {
       if (task.id == added) {
-        mapped.lambda.push_back(seed);
+        mapped.lambda.push_back(0.0);
       } else {
         assert(next_old < old_prices.lambda.size());
         mapped.lambda.push_back(old_prices.lambda[next_old++]);

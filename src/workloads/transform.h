@@ -73,10 +73,8 @@ PriceVector MapPricesWithoutTask(const Workload& old_workload,
 /// Inverse for a join: maps `old_prices` (from the workload WITHOUT the
 /// task) onto `new_workload`'s index space, where `added` is the joined
 /// task's id in `new_workload`.  Surviving tasks keep their lambda in
-/// order; the joined task's paths start at `initial_lambda` (projected to
-/// >= 0); mu copies 1:1.
+/// order; the joined task's paths start at 0.0; mu copies 1:1.
 PriceVector MapPricesWithTask(const Workload& new_workload,
-                              const PriceVector& old_prices, TaskId added,
-                              double initial_lambda = 0.0);
+                              const PriceVector& old_prices, TaskId added);
 
 }  // namespace lla

@@ -2,9 +2,12 @@
 // must not decode more than the restoring engine's workload holds.  The
 // parser ties every live section's count to the header, and the loaders
 // compare the header's shape with the workload before decoding any
-// section.  The binary replaces the global operator new with one that
-// counts bytes, so it stays out of the sanitizer copies; it also drives
-// `lla solve --restore` on the same images.
+// section.  A wire message is outside input too: net::Deserialize validates
+// shard payloads without decoding them, and checks a repair response's
+// entry count against its bytes before reserving.  The binary replaces the
+// global operator new with one that counts bytes, so it stays out of the
+// sanitizer copies; it also drives `lla solve --restore` on the same
+// images.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -14,12 +17,15 @@
 #include <fstream>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
 #include "model/serialization.h"
+#include "net/message.h"
 
 namespace {
 
@@ -49,6 +55,17 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 namespace lla {
 namespace {
+
+// Runs fn with the counting operator new on; returns the bytes it
+// allocated.
+template <typename Fn>
+std::size_t CountBytes(Fn&& fn) {
+  allocated_bytes.store(0);
+  counting.store(true);
+  fn();
+  counting.store(false);
+  return allocated_bytes.load();
+}
 
 const char* kPaperWorkload = LLA_SOURCE_DIR "/examples/data/paper_table1.lla";
 
@@ -112,13 +129,10 @@ class RestoreAllocationTest : public ::testing::Test {
   // allocates into *bytes.
   Expected<StateSnapshot> CountedLoad(const std::string& image,
                                       std::size_t* bytes) const {
-    allocated_bytes.store(0);
-    counting.store(true);
-    Expected<StateSnapshot> loaded =
-        LoadSnapshotFromString(image, *workload_);
-    counting.store(false);
-    *bytes = allocated_bytes.load();
-    return loaded;
+    std::optional<Expected<StateSnapshot>> loaded;
+    *bytes = CountBytes(
+        [&] { loaded = LoadSnapshotFromString(image, *workload_); });
+    return *std::move(loaded);
   }
 
   // Restores `image` through `lla solve --restore`; returns the exit code.
@@ -179,6 +193,47 @@ TEST_F(RestoreAllocationTest, DeclaredShapeIsCheckedBeforeDecoding) {
       << loaded.error();
   EXPECT_LT(bytes, kResources * sizeof(double) / 256);
   EXPECT_EQ(CliRestore(image), 3);
+}
+
+// A 50-byte ShardLatencyUpdate declaring 2^24 entries as one rle run is a
+// valid message.  Deserialize validates its payload with a null output, so
+// accepting it allocates the message and not the 128 MiB its words decode
+// to.
+TEST(DeserializeAllocationTest, ValidatesShardPayloadsWithoutDecoding) {
+  constexpr std::uint32_t kEntries = std::uint32_t{1} << 24;
+  std::string payload(1, static_cast<char>(kRle));
+  payload += OneRun(kEntries, 2.5);
+  net::Message message;
+  message.payload = net::ShardLatencyUpdate{
+      TaskId(0u), 0, kEntries,
+      net::WireSlice::Copy(payload.data(), payload.size())};
+  const std::vector<std::uint8_t> bytes = net::Serialize(message);
+  ASSERT_EQ(bytes.size(), 50u);
+
+  std::optional<net::Message> decoded;
+  const std::size_t allocated =
+      CountBytes([&] { decoded = net::Deserialize(bytes); });
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, message);
+  EXPECT_LT(allocated, 1024u);
+}
+
+// A 38-byte RepairResponse with no entries whose count field declares 2^32 - 1
+// or 2^24 of them (12 bytes each) is refused before anything is reserved:
+// the first used to request 17,179,869,180 bytes, the second 201,326,592.
+TEST(DeserializeAllocationTest, RepairCountIsCheckedBeforeReserving) {
+  net::Message message;
+  message.payload = net::RepairResponse{};
+  std::vector<std::uint8_t> bytes = net::Serialize(message);
+  ASSERT_EQ(bytes.size(), 38u);
+  for (const std::uint32_t count : {0xffffffffu, std::uint32_t{1} << 24}) {
+    std::memcpy(bytes.data() + 34, &count, 4);  // the last field
+    std::optional<net::Message> decoded;
+    const std::size_t allocated =
+        CountBytes([&] { decoded = net::Deserialize(bytes); });
+    EXPECT_FALSE(decoded.has_value()) << count;
+    EXPECT_LT(allocated, 1024u) << count;
+  }
 }
 
 }  // namespace

@@ -195,6 +195,22 @@ TEST(MessageTest, RejectsTruncatedInput) {
   }
 }
 
+// The entry count of a repair response is outside input: a count its
+// bytes cannot hold (12 bytes per entry) is refused before anything is
+// reserved for it.  A 38-byte response carries none.
+TEST(MessageTest, RejectsRepairCountsTheBytesCannotHold) {
+  Message message;
+  message.payload = RepairResponse{};
+  std::vector<std::uint8_t> bytes = Serialize(message);
+  ASSERT_EQ(bytes.size(), 38u);
+  ASSERT_TRUE(Deserialize(bytes).has_value());
+  for (const std::uint32_t count :
+       {0xffffffffu, std::uint32_t{1} << 24, std::uint32_t{1}}) {
+    std::memcpy(bytes.data() + 34, &count, 4);  // the last field
+    EXPECT_FALSE(Deserialize(bytes).has_value()) << count;
+  }
+}
+
 TEST(MessageTest, RejectsTrailingGarbage) {
   auto bytes = Serialize(MakeRepairRequestMessage());
   bytes.push_back(0xab);

@@ -124,7 +124,7 @@ TEST(TransformTest, MapPricesWithoutTaskIsFilteredCopy) {
 
 TEST(TransformTest, MapPricesWithTaskInvertsRemoval) {
   // Removing a middle task and mapping back with its id reproduces the
-  // original lambda layout, with the re-added task's entries re-seeded.
+  // original lambda layout, with the re-added task's entries at 0.0.
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
   const Workload& w = workload.value();
@@ -135,21 +135,16 @@ TEST(TransformTest, MapPricesWithTaskInvertsRemoval) {
 
   const TaskId task(1u);
   const PriceVector reduced = MapPricesWithoutTask(w, prices, task);
-  const PriceVector restored = MapPricesWithTask(w, reduced, task, 0.5);
+  const PriceVector restored = MapPricesWithTask(w, reduced, task);
 
   ASSERT_EQ(restored.lambda.size(), w.path_count());
   for (const TaskInfo& t : w.tasks()) {
     for (PathId path : t.paths) {
       const double expected =
-          t.id == task ? 0.5 : prices.lambda[path.value()];
+          t.id == task ? 0.0 : prices.lambda[path.value()];
       EXPECT_EQ(restored.lambda[path.value()], expected)
           << "path " << path.value();
     }
-  }
-  // Negative seeds are projected onto the feasible (non-negative) set.
-  const PriceVector projected = MapPricesWithTask(w, reduced, task, -3.0);
-  for (PathId path : w.task(task).paths) {
-    EXPECT_EQ(projected.lambda[path.value()], 0.0);
   }
 }
 
