@@ -82,16 +82,13 @@ BENCHMARK(BM_NonlinearUtilitySolve);
 void BM_MessageSerialize(benchmark::State& state) {
   double latencies[8];
   for (int i = 0; i < 8; ++i) latencies[i] = 12.5 + i;
-  auto arena = std::make_shared<std::string>();
-  const net::ArenaSpan span =
-      net::AppendShardLatencyPayload(latencies, 8, arena.get());
+  std::string payload;
+  net::AppendShardLatencyPayload(latencies, 8, &payload);
   net::ShardLatencyUpdate update;
   update.count = 8;
-  update.payload = net::WireSlice(
-      std::shared_ptr<const std::string>(std::move(arena)), span.offset,
-      span.length);
+  update.payload = net::WireSlice(payload.data(), payload.size());
   net::Message message;
-  message.payload = std::move(update);
+  message.payload = update;
   for (auto _ : state) {
     auto bytes = net::Serialize(message);
     benchmark::DoNotOptimize(bytes.data());
@@ -102,14 +99,11 @@ BENCHMARK(BM_MessageSerialize);
 void BM_MessageRoundTrip(benchmark::State& state) {
   const double mu = 179.5;
   const std::uint8_t congested = 1;
-  auto arena = std::make_shared<std::string>();
-  const net::ArenaSpan span =
-      net::AppendShardPricePayload(&mu, &congested, nullptr, 1, arena.get());
+  std::string payload;
+  net::AppendShardPricePayload(&mu, &congested, nullptr, 1, &payload);
   net::Message message;
   message.payload = net::ShardPriceUpdate{
-      3, 42, 1,
-      net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
-                     span.offset, span.length)};
+      3, 42, 1, net::WireSlice(payload.data(), payload.size())};
   const auto bytes = net::Serialize(message);
   for (auto _ : state) {
     auto decoded = net::Deserialize(bytes);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 namespace lla::net {
 namespace {
@@ -89,6 +90,7 @@ void InProcessBus::BlackoutEndpoint(EndpointId endpoint, double until_ms) {
   CheckEndpoint(endpoint, "BlackoutEndpoint");
   blackout_until_ms_[endpoint] =
       std::max(blackout_until_ms_[endpoint], until_ms);
+  blackout_horizon_ms_ = std::max(blackout_horizon_ms_, until_ms);
 }
 
 bool InProcessBus::IsBlackedOut(EndpointId endpoint) const {
@@ -98,11 +100,14 @@ bool InProcessBus::IsBlackedOut(EndpointId endpoint) const {
 void InProcessBus::CrashEndpoint(EndpointId endpoint) {
   CheckEndpoint(endpoint, "CrashEndpoint");
   blackout_until_ms_[endpoint] = std::numeric_limits<double>::infinity();
+  blackout_horizon_ms_ = std::numeric_limits<double>::infinity();
 }
 
 void InProcessBus::RestartEndpoint(EndpointId endpoint) {
   CheckEndpoint(endpoint, "RestartEndpoint");
   blackout_until_ms_[endpoint] = -1.0;
+  blackout_horizon_ms_ = *std::max_element(blackout_until_ms_.begin(),
+                                           blackout_until_ms_.end());
   ++incarnation_[endpoint];
 }
 
@@ -121,48 +126,60 @@ std::size_t InProcessBus::AcquireSlot() {
   return slot;
 }
 
-void InProcessBus::Send(Message message) {
-  CheckEndpoint(message.sender, "Send");
-  CheckEndpoint(message.receiver, "Send");
-  // Stamp the sender's incarnation before any accounting so the wire bytes
-  // and the delivered message agree.
-  message.incarnation = incarnation_[message.sender];
-  ++stats_.sent;
-  stats_.bytes += WireSize(message);
-  if (sent_counter_ != nullptr) sent_counter_->Increment();
-  if (endpoints_[message.sender].sent != nullptr) {
-    endpoints_[message.sender].sent->Increment();
-  }
-  if (IsBlackedOut(message.sender) || IsBlackedOut(message.receiver)) {
-    CountDrop(message);
-    return;
-  }
-  if (config_.drop_probability > 0.0 &&
-      rng_.NextDouble() < config_.drop_probability) {
-    CountDrop(message);
-    return;
-  }
-  double delay = config_.base_delay_ms;
+void InProcessBus::SendAll(std::span<const Message> messages) {
+  // Configuration-only tests, taken once for the batch.  No handler runs
+  // during admission, so neither the clock nor any blackout moves inside it.
+  const bool drops = config_.drop_probability > 0.0;
   const bool jittered = config_.jitter_ms > 0.0;
-  if (jittered) {
-    const double jitter = rng_.Uniform(0.0, config_.jitter_ms);
-    delay += jitter;
-    if (jitter > 0.0 && delayed_counter_ != nullptr) {
-      delayed_counter_->Increment();
+  const bool counted = config_.metrics != nullptr;
+  const bool blackouts = now_ms_ < blackout_horizon_ms_;
+  const double fifo_at_ms = now_ms_ + config_.base_delay_ms;
+  for (const Message& sent : messages) {
+    CheckEndpoint(sent.sender, "Send");
+    CheckEndpoint(sent.receiver, "Send");
+    Message message = sent;
+    // Stamp the sender's incarnation before any accounting so the wire bytes
+    // and the delivered message agree.
+    message.incarnation = incarnation_[message.sender];
+    ++stats_.sent;
+    stats_.bytes += WireSize(message);
+    if (counted) {
+      sent_counter_->Increment();
+      endpoints_[message.sender].sent->Increment();
     }
-  }
-  const std::size_t slot = AcquireSlot();
-  Event& event = slots_[slot];
-  event.is_timer = false;
-  event.endpoint = message.receiver;
-  event.message = std::move(message);
-  const EventKey key{now_ms_ + delay, next_seq_++, slot};
-  // Without jitter every message arrives base_delay_ms after its send and
-  // the clock never runs backwards, so these keys arrive sorted.
-  if (jittered) {
-    heap_.push(key);
-  } else {
-    fifo_.push_back(key);
+    if (blackouts &&
+        (IsBlackedOut(message.sender) || IsBlackedOut(message.receiver))) {
+      CountDrop(message);
+      continue;
+    }
+    if (drops && rng_.NextDouble() < config_.drop_probability) {
+      CountDrop(message);
+      continue;
+    }
+    const WireSlice* bytes = PayloadBytes(message.payload);
+    if (!jittered) {
+      // Without jitter every message arrives base_delay_ms after its send
+      // and the clock never runs backwards, so these events arrive sorted.
+      fifo_fill_.events.push_back(FifoEvent{
+          fifo_at_ms, next_seq_++, fifo_fill_.bytes.size(), message});
+      if (bytes != nullptr) {
+        fifo_fill_.bytes.append(bytes->data(), bytes->size());
+      }
+      continue;
+    }
+    const double jitter = rng_.Uniform(0.0, config_.jitter_ms);
+    if (jitter > 0.0 && counted) delayed_counter_->Increment();
+    const std::size_t slot = AcquireSlot();
+    HeapSlot& event = slots_[slot];
+    event.is_timer = false;
+    event.message = message;
+    if (bytes != nullptr) {
+      event.bytes.assign(bytes->data(), bytes->size());
+    } else {
+      event.bytes.clear();
+    }
+    heap_.push(EventKey{now_ms_ + (config_.base_delay_ms + jitter),
+                        next_seq_++, slot});
   }
 }
 
@@ -171,70 +188,89 @@ void InProcessBus::ScheduleTimer(EndpointId endpoint, double delay_ms,
   CheckEndpoint(endpoint, "ScheduleTimer");
   CheckDelay(delay_ms, "timer delay_ms");
   const std::size_t slot = AcquireSlot();
-  Event& event = slots_[slot];
+  HeapSlot& event = slots_[slot];
   event.is_timer = true;
   event.endpoint = endpoint;
   event.token = token;
   heap_.push(EventKey{now_ms_ + delay_ms, next_seq_++, slot});
 }
 
+const InProcessBus::FifoEvent* InProcessBus::FifoFront() const {
+  if (fifo_head_ < fifo_drain_.events.size()) {
+    return &fifo_drain_.events[fifo_head_];
+  }
+  return fifo_fill_.events.empty() ? nullptr : &fifo_fill_.events.front();
+}
+
 bool InProcessBus::FifoIsNext() const {
-  return fifo_head_ < fifo_.size() &&
-         (heap_.empty() || EventLater{}(heap_.top(), fifo_[fifo_head_]));
+  const FifoEvent* front = FifoFront();
+  return front != nullptr &&
+         (heap_.empty() ||
+          EventLater{}(heap_.top(), EventKey{front->at_ms, front->seq, 0}));
 }
 
-InProcessBus::EventKey InProcessBus::PopNext() {
-  if (!FifoIsNext()) {
-    const EventKey key = heap_.top();
-    heap_.pop();
-    return key;
-  }
-  const EventKey key = fifo_[fifo_head_++];
-  if (fifo_head_ == fifo_.size()) {
-    fifo_.clear();
-    fifo_head_ = 0;
-  } else if (fifo_head_ > fifo_.size() / 2) {
-    fifo_.erase(fifo_.begin(),
-                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
-  }
-  return key;
-}
-
-void InProcessBus::Dispatch(double at_ms, const Event& event) {
+void InProcessBus::Dispatch(double at_ms, const Message& message) {
   now_ms_ = at_ms;
-  Endpoint& endpoint = endpoints_[event.endpoint];
-  if (event.is_timer) {
-    ++stats_.timers_fired;
-    if (timers_counter_ != nullptr) timers_counter_->Increment();
-    if (endpoint.on_timer) endpoint.on_timer(event.token);
+  if (IsBlackedOut(message.receiver)) {
+    CountDrop(message);
     return;
   }
-  if (IsBlackedOut(event.endpoint)) {
-    CountDrop(event.message);
-    return;
-  }
+  Endpoint& endpoint = endpoints_[message.receiver];
   ++stats_.delivered;
   if (delivered_counter_ != nullptr) delivered_counter_->Increment();
   if (endpoint.delivered != nullptr) endpoint.delivered->Increment();
-  if (endpoint.on_message) endpoint.on_message(event.message);
+  if (endpoint.on_message) endpoint.on_message(message);
 }
 
 bool InProcessBus::DeliverNext() {
-  if (pending() == 0) return false;
-  const EventKey key = PopNext();
-  // Move the payload out of the slot before dispatch: the handler may send,
-  // which can reuse the slot or grow slots_.  The local copy dies after
-  // dispatch, releasing the message's hold on its sender's wire arena.
-  Event event = std::move(slots_[key.slot]);
+  if (FifoIsNext()) {
+    if (fifo_head_ == fifo_drain_.events.size()) {
+      // The draining half is spent (its last handler has returned): the
+      // filling half becomes the draining one.
+      fifo_drain_.events.clear();
+      fifo_drain_.bytes.clear();
+      std::swap(fifo_drain_, fifo_fill_);
+      fifo_head_ = 0;
+    }
+    // Dispatched in place: the handler's sends go to the filling half, so
+    // neither this event nor its bytes move while it runs.
+    FifoEvent& event = fifo_drain_.events[fifo_head_++];
+    if (WireSlice* bytes = PayloadBytes(&event.message.payload)) {
+      *bytes = WireSlice(fifo_drain_.bytes.data() + event.offset,
+                         bytes->size());
+    }
+    Dispatch(event.at_ms, event.message);
+    return true;
+  }
+  if (heap_.empty()) return false;
+  const EventKey key = heap_.top();
+  heap_.pop();
+  // Copy the event out and free its slot before the handler runs: the
+  // handler may send, which can reuse the slot or grow slots_.
+  HeapSlot& slot = slots_[key.slot];
   free_slots_.push_back(key.slot);
-  Dispatch(key.at_ms, event);
+  if (slot.is_timer) {
+    const EndpointId endpoint = slot.endpoint;
+    const std::uint64_t token = slot.token;
+    now_ms_ = key.at_ms;
+    ++stats_.timers_fired;
+    if (timers_counter_ != nullptr) timers_counter_->Increment();
+    if (endpoints_[endpoint].on_timer) endpoints_[endpoint].on_timer(token);
+    return true;
+  }
+  Message message = slot.message;
+  heap_dispatch_bytes_.swap(slot.bytes);
+  if (WireSlice* bytes = PayloadBytes(&message.payload)) {
+    *bytes = WireSlice(heap_dispatch_bytes_.data(), bytes->size());
+  }
+  Dispatch(key.at_ms, message);
   return true;
 }
 
 void InProcessBus::RunUntil(double until_ms) {
   while (pending() > 0 &&
-         (FifoIsNext() ? fifo_[fifo_head_] : heap_.top()).at_ms <= until_ms) {
+         (FifoIsNext() ? FifoFront()->at_ms : heap_.top().at_ms) <=
+             until_ms) {
     DeliverNext();
   }
   now_ms_ = std::max(now_ms_, until_ms);

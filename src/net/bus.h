@@ -8,14 +8,24 @@
 // virtual clock and an event queue; endpoints also schedule local timers
 // through it, which is what drives the asynchronous runtime.
 //
-// Delivery hands each handler the Message its sender gave Send; no bytes
-// cross the bus.  BusStats::bytes counts every message at its wire size
-// (WireSize == Serialize().size(), pinned by message_test): what a real
-// transport would carry.
+// The bus owns every payload's bytes from Send to delivery.  Send copies
+// the message (trivially copyable) and its payload bytes into the bus; at
+// dispatch the bus repoints the message's view at its own copy, so a
+// handler's view is valid for that handler call, and the sender may reuse
+// its encode buffer as soon as Send returns.  BusStats::bytes counts every
+// message at its wire size (WireSize == Serialize().size(), pinned by
+// message_test): what a real transport would carry.
 //
 // Determinism: all randomness (jitter, drops) comes from a seeded generator,
 // and simultaneous events break ties by sequence number, so a given seed
 // always yields the same trace.
+//
+// Admission: Send and SendAll run one routine over a batch of messages.  The
+// tests that depend only on the configuration (drop probability, jitter,
+// attached counters, whether any blackout is live) are taken once per
+// batch; every per-message effect (incarnation stamp, BusStats, blackout
+// and drop decisions, random draws, seq numbers) happens in send order, so
+// a batch is indistinguishable from its messages sent one by one.
 //
 // Event lanes: pending events wait in one of two queues, and delivery always
 // takes the earlier front by (at_ms, seq).  A message sent with no jitter
@@ -25,14 +35,19 @@
 // messages arrive out of send order and go to a binary heap.  Each lane is
 // sorted by the same key and seq numbers are unique, so merging the two
 // fronts yields exactly the order one heap over all events would have.  The
-// configuration checks (delays finite and >= 0, drop probability in [0, 1],
-// registered endpoints) abort in every build: a negative or NaN delay would
-// move the clock backwards and break the FIFO's sortedness.
+// FIFO is two (events, bytes) halves: sends append to the filling half and
+// delivery reads the draining half in place, swapping the two only once the
+// draining half is empty, so a handler's own sends never move the bytes it
+// is reading.  The heap keeps a byte buffer per slot.  The configuration
+// checks (delays finite and >= 0, drop probability in [0, 1], registered
+// endpoints) abort in every build: a negative or NaN delay would move the
+// clock backwards and break the FIFO's sortedness.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,9 +93,12 @@ class InProcessBus {
   EndpointId Register(std::string name, MessageHandler on_message,
                       TimerHandler on_timer = nullptr);
 
-  /// Queues a message for delivery after the configured delay (or drops it).
-  /// Aborts unless sender and receiver are registered endpoints.
-  void Send(Message message);
+  /// Queues a message for delivery after the configured delay (or drops it),
+  /// with a copy of its payload bytes.  Aborts unless sender and receiver are
+  /// registered endpoints.
+  void Send(const Message& message) { SendAll({&message, 1}); }
+  /// Send for each message in order, through one admission pass.
+  void SendAll(std::span<const Message> messages);
 
   /// Failure injection: all messages to or from `endpoint` sent while
   /// now < until_ms are dropped (counted in stats().dropped).  Models a
@@ -128,7 +146,8 @@ class InProcessBus {
   const BusStats& stats() const { return stats_; }
   /// Events queued in either lane.
   std::size_t pending() const {
-    return heap_.size() + (fifo_.size() - fifo_head_);
+    return heap_.size() + (fifo_drain_.events.size() - fifo_head_) +
+           fifo_fill_.events.size();
   }
   const std::string& endpoint_name(EndpointId id) const {
     return endpoints_[id].name;
@@ -144,14 +163,27 @@ class InProcessBus {
     obs::Counter* delivered = nullptr;  ///< messages delivered to it
     obs::Counter* dropped = nullptr;    ///< drops it was party to
   };
-  struct Event {
+  /// A jitter-free message waiting in the FIFO lane.  Its payload view is
+  /// repointed at dispatch to `offset` in its half's byte buffer.
+  struct FifoEvent {
+    double at_ms;
+    std::uint64_t seq;
+    std::size_t offset;
+    Message message;
+  };
+  struct FifoHalf {
+    std::vector<FifoEvent> events;
+    std::string bytes;  ///< the payload bytes of `events`, back to back
+  };
+  /// A timer or jittered message waiting in the heap lane.
+  struct HeapSlot {
     bool is_timer = false;
     EndpointId endpoint = 0;  // timers
     std::uint64_t token = 0;  // timers
     Message message;          // messages
+    std::string bytes;        // the message's payload bytes
   };
-  /// Lane entries are small and trivially copyable; payloads live in the
-  /// slot table, built in place, so no std::variant moves through a lane.
+  /// Heap entries are small and trivially copyable; events live in slots_.
   /// Both lanes order by (at_ms, seq); seq is unique, so the order is
   /// total.
   struct EventKey {
@@ -170,28 +202,35 @@ class InProcessBus {
   void CheckEndpoint(EndpointId endpoint, const char* what) const;
   /// Index of a slot of slots_ for a new event (a freed one when any).
   std::size_t AcquireSlot();
+  /// The FIFO lane's earliest event, or null when the lane is empty.
+  const FifoEvent* FifoFront() const;
   /// True when the FIFO lane holds the earliest pending event.
   bool FifoIsNext() const;
-  /// Removes and returns the earliest pending event's key, from whichever
-  /// lane holds it (requires pending() > 0).
-  EventKey PopNext();
-  /// The one path from Send to a handler: hands the receiver the Message
-  /// the sender gave Send (or fires the timer).
-  void Dispatch(double at_ms, const Event& event);
+  /// The one path from Send to a handler: counts the delivery (or the drop
+  /// when the receiver is blacked out) and hands the receiver the message,
+  /// whose view points into bus-owned bytes.
+  void Dispatch(double at_ms, const Message& message);
 
   BusConfig config_;
   Rng rng_;
   std::vector<Endpoint> endpoints_;
   std::vector<double> blackout_until_ms_;  ///< parallel to endpoints_
   std::vector<std::uint32_t> incarnation_;  ///< parallel to endpoints_
+  /// The latest blackout expiry of any endpoint: no blackout is live while
+  /// now_ms_ >= blackout_horizon_ms_.
+  double blackout_horizon_ms_ = -1.0;
   /// Timers and jittered messages.
   std::priority_queue<EventKey, std::vector<EventKey>, EventLater> heap_;
-  /// Messages sent with no jitter, in send order: fifo_[fifo_head_..] are
-  /// pending.  Reset when drained, compacted once the head passes half.
-  std::vector<EventKey> fifo_;
-  std::size_t fifo_head_ = 0;
-  std::vector<Event> slots_;
+  std::vector<HeapSlot> slots_;
   std::vector<std::size_t> free_slots_;
+  /// The bytes of the heap message being dispatched, swapped out of its
+  /// slot so the handler's sends may reuse the slot or grow slots_.
+  std::string heap_dispatch_bytes_;
+  /// Messages sent with no jitter, in send order: fifo_drain_.events
+  /// [fifo_head_..] then fifo_fill_.events.
+  FifoHalf fifo_drain_;
+  FifoHalf fifo_fill_;
+  std::size_t fifo_head_ = 0;
   double now_ms_ = 0.0;
   std::uint64_t next_seq_ = 0;
   BusStats stats_;

@@ -83,62 +83,100 @@ class Reader {
 };
 
 void AppendPackedBitset(const std::uint8_t* bits01, std::size_t count,
-                        std::string* arena) {
+                        std::string* out) {
   for (std::size_t base = 0; base < count; base += 8) {
     unsigned char byte = 0;
     for (std::size_t j = 0; j < 8 && base + j < count; ++j) {
       if (bits01[base + j] != 0) byte |= static_cast<unsigned char>(1u << j);
     }
-    arena->push_back(static_cast<char>(byte));
+    out->push_back(static_cast<char>(byte));
   }
+}
+
+/// Little-endian `width`-byte store and load of the packed repair entries.
+void AppendLittleEndian(std::uint64_t value, int width, std::string* out) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+  }
+}
+
+std::uint64_t LoadLittleEndian(const char* data, int width) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[i]))
+             << (8 * i);
+  }
+  return value;
 }
 
 }  // namespace
 
-WireSlice WireSlice::Copy(const char* data, std::size_t size) {
-  auto arena = std::make_shared<const std::string>(data, size);
-  return WireSlice(std::move(arena), 0, static_cast<std::uint32_t>(size));
+RepairEntry RepairResponse::entry(std::size_t i) const {
+  const char* record = entries.data() + i * kRepairEntryBytes;
+  RepairEntry out;
+  out.subtask =
+      SubtaskId(static_cast<std::uint32_t>(LoadLittleEndian(record, 4)));
+  const std::uint64_t bits = LoadLittleEndian(record + 4, 8);
+  std::memcpy(&out.latency_ms, &bits, sizeof(bits));
+  return out;
 }
 
-std::string* RecycleArena(std::shared_ptr<std::string>* arena) {
-  if (*arena != nullptr && arena->use_count() == 1) {
-    (*arena)->clear();
-  } else {
-    *arena = std::make_shared<std::string>();
+void AppendRepairEntry(SubtaskId subtask, double latency_ms,
+                       std::string* out) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &latency_ms, sizeof(bits));
+  AppendLittleEndian(subtask.value(), 4, out);
+  AppendLittleEndian(bits, 8, out);
+}
+
+const WireSlice* PayloadBytes(const Payload& payload) {
+  if (const auto* update = std::get_if<ShardLatencyUpdate>(&payload)) {
+    return &update->payload;
   }
-  return arena->get();
+  if (const auto* update = std::get_if<ShardPriceUpdate>(&payload)) {
+    return &update->payload;
+  }
+  if (const auto* repair = std::get_if<RepairResponse>(&payload)) {
+    return &repair->entries;
+  }
+  return nullptr;
 }
 
-ArenaSpan AppendShardLatencyPayload(const double* latencies,
-                                    std::size_t count, std::string* arena) {
-  ArenaSpan span;
-  span.offset = static_cast<std::uint32_t>(arena->size());
-  arena->push_back('\0');  // encoding byte, patched after EncodeWords
-  const std::uint8_t encoding = b1::EncodeWords(latencies, count, arena);
-  (*arena)[span.offset] = static_cast<char>(encoding);
-  span.length = static_cast<std::uint32_t>(arena->size() - span.offset);
+WireSlice* PayloadBytes(Payload* payload) {
+  return const_cast<WireSlice*>(
+      PayloadBytes(static_cast<const Payload&>(*payload)));
+}
+
+PayloadSpan AppendShardLatencyPayload(const double* latencies,
+                                      std::size_t count, std::string* out) {
+  PayloadSpan span;
+  span.offset = static_cast<std::uint32_t>(out->size());
+  out->push_back('\0');  // encoding byte, patched after EncodeWords
+  const std::uint8_t encoding = b1::EncodeWords(latencies, count, out);
+  (*out)[span.offset] = static_cast<char>(encoding);
+  span.length = static_cast<std::uint32_t>(out->size() - span.offset);
   return span;
 }
 
-ArenaSpan AppendShardPricePayload(const double* mu,
-                                  const std::uint8_t* congested,
-                                  const std::uint8_t* stale,
-                                  std::size_t count, std::string* arena) {
+PayloadSpan AppendShardPricePayload(const double* mu,
+                                    const std::uint8_t* congested,
+                                    const std::uint8_t* stale,
+                                    std::size_t count, std::string* out) {
   bool any_stale = false;
   if (stale != nullptr) {
     for (std::size_t i = 0; i < count && !any_stale; ++i) {
       any_stale = stale[i] != 0;
     }
   }
-  ArenaSpan span;
-  span.offset = static_cast<std::uint32_t>(arena->size());
-  arena->push_back(any_stale ? '\1' : '\0');  // flags
-  arena->push_back('\0');  // encoding byte, patched after EncodeWords
-  const std::uint8_t encoding = b1::EncodeWords(mu, count, arena);
-  (*arena)[span.offset + 1] = static_cast<char>(encoding);
-  AppendPackedBitset(congested, count, arena);
-  if (any_stale) AppendPackedBitset(stale, count, arena);
-  span.length = static_cast<std::uint32_t>(arena->size() - span.offset);
+  PayloadSpan span;
+  span.offset = static_cast<std::uint32_t>(out->size());
+  out->push_back(any_stale ? '\1' : '\0');  // flags
+  out->push_back('\0');  // encoding byte, patched after EncodeWords
+  const std::uint8_t encoding = b1::EncodeWords(mu, count, out);
+  (*out)[span.offset + 1] = static_cast<char>(encoding);
+  AppendPackedBitset(congested, count, out);
+  if (any_stale) AppendPackedBitset(stale, count, out);
+  span.length = static_cast<std::uint32_t>(out->size() - span.offset);
   return span;
 }
 
@@ -224,10 +262,9 @@ std::vector<std::uint8_t> Serialize(const Message& message) {
     w.F64(repair.mu);
     w.U32(repair.epoch);
     w.U8(repair.congested ? 1 : 0);
-    w.U32(static_cast<std::uint32_t>(repair.subtasks.size()));
-    for (std::size_t i = 0; i < repair.subtasks.size(); ++i) {
-      w.U32(repair.subtasks[i].value());
-      w.F64(repair.latencies_ms[i]);
+    w.U32(static_cast<std::uint32_t>(repair.entry_count()));
+    if (!repair.entries.empty()) {
+      w.Bytes(repair.entries.data(), repair.entries.size());
     }
   }
   return bytes;
@@ -259,18 +296,11 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
     repair.resource = ResourceId(resource);
     repair.task = TaskId(task);
     repair.congested = congested != 0;
-    // Each entry takes 12 bytes: refuse a count the message cannot hold
-    // before reserving for it.
-    if (count > r.Remaining() / 12) return std::nullopt;
-    repair.subtasks.reserve(count);
-    repair.latencies_ms.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t subtask = 0;
-      double latency = 0.0;
-      if (!r.U32(&subtask) || !r.F64(&latency)) return std::nullopt;
-      repair.subtasks.push_back(SubtaskId(subtask));
-      repair.latencies_ms.push_back(latency);
-    }
+    // Each entry takes 12 bytes: refuse a count the message cannot hold.
+    if (count > r.Remaining() / kRepairEntryBytes) return std::nullopt;
+    const std::size_t size = count * kRepairEntryBytes;
+    repair.entries = WireSlice(r.Here(), size);
+    r.Skip(size);
     message.payload = std::move(repair);
   } else if (tag == kTagShardLatencyUpdate) {
     ShardLatencyUpdate update;
@@ -283,7 +313,7 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
     // structurally-broken payload must be rejected here, not at apply time)
     // with a null output, which stores and allocates nothing.
     const std::size_t remaining = r.Remaining();
-    update.payload = WireSlice::Copy(r.Here(), remaining);
+    update.payload = WireSlice(r.Here(), remaining);
     if (!DecodeShardLatencyUpdate(update, nullptr)) return std::nullopt;
     r.Skip(remaining);
     message.payload = std::move(update);
@@ -294,7 +324,7 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
       return std::nullopt;
     }
     const std::size_t remaining = r.Remaining();
-    update.payload = WireSlice::Copy(r.Here(), remaining);
+    update.payload = WireSlice(r.Here(), remaining);
     ShardPriceBitsets bits;
     if (!DecodeShardPriceUpdate(update, nullptr, &bits)) return std::nullopt;
     r.Skip(remaining);
@@ -311,16 +341,11 @@ std::size_t WireSize(const Message& message) {
   if (std::holds_alternative<RepairRequest>(message.payload)) {
     return kHeader + 4;
   }
-  if (const auto* shard_latency =
-          std::get_if<ShardLatencyUpdate>(&message.payload)) {
-    return kHeader + 4 + 4 + 4 + shard_latency->payload.size();
+  const std::size_t bytes = PayloadBytes(message.payload)->size();
+  if (std::holds_alternative<RepairResponse>(message.payload)) {
+    return kHeader + 4 + 4 + 8 + 4 + 1 + 4 + bytes;
   }
-  if (const auto* shard_price =
-          std::get_if<ShardPriceUpdate>(&message.payload)) {
-    return kHeader + 4 + 4 + 4 + shard_price->payload.size();
-  }
-  const auto& repair = std::get<RepairResponse>(message.payload);
-  return kHeader + 4 + 4 + 8 + 4 + 1 + 4 + repair.subtasks.size() * 12;
+  return kHeader + 4 + 4 + 4 + bytes;  // shard updates
 }
 
 }  // namespace lla::net

@@ -21,11 +21,15 @@
 // The shard updates are *positional* (DESIGN.md §7.11): shard membership is
 // static, so both sides derive the same ordered per-(shard, client) entry
 // list once at bind time and the wire carries only a count plus a
-// b1-encoded value array — no resource or subtask ids.  The encoded bytes
-// live in an arena built once per round and each message holds a WireSlice
-// into it, so a batched update is encoded once and sliced per client
-// instead of copied per message, and the arena is reused when no message
-// holds it (RecycleArena).
+// b1-encoded value array — no resource or subtask ids.
+//
+// A Message is trivially copyable: its payload bytes are a WireSlice, a
+// non-owning (pointer, length) view, and a RepairResponse's entries are a
+// view of the packed 12-byte records its wire format uses.  A sender encodes
+// into a buffer it keeps (one per agent, reused every round) and takes its
+// views after its last encode; InProcessBus copies the bytes at Send and
+// owns them until delivery, so a view a handler receives is valid for that
+// handler call only.  Deserialize returns views into the bytes it is given.
 //
 // Path prices never travel: each controller owns its task's paths and
 // computes lambda_p locally (Sec. 4.3).  Every Message additionally carries
@@ -38,9 +42,9 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -48,37 +52,29 @@
 
 namespace lla::net {
 
-/// A view into a shared, immutable arena of encoded payload bytes.  Copying
-/// a WireSlice copies a pointer + two offsets; the arena is freed when the
-/// last referencing message dies.  Equality compares the referenced bytes,
-/// not the arena identity, so a deserialized copy compares equal to the
-/// original slice.
+/// A non-owning view of encoded payload bytes: a pointer and a length.
+/// Whoever made the view keeps the bytes alive (the sender's encode buffer
+/// until Send, the bus until the handler returns, the caller's input for
+/// Deserialize).  Equality compares the referenced bytes, so a deserialized
+/// copy compares equal to the original.
 class WireSlice {
  public:
   WireSlice() = default;
-  WireSlice(std::shared_ptr<const std::string> arena, std::uint32_t offset,
-            std::uint32_t length)
-      : arena_(std::move(arena)), offset_(offset), length_(length) {}
+  WireSlice(const char* data, std::size_t size) : data_(data), size_(size) {}
 
-  /// A slice backed by a fresh arena holding a copy of [data, data + size).
-  static WireSlice Copy(const char* data, std::size_t size);
-
-  const char* data() const {
-    return arena_ == nullptr ? nullptr : arena_->data() + offset_;
-  }
-  std::size_t size() const { return length_; }
-  bool empty() const { return length_ == 0; }
+  const char* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   bool operator==(const WireSlice& other) const {
-    if (length_ != other.length_) return false;
-    if (length_ == 0) return true;
-    return std::memcmp(data(), other.data(), length_) == 0;
+    if (size_ != other.size_) return false;
+    if (size_ == 0) return true;
+    return std::memcmp(data_, other.data_, size_) == 0;
   }
 
  private:
-  std::shared_ptr<const std::string> arena_;
-  std::uint32_t offset_ = 0;
-  std::uint32_t length_ = 0;
+  const char* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 /// Sent by a shard agent for one of its resources that restarted without
@@ -88,6 +84,14 @@ struct RepairRequest {
   ResourceId resource;
 
   bool operator==(const RepairRequest&) const = default;
+};
+
+/// One (subtask, latency) entry of a RepairResponse, as its wire format
+/// packs it: a u32 subtask id then an f64 latency, little-endian.
+inline constexpr std::size_t kRepairEntryBytes = 12;
+struct RepairEntry {
+  SubtaskId subtask;
+  double latency_ms = 0.0;
 };
 
 /// A controller's absolute view of one resource, sent in reply to a
@@ -103,9 +107,14 @@ struct RepairResponse {
   /// resource adopts the highest-epoch response it receives.
   std::uint32_t epoch = 0;
   bool congested = false;
-  /// Parallel arrays: the controller's subtasks hosted on `resource`.
-  std::vector<SubtaskId> subtasks;
-  std::vector<double> latencies_ms;
+  /// The controller's subtasks hosted on `resource` with their latencies:
+  /// entry_count() packed kRepairEntryBytes records (AppendRepairEntry).
+  WireSlice entries;
+
+  std::size_t entry_count() const {
+    return entries.size() / kRepairEntryBytes;
+  }
+  RepairEntry entry(std::size_t i) const;
 
   bool operator==(const RepairResponse&) const = default;
 };
@@ -131,8 +140,8 @@ struct ShardLatencyUpdate {
 /// resource of the static per-(shard, client) membership list (the client's
 /// used resources on the shard, ascending).  A shard hosting many resources
 /// collapses the per-round resource->controller traffic from O(resources)
-/// messages to O(shards) per task, with one arena encode per round sliced
-/// per client.
+/// messages to O(shards) per task, with one encode per round viewed per
+/// client.
 struct ShardPriceUpdate {
   std::uint32_t shard = 0;
   /// The shard's broadcast round (shared by all its resources).
@@ -164,34 +173,39 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
-/// A span of bytes appended to an arena string: the (offset, length) a
-/// WireSlice should reference once the arena is frozen into a shared_ptr.
-struct ArenaSpan {
+// The bus copies messages as plain bytes and repoints their views.
+static_assert(std::is_trivially_copyable_v<Message>);
+
+/// The byte view a payload carries: the shard payload or the repair
+/// entries.  Null for a RepairRequest, which carries none.
+const WireSlice* PayloadBytes(const Payload& payload);
+WireSlice* PayloadBytes(Payload* payload);
+
+/// The (offset, length) of a payload appended to an encode buffer; the
+/// sender turns it into a WireSlice once its last encode is done (a later
+/// append may move the buffer).
+struct PayloadSpan {
   std::uint32_t offset = 0;
   std::uint32_t length = 0;
 };
 
-/// Readies `*arena` for a new send's payloads and returns it.  When no
-/// WireSlice still references the arena (use_count() == 1: every message
-/// of the previous send was delivered or dropped) it is cleared and reused
-/// with its capacity kept, so a steady-state synchronous round allocates
-/// nothing.  Otherwise (or when null) a fresh arena replaces it, and the
-/// in-flight messages keep the old bytes alive.
-std::string* RecycleArena(std::shared_ptr<std::string>* arena);
+/// Appends one packed RepairResponse entry to *out.
+void AppendRepairEntry(SubtaskId subtask, double latency_ms,
+                       std::string* out);
 
 /// Appends the ShardLatencyUpdate payload encoding of latencies[0..count)
-/// to *arena.
-ArenaSpan AppendShardLatencyPayload(const double* latencies,
-                                    std::size_t count, std::string* arena);
+/// to *out.
+PayloadSpan AppendShardLatencyPayload(const double* latencies,
+                                      std::size_t count, std::string* out);
 
 /// Appends the ShardPriceUpdate payload encoding of mu[0..count) with the
 /// per-entry congestion flags (one 0/1 byte each, packed to a bitset on the
 /// wire).  `stale` is an optional parallel 0/1 array: null, or all-zero,
 /// emits no stale bitset.
-ArenaSpan AppendShardPricePayload(const double* mu,
-                                  const std::uint8_t* congested,
-                                  const std::uint8_t* stale,
-                                  std::size_t count, std::string* arena);
+PayloadSpan AppendShardPricePayload(const double* mu,
+                                    const std::uint8_t* congested,
+                                    const std::uint8_t* stale,
+                                    std::size_t count, std::string* out);
 
 /// Decodes a latency payload into latencies[0..update.count); false on any
 /// malformed payload (wrong size, bad encoding, bad run/sparse structure).
@@ -200,7 +214,7 @@ bool DecodeShardLatencyUpdate(const ShardLatencyUpdate& update,
                               std::vector<double>* latencies);
 
 /// Packed bitset views into a decoded price payload (valid while the
-/// message's WireSlice arena lives).  `stale` is null when absent.
+/// bytes the message's WireSlice views live).  `stale` is null when absent.
 struct ShardPriceBitsets {
   const char* congested = nullptr;
   const char* stale = nullptr;
@@ -221,7 +235,10 @@ inline bool TestWireBit(const char* bits, std::size_t i) {
 std::vector<std::uint8_t> Serialize(const Message& message);
 
 /// Inverse of Serialize; nullopt on malformed input (truncation, bad tag).
+/// The returned message's views point into `bytes`, which must outlive it.
 std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes);
+/// A temporary would leave the views dangling.
+std::optional<Message> Deserialize(std::vector<std::uint8_t>&&) = delete;
 
 /// Number of bytes Serialize would produce (used for traffic accounting).
 std::size_t WireSize(const Message& message);

@@ -34,6 +34,13 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
     enactments_counter_ =
         config_.metrics->GetCounter("coordinator.enactments");
     sync_round_timer_ = config_.metrics->GetTimer("coordinator.sync_round");
+    controllers_timer_ = config_.metrics->GetTimer("coordinator.controllers");
+    latency_delivery_timer_ =
+        config_.metrics->GetTimer("coordinator.latency_delivery");
+    shards_timer_ = config_.metrics->GetTimer("coordinator.shards");
+    price_delivery_timer_ =
+        config_.metrics->GetTimer("coordinator.price_delivery");
+    monitor_timer_ = config_.metrics->GetTimer("coordinator.monitor");
     if (config_.bus.metrics == nullptr) {
       config_.bus.metrics = config_.metrics;
     }
@@ -246,15 +253,13 @@ void Coordinator::PartitionController(TaskId task, double duration_ms) {
 
 void Coordinator::CommitLaneOutboxes(int lanes) {
   for (int lane = 0; lane < lanes; ++lane) {
-    for (net::Message& message : lane_outboxes_[lane]) {
-      bus_->Send(std::move(message));
-    }
+    bus_->SendAll(lane_outboxes_[lane]);
     lane_outboxes_[lane].clear();
   }
 }
 
-void Coordinator::RunLanes(std::size_t n,
-                           FunctionRef<void(std::size_t, std::size_t)> body) {
+int Coordinator::RunLanes(std::size_t n,
+                          FunctionRef<void(std::size_t, std::size_t)> body) {
   ThreadPool* pool = round_pool_.get();
   const int lanes =
       pool != nullptr ? pool->ParticipantsFor(n, /*min_items_per_thread=*/1)
@@ -263,7 +268,7 @@ void Coordinator::RunLanes(std::size_t n,
     const auto [begin, end] = ChunkRange(n, lanes, static_cast<int>(lane));
     for (std::size_t i = begin; i < end; ++i) body(i, lane);
   });
-  CommitLaneOutboxes(lanes);
+  return lanes;
 }
 
 RoundStats Coordinator::RunSyncRound() {
@@ -274,20 +279,42 @@ RoundStats Coordinator::RunSyncRound() {
   // the bus sees the same (seq, payload) stream, draws its drop/jitter
   // randoms in the same order, and delivers serially: the fixed point is
   // bit-identical at any thread count (DESIGN.md §7.11).  The solver's one
-  // mutable cache refresh runs serially first.
-  controller_shared_->solver.PrepareSolve();
-  RunLanes(controllers_.size(), [&](std::size_t t, std::size_t lane) {
-    controllers_[t]->AllocateAndSend(&lane_prices_[lane],
-                                     &lane_outboxes_[lane]);
-  });
-  bus_->RunAll();
-  RunLanes(shard_agents_.size(), [&](std::size_t s, std::size_t lane) {
-    shard_agents_[s]->ComputePricesAndBroadcast(&lane_outboxes_[lane]);
-  });
-  bus_->RunAll();
+  // mutable cache refresh runs serially first.  The five phase timers split
+  // the round; only the round counter and the return fall outside them.
+  int lanes = 0;
+  {
+    obs::ScopedTimer phase(controllers_timer_);
+    controller_shared_->solver.PrepareSolve();
+    lanes = RunLanes(controllers_.size(),
+                     [&](std::size_t t, std::size_t lane) {
+                       controllers_[t]->AllocateAndSend(&lane_prices_[lane],
+                                                        &lane_outboxes_[lane]);
+                     });
+  }
+  {
+    obs::ScopedTimer phase(latency_delivery_timer_);
+    CommitLaneOutboxes(lanes);
+    bus_->RunAll();
+  }
+  {
+    obs::ScopedTimer phase(shards_timer_);
+    lanes = RunLanes(shard_agents_.size(),
+                     [&](std::size_t s, std::size_t lane) {
+                       shard_agents_[s]->ComputePricesAndBroadcast(
+                           &lane_outboxes_[lane]);
+                     });
+  }
+  {
+    obs::ScopedTimer phase(price_delivery_timer_);
+    CommitLaneOutboxes(lanes);
+    bus_->RunAll();
+  }
   ++round_;
   if (rounds_counter_ != nullptr) rounds_counter_->Increment();
-  RecordSample(bus_->now_ms());
+  {
+    obs::ScopedTimer phase(monitor_timer_);
+    RecordSample(bus_->now_ms());
+  }
   return history_.empty() ? RoundStats{} : history_.back();
 }
 

@@ -88,10 +88,11 @@ struct CoordinatorConfig {
   /// coordinator).
   obs::TraceSink* trace_sink = nullptr;
   /// Registry for coordinator.rounds / coordinator.samples /
-  /// coordinator.enactments and the coordinator.sync_round timer; also
-  /// forwarded to the bus (bus.* counters) unless bus.metrics is already
-  /// set.  Null disables instrumentation (non-owning; must outlive the
-  /// coordinator).
+  /// coordinator.enactments, the coordinator.sync_round timer and its five
+  /// phase timers (coordinator.controllers, .latency_delivery, .shards,
+  /// .price_delivery, .monitor); also forwarded to the bus (bus.* counters)
+  /// unless bus.metrics is already set.  Null disables instrumentation
+  /// (non-owning; must outlive the coordinator).
   obs::MetricRegistry* metrics = nullptr;
 };
 
@@ -221,12 +222,12 @@ class Coordinator {
                          bool is_resource, double index, bool cold);
   /// Runs `body(i, lane)` for every endpoint index i in [0, n), split into
   /// lanes of contiguous ascending chunks (one lane per participant of the
-  /// round pool, or one inline lane without it), then commits the lanes.
-  void RunLanes(std::size_t n,
-                FunctionRef<void(std::size_t, std::size_t)> body);
-  /// Sends the deferred messages of lanes [0, lanes) in lane order (= the
-  /// endpoint order, since lanes own contiguous ascending chunks) and
-  /// clears them.
+  /// round pool, or one inline lane without it); returns the lane count.
+  int RunLanes(std::size_t n,
+               FunctionRef<void(std::size_t, std::size_t)> body);
+  /// Hands the deferred messages of lanes [0, lanes) to the bus in lane
+  /// order (= the endpoint order, since lanes own contiguous ascending
+  /// chunks), one admission pass per lane, and clears them.
   void CommitLaneOutboxes(int lanes);
 
   const Workload* workload_;
@@ -269,6 +270,14 @@ class Coordinator {
   obs::Counter* samples_counter_ = nullptr;
   obs::Counter* enactments_counter_ = nullptr;
   obs::Timer* sync_round_timer_ = nullptr;
+  /// The phases of a sync round, in order: controller solve and encode,
+  /// latency commit and delivery, shard prices and encode, price commit
+  /// and delivery, and the monitor's sample.
+  obs::Timer* controllers_timer_ = nullptr;
+  obs::Timer* latency_delivery_timer_ = nullptr;
+  obs::Timer* shards_timer_ = nullptr;
+  obs::Timer* price_delivery_timer_ = nullptr;
+  obs::Timer* monitor_timer_ = nullptr;
   RecoveryHooks recovery_hooks_;
   obs::IterationTrace trace_;
 

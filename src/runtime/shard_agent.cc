@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 
@@ -166,11 +165,12 @@ void ShardAgent::ApplyRepairResponse(const net::RepairResponse& repair) {
   // Absolute state from a client controller: always absorb the latencies
   // (they are the controller's current truth), and while awaiting repair
   // adopt the price from the freshest epoch offered.
-  for (std::size_t i = 0; i < repair.subtasks.size(); ++i) {
-    const auto it = subtask_slot_.find(repair.subtasks[i].value());
+  for (std::size_t i = 0; i < repair.entry_count(); ++i) {
+    const net::RepairEntry entry = repair.entry(i);
+    const auto it = subtask_slot_.find(entry.subtask.value());
     if (it == subtask_slot_.end()) continue;
     if (slot_resource_[it->second] != local) continue;  // misrouted entry
-    latencies_[it->second] = repair.latencies_ms[i];
+    latencies_[it->second] = entry.latency_ms;
   }
   if (awaiting_repair_[local] != 0 &&
       (repair_adopted_[local] == 0 ||
@@ -291,9 +291,9 @@ void ShardAgent::SendRepairRequest(std::size_t local,
     message.receiver = (*controller_endpoints_)[client_tasks_[c].value()];
     message.payload = request;
     if (outbox != nullptr) {
-      outbox->push_back(std::move(message));
+      outbox->push_back(message);
     } else {
-      bus_->Send(std::move(message));
+      bus_->Send(message);
     }
   }
 }
@@ -364,13 +364,12 @@ void ShardAgent::ComputePricesAndBroadcast(
   // One batched positional message per client, carrying only the prices
   // that client reads (a whole-shard vector to every client would multiply
   // the round's byte volume by shard_width / task_resources_per_shard on
-  // sparse workloads).  All clients' payloads are encoded into one arena,
-  // then sliced per message — encode once, slice per client, and reuse the
-  // arena when no message holds it.  With a round pool this use_count read
-  // runs in a pool lane after the serial drain that released the last
-  // broadcast, and the pool's dispatch orders the two.
-  std::string& arena = *net::RecycleArena(&arena_);
-  arena.reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
+  // sparse workloads).  All clients' payloads are encoded into one reused
+  // buffer, then viewed per message once the last encode is done (an append
+  // may move the buffer).  The bus copies the bytes at Send, so the buffer
+  // is free again by the next broadcast.
+  wire_.clear();
+  wire_.reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
   client_spans_.resize(client_tasks_.size());
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
     const std::vector<std::uint32_t>& locals = client_resources_[c];
@@ -392,20 +391,20 @@ void ShardAgent::ComputePricesAndBroadcast(
     }
     client_spans_[c] = net::AppendShardPricePayload(
         gather_mu_.data(), gather_congested_.data(), stale, locals.size(),
-        &arena);
+        &wire_);
   }
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
     net::ShardPriceUpdate update;
     update.shard = shard_;
     update.epoch = epoch_;
     update.count = static_cast<std::uint32_t>(client_resources_[c].size());
-    update.payload = net::WireSlice(arena_, client_spans_[c].offset,
+    update.payload = net::WireSlice(wire_.data() + client_spans_[c].offset,
                                     client_spans_[c].length);
     net::Message message;
     message.sender = self_;
     message.receiver = (*controller_endpoints_)[client_tasks_[c].value()];
-    message.payload = std::move(update);
-    outbox->push_back(std::move(message));
+    message.payload = update;
+    outbox->push_back(message);
   }
 }
 

@@ -22,11 +22,13 @@
 // static, so the agent derives, once, the ordered entry list of each client
 // — latency slots for inbound updates, used resources for outbound prices —
 // and the wire carries only b1-encoded value arrays.  All clients' price
-// payloads are encoded into ONE arena per round and each message holds a
-// WireSlice into it (encode once, slice per client); the arena is reused
-// when no message still holds it.  The broadcast appends its messages to the
-// caller's round-lane outbox, which the coordinator sends in lane order, in
-// synchronous rounds and asynchronous ticks alike.
+// payloads are encoded into ONE reused buffer per round and each message
+// views its span of it (encode once, view per client).  The broadcast
+// appends its messages to the caller's round-lane outbox, which the
+// coordinator sends in lane order, in synchronous rounds and asynchronous
+// ticks alike; the bus copies the bytes at Send, so the views need live
+// only until then.  An inbound message's payload view is valid for the
+// OnMessage call only, and the agent keeps nothing of it.
 //
 // Per-resource fault injection (DESIGN.md §7.7): a single hosted resource can
 // be crashed, cold-restarted, checkpointed and restored from a snapshot.  A
@@ -39,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -227,10 +228,11 @@ class ShardAgent {
   std::vector<double> gather_mu_;
   std::vector<std::uint8_t> gather_congested_;
   std::vector<std::uint8_t> gather_stale_;
-  std::vector<net::ArenaSpan> client_spans_;
+  std::vector<net::PayloadSpan> client_spans_;
   std::vector<double> decode_scratch_;
-  /// The wire arena of the last broadcast, reused once no message holds it.
-  std::shared_ptr<std::string> arena_;
+  /// The payloads of the last broadcast, which its outbox messages view
+  /// until the caller sends them.
+  std::string wire_;
 
   RecoveryHooks hooks_;
 };

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <set>
 #include <string>
 
@@ -171,6 +170,12 @@ void TaskController::OnMessage(const net::Message& message) {
       return;
     }
     const TaskInfo& info = workload_->task(task_);
+    repair_wire_.clear();
+    for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
+      const SubtaskId sid = info.subtasks[i];
+      if (workload_->subtask(sid).resource != request->resource) continue;
+      net::AppendRepairEntry(sid, local_latencies_[i], &repair_wire_);
+    }
     net::RepairResponse repair;
     repair.resource = request->resource;
     repair.task = task_;
@@ -178,17 +183,12 @@ void TaskController::OnMessage(const net::Message& message) {
     repair.mu = mu_cache_[slot];
     repair.epoch = used_epoch_[slot];
     repair.congested = used_congested_[slot] != 0;
-    for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
-      const SubtaskId sid = info.subtasks[i];
-      if (workload_->subtask(sid).resource != request->resource) continue;
-      repair.subtasks.push_back(sid);
-      repair.latencies_ms.push_back(local_latencies_[i]);
-    }
+    repair.entries = net::WireSlice(repair_wire_.data(), repair_wire_.size());
     net::Message reply;
     reply.sender = self_;
     reply.receiver = message.sender;
-    reply.payload = std::move(repair);
-    bus_->Send(std::move(reply));
+    reply.payload = repair;
+    bus_->Send(reply);
     return;
   }
 }
@@ -304,15 +304,13 @@ void TaskController::AllocateAndSend(PriceVector* prices,
   }
 
   // 4. Send the new latencies: one batched positional message per shard
-  // touched.  One arena per round: every shard's payload is encoded
-  // back-to-back, then sliced per message (the messages share ownership of
-  // the arena).  The b1 chooser never exceeds the raw encoding, so
-  // Σ(1 + 8n) bounds the arena.  The arena is reused once no message of the
-  // last send is alive; with a round pool this use_count read runs in a
-  // pool lane after the serial drain that released those messages, and the
-  // pool's dispatch orders the two.
-  std::string& arena = *net::RecycleArena(&arena_);
-  arena.reserve(used_shards_.size() + 8 * shard_subtasks_.size());
+  // touched.  Every shard's payload is encoded back-to-back into one reused
+  // buffer, then viewed per message once the last encode is done (an
+  // append may move the buffer).  The b1 chooser never exceeds the raw
+  // encoding, so Σ(1 + 8n) bounds the buffer.  The bus copies the bytes at
+  // Send, so the buffer is free again by the next call.
+  wire_.clear();
+  wire_.reserve(used_shards_.size() + 8 * shard_subtasks_.size());
   latency_spans_.resize(used_shards_.size());
   for (std::size_t s = 0; s < used_shards_.size(); ++s) {
     const std::uint32_t begin = shard_subtask_begin_[s];
@@ -322,20 +320,20 @@ void TaskController::AllocateAndSend(PriceVector* prices,
       gather_latencies_[j - begin] = local_latencies_[shard_subtasks_[j]];
     }
     latency_spans_[s] = net::AppendShardLatencyPayload(
-        gather_latencies_.data(), end - begin, &arena);
+        gather_latencies_.data(), end - begin, &wire_);
   }
   for (std::size_t s = 0; s < used_shards_.size(); ++s) {
     net::ShardLatencyUpdate update;
     update.task = task_;
     update.shard = used_shards_[s];
     update.count = shard_subtask_begin_[s + 1] - shard_subtask_begin_[s];
-    update.payload = net::WireSlice(arena_, latency_spans_[s].offset,
+    update.payload = net::WireSlice(wire_.data() + latency_spans_[s].offset,
                                     latency_spans_[s].length);
     net::Message message;
     message.sender = self_;
     message.receiver = (*shard_endpoints_)[used_shards_[s]];
-    message.payload = std::move(update);
-    outbox->push_back(std::move(message));
+    message.payload = update;
+    outbox->push_back(message);
   }
 }
 

@@ -19,10 +19,15 @@
 // sharing a resource write the same mu slot, so lanes cannot share one.
 // Sharing the latency buffer is race-free because each controller writes
 // only its own task's slots.
+//
+// A send encodes every shard's latency payload into one reused buffer and
+// views it per message; the views live until the caller sends the outbox,
+// when the bus copies the bytes.  An inbound message's payload view is
+// valid for the OnMessage call only, and the controller keeps nothing of
+// it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -165,12 +170,14 @@ class TaskController {
   bool crashed_ = false;
   std::vector<std::uint32_t> shard_incarnation_;
 
-  /// Reused encode/decode scratch.
+  /// Reused encode/decode scratch.  wire_ holds the payloads of the last
+  /// AllocateAndSend, which its outbox messages view until the caller sends
+  /// them; repair_wire_ holds the entries of the last repair reply.
   std::vector<double> mu_scratch_;
   std::vector<double> gather_latencies_;
-  std::vector<net::ArenaSpan> latency_spans_;
-  /// The wire arena of the last send, reused once no message holds it.
-  std::shared_ptr<std::string> arena_;
+  std::vector<net::PayloadSpan> latency_spans_;
+  std::string wire_;
+  std::string repair_wire_;
 };
 
 }  // namespace lla::runtime

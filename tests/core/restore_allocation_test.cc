@@ -4,10 +4,10 @@
 // compare the header's shape with the workload before decoding any
 // section.  A wire message is outside input too: net::Deserialize validates
 // shard payloads without decoding them, and checks a repair response's
-// entry count against its bytes before reserving.  The binary replaces the
-// global operator new with one that counts bytes, so it stays out of the
-// sanitizer copies; it also drives `lla solve --restore` on the same
-// images.
+// entry count against its bytes; both come back as views of the input.
+// The binary replaces the global operator new with one that counts bytes,
+// so it stays out of the sanitizer copies; it also drives `lla solve
+// --restore` on the same images.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -196,9 +196,9 @@ TEST_F(RestoreAllocationTest, DeclaredShapeIsCheckedBeforeDecoding) {
 }
 
 // A 50-byte ShardLatencyUpdate declaring 2^24 entries as one rle run is a
-// valid message.  Deserialize validates its payload with a null output, so
-// accepting it allocates the message and not the 128 MiB its words decode
-// to.
+// valid message.  Deserialize validates its payload with a null output and
+// returns a view of it, so accepting it allocates nothing near the 128 MiB
+// its words decode to.
 TEST(DeserializeAllocationTest, ValidatesShardPayloadsWithoutDecoding) {
   constexpr std::uint32_t kEntries = std::uint32_t{1} << 24;
   std::string payload(1, static_cast<char>(kRle));
@@ -206,7 +206,7 @@ TEST(DeserializeAllocationTest, ValidatesShardPayloadsWithoutDecoding) {
   net::Message message;
   message.payload = net::ShardLatencyUpdate{
       TaskId(0u), 0, kEntries,
-      net::WireSlice::Copy(payload.data(), payload.size())};
+      net::WireSlice(payload.data(), payload.size())};
   const std::vector<std::uint8_t> bytes = net::Serialize(message);
   ASSERT_EQ(bytes.size(), 50u);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -337,6 +338,121 @@ TEST(BusTest, RandomizedTrafficKeepsOneTotalOrder) {
         EXPECT_EQ(bus.stats().delivered + bus.stats().timers_fired, issued);
       }
     }
+  }
+}
+
+// A latency update viewing `bytes` (the bus never decodes payloads).
+Message BytesMessage(EndpointId from, EndpointId to, const std::string& bytes) {
+  Message message;
+  message.sender = from;
+  message.receiver = to;
+  message.payload = ShardLatencyUpdate{TaskId(0u), 0, 0,
+                                       WireSlice(bytes.data(), bytes.size())};
+  return message;
+}
+
+std::string PayloadOf(const Message& message) {
+  const WireSlice* bytes = PayloadBytes(message.payload);
+  return std::string(bytes->data(), bytes->size());
+}
+
+// The bus owns every payload from Send to delivery, and a handler's view
+// stays valid for its whole call: sends made inside the handler, enough to
+// grow every buffer the bus has, never move the bytes it is reading.  Both
+// lanes, with payloads on both sides of std::string's inline capacity.
+TEST(BusTest, HandlerSendsNeverMoveThePayloadItReads) {
+  for (const double jitter : {0.0, 0.5}) {
+    for (const std::size_t size : {5u, 300u}) {
+      SCOPED_TRACE(testing::Message() << "jitter " << jitter << " size "
+                                      << size);
+      BusConfig config;
+      config.jitter_ms = jitter;
+      InProcessBus bus(config);
+      std::string sent(size, '\0');
+      for (std::size_t i = 0; i < size; ++i) {
+        sent[i] = static_cast<char>('a' + i % 26);
+      }
+      const std::string filler(400, 'z');
+      int first = 0;
+      EndpointId a = 0;
+      a = bus.Register("a", [&](const Message& m) {
+        if (first++ != 0) return;
+        const WireSlice* bytes = PayloadBytes(m.payload);
+        const char* before = bytes->data();
+        for (int k = 0; k < 2000; ++k) bus.Send(BytesMessage(a, a, filler));
+        EXPECT_EQ(bytes->data(), before);
+        EXPECT_EQ(PayloadOf(m), sent);
+      });
+      bus.Send(BytesMessage(a, a, sent));
+      bus.RunAll();
+      EXPECT_EQ(first, 2001);
+    }
+  }
+}
+
+// A sender may reuse its encode buffer as soon as Send returns: the bus
+// delivers the bytes it copied, on the FIFO lane and for jittered messages
+// that wait on the heap behind later sends.
+TEST(BusTest, DeliversTheBytesSentAfterTheSenderReusesItsBuffer) {
+  for (const double jitter : {0.0, 4.0}) {
+    SCOPED_TRACE(jitter);
+    BusConfig config;
+    config.base_delay_ms = 1.0;
+    config.jitter_ms = jitter;
+    config.seed = 7;
+    InProcessBus bus(config);
+    std::vector<std::string> received;
+    const EndpointId a = bus.Register(
+        "a", [&](const Message& m) { received.push_back(PayloadOf(m)); });
+    std::string buffer;
+    std::vector<std::string> sent;
+    for (int k = 0; k < 20; ++k) {
+      buffer.assign(static_cast<std::size_t>(8 + k),
+                    static_cast<char>('A' + k));
+      bus.Send(BytesMessage(a, a, buffer));
+      sent.push_back(buffer);
+      buffer.assign(buffer.size(), '#');  // overwritten before delivery
+    }
+    bus.RunAll();
+    ASSERT_EQ(received.size(), sent.size());
+    std::sort(received.begin(), received.end());
+    std::sort(sent.begin(), sent.end());
+    EXPECT_EQ(received, sent);
+  }
+}
+
+TEST(BusTest, RepairResponseEntriesCrossTheBusIntact) {
+  for (const double jitter : {0.0, 0.5}) {
+    SCOPED_TRACE(jitter);
+    BusConfig config;
+    config.jitter_ms = jitter;
+    InProcessBus bus(config);
+    std::vector<RepairEntry> received;
+    const EndpointId a = bus.Register("a", [&](const Message& m) {
+      const auto& repair = std::get<RepairResponse>(m.payload);
+      EXPECT_EQ(repair.mu, 2.5);
+      for (std::size_t i = 0; i < repair.entry_count(); ++i) {
+        received.push_back(repair.entry(i));
+      }
+    });
+    std::string entries;
+    AppendRepairEntry(SubtaskId(4u), 1.25, &entries);
+    AppendRepairEntry(SubtaskId(0xfffffffeu), -0.0, &entries);
+    AppendRepairEntry(SubtaskId(9u), 1e300, &entries);
+    Message message = Ping(a, a, 2.5);
+    std::get<RepairResponse>(message.payload).entries =
+        WireSlice(entries.data(), entries.size());
+    bus.Send(message);
+    entries.assign(entries.size(), '\0');
+    EXPECT_EQ(bus.stats().bytes, 38u + 3 * kRepairEntryBytes);
+    bus.RunAll();
+    ASSERT_EQ(received.size(), 3u);
+    EXPECT_EQ(received[0].subtask, SubtaskId(4u));
+    EXPECT_EQ(received[0].latency_ms, 1.25);
+    EXPECT_EQ(received[1].subtask, SubtaskId(0xfffffffeu));
+    EXPECT_TRUE(std::signbit(received[1].latency_ms));
+    EXPECT_EQ(received[2].subtask, SubtaskId(9u));
+    EXPECT_EQ(received[2].latency_ms, 1e300);
   }
 }
 

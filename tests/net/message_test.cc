@@ -1,6 +1,7 @@
 #include "net/message.h"
 
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,15 @@
 
 namespace lla::net {
 namespace {
+
+/// Keeps `bytes` alive for the rest of the test binary and returns a view of
+/// them: a message only views its payload, and the ones built here outlive
+/// the helpers that encode them.
+WireSlice Keep(std::string bytes) {
+  static std::deque<std::string> kept;
+  kept.push_back(std::move(bytes));
+  return WireSlice(kept.back().data(), kept.back().size());
+}
 
 Message MakeRepairRequestMessage() {
   RepairRequest request;
@@ -29,8 +39,10 @@ Message MakeRepairResponseMessage() {
   repair.mu = 37.5;
   repair.epoch = 250;
   repair.congested = true;
-  repair.subtasks = {SubtaskId(3u), SubtaskId(8u)};
-  repair.latencies_ms = {4.25, 0.5};
+  std::string entries;
+  AppendRepairEntry(SubtaskId(3u), 4.25, &entries);
+  AppendRepairEntry(SubtaskId(8u), 0.5, &entries);
+  repair.entries = Keep(std::move(entries));
   Message message;
   message.sender = 4;
   message.receiver = 9;
@@ -39,16 +51,13 @@ Message MakeRepairResponseMessage() {
 }
 
 Message ShardLatencyMessage(const std::vector<double>& latencies) {
-  auto arena = std::make_shared<std::string>();
-  const ArenaSpan span = AppendShardLatencyPayload(
-      latencies.data(), latencies.size(), arena.get());
+  std::string bytes;
+  AppendShardLatencyPayload(latencies.data(), latencies.size(), &bytes);
   ShardLatencyUpdate update;
   update.task = TaskId(5u);
   update.shard = 2;
   update.count = static_cast<std::uint32_t>(latencies.size());
-  update.payload = WireSlice(
-      std::shared_ptr<const std::string>(std::move(arena)), span.offset,
-      span.length);
+  update.payload = Keep(std::move(bytes));
   Message message;
   message.sender = 11;
   message.receiver = 6;
@@ -60,17 +69,15 @@ Message ShardLatencyMessage(const std::vector<double>& latencies) {
 Message ShardPriceMessage(const std::vector<double>& mu,
                           const std::vector<std::uint8_t>& congested,
                           const std::vector<std::uint8_t>& stale) {
-  auto arena = std::make_shared<std::string>();
-  const ArenaSpan span = AppendShardPricePayload(
-      mu.data(), congested.data(), stale.empty() ? nullptr : stale.data(),
-      mu.size(), arena.get());
+  std::string bytes;
+  AppendShardPricePayload(mu.data(), congested.data(),
+                          stale.empty() ? nullptr : stale.data(), mu.size(),
+                          &bytes);
   ShardPriceUpdate update;
   update.shard = 1;
   update.epoch = 77;
   update.count = static_cast<std::uint32_t>(mu.size());
-  update.payload = WireSlice(
-      std::shared_ptr<const std::string>(std::move(arena)), span.offset,
-      span.length);
+  update.payload = Keep(std::move(bytes));
   Message message;
   message.sender = 6;
   message.receiver = 11;
@@ -152,7 +159,8 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 
 TEST(MessageTest, RepairRequestRoundTrips) {
   const Message original = MakeRepairRequestMessage();
-  const auto decoded = Deserialize(Serialize(original));
+  const auto bytes = Serialize(original);
+  const auto decoded = Deserialize(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, original);
   EXPECT_EQ(decoded->incarnation, 2u);
@@ -160,20 +168,28 @@ TEST(MessageTest, RepairRequestRoundTrips) {
 
 TEST(MessageTest, RepairResponseRoundTrips) {
   const Message original = MakeRepairResponseMessage();
-  const auto decoded = Deserialize(Serialize(original));
+  const auto bytes = Serialize(original);
+  const auto decoded = Deserialize(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, original);
   const auto& repair = std::get<RepairResponse>(decoded->payload);
   EXPECT_EQ(repair.epoch, 250u);
   EXPECT_TRUE(repair.congested);
-  ASSERT_EQ(repair.subtasks.size(), 2u);
-  EXPECT_DOUBLE_EQ(repair.latencies_ms[1], 0.5);
+  ASSERT_EQ(repair.entry_count(), 2u);
+  EXPECT_EQ(repair.entry(0).subtask, SubtaskId(3u));
+  EXPECT_DOUBLE_EQ(repair.entry(0).latency_ms, 4.25);
+  EXPECT_EQ(repair.entry(1).subtask, SubtaskId(8u));
+  EXPECT_DOUBLE_EQ(repair.entry(1).latency_ms, 0.5);
+  // The entries are a view into the deserialized bytes, not a copy.
+  EXPECT_EQ(repair.entries.data(),
+            reinterpret_cast<const char*>(bytes.data()) + 38);
 }
 
 TEST(MessageTest, IncarnationSurvivesRoundTrip) {
   Message message = MakeShardPriceMessage(true);
   message.incarnation = 0xdeadbeef;
-  const auto decoded = Deserialize(Serialize(message));
+  const auto bytes = Serialize(message);
+  const auto decoded = Deserialize(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->incarnation, 0xdeadbeefu);
 }
@@ -246,7 +262,8 @@ TEST(MessageTest, RejectsRetiredPerResourceTags) {
 }
 
 TEST(MessageTest, RejectsEmptyInput) {
-  EXPECT_FALSE(Deserialize({}).has_value());
+  const std::vector<std::uint8_t> empty;
+  EXPECT_FALSE(Deserialize(empty).has_value());
 }
 
 TEST(MessageTest, ShardLatencyUpdateRoundTrips) {
@@ -257,7 +274,8 @@ TEST(MessageTest, ShardLatencyUpdateRoundTrips) {
     const auto& sent = std::get<ShardLatencyUpdate>(original.payload);
     // Payload layout: [encoding u8][words...].
     EXPECT_EQ(static_cast<std::uint8_t>(sent.payload.data()[0]), c.encoding);
-    const auto decoded = Deserialize(Serialize(original));
+    const auto bytes = Serialize(original);
+    const auto decoded = Deserialize(bytes);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, original);
     std::vector<double> latencies;
@@ -282,7 +300,8 @@ TEST(MessageTest, ShardPriceUpdateRoundTrips) {
                 with_stale ? 1 : 0);
       EXPECT_EQ(static_cast<std::uint8_t>(sent.payload.data()[1]),
                 c.encoding);
-      const auto decoded = Deserialize(Serialize(original));
+      const auto bytes = Serialize(original);
+      const auto decoded = Deserialize(bytes);
       ASSERT_TRUE(decoded.has_value());
       EXPECT_EQ(*decoded, original);
       const auto& update = std::get<ShardPriceUpdate>(decoded->payload);
@@ -324,40 +343,40 @@ TEST(MessageTest, ShardMessagesSmallerThanIdCarryingFormat) {
   for (std::size_t n : {1u, 2u, 7u, 64u}) {
     std::vector<double> values(n, 3.25);
     std::vector<std::uint8_t> congested(n, 1);
-    auto arena = std::make_shared<std::string>();
-    const ArenaSpan lat_span =
-        AppendShardLatencyPayload(values.data(), n, arena.get());
-    const ArenaSpan price_span = AppendShardPricePayload(
-        values.data(), congested.data(), nullptr, n, arena.get());
-    const std::shared_ptr<const std::string> frozen(std::move(arena));
+    std::string bytes;
+    const PayloadSpan lat_span =
+        AppendShardLatencyPayload(values.data(), n, &bytes);
+    const PayloadSpan price_span = AppendShardPricePayload(
+        values.data(), congested.data(), nullptr, n, &bytes);
     Message latency;
     latency.payload = ShardLatencyUpdate{
         TaskId(0u), 0, static_cast<std::uint32_t>(n),
-        WireSlice(frozen, lat_span.offset, lat_span.length)};
+        WireSlice(bytes.data() + lat_span.offset, lat_span.length)};
     Message price;
     price.payload = ShardPriceUpdate{
         0, 0, static_cast<std::uint32_t>(n),
-        WireSlice(frozen, price_span.offset, price_span.length)};
+        WireSlice(bytes.data() + price_span.offset, price_span.length)};
     EXPECT_LT(WireSize(latency), 25 + 12 * n) << "n=" << n;
     EXPECT_LT(WireSize(price), 25 + 13 * n) << "n=" << n;
   }
 }
 
 TEST(MessageTest, ShardSlicesShareOneArena) {
-  // Encode-once-slice-per-client: two spans appended to the same arena view
-  // the same backing bytes at different offsets.
-  auto arena = std::make_shared<std::string>();
+  // Encode once, view per client: two payloads appended to one buffer are
+  // viewed at their own offsets of the same bytes.
+  std::string bytes;
   const double a[] = {1.0, 2.0};
   const double b[] = {3.0};
-  const ArenaSpan span_a = AppendShardLatencyPayload(a, 2, arena.get());
-  const ArenaSpan span_b = AppendShardLatencyPayload(b, 1, arena.get());
-  const std::shared_ptr<const std::string> frozen(std::move(arena));
-  const WireSlice slice_a(frozen, span_a.offset, span_a.length);
-  const WireSlice slice_b(frozen, span_b.offset, span_b.length);
-  EXPECT_EQ(slice_a.data(), frozen->data() + span_a.offset);
-  EXPECT_EQ(slice_b.data(), frozen->data() + span_b.offset);
-  // Equality is byte-wise, so a deep copy compares equal to the original.
-  EXPECT_EQ(slice_a, WireSlice::Copy(slice_a.data(), slice_a.size()));
+  const PayloadSpan span_a = AppendShardLatencyPayload(a, 2, &bytes);
+  const PayloadSpan span_b = AppendShardLatencyPayload(b, 1, &bytes);
+  EXPECT_EQ(span_b.offset, span_a.offset + span_a.length);
+  EXPECT_EQ(span_b.offset + span_b.length, bytes.size());
+  const WireSlice slice_a(bytes.data() + span_a.offset, span_a.length);
+  const WireSlice slice_b(bytes.data() + span_b.offset, span_b.length);
+  // Equality is byte-wise, so a view of a copy compares equal to the
+  // original.
+  const std::string copy(slice_a.data(), slice_a.size());
+  EXPECT_EQ(slice_a, WireSlice(copy.data(), copy.size()));
   EXPECT_FALSE(slice_a == slice_b);
 }
 
@@ -382,17 +401,16 @@ TEST(MessageTest, RejectsCorruptShardPayloadEncoding) {
 }
 
 TEST(MessageTest, NegativeAndSpecialDoublesSurvive) {
-  auto arena = std::make_shared<std::string>();
+  std::string payload;
   const double latency = -17.125;
-  const ArenaSpan span = AppendShardLatencyPayload(&latency, 1, arena.get());
+  AppendShardLatencyPayload(&latency, 1, &payload);
   ShardLatencyUpdate update;
   update.count = 1;
-  update.payload = WireSlice(
-      std::shared_ptr<const std::string>(std::move(arena)), span.offset,
-      span.length);
+  update.payload = WireSlice(payload.data(), payload.size());
   Message message;
-  message.payload = std::move(update);
-  const auto decoded = Deserialize(Serialize(message));
+  message.payload = update;
+  const auto bytes = Serialize(message);
+  const auto decoded = Deserialize(bytes);
   ASSERT_TRUE(decoded.has_value());
   std::vector<double> latencies;
   ASSERT_TRUE(DecodeShardLatencyUpdate(

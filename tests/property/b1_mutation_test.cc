@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -155,52 +154,53 @@ std::vector<std::vector<double>> PayloadValues() {
   return {distinct, constant, runs, zero, one};
 }
 
-std::shared_ptr<const std::string> Freeze(std::shared_ptr<std::string> s) {
-  return std::shared_ptr<const std::string>(std::move(s));
-}
-
-net::Message LatencyMessage(const std::vector<double>& values) {
-  auto arena = std::make_shared<std::string>();
-  const net::ArenaSpan span = net::AppendShardLatencyPayload(
-      values.data(), values.size(), arena.get());
+/// The messages below view their payload in `*bytes`, which the caller
+/// keeps until it serializes them.
+net::Message LatencyMessage(const std::vector<double>& values,
+                            std::string* bytes) {
+  bytes->clear();
+  net::AppendShardLatencyPayload(values.data(), values.size(), bytes);
   net::Message message;
   message.sender = 11;
   message.receiver = 6;
   message.payload = net::ShardLatencyUpdate{
       TaskId(5u), 2, static_cast<std::uint32_t>(values.size()),
-      net::WireSlice(Freeze(std::move(arena)), span.offset, span.length)};
+      net::WireSlice(bytes->data(), bytes->size())};
   return message;
 }
 
 net::Message PriceMessage(const std::vector<double>& mu,
                           const std::vector<std::uint8_t>& congested,
-                          const std::vector<std::uint8_t>* stale) {
-  auto arena = std::make_shared<std::string>();
-  const net::ArenaSpan span = net::AppendShardPricePayload(
-      mu.data(), congested.data(), stale != nullptr ? stale->data() : nullptr,
-      mu.size(), arena.get());
+                          const std::vector<std::uint8_t>* stale,
+                          std::string* bytes) {
+  bytes->clear();
+  net::AppendShardPricePayload(mu.data(), congested.data(),
+                               stale != nullptr ? stale->data() : nullptr,
+                               mu.size(), bytes);
   net::Message message;
   message.sender = 6;
   message.receiver = 11;
   message.payload = net::ShardPriceUpdate{
       1, 77, static_cast<std::uint32_t>(mu.size()),
-      net::WireSlice(Freeze(std::move(arena)), span.offset, span.length)};
+      net::WireSlice(bytes->data(), bytes->size())};
   return message;
 }
 
 std::vector<Seed> MessageSeeds() {
   std::vector<Seed> seeds;
+  std::string bytes;
   for (const std::vector<double>& values : PayloadValues()) {
-    seeds.push_back(MessageSeed(LatencyMessage(values), kPayloadAt + 1));
+    seeds.push_back(
+        MessageSeed(LatencyMessage(values, &bytes), kPayloadAt + 1));
     std::vector<std::uint8_t> congested(values.size()), stale(values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
       congested[i] = i % 3 != 1 ? 1 : 0;
       stale[i] = i % 2 == 0 ? 1 : 0;
     }
-    seeds.push_back(
-        MessageSeed(PriceMessage(values, congested, nullptr), kPayloadAt + 2));
-    seeds.push_back(
-        MessageSeed(PriceMessage(values, congested, &stale), kPayloadAt + 2));
+    seeds.push_back(MessageSeed(
+        PriceMessage(values, congested, nullptr, &bytes), kPayloadAt + 2));
+    seeds.push_back(MessageSeed(
+        PriceMessage(values, congested, &stale, &bytes), kPayloadAt + 2));
   }
   return seeds;
 }
@@ -377,7 +377,8 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 void ExpectLatencyRoundTrip(const net::ShardLatencyUpdate& update) {
   std::vector<double> latencies;
   ASSERT_TRUE(net::DecodeShardLatencyUpdate(update, &latencies));
-  const net::Message again = LatencyMessage(latencies);
+  std::string bytes;
+  const net::Message again = LatencyMessage(latencies, &bytes);
   std::vector<double> redecoded;
   ASSERT_TRUE(net::DecodeShardLatencyUpdate(
       std::get<net::ShardLatencyUpdate>(again.payload), &redecoded));
@@ -395,7 +396,8 @@ void ExpectPriceRoundTrip(const net::ShardPriceUpdate& update) {
     congested[j] = net::TestWireBit(bits.congested, j) ? 1 : 0;
     stale[j] = bits.stale != nullptr && net::TestWireBit(bits.stale, j);
   }
-  const net::Message again = PriceMessage(mu, congested, &stale);
+  std::string bytes;
+  const net::Message again = PriceMessage(mu, congested, &stale, &bytes);
   std::vector<double> redecoded;
   net::ShardPriceBitsets rebits;
   ASSERT_TRUE(net::DecodeShardPriceUpdate(

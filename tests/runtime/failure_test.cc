@@ -7,7 +7,6 @@
 // or a snapshot (checkpoint restart).
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -596,40 +595,40 @@ TEST(MalformedMessageTest, RejectedShardUpdatesAreCountedAndIgnored) {
   // Well-formed payloads for `count` entries, far from the current state;
   // `corrupt_at` (when set) overwrites that payload byte with an unknown
   // encoding.
+  // The bus copies each payload at Send, so the local buffers may die
+  // before delivery.
   const auto send_price = [&](std::size_t count, int corrupt_at) {
-    auto arena = std::make_shared<std::string>();
+    std::string payload;
     const std::vector<double> mu(count, 1e6);
     const std::vector<std::uint8_t> congested(count, 1);
-    const net::ArenaSpan span = net::AppendShardPricePayload(
-        mu.data(), congested.data(), nullptr, count, arena.get());
-    if (corrupt_at >= 0) (*arena)[span.offset + corrupt_at] = 0x7f;
+    net::AppendShardPricePayload(mu.data(), congested.data(), nullptr, count,
+                                 &payload);
+    if (corrupt_at >= 0) payload[corrupt_at] = 0x7f;
     net::Message message;
     message.sender = injector;
     message.receiver = controller;
     message.payload = net::ShardPriceUpdate{
         0, 1u << 30, static_cast<std::uint32_t>(count),
-        net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
-                       span.offset, span.length)};
-    bus.Send(std::move(message));
+        net::WireSlice(payload.data(), payload.size())};
+    bus.Send(message);
   };
   const std::uint64_t rejected_before =
       CounterValue(&metrics, "recovery.malformed_rejected");
   send_price(used.size() + 1, -1);  // wrong count, payload decodes
   send_price(used.size(), 1);       // [flags][encoding]: corrupt encoding
   {
-    auto arena = std::make_shared<std::string>();
+    std::string payload;
     const std::vector<double> latencies(task.subtasks.size(), 1e6);
-    const net::ArenaSpan span = net::AppendShardLatencyPayload(
-        latencies.data(), latencies.size(), arena.get());
-    (*arena)[span.offset] = 0x7f;  // [encoding]: corrupt encoding
+    net::AppendShardLatencyPayload(latencies.data(), latencies.size(),
+                                   &payload);
+    payload[0] = 0x7f;  // [encoding]: corrupt encoding
     net::Message message;
     message.sender = injector;
     message.receiver = shard;
     message.payload = net::ShardLatencyUpdate{
         task.id, 0, static_cast<std::uint32_t>(latencies.size()),
-        net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
-                       span.offset, span.length)};
-    bus.Send(std::move(message));
+        net::WireSlice(payload.data(), payload.size())};
+    bus.Send(message);
   }
   bus.RunAll();
 

@@ -1,7 +1,7 @@
 // Steady-state synchronous rounds allocate nothing: the bus queues each
-// message without a heap allocation and every agent reuses its wire arena
-// once no message holds it.  The binary replaces the global operator new
-// with a counting one, so it stays out of the sanitizer copies.
+// message and its payload bytes in buffers it keeps, and every agent
+// re-encodes into one buffer it keeps.  The binary replaces the global
+// operator new with a counting one, so it stays out of the sanitizer copies.
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +12,7 @@
 
 #include "core/engine.h"
 #include "net/message.h"
+#include "obs/metrics.h"
 #include "runtime/task_controller.h"
 #include "workloads/paper.h"
 
@@ -47,6 +46,38 @@ TEST(RuntimeTest, SyncRoundsMatchEngineUtility) {
   EXPECT_TRUE(runtime_result.final_feasibility.feasible);
   EXPECT_NEAR(runtime_result.final_utility, engine_result.final_utility,
               1e-3 * std::fabs(engine_result.final_utility));
+}
+
+TEST(RuntimeTest, RoundPhaseTimersSplitTheSyncRound) {
+  // The five phase timers each record one sample per round, and they run
+  // one after another inside coordinator.sync_round, so their totals never
+  // exceed the round's.
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  obs::MetricRegistry metrics;
+  CoordinatorConfig config = SyncConfig();
+  config.metrics = &metrics;
+  config.num_shards = 3;
+  Coordinator coordinator(w, model, config);
+  const obs::Timer* round = metrics.GetTimer("coordinator.sync_round");
+  const std::vector<const obs::Timer*> phases = {
+      metrics.GetTimer("coordinator.controllers"),
+      metrics.GetTimer("coordinator.latency_delivery"),
+      metrics.GetTimer("coordinator.shards"),
+      metrics.GetTimer("coordinator.price_delivery"),
+      metrics.GetTimer("coordinator.monitor")};
+  for (std::uint64_t rounds = 1; rounds <= 30; ++rounds) {
+    coordinator.RunSyncRound();
+    double phase_total_ms = 0.0;
+    for (const obs::Timer* phase : phases) {
+      EXPECT_EQ(phase->count(), rounds);
+      phase_total_ms += phase->total_ms();
+    }
+    EXPECT_EQ(round->count(), rounds);
+    EXPECT_LE(phase_total_ms, round->total_ms());
+  }
 }
 
 TEST(RuntimeTest, SyncRoundTrafficAccounting) {
@@ -155,8 +186,15 @@ TEST(RuntimeTest, ControllerSeesResourcePrices) {
 }
 
 // One task controller of the paper workload on its own bus, with one shard
-// endpoint per resource that keeps every message it receives.
+// endpoint per resource that decodes every latency update it receives.  A
+// payload view is valid for its handler call only, so the handler keeps the
+// decoded values, not the message.
 struct LoneController {
+  struct Received {
+    net::EndpointId receiver = 0;
+    std::vector<double> latencies;
+  };
+
   LoneController(const Workload& w, TaskId task, double base_delay_ms)
       : model(w),
         shared(w, model, LatencySolverConfig{}),
@@ -170,7 +208,12 @@ struct LoneController {
       resource_shard.push_back(resource.id.value());
       shard_endpoints.push_back(bus.Register(
           "shard/" + std::to_string(resource.id.value()),
-          [this](const net::Message& m) { received.push_back(m); }));
+          [this](const net::Message& m) {
+            Received& got = received.emplace_back();
+            got.receiver = m.receiver;
+            EXPECT_TRUE(net::DecodeShardLatencyUpdate(
+                std::get<net::ShardLatencyUpdate>(m.payload), &got.latencies));
+          }));
     }
     self = bus.Register("controller", nullptr);
     controller.Bind(&bus, self, &shard_endpoints, &resource_shard);
@@ -182,23 +225,20 @@ struct LoneController {
   void AllocateAndSend() {
     shared.solver.PrepareSolve();
     controller.AllocateAndSend(&prices, &outbox);
-    for (net::Message& message : outbox) bus.Send(std::move(message));
+    bus.SendAll(outbox);
     outbox.clear();
   }
 
   // Hands the controller resource r's price, as its shard would send it.
   void ReceivePrice(ResourceId r, double mu, bool congested) {
-    auto arena = std::make_shared<std::string>();
+    std::string payload;
     const std::uint8_t flag = congested ? 1 : 0;
-    const net::ArenaSpan payload =
-        net::AppendShardPricePayload(&mu, &flag, nullptr, 1, arena.get());
+    net::AppendShardPricePayload(&mu, &flag, nullptr, 1, &payload);
     net::Message price;
     price.sender = shard_endpoints[r.value()];
     price.receiver = self;
     price.payload = net::ShardPriceUpdate{
-        r.value(), 1, 1,
-        net::WireSlice(std::shared_ptr<const std::string>(std::move(arena)),
-                       payload.offset, payload.length)};
+        r.value(), 1, 1, net::WireSlice(payload.data(), payload.size())};
     controller.OnMessage(price);
   }
 
@@ -206,7 +246,7 @@ struct LoneController {
   ControllerShared shared;
   TaskController controller;
   net::InProcessBus bus;
-  std::vector<net::Message> received;
+  std::vector<Received> received;
   std::vector<net::EndpointId> shard_endpoints;
   std::vector<std::uint32_t> resource_shard;
   net::EndpointId self = 0;
@@ -215,15 +255,16 @@ struct LoneController {
 };
 
 TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
-  // Two sends before any delivery: the second may not recycle the arena the
-  // first send's messages still hold.  (That a steady-state round does
-  // recycle it is pinned by round_allocation_test.)
+  // Two sends before any delivery: the second send re-encodes into the
+  // controller's one buffer while the first send's messages are still in
+  // flight.  The bus holds its own copy of every payload, so each message
+  // still decodes, inside its handler, to what its own send carried.
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
   const Workload& w = workload.value();
   const TaskInfo& task = w.tasks().front();
   LoneController lone(w, task.id, /*base_delay_ms=*/5.0);
-  std::vector<net::Message>& received = lone.received;
+  const std::vector<LoneController::Received>& received = lone.received;
 
   // What a send carries to each shard endpoint: the controller's latencies
   // of its subtasks there, in local subtask order.
@@ -235,24 +276,6 @@ TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
           lone.controller.latencies()[i]);
     }
     return by_shard;
-  };
-  // The address range of the slices in received[begin, end).
-  const auto span = [&](std::size_t begin, std::size_t end) {
-    std::pair<const char*, const char*> range{nullptr, nullptr};
-    for (std::size_t k = begin; k < end; ++k) {
-      const net::WireSlice& slice =
-          std::get<net::ShardLatencyUpdate>(received[k].payload).payload;
-      if (range.first == nullptr ||
-          std::less<const char*>()(slice.data(), range.first)) {
-        range.first = slice.data();
-      }
-      if (range.second == nullptr ||
-          std::less<const char*>()(range.second,
-                                   slice.data() + slice.size())) {
-        range.second = slice.data() + slice.size();
-      }
-    }
-    return range;
   };
 
   lone.AllocateAndSend();
@@ -268,20 +291,12 @@ TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
   lone.bus.RunAll();
   ASSERT_EQ(received.size(), 2 * n);
   // Delivery follows send order, so the first n messages are the first
-  // send's; each decodes to what its own send carried.
+  // send's; each decoded to what its own send carried.
   for (std::size_t k = 0; k < 2 * n; ++k) {
-    std::vector<double> decoded;
-    ASSERT_TRUE(net::DecodeShardLatencyUpdate(
-        std::get<net::ShardLatencyUpdate>(received[k].payload), &decoded));
-    EXPECT_EQ(decoded, (k < n ? first : second).at(received[k].receiver))
+    EXPECT_EQ(received[k].latencies,
+              (k < n ? first : second).at(received[k].receiver))
         << "message " << k;
   }
-  const auto first_arena = span(0, n);
-  const auto second_arena = span(n, 2 * n);
-  const std::less<const char*> before;
-  EXPECT_TRUE(!before(second_arena.first, first_arena.second) ||
-              !before(first_arena.first, second_arena.second))
-      << "the second send wrote into the first send's in-flight arena";
 }
 
 TEST(RuntimeTest, PathStepDoublesExactlyOnPathsThroughACongestedResource) {
