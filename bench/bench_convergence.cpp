@@ -1,15 +1,14 @@
 // Measures convergence WORK, not per-step throughput: how many subtask
 // solves (and how much wall time) the optimizer needs to reach convergence,
 // comparing
-//   * a cold dense run (active_set.enabled = false, every subtask solved
-//     every step) against
-//   * a cold active-set run (same trajectory bit-for-bit, but clean tasks
-//     skip their solves) and
+//   * a cold run with work reporting off (active_set.enabled = false)
+//     against
+//   * a cold run with it on (the same trajectory bit for bit and the same
+//     solve count: every step solves every subtask) and
 //   * warm restarts after realistic online events — a single subtask's WCET
 //     estimate moving (error correction), a task leaving the system, and a
 //     resource capacity change — where WarmStart carries the previous
-//     optimum's prices and the active set prunes the re-convergence to the
-//     subtasks a changed price bit can actually reach, and
+//     optimum's prices, so re-convergence takes fewer steps, and
 //   * the accelerated price dynamics axis (DESIGN.md §7.8): plain vs.
 //     heavy-ball vs. Nesterov momentum on the same workloads, cold and
 //     across a warm WCET restart.  Two numbers per run: iterations to the
@@ -154,9 +153,8 @@ void RunWorkloadCases(const std::string& name, const Workload& workload,
 
   bench::JsonValue scenarios = bench::JsonValue::Array();
 
-  // --- Cold start: dense vs. active-set on the same untouched workload.
-  // Identical trajectories (bit-for-bit), so the solve counts isolate how
-  // much of a from-scratch convergence is already sparse.
+  // --- Cold start: work reporting off vs. on, same untouched workload.
+  // Identical trajectories (bit-for-bit) and identical solve counts.
   LatencyModel model(workload);
   LlaEngine cold_dense_engine(workload, model, DenseConfig());
   const ConvergenceRun cold_dense = RunToConvergence(cold_dense_engine, prime);
@@ -677,10 +675,11 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "bench_convergence — subtask solves and wall time to converge",
-      "incremental active-set engine (dirty-tracked sparse dual iteration)",
+      "warm-started engine after online events (every step solves every "
+      "subtask)",
       "warm restart after a single-subtask WCET perturbation >= 5x fewer "
-      "subtask solves than a cold dense run; cold trajectories bit-identical "
-      "dense vs. active");
+      "subtask solves than a cold run; cold trajectories bit-identical "
+      "with work reporting off and on");
 
   // Workloads must actually converge under the criterion (utility plateau +
   // feasibility + complementary slackness) or "work to converge" is

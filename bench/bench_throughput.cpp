@@ -2,8 +2,8 @@
 // price computation + stats) on the large paper and random workloads, for
 // the scalar reference path and the fused StepWorkspace engine across
 // thread counts.  The "fused" rows (and the fused_* JSON keys) time the
-// engine as configured by default, active-set stepping included, whose
-// sweeps each fan out across the pool on their own.  Also writes
+// engine as configured by default, whose sweeps each fan out across the
+// pool on their own.  Also writes
 // BENCH_throughput.json so the perf trajectory is machine-readable.
 //
 // The "scalar reference" stepper replicates the pre-StepWorkspace engine:
@@ -158,12 +158,13 @@ int main(int argc, char** argv) {
       "engine hot path (fused StepWorkspace + invariant caching + "
       "per-sweep fan-out + EngineBatch coarse parallelism)",
       "reports steps/s of the scalar reference, the fused engine (the "
-      "default active-set engine) at 1, 2 and 4 threads and a 4-engine "
+      "default engine) at 1, 2 and 4 threads and a 4-engine "
       "EngineBatch; the only check is that "
       "fused and scalar agree bit for bit (exit 1 otherwise).  Recorded on "
-      "a 4-thread host: fused 1.2-1.3x scalar single-threaded, in-engine "
-      "threads 0.8-1.4x the 1-thread rate, EngineBatch 2.0x and 3.2x it at "
-      "4 threads");
+      "a shared 4-thread host, where rows swing by tens of percent run to "
+      "run: fused about 2x scalar single-threaded, in-engine threads at or "
+      "below the 1-thread rate, EngineBatch about 2.4-3.7x it at 4 "
+      "threads");
 
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware_concurrency: %u%s\n", hardware,

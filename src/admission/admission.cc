@@ -113,8 +113,7 @@ std::vector<ProbeResult> AdmissionController::ProbeAllImpl(
         incumbent_prices_.mu.size() == run.workload->resource_count() &&
         incumbent_prices_.lambda.size() == run.workload->path_count()) {
       // Re-probing the unchanged incumbent set: start at its last known
-      // optimum instead of cold.  The warm start primes the engine's
-      // active-set baseline, so the re-run's iterations are incremental.
+      // optimum instead of cold.
       batch.engine(index).WarmStart(incumbent_prices_);
     }
     if (run.index == incumbent_index) incumbent_pending = p;

@@ -102,8 +102,7 @@ class AdmissionController {
  private:
   /// ProbeAll plus knowledge of which set (if any) is exactly the admitted
   /// incumbent set: that probe warm-starts from the cached incumbent prices
-  /// (inheriting the active set, so its re-run is mostly incremental) and
-  /// refreshes the cache when it converges.
+  /// and refreshes the cache when it converges.
   std::vector<ProbeResult> ProbeAllImpl(
       const std::vector<std::vector<TaskSpec>>& candidate_sets,
       std::size_t incumbent_index) const;

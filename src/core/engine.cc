@@ -63,23 +63,12 @@ void LlaEngine::Reset() {
   recent_utilities_.clear();
   history_.clear();
   // Start from the price-greedy allocation so latencies_ is always valid.
-  // In active-set mode this is the dense prime: it also fills the workspace
-  // and snapshots the inputs, so the first Step() is already incremental
-  // (its solve at the unchanged prices reuses everything).
-  PrimeOrSolve();
+  SolveAtPrices();
 }
 
-void LlaEngine::PrimeOrSolve() {
-  active_state_.Invalidate();
-  if (config_.active_set.enabled) {
-    ActiveSolveAndFill(
-        solver_, *workload_, *model_, prices_, config_.solver.variant,
-        config_.convergence.feasibility_tol, pool_.get(), &latencies_,
-        &workspace_, &active_state_);
-    if (active_primes_ != nullptr) active_primes_->Increment();
-  } else {
-    solver_.SolveAll(prices_, &latencies_, pool_.get());
-  }
+void LlaEngine::SolveAtPrices() {
+  solver_.SolveAll(prices_, &latencies_, pool_.get());
+  if (active_primes_ != nullptr) active_primes_->Increment();
 }
 
 void LlaEngine::ResetDynamics() {
@@ -123,10 +112,7 @@ void LlaEngine::WarmStart(const PriceVector& prices) {
   ResetDynamics();
   ClearConvergenceWindow();
   total_subtask_solves_ = 0;
-  // Same prime as Reset: warm-started engines (coordinator what-ifs,
-  // admission probes) inherit the active set through the warm prices — the
-  // first Step() diffs against this baseline instead of starting dense.
-  PrimeOrSolve();
+  SolveAtPrices();
 }
 
 Status LlaEngine::WarmStartStructural(const Workload& old_workload,
@@ -393,11 +379,10 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
   recent_utilities_.assign(snapshot.recent_utilities.begin(),
                            snapshot.recent_utilities.end());
   history_.clear();
-  // Re-derive latencies_ and the workspace from the restored prices: a
-  // full solve at the same price bits reproduces bitwise the latencies the
-  // checkpointed engine held (the active-set invariant), so the next Step()
-  // continues its trajectory.
-  PrimeOrSolve();
+  // Re-derive latencies_ from the restored prices: a full solve at the
+  // same price bits reproduces bitwise the latencies the checkpointed
+  // engine held, so the next Step() continues its trajectory.
+  SolveAtPrices();
   return Status{};
 }
 
@@ -405,27 +390,13 @@ IterationStats LlaEngine::Step() {
   // 1. Latency allocation at current prices, then the fused evaluation
   //    sweep (share sums, path latencies, utility aggregates); each sweep
   //    fans out across the pool on its own.  Everything below reads the
-  //    workspace arrays.  Active-set mode recomputes only what a changed
-  //    price bit can reach; results are bit-identical either way.
-  ActiveStepWork work;
+  //    workspace arrays.
   {
     obs::ScopedTimer timing(solve_timer_);
-    if (config_.active_set.enabled) {
-      work = ActiveSolveAndFill(
-          solver_, *workload_, *model_, prices_, config_.solver.variant,
-          config_.convergence.feasibility_tol, pool_.get(), &latencies_,
-          &workspace_, &active_state_);
-    } else {
-      solver_.SolveAll(prices_, &latencies_, pool_.get());
-      FillStepWorkspace(*workload_, *model_, latencies_,
-                        config_.solver.variant,
-                        config_.convergence.feasibility_tol, pool_.get(),
-                        &workspace_);
-      work.tasks_solved = workload_->task_count();
-      work.subtasks_solved = workload_->subtask_count();
-      work.resources_refreshed = workload_->resource_count();
-      work.paths_refreshed = workload_->path_count();
-    }
+    solver_.SolveAll(prices_, &latencies_, pool_.get());
+    FillStepWorkspace(*workload_, *model_, latencies_, config_.solver.variant,
+                      config_.convergence.feasibility_tol, pool_.get(),
+                      &workspace_);
   }
 
   // 2. Price computation: congestion feedback advances the step schedule,
@@ -444,14 +415,13 @@ IterationStats LlaEngine::Step() {
   }
 
   ++iteration_;
-  total_subtask_solves_ += work.subtasks_solved;
+  total_subtask_solves_ += workload_->subtask_count();
   if (steps_counter_ != nullptr) steps_counter_->Increment();
   if (active_tasks_solved_ != nullptr) {
-    active_tasks_solved_->Increment(work.tasks_solved);
-    active_subtasks_solved_->Increment(work.subtasks_solved);
-    active_resources_refreshed_->Increment(work.resources_refreshed);
-    active_paths_refreshed_->Increment(work.paths_refreshed);
-    if (work.primed) active_primes_->Increment();
+    active_tasks_solved_->Increment(workload_->task_count());
+    active_subtasks_solved_->Increment(workload_->subtask_count());
+    active_resources_refreshed_->Increment(workload_->resource_count());
+    active_paths_refreshed_->Increment(workload_->path_count());
   }
 
   IterationStats stats;
@@ -460,8 +430,8 @@ IterationStats LlaEngine::Step() {
   stats.max_resource_excess = workspace_.feasibility.max_resource_excess;
   stats.max_path_ratio = workspace_.feasibility.max_path_ratio;
   stats.feasible = workspace_.feasibility.feasible;
-  stats.tasks_solved = static_cast<int>(work.tasks_solved);
-  stats.subtasks_solved = static_cast<int>(work.subtasks_solved);
+  stats.tasks_solved = static_cast<int>(workload_->task_count());
+  stats.subtasks_solved = static_cast<int>(workload_->subtask_count());
   if (config_.record_history) history_.push_back(stats);
   if (config_.trace_sink != nullptr) EmitTrace(stats);
 

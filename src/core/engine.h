@@ -14,17 +14,16 @@
 // re-walking the workload.  The workspace buffers are reused, so the
 // steady-state iteration is allocation-free.  With num_threads > 1 the
 // per-task solves and each evaluation sweep fan out across a pool, one
-// ParallelFor per sweep (LatencySolver::SolveAll, then FillStepWorkspace;
-// the active set's sparse sweeps alike), with static partitioning and a
-// deterministic grain cutoff; results are bit-identical for any thread
-// count.
+// ParallelFor per sweep (LatencySolver::SolveAll, then FillStepWorkspace),
+// with static partitioning and a deterministic grain cutoff; results are
+// bit-identical for any thread count.
 //
 // The engine is the single-process reference implementation used by the
 // simulation experiments (Secs. 5.2-5.4); the message-passing deployment of
 // the same iteration lives in src/runtime.  Online error correction applied
 // between steps (Sec. 6.3) is picked up automatically: the solver's cached
-// model invariants and the active-set baseline are keyed to
-// LatencyModel::revision(), which every share replacement bumps.
+// model invariants are keyed to LatencyModel::revision(), which every share
+// replacement bumps.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +78,12 @@ inline constexpr double kComplementarityTol = 0.1;
 bool UtilityWindowSettled(std::deque<double>* recent, double utility,
                           double rel_tol);
 
-/// The incremental (active-set) stepping mode: dirty-tracked sparse dual
-/// iteration.  See DESIGN.md §7.6.
+/// Per-step work reporting.  Every step solves every task and refreshes
+/// every aggregate, so this switch never changes the trajectory (DESIGN.md
+/// §7.6 explains the name).
 struct ActiveSetConfig {
-  /// Master switch.  Enabled (the default) is EXACT: every skip is keyed on
-  /// bitwise-unchanged inputs, so the trajectory is bit-for-bit the dense
-  /// one at any thread count — only the work per step shrinks.
+  /// Enabled (the default) registers the engine.active.* counters with
+  /// LlaConfig::metrics and writes the per-step work fields of the trace.
   bool enabled = true;
 };
 
@@ -102,7 +101,7 @@ struct LlaConfig {
   /// must be finite and in [0, 1); the constructor aborts otherwise.
   DynamicsConfig dynamics;
   ConvergenceConfig convergence;
-  /// Incremental active-set stepping (exact; see the struct).
+  /// Per-step work reporting (see the struct).
   ActiveSetConfig active_set;
   /// Record per-iteration stats (utility traces for the figures).
   bool record_history = true;
@@ -132,8 +131,7 @@ struct IterationStats {
   double max_resource_excess = 0.0;  ///< max over r of (share sum - B_r), >= 0
   double max_path_ratio = 0.0;       ///< max over p of latency / C_i
   bool feasible = false;
-  /// Work this step actually performed (equals the full task/subtask counts
-  /// in dense mode; smaller under active-set stepping).
+  /// Work this step performed: every task and subtask, on every step.
   int tasks_solved = 0;
   int subtasks_solved = 0;
 };
@@ -212,13 +210,13 @@ class LlaEngine {
   /// Fails without touching the engine if the snapshot's shape does not
   /// match this workload, its iteration lies outside
   /// [0, kMaxRestoredIteration] or its step iteration is negative.  On
-  /// success the engine's latencies and workspace are re-derived from the
-  /// restored prices by a dense solve, history is cleared, and the next
-  /// Step() continues the checkpointed trajectory bit-for-bit (any thread
-  /// count, active-set on or off).  The schedule adopts only what its own
-  /// step policy saved (StepSchedule::Adopt).  Takes the snapshot by value
-  /// and moves its vectors into place; decode b1 bytes for it with the
-  /// loaders given this engine's workload (DESIGN.md §7.11).
+  /// success the engine's latencies are re-derived from the restored prices
+  /// by a solve, history is cleared, and the next Step() continues the
+  /// checkpointed trajectory bit-for-bit (any thread count).  The schedule
+  /// adopts only what its own step policy saved (StepSchedule::Adopt).
+  /// Takes the snapshot by value and moves its vectors into place; decode
+  /// b1 bytes for it with the loaders given this engine's workload
+  /// (DESIGN.md §7.11).
   Status Restore(StateSnapshot snapshot);
 
   bool Converged() const { return converged_; }
@@ -228,7 +226,7 @@ class LlaEngine {
   /// counting; Restore adopts the total the snapshot carries.
   std::uint64_t momentum_restarts() const { return momentum_restarts_; }
   /// Cumulative subtask solves performed by Step() since the last
-  /// Reset/WarmStart (the dense mode counts every subtask every step).
+  /// Reset/WarmStart (every subtask, every step).
   std::uint64_t total_subtask_solves() const { return total_subtask_solves_; }
   /// Dirty-closure size of the last WarmStartStructural (0 before any):
   /// tasks / resources whose dual state the structural event re-primed.
@@ -248,9 +246,9 @@ class LlaEngine {
  private:
   void UpdateConvergence(double utility, bool feasible);
   void EmitTrace(const IterationStats& stats);
-  /// Invalidates the dirty-tracking state, then runs the initial solve at
-  /// prices_: the dense active-set prime when enabled, else SolveAll.
-  void PrimeOrSolve();
+  /// The initial solve at prices_ (Reset, WarmStart, Restore), so that
+  /// latencies_ always matches the prices.
+  void SolveAtPrices();
   /// Fresh momentum re-based at prices_ (no-op under plain dynamics): no
   /// velocity, no ramp credit, Nesterov base at the published point.
   void ResetDynamics();
@@ -271,7 +269,6 @@ class LlaEngine {
   PriceVector prices_;
   Assignment latencies_;
   StepWorkspace workspace_;
-  ActiveSetState active_state_;
   std::int64_t iteration_ = 0;
   bool converged_ = false;
   std::uint64_t total_subtask_solves_ = 0;

@@ -255,15 +255,6 @@ void LatencySolver::SolveTaskRange(std::size_t begin, std::size_t end,
   }
 }
 
-void LatencySolver::SolveTaskList(const std::uint32_t* ids, std::size_t begin,
-                                  std::size_t end, const PriceVector& prices,
-                                  Assignment* latencies) const {
-  const std::vector<TaskInfo>& tasks = workload_->tasks();
-  for (std::size_t i = begin; i < end; ++i) {
-    SolveTaskFresh(tasks[ids[i]].id, prices, latencies);
-  }
-}
-
 void LatencySolver::SolveAll(const PriceVector& prices, Assignment* latencies,
                              ThreadPool* pool) const {
   assert(latencies->size() == workload_->subtask_count());

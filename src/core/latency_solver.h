@@ -86,8 +86,8 @@ class LatencySolver {
                 ThreadPool* pool = nullptr) const;
 
   /// Refreshes the model-derived invariant cache if the model revision
-  /// moved (serial).  Call once before fanning SolveTaskRange or
-  /// SolveTaskList out across threads; workers then only read the cache.
+  /// moved (serial).  Call once before fanning SolveTaskRange out across
+  /// threads; workers then only read the cache.
   void PrepareSolve() const;
 
   /// Solves tasks [begin, end) — the chunk body of a parallel solve, and a
@@ -96,13 +96,6 @@ class LatencySolver {
   /// compose race-free.
   void SolveTaskRange(std::size_t begin, std::size_t end,
                       const PriceVector& prices, Assignment* latencies) const;
-
-  /// Solves the tasks named by ids[begin..end) — the chunk body of a sparse
-  /// (active-set) parallel solve.  Same contract as SolveTaskRange: requires
-  /// PrepareSolve first, distinct tasks write disjoint latency slots.
-  void SolveTaskList(const std::uint32_t* ids, std::size_t begin,
-                     std::size_t end, const PriceVector& prices,
-                     Assignment* latencies) const;
 
   /// Clamping bounds for a subtask's latency.
   double LatLo(SubtaskId id) const;

@@ -44,7 +44,7 @@ class PriceUpdater {
 
   /// Both updates from precomputed per-resource share sums and per-path
   /// latencies (as filled by FillStepWorkspace) — no workload re-walk.
-  /// The engine's only price update, with the active set on or off.
+  /// The engine's only price update.
   ///
   /// Every multiplier moves by StepComponentDynamics under `dynamics`
   /// (price_dynamics.h).  Momentum kinds read and write one

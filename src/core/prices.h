@@ -2,9 +2,7 @@
 //
 // mu[r] is the price per unit of resource r (multiplier of Eq. 3);
 // lambda[p] is the price of path p (multiplier of Eq. 4).  Both are
-// non-negative; gradient projection keeps them so.  The active set's dirty
-// pass (ActiveSolveAndFill, core/step_workspace.h) compares two price
-// vectors entry by entry, bitwise, to find the tasks whose inputs moved.
+// non-negative; gradient projection keeps them so.
 #pragma once
 
 #include <cstddef>

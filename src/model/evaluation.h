@@ -72,8 +72,7 @@ FeasibilityReport CheckFeasibility(const Workload& workload,
 /// [begin, end) into an already-sized output array, writing only its own
 /// slots with the scalar oracle's iteration order and arithmetic, so any
 /// chunking stays bit-identical to the oracles.  FillStepWorkspace
-/// (core/step_workspace.h) fans each out over the whole index space, and the
-/// active set over its dirty items.
+/// (core/step_workspace.h) fans each out over the whole index space.
 ///   - FillResourceShareSumsRange: ResourceShareSum of resources [begin, end)
 ///     into `sums`, indexed by ResourceId.
 ///   - FillPathLatenciesRange: PathLatency of paths [begin, end) into

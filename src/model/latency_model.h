@@ -43,9 +43,9 @@ class LatencyModel {
   std::size_t size() const { return shares_.size(); }
 
   /// Bumped every time a share function is replaced.  Consumers that cache
-  /// model-derived invariants (LatencySolver's box bounds, the active-set
-  /// baseline) compare this to their cached value and rebuild on mismatch,
-  /// so online corrections take effect on the next solve.
+  /// model-derived invariants (LatencySolver's box bounds) compare this to
+  /// their cached value and rebuild on mismatch, so online corrections take
+  /// effect on the next solve.
   std::uint64_t revision() const { return revision_; }
 
  private:

@@ -76,7 +76,7 @@ void JsonlTraceSink::OnIteration(const IterationTrace& trace) {
   WriteJsonArray(file_, "path_latencies", trace.path_latencies);
   WriteJsonArray(file_, "path_lambda", trace.path_lambda);
   WriteJsonArray(file_, "path_step", trace.path_step);
-  // Active-set sparsity, present only when the producer runs incrementally.
+  // Per-step work, present only when the producer reports it.
   if (trace.tasks_solved >= 0) {
     std::fprintf(file_, ",\"tasks_solved\":%d,\"subtasks_solved\":%d",
                  trace.tasks_solved, trace.subtasks_solved);

@@ -55,10 +55,10 @@ struct IterationTrace {
   std::vector<double> path_latencies;
   std::vector<double> path_lambda;
   std::vector<double> path_step;      ///< step size used per path
-  /// Per-step sparsity of the active-set stepping mode: how many tasks /
-  /// subtasks this iteration actually re-solved, and the number of nonzero
-  /// mu/lambda after the price update.  -1 (the default) means the producer
-  /// does not run in active-set mode; sinks omit negative values.
+  /// Per-step work: how many tasks / subtasks this iteration solved, and
+  /// the number of nonzero mu/lambda after the price update.  -1 (the
+  /// default) means the producer does not report them (the engine reports
+  /// them when ActiveSetConfig::enabled); sinks omit negative values.
   int tasks_solved = -1;
   int subtasks_solved = -1;
   int active_mu = -1;

@@ -104,7 +104,7 @@ bool ChurnDriver::CommitStructural(std::vector<TaskSpec> new_tasks,
   workload_ = std::move(new_workload);
   tasks_ = std::move(new_tasks);
   // Replaying the accumulated WCET corrections bumps the model revision, so
-  // the engine's first Step() re-primes against the corrected model.
+  // the engine's first Step() solves against the corrected model.
   ReplayWcetErrors();
   return true;
 }

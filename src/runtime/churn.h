@@ -5,13 +5,14 @@
 //
 // Structural mutations rebuild the immutable Workload (clone-with-edit via
 // the spec list the driver owns) and seed the fresh engine with
-// LlaEngine::WarmStartStructural, so re-convergence only pays for the dirty
-// closure of the changed task.  Joins are admission-gated: bursts of
-// consecutive joins in a script are probed as CUMULATIVE candidate sets in
-// one AdmissionController::ProbeAll call (EngineBatch fans the probes
-// across admission.probe_threads), then the longest all-schedulable prefix
-// is applied in order — the gate decision is identical to probing each join
-// sequentially against the set it would actually land on.  Probes run
+// LlaEngine::WarmStartStructural, which re-primes only the dirty closure of
+// the changed task and keeps every other price.  Joins are admission-gated:
+// bursts of consecutive joins in a script are probed as CUMULATIVE
+// candidate sets in one AdmissionController::ProbeAll call (EngineBatch
+// fans the probes across admission.probe_threads), then the longest
+// all-schedulable prefix is applied in order — the gate decision is
+// identical to probing each join sequentially against the set it would
+// actually land on.  Probes run
 // against the live system's CORRECTED WCETs (the accumulated corrections
 // baked into the probed specs): the stale spec workload can look
 // schedulable while the corrected system is not, and admitting against it
@@ -21,8 +22,8 @@
 // they survive structural rebuilds.
 //
 // Everything is deterministic: a fixed mutation script produces bitwise
-// identical final prices at any thread count, dense or active-set
-// (churn_property_test pins this with memcmp).
+// identical final prices at any thread count, with work reporting on or
+// off (churn_property_test pins this with memcmp).
 #pragma once
 
 #include <cstdint>

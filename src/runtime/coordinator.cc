@@ -420,10 +420,7 @@ std::vector<RunResult> Coordinator::EvaluateScenarios(
   EngineBatch batch(num_threads);
   for (const LlaConfig& config : configs) {
     const int index = batch.Add(*workload_, *model_, config);
-    // WarmStart primes the engine's active set at the running system's
-    // operating point, so scenario re-convergence steps are incremental
-    // from the first iteration (only constraints the what-if perturbs
-    // re-solve) instead of resetting to dense work.
+    // Start at the running system's operating point, not cold.
     batch.engine(index).WarmStart(prices);
   }
   std::vector<RunResult> results = batch.RunAll(max_iterations);

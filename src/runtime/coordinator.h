@@ -173,10 +173,8 @@ class Coordinator {
   /// What-if scenario evaluation: runs one centralized LLA optimization per
   /// config over this coordinator's workload/model, each warm-started from
   /// CurrentPrices() — near the running system's operating point, so
-  /// re-convergence is much faster than a cold start.  The warm start also
-  /// primes each engine's active set (dirty tracking baseline), so scenario
-  /// iterations re-solve only what actually moves; total probe work lands in
-  /// the coordinator.scenario.subtask_solves counter.  Scenarios are
+  /// re-convergence is much faster than a cold start; total probe work
+  /// lands in the coordinator.scenario.subtask_solves counter.  Scenarios are
   /// independent engines fanned across `num_threads` (EngineBatch, grain of
   /// one); results are bit-identical to evaluating them one by one and the
   /// coordinator's own agents are never touched.  Scenario configs must not

@@ -134,12 +134,11 @@ Workload MakeSplitWorkload() {
   return std::move(workload.value());
 }
 
-// The revision bump must invalidate the active-set dirty tracking.  A
-// correction to "alone" lands mid-run with no call on either engine: it
-// changes that task's solve without moving a single price bit, so if the
-// active engine kept its baseline it would classify the task as clean and
-// serve its stale latency forever.  A dense engine stepped in lockstep is
-// the oracle.
+// The revision bump must reach every engine.  A correction to "alone"
+// lands mid-run with no call on either engine: it changes that task's
+// solve without moving a single price bit, so an engine that cached
+// anything keyed on prices alone would serve its stale latency forever.
+// An engine with work reporting off, stepped in lockstep, is the oracle.
 TEST(ModelCacheTest, InvalidateResetsActiveSetDirtyTracking) {
   const Workload w = MakeSplitWorkload();
   LatencyModel model(w);
@@ -185,8 +184,9 @@ TEST(ModelCacheTest, InvalidateResetsActiveSetDirtyTracking) {
 
 // The error corrector's reset writes SetAdditiveError(id, 0.0) on every
 // subtask.  Error 0 is the default model's arithmetic bit for bit, so a
-// reset model steps every consumer exactly like a fresh one: the dense and
-// active-set engines and an 8-shard coordinator in synchronous rounds.
+// reset model steps every consumer exactly like a fresh one: engines with
+// work reporting off and on and an 8-shard coordinator in synchronous
+// rounds.
 TEST(ModelCacheTest, ZeroErrorResetMatchesFreshModel) {
   RandomWorkloadConfig workload_config;
   workload_config.seed = 43;

@@ -1,9 +1,8 @@
-// Properties of the incremental active-set stepping mode (DESIGN.md §7.6).
-//
-// EXACTNESS: the active-set engine's trajectory — latencies AND dual prices
-// at every iteration — is bit-identical (memcmp, tolerance 0) to the dense
-// engine's, at every thread count.  Dirty tracking must only ever skip
-// recomputation of values proven bitwise-unchanged.
+// ActiveSetConfig::enabled switches the engine's per-step work reporting
+// (DESIGN.md §7.6).  The switch must never reach the trajectory: latencies
+// AND dual prices at every iteration are bit-identical (memcmp, tolerance 0)
+// with it on at 1, 2 and 8 threads and off at 1 thread, through warm starts
+// and model corrections.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -37,7 +36,7 @@ LlaConfig BaseConfig(int num_threads, bool active) {
   config.record_history = false;
   config.num_threads = num_threads;
   // Force the requested width even on single-core hosts so the parallel
-  // dirty-task solve path (not just the serial fallback) is what we pin.
+  // solve and fill (not just the serial fallback) are what we pin.
   config.parallel.max_concurrency = num_threads;
   config.parallel.min_items_per_thread = 1;
   config.active_set.enabled = active;
@@ -64,7 +63,7 @@ void ExpectBitIdentical(const Trajectory& expected, const Trajectory& actual,
     const Assignment& b = actual.latencies[step];
     ASSERT_EQ(a.size(), b.size());
     // memcmp: bit-identity with tolerance 0 — distinguishes -0.0 and would
-    // catch any stale workspace entry an incorrect skip left behind.
+    // catch any stale workspace entry.
     ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << label << " latencies diverge at step " << step;
     const PriceVector& pa = expected.prices[step];
@@ -115,9 +114,9 @@ TEST(ActiveSetPropertyTest, RandomWorkloadsBitIdenticalToDense) {
   }
 }
 
-// WarmStart must prime the active-set baseline exactly like Reset: two
-// engines, one stepped from Reset and one WarmStarted with the same initial
-// prices, walk bit-identical trajectories.
+// WarmStart must solve at the warm prices exactly like Reset: two engines,
+// one stepped from Reset and one WarmStarted with the same initial prices,
+// walk bit-identical trajectories.
 TEST(ActiveSetPropertyTest, WarmStartPrimesSameTrajectory) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -168,8 +167,8 @@ int LambdaZeroCrossings(const Trajectory& trajectory) {
 // and active engines (threads 1, 2 and 8) step to convergence memcmp-equal
 // at every step and converge on the same step; then one subtask's model is
 // corrected and they must stay equal through the warm re-convergence.  Path
-// prices move onto and off zero in both phases, so the sparse solve's
-// gathers see a moving lambda zero pattern.  The TSan copy runs seed 1
+// prices move onto and off zero in both phases, so the parallel solves'
+// lambda gathers see a moving zero pattern.  The TSan copy runs seed 1
 // only: its code path is the same, and TSan multiplies the cost of the
 // 8-wide engine's thousands of fork-joins.
 TEST(ActiveSetPropertyTest, BenchmarkShapeBitIdenticalThroughCorrection) {

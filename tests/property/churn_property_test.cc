@@ -3,9 +3,8 @@
 // initial system.  Two pins:
 //
 //   1. The final prices after the whole script are memcmp bit-identical
-//      (tolerance 0) across thread counts {1, 8}, dense vs active-set, and
-//      admission probe widths — threading and the incremental mode change
-//      the work, never the trajectory.
+//      (tolerance 0) across thread counts {1, 8}, work reporting on and off,
+//      and admission probe widths — none of them changes the trajectory.
 //   2. Checkpoint/Restore mid-churn is a pure fast-path: snapshotting the
 //      live engine between mutations, deliberately wandering off with extra
 //      steps, then restoring and replaying the remaining script lands on

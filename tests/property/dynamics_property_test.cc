@@ -3,15 +3,13 @@
 // Per accelerated dynamics kind (heavy-ball, Nesterov):
 //   1. THREAD INVARIANCE: the trajectory — latencies AND dual prices at
 //      every iteration — is bit-identical (memcmp, tolerance 0) across
-//      thread counts {1, 8}, dense and active-set.  Momentum state is
-//      per-component and written from the same static partitioning as the
-//      prices, so width must not be observable.
-//   2. SPARSE == DENSE: the active-set engine's trajectory is bit-identical
-//      to the dense engine's.  Both take the same price update over every
-//      component; the active set only skips re-solving tasks whose prices
-//      kept their bits, which momentum must not make unsound: a parked
-//      component's velocity and Nesterov base are exactly zero, so its
-//      published price stays +0.0 for any step size.
+//      thread counts {1, 8}, with work reporting on and off.  Momentum
+//      state is per-component and written from the same static partitioning
+//      as the prices, so width must not be observable.
+//   2. REPORTING IS INERT: the trajectory with ActiveSetConfig::enabled on
+//      is bit-identical to the one with it off.  A parked component's
+//      velocity and Nesterov base are exactly zero, so its published price
+//      stays +0.0 for any step size.
 #include <cstdio>
 #include <cstring>
 #include <vector>

@@ -4,7 +4,7 @@
 // EXPECT_NEAR — the fused sweeps promise the same arithmetic, not an
 // approximation), the cached solver must match the uncached reference
 // solver, and a full engine run must be bit-identical for any thread count,
-// stepping densely or by the active set.
+// with work reporting on or off.
 #include <random>
 #include <vector>
 

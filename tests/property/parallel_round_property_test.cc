@@ -11,7 +11,7 @@
 // buses: zero-delay lossless, and a seeded one that drops and jitters
 // messages, whose randoms are drawn in send order — the order the lane
 // commit must reproduce.  The controllers' local solves gather lambda over
-// the same path-price CSR as the engine's dense and active-set solves.
+// the same path-price CSR as the engine's solve.
 #include <cstring>
 
 #include <gtest/gtest.h>

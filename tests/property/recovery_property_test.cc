@@ -2,7 +2,7 @@
 // followed by Restore into a FRESH engine resumes the dual trajectory
 // bit-identically — every subsequent iteration's latencies and prices
 // memcmp-equal (tolerance 0) to an uninterrupted reference run, at every
-// thread count, in dense and active-set mode, and with the snapshot pushed
+// thread count, with work reporting on and off, and with the snapshot pushed
 // through the durable b1 encoding (string and file round trips).
 //
 // This is the guarantee that makes checkpointed restart a pure fast-path:
@@ -167,7 +167,7 @@ TEST(RecoveryPropertyTest, SerializedSnapshotResumesBitIdentically) {
 
 // The RLE/sparse section encodings (DESIGN.md §7.10) preserve exact bit
 // patterns too, so a b1 round trip resumes the same bitwise trajectory —
-// dense and active-set, threads 1 and 8.
+// work reporting on and off, threads 1 and 8.
 TEST(RecoveryPropertyTest, BinarySnapshotResumesBitIdentically) {
   auto workload = MakeScaledSimWorkload(2, /*scale_critical_times=*/true);
   ASSERT_TRUE(workload.ok()) << workload.error();

@@ -74,7 +74,7 @@ TEST_P(TraceNonInterference, PaperWorkloadTrajectoryUnchanged) {
 
   ExpectBitIdentical(plain, traced);
   EXPECT_EQ(sink.total_received(), static_cast<std::uint64_t>(iterations));
-  // engine.steps, the five engine.active.* skipped-work counters, and the
+  // engine.steps, the five engine.active.* work counters, and the
   // two engine.reprime.* structural warm-start counters.
   EXPECT_EQ(metrics.Snapshot().counters.size(), 8u);
   // The newest retained record reflects the final engine state exactly.
