@@ -11,14 +11,21 @@
 //     resource) vs. 8 multi-resource shards, and a round-threads sweep of
 //     the parallel coordinator rounds (controller solves and shard price
 //     computations fanned out, delivery serial) with per-row
-//     effective_threads / clamped stamps.
+//     effective_threads / clamped stamps,
+//   * where a serial 8-shard round goes: the share of coordinator.sync_round
+//     spent in each of its five coordinator.* phase timers (DESIGN.md §7.4),
+//     read from a registry attached to the coordinator alone, so the bus
+//     counts nothing per message.
 //
 // The random_1m tier runs 8 shards only (one shard per resource would
 // queue ~2M messages per round) and is skipped in --quick mode to keep the
 // CI job bounded; its full-mode run demonstrates that a 10^6-subtask round
 // completes without exhausting memory.
 //
-// Acceptance gates (evaluated on random_100k; failure exits 1):
+// Acceptance gates (failure exits 1): on every tier, the five phases cover
+// >= 95% of the round (the rest is the round counter and the timers
+// themselves; a lower sum means the round grew work no phase times);
+// evaluated on random_100k:
 //   * the b1 snapshot >= 5x smaller than its sections stored raw
 //     (sum of count * element width over the parsed section table),
 //   * the b1 round-trip bitwise-lossless,
@@ -36,6 +43,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +51,7 @@
 #include "bench_util.h"
 #include "core/engine.h"
 #include "model/serialization.h"
+#include "obs/metrics.h"
 #include "runtime/coordinator.h"
 #include "workloads/random.h"
 
@@ -86,6 +95,13 @@ struct SizeSpec {
   int rounds;  ///< sync rounds per coordinator mode
 };
 
+/// The five phases of a sync round, in order (their timers are
+/// "coordinator." + name).
+constexpr const char* kRoundPhases[] = {"controllers", "latency_delivery",
+                                        "shards", "price_delivery",
+                                        "monitor"};
+constexpr std::size_t kPhaseCount = std::size(kRoundPhases);
+
 struct CoordinatorRun {
   double ms_per_round = 0.0;
   double round_ms_p50 = 0.0;
@@ -93,22 +109,48 @@ struct CoordinatorRun {
   double messages_per_round = 0.0;
   double bytes_per_round = 0.0;
   double final_utility = 0.0;
+  /// Share of coordinator.sync_round's time in each phase over the timed
+  /// rounds (zero without a registry).
+  double phase_share[kPhaseCount] = {};
 };
 
+/// Sums of the round timer's and the phase timers' totals so far.
+struct PhaseTotals {
+  double round_ms = 0.0;
+  double phase_ms[kPhaseCount] = {};
+};
+
+PhaseTotals ReadPhaseTotals(obs::MetricRegistry* metrics) {
+  PhaseTotals totals;
+  totals.round_ms = metrics->GetTimer("coordinator.sync_round")->total_ms();
+  for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    totals.phase_ms[i] =
+        metrics->GetTimer(std::string("coordinator.") + kRoundPhases[i])
+            ->total_ms();
+  }
+  return totals;
+}
+
+/// `metrics`, when given, is attached to the coordinator only (not to its
+/// bus), and the run reports each phase's share of the timed rounds.
 CoordinatorRun RunCoordinator(const Workload& workload,
                               const LatencyModel& model, int num_shards,
-                              int rounds, int round_threads = 1) {
+                              int rounds, int round_threads = 1,
+                              obs::MetricRegistry* metrics = nullptr) {
   runtime::CoordinatorConfig config;
   config.num_shards = num_shards;
   config.round_threads = round_threads;
   config.bus.base_delay_ms = 0.0;
   config.record_history = false;
+  config.metrics = metrics;
   runtime::Coordinator coordinator(workload, model, config);
 
   // Warm-up round: the first round's controller sends prime the agents'
   // latency inputs, so message counts are steady from round 2 on.
   coordinator.RunSyncRound();
   const net::BusStats before = coordinator.bus().stats();
+  const PhaseTotals phases_before =
+      metrics != nullptr ? ReadPhaseTotals(metrics) : PhaseTotals{};
   std::vector<double> round_ms;
   round_ms.reserve(static_cast<std::size_t>(rounds));
   const double start = NowSeconds();
@@ -129,6 +171,14 @@ CoordinatorRun RunCoordinator(const Workload& workload,
   run.bytes_per_round =
       static_cast<double>(after.bytes - before.bytes) / rounds;
   run.final_utility = coordinator.CurrentUtility();
+  if (metrics != nullptr) {
+    const PhaseTotals phases_after = ReadPhaseTotals(metrics);
+    const double round_ms = phases_after.round_ms - phases_before.round_ms;
+    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+      run.phase_share[i] =
+          (phases_after.phase_ms[i] - phases_before.phase_ms[i]) / round_ms;
+    }
+  }
   return run;
 }
 
@@ -190,7 +240,8 @@ int main(int argc, char** argv) {
       "b1 snapshot >= 5x smaller than its sections stored raw and "
       "lossless; sharded coordinator fewer messages and strictly fewer bytes "
       "per round than the id-carrying wire format; 4-thread rounds >= 2x "
-      "serial on >= 4-core hosts");
+      "serial on >= 4-core hosts; the five round phases cover >= 95% of "
+      "a serial sharded round on every tier");
 
   const int scale = quick ? 4 : 1;
   const std::vector<SizeSpec> sizes = {
@@ -206,6 +257,7 @@ int main(int argc, char** argv) {
   bool gate_size = false, gate_lossless = false;
   bool gate_sharded = false, gate_bytes = false;
   bool gate_speedup = false, speedup_suppressed = false;
+  bool gate_phases = true;
   bench::JsonValue results = bench::JsonValue::Array();
   for (const SizeSpec& spec : sizes) {
     if (quick && spec.subtasks >= 1000000) {
@@ -312,8 +364,10 @@ int main(int argc, char** argv) {
       per_resource =
           RunCoordinator(workload, model, /*num_shards=*/0, spec.rounds);
     }
+    obs::MetricRegistry phase_metrics;
     const CoordinatorRun sharded =
-        RunCoordinator(workload, model, num_shards, spec.rounds);
+        RunCoordinator(workload, model, num_shards, spec.rounds,
+                       /*round_threads=*/1, &phase_metrics);
     const double utility_rel_diff =
         run_per_resource
             ? std::fabs(sharded.final_utility - per_resource.final_utility) /
@@ -337,6 +391,21 @@ int main(int argc, char** argv) {
                 "%.0f B/round (PR 8 wire format would use %.0f B/round)\n",
                 sharded.round_ms_p50, sharded.round_ms_p99,
                 sharded.bytes_per_round, old_wire_bytes);
+    double phase_sum = 0.0;
+    bench::JsonValue phase_json = bench::JsonValue::Object();
+    std::printf("coordinator: sharded round phases:");
+    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+      phase_sum += sharded.phase_share[i];
+      phase_json.Add(kRoundPhases[i],
+                     bench::JsonValue::Number(sharded.phase_share[i]));
+      std::printf(" %s %.1f%%", kRoundPhases[i],
+                  100.0 * sharded.phase_share[i]);
+    }
+    phase_json.Add("sum", bench::JsonValue::Number(phase_sum));
+    const bool phases_cover_round = phase_sum >= 0.95;
+    gate_phases = gate_phases && phases_cover_round;
+    std::printf(" (sum %.1f%% of the round%s)\n", 100.0 * phase_sum,
+                phases_cover_round ? "" : ", BELOW 95%");
 
     // Parallel round-threads sweep (DESIGN.md §7.11).  The fixed point is
     // bit-identical at every width (parallel_round_property_test pins it);
@@ -418,6 +487,7 @@ int main(int argc, char** argv) {
                  bench::JsonValue::Number(sharded.round_ms_p50))
             .Add("sharded_round_ms_p99",
                  bench::JsonValue::Number(sharded.round_ms_p99))
+            .Add("sharded_phase_share", std::move(phase_json))
             .Add("parallel", std::move(parallel_rows));
     if (run_per_resource) {
       coordinator_json
@@ -476,8 +546,11 @@ int main(int argc, char** argv) {
   }
 
   const bool pass = gate_size && gate_lossless && gate_sharded &&
-                    gate_bytes && gate_speedup;
-  std::printf("\ngates on random_100k: snapshot >= 5x smaller than raw: %s  "
+                    gate_bytes && gate_speedup && gate_phases;
+  std::printf("\ngate on every tier: round phases sum >= 95%% of the "
+              "round: %s\n",
+              gate_phases ? "PASS" : "FAIL");
+  std::printf("gates on random_100k: snapshot >= 5x smaller than raw: %s  "
               "lossless: %s  sharded fewer msgs + same utility: %s  "
               "fewer bytes than PR 8 wire: %s  parallel >= 2x @4t: %s\n",
               gate_size ? "PASS" : "FAIL", gate_lossless ? "PASS" : "FAIL",
@@ -496,6 +569,7 @@ int main(int argc, char** argv) {
   root.Add("parallel_2x_speedup", bench::JsonValue::Bool(gate_speedup));
   root.Add("parallel_gate_suppressed",
            bench::JsonValue::Bool(speedup_suppressed));
+  root.Add("phases_cover_round", bench::JsonValue::Bool(gate_phases));
   root.Add("results", std::move(results));
   if (bench::EmitBenchReport("BENCH_scale.json", root) != 0) return 1;
   return pass ? 0 : 1;

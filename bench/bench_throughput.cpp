@@ -12,6 +12,13 @@
 // detection, price update, utility stats, feasibility, convergence — walks
 // the workload independently.  Both paths produce bit-identical
 // trajectories (asserted below), so the speedup is pure constant-factor.
+//
+// Every row a printed ratio compares — the scalar reference, the fused
+// engine at 1, 2 and 4 threads and the batch rows — is built and warmed
+// first, then timed in interleaved repetitions: each repetition visits
+// every row once, starting one row later than the last, and each row keeps
+// its best.  A host stall then costs one repetition of whichever row it
+// hits, instead of every repetition of one row.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -19,6 +26,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,26 +128,43 @@ class ScalarReferenceEngine {
   std::deque<double> recent_utilities_;
 };
 
-// Best-of-`reps` timing (min elapsed), the standard defence against noisy
-// shared hosts: scheduler hiccups only ever make a repetition slower.
-template <typename Stepper>
-double MeasureStepsPerSec(Stepper& stepper, int warmup, int iters,
-                          int reps = 3) {
-  double last_utility = 0.0;
-  for (int i = 0; i < warmup; ++i) last_utility = stepper.Step().total_utility;
+// Timed repetitions per row.
+constexpr int kRepetitions = 5;
+
+/// One timed row: `run` takes one repetition of `steps` engine steps.
+struct TimedRow {
+  std::function<void()> run;
+  double steps = 0.0;
   double best_seconds = 0.0;
+  double rate() const { return steps / best_seconds; }
+};
+
+/// Times every row `reps` times, round-robin: repetition k starts at row
+/// k mod n and visits each row once.  Each row keeps its best (min elapsed),
+/// the standard defence against noisy shared hosts: scheduler hiccups only
+/// ever make a repetition slower.
+void TimeInterleaved(std::vector<TimedRow>* rows, int reps) {
+  const std::size_t n = rows->size();
   for (int rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      last_utility = stepper.Step().total_utility;
+    for (std::size_t k = 0; k < n; ++k) {
+      TimedRow& row = (*rows)[(static_cast<std::size_t>(rep) + k) % n];
+      const auto start = std::chrono::steady_clock::now();
+      row.run();
+      const auto stop = std::chrono::steady_clock::now();
+      const double seconds =
+          std::chrono::duration<double>(stop - start).count();
+      if (rep == 0 || seconds < row.best_seconds) row.best_seconds = seconds;
     }
-    const auto stop = std::chrono::steady_clock::now();
-    const double seconds =
-        std::chrono::duration<double>(stop - start).count();
-    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
   }
-  (void)last_utility;
-  return iters / best_seconds;
+}
+
+/// A row that steps `stepper` `iters` times per repetition.
+template <typename Stepper>
+TimedRow StepperRow(Stepper* stepper, int iters) {
+  return {[stepper, iters] {
+            for (int i = 0; i < iters; ++i) stepper->Step();
+          },
+          static_cast<double>(iters)};
 }
 
 struct WorkloadCase {
@@ -159,11 +185,12 @@ int main(int argc, char** argv) {
       "per-sweep fan-out + EngineBatch coarse parallelism)",
       "reports steps/s of the scalar reference, the fused engine (the "
       "default engine) at 1, 2 and 4 threads and a 4-engine "
-      "EngineBatch; the only check is that "
+      "EngineBatch, timed in interleaved repetitions; the only check is "
+      "that "
       "fused and scalar agree bit for bit (exit 1 otherwise).  Recorded on "
       "a shared 4-thread host, where rows swing by tens of percent run to "
       "run: fused about 2x scalar single-threaded, in-engine threads at or "
-      "below the 1-thread rate, EngineBatch about 2.4-3.7x it at 4 "
+      "below the 1-thread rate, EngineBatch about 2.1-3.8x it at 4 "
       "threads");
 
   const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
@@ -235,19 +262,52 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Build and warm every compared row, then time them interleaved.  The
+    // batch rows use the same effective-thread clamp as the in-engine pool:
+    // a clamped row must not oversubscribe the host (running 4 batch
+    // workers on a 1-core box measures contention, not the serial engine).
+    const int batch_size = 4;
     ScalarReferenceEngine scalar(w, model, config);
-    const double scalar_rate =
-        MeasureStepsPerSec(scalar, wc.warmup, wc.iters);
+    for (int i = 0; i < wc.warmup; ++i) scalar.Step();
+    std::vector<std::unique_ptr<LlaEngine>> fused;
+    for (int num_threads : thread_counts) {
+      config.num_threads = num_threads;
+      fused.push_back(std::make_unique<LlaEngine>(w, model, config));
+      for (int i = 0; i < wc.warmup; ++i) fused.back()->Step();
+    }
+    config.num_threads = 1;
+    std::vector<std::unique_ptr<EngineBatch>> batched;
+    const int batch_iters = std::max(1, wc.iters / batch_size);
+    for (int num_threads : thread_counts) {
+      batched.push_back(std::make_unique<EngineBatch>(
+          std::min(num_threads, static_cast<int>(hardware))));
+      for (int b = 0; b < batch_size; ++b) {
+        batched.back()->Add(w, model, config);
+      }
+      batched.back()->StepAll(std::max(1, wc.warmup / batch_size));
+    }
+    std::vector<TimedRow> rows;
+    rows.push_back(StepperRow(&scalar, wc.iters));
+    for (auto& engine : fused) {
+      rows.push_back(StepperRow(engine.get(), wc.iters));
+    }
+    for (auto& batch : batched) {
+      rows.push_back({[batch = batch.get(), batch_iters] {
+                        batch->StepAll(batch_iters);
+                      },
+                      static_cast<double>(batch_size * batch_iters)});
+    }
+    TimeInterleaved(&rows, kRepetitions);
+
+    const double scalar_rate = rows[0].rate();
     std::printf("  %-28s %12.0f steps/sec\n", "scalar reference",
                 scalar_rate);
 
     bench::JsonValue threads = bench::JsonValue::Array();
-    double fused_serial_rate = 0.0;
-    for (int num_threads : thread_counts) {
-      config.num_threads = num_threads;
-      LlaEngine engine(w, model, config);
-      const double rate = MeasureStepsPerSec(engine, wc.warmup, wc.iters);
-      if (num_threads == 1) fused_serial_rate = rate;
+    const double fused_serial_rate = rows[1].rate();
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      const int num_threads = thread_counts[i];
+      const double rate = rows[1 + i].rate();
       // Speedup is relative to the fused 1-thread run; efficiency divides
       // by the threads that can actually exist on this host (the pool clamps
       // to hardware concurrency, so asking for 4 threads on a 1-core box
@@ -287,38 +347,19 @@ int main(int argc, char** argv) {
       }
       threads.Push(std::move(row));
     }
-    config.num_threads = 1;
 
     // Coarse-grained parallelism: B independent engines stepped as a batch
     // (one pool wake-up per StepAll, grain of one engine).  This is the
     // granularity that scales on multicore — aggregate steps/s across the
     // batch vs. stepping the same engines sequentially.
     bench::JsonValue batches = bench::JsonValue::Array();
-    double batch_serial_rate = 0.0;
-    for (int num_threads : thread_counts) {
-      const int batch_size = 4;
-      // Same effective-thread clamp as the in-engine pool: a clamped row
-      // must not oversubscribe the host (running 4 batch workers on a
-      // 1-core box measures contention, not the serial engine — the old
-      // rows showed batched "4-thread" throughput BELOW 1-thread).
+    const std::size_t batch_row = 1 + thread_counts.size();
+    const double batch_serial_rate = rows[batch_row].rate();
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      const int num_threads = thread_counts[i];
       const int effective =
           std::min(num_threads, static_cast<int>(hardware));
-      EngineBatch batch(effective);
-      for (int b = 0; b < batch_size; ++b) batch.Add(w, model, config);
-      const int warm = std::max(1, wc.warmup / batch_size);
-      const int iters = std::max(1, wc.iters / batch_size);
-      batch.StepAll(warm);
-      double best_seconds = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        batch.StepAll(iters);
-        const auto stop = std::chrono::steady_clock::now();
-        const double seconds =
-            std::chrono::duration<double>(stop - start).count();
-        if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
-      }
-      const double rate = batch_size * iters / best_seconds;
-      if (num_threads == 1) batch_serial_rate = rate;
+      const double rate = rows[batch_row + i].rate();
       const bool row_clamped = num_threads > static_cast<int>(hardware);
       if (row_clamped) {
         std::printf("  batch[%d], num_threads=%-8d %12.0f steps/sec  "
@@ -365,6 +406,7 @@ int main(int argc, char** argv) {
   root.Add("hardware_concurrency",
            bench::JsonValue::Number(static_cast<double>(hardware)));
   root.Add("clamped", bench::JsonValue::Bool(clamped));
+  root.Add("repetitions", bench::JsonValue::Number(kRepetitions));
   root.Add("results", std::move(results));
   return bench::EmitBenchReport("BENCH_throughput.json", root);
 }

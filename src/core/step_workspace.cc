@@ -3,11 +3,9 @@
 #include <cassert>
 
 namespace lla {
-namespace {
 
-// Serial reductions in index order: identical for every thread count.
-void ReduceWorkspace(const Workload& workload, double feasibility_tol,
-                     StepWorkspace* workspace) {
+void ReduceStepWorkspace(const Workload& workload, double feasibility_tol,
+                         StepWorkspace* workspace) {
   const std::vector<ResourceInfo>& resources = workload.resources();
   for (std::size_t r = 0; r < resources.size(); ++r) {
     workspace->resource_congested[r] =
@@ -20,8 +18,6 @@ void ReduceWorkspace(const Workload& workload, double feasibility_tol,
       SummarizeFeasibility(workload, workspace->resource_share_sums,
                            workspace->path_latencies, feasibility_tol);
 }
-
-}  // namespace
 
 void StepWorkspace::Resize(const Workload& workload) {
   resource_share_sums.resize(workload.resource_count());
@@ -52,7 +48,7 @@ void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
                                               begin, end,
                                               &workspace->task_utilities);
                     });
-  ReduceWorkspace(workload, feasibility_tol, workspace);
+  ReduceStepWorkspace(workload, feasibility_tol, workspace);
 }
 
 }  // namespace lla

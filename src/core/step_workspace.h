@@ -35,13 +35,23 @@ struct StepWorkspace {
   void Resize(const Workload& workload);
 };
 
+/// The serial reduction of a filled workspace, in index order: the
+/// congestion flags from the share sums, the utility total in task order
+/// and SummarizeFeasibility over the share sums and path latencies.  The
+/// result depends only on the three arrays, never on who filled them or on
+/// how the fill was chunked.  FillStepWorkspace ends with it; the
+/// distributed coordinator's monitor runs it alone over the workspace its
+/// agents filled (DESIGN.md §7.11).
+void ReduceStepWorkspace(const Workload& workload, double feasibility_tol,
+                         StepWorkspace* workspace);
+
 /// Fills every array and scalar of `workspace` (sized by Resize) from
 /// `latencies`: the fused replacement for the per-consumer sweeps.  Each of
 /// the resource/path/task sweeps fans its Fill*Range body
-/// (model/evaluation.h) across `pool` when given, one ParallelFor each; the
-/// utility total and feasibility maxima are reduced serially in index order
-/// so results do not depend on the thread count.  An engine step is
-/// LatencySolver::SolveAll followed by this call.
+/// (model/evaluation.h) across `pool` when given, one ParallelFor each,
+/// then ReduceStepWorkspace runs serially, so results do not depend on the
+/// thread count.  An engine step is LatencySolver::SolveAll followed by
+/// this call.
 void FillStepWorkspace(const Workload& workload, const LatencyModel& model,
                        const Assignment& latencies, UtilityVariant variant,
                        double feasibility_tol, ThreadPool* pool,

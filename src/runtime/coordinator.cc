@@ -41,9 +41,6 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
     price_delivery_timer_ =
         config_.metrics->GetTimer("coordinator.price_delivery");
     monitor_timer_ = config_.metrics->GetTimer("coordinator.monitor");
-    if (config_.bus.metrics == nullptr) {
-      config_.bus.metrics = config_.metrics;
-    }
   }
   bus_ = std::make_unique<net::InProcessBus>(config_.bus);
   if (config_.round_threads > 1) {
@@ -119,10 +116,10 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
   }
   for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
     shard_agents_[s]->Bind(bus_.get(), shard_endpoints_[s],
-                           &controller_endpoints_);
+                           &controller_endpoints_,
+                           &controller_shared_->evaluation.resource_share_sums);
   }
 
-  workspace_.Resize(workload);
   recovery_hooks_ = RecoveryHooks::Resolve(config_.metrics);
   for (auto& controller : controllers_) {
     controller->set_recovery_hooks(recovery_hooks_);
@@ -315,7 +312,7 @@ RoundStats Coordinator::RunSyncRound() {
     obs::ScopedTimer phase(monitor_timer_);
     RecordSample(bus_->now_ms());
   }
-  return history_.empty() ? RoundStats{} : history_.back();
+  return last_sample_;
 }
 
 RunResult Coordinator::RunSync(int max_rounds) {
@@ -381,20 +378,8 @@ void Coordinator::RunAsync(double duration_ms) {
   bus_->RunUntil(bus_->now_ms() + duration_ms);
 }
 
-void Coordinator::CollectAssignment(Assignment* latencies) const {
-  latencies->resize(workload_->subtask_count());
-  for (const TaskInfo& task : workload_->tasks()) {
-    const auto& local = controllers_[task.id.value()]->latencies();
-    for (std::size_t i = 0; i < task.subtasks.size(); ++i) {
-      (*latencies)[task.subtasks[i].value()] = local[i];
-    }
-  }
-}
-
 Assignment Coordinator::CurrentAssignment() const {
-  Assignment latencies;
-  CollectAssignment(&latencies);
-  return latencies;
+  return controller_shared_->latencies;
 }
 
 PriceVector Coordinator::CurrentPrices() const {
@@ -436,33 +421,31 @@ std::vector<RunResult> Coordinator::EvaluateScenarios(
 }
 
 double Coordinator::CurrentUtility() const {
-  return TotalUtility(*workload_, CurrentAssignment(),
+  return TotalUtility(*workload_, controller_shared_->latencies,
                       config_.solver.variant);
 }
 
 FeasibilityReport Coordinator::CurrentFeasibility() const {
-  return CheckFeasibility(*workload_, *model_, CurrentAssignment(),
+  return CheckFeasibility(*workload_, *model_, controller_shared_->latencies,
                           ConvergenceConfig::feasibility_tol);
 }
 
 void Coordinator::RecordSample(double at_ms) {
-  // The engine's fused evaluation sweep, into the reused workspace.
-  CollectAssignment(&scratch_assignment_);
-  FillStepWorkspace(*workload_, *model_, scratch_assignment_,
-                    config_.solver.variant, ConvergenceConfig::feasibility_tol,
-                    /*pool=*/nullptr, &workspace_);
-  const double utility = workspace_.total_utility;
-  const FeasibilitySummary& summary = workspace_.feasibility;
-  if (config_.record_history) {
-    RoundStats stats;
-    stats.round = round_;
-    stats.at_ms = at_ms;
-    stats.total_utility = utility;
-    stats.max_resource_excess = summary.max_resource_excess;
-    stats.max_path_ratio = summary.max_path_ratio;
-    stats.feasible = summary.feasible;
-    history_.push_back(std::move(stats));
-  }
+  // The agents filled the workspace as they computed (controllers their
+  // tasks' utilities and path latencies, shards their share sums); the
+  // monitor only reduces it, with the engine's own reduction.
+  StepWorkspace& evaluation = controller_shared_->evaluation;
+  ReduceStepWorkspace(*workload_, ConvergenceConfig::feasibility_tol,
+                      &evaluation);
+  const double utility = evaluation.total_utility;
+  const FeasibilitySummary& summary = evaluation.feasibility;
+  last_sample_.round = round_;
+  last_sample_.at_ms = at_ms;
+  last_sample_.total_utility = utility;
+  last_sample_.max_resource_excess = summary.max_resource_excess;
+  last_sample_.max_path_ratio = summary.max_path_ratio;
+  last_sample_.feasible = summary.feasible;
+  if (config_.record_history) history_.push_back(last_sample_);
   if (samples_counter_ != nullptr) samples_counter_->Increment();
   if (config_.trace_sink != nullptr) EmitTrace(at_ms);
   // The window (which records every sample) plus feasibility.  The engine's
@@ -475,17 +458,18 @@ void Coordinator::RecordSample(double at_ms) {
 }
 
 void Coordinator::EmitTrace(double at_ms) {
-  // Evaluations come from the workspace RecordSample just filled; mu comes
+  // Evaluations come from the workspace RecordSample just reduced; mu comes
   // from the shard agents, lambda from the task controllers.
-  const FeasibilitySummary& summary = workspace_.feasibility;
+  const StepWorkspace& evaluation = controller_shared_->evaluation;
+  const FeasibilitySummary& summary = evaluation.feasibility;
   trace_.iteration = round_;
   trace_.at_ms = at_ms;
-  trace_.total_utility = workspace_.total_utility;
+  trace_.total_utility = evaluation.total_utility;
   trace_.feasible = summary.feasible;
   trace_.max_resource_excess = summary.max_resource_excess;
   trace_.max_path_ratio = summary.max_path_ratio;
-  trace_.resource_share_sums = workspace_.resource_share_sums;
-  trace_.path_latencies = workspace_.path_latencies;
+  trace_.resource_share_sums = evaluation.resource_share_sums;
+  trace_.path_latencies = evaluation.path_latencies;
   trace_.resource_mu.resize(workload_->resource_count());
   trace_.resource_step.resize(workload_->resource_count());
   for (const ResourceInfo& resource : workload_->resources()) {
@@ -523,7 +507,7 @@ void Coordinator::MaybeEnact(double at_ms) {
   enactment.round = round_;
   enactment.at_ms = at_ms;
   enactment.utility = utility;
-  enactment.latencies = CurrentAssignment();
+  enactment.latencies = controller_shared_->latencies;
   enactments_.push_back(std::move(enactment));
   if (enactments_counter_ != nullptr) enactments_counter_->Increment();
 }

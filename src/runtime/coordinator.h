@@ -24,6 +24,16 @@
 // LatencyModel::revision(), so a model correction between rounds reaches
 // every controller's next solve without a call on the coordinator.
 //
+// The monitor reads no agent's memory.  Every round's evaluation lives in
+// one StepWorkspace (ControllerShared::evaluation) that the agents fill as
+// they compute: each controller its task's utility and its paths'
+// latencies after its solve, each shard the share sums of the resources it
+// steps.  A sample (RecordSample, after a sync round or on the async
+// monitor timer) only runs ReduceStepWorkspace over it, the engine's own
+// reduction, so on a fault-free synchronous round over a lossless bus it
+// equals FillStepWorkspace(CurrentAssignment()) bit for bit (DESIGN.md
+// §7.11).
+//
 // The coordinator also implements the enactment policy of Sec. 4.4: the
 // running allocation is only "enacted" (recorded for the executing system)
 // when utility has improved by more than a threshold since the last
@@ -90,9 +100,10 @@ struct CoordinatorConfig {
   /// Registry for coordinator.rounds / coordinator.samples /
   /// coordinator.enactments, the coordinator.sync_round timer and its five
   /// phase timers (coordinator.controllers, .latency_delivery, .shards,
-  /// .price_delivery, .monitor); also forwarded to the bus (bus.* counters)
-  /// unless bus.metrics is already set.  Null disables instrumentation
-  /// (non-owning; must outlive the coordinator).
+  /// .price_delivery, .monitor) and the recovery.* counters.  The bus's
+  /// per-message bus.* counters are not included: a caller that wants them
+  /// sets bus.metrics too (it may be the same registry).  Null disables
+  /// instrumentation (non-owning; must outlive the coordinator).
   obs::MetricRegistry* metrics = nullptr;
 };
 
@@ -117,7 +128,8 @@ class Coordinator {
   Coordinator(const Workload& workload, const LatencyModel& model,
               CoordinatorConfig config = {});
 
-  /// One synchronous protocol round.
+  /// One synchronous protocol round; returns its sample, whatever
+  /// record_history says.
   RoundStats RunSyncRound();
 
   /// Synchronous rounds until convergence (per config) or `max_rounds`.
@@ -159,7 +171,8 @@ class Coordinator {
   ResourceAgentSnapshot CheckpointResource(ResourceId resource) const;
   TaskControllerSnapshot CheckpointController(TaskId task) const;
 
-  /// The latest latency assignment across all controllers.
+  /// The latest latency assignment across all controllers (a copy of their
+  /// shared latency buffer).
   Assignment CurrentAssignment() const;
   double CurrentUtility() const;
   FeasibilityReport CurrentFeasibility() const;
@@ -183,6 +196,12 @@ class Coordinator {
                                            int max_iterations,
                                            int num_threads = 1) const;
 
+  /// The evaluation the agents filled (each controller's utility and path
+  /// latency slots, each shard's share sums) as last reduced by the
+  /// monitor.
+  const StepWorkspace& evaluation() const {
+    return controller_shared_->evaluation;
+  }
   const std::vector<RoundStats>& history() const { return history_; }
   const std::vector<Enactment>& enactments() const { return enactments_; }
   net::InProcessBus& bus() { return *bus_; }
@@ -212,7 +231,6 @@ class Coordinator {
   std::size_t TaskIndex(TaskId task, const char* what) const {
     return CheckedId(task.value(), controllers_.size(), "task", what);
   }
-  void CollectAssignment(Assignment* latencies) const;
   void RecordSample(double at_ms);
   void MaybeEnact(double at_ms);
   void ArmAsyncTimers();
@@ -232,8 +250,9 @@ class Coordinator {
   const LatencyModel* model_;
   CoordinatorConfig config_;
   std::unique_ptr<net::InProcessBus> bus_;
-  /// One solver + full-size solve buffers shared by all controllers; must
-  /// precede controllers_ (they hold a pointer into it).
+  /// One solver, the controllers' latencies and the round's evaluation
+  /// workspace, shared by all agents; must precede controllers_ and
+  /// shard_agents_ (they hold pointers into it).
   std::unique_ptr<ControllerShared> controller_shared_;
   std::vector<std::unique_ptr<TaskController>> controllers_;
   std::vector<std::unique_ptr<ShardAgent>> shard_agents_;
@@ -255,12 +274,10 @@ class Coordinator {
   int round_ = 0;
   bool converged_ = false;
   std::deque<double> recent_utilities_;
+  /// The latest sample, kept whether or not history_ records it.
+  RoundStats last_sample_;
   std::vector<RoundStats> history_;
   std::vector<Enactment> enactments_;
-
-  /// RecordSample's reused buffers (no per-sample allocation).
-  Assignment scratch_assignment_;
-  StepWorkspace workspace_;
 
   /// Observability handles (null when config.metrics is null) and the
   /// reused trace record buffer.

@@ -74,10 +74,12 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
 }
 
 void ShardAgent::Bind(net::InProcessBus* bus, net::EndpointId self,
-                      const std::vector<net::EndpointId>* controller_endpoints) {
+                      const std::vector<net::EndpointId>* controller_endpoints,
+                      std::vector<double>* resource_share_sums) {
   bus_ = bus;
   self_ = self;
   controller_endpoints_ = controller_endpoints;
+  resource_share_sums_ = resource_share_sums;
 }
 
 bool ShardAgent::AcceptIncarnation(std::size_t c, std::uint32_t incarnation) {
@@ -311,10 +313,6 @@ double ShardAgent::ShareSum(ResourceId r) const {
   return sum;
 }
 
-bool ShardAgent::Congested(ResourceId r) const {
-  return ShareSum(r) > workload_->resource(r).capacity;
-}
-
 void ShardAgent::ComputePricesAndBroadcast(
     std::vector<net::Message>* outbox) {
   assert(bus_ != nullptr);
@@ -342,6 +340,7 @@ void ShardAgent::ComputePricesAndBroadcast(
     const ResourceId r = resources_[i];
     const ResourceInfo& info = workload_->resource(r);
     const double share_sum = ShareSum(r);
+    (*resource_share_sums_)[r.value()] = share_sum;
     const bool congested = share_sum > info.capacity;
     congested_[i] = congested ? 1 : 0;
 

@@ -30,6 +30,12 @@
 // only until then.  An inbound message's payload view is valid for the
 // OnMessage call only, and the agent keeps nothing of it.
 //
+// Every Eq. 8 step also stores the share sum it stepped on in the round's
+// shared StepWorkspace (the resource_share_sums array Bind receives), so
+// the coordinator's monitor reduces what the shards computed instead of
+// re-summing every share.  A resource that does not step — crashed, or
+// held for repair — keeps its last stored sum.
+//
 // Per-resource fault injection (DESIGN.md §7.7): a single hosted resource can
 // be crashed, cold-restarted, checkpointed and restored from a snapshot.  A
 // crashed resource's price entries are marked stale in the broadcasts
@@ -77,10 +83,13 @@ class ShardAgent {
              DynamicsConfig dynamics);
 
   /// Wires the agent to the bus.  `controller_endpoints[t]` is the endpoint
-  /// of task t's controller (non-owning; the coordinator keeps the vector
-  /// alive).  Only controllers with subtasks on this shard are messaged.
+  /// of task t's controller; `resource_share_sums[r]` receives hosted
+  /// resource r's share sum at each of its Eq. 8 steps (both non-owning;
+  /// the coordinator keeps the vectors alive, and shards write disjoint
+  /// slots).  Only controllers with subtasks on this shard are messaged.
   void Bind(net::InProcessBus* bus, net::EndpointId self,
-            const std::vector<net::EndpointId>* controller_endpoints);
+            const std::vector<net::EndpointId>* controller_endpoints,
+            std::vector<double>* resource_share_sums);
 
   /// Handles a ShardLatencyUpdate or RepairResponse destined for this
   /// shard.
@@ -128,7 +137,6 @@ class ShardAgent {
   /// Adaptive restarts fired across all owned resources' dynamics.
   std::uint64_t momentum_restarts() const { return momentum_restarts_; }
   double ShareSum(ResourceId r) const;
-  bool Congested(ResourceId r) const;
   /// The shard's broadcast round: stamped on every price update, shared by
   /// all its resources, and never reset by a single resource's restart.
   std::uint32_t epoch() const { return epoch_; }
@@ -169,6 +177,7 @@ class ShardAgent {
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
   const std::vector<net::EndpointId>* controller_endpoints_ = nullptr;
+  std::vector<double>* resource_share_sums_ = nullptr;
   std::vector<ResourceId> resources_;
   std::vector<TaskId> client_tasks_;  ///< tasks with subtasks here, sorted
   /// client_resources_[c] = sorted local indices of the resources

@@ -23,7 +23,12 @@ TaskController::TaskController(const Workload& workload,
       shared_(shared) {
   assert(shared_ != nullptr);
   const TaskInfo& info = workload.task(task);
-  local_latencies_.assign(info.subtasks.size(), 0.0);
+  subtask_begin_ = info.subtasks.front().value();
+  subtask_count_ = info.subtasks.size();
+  path_begin_ = info.paths.empty() ? 0 : info.paths.front().value();
+  assert(info.subtasks.back().value() + 1 == subtask_begin_ + subtask_count_);
+  assert(info.paths.empty() ||
+         info.paths.back().value() + 1 == path_begin_ + info.paths.size());
   local_lambdas_.assign(info.paths.size(), 0.0);
   path_gamma_multiplier_.assign(info.paths.size(), 1.0);
 
@@ -44,6 +49,18 @@ TaskController::TaskController(const Workload& workload,
   mu_cache_.assign(used_resources_.size(), 0.0);
   used_congested_.assign(used_resources_.size(), 0);
   used_epoch_.assign(used_resources_.size(), 0);
+  FillEvaluation();
+}
+
+void TaskController::FillEvaluation() {
+  const std::size_t t = task_.value();
+  const std::size_t paths = local_lambdas_.size();
+  StepWorkspace& evaluation = shared_->evaluation;
+  FillTaskAggregatesRange(*workload_, shared_->latencies,
+                          shared_->solver.config().variant, t, t + 1,
+                          &evaluation.task_utilities);
+  FillPathLatenciesRange(*workload_, shared_->latencies, path_begin_,
+                         path_begin_ + paths, &evaluation.path_latencies);
 }
 
 void TaskController::Bind(
@@ -171,10 +188,10 @@ void TaskController::OnMessage(const net::Message& message) {
     }
     const TaskInfo& info = workload_->task(task_);
     repair_wire_.clear();
-    for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
-      const SubtaskId sid = info.subtasks[i];
+    for (const SubtaskId sid : info.subtasks) {
       if (workload_->subtask(sid).resource != request->resource) continue;
-      net::AppendRepairEntry(sid, local_latencies_[i], &repair_wire_);
+      net::AppendRepairEntry(sid, shared_->latencies[sid.value()],
+                             &repair_wire_);
     }
     net::RepairResponse repair;
     repair.resource = request->resource;
@@ -198,20 +215,22 @@ void TaskController::Crash() { crashed_ = true; }
 void TaskController::ColdRestart() {
   crashed_ = false;
   std::fill(mu_cache_.begin(), mu_cache_.end(), 0.0);
-  std::fill(local_latencies_.begin(), local_latencies_.end(), 0.0);
+  const std::span<double> latencies = MutableLatencies();
+  std::fill(latencies.begin(), latencies.end(), 0.0);
   std::fill(local_lambdas_.begin(), local_lambdas_.end(), 0.0);
   std::fill(path_gamma_multiplier_.begin(), path_gamma_multiplier_.end(),
             1.0);
   std::fill(used_congested_.begin(), used_congested_.end(), 0);
   std::fill(used_epoch_.begin(), used_epoch_.end(), 0);
   std::fill(shard_incarnation_.begin(), shard_incarnation_.end(), 0);
+  FillEvaluation();
 }
 
 void TaskController::RestoreFromSnapshot(
     const TaskControllerSnapshot& snapshot) {
   const std::size_t resources = used_resources_.size();
   if (snapshot.task != task_ ||
-      snapshot.local_latencies.size() != local_latencies_.size() ||
+      snapshot.local_latencies.size() != subtask_count_ ||
       snapshot.local_lambdas.size() != local_lambdas_.size() ||
       snapshot.path_gamma_multiplier.size() !=
           path_gamma_multiplier_.size() ||
@@ -229,24 +248,27 @@ void TaskController::RestoreFromSnapshot(
                  "used resources)\n",
                  snapshot.task.value(), snapshot.local_latencies.size(),
                  snapshot.local_lambdas.size(), snapshot.mu.size(),
-                 task_.value(), local_latencies_.size(),
+                 task_.value(), subtask_count_,
                  local_lambdas_.size(), resources);
     std::abort();
   }
   crashed_ = false;
-  local_latencies_ = snapshot.local_latencies;
+  std::copy(snapshot.local_latencies.begin(), snapshot.local_latencies.end(),
+            MutableLatencies().begin());
   local_lambdas_ = snapshot.local_lambdas;
   path_gamma_multiplier_ = snapshot.path_gamma_multiplier;
   mu_cache_ = snapshot.mu;
   used_congested_ = snapshot.resource_congested;
   used_epoch_ = snapshot.resource_epoch;
   std::fill(shard_incarnation_.begin(), shard_incarnation_.end(), 0);
+  FillEvaluation();
 }
 
 TaskControllerSnapshot TaskController::Snapshot() const {
   TaskControllerSnapshot snapshot;
   snapshot.task = task_;
-  snapshot.local_latencies = local_latencies_;
+  const std::span<const double> local = latencies();
+  snapshot.local_latencies.assign(local.begin(), local.end());
   snapshot.local_lambdas = local_lambdas_;
   snapshot.path_gamma_multiplier = path_gamma_multiplier_;
   snapshot.mu = mu_cache_;
@@ -272,31 +294,31 @@ void TaskController::AllocateAndSend(PriceVector* prices,
   }
 
   // 3. Latency allocation at the stored prices (Eq. 7), reading the model
-  // cache the caller's serial PrepareSolve refreshed.  Distinct tasks write
-  // disjoint slots of the shared scratch Assignment, so lanes share it.
-  Assignment& scratch = shared_->latencies;
+  // cache the caller's serial PrepareSolve refreshed, into this task's span
+  // of the shared latencies; then this task's evaluation slots.  Distinct
+  // tasks write disjoint slots of both shared buffers, so lanes share them.
   shared_->solver.SolveTaskRange(task_.value(), task_.value() + 1, *prices,
-                                 &scratch);
-  for (std::size_t i = 0; i < info.subtasks.size(); ++i) {
-    local_latencies_[i] = scratch[info.subtasks[i].value()];
-  }
+                                 &shared_->latencies);
+  FillEvaluation();
 
   // 2'. Path price update (Eq. 9) with the adaptive per-path step: a path's
   // step doubles while any resource it traverses reports congestion.
+  const std::vector<double>& path_latencies =
+      shared_->evaluation.path_latencies;
   for (std::size_t p = 0; p < info.paths.size(); ++p) {
-    const PathInfo& path = workload_->path(info.paths[p]);
-    const std::uint32_t* slot = path_slots_.data() + path_slot_begin_[p];
     bool any_congested = false;
-    double latency = 0.0;
-    for (SubtaskId sid : path.subtasks) {
-      latency += scratch[sid.value()];
-      if (used_congested_[*slot++] != 0) any_congested = true;
+    for (std::uint32_t k = path_slot_begin_[p]; k < path_slot_begin_[p + 1];
+         ++k) {
+      if (used_congested_[path_slots_[k]] != 0) any_congested = true;
     }
     path_gamma_multiplier_[p] =
         NextStepMultiplier(path_gamma_multiplier_[p], any_congested,
                            step_config_.adaptive_max_multiplier);
     const double gamma = step_config_.gamma0 * path_gamma_multiplier_[p];
-    const double slack = 1.0 - latency / path.critical_time_ms;
+    const double critical_time_ms =
+        workload_->path(info.paths[p]).critical_time_ms;
+    const double slack =
+        1.0 - path_latencies[path_begin_ + p] / critical_time_ms;
     // Path lambdas stay plain in the distributed deployment.
     local_lambdas_[p] = StepComponentDynamics(DynamicsConfig{}, nullptr,
                                               local_lambdas_[p], gamma, slack,
@@ -317,7 +339,8 @@ void TaskController::AllocateAndSend(PriceVector* prices,
     const std::uint32_t end = shard_subtask_begin_[s + 1];
     gather_latencies_.resize(end - begin);
     for (std::uint32_t j = begin; j < end; ++j) {
-      gather_latencies_[j - begin] = local_latencies_[shard_subtasks_[j]];
+      gather_latencies_[j - begin] =
+          shared_->latencies[subtask_begin_ + shard_subtasks_[j]];
     }
     latency_spans_[s] = net::AppendShardLatencyPayload(
         gather_latencies_.data(), end - begin, &wire_);

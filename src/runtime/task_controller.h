@@ -12,13 +12,19 @@
 //
 // Controllers keep only O(task) state: compact per-used-resource caches plus
 // pointers into a ControllerShared block owned by the coordinator (one
-// solver and one full-size latency buffer for the whole fleet).  The old
+// solver, the fleet's latencies and its evaluation workspace).  The old
 // layout — a LatencySolver and full PriceVector per controller — was
 // O(workload) per task and the memory wall at 10^5 subtasks.  The price
 // buffer a solve reads is the caller's round lane's (DESIGN.md §7.11): tasks
 // sharing a resource write the same mu slot, so lanes cannot share one.
-// Sharing the latency buffer is race-free because each controller writes
-// only its own task's slots.
+// The shared latency buffer IS the controllers' latency state: each
+// controller owns its task's contiguous subtask-id span of it (Workload::
+// Create numbers subtasks task by task) and keeps no copy.  After every
+// solve the controller also fills its task's utility slot and its paths'
+// latency slots of the shared workspace with the engine's own sweep bodies,
+// so the monitor only reduces what the agents computed.  Sharing both
+// buffers is race-free because each controller writes only its own task's
+// slots.
 //
 // A send encodes every shard's latency payload into one reused buffer and
 // views it per message; the views live until the caller sends the outbox,
@@ -28,11 +34,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/latency_solver.h"
 #include "core/prices.h"
+#include "core/step_workspace.h"
 #include "model/latency_model.h"
 #include "model/workload.h"
 #include "net/bus.h"
@@ -40,17 +48,27 @@
 
 namespace lla::runtime {
 
-/// Per-coordinator state shared by every task controller: the latency
-/// solver (its invariant caches are O(workload)) and the full-size latency
-/// buffer its interface requires.
+/// Per-coordinator state shared by every task controller, each of which
+/// writes only its own task's slots:
+///   - the latency solver (its invariant caches are O(workload));
+///   - `latencies`, the controllers' latency state: task t's controller
+///     owns the contiguous span of t's subtask ids;
+///   - `evaluation`, the round's StepWorkspace, sized once here.  Controllers
+///     fill `task_utilities` and `path_latencies` for their own task and
+///     paths; shard agents store `resource_share_sums` for the resources
+///     they step; the coordinator's monitor runs ReduceStepWorkspace over
+///     it and writes the rest.
 struct ControllerShared {
   ControllerShared(const Workload& workload, const LatencyModel& model,
                    LatencySolverConfig solver_config)
       : solver(workload, model, solver_config),
-        latencies(workload.subtask_count(), 0.0) {}
+        latencies(workload.subtask_count(), 0.0) {
+    evaluation.Resize(workload);
+  }
 
   LatencySolver solver;
   Assignment latencies;
+  StepWorkspace evaluation;
 };
 
 class TaskController {
@@ -83,8 +101,11 @@ class TaskController {
 
   TaskId task() const { return task_; }
 
-  /// Latencies of this task's subtasks (indexed by local subtask order).
-  const std::vector<double>& latencies() const { return local_latencies_; }
+  /// Latencies of this task's subtasks (indexed by local subtask order):
+  /// the task's span of the shared latency buffer.
+  std::span<const double> latencies() const {
+    return {shared_->latencies.data() + subtask_begin_, subtask_count_};
+  }
   /// Path prices of this task's paths (indexed by local path order).
   const std::vector<double>& lambdas() const { return local_lambdas_; }
   /// Adaptive step multipliers of this task's paths (same local order).
@@ -118,11 +139,23 @@ class TaskController {
   int ShardIndex(std::uint32_t shard) const;
   /// Incarnation-gated acceptance of a message from used shard `s`.
   bool AcceptIncarnation(std::size_t s, std::uint32_t incarnation);
+  /// This task's span of the shared latency buffer, writable.
+  std::span<double> MutableLatencies() {
+    return {shared_->latencies.data() + subtask_begin_, subtask_count_};
+  }
+  /// Fills this task's utility slot and its paths' latency slots of the
+  /// shared workspace from its latencies, with the engine's sweep bodies.
+  void FillEvaluation();
   const Workload* workload_;
   const LatencyModel* model_;
   TaskId task_;
   AgentStepConfig step_config_;
   ControllerShared* shared_;
+  /// The task's contiguous subtask-id and path-id ranges (Workload::Create
+  /// numbers both task by task).
+  std::size_t subtask_begin_ = 0;
+  std::size_t subtask_count_ = 0;
+  std::size_t path_begin_ = 0;
 
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
@@ -159,7 +192,6 @@ class TaskController {
   std::vector<std::uint8_t> used_congested_;
   std::vector<std::uint32_t> used_epoch_;
 
-  std::vector<double> local_latencies_;
   std::vector<double> local_lambdas_;
   /// Adaptive multiplier per local path.
   std::vector<double> path_gamma_multiplier_;

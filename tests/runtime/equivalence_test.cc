@@ -67,6 +67,7 @@ TEST(EngineRuntimeEquivalence, CoordinatorObservabilityIsReadOnly) {
   CoordinatorConfig traced_config = plain_config;
   traced_config.trace_sink = &sink;
   traced_config.metrics = &metrics;
+  traced_config.bus.metrics = &metrics;
   Coordinator traced(w, model, traced_config);
   const RunResult traced_run = traced.RunSync(2000);
 

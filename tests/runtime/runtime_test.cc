@@ -80,6 +80,51 @@ TEST(RuntimeTest, RoundPhaseTimersSplitTheSyncRound) {
   }
 }
 
+TEST(RuntimeTest, CoordinatorRegistryLeavesTheBusUncounted) {
+  // A registry on the coordinator times its phases; the bus's per-message
+  // counters stay off until bus.metrics asks for them.
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  for (const bool count_bus : {false, true}) {
+    SCOPED_TRACE(count_bus ? "bus.metrics set" : "bus.metrics null");
+    obs::MetricRegistry metrics;
+    CoordinatorConfig config = SyncConfig();
+    config.metrics = &metrics;
+    if (count_bus) config.bus.metrics = &metrics;
+    Coordinator coordinator(w, model, config);
+    coordinator.RunSync(5);
+    std::uint64_t bus_counters = 0;
+    for (const auto& counter : metrics.Snapshot().counters) {
+      if (counter.name.rfind("bus.", 0) == 0) ++bus_counters;
+    }
+    EXPECT_EQ(bus_counters > 0, count_bus);
+    EXPECT_EQ(metrics.GetCounter("coordinator.rounds")->value(), 5u);
+  }
+}
+
+TEST(RuntimeTest, RunSyncReportsTheUtilityWithHistoryOff) {
+  // RunSync's final utility is the last sample's, whether or not the
+  // coordinator keeps a history of samples.
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  for (const bool record_history : {true, false}) {
+    SCOPED_TRACE(record_history ? "history on" : "history off");
+    CoordinatorConfig config = SyncConfig();
+    config.record_history = record_history;
+    Coordinator coordinator(w, model, config);
+    for (const int rounds : {1, 40}) {
+      const RunResult run = coordinator.RunSync(rounds);
+      EXPECT_NE(run.final_utility, 0.0);
+      EXPECT_EQ(run.final_utility, coordinator.CurrentUtility());
+    }
+    EXPECT_EQ(coordinator.history().empty(), !record_history);
+  }
+}
+
 TEST(RuntimeTest, SyncRoundTrafficAccounting) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());

@@ -333,7 +333,10 @@ bool Given(const Options& options, const char* name) {
   return false;
 }
 
-/// The engine configuration solve, checkpoint and trace share.
+/// The one engine configuration of every command.  `check`, `simulate` and
+/// `churn` accept no variant or dynamics flag, and only `churn` a thread
+/// flag, so theirs keep LlaConfig's defaults there; the distributed
+/// `solve --round-threads` path takes its gamma0.
 LlaConfig EngineConfig(const Options& options) {
   LlaConfig config;
   config.solver.variant = options.variant;
@@ -445,7 +448,7 @@ int SolveDistributed(const Workload& w, const Options& options) {
   LatencyModel model(w);
   runtime::CoordinatorConfig config;
   config.solver.variant = options.variant;
-  config.step.gamma0 = 3.0;
+  config.step.gamma0 = EngineConfig(options).gamma0;
   // Accelerated mu dynamics for the shard agents (DESIGN.md §7.12).
   config.dynamics = options.dynamics;
   config.bus.base_delay_ms = 0.0;
@@ -455,13 +458,11 @@ int SolveDistributed(const Workload& w, const Options& options) {
   config.round_threads = options.round_threads;
   runtime::Coordinator coordinator(w, model, config);
   const RunResult run = coordinator.RunSync(options.iters);
-  // With record_history off, RunResult carries no per-round utility —
-  // evaluate the enacted assignment directly.
   std::printf("%s after %" PRId64 " distributed rounds (%d round threads, %zu "
               "shards); utility %.3f (%s variant); feasible: %s\n",
               run.converged ? "converged" : "NOT converged", run.iterations,
               options.round_threads, coordinator.shard_count(),
-              coordinator.CurrentUtility(), ToString(options.variant),
+              run.final_utility, ToString(options.variant),
               run.final_feasibility.feasible ? "yes" : "no");
   PrintAllocation(w, model, coordinator.CurrentAssignment(),
                   coordinator.CurrentFeasibility(),
@@ -569,11 +570,11 @@ int Trace(const Workload& w, const Options& options) {
   return RunExitCode(run);
 }
 
-int Check(const Workload& w, int iters) {
+int Check(const Workload& w, const Options& options) {
   LatencyModel model(w);
   SchedulabilityConfig config;
-  config.lla.gamma0 = 3.0;
-  config.max_iterations = iters;
+  config.lla = EngineConfig(options);
+  config.max_iterations = options.iters;
   SchedulabilityTester tester(w, model, config);
   const SchedulabilityReport report = tester.Test();
   std::printf("LLA verdict: %s\n  %s\n", ToString(report.verdict),
@@ -589,11 +590,9 @@ int Check(const Workload& w, int iters) {
                                                         : kExitNotConverged;
 }
 
-int Simulate(const Workload& w, double seconds, bool use_sfs) {
+int Simulate(const Workload& w, double seconds, const Options& options) {
   LatencyModel model(w);
-  LlaConfig config;
-  config.gamma0 = 3.0;
-  LlaEngine engine(w, model, config);
+  LlaEngine engine(w, model, EngineConfig(options));
   const RunResult run = engine.Run(12000);
   if (!run.final_feasibility.feasible) {
     std::printf("optimizer did not reach a feasible allocation; refusing to "
@@ -607,13 +606,13 @@ int Simulate(const Workload& w, double seconds, bool use_sfs) {
   }
   sim::SimConfig sim_config;
   sim_config.duration_ms = seconds * 1000.0;
-  if (use_sfs) sim_config.scheduler = sim::SchedulerKind::kSurplusFair;
+  if (options.sfs) sim_config.scheduler = sim::SchedulerKind::kSurplusFair;
   sim::SystemSimulator simulator(w, sim_config);
   const sim::SimResult result = simulator.Run(shares);
 
   std::printf("simulated %.1f s under the optimized shares (%s scheduler): "
               "%llu job sets\n\n",
-              seconds, use_sfs ? "surplus-fair" : "fluid GPS",
+              seconds, options.sfs ? "surplus-fair" : "fluid GPS",
               static_cast<unsigned long long>(result.job_sets_completed));
   std::printf("%-24s %10s %10s %10s %12s\n", "task", "p50(ms)", "p95(ms)",
               "p99(ms)", "deadline");
@@ -654,10 +653,8 @@ int Churn(const Workload& w, const Options& options) {
   const WorkloadSpecs specs = ExtractSpecs(w);
 
   runtime::ChurnConfig config;
-  config.lla.step_policy = StepPolicyKind::kAdaptive;
-  config.lla.gamma0 = 3.0;
+  config.lla = EngineConfig(options);
   config.lla.record_history = false;
-  config.lla.num_threads = options.threads;
   config.min_tasks = 1;
   config.admission.lla = config.lla;
   config.admission.probe_threads = options.threads;
@@ -777,9 +774,9 @@ int main(int argc, char** argv) {
     case kCheckpoint:
       return Checkpoint(w, argv[3], options);
     case kCheck:
-      return Check(w, options.iters);
+      return Check(w, options);
     case kSimulate:
-      return Simulate(w, seconds, options.sfs);
+      return Simulate(w, seconds, options);
     case kDescribe:
       return Describe(w);
     case kTrace:
