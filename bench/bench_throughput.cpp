@@ -18,7 +18,10 @@
 // first, then timed in interleaved repetitions: each repetition visits
 // every row once, starting one row later than the last, and each row keeps
 // its best.  A host stall then costs one repetition of whichever row it
-// hits, instead of every repetition of one row.
+// hits, instead of every repetition of one row.  The whole interleaved
+// measurement runs kRuns times, and each row reports its median rate across
+// the runs (with the min-max beside it), so a run the host slows throughout
+// moves no printed ratio either.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -128,15 +131,20 @@ class ScalarReferenceEngine {
   std::deque<double> recent_utilities_;
 };
 
-// Timed repetitions per row.
+// Timed repetitions per row in one interleaved run, and whole runs.
 constexpr int kRepetitions = 5;
+constexpr int kRuns = 5;
 
 /// One timed row: `run` takes one repetition of `steps` engine steps.
 struct TimedRow {
   std::function<void()> run;
   double steps = 0.0;
-  double best_seconds = 0.0;
-  double rate() const { return steps / best_seconds; }
+  double best_seconds = 0.0;  ///< of the current run
+  std::vector<double> run_rates = {};  ///< each whole run's best, sorted
+  /// The median of the runs' rates, and their range.
+  double rate() const { return run_rates[run_rates.size() / 2]; }
+  double min_rate() const { return run_rates.front(); }
+  double max_rate() const { return run_rates.back(); }
 };
 
 /// Times every row `reps` times, round-robin: repetition k starts at row
@@ -156,6 +164,26 @@ void TimeInterleaved(std::vector<TimedRow>* rows, int reps) {
       if (rep == 0 || seconds < row.best_seconds) row.best_seconds = seconds;
     }
   }
+}
+
+/// kRuns whole interleaved runs; each row keeps every run's best rate.
+void TimeRuns(std::vector<TimedRow>* rows) {
+  for (int run = 0; run < kRuns; ++run) {
+    TimeInterleaved(rows, kRepetitions);
+    for (TimedRow& row : *rows) {
+      row.run_rates.push_back(row.steps / row.best_seconds);
+    }
+  }
+  for (TimedRow& row : *rows) {
+    std::sort(row.run_rates.begin(), row.run_rates.end());
+  }
+}
+
+/// The JSON range of a row's run rates.
+bench::JsonValue RateRange(const TimedRow& row) {
+  return bench::JsonValue::Array()
+      .Push(bench::JsonValue::Number(row.min_rate()))
+      .Push(bench::JsonValue::Number(row.max_rate()));
 }
 
 /// A row that steps `stepper` `iters` times per repetition.
@@ -185,8 +213,8 @@ int main(int argc, char** argv) {
       "per-sweep fan-out + EngineBatch coarse parallelism)",
       "reports steps/s of the scalar reference, the fused engine (the "
       "default engine) at 1, 2 and 4 threads and a 4-engine "
-      "EngineBatch, timed in interleaved repetitions; the only check is "
-      "that "
+      "EngineBatch, each the median of 5 whole runs of interleaved "
+      "repetitions; the only check is that "
       "fused and scalar agree bit for bit (exit 1 otherwise).  Recorded on "
       "a shared 4-thread host, where rows swing by tens of percent run to "
       "run: fused about 2x scalar single-threaded, in-engine threads at or "
@@ -297,11 +325,12 @@ int main(int argc, char** argv) {
                       },
                       static_cast<double>(batch_size * batch_iters)});
     }
-    TimeInterleaved(&rows, kRepetitions);
+    TimeRuns(&rows);
 
     const double scalar_rate = rows[0].rate();
-    std::printf("  %-28s %12.0f steps/sec\n", "scalar reference",
-                scalar_rate);
+    std::printf("  %-28s %12.0f steps/sec  [%.0f-%.0f over %d runs]\n",
+                "scalar reference", scalar_rate, rows[0].min_rate(),
+                rows[0].max_rate(), kRuns);
 
     bench::JsonValue threads = bench::JsonValue::Array();
     const double fused_serial_rate = rows[1].rate();
@@ -334,13 +363,16 @@ int main(int argc, char** argv) {
                       efficiency, num_threads, effective);
         }
       }
+      std::printf("  %-28s %12s            [%.0f-%.0f]\n", "", "",
+                  rows[1 + i].min_rate(), rows[1 + i].max_rate());
       bench::JsonValue row =
           bench::JsonValue::Object()
               .Add("num_threads", bench::JsonValue::Number(num_threads))
               .Add("effective_threads",
                    bench::JsonValue::Number(effective))
               .Add("clamped", bench::JsonValue::Bool(row_clamped))
-              .Add("steps_per_sec", bench::JsonValue::Number(rate));
+              .Add("steps_per_sec", bench::JsonValue::Number(rate))
+              .Add("steps_per_sec_range", RateRange(rows[1 + i]));
       if (!row_clamped) {
         row.Add("speedup_vs_1thread", bench::JsonValue::Number(speedup))
             .Add("scaling_efficiency", bench::JsonValue::Number(efficiency));
@@ -371,13 +403,17 @@ int main(int argc, char** argv) {
                     batch_size, num_threads, rate,
                     rate / batch_serial_rate);
       }
+      std::printf("  %-28s %12s            [%.0f-%.0f]\n", "", "",
+                  rows[batch_row + i].min_rate(),
+                  rows[batch_row + i].max_rate());
       bench::JsonValue row =
           bench::JsonValue::Object()
               .Add("num_threads", bench::JsonValue::Number(num_threads))
               .Add("effective_threads", bench::JsonValue::Number(effective))
               .Add("batch_size", bench::JsonValue::Number(batch_size))
               .Add("clamped", bench::JsonValue::Bool(row_clamped))
-              .Add("steps_per_sec", bench::JsonValue::Number(rate));
+              .Add("steps_per_sec", bench::JsonValue::Number(rate))
+              .Add("steps_per_sec_range", RateRange(rows[batch_row + i]));
       if (!row_clamped) {
         row.Add("speedup_vs_1thread",
                 bench::JsonValue::Number(rate / batch_serial_rate));
@@ -393,6 +429,7 @@ int main(int argc, char** argv) {
             .Add("subtasks", bench::JsonValue::Number(
                                  static_cast<double>(w.subtask_count())))
             .Add("scalar_steps_per_sec", bench::JsonValue::Number(scalar_rate))
+            .Add("scalar_steps_per_sec_range", RateRange(rows[0]))
             .Add("fused_steps_per_sec",
                  bench::JsonValue::Number(fused_serial_rate))
             .Add("single_thread_speedup",
@@ -407,6 +444,7 @@ int main(int argc, char** argv) {
            bench::JsonValue::Number(static_cast<double>(hardware)));
   root.Add("clamped", bench::JsonValue::Bool(clamped));
   root.Add("repetitions", bench::JsonValue::Number(kRepetitions));
+  root.Add("runs", bench::JsonValue::Number(kRuns));
   root.Add("results", std::move(results));
   return bench::EmitBenchReport("BENCH_throughput.json", root);
 }

@@ -103,10 +103,17 @@ std::uint8_t EncodeWords(const T* values, std::size_t count,
   return kEncodingRaw;
 }
 
+/// Stores a rejection message when the caller asked for one.
+inline bool RejectWords(std::string* error, const char* message) {
+  if (error != nullptr) *error = message;
+  return false;
+}
+
 /// The one reader of encoded words.  Reads `count` words of the given
 /// encoding from the front of [at, at + avail) and sets *used to the bytes
 /// they take: count * width for raw, derived from the leading run or nnz
-/// word for rle and sparse.  Rejected with a message: an unknown encoding,
+/// word for rle and sparse.  Rejected, with a message in *error unless
+/// `error` is null (the wire decoders pass null): an unknown encoding,
 /// fewer than *used bytes, a run or nnz word above `count`, a zero-length
 /// or overlong run, runs that do not sum to `count`, and sparse indices out
 /// of range or not strictly increasing.  The words go to out[0..count) only
@@ -121,8 +128,8 @@ bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
   const std::size_t width = sizeof(T);
   if (encoding == kEncodingRaw) {
     if (count > avail / width) {
-      *error = "raw section too small for its element count";
-      return false;
+      return RejectWords(error,
+                         "raw section too small for its element count");
     }
     *used = count * width;
     if (out != nullptr) std::memcpy(out, at, *used);
@@ -130,15 +137,14 @@ bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
   }
   if (encoding == kEncodingRle) {
     if (avail < 8) {
-      *error = "rle section too small for its run count";
-      return false;
+      return RejectWords(error, "rle section too small for its run count");
     }
     const std::uint64_t runs = GetWord<std::uint64_t>(at);
     // Each run covers >= 1 element, so runs <= count; the size test
     // divides, so no run word can overflow it.
     if (runs > count || runs > (avail - 8) / (8 + width)) {
-      *error = "rle run count exceeds the element count or the bytes";
-      return false;
+      return RejectWords(
+          error, "rle run count exceeds the element count or the bytes");
     }
     *used = 8 + runs * (8 + width);
     std::size_t filled = 0;
@@ -146,8 +152,8 @@ bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
     for (std::uint64_t i = 0; i < runs; ++i) {
       const std::uint64_t len = GetWord<std::uint64_t>(run);
       if (len == 0 || len > count - filled) {
-        *error = "rle runs do not sum to the element count";
-        return false;
+        return RejectWords(error,
+                           "rle runs do not sum to the element count");
       }
       if (out != nullptr) {
         T value;
@@ -158,20 +164,20 @@ bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
       run += 8 + width;
     }
     if (filled != count) {
-      *error = "rle runs do not sum to the element count";
-      return false;
+      return RejectWords(error, "rle runs do not sum to the element count");
     }
     return true;
   }
   if (encoding == kEncodingSparse) {
     if (avail < 8) {
-      *error = "sparse section too small for its entry count";
-      return false;
+      return RejectWords(error,
+                         "sparse section too small for its entry count");
     }
     const std::uint64_t nnz = GetWord<std::uint64_t>(at);
     if (nnz > count || nnz > (avail - 8) / (4 + width)) {
-      *error = "sparse entry count exceeds the element count or the bytes";
-      return false;
+      return RejectWords(
+          error,
+          "sparse entry count exceeds the element count or the bytes");
     }
     *used = 8 + nnz * (4 + width);
     if (out != nullptr) std::fill(out, out + count, T{});
@@ -180,8 +186,8 @@ bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
     for (std::uint64_t i = 0; i < nnz; ++i) {
       const std::uint32_t index = GetWord<std::uint32_t>(pair);
       if (index >= count || index < prev_plus_one) {
-        *error = "sparse section indices not strictly increasing in range";
-        return false;
+        return RejectWords(
+            error, "sparse section indices not strictly increasing in range");
       }
       if (out != nullptr) std::memcpy(&out[index], pair + 4, width);
       prev_plus_one = static_cast<std::uint64_t>(index) + 1;
@@ -189,8 +195,7 @@ bool DecodeWords(const char* at, std::size_t avail, std::uint8_t encoding,
     }
     return true;
   }
-  *error = "unknown section encoding";
-  return false;
+  return RejectWords(error, "unknown section encoding");
 }
 
 }  // namespace lla::b1

@@ -126,45 +126,54 @@ std::size_t InProcessBus::AcquireSlot() {
   return slot;
 }
 
-void InProcessBus::SendAll(std::span<const Message> messages) {
-  // Configuration-only tests, taken once for the batch.  No handler runs
+void InProcessBus::Send(const Message& message) {
+  send_outbox_.clear();
+  send_outbox_.Push(message);
+  SendAll(send_outbox_);
+}
+
+void InProcessBus::SendAll(const Outbox& outbox) {
+  // Configuration-only tests, taken once for the outbox.  No handler runs
   // during admission, so neither the clock nor any blackout moves inside it.
   const bool drops = config_.drop_probability > 0.0;
   const bool jittered = config_.jitter_ms > 0.0;
   const bool counted = config_.metrics != nullptr;
   const bool blackouts = now_ms_ < blackout_horizon_ms_;
   const double fifo_at_ms = now_ms_ + config_.base_delay_ms;
-  for (const Message& sent : messages) {
+  // Without jitter every admitted message goes to the FIFO, so its bytes
+  // follow the outbox's in one append; a message's bytes then start at
+  // fifo_base + its outbox offset.
+  const std::size_t fifo_base = fifo_fill_.bytes.size();
+  if (!jittered) fifo_fill_.bytes.append(outbox.bytes());
+  const std::vector<Message>& messages = outbox.messages();
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const Message& sent = messages[i];
     CheckEndpoint(sent.sender, "Send");
     CheckEndpoint(sent.receiver, "Send");
-    Message message = sent;
-    // Stamp the sender's incarnation before any accounting so the wire bytes
-    // and the delivered message agree.
-    message.incarnation = incarnation_[message.sender];
+    // The incarnation is stamped on the queued copy; WireSize does not read
+    // it, so the accounting sees the same bytes.
+    const std::uint32_t incarnation = incarnation_[sent.sender];
     ++stats_.sent;
-    stats_.bytes += WireSize(message);
+    stats_.bytes += WireSize(sent);
     if (counted) {
       sent_counter_->Increment();
-      endpoints_[message.sender].sent->Increment();
+      endpoints_[sent.sender].sent->Increment();
     }
     if (blackouts &&
-        (IsBlackedOut(message.sender) || IsBlackedOut(message.receiver))) {
-      CountDrop(message);
+        (IsBlackedOut(sent.sender) || IsBlackedOut(sent.receiver))) {
+      CountDrop(sent);
       continue;
     }
     if (drops && rng_.NextDouble() < config_.drop_probability) {
-      CountDrop(message);
+      CountDrop(sent);
       continue;
     }
-    const WireSlice* bytes = PayloadBytes(message.payload);
     if (!jittered) {
       // Without jitter every message arrives base_delay_ms after its send
       // and the clock never runs backwards, so these events arrive sorted.
-      fifo_fill_.events.push_back(FifoEvent{
-          fifo_at_ms, next_seq_++, fifo_fill_.bytes.size(), message});
-      if (bytes != nullptr) {
-        fifo_fill_.bytes.append(bytes->data(), bytes->size());
-      }
+      fifo_fill_.events.emplace_back(fifo_at_ms, next_seq_++,
+                                     fifo_base + outbox.offset(i), sent,
+                                     incarnation);
       continue;
     }
     const double jitter = rng_.Uniform(0.0, config_.jitter_ms);
@@ -172,9 +181,10 @@ void InProcessBus::SendAll(std::span<const Message> messages) {
     const std::size_t slot = AcquireSlot();
     HeapSlot& event = slots_[slot];
     event.is_timer = false;
-    event.message = message;
-    if (bytes != nullptr) {
-      event.bytes.assign(bytes->data(), bytes->size());
+    event.message = sent;
+    event.message.incarnation = incarnation;
+    if (const WireSlice* bytes = PayloadBytes(sent.payload)) {
+      event.bytes.assign(outbox.bytes(), outbox.offset(i), bytes->size());
     } else {
       event.bytes.clear();
     }

@@ -8,24 +8,32 @@
 // virtual clock and an event queue; endpoints also schedule local timers
 // through it, which is what drives the asynchronous runtime.
 //
-// The bus owns every payload's bytes from Send to delivery.  Send copies
-// the message (trivially copyable) and its payload bytes into the bus; at
-// dispatch the bus repoints the message's view at its own copy, so a
-// handler's view is valid for that handler call, and the sender may reuse
-// its encode buffer as soon as Send returns.  BusStats::bytes counts every
-// message at its wire size (WireSize == Serialize().size(), pinned by
-// message_test): what a real transport would carry.
+// The bus owns every payload's bytes from Send to delivery.  Senders hand
+// it an Outbox (message.h): messages built in place beside one byte buffer,
+// each recording where its payload sits.  SendAll copies each admitted
+// message (trivially copyable) straight into its queue slot and the
+// payload bytes into the bus; at dispatch the bus binds the message's view
+// to its own copy, so a handler's view is valid for that handler call, and
+// the sender may clear and refill its outbox as soon as SendAll returns.
+// BusStats::bytes counts every message at its wire size (WireSize ==
+// Serialize().size(), pinned by message_test): what a real transport would
+// carry.
 //
 // Determinism: all randomness (jitter, drops) comes from a seeded generator,
 // and simultaneous events break ties by sequence number, so a given seed
 // always yields the same trace.
 //
-// Admission: Send and SendAll run one routine over a batch of messages.  The
-// tests that depend only on the configuration (drop probability, jitter,
-// attached counters, whether any blackout is live) are taken once per
-// batch; every per-message effect (incarnation stamp, BusStats, blackout
-// and drop decisions, random draws, seq numbers) happens in send order, so
-// a batch is indistinguishable from its messages sent one by one.
+// Admission: SendAll is the one routine; Send copies its message into an
+// outbox the bus keeps and runs it.  The tests that depend only on the
+// configuration (drop probability, jitter, attached counters, whether any
+// blackout is live) are taken once per outbox; every per-message effect
+// (incarnation stamp, BusStats, blackout and drop decisions, random draws,
+// seq numbers) happens in send order, so an outbox is indistinguishable
+// from its messages sent one by one.  No message passes through a
+// temporary: each FIFO event is constructed in place from the outbox's
+// message and its stamped incarnation, and without jitter the outbox's
+// bytes enter the FIFO in one append (a dropped message's bytes ride along
+// unread).
 //
 // Event lanes: pending events wait in one of two queues, and delivery always
 // takes the earlier front by (at_ms, seq).  A message sent with no jitter
@@ -47,7 +55,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -94,11 +101,13 @@ class InProcessBus {
                       TimerHandler on_timer = nullptr);
 
   /// Queues a message for delivery after the configured delay (or drops it),
-  /// with a copy of its payload bytes.  Aborts unless sender and receiver are
-  /// registered endpoints.
-  void Send(const Message& message) { SendAll({&message, 1}); }
-  /// Send for each message in order, through one admission pass.
-  void SendAll(std::span<const Message> messages);
+  /// with a copy of its payload bytes: SendAll on a one-message outbox.
+  /// Aborts unless sender and receiver are registered endpoints.
+  void Send(const Message& message);
+  /// Send for each message of the outbox in order, through one admission
+  /// pass.  The bus keeps copies of the messages and bytes it queues, so the
+  /// caller may clear and refill `outbox` as soon as this returns.
+  void SendAll(const Outbox& outbox);
 
   /// Failure injection: all messages to or from `endpoint` sent while
   /// now < until_ms are dropped (counted in stats().dropped).  Models a
@@ -163,9 +172,16 @@ class InProcessBus {
     obs::Counter* delivered = nullptr;  ///< messages delivered to it
     obs::Counter* dropped = nullptr;    ///< drops it was party to
   };
-  /// A jitter-free message waiting in the FIFO lane.  Its payload view is
-  /// repointed at dispatch to `offset` in its half's byte buffer.
+  /// A jitter-free message waiting in the FIFO lane, constructed in place
+  /// from the sent message and its stamped incarnation.  Its payload view
+  /// is bound at dispatch to `offset` in its half's byte buffer.
   struct FifoEvent {
+    FifoEvent(double at, std::uint64_t sequence, std::size_t byte_offset,
+              const Message& sent, std::uint32_t incarnation)
+        : at_ms(at), seq(sequence), offset(byte_offset), message(sent) {
+      message.incarnation = incarnation;
+    }
+
     double at_ms;
     std::uint64_t seq;
     std::size_t offset;
@@ -226,6 +242,9 @@ class InProcessBus {
   /// The bytes of the heap message being dispatched, swapped out of its
   /// slot so the handler's sends may reuse the slot or grow slots_.
   std::string heap_dispatch_bytes_;
+  /// Send's one-message outbox (SendAll runs no handler, so a handler's
+  /// Send never finds it in use).
+  Outbox send_outbox_;
   /// Messages sent with no jitter, in send order: fifo_drain_.events
   /// [fifo_head_..] then fifo_fill_.events.
   FifoHalf fifo_drain_;

@@ -129,28 +129,27 @@ void AppendRepairEntry(SubtaskId subtask, double latency_ms,
   AppendLittleEndian(bits, 8, out);
 }
 
-const WireSlice* PayloadBytes(const Payload& payload) {
-  if (const auto* update = std::get_if<ShardLatencyUpdate>(&payload)) {
-    return &update->payload;
+void Outbox::Push(const Message& message) {
+  Message& copy = messages_.emplace_back(message);
+  offsets_.push_back(bytes_.size());
+  if (WireSlice* view = PayloadBytes(&copy.payload)) {
+    if (!view->empty()) bytes_.append(view->data(), view->size());
+    *view = WireSlice(nullptr, view->size());
   }
-  if (const auto* update = std::get_if<ShardPriceUpdate>(&payload)) {
-    return &update->payload;
-  }
-  if (const auto* repair = std::get_if<RepairResponse>(&payload)) {
-    return &repair->entries;
-  }
-  return nullptr;
 }
 
-WireSlice* PayloadBytes(Payload* payload) {
-  return const_cast<WireSlice*>(
-      PayloadBytes(static_cast<const Payload&>(*payload)));
+Message Outbox::message(std::size_t i) const {
+  Message bound = messages_[i];
+  if (WireSlice* view = PayloadBytes(&bound.payload)) {
+    *view = WireSlice(bytes_.data() + offsets_[i], view->size());
+  }
+  return bound;
 }
 
 PayloadSpan AppendShardLatencyPayload(const double* latencies,
                                       std::size_t count, std::string* out) {
   PayloadSpan span;
-  span.offset = static_cast<std::uint32_t>(out->size());
+  span.offset = out->size();
   out->push_back('\0');  // encoding byte, patched after EncodeWords
   const std::uint8_t encoding = b1::EncodeWords(latencies, count, out);
   (*out)[span.offset] = static_cast<char>(encoding);
@@ -169,7 +168,7 @@ PayloadSpan AppendShardPricePayload(const double* mu,
     }
   }
   PayloadSpan span;
-  span.offset = static_cast<std::uint32_t>(out->size());
+  span.offset = out->size();
   out->push_back(any_stale ? '\1' : '\0');  // flags
   out->push_back('\0');  // encoding byte, patched after EncodeWords
   const std::uint8_t encoding = b1::EncodeWords(mu, count, out);
@@ -181,41 +180,29 @@ PayloadSpan AppendShardPricePayload(const double* mu,
 }
 
 bool DecodeShardLatencyUpdate(const ShardLatencyUpdate& update,
-                              std::vector<double>* latencies) {
+                              double* latencies) {
   const char* data = update.payload.data();
   const std::size_t size = update.payload.size();
   if (size < 1 || update.count > kMaxShardEntries) return false;
-  double* out = nullptr;
-  if (latencies != nullptr) {
-    latencies->resize(update.count);
-    out = latencies->data();
-  }
   std::size_t words = 0;
-  std::string error;
   return b1::DecodeWords<double>(data + 1, size - 1,
                                  static_cast<std::uint8_t>(data[0]),
-                                 update.count, out, &words, &error) &&
+                                 update.count, latencies, &words,
+                                 /*error=*/nullptr) &&
          size == 1 + words;
 }
 
-bool DecodeShardPriceUpdate(const ShardPriceUpdate& update,
-                            std::vector<double>* mu,
+bool DecodeShardPriceUpdate(const ShardPriceUpdate& update, double* mu,
                             ShardPriceBitsets* bits) {
   const char* data = update.payload.data();
   const std::size_t size = update.payload.size();
   if (size < 2 || update.count > kMaxShardEntries) return false;
   const auto flags = static_cast<std::uint8_t>(data[0]);
   if (flags > 1) return false;
-  double* out = nullptr;
-  if (mu != nullptr) {
-    mu->resize(update.count);
-    out = mu->data();
-  }
   std::size_t words = 0;
-  std::string error;
   if (!b1::DecodeWords<double>(data + 2, size - 2,
                                static_cast<std::uint8_t>(data[1]),
-                               update.count, out, &words, &error)) {
+                               update.count, mu, &words, /*error=*/nullptr)) {
     return false;
   }
   const std::size_t bitset = (update.count + 7) / 8;
@@ -334,18 +321,6 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
   }
   if (!r.AtEnd()) return std::nullopt;  // trailing garbage
   return message;
-}
-
-std::size_t WireSize(const Message& message) {
-  constexpr std::size_t kHeader = 4 + 4 + 4 + 1;  // sender/receiver/inc/tag
-  if (std::holds_alternative<RepairRequest>(message.payload)) {
-    return kHeader + 4;
-  }
-  const std::size_t bytes = PayloadBytes(message.payload)->size();
-  if (std::holds_alternative<RepairResponse>(message.payload)) {
-    return kHeader + 4 + 4 + 8 + 4 + 1 + 4 + bytes;
-  }
-  return kHeader + 4 + 4 + 4 + bytes;  // shard updates
 }
 
 }  // namespace lla::net

@@ -25,11 +25,15 @@
 //
 // A Message is trivially copyable: its payload bytes are a WireSlice, a
 // non-owning (pointer, length) view, and a RepairResponse's entries are a
-// view of the packed 12-byte records its wire format uses.  A sender encodes
-// into a buffer it keeps (one per agent, reused every round) and takes its
-// views after its last encode; InProcessBus copies the bytes at Send and
-// owns them until delivery, so a view a handler receives is valid for that
-// handler call only.  Deserialize returns views into the bytes it is given.
+// view of the packed 12-byte records its wire format uses.  A sender builds
+// its messages in place in an Outbox (one per round lane): it appends each
+// payload's bytes to the outbox's one byte buffer and constructs the message
+// beside them, and the outbox records where the bytes sit instead of a
+// view, since a later append may move the buffer.  InProcessBus::SendAll
+// takes the outbox's bytes in one append and binds each message's view to
+// its own copy at delivery, so a view a handler receives is valid for that
+// handler call only, and the outbox may be cleared and refilled as soon as
+// SendAll returns.  Deserialize returns views into the bytes it is given.
 //
 // Path prices never travel: each controller owns its task's paths and
 // computes lambda_p locally (Sec. 4.3).  Every Message additionally carries
@@ -45,6 +49,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -140,8 +145,8 @@ struct ShardLatencyUpdate {
 /// resource of the static per-(shard, client) membership list (the client's
 /// used resources on the shard, ascending).  A shard hosting many resources
 /// collapses the per-round resource->controller traffic from O(resources)
-/// messages to O(shards) per task, with one encode per round viewed per
-/// client.
+/// messages to O(shards) per task, with one payload per client encoded
+/// straight into the round lane's Outbox.
 struct ShardPriceUpdate {
   std::uint32_t shard = 0;
   /// The shard's broadcast round (shared by all its resources).
@@ -162,6 +167,13 @@ using Payload = std::variant<RepairRequest, RepairResponse,
                              ShardLatencyUpdate, ShardPriceUpdate>;
 
 struct Message {
+  Message() = default;
+  /// A message from `from` to `to` whose payload is a value-initialized P
+  /// (Outbox::Add builds messages in place through it).
+  template <typename P>
+  Message(std::uint32_t from, std::uint32_t to, std::in_place_type_t<P> kind)
+      : sender(from), receiver(to), payload(kind) {}
+
   std::uint32_t sender = 0;    ///< EndpointId of the origin
   std::uint32_t receiver = 0;  ///< EndpointId of the destination
   /// Incarnation of the sender, stamped by the bus at Send time (0 until
@@ -178,15 +190,91 @@ static_assert(std::is_trivially_copyable_v<Message>);
 
 /// The byte view a payload carries: the shard payload or the repair
 /// entries.  Null for a RepairRequest, which carries none.
-const WireSlice* PayloadBytes(const Payload& payload);
-WireSlice* PayloadBytes(Payload* payload);
+inline const WireSlice* PayloadBytes(const Payload& payload) {
+  if (const auto* update = std::get_if<ShardLatencyUpdate>(&payload)) {
+    return &update->payload;
+  }
+  if (const auto* update = std::get_if<ShardPriceUpdate>(&payload)) {
+    return &update->payload;
+  }
+  if (const auto* repair = std::get_if<RepairResponse>(&payload)) {
+    return &repair->entries;
+  }
+  return nullptr;
+}
+inline WireSlice* PayloadBytes(Payload* payload) {
+  return const_cast<WireSlice*>(
+      PayloadBytes(static_cast<const Payload&>(*payload)));
+}
 
-/// The (offset, length) of a payload appended to an encode buffer; the
-/// sender turns it into a WireSlice once its last encode is done (a later
-/// append may move the buffer).
+/// Number of bytes Serialize would produce (used for traffic accounting).
+/// It reads only the payload view's length, so it also sizes a message
+/// whose view an Outbox has not bound yet.
+inline std::size_t WireSize(const Message& message) {
+  constexpr std::size_t kHeader = 4 + 4 + 4 + 1;  // sender/receiver/inc/tag
+  const WireSlice* bytes = PayloadBytes(message.payload);
+  if (bytes == nullptr) return kHeader + 4;  // RepairRequest
+  if (std::holds_alternative<RepairResponse>(message.payload)) {
+    return kHeader + 4 + 4 + 8 + 4 + 1 + 4 + bytes->size();
+  }
+  return kHeader + 4 + 4 + 4 + bytes->size();  // shard updates
+}
+
+/// The (offset, length) of a payload appended to a byte buffer.
 struct PayloadSpan {
-  std::uint32_t offset = 0;
+  std::size_t offset = 0;
   std::uint32_t length = 0;
+};
+
+/// One sender's batch of messages with their payload bytes, admitted by
+/// InProcessBus::SendAll in one pass (the coordinator keeps one per round
+/// lane).  Senders build each message in place: they append its payload to
+/// bytes() (AppendShardLatencyPayload and AppendShardPricePayload return
+/// the span) and then Add the message, which records the span.  Inside the
+/// outbox a message's payload view is unbound: its length is set and its
+/// pointer is null, because a later append may move bytes().  message(i)
+/// returns a copy bound to bytes(); the bus binds its own copy instead.
+class Outbox {
+ public:
+  /// Appends a message from `from` to `to` whose payload is a P
+  /// value-initialized in place, with payload bytes `span` of bytes(), and
+  /// returns that payload for the caller to fill (the reference is valid
+  /// until the next Add or Push).  A RepairRequest takes no span.
+  template <typename P>
+  P& Add(std::uint32_t from, std::uint32_t to, PayloadSpan span = {}) {
+    Message& message = messages_.emplace_back(from, to, std::in_place_type<P>);
+    offsets_.push_back(span.offset);
+    if (WireSlice* view = PayloadBytes(&message.payload)) {
+      *view = WireSlice(nullptr, span.length);
+    }
+    return *std::get_if<P>(&message.payload);
+  }
+  /// Appends a copy of `message` and of the bytes its payload views.
+  void Push(const Message& message);
+
+  /// The buffer the payloads are appended to.
+  std::string* bytes() { return &bytes_; }
+  const std::string& bytes() const { return bytes_; }
+  /// The messages, their payload views unbound, in send order.
+  const std::vector<Message>& messages() const { return messages_; }
+  /// Where message i's payload bytes start in bytes().
+  std::size_t offset(std::size_t i) const { return offsets_[i]; }
+  /// Message i with its payload view bound to bytes() (valid until the
+  /// next append).
+  Message message(std::size_t i) const;
+
+  std::size_t size() const { return messages_.size(); }
+  /// Empties the outbox and keeps its capacity.
+  void clear() {
+    messages_.clear();
+    offsets_.clear();
+    bytes_.clear();
+  }
+
+ private:
+  std::vector<Message> messages_;
+  std::vector<std::size_t> offsets_;  ///< parallel to messages_
+  std::string bytes_;
 };
 
 /// Appends one packed RepairResponse entry to *out.
@@ -209,9 +297,11 @@ PayloadSpan AppendShardPricePayload(const double* mu,
 
 /// Decodes a latency payload into latencies[0..update.count); false on any
 /// malformed payload (wrong size, bad encoding, bad run/sparse structure).
-/// A null `latencies` validates the payload and stores nothing.
+/// The caller sizes the output: `count` comes off the wire, so a receiver
+/// checks it against its own positional list first.  A null `latencies`
+/// validates the payload and stores nothing.
 bool DecodeShardLatencyUpdate(const ShardLatencyUpdate& update,
-                              std::vector<double>* latencies);
+                              double* latencies);
 
 /// Packed bitset views into a decoded price payload (valid while the
 /// bytes the message's WireSlice views live).  `stale` is null when absent.
@@ -220,11 +310,12 @@ struct ShardPriceBitsets {
   const char* stale = nullptr;
 };
 
-/// Decodes a price payload: mu words into *mu (resized to update.count) and
-/// bitset pointers into *bits.  False on any malformed payload.  A null
-/// `mu` validates the payload and stores no word.
-bool DecodeShardPriceUpdate(const ShardPriceUpdate& update,
-                            std::vector<double>* mu, ShardPriceBitsets* bits);
+/// Decodes a price payload: mu words into mu[0..update.count) (sized by the
+/// caller, as above) and bitset pointers into *bits.  False on any
+/// malformed payload.  A null `mu` validates the payload and stores no
+/// word.
+bool DecodeShardPriceUpdate(const ShardPriceUpdate& update, double* mu,
+                            ShardPriceBitsets* bits);
 
 /// Reads bit i of a packed little-endian bitset (bit j of byte i/8).
 inline bool TestWireBit(const char* bits, std::size_t i) {
@@ -239,8 +330,5 @@ std::vector<std::uint8_t> Serialize(const Message& message);
 std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes);
 /// A temporary would leave the views dangling.
 std::optional<Message> Deserialize(std::vector<std::uint8_t>&&) = delete;
-
-/// Number of bytes Serialize would produce (used for traffic accounting).
-std::size_t WireSize(const Message& message);
 
 }  // namespace lla::net

@@ -269,7 +269,7 @@ class Coordinator {
   /// share one) and a deferred-send outbox per lane.
   std::unique_ptr<ThreadPool> round_pool_;
   std::vector<PriceVector> lane_prices_;
-  std::vector<std::vector<net::Message>> lane_outboxes_;
+  std::vector<net::Outbox> lane_outboxes_;
   bool async_armed_ = false;
   int round_ = 0;
   bool converged_ = false;

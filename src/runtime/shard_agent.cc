@@ -62,6 +62,22 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
     }
   }
   client_incarnation_.assign(client_tasks_.size(), 0);
+  std::vector<std::uint32_t> client_ids;
+  client_ids.reserve(client_tasks_.size());
+  for (const TaskId task : client_tasks_) client_ids.push_back(task.value());
+  client_index_ = IdIndex(client_ids);
+  // The scratch arrays fit the widest message each way, once.
+  std::size_t widest_price = 0;
+  std::size_t widest_latency = 0;
+  for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
+    widest_price = std::max(widest_price, client_resources_[c].size());
+    widest_latency =
+        std::max(widest_latency, client_latency_slots_[c].size());
+  }
+  gather_mu_.assign(widest_price, 0.0);
+  gather_congested_.assign(widest_price, 0);
+  gather_stale_.assign(widest_price, 0);
+  decode_scratch_.assign(widest_latency, 0.0);
   mu_.assign(count, 0.0);
   gamma_multiplier_.assign(count, 1.0);
   dynamics_.assign(count, ComponentDynamicsState{});
@@ -92,18 +108,11 @@ bool ShardAgent::AcceptIncarnation(std::size_t c, std::uint32_t incarnation) {
   return true;
 }
 
-int ShardAgent::ClientIndex(TaskId task) const {
-  const auto it =
-      std::lower_bound(client_tasks_.begin(), client_tasks_.end(), task);
-  if (it == client_tasks_.end() || *it != task) return -1;
-  return static_cast<int>(it - client_tasks_.begin());
-}
-
 void ShardAgent::OnMessage(const net::Message& message) {
   if (const auto* update =
           std::get_if<net::ShardLatencyUpdate>(&message.payload)) {
     if (update->shard != shard_) return;  // misrouted; ignore
-    const int c = ClientIndex(update->task);
+    const int c = client_index_.Find(update->task.value());
     if (c < 0) return;  // not a client here; ignore
     if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
       DropClientMomentum(static_cast<std::size_t>(c));
@@ -115,7 +124,7 @@ void ShardAgent::OnMessage(const net::Message& message) {
   if (const auto* repair =
           std::get_if<net::RepairResponse>(&message.payload)) {
     if (!Hosts(repair->resource)) return;  // misrouted; ignore
-    const int c = ClientIndex(repair->task);
+    const int c = client_index_.Find(repair->task.value());
     if (c < 0) return;
     if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
       // Same discontinuity as a stale latency update.
@@ -141,7 +150,7 @@ void ShardAgent::ApplyLatencyUpdate(std::size_t c,
   // stale or foreign binding and the whole message is ignored, as is a
   // payload that does not decode.
   if (update.count != slots.size() ||
-      !net::DecodeShardLatencyUpdate(update, &decode_scratch_)) {
+      !net::DecodeShardLatencyUpdate(update, decode_scratch_.data())) {
     if (hooks_.malformed_rejected != nullptr) {
       hooks_.malformed_rejected->Increment();
     }
@@ -225,8 +234,11 @@ void ShardAgent::ColdRestartResource(ResourceId r) {
   best_repair_epoch_[local] = 0;
   any_resource_faulted_ = true;
   // The shard's epoch and its client incarnation watermarks are transport
-  // state and survive: only this resource's dual state was lost.
-  SendRepairRequest(local, nullptr);
+  // state and survive: only this resource's dual state was lost.  A cold
+  // restart runs outside any round, so its requests go out at once.
+  net::Outbox requests;
+  SendRepairRequest(local, &requests);
+  bus_->SendAll(requests);
 }
 
 void ShardAgent::RestoreResource(ResourceId r,
@@ -283,20 +295,12 @@ ResourceAgentSnapshot ShardAgent::SnapshotResource(ResourceId r) const {
   return snapshot;
 }
 
-void ShardAgent::SendRepairRequest(std::size_t local,
-                                   std::vector<net::Message>* outbox) {
-  net::RepairRequest request;
-  request.resource = resources_[local];
+void ShardAgent::SendRepairRequest(std::size_t local, net::Outbox* outbox) {
   for (const std::uint32_t c : resource_clients_[local]) {
-    net::Message message;
-    message.sender = self_;
-    message.receiver = (*controller_endpoints_)[client_tasks_[c].value()];
-    message.payload = request;
-    if (outbox != nullptr) {
-      outbox->push_back(message);
-    } else {
-      bus_->Send(message);
-    }
+    outbox
+        ->Add<net::RepairRequest>(
+            self_, (*controller_endpoints_)[client_tasks_[c].value()])
+        .resource = resources_[local];
   }
 }
 
@@ -313,8 +317,7 @@ double ShardAgent::ShareSum(ResourceId r) const {
   return sum;
 }
 
-void ShardAgent::ComputePricesAndBroadcast(
-    std::vector<net::Message>* outbox) {
+void ShardAgent::ComputePricesAndBroadcast(net::Outbox* outbox) {
   assert(bus_ != nullptr);
   bool still_faulted = false;
   for (std::size_t i = 0; i < resources_.size(); ++i) {
@@ -363,47 +366,31 @@ void ShardAgent::ComputePricesAndBroadcast(
   // One batched positional message per client, carrying only the prices
   // that client reads (a whole-shard vector to every client would multiply
   // the round's byte volume by shard_width / task_resources_per_shard on
-  // sparse workloads).  All clients' payloads are encoded into one reused
-  // buffer, then viewed per message once the last encode is done (an append
-  // may move the buffer).  The bus copies the bytes at Send, so the buffer
-  // is free again by the next broadcast.
-  wire_.clear();
-  wire_.reserve(client_tasks_.size() * 2 + latencies_.size() * 8);
-  client_spans_.resize(client_tasks_.size());
+  // sparse workloads), its payload encoded straight into the lane's outbox
+  // and the message built beside it.
+  double* mu = gather_mu_.data();
+  std::uint8_t* congested = gather_congested_.data();
+  std::uint8_t* stale = any_resource_faulted_ ? gather_stale_.data() : nullptr;
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
     const std::vector<std::uint32_t>& locals = client_resources_[c];
-    gather_mu_.resize(locals.size());
-    gather_congested_.resize(locals.size());
-    const std::uint8_t* stale = nullptr;
     for (std::size_t j = 0; j < locals.size(); ++j) {
-      gather_mu_[j] = mu_[locals[j]];
-      gather_congested_[j] = congested_[locals[j]];
+      mu[j] = mu_[locals[j]];
+      congested[j] = congested_[locals[j]];
     }
-    if (any_resource_faulted_) {
-      gather_stale_.resize(locals.size());
+    if (stale != nullptr) {
       for (std::size_t j = 0; j < locals.size(); ++j) {
         const std::uint32_t i = locals[j];
-        gather_stale_[j] =
+        stale[j] =
             (resource_crashed_[i] != 0 || awaiting_repair_[i] != 0) ? 1 : 0;
       }
-      stale = gather_stale_.data();
     }
-    client_spans_[c] = net::AppendShardPricePayload(
-        gather_mu_.data(), gather_congested_.data(), stale, locals.size(),
-        &wire_);
-  }
-  for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
-    net::ShardPriceUpdate update;
+    const net::PayloadSpan span = net::AppendShardPricePayload(
+        mu, congested, stale, locals.size(), outbox->bytes());
+    net::ShardPriceUpdate& update = outbox->Add<net::ShardPriceUpdate>(
+        self_, (*controller_endpoints_)[client_tasks_[c].value()], span);
     update.shard = shard_;
     update.epoch = epoch_;
-    update.count = static_cast<std::uint32_t>(client_resources_[c].size());
-    update.payload = net::WireSlice(wire_.data() + client_spans_[c].offset,
-                                    client_spans_[c].length);
-    net::Message message;
-    message.sender = self_;
-    message.receiver = (*controller_endpoints_)[client_tasks_[c].value()];
-    message.payload = update;
-    outbox->push_back(message);
+    update.count = static_cast<std::uint32_t>(locals.size());
   }
 }
 

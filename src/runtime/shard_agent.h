@@ -21,14 +21,15 @@
 // The shard messages are positional (DESIGN.md §7.11): shard membership is
 // static, so the agent derives, once, the ordered entry list of each client
 // — latency slots for inbound updates, used resources for outbound prices —
-// and the wire carries only b1-encoded value arrays.  All clients' price
-// payloads are encoded into ONE reused buffer per round and each message
-// views its span of it (encode once, view per client).  The broadcast
-// appends its messages to the caller's round-lane outbox, which the
-// coordinator sends in lane order, in synchronous rounds and asynchronous
-// ticks alike; the bus copies the bytes at Send, so the views need live
-// only until then.  An inbound message's payload view is valid for the
-// OnMessage call only, and the agent keeps nothing of it.
+// and the wire carries only b1-encoded value arrays.  The broadcast builds
+// each client's ShardPriceUpdate in place in the caller's round-lane
+// outbox, its payload encoded straight into the outbox's byte buffer; the
+// coordinator sends the outboxes in lane order, in synchronous rounds and
+// asynchronous ticks alike, and the bus binds each view when it delivers.
+// Inbound latencies are routed by a task-id IdIndex built in the
+// constructor and decoded into scratch sized once to the widest message.
+// An inbound message's payload view is valid for the OnMessage call only,
+// and the agent keeps nothing of it.
 //
 // Every Eq. 8 step also stores the share sum it stepped on in the round's
 // shared StepWorkspace (the resource_share_sums array Bind receives), so
@@ -47,10 +48,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/id_index.h"
 #include "core/price_dynamics.h"
 #include "model/latency_model.h"
 #include "model/workload.h"
@@ -97,10 +98,10 @@ class ShardAgent {
 
   /// One price computation for every owned resource + a single batched
   /// broadcast per client controller.  The messages (and any repair
-  /// re-requests of a grace-held resource) are appended to `outbox`, the
+  /// re-requests of a grace-held resource) are built in `outbox`, the
   /// caller's round lane, which the caller sends in lane order (DESIGN.md
   /// §7.11).
-  void ComputePricesAndBroadcast(std::vector<net::Message>* outbox);
+  void ComputePricesAndBroadcast(net::Outbox* outbox);
 
   /// Per-resource fault injection; each aborts loudly when `r` is not
   /// hosted here.  CrashResource freezes the resource: its price entries go
@@ -151,12 +152,9 @@ class ShardAgent {
   std::size_t HostedLocal(ResourceId r, const char* what) const;
   /// Incarnation-gated acceptance of client `c`'s message.
   bool AcceptIncarnation(std::size_t c, std::uint32_t incarnation);
-  /// Index of `task` in client_tasks_ (sorted ascending), or -1.
-  int ClientIndex(TaskId task) const;
-  /// RepairRequest for one restarted resource to its client controllers:
-  /// appended to `outbox` from a broadcast, sent directly (null `outbox`)
-  /// by a cold restart, which runs outside any round.
-  void SendRepairRequest(std::size_t local, std::vector<net::Message>* outbox);
+  /// RepairRequest for one restarted resource to each of its client
+  /// controllers, added to `outbox`.
+  void SendRepairRequest(std::size_t local, net::Outbox* outbox);
   void ApplyLatencyUpdate(std::size_t c,
                           const net::ShardLatencyUpdate& update);
   void ApplyRepairResponse(const net::RepairResponse& repair);
@@ -180,6 +178,9 @@ class ShardAgent {
   std::vector<double>* resource_share_sums_ = nullptr;
   std::vector<ResourceId> resources_;
   std::vector<TaskId> client_tasks_;  ///< tasks with subtasks here, sorted
+  /// Routing: the index of a task id in client_tasks_, or -1 when the task
+  /// has no subtask here (the id comes off the wire).
+  IdIndex client_index_;
   /// client_resources_[c] = sorted local indices of the resources
   /// client_tasks_[c] uses here; its per-round price update carries exactly
   /// these, positionally (the controller derives the same ascending list).
@@ -233,15 +234,12 @@ class ShardAgent {
   /// keeps the fault bookkeeping off the fault-free broadcast fast path.
   bool any_resource_faulted_ = false;
 
-  /// Reused encode/decode scratch (per-client gathers + payload decode).
+  /// Reused scratch, sized in the constructor to the widest message: the
+  /// per-client price gathers and the decoded latencies.
   std::vector<double> gather_mu_;
   std::vector<std::uint8_t> gather_congested_;
   std::vector<std::uint8_t> gather_stale_;
-  std::vector<net::PayloadSpan> client_spans_;
   std::vector<double> decode_scratch_;
-  /// The payloads of the last broadcast, which its outbox messages view
-  /// until the caller sends them.
-  std::string wire_;
 
   RecoveryHooks hooks_;
 };

@@ -87,6 +87,7 @@ void TaskController::Bind(
   shard_slot_begin_.push_back(
       static_cast<std::uint32_t>(used_resources_.size()));
   shard_incarnation_.assign(used_shards_.size(), 0);
+  shard_index_ = IdIndex(used_shards_);
 
   // Group this task's subtasks by shard once, in local subtask order within
   // a shard, so each send is a gather over a precomputed index range.
@@ -103,6 +104,17 @@ void TaskController::Bind(
     shard_subtask_begin_.push_back(
         static_cast<std::uint32_t>(shard_subtasks_.size()));
   }
+  // The scratch arrays fit the widest message each way, once.
+  std::uint32_t widest_price = 0;
+  std::uint32_t widest_latency = 0;
+  for (std::size_t s = 0; s < used_shards_.size(); ++s) {
+    widest_price = std::max(widest_price,
+                            shard_slot_begin_[s + 1] - shard_slot_begin_[s]);
+    widest_latency = std::max(
+        widest_latency, shard_subtask_begin_[s + 1] - shard_subtask_begin_[s]);
+  }
+  mu_scratch_.assign(widest_price, 0.0);
+  gather_latencies_.assign(widest_latency, 0.0);
 }
 
 int TaskController::UsedIndex(ResourceId resource) const {
@@ -110,13 +122,6 @@ int TaskController::UsedIndex(ResourceId resource) const {
                                    used_resources_.end(), resource);
   if (it == used_resources_.end() || *it != resource) return -1;
   return static_cast<int>(it - used_resources_.begin());
-}
-
-int TaskController::ShardIndex(std::uint32_t shard) const {
-  const auto it =
-      std::lower_bound(used_shards_.begin(), used_shards_.end(), shard);
-  if (it == used_shards_.end() || *it != shard) return -1;
-  return static_cast<int>(it - used_shards_.begin());
 }
 
 double TaskController::mu_seen(ResourceId r) const {
@@ -144,7 +149,7 @@ void TaskController::OnMessage(const net::Message& message) {
   if (crashed_) return;
   if (const auto* update =
           std::get_if<net::ShardPriceUpdate>(&message.payload)) {
-    const int s = ShardIndex(update->shard);
+    const int s = shard_index_.Find(update->shard);
     if (s < 0) return;  // misrouted; this task uses no resource there
     if (!AcceptIncarnation(static_cast<std::size_t>(s), message.incarnation)) {
       return;
@@ -156,7 +161,7 @@ void TaskController::OnMessage(const net::Message& message) {
     const std::uint32_t first = shard_slot_begin_[s];
     net::ShardPriceBitsets bits;
     if (update->count != shard_slot_begin_[s + 1] - first ||
-        !net::DecodeShardPriceUpdate(*update, &mu_scratch_, &bits)) {
+        !net::DecodeShardPriceUpdate(*update, mu_scratch_.data(), &bits)) {
       if (hooks_.malformed_rejected != nullptr) {
         hooks_.malformed_rejected->Increment();
       }
@@ -182,7 +187,8 @@ void TaskController::OnMessage(const net::Message& message) {
     // this moment on.
     const int k = UsedIndex(request->resource);
     if (k < 0) return;  // misrouted; this task does not use the resource
-    const int s = ShardIndex((*resource_shard_)[request->resource.value()]);
+    const int s =
+        shard_index_.Find((*resource_shard_)[request->resource.value()]);
     if (!AcceptIncarnation(static_cast<std::size_t>(s), message.incarnation)) {
       return;
     }
@@ -278,7 +284,7 @@ TaskControllerSnapshot TaskController::Snapshot() const {
 }
 
 void TaskController::AllocateAndSend(PriceVector* prices,
-                                     std::vector<net::Message>* outbox) {
+                                     net::Outbox* outbox) {
   assert(bus_ != nullptr);
   if (crashed_) return;
   const TaskInfo& info = workload_->task(task_);
@@ -326,37 +332,23 @@ void TaskController::AllocateAndSend(PriceVector* prices,
   }
 
   // 4. Send the new latencies: one batched positional message per shard
-  // touched.  Every shard's payload is encoded back-to-back into one reused
-  // buffer, then viewed per message once the last encode is done (an
-  // append may move the buffer).  The b1 chooser never exceeds the raw
-  // encoding, so Σ(1 + 8n) bounds the buffer.  The bus copies the bytes at
-  // Send, so the buffer is free again by the next call.
-  wire_.clear();
-  wire_.reserve(used_shards_.size() + 8 * shard_subtasks_.size());
-  latency_spans_.resize(used_shards_.size());
+  // touched, its payload encoded straight into the lane's outbox and the
+  // message built beside it.
+  double* gather = gather_latencies_.data();
   for (std::size_t s = 0; s < used_shards_.size(); ++s) {
     const std::uint32_t begin = shard_subtask_begin_[s];
     const std::uint32_t end = shard_subtask_begin_[s + 1];
-    gather_latencies_.resize(end - begin);
     for (std::uint32_t j = begin; j < end; ++j) {
-      gather_latencies_[j - begin] =
+      gather[j - begin] =
           shared_->latencies[subtask_begin_ + shard_subtasks_[j]];
     }
-    latency_spans_[s] = net::AppendShardLatencyPayload(
-        gather_latencies_.data(), end - begin, &wire_);
-  }
-  for (std::size_t s = 0; s < used_shards_.size(); ++s) {
-    net::ShardLatencyUpdate update;
+    const net::PayloadSpan span =
+        net::AppendShardLatencyPayload(gather, end - begin, outbox->bytes());
+    net::ShardLatencyUpdate& update = outbox->Add<net::ShardLatencyUpdate>(
+        self_, (*shard_endpoints_)[used_shards_[s]], span);
     update.task = task_;
     update.shard = used_shards_[s];
-    update.count = shard_subtask_begin_[s + 1] - shard_subtask_begin_[s];
-    update.payload = net::WireSlice(wire_.data() + latency_spans_[s].offset,
-                                    latency_spans_[s].length);
-    net::Message message;
-    message.sender = self_;
-    message.receiver = (*shard_endpoints_)[used_shards_[s]];
-    message.payload = update;
-    outbox->push_back(message);
+    update.count = end - begin;
   }
 }
 

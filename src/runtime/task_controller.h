@@ -26,11 +26,13 @@
 // buffers is race-free because each controller writes only its own task's
 // slots.
 //
-// A send encodes every shard's latency payload into one reused buffer and
-// views it per message; the views live until the caller sends the outbox,
-// when the bus copies the bytes.  An inbound message's payload view is
-// valid for the OnMessage call only, and the controller keeps nothing of
-// it.
+// A send builds each shard's ShardLatencyUpdate in place in the caller's
+// round-lane outbox: it encodes the payload straight into the outbox's byte
+// buffer and adds the message beside it, and the bus binds the view when it
+// delivers.  Inbound prices are routed by a shard-id IdIndex built at Bind
+// and decoded into scratch sized once to the widest message.  An inbound
+// message's payload view is valid for the OnMessage call only, and the
+// controller keeps nothing of it.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "common/id_index.h"
 #include "core/latency_solver.h"
 #include "core/prices.h"
 #include "core/step_workspace.h"
@@ -95,9 +98,9 @@ class TaskController {
   /// §7.11).  Publishes this task's prices into `prices`, the caller's
   /// round-lane buffer (full-size; only this task's slots are read back),
   /// solves through the solver's const range path (the caller must have
-  /// run solver.PrepareSolve() serially first), and appends the outgoing
-  /// messages to `outbox` for the caller to send in lane order.
-  void AllocateAndSend(PriceVector* prices, std::vector<net::Message>* outbox);
+  /// run solver.PrepareSolve() serially first), and builds the outgoing
+  /// messages in `outbox` for the caller to send in lane order.
+  void AllocateAndSend(PriceVector* prices, net::Outbox* outbox);
 
   TaskId task() const { return task_; }
 
@@ -134,9 +137,6 @@ class TaskController {
   /// Index of `resource` in used_resources_, or -1 when this task has no
   /// subtask there.
   int UsedIndex(ResourceId resource) const;
-  /// Index of `shard` in used_shards_, or -1 when this task has no subtask
-  /// there.
-  int ShardIndex(std::uint32_t shard) const;
   /// Incarnation-gated acceptance of a message from used shard `s`.
   bool AcceptIncarnation(std::size_t s, std::uint32_t incarnation);
   /// This task's span of the shared latency buffer, writable.
@@ -167,6 +167,9 @@ class TaskController {
   /// so a controller holds O(task) shard state however many shards the
   /// deployment runs.
   std::vector<std::uint32_t> used_shards_;
+  /// Routing: the index of a shard id in used_shards_, or -1 when this task
+  /// has no subtask there (the id comes off the wire).
+  IdIndex shard_index_;
   /// A shard owns a contiguous resource range and used_resources_ is
   /// sorted, so the i-th used shard's resources are the slot range
   /// [shard_slot_begin_[i], shard_slot_begin_[i+1]) of used_resources_:
@@ -202,13 +205,11 @@ class TaskController {
   bool crashed_ = false;
   std::vector<std::uint32_t> shard_incarnation_;
 
-  /// Reused encode/decode scratch.  wire_ holds the payloads of the last
-  /// AllocateAndSend, which its outbox messages view until the caller sends
-  /// them; repair_wire_ holds the entries of the last repair reply.
+  /// Reused scratch, sized at Bind to the widest message: decoded prices,
+  /// and the latencies one ShardLatencyUpdate carries.  repair_wire_ holds
+  /// the entries of the last repair reply.
   std::vector<double> mu_scratch_;
   std::vector<double> gather_latencies_;
-  std::vector<net::PayloadSpan> latency_spans_;
-  std::string wire_;
   std::string repair_wire_;
 };
 

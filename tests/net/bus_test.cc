@@ -359,33 +359,185 @@ std::string PayloadOf(const Message& message) {
 // The bus owns every payload from Send to delivery, and a handler's view
 // stays valid for its whole call: sends made inside the handler, enough to
 // grow every buffer the bus has, never move the bytes it is reading.  Both
-// lanes, with payloads on both sides of std::string's inline capacity.
+// lanes, with payloads on both sides of std::string's inline capacity, and
+// with the messages admitted one by one or from an outbox.
 TEST(BusTest, HandlerSendsNeverMoveThePayloadItReads) {
-  for (const double jitter : {0.0, 0.5}) {
-    for (const std::size_t size : {5u, 300u}) {
-      SCOPED_TRACE(testing::Message() << "jitter " << jitter << " size "
-                                      << size);
-      BusConfig config;
-      config.jitter_ms = jitter;
-      InProcessBus bus(config);
-      std::string sent(size, '\0');
-      for (std::size_t i = 0; i < size; ++i) {
-        sent[i] = static_cast<char>('a' + i % 26);
+  for (const bool outboxed : {false, true}) {
+    for (const double jitter : {0.0, 0.5}) {
+      for (const std::size_t size : {5u, 300u}) {
+        SCOPED_TRACE(testing::Message() << "outboxed " << outboxed
+                                        << " jitter " << jitter << " size "
+                                        << size);
+        BusConfig config;
+        config.jitter_ms = jitter;
+        InProcessBus bus(config);
+        std::string sent(size, '\0');
+        for (std::size_t i = 0; i < size; ++i) {
+          sent[i] = static_cast<char>('a' + i % 26);
+        }
+        const std::string filler(400, 'z');
+        Outbox outbox;
+        int first = 0;
+        EndpointId a = 0;
+        a = bus.Register("a", [&](const Message& m) {
+          if (first++ != 0) return;
+          const WireSlice* bytes = PayloadBytes(m.payload);
+          const char* before = bytes->data();
+          if (outboxed) {
+            outbox.clear();
+            for (int k = 0; k < 2000; ++k) {
+              outbox.Push(BytesMessage(a, a, filler));
+            }
+            bus.SendAll(outbox);
+          } else {
+            for (int k = 0; k < 2000; ++k) {
+              bus.Send(BytesMessage(a, a, filler));
+            }
+          }
+          EXPECT_EQ(bytes->data(), before);
+          EXPECT_EQ(PayloadOf(m), sent);
+        });
+        if (outboxed) {
+          outbox.Push(BytesMessage(a, a, sent));
+          bus.SendAll(outbox);
+        } else {
+          bus.Send(BytesMessage(a, a, sent));
+        }
+        bus.RunAll();
+        EXPECT_EQ(first, 2001);
       }
-      const std::string filler(400, 'z');
-      int first = 0;
-      EndpointId a = 0;
-      a = bus.Register("a", [&](const Message& m) {
-        if (first++ != 0) return;
-        const WireSlice* bytes = PayloadBytes(m.payload);
-        const char* before = bytes->data();
-        for (int k = 0; k < 2000; ++k) bus.Send(BytesMessage(a, a, filler));
-        EXPECT_EQ(bytes->data(), before);
-        EXPECT_EQ(PayloadOf(m), sent);
-      });
-      bus.Send(BytesMessage(a, a, sent));
-      bus.RunAll();
-      EXPECT_EQ(first, 2001);
+    }
+  }
+}
+
+// An outbox of mixed shard and repair messages admitted by SendAll is
+// indistinguishable from the same messages sent one at a time: the same
+// BusStats, the same deliveries (receiver, time, sender, incarnation) and
+// the same bytes, under drops, jitter and a live blackout.  The outbox is
+// cleared and refilled right after each SendAll while its messages are
+// still queued, and every delivered payload is one that was sent.
+TEST(BusTest, OutboxAdmissionMatchesSendingOneByOne) {
+  struct Delivery {
+    EndpointId receiver;
+    double at_ms;
+    EndpointId sender;
+    std::uint32_t incarnation;
+    std::size_t kind;
+    std::string bytes;
+
+    bool operator==(const Delivery&) const = default;
+  };
+  // Round r's messages among endpoints a, b and c; every payload is
+  // distinct, so delivered bytes identify what was sent.
+  const auto fill = [](int round, EndpointId a, EndpointId b, EndpointId c,
+                       Outbox* outbox, std::vector<std::string>* sent) {
+    std::string entries;
+    for (int k = 0; k < 12; ++k) {
+      const double base = 100.0 * round + k;
+      const double values[3] = {base, base + 0.5, base + 0.5};
+      const std::uint8_t flags[3] = {1, 0, 1};
+      const EndpointId from = k % 3 == 0 ? a : (k % 3 == 1 ? b : c);
+      const EndpointId to = k % 2 == 0 ? c : a;
+      switch (k % 4) {
+        case 0: {
+          const PayloadSpan span =
+              AppendShardLatencyPayload(values, 3, outbox->bytes());
+          ShardLatencyUpdate& update =
+              outbox->Add<ShardLatencyUpdate>(from, to, span);
+          update.task = TaskId(static_cast<std::uint32_t>(k));
+          update.count = 3;
+          break;
+        }
+        case 1: {
+          const PayloadSpan span = AppendShardPricePayload(
+              values, flags, flags, 3, outbox->bytes());
+          ShardPriceUpdate& update =
+              outbox->Add<ShardPriceUpdate>(from, to, span);
+          update.epoch = static_cast<std::uint32_t>(round);
+          update.count = 3;
+          break;
+        }
+        case 2:
+          outbox->Add<RepairRequest>(from, to).resource =
+              ResourceId(static_cast<std::uint32_t>(k));
+          break;
+        default: {
+          entries.clear();
+          AppendRepairEntry(SubtaskId(static_cast<std::uint32_t>(k)), base,
+                            &entries);
+          Message repair = Ping(from, to, base);
+          std::get<RepairResponse>(repair.payload).entries =
+              WireSlice(entries.data(), entries.size());
+          outbox->Push(repair);
+          break;
+        }
+      }
+      const Message bound = outbox->message(outbox->size() - 1);
+      if (const WireSlice* bytes = PayloadBytes(bound.payload)) {
+        sent->emplace_back(bytes->data(), bytes->size());
+      }
+    }
+  };
+  const auto run = [&](double jitter, bool batched,
+                       std::vector<Delivery>* deliveries,
+                       std::vector<std::string>* sent) {
+    BusConfig config;
+    config.base_delay_ms = 0.25;
+    config.jitter_ms = jitter;
+    config.drop_probability = 0.3;
+    config.seed = 5;
+    InProcessBus bus(config);
+    const auto record = [&](const Message& m) {
+      const WireSlice* bytes = PayloadBytes(m.payload);
+      deliveries->push_back(
+          {m.receiver, bus.now_ms(), m.sender, m.incarnation,
+           m.payload.index(),
+           bytes != nullptr ? std::string(bytes->data(), bytes->size())
+                            : std::string()});
+    };
+    const EndpointId a = bus.Register("a", record);
+    const EndpointId b = bus.Register("b", record);
+    const EndpointId c = bus.Register("c", record);
+    bus.RestartEndpoint(c);      // c sends as incarnation 1
+    bus.BlackoutEndpoint(b, 0.5);  // live through the first two rounds
+    Outbox outbox;
+    for (int round = 0; round < 4; ++round) {
+      outbox.clear();
+      fill(round, a, b, c, &outbox, sent);
+      if (batched) {
+        bus.SendAll(outbox);
+      } else {
+        for (std::size_t i = 0; i < outbox.size(); ++i) {
+          bus.Send(outbox.message(i));
+        }
+      }
+      // Less than the base delay: this round's messages are still queued
+      // when the next round clears and refills the outbox.
+      bus.RunUntil(bus.now_ms() + 0.2);
+    }
+    bus.RunAll();
+    return bus.stats();
+  };
+  // Without jitter every message takes the FIFO lane, with it the heap.
+  for (const double jitter : {0.0, 0.7}) {
+    SCOPED_TRACE(jitter);
+    std::vector<Delivery> batched, one_by_one;
+    std::vector<std::string> sent, sent_again;
+    const BusStats batched_stats = run(jitter, true, &batched, &sent);
+    const BusStats one_by_one_stats =
+        run(jitter, false, &one_by_one, &sent_again);
+    EXPECT_EQ(batched_stats.sent, one_by_one_stats.sent);
+    EXPECT_EQ(batched_stats.delivered, one_by_one_stats.delivered);
+    EXPECT_EQ(batched_stats.dropped, one_by_one_stats.dropped);
+    EXPECT_EQ(batched_stats.bytes, one_by_one_stats.bytes);
+    EXPECT_EQ(batched_stats.sent, 48u);
+    EXPECT_GT(batched_stats.delivered, 0u);
+    EXPECT_GT(batched_stats.dropped, 0u);
+    EXPECT_EQ(batched, one_by_one);
+    for (const Delivery& delivery : batched) {
+      if (delivery.kind == 0) continue;  // a RepairRequest carries no bytes
+      EXPECT_NE(std::find(sent.begin(), sent.end(), delivery.bytes),
+                sent.end());
     }
   }
 }

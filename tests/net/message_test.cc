@@ -278,9 +278,9 @@ TEST(MessageTest, ShardLatencyUpdateRoundTrips) {
     const auto decoded = Deserialize(bytes);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, original);
-    std::vector<double> latencies;
-    ASSERT_TRUE(DecodeShardLatencyUpdate(
-        std::get<ShardLatencyUpdate>(decoded->payload), &latencies));
+    const auto& update = std::get<ShardLatencyUpdate>(decoded->payload);
+    std::vector<double> latencies(update.count);
+    ASSERT_TRUE(DecodeShardLatencyUpdate(update, latencies.data()));
     EXPECT_TRUE(SameBits(latencies, values));
   }
 }
@@ -306,9 +306,9 @@ TEST(MessageTest, ShardPriceUpdateRoundTrips) {
       EXPECT_EQ(*decoded, original);
       const auto& update = std::get<ShardPriceUpdate>(decoded->payload);
       EXPECT_EQ(update.epoch, 77u);
-      std::vector<double> decoded_mu;
+      std::vector<double> decoded_mu(update.count);
       ShardPriceBitsets bits;
-      ASSERT_TRUE(DecodeShardPriceUpdate(update, &decoded_mu, &bits));
+      ASSERT_TRUE(DecodeShardPriceUpdate(update, decoded_mu.data(), &bits));
       EXPECT_TRUE(SameBits(decoded_mu, mu));
       if (with_stale) {
         ASSERT_NE(bits.stale, nullptr);
@@ -412,11 +412,11 @@ TEST(MessageTest, NegativeAndSpecialDoublesSurvive) {
   const auto bytes = Serialize(message);
   const auto decoded = Deserialize(bytes);
   ASSERT_TRUE(decoded.has_value());
-  std::vector<double> latencies;
-  ASSERT_TRUE(DecodeShardLatencyUpdate(
-      std::get<ShardLatencyUpdate>(decoded->payload), &latencies));
-  ASSERT_EQ(latencies.size(), 1u);
-  EXPECT_DOUBLE_EQ(latencies[0], -17.125);
+  const auto& decoded_update = std::get<ShardLatencyUpdate>(decoded->payload);
+  ASSERT_EQ(decoded_update.count, 1u);
+  double latency_out = 0.0;
+  ASSERT_TRUE(DecodeShardLatencyUpdate(decoded_update, &latency_out));
+  EXPECT_DOUBLE_EQ(latency_out, -17.125);
 }
 
 }  // namespace

@@ -375,22 +375,22 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 /// Decodes an accepted latency update, re-encodes the words and expects
 /// them to decode to the same bits.
 void ExpectLatencyRoundTrip(const net::ShardLatencyUpdate& update) {
-  std::vector<double> latencies;
-  ASSERT_TRUE(net::DecodeShardLatencyUpdate(update, &latencies));
+  std::vector<double> latencies(update.count);
+  ASSERT_TRUE(net::DecodeShardLatencyUpdate(update, latencies.data()));
   std::string bytes;
   const net::Message again = LatencyMessage(latencies, &bytes);
-  std::vector<double> redecoded;
+  std::vector<double> redecoded(update.count);
   ASSERT_TRUE(net::DecodeShardLatencyUpdate(
-      std::get<net::ShardLatencyUpdate>(again.payload), &redecoded));
+      std::get<net::ShardLatencyUpdate>(again.payload), redecoded.data()));
   EXPECT_TRUE(SameBits(redecoded, latencies));
 }
 
 /// The same for a price update, its congested and stale bits included (an
 /// absent stale bitset reads as all clear).
 void ExpectPriceRoundTrip(const net::ShardPriceUpdate& update) {
-  std::vector<double> mu;
+  std::vector<double> mu(update.count);
   net::ShardPriceBitsets bits;
-  ASSERT_TRUE(net::DecodeShardPriceUpdate(update, &mu, &bits));
+  ASSERT_TRUE(net::DecodeShardPriceUpdate(update, mu.data(), &bits));
   std::vector<std::uint8_t> congested(mu.size()), stale(mu.size());
   for (std::size_t j = 0; j < mu.size(); ++j) {
     congested[j] = net::TestWireBit(bits.congested, j) ? 1 : 0;
@@ -398,10 +398,11 @@ void ExpectPriceRoundTrip(const net::ShardPriceUpdate& update) {
   }
   std::string bytes;
   const net::Message again = PriceMessage(mu, congested, &stale, &bytes);
-  std::vector<double> redecoded;
+  std::vector<double> redecoded(update.count);
   net::ShardPriceBitsets rebits;
   ASSERT_TRUE(net::DecodeShardPriceUpdate(
-      std::get<net::ShardPriceUpdate>(again.payload), &redecoded, &rebits));
+      std::get<net::ShardPriceUpdate>(again.payload), redecoded.data(),
+      &rebits));
   EXPECT_TRUE(SameBits(redecoded, mu));
   for (std::size_t j = 0; j < mu.size(); ++j) {
     EXPECT_EQ(net::TestWireBit(rebits.congested, j), congested[j] != 0);

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "runtime/task_controller.h"
 #include "workloads/paper.h"
+#include "workloads/random.h"
 
 namespace lla::runtime {
 namespace {
@@ -254,10 +255,12 @@ struct LoneController {
       shard_endpoints.push_back(bus.Register(
           "shard/" + std::to_string(resource.id.value()),
           [this](const net::Message& m) {
+            const auto& update = std::get<net::ShardLatencyUpdate>(m.payload);
             Received& got = received.emplace_back();
             got.receiver = m.receiver;
-            EXPECT_TRUE(net::DecodeShardLatencyUpdate(
-                std::get<net::ShardLatencyUpdate>(m.payload), &got.latencies));
+            got.latencies.resize(update.count);
+            EXPECT_TRUE(
+                net::DecodeShardLatencyUpdate(update, got.latencies.data()));
           }));
     }
     self = bus.Register("controller", nullptr);
@@ -296,7 +299,7 @@ struct LoneController {
   std::vector<std::uint32_t> resource_shard;
   net::EndpointId self = 0;
   PriceVector prices;
-  std::vector<net::Message> outbox;
+  net::Outbox outbox;
 };
 
 TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
@@ -373,6 +376,178 @@ TEST(RuntimeTest, PathStepDoublesExactlyOnPathsThroughACongestedResource) {
         EXPECT_EQ(steps[p], traverses ? 2.0 : 1.0) << "path " << p;
       }
     }
+  }
+}
+
+// Routing ids come off the wire.  A shard message naming a task or a shard
+// outside the receiver's routing table (all ones, or one past the last id),
+// or one inside it that has no entries there, is a misroute: ignored, not
+// counted as malformed, and read without leaving the table (the ASan build
+// checks the reads).  Each misrouted message is sent once per entry count
+// the receiver's real peers use, so a wrong lookup would find a count that
+// matches and apply the payload.
+struct MisrouteHarness {
+  explicit MisrouteHarness(std::uint64_t seed)
+      : workload([&] {
+          RandomWorkloadConfig shape;
+          shape.seed = seed;
+          shape.num_resources = 12;
+          shape.num_tasks = 12;
+          return MakeRandomWorkload(shape).value();
+        }()),
+        model(workload),
+        coordinator(workload, model, [&] {
+          CoordinatorConfig config = SyncConfig();
+          config.metrics = &metrics;
+          return config;
+        }()) {
+    coordinator.RunSync(30);  // nonzero prices and latencies to protect
+    net::InProcessBus& bus = coordinator.bus();
+    injector = bus.Register("injector", nullptr);
+    for (net::EndpointId id = 0; id < injector; ++id) {
+      endpoints[bus.endpoint_name(id)] = id;
+    }
+  }
+
+  // The subtasks of `task` hosted on `resource` (one shard per resource,
+  // so shard ids are resource ids).
+  std::uint32_t Hosted(TaskId task, std::uint32_t resource) const {
+    std::uint32_t count = 0;
+    for (const SubtaskId sid : workload.task(task).subtasks) {
+      if (workload.subtask(sid).resource.value() == resource) ++count;
+    }
+    return count;
+  }
+
+  void Deliver(const net::Message& message) {
+    coordinator.bus().Send(message);
+    coordinator.bus().RunAll();
+  }
+
+  std::uint64_t Malformed() {
+    return metrics.GetCounter("recovery.malformed_rejected")->value();
+  }
+
+  obs::MetricRegistry metrics;
+  Workload workload;
+  LatencyModel model;
+  Coordinator coordinator;
+  net::EndpointId injector = 0;
+  std::map<std::string, net::EndpointId> endpoints;
+};
+
+TEST(RuntimeTest, ShardAgentIgnoresLatencyUpdatesOfUnknownTasks) {
+  MisrouteHarness h(/*seed=*/3);
+  const Workload& w = h.workload;
+  // A shard whose first and last client tasks leave a non-client between
+  // them, so one misroute falls inside the table.
+  std::uint32_t shard = 0;
+  TaskId stranger;
+  bool found = false;
+  for (std::uint32_t s = 0; s < w.resource_count() && !found; ++s) {
+    const std::vector<TaskId>& clients =
+        h.coordinator.shard_agent(s).client_tasks();
+    if (clients.empty()) continue;
+    for (std::uint32_t t = clients.front().value();
+         t < clients.back().value() && !found; ++t) {
+      if (h.Hosted(TaskId(t), s) == 0) {
+        shard = s;
+        stranger = TaskId(t);
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  std::set<std::uint32_t> counts;
+  for (const TaskId client : h.coordinator.shard_agent(shard).client_tasks()) {
+    counts.insert(h.Hosted(client, shard));
+  }
+  const ResourceId resource(shard);
+  const ResourceAgentSnapshot before =
+      h.coordinator.CheckpointResource(resource);
+  const std::uint64_t malformed = h.Malformed();
+
+  for (const std::uint32_t task :
+       {0xFFFFFFFFu, static_cast<std::uint32_t>(w.task_count()),
+        stranger.value()}) {
+    for (const std::uint32_t count : counts) {
+      SCOPED_TRACE(testing::Message() << "task " << task << " count "
+                                      << count);
+      const std::vector<double> latencies(count, 1e6);
+      std::string payload;
+      net::AppendShardLatencyPayload(latencies.data(), count, &payload);
+      net::Message message;
+      message.sender = h.injector;
+      message.receiver = h.endpoints.at("shard/" + std::to_string(shard));
+      message.payload = net::ShardLatencyUpdate{
+          TaskId(task), shard, count,
+          net::WireSlice(payload.data(), payload.size())};
+      h.Deliver(message);
+      const ResourceAgentSnapshot after =
+          h.coordinator.CheckpointResource(resource);
+      EXPECT_EQ(after.latencies_ms, before.latencies_ms);
+      EXPECT_EQ(after.mu, before.mu);
+      EXPECT_EQ(after.gamma_multiplier, before.gamma_multiplier);
+      EXPECT_EQ(after.velocity, before.velocity);
+      EXPECT_EQ(h.Malformed(), malformed);
+    }
+  }
+}
+
+TEST(RuntimeTest, TaskControllerIgnoresPriceUpdatesOfUnusedShards) {
+  MisrouteHarness h(/*seed=*/3);
+  const Workload& w = h.workload;
+  // A task whose first and last used shards leave an unused one between
+  // them, so one misroute falls inside the table.
+  TaskId task;
+  std::uint32_t unused = 0;
+  bool found = false;
+  for (const TaskInfo& info : w.tasks()) {
+    std::set<std::uint32_t> used;
+    for (const SubtaskId sid : info.subtasks) {
+      used.insert(w.subtask(sid).resource.value());
+    }
+    for (std::uint32_t s = *used.begin(); s < *used.rbegin() && !found; ++s) {
+      if (used.count(s) == 0) {
+        task = info.id;
+        unused = s;
+        found = true;
+      }
+    }
+    if (found) break;
+  }
+  ASSERT_TRUE(found);
+  // One resource per used shard: every price update carries one entry.
+  const TaskController& controller = h.coordinator.controller(task);
+  const TaskControllerSnapshot before = controller.Snapshot();
+  const std::vector<double> latencies_before(controller.latencies().begin(),
+                                             controller.latencies().end());
+  const std::uint64_t malformed = h.Malformed();
+
+  for (const std::uint32_t shard :
+       {0xFFFFFFFFu, static_cast<std::uint32_t>(h.coordinator.shard_count()),
+        unused}) {
+    SCOPED_TRACE(testing::Message() << "shard " << shard);
+    const double mu = 1e6;
+    const std::uint8_t congested = 1;
+    std::string payload;
+    net::AppendShardPricePayload(&mu, &congested, nullptr, 1, &payload);
+    net::Message message;
+    message.sender = h.injector;
+    message.receiver =
+        h.endpoints.at("controller/" + w.task(task).name);
+    message.payload = net::ShardPriceUpdate{
+        shard, 1u << 30, 1, net::WireSlice(payload.data(), payload.size())};
+    h.Deliver(message);
+    const TaskControllerSnapshot after = controller.Snapshot();
+    EXPECT_EQ(after.mu, before.mu);
+    EXPECT_EQ(after.resource_congested, before.resource_congested);
+    EXPECT_EQ(after.resource_epoch, before.resource_epoch);
+    EXPECT_EQ(after.local_lambdas, before.local_lambdas);
+    EXPECT_EQ(std::vector<double>(controller.latencies().begin(),
+                                  controller.latencies().end()),
+              latencies_before);
+    EXPECT_EQ(h.Malformed(), malformed);
   }
 }
 
