@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace lla {
@@ -293,10 +294,6 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
     return Status::Error(
         "Restore: snapshot shape does not match this workload");
   }
-  if (snapshot.mu.size() != workload_->resource_count() ||
-      snapshot.lambda.size() != workload_->path_count()) {
-    return Status::Error("Restore: snapshot price vectors are misshapen");
-  }
   // A negative step iteration would drive the diminishing schedule's
   // 1 + t / tau through zero.
   if (snapshot.iteration < 0 || snapshot.iteration > kMaxRestoredIteration ||
@@ -307,21 +304,51 @@ Status LlaEngine::Restore(StateSnapshot snapshot) {
         " is out of range");
   }
   {
-    // Dynamics state is optional (empty in snapshots taken by plain engines
-    // and when the b1 image omits its sections), but when present it must
-    // match the shape.
+    // mu and lambda must match the shape.  The other sections are optional
+    // (empty in snapshots of schedules and dynamics that keep none, and
+    // when the b1 image omits them), but a present one must match it too.
+    // Every dual value must be finite and at least its section's floor: an
+    // infinite mu used to restore and run the whole budget to an infeasible
+    // point, and a phase of -3 divides the ramp's t / (t + 3) by zero.
     const std::size_t R = workload_->resource_count();
     const std::size_t P = workload_->path_count();
-    const auto misshapen = [](const std::vector<double>& v, std::size_t n) {
-      return !v.empty() && v.size() != n;
+    constexpr double kAnyFinite = -std::numeric_limits<double>::infinity();
+    const struct {
+      const char* name;
+      const std::vector<double>& values;
+      std::size_t size;
+      bool optional;
+      double floor;
+    } sections[] = {
+        {"mu", snapshot.mu, R, false, 0.0},
+        {"lambda", snapshot.lambda, P, false, 0.0},
+        {"resource_step_multiplier", snapshot.resource_step_multiplier, R,
+         true, 1.0},
+        {"path_step_multiplier", snapshot.path_step_multiplier, P, true, 1.0},
+        {"mu_velocity", snapshot.mu_velocity, R, true, kAnyFinite},
+        {"lambda_velocity", snapshot.lambda_velocity, P, true, kAnyFinite},
+        {"mu_base", snapshot.mu_base, R, true, kAnyFinite},
+        {"lambda_base", snapshot.lambda_base, P, true, kAnyFinite},
+        {"mu_phase", snapshot.mu_phase, R, true, 0.0},
+        {"lambda_phase", snapshot.lambda_phase, P, true, 0.0},
     };
-    if (misshapen(snapshot.mu_velocity, R) ||
-        misshapen(snapshot.lambda_velocity, P) ||
-        misshapen(snapshot.mu_base, R) ||
-        misshapen(snapshot.lambda_base, P) ||
-        misshapen(snapshot.mu_phase, R) ||
-        misshapen(snapshot.lambda_phase, P)) {
-      return Status::Error("Restore: snapshot dynamics state is misshapen");
+    for (const auto& section : sections) {
+      if (section.values.size() != section.size &&
+          !(section.optional && section.values.empty())) {
+        return Status::Error(std::string("Restore: snapshot ") +
+                             section.name + " is misshapen");
+      }
+      const auto bad = std::find_if(
+          section.values.begin(), section.values.end(), [&](double value) {
+            return !(std::isfinite(value) && value >= section.floor);
+          });
+      if (bad != section.values.end()) {
+        char message[128];
+        std::snprintf(message, sizeof(message),
+                      "Restore: snapshot %s[%td] = %g is out of range",
+                      section.name, bad - section.values.begin(), *bad);
+        return Status::Error(message);
+      }
     }
   }
   prices_.mu = std::move(snapshot.mu);
@@ -439,28 +466,33 @@ IterationStats LlaEngine::Step() {
   return stats;
 }
 
+void FillIterationTrace(const StepWorkspace& evaluation,
+                        const PriceVector& prices, const StepSchedule& schedule,
+                        obs::IterationTrace* trace) {
+  trace->total_utility = evaluation.total_utility;
+  trace->feasible = evaluation.feasibility.feasible;
+  trace->max_resource_excess = evaluation.feasibility.max_resource_excess;
+  trace->max_path_ratio = evaluation.feasibility.max_path_ratio;
+  trace->resource_share_sums = evaluation.resource_share_sums;
+  trace->resource_mu = prices.mu;
+  trace->resource_step.resize(prices.mu.size());
+  for (std::size_t r = 0; r < prices.mu.size(); ++r) {
+    trace->resource_step[r] = schedule.resource_step(r);
+  }
+  trace->path_latencies = evaluation.path_latencies;
+  trace->path_lambda = prices.lambda;
+  trace->path_step.resize(prices.lambda.size());
+  for (std::size_t p = 0; p < prices.lambda.size(); ++p) {
+    trace->path_step[p] = schedule.path_step(p);
+  }
+}
+
 void LlaEngine::EmitTrace(const IterationStats& stats) {
   // Everything comes from the workspace, the price vector and the step
-  // schedule this step advanced — no extra evaluation sweeps.  The vector
-  // assignments reuse trace_'s capacity after the first iteration.
+  // schedule this step advanced — no extra evaluation sweeps.
   trace_.iteration = stats.iteration;
   trace_.at_ms = -1.0;
-  trace_.total_utility = stats.total_utility;
-  trace_.feasible = stats.feasible;
-  trace_.max_resource_excess = stats.max_resource_excess;
-  trace_.max_path_ratio = stats.max_path_ratio;
-  trace_.resource_share_sums = workspace_.resource_share_sums;
-  trace_.resource_mu = prices_.mu;
-  trace_.resource_step.resize(prices_.mu.size());
-  for (std::size_t r = 0; r < prices_.mu.size(); ++r) {
-    trace_.resource_step[r] = schedule_.resource_step(r);
-  }
-  trace_.path_latencies = workspace_.path_latencies;
-  trace_.path_lambda = prices_.lambda;
-  trace_.path_step.resize(prices_.lambda.size());
-  for (std::size_t p = 0; p < prices_.lambda.size(); ++p) {
-    trace_.path_step[p] = schedule_.path_step(p);
-  }
+  FillIterationTrace(workspace_, prices_, schedule_, &trace_);
   if (config_.active_set.enabled) {
     trace_.tasks_solved = stats.tasks_solved;
     trace_.subtasks_solved = stats.subtasks_solved;

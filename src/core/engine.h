@@ -78,6 +78,14 @@ inline constexpr double kComplementarityTol = 0.1;
 bool UtilityWindowSettled(std::deque<double>* recent, double utility,
                           double rel_tol);
 
+/// The trace columns both backends fill from one evaluation, one price
+/// vector and one step schedule: utility, feasibility, share sums and path
+/// latencies, mu and lambda, and each component's step.  Each caller adds
+/// its own fields; the assignments reuse the trace's capacity.
+void FillIterationTrace(const StepWorkspace& evaluation,
+                        const PriceVector& prices, const StepSchedule& schedule,
+                        obs::IterationTrace* trace);
+
 /// Per-step work reporting.  Every step solves every task and refreshes
 /// every aggregate, so this switch never changes the trajectory (DESIGN.md
 /// §7.6 explains the name).
@@ -90,9 +98,9 @@ struct ActiveSetConfig {
 struct LlaConfig {
   LatencySolverConfig solver;
   StepPolicyKind step_policy = StepPolicyKind::kAdaptive;
-  double gamma0 = 1.0;                        ///< base step size
-  double adaptive_max_multiplier = 8.0;        ///< cap for the doubling
-  double diminishing_tau = 50.0;
+  double gamma0 = 1.0;  ///< base step size
+  double adaptive_max_multiplier = kDefaultStepMultiplierCap;
+  double diminishing_tau = kDefaultDiminishingTau;
   /// Accelerated price dynamics (heavy-ball / Nesterov momentum with
   /// adaptive restart; see price_dynamics.h).  Orthogonal to step_policy:
   /// the step schedule still chooses gamma per component per iteration,
@@ -208,12 +216,15 @@ class LlaEngine {
 
   /// Adopts a snapshot taken by Checkpoint() (possibly in another process).
   /// Fails without touching the engine if the snapshot's shape does not
-  /// match this workload, its iteration lies outside
-  /// [0, kMaxRestoredIteration] or its step iteration is negative.  On
-  /// success the engine's latencies are re-derived from the restored prices
-  /// by a solve, history is cleared, and the next Step() continues the
-  /// checkpointed trajectory bit-for-bit (any thread count).  The schedule
-  /// adopts only what its own step policy saved (StepSchedule::Adopt).
+  /// match this workload (a step or momentum section may be empty), its
+  /// iteration lies outside [0, kMaxRestoredIteration], its step iteration
+  /// is negative, or a dual value is out of range: a price negative or not
+  /// finite, a step multiplier below 1 or not finite, a momentum field not
+  /// finite or a phase negative.  On success the engine's latencies are
+  /// re-derived from the restored prices by a solve, history is cleared,
+  /// and the next Step() continues the checkpointed trajectory bit-for-bit
+  /// (any thread count).  The schedule adopts only what its own step policy
+  /// saved (StepSchedule::Adopt).
   /// Takes the snapshot by value and moves its vectors into place; decode
   /// b1 bytes for it with the loaders given this engine's workload
   /// (DESIGN.md §7.11).

@@ -9,6 +9,7 @@
 namespace lla {
 namespace {
 
+// Aborts, naming `owner` and `name`, unless `value` is finite and in range.
 void RequireStepParameter(bool in_range, double value, const char* owner,
                           const char* name, const char* range) {
   if (in_range && std::isfinite(value)) return;
@@ -18,16 +19,6 @@ void RequireStepParameter(bool in_range, double value, const char* owner,
 }
 
 }  // namespace
-
-void RequirePositiveStepParameter(double value, const char* owner,
-                                  const char* name) {
-  RequireStepParameter(value > 0.0, value, owner, name, "> 0");
-}
-
-void RequireStepMultiplierCap(double value, const char* owner,
-                              const char* name) {
-  RequireStepParameter(value >= 1.0, value, owner, name, ">= 1");
-}
 
 const char* ToString(StepPolicyKind kind) {
   switch (kind) {
@@ -44,9 +35,10 @@ const char* ToString(StepPolicyKind kind) {
 StepSchedule::StepSchedule(StepPolicyKind kind, double gamma0, double cap,
                            double tau, const char* owner)
     : kind_(kind), gamma0_(gamma0), cap_(cap), tau_(tau), gamma_(gamma0) {
-  RequirePositiveStepParameter(gamma0, owner, "gamma0");
-  RequireStepMultiplierCap(cap, owner, "adaptive_max_multiplier");
-  RequirePositiveStepParameter(tau, owner, "diminishing_tau");
+  RequireStepParameter(gamma0 > 0.0, gamma0, owner, "gamma0", "> 0");
+  RequireStepParameter(cap >= 1.0, cap, owner, "adaptive_max_multiplier",
+                       ">= 1");
+  RequireStepParameter(tau > 0.0, tau, owner, "diminishing_tau", "> 0");
 }
 
 void StepSchedule::Reset(const Workload& workload) {
@@ -78,8 +70,7 @@ void StepSchedule::Advance(const Workload& workload,
     std::abort();
   }
   for (std::size_t r = 0; r < resource_multiplier_.size(); ++r) {
-    resource_multiplier_[r] = NextStepMultiplier(
-        resource_multiplier_[r], resource_congested[r], cap_);
+    AdvanceResource(r, resource_congested[r]);
   }
   for (const PathInfo& path : workload.paths()) {
     bool any_congested = false;
@@ -89,8 +80,7 @@ void StepSchedule::Advance(const Workload& workload,
         break;
       }
     }
-    double& mult = path_multiplier_[path.id.value()];
-    mult = NextStepMultiplier(mult, any_congested, cap_);
+    AdvancePath(path.id.value(), any_congested);
   }
 }
 

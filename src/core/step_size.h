@@ -7,10 +7,14 @@
 // initial value once it becomes uncongested.  A diminishing schedule
 // (gamma_t = gamma0 / (1 + t/tau)) is included as the textbook
 // convergence-guaranteed alternative.  All three only choose gamma; how a
-// price moves by it is core/price_dynamics.h.
+// price moves by it is core/price_dynamics.h.  StepSchedule is the one rule
+// of both backends: the engine advances its schedule once per step, the
+// distributed agents their components of one shared schedule (DESIGN.md
+// §7.12).
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,29 +27,18 @@ enum class StepPolicyKind { kFixed, kAdaptive, kDiminishing };
 
 const char* ToString(StepPolicyKind kind);
 
-/// The Sec. 5.2 doubling rule for one step-size multiplier: double while
-/// congested, capped at `cap`, and revert to 1 as soon as uncongested.  The
-/// engine's StepSchedule and the distributed agents all step their
-/// multipliers through this one definition.
-inline double NextStepMultiplier(double multiplier, bool congested,
-                                 double cap) {
-  return congested ? std::min(multiplier * 2.0, cap) : 1.0;
-}
+/// The defaults of LlaConfig's doubling cap and diminishing tau; the
+/// distributed deployment's schedule runs with them too.
+inline constexpr double kDefaultStepMultiplierCap = 8.0;
+inline constexpr double kDefaultDiminishingTau = 50.0;
 
-/// Range checks on step parameters, in every build mode: each aborts with a
-/// message naming `owner` and `name` unless `value` is finite and > 0 (a
-/// step, tau) or finite and >= 1 (a doubling cap).
-void RequirePositiveStepParameter(double value, const char* owner,
-                                  const char* name);
-void RequireStepMultiplierCap(double value, const char* owner,
-                              const char* name);
-
-/// The step sizes of one engine, as a value.  Component c (a resource or a
-/// path) steps gamma_t * m_c, or gamma_t alone when the schedule keeps no
+/// The step sizes of one optimizer, as a value.  Component c (a resource or
+/// a path) steps gamma_t * m_c, or gamma_t alone when the schedule keeps no
 /// multipliers, which only adaptive does:
 ///   fixed        gamma_t = gamma0;
-///   adaptive     gamma_t = gamma0, and each m_c moves by NextStepMultiplier
-///                (a path is congested while any resource it crosses is);
+///   adaptive     gamma_t = gamma0, and each m_c doubles while congested,
+///                capped at `cap`, and reverts to 1 as soon as it is not (a
+///                path is congested while any resource it crosses is);
 ///   diminishing  gamma_t = gamma0 / (1 + t / tau), t counting Advance calls.
 class StepSchedule {
  public:
@@ -58,10 +51,33 @@ class StepSchedule {
   void Reset(const Workload& workload);
 
   /// Chooses the steps of the next price update from the Eq. 3 congestion
-  /// flags of the latencies just allocated.  Aborts in every build mode when
-  /// `workload` is not the shape the last Reset() sized the multipliers for.
+  /// flags of the latencies just allocated: the diminishing tick, then
+  /// AdvanceResource and AdvancePath on every component.  Aborts in every
+  /// build mode when `workload` is not the shape the last Reset() sized the
+  /// multipliers for.
   void Advance(const Workload& workload,
                const std::vector<bool>& resource_congested);
+
+  /// The per-component form: the doubling rule on one multiplier, a reset
+  /// of it to 1, or the adoption of a checkpointed value.  No-ops for kinds
+  /// that keep no multipliers; none touches gamma_t or t, so lanes may call
+  /// them concurrently on disjoint components.
+  void AdvanceResource(std::size_t r, bool congested) {
+    if (resource_multiplier_.empty()) return;
+    resource_multiplier_[r] = NextMultiplier(resource_multiplier_[r], congested);
+  }
+  void AdvancePath(std::size_t p, bool congested) {
+    if (path_multiplier_.empty()) return;
+    path_multiplier_[p] = NextMultiplier(path_multiplier_[p], congested);
+  }
+  void ResetResource(std::size_t r) { AdoptResource(r, 1.0); }
+  void ResetPath(std::size_t p) { AdoptPath(p, 1.0); }
+  void AdoptResource(std::size_t r, double multiplier) {
+    if (!resource_multiplier_.empty()) resource_multiplier_[r] = multiplier;
+  }
+  void AdoptPath(std::size_t p, double multiplier) {
+    if (!path_multiplier_.empty()) path_multiplier_[p] = multiplier;
+  }
 
   double resource_step(std::size_t r) const {
     return resource_multiplier_.empty() ? gamma_
@@ -88,6 +104,12 @@ class StepSchedule {
              std::vector<double> path_multiplier, std::int64_t iteration);
 
  private:
+  /// The Sec. 5.2 doubling rule for one multiplier: double while congested,
+  /// capped at cap_, and revert to 1 as soon as uncongested.
+  double NextMultiplier(double multiplier, bool congested) const {
+    return congested ? std::min(multiplier * 2.0, cap_) : 1.0;
+  }
+
   StepPolicyKind kind_;
   double gamma0_;
   double cap_;

@@ -24,10 +24,13 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
                          CoordinatorConfig config)
     : workload_(&workload), model_(&model), config_(config) {
   ValidateDynamicsConfig(config_.dynamics, "Coordinator");
-  RequirePositiveStepParameter(config_.step.gamma0, "Coordinator",
-                               "step.gamma0");
-  RequireStepMultiplierCap(config_.step.adaptive_max_multiplier,
-                           "Coordinator", "step.adaptive_max_multiplier");
+  // The state every agent shares, its one adaptive schedule built from
+  // step.gamma0 (which its constructor checks) and the engine's defaults.
+  controller_shared_ = std::make_unique<ControllerShared>(
+      workload, model, config_.solver,
+      StepSchedule(StepPolicyKind::kAdaptive, config_.step.gamma0,
+                   kDefaultStepMultiplierCap, kDefaultDiminishingTau,
+                   "Coordinator"));
   if (config_.metrics != nullptr) {
     rounds_counter_ = config_.metrics->GetCounter("coordinator.rounds");
     samples_counter_ = config_.metrics->GetCounter("coordinator.samples");
@@ -55,12 +58,10 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
   // Create agents, register endpoints into the member vectors, then bind
   // (agents keep pointers into the member vectors, so the vectors must be in
   // their final location and fully populated before binding).
-  controller_shared_ = std::make_unique<ControllerShared>(
-      workload, model, config_.solver);
   controllers_.reserve(workload.task_count());
   for (const TaskInfo& task : workload.tasks()) {
     controllers_.push_back(std::make_unique<TaskController>(
-        workload, model, task.id, config_.step, controller_shared_.get()));
+        workload, model, task.id, controller_shared_.get()));
   }
   // Contiguous partition: shard s owns [R*s/S, R*(s+1)/S); num_shards = 0
   // runs one shard per resource.
@@ -116,8 +117,7 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
   }
   for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
     shard_agents_[s]->Bind(bus_.get(), shard_endpoints_[s],
-                           &controller_endpoints_,
-                           &controller_shared_->evaluation.resource_share_sums);
+                           &controller_endpoints_, controller_shared_.get());
   }
 
   recovery_hooks_ = RecoveryHooks::Resolve(config_.metrics);
@@ -382,26 +382,10 @@ Assignment Coordinator::CurrentAssignment() const {
   return controller_shared_->latencies;
 }
 
-PriceVector Coordinator::CurrentPrices() const {
-  PriceVector prices = PriceVector::Zero(*workload_);
-  for (const ResourceInfo& resource : workload_->resources()) {
-    const ShardAgent& agent =
-        *shard_agents_[resource_shard_[resource.id.value()]];
-    prices.mu[resource.id.value()] = agent.mu(resource.id);
-  }
-  for (const TaskInfo& task : workload_->tasks()) {
-    const auto& lambdas = controllers_[task.id.value()]->lambdas();
-    for (std::size_t p = 0; p < task.paths.size(); ++p) {
-      prices.lambda[task.paths[p].value()] = lambdas[p];
-    }
-  }
-  return prices;
-}
-
 std::vector<RunResult> Coordinator::EvaluateScenarios(
     const std::vector<LlaConfig>& configs, int max_iterations,
     int num_threads) const {
-  const PriceVector prices = CurrentPrices();
+  const PriceVector& prices = CurrentPrices();
   EngineBatch batch(num_threads);
   for (const LlaConfig& config : configs) {
     const int index = batch.Add(*workload_, *model_, config);
@@ -447,7 +431,13 @@ void Coordinator::RecordSample(double at_ms) {
   last_sample_.feasible = summary.feasible;
   if (config_.record_history) history_.push_back(last_sample_);
   if (samples_counter_ != nullptr) samples_counter_->Increment();
-  if (config_.trace_sink != nullptr) EmitTrace(at_ms);
+  if (config_.trace_sink != nullptr) {
+    trace_.iteration = round_;
+    trace_.at_ms = at_ms;
+    FillIterationTrace(evaluation, controller_shared_->prices,
+                       controller_shared_->schedule, &trace_);
+    config_.trace_sink->OnIteration(trace_);
+  }
   // The window (which records every sample) plus feasibility.  The engine's
   // complementary-slackness test waits for ROADMAP's first item: it moves
   // dist_solve's rounds.
@@ -455,43 +445,6 @@ void Coordinator::RecordSample(double at_ms) {
                                             config_.convergence.rel_tol);
   converged_ = settled && summary.feasible;
   MaybeEnact(at_ms);
-}
-
-void Coordinator::EmitTrace(double at_ms) {
-  // Evaluations come from the workspace RecordSample just reduced; mu comes
-  // from the shard agents, lambda from the task controllers.
-  const StepWorkspace& evaluation = controller_shared_->evaluation;
-  const FeasibilitySummary& summary = evaluation.feasibility;
-  trace_.iteration = round_;
-  trace_.at_ms = at_ms;
-  trace_.total_utility = evaluation.total_utility;
-  trace_.feasible = summary.feasible;
-  trace_.max_resource_excess = summary.max_resource_excess;
-  trace_.max_path_ratio = summary.max_path_ratio;
-  trace_.resource_share_sums = evaluation.resource_share_sums;
-  trace_.path_latencies = evaluation.path_latencies;
-  trace_.resource_mu.resize(workload_->resource_count());
-  trace_.resource_step.resize(workload_->resource_count());
-  for (const ResourceInfo& resource : workload_->resources()) {
-    const ShardAgent& agent =
-        *shard_agents_[resource_shard_[resource.id.value()]];
-    trace_.resource_mu[resource.id.value()] = agent.mu(resource.id);
-    trace_.resource_step[resource.id.value()] =
-        config_.step.gamma0 * agent.step_multiplier(resource.id);
-  }
-  trace_.path_lambda.resize(workload_->path_count());
-  trace_.path_step.resize(workload_->path_count());
-  for (const TaskInfo& task : workload_->tasks()) {
-    const TaskController& controller = *controllers_[task.id.value()];
-    const auto& lambdas = controller.lambdas();
-    const auto& multipliers = controller.path_step_multipliers();
-    for (std::size_t p = 0; p < task.paths.size(); ++p) {
-      trace_.path_lambda[task.paths[p].value()] = lambdas[p];
-      trace_.path_step[task.paths[p].value()] =
-          config_.step.gamma0 * multipliers[p];
-    }
-  }
-  config_.trace_sink->OnIteration(trace_);
 }
 
 void Coordinator::MaybeEnact(double at_ms) {

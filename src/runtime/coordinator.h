@@ -32,7 +32,10 @@
 // monitor timer) only runs ReduceStepWorkspace over it, the engine's own
 // reduction, so on a fault-free synchronous round over a lossless bus it
 // equals FillStepWorkspace(CurrentAssignment()) bit for bit (DESIGN.md
-// §7.11).
+// §7.11).  The dual state is one optimizer state in the engine's layout,
+// in the same shared block: the PriceVector that CurrentPrices() returns,
+// one adaptive StepSchedule and one mu momentum state per resource, each
+// slot written by the one agent that owns it.
 //
 // The coordinator also implements the enactment policy of Sec. 4.4: the
 // running allocation is only "enacted" (recorded for the executing system)
@@ -66,12 +69,12 @@ struct CoordinatorConfig {
   net::BusConfig bus;
   ConvergenceConfig convergence;
   /// Accelerated price dynamics for the distributed Eq. 8 mu updates
-  /// (DESIGN.md §7.12): velocity/base/phase state lives per resource inside
-  /// each ShardAgent, which steps it through the same StepComponentDynamics
-  /// as the engine (beta = 0 or kPlain keeps the classic update
-  /// bit-for-bit).  The momentum must be finite and in [0, 1); the
-  /// constructor aborts otherwise.  Path lambdas stay plain — they live on
-  /// the task controllers, whose Eq. 9 update this config does not touch.
+  /// (DESIGN.md §7.12): one velocity/base/phase state per resource in the
+  /// shared block, which the resource's shard steps through the same
+  /// StepComponentDynamics as the engine (beta = 0 or kPlain keeps the
+  /// classic update bit-for-bit).  The momentum must be finite and in
+  /// [0, 1); the constructor aborts otherwise.  Path lambdas stay plain:
+  /// the task controllers' Eq. 9 update ignores this config.
   DynamicsConfig dynamics;
   /// Shard width (DESIGN.md §7.10): partition the resources into this many
   /// shard agents, each owning a contiguous range and exchanging one
@@ -93,9 +96,9 @@ struct CoordinatorConfig {
   double enactment_threshold = 0.01;
   bool record_history = true;
   /// Receives one IterationTrace per monitor sample (sync round or async
-  /// monitor tick) with the per-resource mu / per-path lambda collected from
-  /// the agents.  Null disables tracing (non-owning; must outlive the
-  /// coordinator).
+  /// monitor tick), filled from the shared workspace, prices and step
+  /// schedule as the engine fills its own.  Null disables tracing
+  /// (non-owning; must outlive the coordinator).
   obs::TraceSink* trace_sink = nullptr;
   /// Registry for coordinator.rounds / coordinator.samples /
   /// coordinator.enactments, the coordinator.sync_round timer and its five
@@ -178,10 +181,11 @@ class Coordinator {
   FeasibilityReport CurrentFeasibility() const;
   bool Converged() const { return converged_; }
 
-  /// The distributed system's current dual state: mu collected from the
-  /// shard agents, lambda from the task controllers (the same collection
-  /// the trace emitter performs).
-  PriceVector CurrentPrices() const;
+  /// The distributed system's current dual state: the shared PriceVector
+  /// the shard agents (mu) and the task controllers (lambda) write.
+  const PriceVector& CurrentPrices() const {
+    return controller_shared_->prices;
+  }
 
   /// What-if scenario evaluation: runs one centralized LLA optimization per
   /// config over this coordinator's workload/model, each warm-started from
@@ -250,8 +254,7 @@ class Coordinator {
   const LatencyModel* model_;
   CoordinatorConfig config_;
   std::unique_ptr<net::InProcessBus> bus_;
-  /// One solver, the controllers' latencies and the round's evaluation
-  /// workspace, shared by all agents; must precede controllers_ and
+  /// The state all agents share; must precede controllers_ and
   /// shard_agents_ (they hold pointers into it).
   std::unique_ptr<ControllerShared> controller_shared_;
   std::vector<std::unique_ptr<TaskController>> controllers_;
@@ -295,8 +298,6 @@ class Coordinator {
   obs::Timer* monitor_timer_ = nullptr;
   RecoveryHooks recovery_hooks_;
   obs::IterationTrace trace_;
-
-  void EmitTrace(double at_ms);
 };
 
 }  // namespace lla::runtime

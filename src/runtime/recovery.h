@@ -27,12 +27,13 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "core/price_dynamics.h"
 #include "obs/metrics.h"
 
 namespace lla::runtime {
 
-/// Durable state of one resource's slots inside its shard agent (everything
-/// the resource's Eq. 8 price computation reads), captured by
+/// Durable state of one resource (everything its Eq. 8 price computation
+/// reads, from its shard and the shared dual state), captured by
 /// Coordinator::CheckpointResource.
 struct ResourceAgentSnapshot {
   ResourceId resource;
@@ -40,16 +41,12 @@ struct ResourceAgentSnapshot {
   double gamma_multiplier = 1.0;
   /// Latest latency inputs, indexed like workload.resource(id).subtasks.
   std::vector<double> latencies_ms;
-  /// Accelerated-dynamics state (DESIGN.md §7.12).
-  double velocity = 0.0;
-  /// Nesterov base iterate x (the published mu is the extrapolated point y).
-  double dynamics_base = 0.0;
-  /// Steps since the component's last adaptive restart (the ramp clock).
-  double phase = 0.0;
+  /// Accelerated-dynamics state of mu (DESIGN.md §7.12).
+  ComponentDynamicsState dynamics;
 };
 
-/// Durable state of one TaskController, captured by
-/// Coordinator::CheckpointController.
+/// Durable state of one TaskController and its slots of the shared state,
+/// captured by Coordinator::CheckpointController.
 struct TaskControllerSnapshot {
   TaskId task;
   std::vector<double> local_latencies;

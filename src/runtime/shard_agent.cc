@@ -78,9 +78,6 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
   gather_congested_.assign(widest_price, 0);
   gather_stale_.assign(widest_price, 0);
   decode_scratch_.assign(widest_latency, 0.0);
-  mu_.assign(count, 0.0);
-  gamma_multiplier_.assign(count, 1.0);
-  dynamics_.assign(count, ComponentDynamicsState{});
   congested_.assign(count, 0);
   resource_crashed_.assign(count, 0);
   awaiting_repair_.assign(count, 0);
@@ -91,11 +88,11 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
 
 void ShardAgent::Bind(net::InProcessBus* bus, net::EndpointId self,
                       const std::vector<net::EndpointId>* controller_endpoints,
-                      std::vector<double>* resource_share_sums) {
+                      ControllerShared* shared) {
   bus_ = bus;
   self_ = self;
   controller_endpoints_ = controller_endpoints;
-  resource_share_sums_ = resource_share_sums;
+  shared_ = shared;
 }
 
 bool ShardAgent::AcceptIncarnation(std::size_t c, std::uint32_t incarnation) {
@@ -128,7 +125,7 @@ void ShardAgent::OnMessage(const net::Message& message) {
     if (c < 0) return;
     if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
       // Same discontinuity as a stale latency update.
-      dynamics_[Local(repair->resource)].DropMomentum();
+      shared_->mu_dynamics[repair->resource.value()].DropMomentum();
       return;
     }
     ApplyRepairResponse(*repair);
@@ -138,7 +135,7 @@ void ShardAgent::OnMessage(const net::Message& message) {
 
 void ShardAgent::DropClientMomentum(std::size_t c) {
   for (const std::uint32_t local : client_resources_[c]) {
-    dynamics_[local].DropMomentum();
+    shared_->mu_dynamics[first_ + local].DropMomentum();
   }
 }
 
@@ -186,13 +183,14 @@ void ShardAgent::ApplyRepairResponse(const net::RepairResponse& repair) {
   if (awaiting_repair_[local] != 0 &&
       (repair_adopted_[local] == 0 ||
        repair.epoch >= best_repair_epoch_[local])) {
+    const std::size_t r = repair.resource.value();
     best_repair_epoch_[local] = repair.epoch;
-    mu_[local] = repair.mu;
+    shared_->prices.mu[r] = repair.mu;
     congested_[local] = repair.congested ? 1 : 0;
-    gamma_multiplier_[local] = 1.0;  // congestion history is gone
+    shared_->schedule.ResetResource(r);  // congestion history is gone
     // Re-base the dynamics at the adopted price: momentum history is gone
     // with the rest of the pre-crash state.
-    dynamics_[local].ReseedAt(repair.mu);
+    shared_->mu_dynamics[r].ReseedAt(repair.mu);
     repair_adopted_[local] = 1;
     if (hooks_.repair_rounds != nullptr) hooks_.repair_rounds->Increment();
   }
@@ -223,10 +221,10 @@ void ShardAgent::ColdRestartResource(ResourceId r) {
             latencies_.begin() +
                 static_cast<std::ptrdiff_t>(latency_offset_[local + 1]),
             1e9);
-  mu_[local] = 0.0;
-  gamma_multiplier_[local] = 1.0;
+  shared_->prices.mu[r.value()] = 0.0;
+  shared_->schedule.ResetResource(r.value());
   // Momentum is part of the lost state.
-  dynamics_[local] = ComponentDynamicsState{};
+  shared_->mu_dynamics[r.value()] = ComponentDynamicsState{};
   congested_[local] = 0;
   awaiting_repair_[local] = 1;
   repair_adopted_[local] = 0;
@@ -270,28 +268,26 @@ void ShardAgent::RestoreResource(ResourceId r,
   repair_adopted_[local] = 0;
   repair_grace_left_[local] = 0;
   best_repair_epoch_[local] = 0;
-  mu_[local] = snapshot.mu;
-  gamma_multiplier_[local] = snapshot.gamma_multiplier;
+  shared_->prices.mu[r.value()] = snapshot.mu;
+  shared_->schedule.AdoptResource(r.value(), snapshot.gamma_multiplier);
+  shared_->mu_dynamics[r.value()] = snapshot.dynamics;
   std::copy(snapshot.latencies_ms.begin(), snapshot.latencies_ms.end(),
             latencies_.begin() +
                 static_cast<std::ptrdiff_t>(latency_offset_[local]));
-  dynamics_[local] = {snapshot.velocity, snapshot.dynamics_base,
-                      snapshot.phase};
 }
 
 ResourceAgentSnapshot ShardAgent::SnapshotResource(ResourceId r) const {
   const std::size_t local = HostedLocal(r, "SnapshotResource");
   ResourceAgentSnapshot snapshot;
   snapshot.resource = r;
-  snapshot.mu = mu_[local];
-  snapshot.gamma_multiplier = gamma_multiplier_[local];
+  snapshot.mu = shared_->prices.mu[r.value()];
+  snapshot.gamma_multiplier =
+      shared_->schedule.resource_multiplier()[r.value()];
   snapshot.latencies_ms.assign(
       latencies_.begin() + static_cast<std::ptrdiff_t>(latency_offset_[local]),
       latencies_.begin() +
           static_cast<std::ptrdiff_t>(latency_offset_[local + 1]));
-  snapshot.velocity = dynamics_[local].velocity;
-  snapshot.dynamics_base = dynamics_[local].base;
-  snapshot.phase = dynamics_[local].phase;
+  snapshot.dynamics = shared_->mu_dynamics[r.value()];
   return snapshot;
 }
 
@@ -319,6 +315,8 @@ double ShardAgent::ShareSum(ResourceId r) const {
 
 void ShardAgent::ComputePricesAndBroadcast(net::Outbox* outbox) {
   assert(bus_ != nullptr);
+  StepSchedule& schedule = shared_->schedule;
+  std::vector<double>& shared_mu = shared_->prices.mu;
   bool still_faulted = false;
   for (std::size_t i = 0; i < resources_.size(); ++i) {
     if (any_resource_faulted_) {
@@ -341,24 +339,24 @@ void ShardAgent::ComputePricesAndBroadcast(net::Outbox* outbox) {
       }
     }
     const ResourceId r = resources_[i];
+    const std::size_t id = r.value();
     const ResourceInfo& info = workload_->resource(r);
     const double share_sum = ShareSum(r);
-    (*resource_share_sums_)[r.value()] = share_sum;
+    shared_->evaluation.resource_share_sums[id] = share_sum;
     const bool congested = share_sum > info.capacity;
     congested_[i] = congested ? 1 : 0;
 
     // Adaptive step (Sec. 5.2): double while congested, revert when not.
-    gamma_multiplier_[i] = NextStepMultiplier(
-        gamma_multiplier_[i], congested, config_.adaptive_max_multiplier);
-    const double gamma = config_.gamma0 * gamma_multiplier_[i];
+    schedule.AdvanceResource(id, congested);
 
     // Eq. 8 with projection at zero, optionally accelerated (DESIGN.md
     // §7.12): the same StepComponentDynamics the engine's price update
     // takes, so (value, velocity, phase) = (0, 0, 0) stays absorbing and
     // beta = 0 heavy-ball is bit-identical to the plain update.
     const double slack = info.capacity - share_sum;
-    mu_[i] = StepComponentDynamics(dynamics_config_, &dynamics_[i], mu_[i],
-                                   gamma, slack, &momentum_restarts_);
+    shared_mu[id] = StepComponentDynamics(
+        dynamics_config_, &shared_->mu_dynamics[id], shared_mu[id],
+        schedule.resource_step(id), slack, nullptr);
   }
   any_resource_faulted_ = still_faulted;
   ++epoch_;
@@ -374,7 +372,7 @@ void ShardAgent::ComputePricesAndBroadcast(net::Outbox* outbox) {
   for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
     const std::vector<std::uint32_t>& locals = client_resources_[c];
     for (std::size_t j = 0; j < locals.size(); ++j) {
-      mu[j] = mu_[locals[j]];
+      mu[j] = shared_mu[first_ + locals[j]];
       congested[j] = congested_[locals[j]];
     }
     if (stale != nullptr) {

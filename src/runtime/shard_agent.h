@@ -18,6 +18,13 @@
 // so every width reaches the same fixed point bit-for-bit in synchronous
 // rounds.
 //
+// The hosted resources' dual state is their slots of the coordinator's
+// ControllerShared block (DESIGN.md §7.12): mu, step multipliers advanced
+// through StepSchedule's per-component form, and momentum states, reset
+// whenever a gradient stream becomes discontinuous (cold restart, repair
+// adoption, snapshot restore, incarnation-stale rejection).  Shards own
+// disjoint resource ranges, so round lanes never share a slot.
+//
 // The shard messages are positional (DESIGN.md §7.11): shard membership is
 // static, so the agent derives, once, the ordered entry list of each client
 // — latency slots for inbound updates, used resources for outbound prices —
@@ -32,10 +39,9 @@
 // and the agent keeps nothing of it.
 //
 // Every Eq. 8 step also stores the share sum it stepped on in the round's
-// shared StepWorkspace (the resource_share_sums array Bind receives), so
-// the coordinator's monitor reduces what the shards computed instead of
-// re-summing every share.  A resource that does not step — crashed, or
-// held for repair — keeps its last stored sum.
+// shared StepWorkspace, so the coordinator's monitor reduces what the
+// shards computed instead of re-summing every share.  A resource that does
+// not step — crashed, or held for repair — keeps its last stored sum.
 //
 // Per-resource fault injection (DESIGN.md §7.7): a single hosted resource can
 // be crashed, cold-restarted, checkpointed and restored from a snapshot.  A
@@ -57,14 +63,14 @@
 #include "model/workload.h"
 #include "net/bus.h"
 #include "runtime/recovery.h"
+#include "runtime/task_controller.h"
 
 namespace lla::runtime {
 
-/// Step-size and repair settings shared by the shard agents and the task
-/// controllers.  Steps always adapt by the Sec. 5.2 doubling rule.
+/// Step-size and repair settings of the distributed deployment, whose
+/// steps always adapt from `gamma0` by the Sec. 5.2 doubling rule.
 struct AgentStepConfig {
   double gamma0 = 3.0;
-  double adaptive_max_multiplier = 8.0;
   /// Cold restart: a restarted resource's price entries go out stale for
   /// this many timer ticks (or until the first RepairResponse is absorbed,
   /// whichever first) so a reset mu=0 never reaches the controllers while
@@ -84,13 +90,13 @@ class ShardAgent {
              DynamicsConfig dynamics);
 
   /// Wires the agent to the bus.  `controller_endpoints[t]` is the endpoint
-  /// of task t's controller; `resource_share_sums[r]` receives hosted
-  /// resource r's share sum at each of its Eq. 8 steps (both non-owning;
-  /// the coordinator keeps the vectors alive, and shards write disjoint
-  /// slots).  Only controllers with subtasks on this shard are messaged.
+  /// of task t's controller; `shared` holds the dual state and share sums
+  /// the shard writes for its resources (both non-owning; the coordinator
+  /// keeps them alive).  Only controllers with subtasks on this shard are
+  /// messaged.
   void Bind(net::InProcessBus* bus, net::EndpointId self,
             const std::vector<net::EndpointId>* controller_endpoints,
-            std::vector<double>* resource_share_sums);
+            ControllerShared* shared);
 
   /// Handles a ShardLatencyUpdate or RepairResponse destined for this
   /// shard.
@@ -126,17 +132,12 @@ class ShardAgent {
   bool Hosts(ResourceId r) const {
     return r.value() >= first_ && r.value() < first_ + resources_.size();
   }
-  double mu(ResourceId r) const { return mu_[Local(r)]; }
-  double step_multiplier(ResourceId r) const {
-    return gamma_multiplier_[Local(r)];
-  }
-  /// Momentum state of one resource's mu (all zero while dynamics are
-  /// plain).
+  /// One hosted resource's slots of the shared dual state: its price and
+  /// its momentum state (all zero while dynamics are plain).
+  double mu(ResourceId r) const { return shared_->prices.mu[r.value()]; }
   const ComponentDynamicsState& dynamics_state(ResourceId r) const {
-    return dynamics_[Local(r)];
+    return shared_->mu_dynamics[r.value()];
   }
-  /// Adaptive restarts fired across all owned resources' dynamics.
-  std::uint64_t momentum_restarts() const { return momentum_restarts_; }
   double ShareSum(ResourceId r) const;
   /// The shard's broadcast round: stamped on every price update, shared by
   /// all its resources, and never reset by a single resource's restart.
@@ -175,7 +176,7 @@ class ShardAgent {
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
   const std::vector<net::EndpointId>* controller_endpoints_ = nullptr;
-  std::vector<double>* resource_share_sums_ = nullptr;
+  ControllerShared* shared_ = nullptr;
   std::vector<ResourceId> resources_;
   std::vector<TaskId> client_tasks_;  ///< tasks with subtasks here, sorted
   /// Routing: the index of a task id in client_tasks_, or -1 when the task
@@ -205,18 +206,6 @@ class ShardAgent {
   /// Flat slot per hosted subtask id (only this shard's subtasks appear).
   std::unordered_map<std::uint32_t, std::size_t> subtask_slot_;
 
-  /// Per-resource dual state, indexed by Local().
-  std::vector<double> mu_;
-  std::vector<double> gamma_multiplier_;
-  /// Per-resource momentum state (DESIGN.md §7.12).  Updated only inside
-  /// ComputePricesAndBroadcast — per-resource-local, so the round's lane
-  /// partition never shares a slot and the fixed point stays
-  /// bit-identical at any round_threads.  Reset whenever a resource's
-  /// gradient stream becomes discontinuous — cold restart, repair adoption,
-  /// snapshot restore, incarnation-stale rejection — so pre-crash momentum
-  /// is never replayed into a post-crash gradient.
-  std::vector<ComponentDynamicsState> dynamics_;
-  std::uint64_t momentum_restarts_ = 0;
   /// This round's congestion flags, filled by ComputePricesAndBroadcast
   /// before the per-client sends (scratch; avoids re-deriving share sums).
   std::vector<std::uint8_t> congested_;

@@ -7,30 +7,21 @@
 #include <set>
 #include <string>
 
-#include "core/price_dynamics.h"
-#include "core/step_size.h"
-
 namespace lla::runtime {
 
 TaskController::TaskController(const Workload& workload,
                                const LatencyModel& model, TaskId task,
-                               AgentStepConfig step_config,
                                ControllerShared* shared)
-    : workload_(&workload),
-      model_(&model),
-      task_(task),
-      step_config_(step_config),
-      shared_(shared) {
+    : workload_(&workload), model_(&model), task_(task), shared_(shared) {
   assert(shared_ != nullptr);
   const TaskInfo& info = workload.task(task);
   subtask_begin_ = info.subtasks.front().value();
   subtask_count_ = info.subtasks.size();
   path_begin_ = info.paths.empty() ? 0 : info.paths.front().value();
+  path_count_ = info.paths.size();
   assert(info.subtasks.back().value() + 1 == subtask_begin_ + subtask_count_);
   assert(info.paths.empty() ||
-         info.paths.back().value() + 1 == path_begin_ + info.paths.size());
-  local_lambdas_.assign(info.paths.size(), 0.0);
-  path_gamma_multiplier_.assign(info.paths.size(), 1.0);
+         info.paths.back().value() + 1 == path_begin_ + path_count_);
 
   std::set<ResourceId> used;
   for (SubtaskId sid : info.subtasks) {
@@ -54,13 +45,13 @@ TaskController::TaskController(const Workload& workload,
 
 void TaskController::FillEvaluation() {
   const std::size_t t = task_.value();
-  const std::size_t paths = local_lambdas_.size();
   StepWorkspace& evaluation = shared_->evaluation;
   FillTaskAggregatesRange(*workload_, shared_->latencies,
                           shared_->solver.config().variant, t, t + 1,
                           &evaluation.task_utilities);
   FillPathLatenciesRange(*workload_, shared_->latencies, path_begin_,
-                         path_begin_ + paths, &evaluation.path_latencies);
+                         path_begin_ + path_count_,
+                         &evaluation.path_latencies);
 }
 
 void TaskController::Bind(
@@ -223,9 +214,10 @@ void TaskController::ColdRestart() {
   std::fill(mu_cache_.begin(), mu_cache_.end(), 0.0);
   const std::span<double> latencies = MutableLatencies();
   std::fill(latencies.begin(), latencies.end(), 0.0);
-  std::fill(local_lambdas_.begin(), local_lambdas_.end(), 0.0);
-  std::fill(path_gamma_multiplier_.begin(), path_gamma_multiplier_.end(),
-            1.0);
+  for (std::size_t p = path_begin_; p < path_begin_ + path_count_; ++p) {
+    shared_->prices.lambda[p] = 0.0;
+    shared_->schedule.ResetPath(p);
+  }
   std::fill(used_congested_.begin(), used_congested_.end(), 0);
   std::fill(used_epoch_.begin(), used_epoch_.end(), 0);
   std::fill(shard_incarnation_.begin(), shard_incarnation_.end(), 0);
@@ -237,9 +229,8 @@ void TaskController::RestoreFromSnapshot(
   const std::size_t resources = used_resources_.size();
   if (snapshot.task != task_ ||
       snapshot.local_latencies.size() != subtask_count_ ||
-      snapshot.local_lambdas.size() != local_lambdas_.size() ||
-      snapshot.path_gamma_multiplier.size() !=
-          path_gamma_multiplier_.size() ||
+      snapshot.local_lambdas.size() != path_count_ ||
+      snapshot.path_gamma_multiplier.size() != path_count_ ||
       snapshot.mu.size() != resources ||
       snapshot.resource_congested.size() != resources ||
       snapshot.resource_epoch.size() != resources) {
@@ -254,15 +245,17 @@ void TaskController::RestoreFromSnapshot(
                  "used resources)\n",
                  snapshot.task.value(), snapshot.local_latencies.size(),
                  snapshot.local_lambdas.size(), snapshot.mu.size(),
-                 task_.value(), subtask_count_,
-                 local_lambdas_.size(), resources);
+                 task_.value(), subtask_count_, path_count_, resources);
     std::abort();
   }
   crashed_ = false;
   std::copy(snapshot.local_latencies.begin(), snapshot.local_latencies.end(),
             MutableLatencies().begin());
-  local_lambdas_ = snapshot.local_lambdas;
-  path_gamma_multiplier_ = snapshot.path_gamma_multiplier;
+  for (std::size_t p = 0; p < path_count_; ++p) {
+    shared_->prices.lambda[path_begin_ + p] = snapshot.local_lambdas[p];
+    shared_->schedule.AdoptPath(path_begin_ + p,
+                                snapshot.path_gamma_multiplier[p]);
+  }
   mu_cache_ = snapshot.mu;
   used_congested_ = snapshot.resource_congested;
   used_epoch_ = snapshot.resource_epoch;
@@ -275,8 +268,11 @@ TaskControllerSnapshot TaskController::Snapshot() const {
   snapshot.task = task_;
   const std::span<const double> local = latencies();
   snapshot.local_latencies.assign(local.begin(), local.end());
-  snapshot.local_lambdas = local_lambdas_;
-  snapshot.path_gamma_multiplier = path_gamma_multiplier_;
+  const auto lambda = shared_->prices.lambda.begin() + path_begin_;
+  snapshot.local_lambdas.assign(lambda, lambda + path_count_);
+  const auto multiplier =
+      shared_->schedule.path_multiplier().begin() + path_begin_;
+  snapshot.path_gamma_multiplier.assign(multiplier, multiplier + path_count_);
   snapshot.mu = mu_cache_;
   snapshot.resource_congested = used_congested_;
   snapshot.resource_epoch = used_epoch_;
@@ -289,15 +285,16 @@ void TaskController::AllocateAndSend(PriceVector* prices,
   if (crashed_) return;
   const TaskInfo& info = workload_->task(task_);
 
-  // Publish this task's slots of the lane's price buffer.  Other
-  // controllers' stale entries are never read: the solver only gathers the
-  // prices of this task's own resources and paths.
+  // Publish this task's slots of the lane's price buffer: its cached mu
+  // and its own lambda.  Other controllers' stale entries are never read:
+  // the solver only gathers the prices of this task's own resources and
+  // paths.
+  std::vector<double>& lambda = shared_->prices.lambda;
   for (std::size_t k = 0; k < used_resources_.size(); ++k) {
     prices->mu[used_resources_[k].value()] = mu_cache_[k];
   }
-  for (std::size_t p = 0; p < info.paths.size(); ++p) {
-    prices->lambda[info.paths[p].value()] = local_lambdas_[p];
-  }
+  std::copy_n(lambda.begin() + path_begin_, path_count_,
+              prices->lambda.begin() + path_begin_);
 
   // 3. Latency allocation at the stored prices (Eq. 7), reading the model
   // cache the caller's serial PrepareSolve refreshed, into this task's span
@@ -311,24 +308,23 @@ void TaskController::AllocateAndSend(PriceVector* prices,
   // step doubles while any resource it traverses reports congestion.
   const std::vector<double>& path_latencies =
       shared_->evaluation.path_latencies;
-  for (std::size_t p = 0; p < info.paths.size(); ++p) {
+  StepSchedule& schedule = shared_->schedule;
+  for (std::size_t p = 0; p < path_count_; ++p) {
     bool any_congested = false;
     for (std::uint32_t k = path_slot_begin_[p]; k < path_slot_begin_[p + 1];
          ++k) {
       if (used_congested_[path_slots_[k]] != 0) any_congested = true;
     }
-    path_gamma_multiplier_[p] =
-        NextStepMultiplier(path_gamma_multiplier_[p], any_congested,
-                           step_config_.adaptive_max_multiplier);
-    const double gamma = step_config_.gamma0 * path_gamma_multiplier_[p];
+    const std::size_t path = path_begin_ + p;
+    schedule.AdvancePath(path, any_congested);
     const double critical_time_ms =
         workload_->path(info.paths[p]).critical_time_ms;
-    const double slack =
-        1.0 - path_latencies[path_begin_ + p] / critical_time_ms;
-    // Path lambdas stay plain in the distributed deployment.
-    local_lambdas_[p] = StepComponentDynamics(DynamicsConfig{}, nullptr,
-                                              local_lambdas_[p], gamma, slack,
-                                              nullptr);
+    const double slack = 1.0 - path_latencies[path] / critical_time_ms;
+    // Path lambdas stay plain in the distributed deployment (DESIGN.md
+    // §7.12).
+    lambda[path] = StepComponentDynamics(DynamicsConfig{}, nullptr,
+                                         lambda[path], schedule.path_step(path),
+                                         slack, nullptr);
   }
 
   // 4. Send the new latencies: one batched positional message per shard

@@ -11,20 +11,19 @@
 //      contiguous range of them).
 //
 // Controllers keep only O(task) state: compact per-used-resource caches plus
-// pointers into a ControllerShared block owned by the coordinator (one
-// solver, the fleet's latencies and its evaluation workspace).  The old
+// pointers into a ControllerShared block owned by the coordinator.  The old
 // layout — a LatencySolver and full PriceVector per controller — was
 // O(workload) per task and the memory wall at 10^5 subtasks.  The price
 // buffer a solve reads is the caller's round lane's (DESIGN.md §7.11): tasks
 // sharing a resource write the same mu slot, so lanes cannot share one.
-// The shared latency buffer IS the controllers' latency state: each
-// controller owns its task's contiguous subtask-id span of it (Workload::
-// Create numbers subtasks task by task) and keeps no copy.  After every
-// solve the controller also fills its task's utility slot and its paths'
-// latency slots of the shared workspace with the engine's own sweep bodies,
-// so the monitor only reduces what the agents computed.  Sharing both
-// buffers is race-free because each controller writes only its own task's
-// slots.
+// The shared block IS the controllers' state: each owns its task's
+// contiguous subtask-id span of the latencies and path-id span of lambda
+// and of the path step multipliers (Workload::Create numbers both task by
+// task) and keeps no copy.  After every solve the controller also fills
+// its task's utility slot and its paths' latency slots of the shared
+// workspace with the engine's own sweep bodies, so the monitor only reduces
+// what the agents computed.  Sharing is race-free because each controller
+// writes only its own task's slots.
 //
 // A send builds each shard's ShardLatencyUpdate in place in the caller's
 // round-lane outbox: it encodes the payload straight into the outbox's byte
@@ -38,21 +37,24 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/id_index.h"
 #include "core/latency_solver.h"
+#include "core/price_dynamics.h"
 #include "core/prices.h"
+#include "core/step_size.h"
 #include "core/step_workspace.h"
 #include "model/latency_model.h"
 #include "model/workload.h"
 #include "net/bus.h"
-#include "runtime/shard_agent.h"
+#include "runtime/recovery.h"
 
 namespace lla::runtime {
 
-/// Per-coordinator state shared by every task controller, each of which
-/// writes only its own task's slots:
+/// Per-coordinator state shared by every agent, each of which writes only
+/// its own slots:
 ///   - the latency solver (its invariant caches are O(workload));
 ///   - `latencies`, the controllers' latency state: task t's controller
 ///     owns the contiguous span of t's subtask ids;
@@ -60,26 +62,36 @@ namespace lla::runtime {
 ///     fill `task_utilities` and `path_latencies` for their own task and
 ///     paths; shard agents store `resource_share_sums` for the resources
 ///     they step; the coordinator's monitor runs ReduceStepWorkspace over
-///     it and writes the rest.
+///     it and writes the rest;
+///   - the dual state, in the engine's layout (DESIGN.md §7.12): the shards
+///     write the mu of `prices`, their resources' multipliers of the
+///     adaptive `schedule` (Reset here) and `mu_dynamics`; the controllers
+///     write the lambda and their paths' multipliers (lambda stays plain).
 struct ControllerShared {
   ControllerShared(const Workload& workload, const LatencyModel& model,
-                   LatencySolverConfig solver_config)
+                   LatencySolverConfig solver_config, StepSchedule schedule)
       : solver(workload, model, solver_config),
-        latencies(workload.subtask_count(), 0.0) {
+        latencies(workload.subtask_count(), 0.0),
+        prices(PriceVector::Zero(workload)),
+        schedule(std::move(schedule)),
+        mu_dynamics(workload.resource_count()) {
     evaluation.Resize(workload);
+    this->schedule.Reset(workload);
   }
 
   LatencySolver solver;
   Assignment latencies;
   StepWorkspace evaluation;
+  PriceVector prices;
+  StepSchedule schedule;
+  std::vector<ComponentDynamicsState> mu_dynamics;
 };
 
 class TaskController {
  public:
   /// `shared` is owned by the coordinator and must outlive the controller.
   TaskController(const Workload& workload, const LatencyModel& model,
-                 TaskId task, AgentStepConfig step_config,
-                 ControllerShared* shared);
+                 TaskId task, ControllerShared* shared);
 
   /// Wires the controller to the bus.  `resource_shard[r]` is the shard
   /// owning resource r and `shard_endpoints[s]` that shard agent's endpoint
@@ -108,12 +120,6 @@ class TaskController {
   /// the task's span of the shared latency buffer.
   std::span<const double> latencies() const {
     return {shared_->latencies.data() + subtask_begin_, subtask_count_};
-  }
-  /// Path prices of this task's paths (indexed by local path order).
-  const std::vector<double>& lambdas() const { return local_lambdas_; }
-  /// Adaptive step multipliers of this task's paths (same local order).
-  const std::vector<double>& path_step_multipliers() const {
-    return path_gamma_multiplier_;
   }
   double mu_seen(ResourceId r) const;
   /// Shard epoch at which mu_seen(r) was cached (repair provenance).
@@ -149,13 +155,13 @@ class TaskController {
   const Workload* workload_;
   const LatencyModel* model_;
   TaskId task_;
-  AgentStepConfig step_config_;
   ControllerShared* shared_;
   /// The task's contiguous subtask-id and path-id ranges (Workload::Create
   /// numbers both task by task).
   std::size_t subtask_begin_ = 0;
   std::size_t subtask_count_ = 0;
   std::size_t path_begin_ = 0;
+  std::size_t path_count_ = 0;
 
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
@@ -194,10 +200,6 @@ class TaskController {
   std::vector<double> mu_cache_;
   std::vector<std::uint8_t> used_congested_;
   std::vector<std::uint32_t> used_epoch_;
-
-  std::vector<double> local_lambdas_;
-  /// Adaptive multiplier per local path.
-  std::vector<double> path_gamma_multiplier_;
 
   /// Recovery state: the highest incarnation seen per used shard, and the
   /// crash flag.

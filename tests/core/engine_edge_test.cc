@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -141,12 +142,13 @@ TEST(EngineEdgeTest, NonZeroInitialPricesStillConverge) {
   EXPECT_NEAR(run.final_utility, -76.0, 1.0);
 }
 
-// Restore reads the snapshot's counters as outside input.  An iteration
-// outside [0, kMaxRestoredIteration] and a negative step iteration (which
-// drives the diminishing schedule's 1 + t / tau through zero) are refused
-// without touching the engine; a step iteration past INT_MAX is adopted
-// whole, not narrowed (2^32 - 50 used to narrow to -50 and, at tau = 50,
-// put inf in mu three steps later).
+// Restore reads the snapshot's counters and dual values as outside input.
+// An iteration outside [0, kMaxRestoredIteration], a negative step
+// iteration (which drives the diminishing schedule's 1 + t / tau through
+// zero) and a dual value outside its section's range are refused without
+// touching the engine; a step iteration past INT_MAX is adopted whole, not
+// narrowed (2^32 - 50 used to narrow to -50 and, at tau = 50, put inf in mu
+// three steps later).
 TEST(EngineEdgeTest, RestoreRangeChecksTheCounters) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
@@ -182,6 +184,57 @@ TEST(EngineEdgeTest, RestoreRangeChecksTheCounters) {
     bad.step_iteration = step_iteration;
     EXPECT_FALSE(engine.Restore(bad).ok()) << "step iteration "
                                            << step_iteration;
+  }
+  // A price negative or not finite, a step multiplier below 1 or not
+  // finite, a momentum field not finite, a phase negative (the ramp's
+  // t / (t + 3) divides by zero at -3).  The plain diminishing donor saves
+  // no multipliers or momentum, so each case sizes its section to the
+  // workload, valid but for entry 0.  Restore checks every section it is
+  // given, whether or not this engine's kinds would adopt it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  const std::size_t resources = w.resource_count();
+  const std::size_t paths = w.path_count();
+  const struct {
+    std::vector<double> StateSnapshot::*section;
+    const char* name;
+    std::size_t size;
+    double valid;
+    double bad;
+  } cases[] = {
+      {&StateSnapshot::mu, "mu", resources, 0.0, kInf},
+      {&StateSnapshot::mu, "mu", resources, 0.0, nan},
+      {&StateSnapshot::mu, "mu", resources, 0.0, -5.0},
+      {&StateSnapshot::lambda, "lambda", paths, 0.0, -kInf},
+      {&StateSnapshot::resource_step_multiplier, "resource_step_multiplier",
+       resources, 1.0, nan},
+      {&StateSnapshot::resource_step_multiplier, "resource_step_multiplier",
+       resources, 1.0, 0.0},
+      {&StateSnapshot::path_step_multiplier, "path_step_multiplier", paths,
+       1.0, 0.5},
+      {&StateSnapshot::path_step_multiplier, "path_step_multiplier", paths,
+       1.0, kInf},
+      {&StateSnapshot::mu_velocity, "mu_velocity", resources, -1.5, nan},
+      {&StateSnapshot::lambda_velocity, "lambda_velocity", paths, 0.0, -kInf},
+      {&StateSnapshot::mu_base, "mu_base", resources, 2.0, kInf},
+      {&StateSnapshot::lambda_base, "lambda_base", paths, 0.0, nan},
+      {&StateSnapshot::mu_phase, "mu_phase", resources, 0.0, -3.0},
+      {&StateSnapshot::lambda_phase, "lambda_phase", paths, 4.0, -1.0},
+      {&StateSnapshot::lambda_phase, "lambda_phase", paths, 4.0, kInf},
+  };
+  for (const auto& c : cases) {
+    StateSnapshot bad = good;
+    bad.*c.section = std::vector<double>(c.size, c.valid);
+    (bad.*c.section)[0] = c.bad;
+    const Status status = engine.Restore(bad);
+    ASSERT_FALSE(status.ok()) << c.name << "[0] = " << c.bad;
+    EXPECT_NE(status.error().find(std::string("snapshot ") + c.name + "[0]"),
+              std::string::npos)
+        << status.error();
+    // The same section with every entry valid restores.
+    (bad.*c.section)[0] = c.valid;
+    LlaEngine fresh(w, model, config);
+    EXPECT_TRUE(fresh.Restore(bad).ok()) << c.name << " = " << c.valid;
   }
   EXPECT_EQ(engine.iteration(), 5);
   EXPECT_EQ(engine.prices().mu, before.mu);

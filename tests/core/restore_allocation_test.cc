@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <new>
 #include <optional>
@@ -192,6 +193,31 @@ TEST_F(RestoreAllocationTest, DeclaredShapeIsCheckedBeforeDecoding) {
             std::string::npos)
       << loaded.error();
   EXPECT_LT(bytes, kResources * sizeof(double) / 256);
+  EXPECT_EQ(CliRestore(image), 3);
+}
+
+// mu rewritten raw with mu[0] = +inf: a well-formed image the loader
+// accepts, since it judges shapes and encodings, not values.  Restore
+// refuses the price; it used to adopt it, and `lla solve --restore` then
+// ran the whole budget to an infeasible point and exited 4.
+TEST_F(RestoreAllocationTest, InfinitePriceIsRefused) {
+  std::size_t bytes = 0;
+  Expected<StateSnapshot> good = CountedLoad(image_, &bytes);
+  ASSERT_TRUE(good.ok()) << good.error();
+  std::vector<double> mu = good.value().mu;
+  mu[0] = std::numeric_limits<double>::infinity();
+  std::string payload(mu.size() * sizeof(double), '\0');
+  std::memcpy(payload.data(), mu.data(), payload.size());
+  std::string image = image_;
+  Repoint(&image, 1, kRaw, mu.size(), payload);
+
+  Expected<StateSnapshot> loaded = CountedLoad(image, &bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  LlaEngine engine(*workload_, *model_);
+  const Status status = engine.Restore(std::move(loaded).value());
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().find("snapshot mu[0] = inf"), std::string::npos)
+      << status.error();
   EXPECT_EQ(CliRestore(image), 3);
 }
 

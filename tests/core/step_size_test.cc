@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +165,82 @@ TEST_F(StepSizeTest, AdaptiveRebuildsWhenPathCountShrinks) {
   schedule.Advance(smaller, congested);
   for (double g : PathSteps(schedule, smaller)) EXPECT_DOUBLE_EQ(g, 2.0);
   for (double g : ResourceSteps(schedule, smaller)) EXPECT_DOUBLE_EQ(g, 2.0);
+}
+
+// The per-component form is Advance split by component: stepping every
+// resource and path through AdvanceResource / AdvancePath with the flags
+// Advance derives reproduces Advance's multipliers exactly.
+TEST_F(StepSizeTest, PerComponentFormMatchesAdvance) {
+  const Workload& w = workload();
+  StepSchedule whole = Adaptive(1.0, 8.0);
+  StepSchedule split = Adaptive(1.0, 8.0);
+  whole.Reset(w);
+  split.Reset(w);
+  for (std::size_t step = 0; step < 40; ++step) {
+    std::vector<bool> congested(w.resource_count());
+    for (std::size_t r = 0; r < congested.size(); ++r) {
+      congested[r] = (step * 7 + r * 3) % 5 < 2;
+      split.AdvanceResource(r, congested[r]);
+    }
+    whole.Advance(w, congested);
+    for (const PathInfo& path : w.paths()) {
+      bool any_congested = false;
+      for (const SubtaskId sid : path.subtasks) {
+        any_congested = any_congested ||
+                        congested[w.subtask(sid).resource.value()];
+      }
+      split.AdvancePath(path.id.value(), any_congested);
+    }
+    ASSERT_EQ(split.resource_multiplier(), whole.resource_multiplier())
+        << "step " << step;
+    ASSERT_EQ(split.path_multiplier(), whole.path_multiplier())
+        << "step " << step;
+  }
+  split.AdoptResource(2, 4.0);
+  split.AdoptPath(3, 4.0);
+  EXPECT_DOUBLE_EQ(split.resource_step(2), 4.0);
+  EXPECT_DOUBLE_EQ(split.path_step(3), 4.0);
+  split.ResetResource(2);
+  split.ResetPath(3);
+  EXPECT_DOUBLE_EQ(split.resource_step(2), 1.0);
+  EXPECT_DOUBLE_EQ(split.path_step(3), 1.0);
+}
+
+// Kinds that keep no multipliers ignore the per-component calls, and no
+// per-component call moves gamma_t or t: lanes call them concurrently.
+TEST_F(StepSizeTest, PerComponentFormLeavesTheSharedScalars) {
+  const Workload& w = workload();
+  std::vector<bool> congested(w.resource_count(), true);
+  StepSchedule fixed = Fixed(2.5);
+  fixed.Reset(w);
+  StepSchedule diminishing = Diminishing(10.0, 5.0);
+  diminishing.Reset(w);
+  diminishing.Advance(w, congested);
+  diminishing.Advance(w, congested);
+  for (StepSchedule* schedule : {&fixed, &diminishing}) {
+    const double step = schedule->resource_step(0);
+    schedule->AdvanceResource(0, true);
+    schedule->AdvancePath(0, true);
+    schedule->AdoptResource(1, 4.0);
+    schedule->AdoptPath(1, 4.0);
+    schedule->ResetResource(0);
+    schedule->ResetPath(0);
+    EXPECT_TRUE(schedule->resource_multiplier().empty());
+    EXPECT_TRUE(schedule->path_multiplier().empty());
+    for (double g : ResourceSteps(*schedule, w)) EXPECT_EQ(g, step);
+    for (double g : PathSteps(*schedule, w)) EXPECT_EQ(g, step);
+  }
+  EXPECT_EQ(diminishing.iteration(), 2);
+
+  StepSchedule adaptive = Adaptive(2.0, 8.0);
+  adaptive.Reset(w);
+  adaptive.AdvanceResource(0, true);
+  adaptive.AdvancePath(0, true);
+  EXPECT_EQ(adaptive.iteration(), 0);
+  EXPECT_DOUBLE_EQ(adaptive.resource_step(0), 4.0);
+  EXPECT_DOUBLE_EQ(adaptive.path_step(0), 4.0);
+  EXPECT_DOUBLE_EQ(adaptive.resource_step(1), 2.0);
+  EXPECT_DOUBLE_EQ(adaptive.path_step(1), 2.0);
 }
 
 TEST_F(StepSizeTest, DiminishingSchedule) {

@@ -8,6 +8,9 @@
 // summation orders are the same, and the shard's latency clamp never binds
 // on solver output.  We memcmp the returned RoundStats, the trace a
 // RingBufferTraceSink receives and the workspace itself after every round.
+// The trace's price columns must be CurrentPrices() and what the agents
+// checkpoint (each resource's mu, each task's lambdas), and its step
+// columns gamma0 times the checkpointed step multipliers.
 //
 // The sweep crosses the engine_solve shape (24x24, seeds 1-3) and one
 // 1000-subtask instance of the scale family with one shard per resource,
@@ -43,6 +46,7 @@ namespace {
 
 constexpr int kRounds = 300;
 constexpr UtilityVariant kVariant = UtilityVariant::kPathWeighted;
+constexpr double kGamma0 = 3.0;
 
 #if defined(LLA_TSAN)
 const int kRoundThreads[] = {4};
@@ -87,7 +91,7 @@ CoordinatorConfig RoundConfig(int num_shards, int round_threads,
                               obs::TraceSink* sink) {
   CoordinatorConfig config;
   config.solver.variant = kVariant;
-  config.step.gamma0 = 3.0;
+  config.step.gamma0 = kGamma0;
   config.bus.base_delay_ms = 0.0;
   config.record_history = false;
   config.num_shards = num_shards;
@@ -99,7 +103,8 @@ CoordinatorConfig RoundConfig(int num_shards, int round_threads,
 }
 
 /// One round's sample, its trace and the coordinator's workspace against
-/// the engine's fill of CurrentAssignment(), memcmp.
+/// the engine's fill of CurrentAssignment(), and the trace's price and step
+/// columns against CurrentPrices() and the agents' checkpoints, memcmp.
 void ExpectRoundIsTheEngineFill(const Workload& w, const LatencyModel& model,
                                 const Coordinator& coordinator,
                                 const RoundStats& stats,
@@ -129,6 +134,33 @@ void ExpectRoundIsTheEngineFill(const Workload& w, const LatencyModel& model,
   EXPECT_TRUE(SameDoubles(trace.resource_share_sums,
                           expected->resource_share_sums));
   EXPECT_TRUE(SameDoubles(trace.path_latencies, expected->path_latencies));
+
+  std::vector<double> checkpoint_mu(w.resource_count());
+  std::vector<double> resource_step(w.resource_count());
+  for (const ResourceInfo& resource : w.resources()) {
+    const ResourceAgentSnapshot snapshot =
+        coordinator.CheckpointResource(resource.id);
+    checkpoint_mu[resource.id.value()] = snapshot.mu;
+    resource_step[resource.id.value()] = kGamma0 * snapshot.gamma_multiplier;
+  }
+  std::vector<double> checkpoint_lambda(w.path_count());
+  std::vector<double> path_step(w.path_count());
+  for (const TaskInfo& task : w.tasks()) {
+    const TaskControllerSnapshot snapshot =
+        coordinator.CheckpointController(task.id);
+    for (std::size_t p = 0; p < task.paths.size(); ++p) {
+      checkpoint_lambda[task.paths[p].value()] = snapshot.local_lambdas[p];
+      path_step[task.paths[p].value()] =
+          kGamma0 * snapshot.path_gamma_multiplier[p];
+    }
+  }
+  const PriceVector& prices = coordinator.CurrentPrices();
+  EXPECT_TRUE(SameDoubles(trace.resource_mu, prices.mu));
+  EXPECT_TRUE(SameDoubles(trace.resource_mu, checkpoint_mu));
+  EXPECT_TRUE(SameDoubles(trace.path_lambda, prices.lambda));
+  EXPECT_TRUE(SameDoubles(trace.path_lambda, checkpoint_lambda));
+  EXPECT_TRUE(SameDoubles(trace.resource_step, resource_step));
+  EXPECT_TRUE(SameDoubles(trace.path_step, path_step));
 }
 
 /// kRounds synchronous rounds, each checked; stops at the first round that

@@ -156,9 +156,9 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
   const ResourceAgentSnapshot snapshot = source.CheckpointResource(victim);
   const ComponentDynamicsState& live =
       source.shard_of(victim).dynamics_state(victim);
-  EXPECT_EQ(snapshot.velocity, live.velocity);
-  EXPECT_EQ(snapshot.dynamics_base, live.base);
-  EXPECT_EQ(snapshot.phase, live.phase);
+  EXPECT_EQ(snapshot.dynamics.velocity, live.velocity);
+  EXPECT_EQ(snapshot.dynamics.base, live.base);
+  EXPECT_EQ(snapshot.dynamics.phase, live.phase);
 
   // Restore into a fresh deployment: the momentum state must come back
   // exactly.
@@ -167,9 +167,9 @@ TEST(DistributedDynamicsTest, SnapshotCarriesAndRestoresMomentumState) {
   target.RestartEndpoint(victim, snapshot);
   const ComponentDynamicsState& restored =
       target.shard_of(victim).dynamics_state(victim);
-  EXPECT_EQ(restored.velocity, snapshot.velocity);
-  EXPECT_EQ(restored.base, snapshot.dynamics_base);
-  EXPECT_EQ(restored.phase, snapshot.phase);
+  EXPECT_EQ(restored.velocity, snapshot.dynamics.velocity);
+  EXPECT_EQ(restored.base, snapshot.dynamics.base);
+  EXPECT_EQ(restored.phase, snapshot.dynamics.phase);
 }
 
 // Checkpoint every endpoint, restore them all into a fresh deployment, and
@@ -418,9 +418,9 @@ TEST(DistributedDynamicsDeathTest, RejectsInvalidMomentum) {
   }
 }
 
-// The shard agents and the task controllers step their prices with
-// config.step, so the coordinator checks it at construction in every build
-// mode; nothing checked it before.
+// The shard agents and the task controllers step their prices through the
+// coordinator's StepSchedule, built from config.step.gamma0, so the
+// schedule's constructor checks it at construction in every build mode.
 TEST(DistributedDynamicsDeathTest, RejectsInvalidStepConfig) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok()) << workload.error();
@@ -432,18 +432,9 @@ TEST(DistributedDynamicsDeathTest, RejectsInvalidStepConfig) {
                                                          0.0);
     config.step.gamma0 = bad;
     EXPECT_DEATH(Coordinator(w, model, config),
-                 "Coordinator: step parameter step.gamma0 = .* must be "
-                 "finite and > 0")
+                 "Coordinator: step parameter gamma0 = .* must be finite and "
+                 "> 0")
         << "gamma0 " << bad;
-  }
-  for (const double bad : {0.5, -kInf, kInf, std::nan("")}) {
-    CoordinatorConfig config = DynamicsCoordinatorConfig(DynamicsKind::kPlain,
-                                                         0.0);
-    config.step.adaptive_max_multiplier = bad;
-    EXPECT_DEATH(Coordinator(w, model, config),
-                 "Coordinator: step parameter step.adaptive_max_multiplier = "
-                 ".* must be finite and >= 1")
-        << "cap " << bad;
   }
 }
 

@@ -470,7 +470,7 @@ TEST(CrashRestartTest, ShardedCheckpointRestartOfOneResourceReconverges) {
   ASSERT_EQ(host.resource_count(), 4u);
   const ResourceAgentSnapshot snapshot =
       coordinator.CheckpointResource(victim);
-  EXPECT_NE(snapshot.velocity, 0.0);
+  EXPECT_NE(snapshot.dynamics.velocity, 0.0);
 
   // Through the outage the shard keeps pricing its other resources while
   // the victim's price stays frozen.
@@ -493,12 +493,12 @@ TEST(CrashRestartTest, ShardedCheckpointRestartOfOneResourceReconverges) {
   EXPECT_FALSE(host.resource_crashed(victim));
   EXPECT_FALSE(host.resource_awaiting_repair(victim));
   EXPECT_EQ(host.mu(victim), snapshot.mu);
-  EXPECT_EQ(host.step_multiplier(victim), snapshot.gamma_multiplier);
-  EXPECT_EQ(host.dynamics_state(victim).velocity, snapshot.velocity);
-  EXPECT_EQ(host.dynamics_state(victim).base, snapshot.dynamics_base);
-  EXPECT_EQ(host.dynamics_state(victim).phase, snapshot.phase);
-  EXPECT_EQ(coordinator.CheckpointResource(victim).latencies_ms,
-            snapshot.latencies_ms);
+  EXPECT_EQ(host.dynamics_state(victim).velocity, snapshot.dynamics.velocity);
+  EXPECT_EQ(host.dynamics_state(victim).base, snapshot.dynamics.base);
+  EXPECT_EQ(host.dynamics_state(victim).phase, snapshot.dynamics.phase);
+  const ResourceAgentSnapshot restored = coordinator.CheckpointResource(victim);
+  EXPECT_EQ(restored.gamma_multiplier, snapshot.gamma_multiplier);
+  EXPECT_EQ(restored.latencies_ms, snapshot.latencies_ms);
 
   ASSERT_TRUE(coordinator.RunSync(4000).converged);
   EXPECT_TRUE(coordinator.CurrentFeasibility().feasible);

@@ -243,8 +243,11 @@ struct LoneController {
 
   LoneController(const Workload& w, TaskId task, double base_delay_ms)
       : model(w),
-        shared(w, model, LatencySolverConfig{}),
-        controller(w, model, task, AgentStepConfig{}, &shared),
+        shared(w, model, LatencySolverConfig{},
+               StepSchedule(StepPolicyKind::kAdaptive, 3.0,
+                            kDefaultStepMultiplierCap,
+                            kDefaultDiminishingTau)),
+        controller(w, model, task, &shared),
         bus([&] {
           net::BusConfig config;
           config.base_delay_ms = base_delay_ms;
@@ -366,14 +369,15 @@ TEST(RuntimeTest, PathStepDoublesExactlyOnPathsThroughACongestedResource) {
       lone.ReceivePrice(congested, 0.0, true);
       lone.AllocateAndSend();
       const std::vector<double>& steps =
-          lone.controller.path_step_multipliers();
-      ASSERT_EQ(steps.size(), task.paths.size());
+          lone.shared.schedule.path_multiplier();
+      ASSERT_EQ(steps.size(), w.path_count());
       for (std::size_t p = 0; p < task.paths.size(); ++p) {
         bool traverses = false;
         for (const SubtaskId sid : w.path(task.paths[p]).subtasks) {
           traverses = traverses || w.subtask(sid).resource == congested;
         }
-        EXPECT_EQ(steps[p], traverses ? 2.0 : 1.0) << "path " << p;
+        EXPECT_EQ(steps[task.paths[p].value()], traverses ? 2.0 : 1.0)
+            << "path " << p;
       }
     }
   }
@@ -488,7 +492,7 @@ TEST(RuntimeTest, ShardAgentIgnoresLatencyUpdatesOfUnknownTasks) {
       EXPECT_EQ(after.latencies_ms, before.latencies_ms);
       EXPECT_EQ(after.mu, before.mu);
       EXPECT_EQ(after.gamma_multiplier, before.gamma_multiplier);
-      EXPECT_EQ(after.velocity, before.velocity);
+      EXPECT_EQ(after.dynamics.velocity, before.dynamics.velocity);
       EXPECT_EQ(h.Malformed(), malformed);
     }
   }
