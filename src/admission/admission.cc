@@ -33,13 +33,6 @@ std::vector<std::string> AdmissionController::TaskNames() const {
   return names;
 }
 
-Expected<Workload> AdmissionController::BuildWorkload() const {
-  if (tasks_.empty()) {
-    return Expected<Workload>::Error("AdmissionController: no tasks admitted");
-  }
-  return Workload::Create(resources_, tasks_);
-}
-
 std::vector<ProbeResult> AdmissionController::ProbeAll(
     const std::vector<std::vector<TaskSpec>>& candidate_sets) const {
   // External callers probe arbitrary sets; none is known to be the

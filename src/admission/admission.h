@@ -84,9 +84,6 @@ class AdmissionController {
   std::size_t task_count() const { return tasks_.size(); }
   std::vector<std::string> TaskNames() const;
 
-  /// Builds the current workload (error when no tasks are admitted).
-  Expected<Workload> BuildWorkload() const;
-
   /// Optimal utility of the current set (re-optimized; 0 when empty).
   double CurrentUtility() const;
 

@@ -1,14 +1,16 @@
 #include "baselines/rate_control.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace lla::baselines {
 namespace {
 
-// Proportional gain on the utilization error, the relative rate move below
-// which the loop has converged, and the rate cap relative to nominal.
+// Target utilization per resource, the proportional gain on the utilization
+// error, the relative rate move below which the loop has converged, and the
+// rate cap relative to nominal.
+constexpr double kUtilizationSetpoint = 0.7;
+static_assert(kUtilizationSetpoint > 0.0);
 constexpr double kGain = 0.5;
 constexpr double kTolerance = 1e-6;
 constexpr double kRateMaxFactor = 1.0;
@@ -30,7 +32,6 @@ RateControlResult RunRateControl(const Workload& workload,
                                  const LatencyModel& model,
                                  UtilityVariant variant,
                                  RateControlConfig config) {
-  assert(config.utilization_setpoint > 0.0);
   RateControlResult result;
 
   std::vector<double> nominal(workload.task_count());
@@ -54,7 +55,7 @@ RateControlResult RunRateControl(const Workload& workload,
             bottleneck,
             utilization[r.value()] / workload.resource(r).capacity);
       }
-      const double error = config.utilization_setpoint - bottleneck;
+      const double error = kUtilizationSetpoint - bottleneck;
       const std::size_t t = task.id.value();
       const double updated = std::clamp(
           result.rates[t] * (1.0 + kGain * error),

@@ -28,10 +28,9 @@
 
 namespace lla::baselines {
 
+/// Every resource's utilization is steered to the setpoint 0.7 (the classic
+/// schedulable-bound setpoint; EUC papers use values near it).
 struct RateControlConfig {
-  /// Target utilization per resource (the classic schedulable-bound
-  /// setpoint; EUC papers use values near 0.7).
-  double utilization_setpoint = 0.7;
   int max_iterations = 300;
   /// Lower rate bound relative to the nominal (trigger) rate: tasks may be
   /// throttled down to this factor, never boosted past the nominal rate.

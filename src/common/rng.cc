@@ -12,11 +12,4 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  const double u1 = 1.0 - NextDouble();
-  const double u2 = NextDouble();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
 }  // namespace lla

@@ -72,9 +72,6 @@ class Rng {
   /// Exponentially distributed sample with the given mean (> 0).
   double Exponential(double mean);
 
-  /// Standard normal via Box-Muller (no cached spare: keeps state minimal).
-  double Normal(double mean = 0.0, double stddev = 1.0);
-
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

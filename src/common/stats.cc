@@ -31,9 +31,4 @@ double ExponentialSmoother::Add(double x) {
   return value_;
 }
 
-void ExponentialSmoother::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
-}
-
 }  // namespace lla

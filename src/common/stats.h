@@ -38,7 +38,6 @@ class ExponentialSmoother {
   double Add(double x);
   bool initialized() const { return initialized_; }
   double value() const { return value_; }
-  void Reset();
 
  private:
   double alpha_;

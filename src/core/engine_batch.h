@@ -3,11 +3,10 @@
 // Splitting one engine's ~microsecond step across threads amortizes poorly:
 // even a single hot fork-join costs a fraction of the step.  What does scale
 // is running B *independent* iterations concurrently — a step-size sweep
-// (Fig. 5), replicated workloads (Fig. 6), admission what-if probes, the
-// coordinator's scenario evaluation.  EngineBatch owns the pool, forces each
-// member engine serial (num_threads = 1, so the per-step fork-join overhead
-// disappears entirely), and fans whole Step()/Run() calls out with a grain
-// of one item via ParallelSweep.
+// (Fig. 5), replicated workloads (Fig. 6), admission what-if probes.
+// EngineBatch owns the pool, forces each member engine serial (num_threads =
+// 1, so the per-step fork-join overhead disappears entirely), and fans whole
+// Step()/Run() calls out with a grain of one item via ParallelSweep.
 //
 // Every member engine computes exactly what it would standalone: engines
 // never share mutable state, each item is stepped by exactly one thread at

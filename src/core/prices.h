@@ -33,9 +33,6 @@ struct PriceVector {
     return p;
   }
 
-  /// L-infinity distance to another price vector (same workload).
-  double MaxAbsDiff(const PriceVector& other) const;
-
   /// Sum of path prices over all paths containing subtask `s`
   /// (the Lambda_s term of the stationarity condition, Eq. 7).
   double PathPriceSum(const Workload& workload, SubtaskId s) const;

@@ -52,7 +52,7 @@ std::vector<EpochRecord> ClosedLoop::Run() {
     record.measured_ms.resize(w.subtask_count());
     for (std::size_t s = 0; s < w.subtask_count(); ++s) {
       record.measured_ms[s] =
-          sim_result.subtask_latencies[s].Value(config_.correction.percentile);
+          sim_result.subtask_latencies[s].Value(kMeasuredPercentile);
     }
 
     // 3. Feed the corrector (the model the engine reads mutates here).

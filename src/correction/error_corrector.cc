@@ -4,13 +4,17 @@
 #include <cassert>
 
 namespace lla::correction {
+namespace {
+// The corrected latency floor kept above zero: error >= -(1 - margin) *
+// predicted.
+constexpr double kClampMargin = 0.05;
+static_assert(kClampMargin > 0.0 && kClampMargin < 1.0);
+}  // namespace
 
 ErrorCorrector::ErrorCorrector(const Workload& workload, LatencyModel* model,
                                CorrectionConfig config)
     : workload_(&workload), model_(model), config_(config) {
   assert(model != nullptr);
-  assert(config.percentile > 0.0 && config.percentile < 1.0);
-  assert(config.clamp_margin > 0.0 && config.clamp_margin < 1.0);
   assert(config.per_subtask_percentiles.empty() ||
          config.per_subtask_percentiles.size() == workload.subtask_count());
   smoothers_.assign(workload.subtask_count(),
@@ -30,22 +34,15 @@ void ErrorCorrector::Observe(const std::vector<SampleQuantile>& measured,
     // Base (uncorrected) model prediction at the enacted share.
     const double predicted = sub.work_ms / share;
     const double percentile = config_.per_subtask_percentiles.empty()
-                                  ? config_.percentile
+                                  ? kMeasuredPercentile
                                   : config_.per_subtask_percentiles[s];
     const double observed = measured[s].Value(percentile);
     const double raw_error = observed - predicted;
     // Keep the corrected latency floor positive.
     const double clamped = std::max(
-        raw_error, -(1.0 - config_.clamp_margin) * predicted);
+        raw_error, -(1.0 - kClampMargin) * predicted);
     const double smoothed = smoothers_[s].Add(clamped);
     model_->SetAdditiveError(sub.id, smoothed);
-  }
-}
-
-void ErrorCorrector::Reset() {
-  for (auto& smoother : smoothers_) smoother.Reset();
-  for (const SubtaskInfo& sub : workload_->subtasks()) {
-    model_->SetAdditiveError(sub.id, 0.0);
   }
 }
 

@@ -19,21 +19,25 @@
 
 namespace lla::correction {
 
+/// Percentile of the measured latency that the correction modules read as
+/// their sample ("greater than 90th percentile" per the paper): the
+/// corrector's error, the fitter's regression target and the closed loop's
+/// recorded latency.
+inline constexpr double kMeasuredPercentile = 0.95;
+static_assert(kMeasuredPercentile > 0.0 && kMeasuredPercentile < 1.0);
+
+/// Errors are clamped so the corrected model keeps a positive latency floor,
+/// error >= -(1 - 0.05) * predicted: a wild early sample cannot drive it to
+/// zero.
 struct CorrectionConfig {
-  /// Percentile of the measured latency used as the sample ("greater than
-  /// 90th percentile" per the paper).
-  double percentile = 0.95;
   /// Optional per-subtask percentiles (by SubtaskId), e.g. from
-  /// PlanSubtaskPercentiles; when non-empty it overrides `percentile`.
+  /// PlanSubtaskPercentiles; when non-empty it overrides
+  /// kMeasuredPercentile.
   std::vector<double> per_subtask_percentiles;
   /// Exponential smoothing factor for the error value.
   double alpha = 0.3;
   /// Subtasks with fewer samples in an observation window are skipped.
   std::size_t min_samples = 20;
-  /// Errors are clamped so the corrected model keeps a positive latency
-  /// floor: error >= -(1 - margin) * predicted.  Protects against wild
-  /// early samples.
-  double clamp_margin = 0.05;
 };
 
 class ErrorCorrector {
@@ -55,10 +59,6 @@ class ErrorCorrector {
                ? smoothers_[id.value()].value()
                : 0.0;
   }
-
-  /// Forgets all accumulated error state and resets the model to the
-  /// uncorrected base.
-  void Reset();
 
  private:
   const Workload* workload_;

@@ -4,19 +4,22 @@
 #include <cassert>
 #include <cmath>
 
+#include "correction/error_corrector.h"
 #include "model/share.h"
 
 namespace lla::correction {
 namespace {
 // Observation windows with fewer latency samples than this are skipped.
 constexpr std::size_t kMinWindowSamples = 20;
+// Fitted work must stay positive and at most this multiple of the nominal
+// (wcet + lag); otherwise the fit is rejected this round.
+constexpr double kMaxWorkRatio = 4.0;
 }  // namespace
 
 ShareModelFitter::ShareModelFitter(const Workload& workload,
                                    LatencyModel* model, FitterConfig config)
     : workload_(&workload), model_(model), config_(config) {
   assert(model != nullptr);
-  assert(config.percentile > 0.0 && config.percentile < 1.0);
   assert(config.forgetting > 0.0 && config.forgetting <= 1.0);
   assert(config.min_samples >= 2);
   states_.resize(workload.subtask_count());
@@ -34,7 +37,7 @@ void ShareModelFitter::Observe(const std::vector<SampleQuantile>& measured,
     if (share <= 0.0) continue;
 
     const double x = 1.0 / share;
-    const double y = measured[s].Value(config_.percentile);
+    const double y = measured[s].Value(kMeasuredPercentile);
 
     RlsState& state = states_[s];
     const double f = config_.forgetting;
@@ -78,7 +81,7 @@ void ShareModelFitter::TryInstall(SubtaskId id) {
 
   // Sanity: positive effective work, bounded relative to the nominal.
   const SubtaskInfo& sub = workload_->subtask(id);
-  if (work <= 0.0 || work > config_.max_work_ratio * sub.work_ms) return;
+  if (work <= 0.0 || work > kMaxWorkRatio * sub.work_ms) return;
   // The fitted curve must keep a usable latency range: at the largest
   // observed share the predicted latency must stay positive.
   const double min_x = state.x_min;
@@ -89,14 +92,6 @@ void ShareModelFitter::TryInstall(SubtaskId id) {
   fit.valid = true;
   // share(lat) = work / (lat - offset) inverts the fitted curve.
   model_->SetShareFunction(id, ShareFunction(work, offset));
-}
-
-void ShareModelFitter::Reset() {
-  states_.assign(workload_->subtask_count(), RlsState{});
-  fits_.assign(workload_->subtask_count(), Fit{});
-  for (const SubtaskInfo& sub : workload_->subtasks()) {
-    model_->SetShareFunction(sub.id, ShareFunction(sub.work_ms, 0.0));
-  }
 }
 
 }  // namespace lla::correction

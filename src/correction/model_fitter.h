@@ -26,18 +26,16 @@
 
 namespace lla::correction {
 
+/// The regression target is the kMeasuredPercentile latency
+/// (correction/error_corrector.h).  A fit whose work exceeds 4x the nominal
+/// (wcet + lag) is rejected that round.
 struct FitterConfig {
-  /// Percentile of the measured latency used as the regression target.
-  double percentile = 0.95;
   /// Exponential forgetting factor per observation window (1 = remember
   /// everything).
   double forgetting = 0.98;
   std::size_t min_samples = 3;
   /// Required relative spread of 1/share across remembered observations.
   double min_regressor_spread = 0.05;
-  /// Fitted work must stay positive and within sanity bounds relative to
-  /// the nominal (wcet + lag); otherwise the fit is rejected this round.
-  double max_work_ratio = 4.0;
 };
 
 class ShareModelFitter {
@@ -58,9 +56,6 @@ class ShareModelFitter {
                const std::vector<double>& enacted_shares);
 
   Fit fit(SubtaskId id) const { return fits_[id.value()]; }
-
-  /// Forgets all state and restores the nominal model.
-  void Reset();
 
  private:
   struct RlsState {

@@ -6,9 +6,9 @@
 // paths the longest one dominates (q grows with n), so the planner assigns
 // each subtask q_s = p_i^(1 / max hops through s).
 //
-// The output plugs directly into the measurement side: ErrorCorrector and
-// ShareModelFitter accept per-subtask percentiles, so the model is
-// corrected against exactly the quantile the SLA math requires.
+// The output plugs directly into the measurement side: ErrorCorrector
+// accepts per-subtask percentiles, so the model is corrected against
+// exactly the quantile the SLA math requires.
 #pragma once
 
 #include <vector>

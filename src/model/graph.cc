@@ -1,7 +1,6 @@
 #include "model/graph.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <set>
 #include <sstream>
@@ -91,16 +90,6 @@ Expected<Dag> Dag::Create(int node_count,
     return Expected<Dag>::Error(os.str());
   }
   return dag;
-}
-
-Dag Dag::Chain(int node_count) {
-  assert(node_count >= 1);
-  std::vector<std::pair<int, int>> edges;
-  edges.reserve(node_count - 1);
-  for (int v = 0; v + 1 < node_count; ++v) edges.emplace_back(v, v + 1);
-  auto dag = Create(node_count, std::move(edges));
-  assert(dag.ok());
-  return std::move(dag).value();
 }
 
 bool Dag::ComputeDerived() {

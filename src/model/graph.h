@@ -36,9 +36,6 @@ class Dag {
   static Expected<Dag> Create(int node_count,
                               std::vector<std::pair<int, int>> edges);
 
-  /// Convenience: a simple chain 0 -> 1 -> ... -> n-1.
-  static Dag Chain(int node_count);
-
   int node_count() const { return node_count_; }
   int root() const { return root_; }
   const std::vector<std::pair<int, int>>& edges() const { return edges_; }

@@ -11,12 +11,6 @@ double PerSubtaskPercentile(double path_fraction, int path_length) {
   return std::pow(path_fraction, 1.0 / path_length);
 }
 
-double PathPercentile(double subtask_fraction, int path_length) {
-  assert(subtask_fraction > 0.0 && subtask_fraction <= 1.0);
-  assert(path_length >= 1);
-  return std::pow(subtask_fraction, path_length);
-}
-
 double PerSubtaskPercentilePct(double path_pct, int path_length) {
   assert(path_pct > 0.0 && path_pct <= 100.0);
   assert(path_length >= 1);

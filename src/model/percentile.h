@@ -14,10 +14,6 @@ namespace lla {
 /// path_fraction in (0, 1], path_length >= 1.
 double PerSubtaskPercentile(double path_fraction, int path_length);
 
-/// End-to-end percentile achieved by a path of `path_length` subtasks when
-/// each subtask uses its `subtask_fraction` percentile bound.
-double PathPercentile(double subtask_fraction, int path_length);
-
 /// Percent-notation variant matching the paper's formula:
 /// returns p^(1/n) * 100^((n-1)/n) for p in (0, 100].
 double PerSubtaskPercentilePct(double path_pct, int path_length);

@@ -76,9 +76,4 @@ class ShareFunction {
   double error_ms_;
 };
 
-/// Numerically verifies that `s` is decreasing and convex on (lo, hi] and
-/// that LatencyForShare inverts Share; a property check for tests.
-bool CheckShareFunction(const ShareFunction& s, double lo, double hi,
-                        int samples = 257);
-
 }  // namespace lla

@@ -119,31 +119,4 @@ inline Utility MakePaperSimUtility(double critical_time_ms, double k = 2.0) {
 /// The prototype-experiment utility of Sec. 6.2: f(x) = -x.
 inline Utility MakePrototypeUtility() { return Utility::Linear(0.0, 1.0); }
 
-/// Numerically verifies concavity and monotonicity of `u`, anything with
-/// Value and Derivative, by sampling [lo, hi]; returns false with no
-/// diagnostics (tests use it as a property check).
-template <typename F>
-bool CheckConcaveNonIncreasing(const F& u, double lo, double hi,
-                               int samples = 257) {
-  assert(samples >= 3);
-  assert(lo < hi);
-  const double step = (hi - lo) / (samples - 1);
-  double prev_value = u.Value(lo);
-  double prev_deriv = u.Derivative(lo);
-  constexpr double kSlack = 1e-9;
-  for (int i = 1; i < samples; ++i) {
-    const double x = lo + i * step;
-    const double value = u.Value(x);
-    const double deriv = u.Derivative(x);
-    if (deriv > kSlack) return false;                     // increasing
-    if (value > prev_value + kSlack) return false;        // increasing
-    if (deriv > prev_deriv + kSlack * (1 + std::fabs(prev_deriv))) {
-      return false;  // derivative increased: convex region
-    }
-    prev_value = value;
-    prev_deriv = deriv;
-  }
-  return true;
-}
-
 }  // namespace lla

@@ -40,8 +40,10 @@
 // the sender's incarnation number, stamped by the bus at Send time: a
 // restarted endpoint bumps its incarnation, which lets receivers discard
 // price messages that were in flight (or queued by stale epochs) from
-// before the crash.  Messages are serialized to a binary wire format so the
-// bus can account for bytes and tests can verify round-tripping.
+// before the crash.  The bus never serializes a message: it accounts for
+// bytes with WireSize, which computes the size of the binary wire format.
+// Serialize and Deserialize define that format; tests check WireSize and
+// the round trip against them.
 #pragma once
 
 #include <cstdint>

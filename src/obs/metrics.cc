@@ -61,52 +61,4 @@ std::string MetricsSnapshot::RenderText() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::RenderJson() const {
-  std::string out = "{\"counters\":{";
-  char buf[128];
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendJsonString(&out, counters[i].name);
-    std::snprintf(buf, sizeof(buf), ":%llu",
-                  static_cast<unsigned long long>(counters[i].value));
-    out += buf;
-  }
-  out += "},\"timers\":{";
-  for (std::size_t i = 0; i < timers.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    AppendJsonString(&out, timers[i].name);
-    const double mean = timers[i].count == 0
-                            ? 0.0
-                            : timers[i].total_ms /
-                                  static_cast<double>(timers[i].count);
-    std::snprintf(buf, sizeof(buf),
-                  ":{\"count\":%llu,\"total_ms\":%.17g,\"mean_ms\":%.17g,"
-                  "\"max_ms\":%.17g}",
-                  static_cast<unsigned long long>(timers[i].count),
-                  timers[i].total_ms, mean, timers[i].max_ms);
-    out += buf;
-  }
-  out += "}}";
-  return out;
-}
-
 }  // namespace lla::obs

@@ -12,7 +12,7 @@
 // Naming scheme: `<component>.<metric>` (engine.steps, bus.sent,
 // coordinator.rounds, sim.jobs_completed); per-entity metrics append the
 // entity (`bus.endpoint.<name>.sent`).  Phase timers use the phase name
-// (engine.solve, engine.evaluate, engine.price_update).
+// (engine.solve, engine.price_update).
 //
 // Counters are relaxed-atomic so a pool worker may increment one safely;
 // everything else (timers, the registry itself) must still be driven from
@@ -90,7 +90,7 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Point-in-time copy of every metric, with text and JSON rendering.
+/// Point-in-time copy of every metric, with text rendering.
 struct MetricsSnapshot {
   struct CounterEntry {
     std::string name;
@@ -108,8 +108,6 @@ struct MetricsSnapshot {
   /// Aligned `name value` lines (counters), then timer lines with
   /// count/total/mean/max.
   std::string RenderText() const;
-  /// {"counters": {name: value, ...}, "timers": {name: {...}, ...}}
-  std::string RenderJson() const;
 };
 
 /// Owner of all counters and timers.  Handles returned by GetCounter /

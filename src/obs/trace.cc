@@ -43,9 +43,6 @@ JsonlTraceSink::JsonlTraceSink(const std::string& path) {
   file_ = OpenOrStdout(path, &owns_file_);
 }
 
-JsonlTraceSink::JsonlTraceSink(std::FILE* file)
-    : file_(file), owns_file_(false) {}
-
 JsonlTraceSink::~JsonlTraceSink() {
   if (file_ != nullptr && owns_file_) std::fclose(file_);
 }

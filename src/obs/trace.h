@@ -101,8 +101,6 @@ class JsonlTraceSink final : public TraceSink {
   /// Opens `path` for writing ("-" streams to stdout).  A sink whose file
   /// did not open drops all records.
   explicit JsonlTraceSink(const std::string& path);
-  /// Streams to an externally owned FILE* (not closed on destruction).
-  explicit JsonlTraceSink(std::FILE* file);
   ~JsonlTraceSink() override;
 
   JsonlTraceSink(const JsonlTraceSink&) = delete;

@@ -13,19 +13,9 @@ namespace {
 // MakeChurnScript's mutation mix; the remainder are WCET perturbations.
 constexpr double kJoinFraction = 0.4;
 constexpr double kLeaveFraction = 0.3;
+// Each WCET perturbation draws uniformly from [-kWcetErrorMs, kWcetErrorMs).
+constexpr double kWcetErrorMs = 0.02;
 }  // namespace
-
-const char* ToString(ChurnKind kind) {
-  switch (kind) {
-    case ChurnKind::kJoin:
-      return "join";
-    case ChurnKind::kLeave:
-      return "leave";
-    case ChurnKind::kWcetPerturb:
-      return "wcet_perturb";
-  }
-  return "?";
-}
 
 ChurnDriver::ChurnDriver(std::vector<ResourceSpec> resources,
                          std::vector<TaskSpec> tasks, ChurnConfig config)
@@ -305,8 +295,7 @@ Expected<std::vector<ChurnMutation>> MakeChurnScript(
     } else {
       mutation.kind = ChurnKind::kWcetPerturb;
       mutation.subtask_index = static_cast<std::size_t>(rng.Below(1u << 30));
-      mutation.wcet_error_ms =
-          rng.Uniform(-config.wcet_error_ms, config.wcet_error_ms);
+      mutation.wcet_error_ms = rng.Uniform(-kWcetErrorMs, kWcetErrorMs);
     }
     script.push_back(std::move(mutation));
   }

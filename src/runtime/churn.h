@@ -42,7 +42,6 @@
 namespace lla::runtime {
 
 enum class ChurnKind { kJoin, kLeave, kWcetPerturb };
-const char* ToString(ChurnKind kind);
 
 /// One scripted mutation.  Fields beyond `kind` are read per kind; indices
 /// are taken modulo the live count at application time so a pre-generated
@@ -103,10 +102,6 @@ class ChurnDriver {
   std::vector<ChurnRecord> ApplyAll(const std::vector<ChurnMutation>& script);
 
   const Workload& workload() const { return *workload_; }
-  const std::vector<TaskSpec>& task_specs() const { return tasks_; }
-  const std::vector<ResourceSpec>& resource_specs() const {
-    return resources_;
-  }
   LlaEngine& engine() { return *engine_; }
   const LlaEngine& engine() const { return *engine_; }
   /// The live model (accumulated WCET corrections applied) — lets callers
@@ -154,16 +149,14 @@ class ChurnDriver {
 };
 
 /// Deterministic churn script generator (pure function of the config): 40%
-/// joins, 30% leaves, the rest WCET perturbations.
+/// joins, 30% leaves, the rest WCET perturbations, each drawing its additive
+/// correction uniformly from [-0.02, 0.02) ms.
 struct ChurnScriptConfig {
   std::uint64_t seed = 1;
   std::size_t mutations = 100;
   /// Resource-id space the generated join candidates reference; must equal
   /// the target system's resource count.
   int num_resources = 8;
-  /// Perturbation magnitude: each kWcetPerturb draws uniformly from
-  /// [-wcet_error_ms, wcet_error_ms).
-  double wcet_error_ms = 0.02;
   /// Join candidates are drawn round-robin from a donor pool of this many
   /// randomly generated tasks (renamed uniquely per join).
   int donor_tasks = 12;

@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/engine_batch.h"
-
 namespace lla::runtime {
 namespace {
 constexpr std::uint64_t kControllerTimer = 1;
@@ -380,28 +378,6 @@ void Coordinator::RunAsync(double duration_ms) {
 
 Assignment Coordinator::CurrentAssignment() const {
   return controller_shared_->latencies;
-}
-
-std::vector<RunResult> Coordinator::EvaluateScenarios(
-    const std::vector<LlaConfig>& configs, int max_iterations,
-    int num_threads) const {
-  const PriceVector& prices = CurrentPrices();
-  EngineBatch batch(num_threads);
-  for (const LlaConfig& config : configs) {
-    const int index = batch.Add(*workload_, *model_, config);
-    // Start at the running system's operating point, not cold.
-    batch.engine(index).WarmStart(prices);
-  }
-  std::vector<RunResult> results = batch.RunAll(max_iterations);
-  if (config_.metrics != nullptr) {
-    std::uint64_t solves = 0;
-    for (const RunResult& result : results) solves += result.subtask_solves;
-    config_.metrics->GetCounter("coordinator.scenario.runs")
-        ->Increment(results.size());
-    config_.metrics->GetCounter("coordinator.scenario.subtask_solves")
-        ->Increment(solves);
-  }
-  return results;
 }
 
 double Coordinator::CurrentUtility() const {

@@ -187,19 +187,6 @@ class Coordinator {
     return controller_shared_->prices;
   }
 
-  /// What-if scenario evaluation: runs one centralized LLA optimization per
-  /// config over this coordinator's workload/model, each warm-started from
-  /// CurrentPrices() — near the running system's operating point, so
-  /// re-convergence is much faster than a cold start; total probe work
-  /// lands in the coordinator.scenario.subtask_solves counter.  Scenarios are
-  /// independent engines fanned across `num_threads` (EngineBatch, grain of
-  /// one); results are bit-identical to evaluating them one by one and the
-  /// coordinator's own agents are never touched.  Scenario configs must not
-  /// carry a shared trace sink or metric registry when num_threads > 1.
-  std::vector<RunResult> EvaluateScenarios(const std::vector<LlaConfig>& configs,
-                                           int max_iterations,
-                                           int num_threads = 1) const;
-
   /// The evaluation the agents filled (each controller's utility and path
   /// latency slots, each shard's share sums) as last reduced by the
   /// monitor.

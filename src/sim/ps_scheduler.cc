@@ -26,11 +26,6 @@ int GpsScheduler::AddFlow(double weight, bool always_backlogged) {
   return static_cast<int>(flows_.size()) - 1;
 }
 
-void GpsScheduler::SetWeight(int flow, double weight) {
-  assert(weight >= 0.0);
-  flows_[flow].weight = weight;
-}
-
 void GpsScheduler::Enqueue(int flow, Job job) {
   assert(job.work_ms > 0.0);
   Flow& f = flows_[flow];
@@ -114,11 +109,6 @@ int SfsScheduler::AddFlow(double weight, bool always_backlogged) {
   flow.always_backlogged = always_backlogged;
   flows_.push_back(std::move(flow));
   return static_cast<int>(flows_.size()) - 1;
-}
-
-void SfsScheduler::SetWeight(int flow, double weight) {
-  assert(weight >= 0.0);
-  flows_[flow].weight = weight;
 }
 
 void SfsScheduler::Enqueue(int flow, Job job) {

@@ -42,12 +42,10 @@ class PsScheduler {
  public:
   virtual ~PsScheduler() = default;
 
-  /// Registers a flow; returns its index.  `always_backlogged` flows consume
-  /// their share forever and never complete jobs (background reservations).
+  /// Registers a flow; returns its index.  Its weight is fixed for the
+  /// scheduler's lifetime.  `always_backlogged` flows consume their share
+  /// forever and never complete jobs (background reservations).
   virtual int AddFlow(double weight, bool always_backlogged = false) = 0;
-
-  /// Re-weights a flow (enacting a new share allocation).
-  virtual void SetWeight(int flow, double weight) = 0;
 
   /// Queues a job on a flow at the current time.
   virtual void Enqueue(int flow, Job job) = 0;
@@ -71,7 +69,6 @@ class GpsScheduler final : public PsScheduler {
   explicit GpsScheduler(double capacity_rate = 1.0);
 
   int AddFlow(double weight, bool always_backlogged = false) override;
-  void SetWeight(int flow, double weight) override;
   void Enqueue(int flow, Job job) override;
   double NextCompletionMs() const override;
   void AdvanceTo(double t_ms, const CompletionCallback& on_done) override;
@@ -104,7 +101,6 @@ class SfsScheduler final : public PsScheduler {
   SfsScheduler(double capacity_rate = 1.0, double quantum_ms = 1.0);
 
   int AddFlow(double weight, bool always_backlogged = false) override;
-  void SetWeight(int flow, double weight) override;
   void Enqueue(int flow, Job job) override;
   double NextCompletionMs() const override;
   void AdvanceTo(double t_ms, const CompletionCallback& on_done) override;

@@ -67,13 +67,6 @@ Expected<Workload> WithoutTask(const Workload& workload, TaskId task) {
                           std::move(specs.tasks));
 }
 
-Expected<Workload> WithTask(const Workload& workload, TaskSpec task) {
-  WorkloadSpecs specs = ExtractSpecs(workload);
-  specs.tasks.push_back(std::move(task));
-  return Workload::Create(std::move(specs.resources),
-                          std::move(specs.tasks));
-}
-
 PriceVector MapPricesWithoutTask(const Workload& old_workload,
                                  const PriceVector& prices, TaskId removed) {
   assert(prices.mu.size() == old_workload.resource_count());

@@ -37,11 +37,6 @@ Expected<Workload> WithResourceCapacity(const Workload& workload,
 /// Convenience: removes one task (admission control evicting it).
 Expected<Workload> WithoutTask(const Workload& workload, TaskId task);
 
-/// Convenience: appends one task (admission control accepting it).  The new
-/// task validates against the existing resource set; its id in the result is
-/// the old task_count().
-Expected<Workload> WithTask(const Workload& workload, TaskSpec task);
-
 /// Describes how a new workload structurally relates to the old one a price
 /// vector came from, so LlaEngine::WarmStartStructural can remap the dual
 /// state internally.  Resources are fixed across both kinds; exactly one

@@ -112,15 +112,5 @@ TEST(AdmissionTest, NetBenefitPolicyRejectsHarmfulTask) {
   EXPECT_EQ(controller.task_count(), 1u);
 }
 
-TEST(AdmissionTest, BuildWorkloadReflectsAdmittedSet) {
-  AdmissionController controller(TwoCpus(), TestConfig());
-  EXPECT_FALSE(controller.BuildWorkload().ok());
-  controller.TryAdmit(MakeTask("t1", 5.0, 100.0));
-  auto workload = controller.BuildWorkload();
-  ASSERT_TRUE(workload.ok());
-  EXPECT_EQ(workload.value().task_count(), 1u);
-  EXPECT_GT(controller.CurrentUtility(), 0.0);
-}
-
 }  // namespace
 }  // namespace lla::admission

@@ -16,10 +16,8 @@ TEST(RateControlTest, DrivesBottleneckToSetpoint) {
   ASSERT_TRUE(workload.ok());
   const Workload& w = workload.value();
   LatencyModel model(w);
-  RateControlConfig config;
-  config.utilization_setpoint = 0.7;
   const RateControlResult result =
-      RunRateControl(w, model, UtilityVariant::kPathWeighted, config);
+      RunRateControl(w, model, UtilityVariant::kPathWeighted);
   EXPECT_TRUE(result.converged);
   double bottleneck = 0.0;
   for (const ResourceInfo& resource : w.resources()) {

@@ -26,15 +26,5 @@ TEST(ClampTest, Basics) {
   EXPECT_DOUBLE_EQ(Clamp(3.0, 3.0, 3.0), 3.0);
 }
 
-TEST(GoldenSectionMaxTest, FindsMaximumOfConcaveFunction) {
-  const auto f = [](double x) { return -(x - 3.0) * (x - 3.0); };
-  EXPECT_NEAR(GoldenSectionMax(f, 0.0, 10.0), 3.0, 1e-7);
-}
-
-TEST(GoldenSectionMaxTest, HandlesBoundaryMaximum) {
-  const auto f = [](double x) { return -x; };
-  EXPECT_NEAR(GoldenSectionMax(f, 2.0, 5.0), 2.0, 1e-6);
-}
-
 }  // namespace
 }  // namespace lla

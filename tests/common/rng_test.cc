@@ -78,21 +78,6 @@ TEST(RngTest, ExponentialMeanMatches) {
   EXPECT_NEAR(sum / n, 25.0, 0.5);
 }
 
-TEST(RngTest, NormalMomentsMatch) {
-  Rng rng(13);
-  double sum = 0.0, sq = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.Normal(5.0, 2.0);
-    sum += x;
-    sq += x * x;
-  }
-  const double mean = sum / n;
-  const double var = sq / n - mean * mean;
-  EXPECT_NEAR(mean, 5.0, 0.05);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
-}
-
 TEST(SplitMix64Test, KnownFirstOutputsDiffer) {
   SplitMix64 a(0), b(1);
   EXPECT_NE(a.Next(), b.Next());

@@ -49,13 +49,5 @@ TEST(ExponentialSmootherTest, ConvergesToConstantInput) {
   EXPECT_NEAR(s.value(), 4.0, 1e-9);
 }
 
-TEST(ExponentialSmootherTest, ResetForgetsHistory) {
-  ExponentialSmoother s(0.2);
-  s.Add(100.0);
-  s.Reset();
-  EXPECT_FALSE(s.initialized());
-  EXPECT_DOUBLE_EQ(s.Add(1.0), 1.0);
-}
-
 }  // namespace
 }  // namespace lla

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/math.h"
+#include "common/oracles.h"
 #include "model/trigger.h"
 #include "model/utility.h"
 #include "workloads/paper.h"

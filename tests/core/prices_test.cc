@@ -21,20 +21,6 @@ TEST(PriceVectorTest, ZeroAndUniformFactories) {
   for (double lambda : uniform.lambda) EXPECT_DOUBLE_EQ(lambda, 0.25);
 }
 
-TEST(PriceVectorTest, MaxAbsDiff) {
-  auto workload = MakeSimWorkload();
-  ASSERT_TRUE(workload.ok());
-  const Workload& w = workload.value();
-  PriceVector a = PriceVector::Uniform(w, 1.0, 1.0);
-  PriceVector b = a;
-  EXPECT_DOUBLE_EQ(a.MaxAbsDiff(b), 0.0);
-  b.mu[3] = 4.5;
-  EXPECT_DOUBLE_EQ(a.MaxAbsDiff(b), 3.5);
-  b.lambda[2] = -9.0;
-  EXPECT_DOUBLE_EQ(a.MaxAbsDiff(b), 10.0);
-  EXPECT_DOUBLE_EQ(b.MaxAbsDiff(a), 10.0);  // symmetric
-}
-
 TEST(PriceVectorTest, PathPriceSumAggregatesContainingPaths) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());

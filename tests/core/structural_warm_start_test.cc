@@ -102,7 +102,9 @@ TEST(StructuralWarmStartTest, JoinKeepsMappedPricesAndSeedsNewcomer) {
   ASSERT_TRUE(incumbent.Run(12000).converged);
   const PriceVector before = incumbent.prices();
 
-  auto grown = WithTask(reduced.value(), ChainTask("tC", 2, 3));
+  WorkloadSpecs specs = ExtractSpecs(reduced.value());
+  specs.tasks.push_back(ChainTask("tC", 2, 3));
+  auto grown = Workload::Create(specs.resources, specs.tasks);
   ASSERT_TRUE(grown.ok()) << grown.error();
   LatencyModel grown_model(grown.value());
   LlaEngine warm(grown.value(), grown_model, config);

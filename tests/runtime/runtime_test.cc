@@ -231,6 +231,29 @@ TEST(RuntimeTest, ControllerSeesResourcePrices) {
   }
 }
 
+TEST(RuntimeTest, CurrentPricesMatchesAgentState) {
+  auto workload = MakeSimWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+
+  Coordinator coordinator(w, model, SyncConfig());
+  for (int i = 0; i < 50; ++i) coordinator.RunSyncRound();
+
+  const PriceVector prices = coordinator.CurrentPrices();
+  ASSERT_EQ(prices.mu.size(), w.resource_count());
+  ASSERT_EQ(prices.lambda.size(), w.path_count());
+  for (const ResourceInfo& resource : w.resources()) {
+    EXPECT_EQ(prices.mu[resource.id.value()],
+              coordinator.shard_of(resource.id).mu(resource.id));
+  }
+  // After 50 congested-start rounds at least one price moved off zero.
+  double total = 0.0;
+  for (double mu : prices.mu) total += mu;
+  for (double lambda : prices.lambda) total += lambda;
+  EXPECT_GT(total, 0.0);
+}
+
 // One task controller of the paper workload on its own bus, with one shard
 // endpoint per resource that decodes every latency update it receives.  A
 // payload view is valid for its handler call only, so the handler keeps the

@@ -69,21 +69,6 @@ TEST(GpsSchedulerTest, IdleWhenNoJobs) {
   EXPECT_DOUBLE_EQ(gps.now_ms(), 50.0);
 }
 
-TEST(GpsSchedulerTest, ReweightingTakesEffect) {
-  GpsScheduler gps(1.0);
-  const int a = gps.AddFlow(1.0);
-  const int b = gps.AddFlow(1.0, /*always_backlogged=*/true);
-  (void)b;
-  gps.Enqueue(a, {1, 10.0, 0.0});
-  gps.AdvanceTo(10.0, nullptr);  // serves 5 ms of work (half rate)
-  gps.SetWeight(a, 3.0);         // now rate = 3/4
-  std::vector<double> completions;
-  gps.AdvanceTo(100.0, [&](std::uint64_t, double t) { completions.push_back(t); });
-  // Remaining 5 ms at rate 0.75 -> completes at 10 + 6.667.
-  ASSERT_EQ(completions.size(), 1u);
-  EXPECT_NEAR(completions[0], 10.0 + 5.0 / 0.75, 1e-6);
-}
-
 TEST(GpsSchedulerTest, ManyFlowsConserveWork) {
   GpsScheduler gps(1.0);
   std::vector<int> flows;

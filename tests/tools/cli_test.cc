@@ -7,6 +7,7 @@
 // files under the build tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -451,6 +452,19 @@ TEST(CliTest, SimulateRejectsNonFiniteSeconds) {
   EXPECT_EQ(RunCli(simulate + " 2 --sfs"), 0);
 }
 
+// The simulator records nothing during its 1 s warm-up: a run no longer
+// than that completes no job set and fails instead of reporting every task
+// "ok" on zero samples.
+TEST(CliTest, SimulateWithinWarmupFails) {
+  const std::string simulate = std::string("simulate ") + kPaperWorkload;
+  std::string out;
+  EXPECT_EQ(RunCliCapture(simulate + " 0.5", &out), 1);
+  EXPECT_NE(out.find("0 job sets"), std::string::npos);
+  EXPECT_EQ(out.find(" ok"), std::string::npos);
+  EXPECT_EQ(RunCli(simulate + " 1"), 1);
+  EXPECT_EQ(RunCli(simulate + " 2"), 0);
+}
+
 // Both value forms work for every flag.
 TEST(CliTest, EveryFlagTakesBothValueForms) {
   const std::string solve = std::string("solve ") + kPaperWorkload;
@@ -556,6 +570,40 @@ TEST(CliTest, SimulateRejectsNonPositiveTriggerPeriod) {
   }
 }
 
+// A task none of whose jobs completed after the warm-up has no latency to
+// judge: it prints "no jobs", not "ok", beside a task that has them.
+TEST(CliTest, SimulateMarksTasksWithoutJobs) {
+  const std::string path = WriteWorkload(
+      "slow_task",
+      "resource cpu0 cpu 1 1\n"
+      "resource link0 link 1 1\n"
+      "task fast 40\n"
+      "  utility linear 80 1\n"
+      "  trigger periodic 100\n"
+      "  subtask a cpu0 2\n"
+      "  subtask b link0 3\n"
+      "  edge 0 1\n"
+      "end\n"
+      "task slow 40\n"
+      "  utility linear 80 1\n"
+      "  trigger periodic 5000\n"
+      "  subtask c cpu0 2\n"
+      "  subtask d link0 3\n"
+      "  edge 0 1\n"
+      "end\n");
+  std::string out;
+  EXPECT_EQ(RunCliCapture("simulate " + path + " 2", &out), 0);
+  std::istringstream lines(out);
+  std::string line, fast, slow;
+  while (std::getline(lines, line)) {
+    if (line.rfind("fast ", 0) == 0) fast = line;
+    if (line.rfind("slow ", 0) == 0) slow = line;
+  }
+  EXPECT_NE(fast.find(" ok"), std::string::npos) << out;
+  EXPECT_NE(slow.find("no jobs"), std::string::npos) << out;
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, NotConvergedReturnsFour) {
   // Three iterations cannot converge on the paper workload.
   EXPECT_EQ(RunCli(std::string("solve ") + kPaperWorkload + " --iters 3"), 4);
@@ -612,6 +660,21 @@ TEST(CliTest, TraceWithDynamicsEmitsMomentumDiagnostics) {
   ASSERT_EQ(RunCli(std::string("trace ") + kPaperWorkload + " --out " + out),
             0);
   EXPECT_EQ(ReadFile(out).find("momentum_restarts"), std::string::npos);
+  std::remove(out.c_str());
+}
+
+// Without --out the trace streams to stdout, the sink's one non-owning
+// path: it must write exactly what --out writes, with the same exit code.
+TEST(CliTest, TraceToStdoutMatchesTraceToFile) {
+  const std::string trace =
+      std::string("trace ") + kPaperWorkload + " --iters 5";
+  std::string streamed;
+  EXPECT_EQ(RunCliCapture(trace, &streamed), 4);
+  const std::string out = ::testing::TempDir() + "/cli_trace_stdout.jsonl";
+  EXPECT_EQ(RunCli(trace + " --out " + out), 4);
+  const std::string written = ReadFile(out);
+  EXPECT_EQ(std::count(written.begin(), written.end(), '\n'), 7);
+  EXPECT_EQ(streamed, written);
   std::remove(out.c_str());
 }
 

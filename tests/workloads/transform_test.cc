@@ -64,22 +64,6 @@ TEST(TransformTest, WithoutTaskRemovesOne) {
   EXPECT_FALSE(WithoutTask(workload.value(), TaskId()).ok());
 }
 
-TEST(TransformTest, WithTaskAppendsOne) {
-  auto workload = MakeSimWorkload();
-  ASSERT_TRUE(workload.ok());
-  const Workload& w = workload.value();
-  TaskSpec clone = ExtractSpecs(w).tasks[0];
-  clone.name = "newcomer";
-  auto larger = WithTask(w, clone);
-  ASSERT_TRUE(larger.ok()) << larger.error();
-  EXPECT_EQ(larger.value().task_count(), w.task_count() + 1);
-  // Appended at the end; existing ids are untouched.
-  EXPECT_EQ(larger.value().task(TaskId(w.task_count())).name, "newcomer");
-  EXPECT_EQ(larger.value().task(TaskId(0u)).name, w.task(TaskId(0u)).name);
-  EXPECT_EQ(larger.value().subtask_count(),
-            w.subtask_count() + clone.subtasks.size());
-}
-
 TEST(TransformTest, MapPricesWithoutTaskIsFilteredCopy) {
   // The invariant the mapping rests on: paths are ordered by task, then dag
   // order, and BOTH orders survive a removal — so the surviving tasks' old

@@ -21,6 +21,8 @@
 //       Schedulability verdict (LLA run + Phase-I cross-check).
 //   lla simulate <workload-file> <seconds> [--sfs]
 //       Optimize, enact, execute on the DES substrate, report percentiles.
+//       The first second is warm-up and records nothing; a task with no
+//       recorded job prints "no jobs", and a run with none fails.
 //   lla describe <workload-file>
 //       Validate and summarize the workload.
 //   lla generate <output-file> [--seed N] [--tasks N] [--resources N]
@@ -38,9 +40,10 @@
 // its value must parse in full and lie in range; anything else is a usage
 // error.
 //
-// Exit codes: 0 success; 1 runtime error (generation/save failure);
-// 2 usage; 3 workload or snapshot load/parse error; 4 solve not converged /
-// infeasible (or workload unschedulable for `check`).
+// Exit codes: 0 success; 1 runtime error (generation/save failure, or a
+// simulation in which no job set completed); 2 usage; 3 workload or
+// snapshot load/parse error; 4 solve not converged / infeasible (or
+// workload unschedulable for `check`).
 //
 // Example files live in examples/data/.
 #include <algorithm>
@@ -618,12 +621,23 @@ int Simulate(const Workload& w, double seconds, const Options& options) {
               "p99(ms)", "deadline");
   for (const TaskInfo& task : w.tasks()) {
     const auto& q = result.task_latencies[task.id.value()];
+    const char* verdict = q.count() == 0 ? "no jobs"
+                          : q.Value(0.99) <= task.critical_time_ms ? "ok"
+                                                                   : "MISS";
     std::printf("%-24s %10.2f %10.2f %10.2f %12.1f  %s\n",
                 task.name.c_str(), q.Value(0.50), q.Value(0.95),
-                q.Value(0.99), task.critical_time_ms,
-                q.Value(0.99) <= task.critical_time_ms ? "ok" : "MISS");
+                q.Value(0.99), task.critical_time_ms, verdict);
   }
-  return 0;
+  // The simulator records nothing during its warm-up, so a run no longer
+  // than it has no latency to judge.
+  if (result.job_sets_completed == 0) {
+    std::fprintf(stderr,
+                 "no job set completed after the first %.1f s, which the "
+                 "simulator discards as warm-up; simulate for longer\n",
+                 sim_config.warmup_ms / 1000.0);
+    return kExitRuntimeError;
+  }
+  return kExitSuccess;
 }
 
 int Generate(const char* path, const Options& options) {
