@@ -17,7 +17,6 @@ namespace lla {
 class SampleQuantile {
  public:
   void Add(double x) { samples_.push_back(x); }
-  void Reset() { samples_.clear(); }
   std::size_t count() const { return samples_.size(); }
   /// Returns the `q`-quantile (0 <= q <= 1) by linear interpolation between
   /// order statistics; 0 if empty.

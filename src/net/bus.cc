@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <utility>
 
 namespace lla::net {
@@ -95,20 +94,6 @@ void InProcessBus::BlackoutEndpoint(EndpointId endpoint, double until_ms) {
 
 bool InProcessBus::IsBlackedOut(EndpointId endpoint) const {
   return now_ms_ < blackout_until_ms_[endpoint];
-}
-
-void InProcessBus::CrashEndpoint(EndpointId endpoint) {
-  CheckEndpoint(endpoint, "CrashEndpoint");
-  blackout_until_ms_[endpoint] = std::numeric_limits<double>::infinity();
-  blackout_horizon_ms_ = std::numeric_limits<double>::infinity();
-}
-
-void InProcessBus::RestartEndpoint(EndpointId endpoint) {
-  CheckEndpoint(endpoint, "RestartEndpoint");
-  blackout_until_ms_[endpoint] = -1.0;
-  blackout_horizon_ms_ = *std::max_element(blackout_until_ms_.begin(),
-                                           blackout_until_ms_.end());
-  ++incarnation_[endpoint];
 }
 
 void InProcessBus::BumpIncarnation(EndpointId endpoint) {

@@ -118,19 +118,15 @@ class InProcessBus {
   /// True while the endpoint is inside a blackout window.
   bool IsBlackedOut(EndpointId endpoint) const;
 
-  /// Crash-restart injection (DESIGN.md §7.7).  CrashEndpoint is an
-  /// open-ended blackout: every message to or from the endpoint drops until
-  /// RestartEndpoint, which clears the blackout and bumps the endpoint's
-  /// incarnation — messages the endpoint sends from then on carry the new
-  /// number, and anything it sent pre-crash (still in flight, or replayed
-  /// from stale peer state) is identifiable as a lower incarnation.
-  void CrashEndpoint(EndpointId endpoint);
-  void RestartEndpoint(EndpointId endpoint);
-  /// The incarnation bump alone, for an endpoint that stays up while some
-  /// of the state behind it restarts (one resource inside a shard agent).
+  /// Crash-restart support (DESIGN.md §7.7): bumps the endpoint's
+  /// incarnation when state behind it restarts (one task inside a
+  /// controller host, one resource inside a shard agent) while the endpoint
+  /// stays up.  Messages it sends from then on carry the new number, and
+  /// anything it sent before (still in flight, or replayed from stale peer
+  /// state) is identifiable as a lower incarnation.
   void BumpIncarnation(EndpointId endpoint);
 
-  /// Current incarnation of the endpoint (0 until its first restart).
+  /// Current incarnation of the endpoint (0 until its first bump).
   std::uint32_t incarnation(EndpointId endpoint) const {
     return incarnation_[endpoint];
   }

@@ -226,7 +226,7 @@ std::vector<std::uint8_t> Serialize(const Message& message) {
   } else if (const auto* shard_latency =
                  std::get_if<ShardLatencyUpdate>(&message.payload)) {
     w.U8(kTagShardLatencyUpdate);
-    w.U32(shard_latency->task.value());
+    w.U32(shard_latency->host);
     w.U32(shard_latency->shard);
     w.U32(shard_latency->count);
     if (!shard_latency->payload.empty()) {
@@ -291,11 +291,10 @@ std::optional<Message> Deserialize(const std::vector<std::uint8_t>& bytes) {
     message.payload = std::move(repair);
   } else if (tag == kTagShardLatencyUpdate) {
     ShardLatencyUpdate update;
-    std::uint32_t task = 0;
-    if (!r.U32(&task) || !r.U32(&update.shard) || !r.U32(&update.count)) {
+    if (!r.U32(&update.host) || !r.U32(&update.shard) ||
+        !r.U32(&update.count)) {
       return std::nullopt;
     }
-    update.task = TaskId(task);
     // The payload runs to the end of the message; validate it fully (a
     // structurally-broken payload must be rejected here, not at apply time)
     // with a null output, which stores and allocates nothing.

@@ -1,27 +1,32 @@
 // Wire messages of the distributed LLA protocol (paper Sec. 4.1).
 //
-// Controllers talk to shard agents, each hosting a contiguous range of one
-// or more resources (DESIGN.md §7.10).  Four message kinds circulate:
-//   ShardLatencyUpdate controller -> shard: the new predicted latencies of
-//                      the controller's subtasks hosted on the shard (the
+// Controller hosts talk to shard agents.  A controller host runs the task
+// controllers of a contiguous task range and a shard agent the price
+// computations of a contiguous resource range (DESIGN.md §7.10), so one
+// message per (host, shard) pair carries what the paper's per-task and
+// per-resource messages carry.  Four message kinds circulate:
+//   ShardLatencyUpdate host -> shard: the new predicted latencies of the
+//                      host's tasks' subtasks hosted on the shard (the
 //                      input to the shard's price computation).
-//   ShardPriceUpdate   shard -> controller: the new prices mu_r (and
-//                      congestion flags) of the resources the controller
-//                      uses on the shard.
-//   RepairRequest      shard -> controller, for one restarted resource: "I
-//                      lost this resource's state; send me yours"
-//                      (crash-restart recovery, DESIGN.md §7.7).
-//   RepairResponse     controller -> shard: absolute state — the
-//                      controller's cached mu_r (with its epoch) plus the
-//                      latencies of its subtasks hosted on that resource, so
-//                      the shard can rebuild both halves of the resource's
-//                      price computation without waiting a full gossip
-//                      round.
+//   ShardPriceUpdate   shard -> host: the new prices mu_r (and congestion
+//                      flags) of the resources the host's tasks use on the
+//                      shard.
+//   RepairRequest      shard -> host, for one restarted resource: "I lost
+//                      this resource's state; send me yours" (crash-restart
+//                      recovery, DESIGN.md §7.7).
+//   RepairResponse     host -> shard, one per task of the host that uses
+//                      the resource: absolute state — the task's cached
+//                      mu_r (with its epoch) plus the latencies of its
+//                      subtasks hosted on that resource, so the shard can
+//                      rebuild both halves of the resource's price
+//                      computation without waiting a full gossip round.
 //
-// The shard updates are *positional* (DESIGN.md §7.11): shard membership is
-// static, so both sides derive the same ordered per-(shard, client) entry
-// list once at bind time and the wire carries only a count plus a
-// b1-encoded value array — no resource or subtask ids.
+// The shard updates are *positional* (DESIGN.md §7.11): host and shard
+// membership are static, so both sides derive the same ordered
+// per-(host, shard) entry list once at bind time and the wire carries only
+// a count plus a b1-encoded value array — no task, resource or subtask ids.
+// A list is the concatenation of the host's tasks' lists, in ascending
+// task order.
 //
 // A Message is trivially copyable: its payload bytes are a WireSlice, a
 // non-owning (pointer, length) view, and a RepairResponse's entries are a
@@ -35,15 +40,15 @@
 // handler call only, and the outbox may be cleared and refilled as soon as
 // SendAll returns.  Deserialize returns views into the bytes it is given.
 //
-// Path prices never travel: each controller owns its task's paths and
+// Path prices never travel: each task controller owns its task's paths and
 // computes lambda_p locally (Sec. 4.3).  Every Message additionally carries
-// the sender's incarnation number, stamped by the bus at Send time: a
-// restarted endpoint bumps its incarnation, which lets receivers discard
-// price messages that were in flight (or queued by stale epochs) from
-// before the crash.  The bus never serializes a message: it accounts for
-// bytes with WireSize, which computes the size of the binary wire format.
-// Serialize and Deserialize define that format; tests check WireSize and
-// the round trip against them.
+// the sender's incarnation number, stamped by the bus at Send time: an
+// endpoint bumps its incarnation when state behind it restarts, which lets
+// receivers discard price messages that were in flight (or queued by stale
+// epochs) from before the crash.  The bus never serializes a message: it
+// accounts for bytes with WireSize, which computes the size of the binary
+// wire format.  Serialize and Deserialize define that format; tests check
+// WireSize and the round trip against them.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +90,8 @@ class WireSlice {
 };
 
 /// Sent by a shard agent for one of its resources that restarted without
-/// state: every client controller of the resource answers with a
-/// RepairResponse.
+/// state, once to each client controller host of the resource: every live
+/// task of the host that uses the resource answers with a RepairResponse.
 struct RepairRequest {
   ResourceId resource;
 
@@ -101,9 +106,9 @@ struct RepairEntry {
   double latency_ms = 0.0;
 };
 
-/// A controller's absolute view of one resource, sent in reply to a
+/// A task controller's absolute view of one resource, sent in reply to a
 /// RepairRequest: the cached price (so the restarted resource resumes from
-/// the freshest surviving mu_r instead of 0) and the controller's current
+/// the freshest surviving mu_r instead of 0) and the task's current
 /// subtask latencies on that resource (so its share-sum input is rebuilt
 /// immediately).
 struct RepairResponse {
@@ -126,14 +131,15 @@ struct RepairResponse {
   bool operator==(const RepairResponse&) const = default;
 };
 
-/// One controller's latencies for all of its subtasks hosted on one shard's
-/// resources, in a single positional message.  The
-/// receiver maps entry j onto the j-th element of its static per-client
-/// membership list (the client's subtasks on the shard, in the client's
-/// local subtask order); a count mismatch means a stale binding and the
-/// message is ignored.
+/// One controller host's latencies for all of its tasks' subtasks hosted
+/// on one shard's resources, in a single positional message.  The receiver
+/// maps entry j onto the j-th element of its static per-host membership
+/// list (for each of the host's tasks in ascending order, the task's
+/// subtasks on the shard in local subtask order); a count mismatch means a
+/// stale binding and the message is ignored.
 struct ShardLatencyUpdate {
-  TaskId task;
+  /// The sending controller host (the task id when a host runs one task).
+  std::uint32_t host = 0;
   std::uint32_t shard = 0;
   /// Number of latency entries encoded in `payload`.
   std::uint32_t count = 0;
@@ -143,12 +149,13 @@ struct ShardLatencyUpdate {
   bool operator==(const ShardLatencyUpdate&) const = default;
 };
 
-/// One shard agent's batched prices for one client: entry j is the j-th
-/// resource of the static per-(shard, client) membership list (the client's
-/// used resources on the shard, ascending).  A shard hosting many resources
-/// collapses the per-round resource->controller traffic from O(resources)
-/// messages to O(shards) per task, with one payload per client encoded
-/// straight into the round lane's Outbox.
+/// One shard agent's batched prices for one client host: entry j is the
+/// j-th resource of the static per-(shard, host) membership list (for each
+/// of the host's tasks in ascending order, the task's used resources on the
+/// shard, ascending; a resource two tasks use appears once per task).
+/// Batching collapses the per-round resource->controller traffic from
+/// O(resources) messages per task to O(shards) per host, with one payload
+/// per client host encoded straight into the round lane's Outbox.
 struct ShardPriceUpdate {
   std::uint32_t shard = 0;
   /// The shard's broadcast round (shared by all its resources).

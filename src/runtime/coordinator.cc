@@ -56,13 +56,29 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
   // Create agents, register endpoints into the member vectors, then bind
   // (agents keep pointers into the member vectors, so the vectors must be in
   // their final location and fully populated before binding).
-  controllers_.reserve(workload.task_count());
-  for (const TaskInfo& task : workload.tasks()) {
+  // Contiguous partitions on both sides: controller host h runs tasks
+  // [T*h/H, T*(h+1)/H) and shard s owns resources [R*s/S, R*(s+1)/S).
+  // num_shards = 0 runs one host per task and one shard per resource;
+  // num_shards = k runs min(k, T) hosts and min(k, R) shards.
+  const std::size_t tasks = workload.task_count();
+  const std::size_t hosts =
+      config_.num_shards <= 0
+          ? tasks
+          : std::min<std::size_t>(static_cast<std::size_t>(config_.num_shards),
+                                  tasks);
+  task_host_.assign(tasks, 0);
+  controllers_.reserve(hosts);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    const std::size_t first = tasks * h / hosts;
+    const std::size_t last = tasks * (h + 1) / hosts;
     controllers_.push_back(std::make_unique<TaskController>(
-        workload, model, task.id, controller_shared_.get()));
+        workload, static_cast<std::uint32_t>(h),
+        TaskId(static_cast<std::uint32_t>(first)), last - first,
+        controller_shared_.get()));
+    for (std::size_t t = first; t < last; ++t) {
+      task_host_[t] = static_cast<std::uint32_t>(h);
+    }
   }
-  // Contiguous partition: shard s owns [R*s/S, R*(s+1)/S); num_shards = 0
-  // runs one shard per resource.
   const std::size_t resources = workload.resource_count();
   const std::size_t shards =
       config_.num_shards <= 0
@@ -86,11 +102,11 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
   // Message endpoints; periodic async timers live on separate endpoints
   // created by ArmAsyncTimers.
   // (kept as members for failure injection)
-  controller_endpoints_.resize(workload.task_count());
-  for (const TaskInfo& task : workload.tasks()) {
-    TaskController* controller = controllers_[task.id.value()].get();
-    controller_endpoints_[task.id.value()] = bus_->Register(
-        "controller/" + task.name,
+  controller_endpoints_.resize(controllers_.size());
+  for (std::size_t h = 0; h < controllers_.size(); ++h) {
+    TaskController* controller = controllers_[h].get();
+    controller_endpoints_[h] = bus_->Register(
+        "controller/" + std::to_string(h),
         [controller](const net::Message& m) { controller->OnMessage(m); });
   }
   shard_endpoints_.resize(shard_agents_.size());
@@ -108,14 +124,14 @@ Coordinator::Coordinator(const Workload& workload, const LatencyModel& model,
                             kMonitorTimer);
       });
 
-  for (const TaskInfo& task : workload.tasks()) {
-    controllers_[task.id.value()]->Bind(
-        bus_.get(), controller_endpoints_[task.id.value()], &shard_endpoints_,
-        &resource_shard_);
+  for (std::size_t h = 0; h < controllers_.size(); ++h) {
+    controllers_[h]->Bind(bus_.get(), controller_endpoints_[h],
+                          &shard_endpoints_, &resource_shard_);
   }
   for (std::size_t s = 0; s < shard_agents_.size(); ++s) {
     shard_agents_[s]->Bind(bus_.get(), shard_endpoints_[s],
-                           &controller_endpoints_, controller_shared_.get());
+                           &controller_endpoints_, &task_host_,
+                           controller_shared_.get());
   }
 
   recovery_hooks_ = RecoveryHooks::Resolve(config_.metrics);
@@ -163,11 +179,12 @@ void Coordinator::CrashEndpoint(ResourceId resource) {
 }
 
 void Coordinator::CrashEndpoint(TaskId task) {
-  const std::size_t t = TaskIndex(task, "CrashEndpoint");
-  bus_->CrashEndpoint(controller_endpoints_[t]);
-  controllers_[t]->Crash();
-  EmitRecoveryEvent("recovery.crash", controller_endpoints_[t],
-                    /*is_resource=*/false, static_cast<double>(t),
+  // The mirror of a resource crash: the task's state inside its controller
+  // host fails, and the host endpoint and its other tasks keep running.
+  const std::uint32_t host = HostOf(task, "CrashEndpoint");
+  controllers_[host]->CrashTask(task);
+  EmitRecoveryEvent("recovery.crash", controller_endpoints_[host],
+                    /*is_resource=*/false, static_cast<double>(task.value()),
                     /*cold=*/false);
 }
 
@@ -186,14 +203,16 @@ void Coordinator::RestartEndpoint(ResourceId resource) {
 }
 
 void Coordinator::RestartEndpoint(TaskId task) {
-  const std::size_t t = TaskIndex(task, "RestartEndpoint");
-  bus_->RestartEndpoint(controller_endpoints_[t]);
-  controllers_[t]->ColdRestart();
+  const std::uint32_t host = HostOf(task, "RestartEndpoint");
+  // The bump makes the shards reject the host's pre-restart traffic, which
+  // carries the task's pre-crash latencies.
+  bus_->BumpIncarnation(controller_endpoints_[host]);
+  controllers_[host]->ColdRestartTask(task);
   if (recovery_hooks_.restarts != nullptr) {
     recovery_hooks_.restarts->Increment();
   }
-  EmitRecoveryEvent("recovery.restart", controller_endpoints_[t],
-                    /*is_resource=*/false, static_cast<double>(t),
+  EmitRecoveryEvent("recovery.restart", controller_endpoints_[host],
+                    /*is_resource=*/false, static_cast<double>(task.value()),
                     /*cold=*/true);
 }
 
@@ -212,14 +231,14 @@ void Coordinator::RestartEndpoint(ResourceId resource,
 
 void Coordinator::RestartEndpoint(TaskId task,
                                   const TaskControllerSnapshot& snapshot) {
-  const std::size_t t = TaskIndex(task, "RestartEndpoint");
-  bus_->RestartEndpoint(controller_endpoints_[t]);
-  controllers_[t]->RestoreFromSnapshot(snapshot);
+  const std::uint32_t host = HostOf(task, "RestartEndpoint");
+  bus_->BumpIncarnation(controller_endpoints_[host]);
+  controllers_[host]->RestoreTask(task, snapshot);
   if (recovery_hooks_.restarts != nullptr) {
     recovery_hooks_.restarts->Increment();
   }
-  EmitRecoveryEvent("recovery.restart", controller_endpoints_[t],
-                    /*is_resource=*/false, static_cast<double>(t),
+  EmitRecoveryEvent("recovery.restart", controller_endpoints_[host],
+                    /*is_resource=*/false, static_cast<double>(task.value()),
                     /*cold=*/false);
 }
 
@@ -230,7 +249,8 @@ ResourceAgentSnapshot Coordinator::CheckpointResource(
 }
 
 TaskControllerSnapshot Coordinator::CheckpointController(TaskId task) const {
-  return controllers_[TaskIndex(task, "CheckpointController")]->Snapshot();
+  return controllers_[HostOf(task, "CheckpointController")]->SnapshotTask(
+      task);
 }
 
 void Coordinator::PartitionResource(ResourceId resource,
@@ -242,7 +262,7 @@ void Coordinator::PartitionResource(ResourceId resource,
 
 void Coordinator::PartitionController(TaskId task, double duration_ms) {
   bus_->BlackoutEndpoint(
-      controller_endpoints_[TaskIndex(task, "PartitionController")],
+      controller_endpoints_[HostOf(task, "PartitionController")],
       bus_->now_ms() + duration_ms);
 }
 
@@ -281,8 +301,8 @@ RoundStats Coordinator::RunSyncRound() {
     obs::ScopedTimer phase(controllers_timer_);
     controller_shared_->solver.PrepareSolve();
     lanes = RunLanes(controllers_.size(),
-                     [&](std::size_t t, std::size_t lane) {
-                       controllers_[t]->AllocateAndSend(&lane_prices_[lane],
+                     [&](std::size_t h, std::size_t lane) {
+                       controllers_[h]->AllocateAndSend(&lane_prices_[lane],
                                                         &lane_outboxes_[lane]);
                      });
   }
@@ -330,16 +350,16 @@ RunResult Coordinator::RunSync(int max_rounds) {
 void Coordinator::ArmAsyncTimers() {
   if (async_armed_) return;
   async_armed_ = true;
-  // Controllers fire first (they own the initial latencies), staggered so no
-  // two agents act at the same instant.  Each tick runs the round's entry
-  // point on lane 0 and sends its outbox before re-arming, so the sends
-  // leave in the order the agent made them.
+  // Controller hosts fire first (they own the initial latencies), staggered
+  // so no two agents act at the same instant.  Each tick runs the round's
+  // entry point on lane 0 and sends its outbox before re-arming, so the
+  // sends leave in the order the agent made them.
   double phase = 0.0;
-  for (std::size_t t = 0; t < controllers_.size(); ++t) {
-    TaskController* controller = controllers_[t].get();
+  for (std::size_t h = 0; h < controllers_.size(); ++h) {
+    TaskController* controller = controllers_[h].get();
     const net::EndpointId endpoint =
-        bus_->Register("controller-timer/" + std::to_string(t), nullptr,
-                       [this, controller, endpoint_slot = t](std::uint64_t) {
+        bus_->Register("controller-timer/" + std::to_string(h), nullptr,
+                       [this, controller, endpoint_slot = h](std::uint64_t) {
                          controller_shared_->solver.PrepareSolve();
                          controller->AllocateAndSend(&lane_prices_[0],
                                                      &lane_outboxes_[0]);

@@ -1,23 +1,26 @@
 // Coordinator: wires a workload's task controllers and shard agents onto an
 // InProcessBus and drives the distributed LLA iteration.
 //
-// One agent type serves the resource side: a ShardAgent hosting a
-// contiguous range of resources, from one resource per shard (the paper's
-// one-agent-per-resource deployment, the default) up to all R in one shard
-// (CoordinatorConfig::num_shards).  Every width reaches the same fixed point
+// One agent type serves each side, and each hosts a contiguous range: a
+// TaskController host runs the controllers of a task range, a ShardAgent the
+// price computations of a resource range.  The default deployment runs one
+// of each per task and per resource (the paper's one agent per task and per
+// resource); CoordinatorConfig::num_shards = k groups both sides into
+// min(k, T) hosts and min(k, R) shards, so a round sends one message per
+// (host, shard) pair each way.  Every width reaches the same fixed point
 // bit-for-bit in synchronous rounds, and every fault-injection surface is
-// defined at every width.
+// defined per task and per resource at every width.
 //
 // Two execution modes:
-//   * Synchronous rounds — the paper's iteration structure: all controllers
-//     allocate and send, messages flush, all shards price and send,
+//   * Synchronous rounds — the paper's iteration structure: all controller
+//     hosts allocate and send, messages flush, all shards price and send,
 //     messages flush.  With a zero-delay bus this matches the single-process
 //     LlaEngine up to the one-round staleness of the congestion flags used
 //     for path step sizes.  Both fan-outs run as lanes (round_threads); one
 //     thread runs one lane.
-//   * Asynchronous — every agent runs on its own periodic timer with
-//     staggered phases while the bus applies delay, jitter and drops; this
-//     is the regime a real deployment would see.  A tick runs the same
+//   * Asynchronous — every host and shard runs on its own periodic timer
+//     with staggered phases while the bus applies delay, jitter and drops;
+//     this is the regime a real deployment would see.  A tick runs the same
 //     entry point as a round, on lane 0.
 //
 // The task controllers share one LatencySolver, keyed to
@@ -26,16 +29,16 @@
 //
 // The monitor reads no agent's memory.  Every round's evaluation lives in
 // one StepWorkspace (ControllerShared::evaluation) that the agents fill as
-// they compute: each controller its task's utility and its paths'
-// latencies after its solve, each shard the share sums of the resources it
-// steps.  A sample (RecordSample, after a sync round or on the async
-// monitor timer) only runs ReduceStepWorkspace over it, the engine's own
-// reduction, so on a fault-free synchronous round over a lossless bus it
-// equals FillStepWorkspace(CurrentAssignment()) bit for bit (DESIGN.md
-// §7.11).  The dual state is one optimizer state in the engine's layout,
-// in the same shared block: the PriceVector that CurrentPrices() returns,
-// one adaptive StepSchedule and one mu momentum state per resource, each
-// slot written by the one agent that owns it.
+// they compute: each host its tasks' utilities and their paths' latencies
+// after each solve, each shard the share sums of the resources it steps.
+// A sample (RecordSample, after a sync round or on the async monitor timer)
+// only runs ReduceStepWorkspace over it, the engine's own reduction, so on
+// a fault-free synchronous round over a lossless bus it equals
+// FillStepWorkspace(CurrentAssignment()) bit for bit (DESIGN.md §7.11).
+// The dual state is one optimizer state in the engine's layout, in the
+// same shared block: the PriceVector that CurrentPrices() returns, one
+// adaptive StepSchedule and one mu momentum state per resource, each slot
+// written by the one agent that owns it.
 //
 // The coordinator also implements the enactment policy of Sec. 4.4: the
 // running allocation is only "enacted" (recorded for the executing system)
@@ -76,15 +79,16 @@ struct CoordinatorConfig {
   /// [0, 1); the constructor aborts otherwise.  Path lambdas stay plain:
   /// the task controllers' Eq. 9 update ignores this config.
   DynamicsConfig dynamics;
-  /// Shard width (DESIGN.md §7.10): partition the resources into this many
-  /// shard agents, each owning a contiguous range and exchanging one
-  /// batched message per peer per round — O(shards) instead of
-  /// O(resources) coordinator round traffic.  Clamped to the resource
-  /// count.  0 (the default) runs one shard per resource, the paper's
-  /// one-agent-per-resource deployment.
+  /// Deployment width of both sides (DESIGN.md §7.10): k > 0 partitions
+  /// the resources into min(k, R) shard agents and the tasks into min(k, T)
+  /// controller hosts, each owning a contiguous range, and every
+  /// (host, shard) pair exchanges one batched message each way per round —
+  /// at most 2 k^2 messages instead of O(subtasks).  0 (the default) runs
+  /// one shard per resource and one host per task, the paper's one agent
+  /// per resource and per task.
   int num_shards = 0;
-  /// Round lanes (DESIGN.md §7.11): every RunSyncRound runs its
-  /// controllers, then its shards, as lanes of contiguous ascending chunks
+  /// Round lanes (DESIGN.md §7.11): every RunSyncRound runs its controller
+  /// hosts, then its shards, as lanes of contiguous ascending chunks
   /// whose sends are deferred to per-lane outboxes and committed serially
   /// in lane order; the bus then delivers serially.  With N > 1 the
   /// coordinator owns an N-thread pool and the lanes run across it; with 1
@@ -142,26 +146,28 @@ class Coordinator {
   /// (timers for all agents are armed on first call).
   void RunAsync(double duration_ms);
 
-  /// Failure injection: partitions the message endpoint of the task
-  /// controller, or of the shard agent hosting the resource, for
+  /// Failure injection: partitions the message endpoint of the controller
+  /// host running the task, or of the shard agent hosting the resource, for
   /// `duration_ms` of virtual time from now (messages to and from it are
   /// dropped; its local timers keep running, so it resumes with stale state
-  /// when the partition heals).  A network partitions hosts, not resources:
-  /// the hosting shard's other resources are cut off too.
+  /// when the partition heals).  A network partitions hosts, not tasks or
+  /// resources: the host's other tasks, or the shard's other resources, are
+  /// cut off too.
   void PartitionResource(ResourceId resource, double duration_ms);
   void PartitionController(TaskId task, double duration_ms);
 
-  /// Crash-restart fault injection (DESIGN.md §7.7).  A task controller
-  /// crashes with its endpoint: CrashEndpoint halts it and black-holes its
-  /// traffic open-endedly.  A resource crashes inside its hosting shard
-  /// agent, whose endpoint and other resources keep running: its price
-  /// entries go out stale and inbound latency writes to it are dropped.
-  /// RestartEndpoint clears the crash, bumps the endpoint's incarnation
-  /// (the controller's, or the hosting shard's — so peers reject pre-crash
-  /// prices still in flight as stale), and rejoins either cold — total
-  /// state loss followed by the peer repair exchange — or from a snapshot
-  /// previously taken by CheckpointResource/CheckpointController (bounded
-  /// staleness, no repair needed).  Each restart increments
+  /// Crash-restart fault injection (DESIGN.md §7.7).  A task crashes inside
+  /// its controller host, and a resource inside its shard agent; the
+  /// endpoint and its other tasks or resources keep running.  A crashed
+  /// task neither solves nor absorbs prices, and its latency entries go out
+  /// frozen; a crashed resource's price entries go out stale and inbound
+  /// latency writes to it are dropped.  RestartEndpoint clears the crash,
+  /// bumps the incarnation of the hosting endpoint (so peers reject its
+  /// pre-crash traffic still in flight as stale), and rejoins either cold —
+  /// total state loss, followed for a resource by the peer repair exchange
+  /// — or from a snapshot previously taken by
+  /// CheckpointResource/CheckpointController (bounded staleness, no repair
+  /// needed).  Each restart increments
   /// recovery.restarts and emits a "recovery.restart" trace event.  Every
   /// entry point aborts loudly on an id outside the workload.
   void CrashEndpoint(ResourceId resource);
@@ -196,9 +202,12 @@ class Coordinator {
   const std::vector<RoundStats>& history() const { return history_; }
   const std::vector<Enactment>& enactments() const { return enactments_; }
   net::InProcessBus& bus() { return *bus_; }
+  /// The controller host running `task` (aborts loudly on an id outside
+  /// the workload).
   const TaskController& controller(TaskId task) const {
-    return *controllers_[task.value()];
+    return *controllers_[HostOf(task, "controller")];
   }
+  std::size_t host_count() const { return controllers_.size(); }
   std::size_t shard_count() const { return shard_agents_.size(); }
   const ShardAgent& shard_agent(std::size_t shard) const {
     return *shard_agents_[shard];
@@ -219,8 +228,9 @@ class Coordinator {
     return resource_shard_[CheckedId(resource.value(), resource_shard_.size(),
                                      "resource", what)];
   }
-  std::size_t TaskIndex(TaskId task, const char* what) const {
-    return CheckedId(task.value(), controllers_.size(), "task", what);
+  std::uint32_t HostOf(TaskId task, const char* what) const {
+    return task_host_[CheckedId(task.value(), task_host_.size(), "task",
+                                what)];
   }
   void RecordSample(double at_ms);
   void MaybeEnact(double at_ms);
@@ -244,12 +254,14 @@ class Coordinator {
   /// The state all agents share; must precede controllers_ and
   /// shard_agents_ (they hold pointers into it).
   std::unique_ptr<ControllerShared> controller_shared_;
+  /// The controller hosts, by host id, and their endpoints.
   std::vector<std::unique_ptr<TaskController>> controllers_;
   std::vector<std::unique_ptr<ShardAgent>> shard_agents_;
   net::EndpointId monitor_endpoint_ = 0;
   std::vector<net::EndpointId> controller_endpoints_;
   std::vector<net::EndpointId> shard_endpoints_;
-  /// The shard owning each resource.
+  /// The host running each task and the shard owning each resource.
+  std::vector<std::uint32_t> task_host_;
   std::vector<std::uint32_t> resource_shard_;
   std::vector<net::EndpointId> controller_timer_endpoints_;
   std::vector<net::EndpointId> shard_timer_endpoints_;
@@ -275,7 +287,7 @@ class Coordinator {
   obs::Counter* samples_counter_ = nullptr;
   obs::Counter* enactments_counter_ = nullptr;
   obs::Timer* sync_round_timer_ = nullptr;
-  /// The phases of a sync round, in order: controller solve and encode,
+  /// The phases of a sync round, in order: controller solves and encode,
   /// latency commit and delivery, shard prices and encode, price commit
   /// and delivery, and the monitor's sample.
   obs::Timer* controllers_timer_ = nullptr;

@@ -1,17 +1,18 @@
 // Crash-restart recovery for the distributed runtime (DESIGN.md §7.7).
 //
 // Two restart flavors exist, both driven through the Coordinator's
-// fault-injection API, for a task controller or for one resource inside the
-// shard agent that hosts it (a shard hosts one resource or many):
+// fault-injection API, for one task inside the controller host that runs
+// it or for one resource inside the shard agent that hosts it (a host runs
+// one task or many, a shard hosts one resource or many):
 //
-//   * Cold restart — the node lost everything.  Its message endpoint's
+//   * Cold restart — the node lost everything.  Its hosting endpoint's
 //     incarnation is bumped (so peers can reject its pre-crash traffic and
 //     it can prove its own freshness) and its dual state resets.  A
 //     restarted resource runs the repair exchange: a RepairRequest to every
-//     client controller, each answering with its absolute view (cached mu_r
-//     + current subtask latencies).  Its price entries go out stale for a
-//     few grace ticks while repair is in flight so a mu=0 cold price never
-//     hits the controllers.
+//     client controller host, whose tasks that use the resource each answer
+//     with their absolute view (cached mu_r + current subtask latencies).
+//     Its price entries go out stale for a few grace ticks while repair is
+//     in flight so a mu=0 cold price never hits the controllers.
 //
 //   * Checkpoint restart — the node restored a snapshot taken earlier by
 //     Coordinator::CheckpointResource/CheckpointController.  It rejoins with
@@ -45,7 +46,7 @@ struct ResourceAgentSnapshot {
   ComponentDynamicsState dynamics;
 };
 
-/// Durable state of one TaskController and its slots of the shared state,
+/// Durable state of one task's controller and its slots of the shared state,
 /// captured by Coordinator::CheckpointController.
 struct TaskControllerSnapshot {
   TaskId task;

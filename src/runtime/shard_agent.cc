@@ -25,59 +25,18 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
   resources_.reserve(count);
   latency_offset_.reserve(count + 1);
   latency_offset_.push_back(0);
-  std::map<TaskId, std::set<std::uint32_t>> clients;
   for (std::size_t i = 0; i < count; ++i) {
     const ResourceId r(static_cast<std::uint32_t>(first_ + i));
     resources_.push_back(r);
-    const ResourceInfo& info = workload.resource(r);
-    for (SubtaskId sid : info.subtasks) {
+    for (SubtaskId sid : workload.resource(r).subtasks) {
       subtask_slot_.emplace(sid.value(), latencies_.size());
       // Until a controller reports, assume the subtask demands nothing: an
       // effectively-infinite latency gives share ~ 0.
       latencies_.push_back(1e9);
       slot_resource_.push_back(static_cast<std::uint32_t>(i));
-      clients[workload.subtask(sid).task].insert(
-          static_cast<std::uint32_t>(i));
     }
     latency_offset_.push_back(latencies_.size());
   }
-  client_tasks_.reserve(clients.size());
-  client_resources_.reserve(clients.size());
-  client_latency_slots_.reserve(clients.size());
-  resource_clients_.assign(count, {});
-  for (const auto& [task, locals] : clients) {
-    const auto c = static_cast<std::uint32_t>(client_tasks_.size());
-    client_tasks_.push_back(task);
-    client_resources_.emplace_back(locals.begin(), locals.end());
-    for (const std::uint32_t local : client_resources_.back()) {
-      resource_clients_[local].push_back(c);
-    }
-    // The positional latency list: the client's subtasks hosted here, in
-    // the client's local subtask order — exactly the order the controller's
-    // shard_subtasks_ gather emits.
-    auto& slots = client_latency_slots_.emplace_back();
-    for (SubtaskId sid : workload.task(task).subtasks) {
-      const auto it = subtask_slot_.find(sid.value());
-      if (it != subtask_slot_.end()) slots.push_back(it->second);
-    }
-  }
-  client_incarnation_.assign(client_tasks_.size(), 0);
-  std::vector<std::uint32_t> client_ids;
-  client_ids.reserve(client_tasks_.size());
-  for (const TaskId task : client_tasks_) client_ids.push_back(task.value());
-  client_index_ = IdIndex(client_ids);
-  // The scratch arrays fit the widest message each way, once.
-  std::size_t widest_price = 0;
-  std::size_t widest_latency = 0;
-  for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
-    widest_price = std::max(widest_price, client_resources_[c].size());
-    widest_latency =
-        std::max(widest_latency, client_latency_slots_[c].size());
-  }
-  gather_mu_.assign(widest_price, 0.0);
-  gather_congested_.assign(widest_price, 0);
-  gather_stale_.assign(widest_price, 0);
-  decode_scratch_.assign(widest_latency, 0.0);
   congested_.assign(count, 0);
   resource_crashed_.assign(count, 0);
   awaiting_repair_.assign(count, 0);
@@ -88,11 +47,67 @@ ShardAgent::ShardAgent(const Workload& workload, const LatencyModel& model,
 
 void ShardAgent::Bind(net::InProcessBus* bus, net::EndpointId self,
                       const std::vector<net::EndpointId>* controller_endpoints,
+                      const std::vector<std::uint32_t>* task_host,
                       ControllerShared* shared) {
   bus_ = bus;
   self_ = self;
   controller_endpoints_ = controller_endpoints;
+  task_host_ = task_host;
   shared_ = shared;
+
+  // The client tasks with the local resources each uses here, in ascending
+  // task order; hosts own contiguous task ranges, so consecutive tasks of
+  // one host form that host's client entry.
+  std::map<TaskId, std::set<std::uint32_t>> clients;
+  for (std::size_t i = 0; i < resources_.size(); ++i) {
+    for (SubtaskId sid : workload_->resource(resources_[i]).subtasks) {
+      clients[workload_->subtask(sid).task].insert(
+          static_cast<std::uint32_t>(i));
+    }
+  }
+  client_hosts_.clear();
+  client_resources_.clear();
+  client_latency_slots_.clear();
+  resource_clients_.assign(resources_.size(), {});
+  for (const auto& [task, locals] : clients) {
+    const std::uint32_t host = (*task_host)[task.value()];
+    if (client_hosts_.empty() || client_hosts_.back() != host) {
+      client_hosts_.push_back(host);
+      client_resources_.emplace_back();
+      client_latency_slots_.emplace_back();
+    }
+    const auto c = static_cast<std::uint32_t>(client_hosts_.size() - 1);
+    // The positional lists: per task in ascending order, its used
+    // resources here, ascending (prices), and its subtasks hosted here in
+    // the task's local subtask order (latencies) — exactly the lists the
+    // host derives.
+    client_resources_[c].insert(client_resources_[c].end(), locals.begin(),
+                                locals.end());
+    for (const std::uint32_t local : locals) {
+      std::vector<std::uint32_t>& users = resource_clients_[local];
+      if (users.empty() || users.back() != c) users.push_back(c);
+    }
+    for (SubtaskId sid : workload_->task(task).subtasks) {
+      const auto it = subtask_slot_.find(sid.value());
+      if (it != subtask_slot_.end()) {
+        client_latency_slots_[c].push_back(it->second);
+      }
+    }
+  }
+  client_incarnation_.assign(client_hosts_.size(), 0);
+  client_index_ = IdIndex(client_hosts_);
+  // The scratch arrays fit the widest message each way, once.
+  std::size_t widest_price = 0;
+  std::size_t widest_latency = 0;
+  for (std::size_t c = 0; c < client_hosts_.size(); ++c) {
+    widest_price = std::max(widest_price, client_resources_[c].size());
+    widest_latency =
+        std::max(widest_latency, client_latency_slots_[c].size());
+  }
+  gather_mu_.assign(widest_price, 0.0);
+  gather_congested_.assign(widest_price, 0);
+  gather_stale_.assign(widest_price, 0);
+  decode_scratch_.assign(widest_latency, 0.0);
 }
 
 bool ShardAgent::AcceptIncarnation(std::size_t c, std::uint32_t incarnation) {
@@ -109,8 +124,8 @@ void ShardAgent::OnMessage(const net::Message& message) {
   if (const auto* update =
           std::get_if<net::ShardLatencyUpdate>(&message.payload)) {
     if (update->shard != shard_) return;  // misrouted; ignore
-    const int c = client_index_.Find(update->task.value());
-    if (c < 0) return;  // not a client here; ignore
+    const int c = client_index_.Find(update->host);
+    if (c < 0) return;  // not a client host here; ignore
     if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
       DropClientMomentum(static_cast<std::size_t>(c));
       return;
@@ -121,7 +136,9 @@ void ShardAgent::OnMessage(const net::Message& message) {
   if (const auto* repair =
           std::get_if<net::RepairResponse>(&message.payload)) {
     if (!Hosts(repair->resource)) return;  // misrouted; ignore
-    const int c = client_index_.Find(repair->task.value());
+    const std::size_t task = repair->task.value();
+    if (task >= task_host_->size()) return;  // no such task; ignore
+    const int c = client_index_.Find((*task_host_)[task]);
     if (c < 0) return;
     if (!AcceptIncarnation(static_cast<std::size_t>(c), message.incarnation)) {
       // Same discontinuity as a stale latency update.
@@ -170,9 +187,9 @@ void ShardAgent::ApplyLatencyUpdate(std::size_t c,
 void ShardAgent::ApplyRepairResponse(const net::RepairResponse& repair) {
   const std::size_t local = Local(repair.resource);
   if (resource_crashed_[local] != 0) return;  // still down; ignore
-  // Absolute state from a client controller: always absorb the latencies
-  // (they are the controller's current truth), and while awaiting repair
-  // adopt the price from the freshest epoch offered.
+  // Absolute state from one task of a client host: always absorb the
+  // latencies (they are the task's current truth), and while awaiting
+  // repair adopt the price from the freshest epoch offered.
   for (std::size_t i = 0; i < repair.entry_count(); ++i) {
     const net::RepairEntry entry = repair.entry(i);
     const auto it = subtask_slot_.find(entry.subtask.value());
@@ -294,8 +311,8 @@ ResourceAgentSnapshot ShardAgent::SnapshotResource(ResourceId r) const {
 void ShardAgent::SendRepairRequest(std::size_t local, net::Outbox* outbox) {
   for (const std::uint32_t c : resource_clients_[local]) {
     outbox
-        ->Add<net::RepairRequest>(
-            self_, (*controller_endpoints_)[client_tasks_[c].value()])
+        ->Add<net::RepairRequest>(self_,
+                                  (*controller_endpoints_)[client_hosts_[c]])
         .resource = resources_[local];
   }
 }
@@ -361,15 +378,15 @@ void ShardAgent::ComputePricesAndBroadcast(net::Outbox* outbox) {
   any_resource_faulted_ = still_faulted;
   ++epoch_;
 
-  // One batched positional message per client, carrying only the prices
-  // that client reads (a whole-shard vector to every client would multiply
-  // the round's byte volume by shard_width / task_resources_per_shard on
-  // sparse workloads), its payload encoded straight into the lane's outbox
-  // and the message built beside it.
+  // One batched positional message per client host, carrying only the
+  // prices its tasks read (a whole-shard vector to every client would
+  // multiply the round's byte volume by shard_width /
+  // task_resources_per_shard on sparse workloads), its payload encoded
+  // straight into the lane's outbox and the message built beside it.
   double* mu = gather_mu_.data();
   std::uint8_t* congested = gather_congested_.data();
   std::uint8_t* stale = any_resource_faulted_ ? gather_stale_.data() : nullptr;
-  for (std::size_t c = 0; c < client_tasks_.size(); ++c) {
+  for (std::size_t c = 0; c < client_hosts_.size(); ++c) {
     const std::vector<std::uint32_t>& locals = client_resources_[c];
     for (std::size_t j = 0; j < locals.size(); ++j) {
       mu[j] = shared_mu[first_ + locals[j]];
@@ -385,7 +402,7 @@ void ShardAgent::ComputePricesAndBroadcast(net::Outbox* outbox) {
     const net::PayloadSpan span = net::AppendShardPricePayload(
         mu, congested, stale, locals.size(), outbox->bytes());
     net::ShardPriceUpdate& update = outbox->Add<net::ShardPriceUpdate>(
-        self_, (*controller_endpoints_)[client_tasks_[c].value()], span);
+        self_, (*controller_endpoints_)[client_hosts_[c]], span);
     update.shard = shard_;
     update.epoch = epoch_;
     update.count = static_cast<std::uint32_t>(locals.size());

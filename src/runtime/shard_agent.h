@@ -5,14 +5,16 @@
 //   1. Receive the computed latencies of all subtasks hosted here.
 //   2. Compute a new price mu_r (Eq. 8) for every hosted resource, adapting
 //      each resource's step size by the doubling heuristic while congested.
-//   3. Send each client controller one batched message carrying the prices
-//      (and congestion flags) of exactly the resources it uses here.
+//   3. Send each client controller host one batched message carrying the
+//      prices (and congestion flags) of exactly the resources its tasks use
+//      here.
 //
 // The shard width is a deployment choice: the coordinator runs one shard per
 // resource by default (the paper's one-agent-per-resource deployment; for a
 // network link the paper assigns this role to one endpoint of the link) and
 // up to R resources per shard when sharded, which drops the per-round
-// message count from O(resources) to O(shards) per task.  Every
+// message count from O(resources) to O(shards) per controller host (a host
+// runs one task by default, a contiguous task range when sharded).  Every
 // per-resource quantity — share sum, Eq. 8 price, adaptive step multiplier,
 // congestion flag, momentum state — is computed independently of the width,
 // so every width reaches the same fixed point bit-for-bit in synchronous
@@ -25,16 +27,17 @@
 // adoption, snapshot restore, incarnation-stale rejection).  Shards own
 // disjoint resource ranges, so round lanes never share a slot.
 //
-// The shard messages are positional (DESIGN.md §7.11): shard membership is
-// static, so the agent derives, once, the ordered entry list of each client
-// — latency slots for inbound updates, used resources for outbound prices —
-// and the wire carries only b1-encoded value arrays.  The broadcast builds
-// each client's ShardPriceUpdate in place in the caller's round-lane
-// outbox, its payload encoded straight into the outbox's byte buffer; the
-// coordinator sends the outboxes in lane order, in synchronous rounds and
-// asynchronous ticks alike, and the bus binds each view when it delivers.
-// Inbound latencies are routed by a task-id IdIndex built in the
-// constructor and decoded into scratch sized once to the widest message.
+// The shard messages are positional (DESIGN.md §7.11): shard and host
+// membership are static, so the agent derives, once, the ordered entry list
+// of each client host — latency slots for inbound updates, used resources
+// for outbound prices, each the concatenation of the host's tasks' lists in
+// ascending task order — and the wire carries only b1-encoded value arrays.
+// The broadcast builds each client's ShardPriceUpdate in place in the
+// caller's round-lane outbox, its payload encoded straight into the outbox's
+// byte buffer; the coordinator sends the outboxes in lane order, in
+// synchronous rounds and asynchronous ticks alike, and the bus binds each
+// view when it delivers.  Inbound latencies are routed by a host-id IdIndex
+// built at Bind and decoded into scratch sized once to the widest message.
 // An inbound message's payload view is valid for the OnMessage call only,
 // and the agent keeps nothing of it.
 //
@@ -48,9 +51,9 @@
 // crashed resource's price entries are marked stale in the broadcasts
 // (clients keep their cached price) and inbound latency writes to it are
 // dropped; a cold restart runs the repair exchange (RepairRequest to the
-// resource's clients, freshest-epoch adoption, grace-held broadcast) for
-// just that resource.  The shard's endpoint and its other resources keep
-// running throughout.
+// resource's client hosts, one RepairResponse per task that uses it,
+// freshest-epoch adoption, grace-held broadcast) for just that resource.
+// The shard's endpoint and its other resources keep running throughout.
 #pragma once
 
 #include <cstdint>
@@ -89,13 +92,15 @@ class ShardAgent {
              std::size_t count, AgentStepConfig config,
              DynamicsConfig dynamics);
 
-  /// Wires the agent to the bus.  `controller_endpoints[t]` is the endpoint
-  /// of task t's controller; `shared` holds the dual state and share sums
-  /// the shard writes for its resources (both non-owning; the coordinator
-  /// keeps them alive).  Only controllers with subtasks on this shard are
-  /// messaged.
+  /// Wires the agent to the bus and derives its client tables.
+  /// `controller_endpoints[h]` is the endpoint of controller host h and
+  /// `task_host[t]` the host running task t (hosts own contiguous task
+  /// ranges); `shared` holds the dual state and share sums the shard writes
+  /// for its resources (all non-owning; the coordinator keeps them alive).
+  /// Only hosts with subtasks on this shard are messaged.
   void Bind(net::InProcessBus* bus, net::EndpointId self,
             const std::vector<net::EndpointId>* controller_endpoints,
+            const std::vector<std::uint32_t>* task_host,
             ControllerShared* shared);
 
   /// Handles a ShardLatencyUpdate or RepairResponse destined for this
@@ -103,7 +108,7 @@ class ShardAgent {
   void OnMessage(const net::Message& message);
 
   /// One price computation for every owned resource + a single batched
-  /// broadcast per client controller.  The messages (and any repair
+  /// broadcast per client controller host.  The messages (and any repair
   /// re-requests of a grace-held resource) are built in `outbox`, the
   /// caller's round lane, which the caller sends in lane order (DESIGN.md
   /// §7.11).
@@ -113,7 +118,7 @@ class ShardAgent {
   /// hosted here.  CrashResource freezes the resource: its price entries go
   /// out stale and inbound latency writes to it are dropped.
   /// ColdRestartResource clears the crash with total loss of the resource's
-  /// state and starts the repair exchange with its client controllers.
+  /// state and starts the repair exchange with its client hosts.
   /// RestoreResource rejoins from a snapshot (bounded staleness, no repair
   /// exchange) and aborts on a snapshot of another resource or shape.
   void CrashResource(ResourceId r);
@@ -142,7 +147,10 @@ class ShardAgent {
   /// The shard's broadcast round: stamped on every price update, shared by
   /// all its resources, and never reset by a single resource's restart.
   std::uint32_t epoch() const { return epoch_; }
-  const std::vector<TaskId>& client_tasks() const { return client_tasks_; }
+  /// The controller hosts with subtasks here, ascending.
+  const std::vector<std::uint32_t>& client_hosts() const {
+    return client_hosts_;
+  }
 
   void set_recovery_hooks(const RecoveryHooks& hooks) { hooks_ = hooks; }
 
@@ -153,15 +161,15 @@ class ShardAgent {
   std::size_t HostedLocal(ResourceId r, const char* what) const;
   /// Incarnation-gated acceptance of client `c`'s message.
   bool AcceptIncarnation(std::size_t c, std::uint32_t incarnation);
-  /// RepairRequest for one restarted resource to each of its client
-  /// controllers, added to `outbox`.
+  /// RepairRequest for one restarted resource to each of its client hosts,
+  /// added to `outbox`.
   void SendRepairRequest(std::size_t local, net::Outbox* outbox);
   void ApplyLatencyUpdate(std::size_t c,
                           const net::ShardLatencyUpdate& update);
   void ApplyRepairResponse(const net::RepairResponse& repair);
-  /// Incarnation-stale traffic from client `c` was rejected: drop the
-  /// momentum of every resource that client feeds here (its latency stream
-  /// — the gradient input — is discontinuous at the sender's crash
+  /// Incarnation-stale traffic from client host `c` was rejected: drop the
+  /// momentum of every resource that host feeds here (its latency stream
+  /// — the gradient input — is discontinuous at the sender's restart
   /// boundary, so built-up velocity must not be replayed into post-crash
   /// gradients).
   void DropClientMomentum(std::size_t c);
@@ -176,24 +184,28 @@ class ShardAgent {
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
   const std::vector<net::EndpointId>* controller_endpoints_ = nullptr;
+  const std::vector<std::uint32_t>* task_host_ = nullptr;
   ControllerShared* shared_ = nullptr;
   std::vector<ResourceId> resources_;
-  std::vector<TaskId> client_tasks_;  ///< tasks with subtasks here, sorted
-  /// Routing: the index of a task id in client_tasks_, or -1 when the task
-  /// has no subtask here (the id comes off the wire).
+  /// The client tables, one entry per controller host with subtasks here.
+  std::vector<std::uint32_t> client_hosts_;  ///< ascending
+  /// Routing: the index of a host id in client_hosts_, or -1 when no task
+  /// of the host has a subtask here (the id comes off the wire).
   IdIndex client_index_;
-  /// client_resources_[c] = sorted local indices of the resources
-  /// client_tasks_[c] uses here; its per-round price update carries exactly
-  /// these, positionally (the controller derives the same ascending list).
+  /// client_resources_[c] = for each task of host client_hosts_[c] in
+  /// ascending order, the sorted local indices of the resources it uses
+  /// here; the host's per-round price update carries exactly these,
+  /// positionally (the host derives the same list).
   std::vector<std::vector<std::uint32_t>> client_resources_;
   /// client_latency_slots_[c] = flat latency slot of each entry of client
-  /// c's ShardLatencyUpdate, in the client's local subtask order (the same
-  /// order the controller's shard_subtasks_ list emits).
+  /// c's ShardLatencyUpdate: for each task of the host in ascending order,
+  /// its subtasks here in the task's local subtask order (the order the
+  /// host's latency list emits).
   std::vector<std::vector<std::size_t>> client_latency_slots_;
-  /// clients of each resource, as indices into client_tasks_ (repair).
+  /// Client hosts of each resource, as indices into client_hosts_ (repair).
   std::vector<std::vector<std::uint32_t>> resource_clients_;
-  /// Highest sender incarnation seen per client (stale rejection), parallel
-  /// to client_tasks_.
+  /// Highest sender incarnation seen per client host (stale rejection),
+  /// parallel to client_hosts_.
   std::vector<std::uint32_t> client_incarnation_;
 
   /// Flattened latest-latency inputs: resource-local slice
@@ -223,8 +235,8 @@ class ShardAgent {
   /// keeps the fault bookkeeping off the fault-free broadcast fast path.
   bool any_resource_faulted_ = false;
 
-  /// Reused scratch, sized in the constructor to the widest message: the
-  /// per-client price gathers and the decoded latencies.
+  /// Reused scratch, sized at Bind to the widest message: the per-client
+  /// price gathers and the decoded latencies.
   std::vector<double> gather_mu_;
   std::vector<std::uint8_t> gather_congested_;
   std::vector<std::uint8_t> gather_stale_;

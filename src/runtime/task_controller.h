@@ -1,29 +1,37 @@
-// TaskController: the per-task participant of the distributed LLA protocol
-// (paper Sec. 4.2, "Latency Allocation").
+// TaskController: the task-side participant of the distributed LLA protocol
+// (paper Sec. 4.2, "Latency Allocation"), hosting the controllers of a
+// contiguous range of one or more tasks behind one message endpoint — a
+// controller host, the mirror of a ShardAgent (DESIGN.md §7.10).  For each
+// hosted task:
 //
 //   1. Receive the price values mu_r of the resources the task uses
 //      (with the sender's congestion flag, for the adaptive step sizes).
 //   2. Compute the path prices lambda_p of the task's own paths (Eq. 9).
 //   3. Compute new latencies by zeroing the Lagrangian derivative (Eq. 7)
 //      — delegated to LatencySolver::SolveTaskRange.
-//   4. Send the latencies to the resources hosting the subtasks: one batched
-//      message per shard agent touched (a shard hosts one resource or a
-//      contiguous range of them).
+//   4. Send the latencies to the resources hosting the subtasks.
 //
-// Controllers keep only O(task) state: compact per-used-resource caches plus
-// pointers into a ControllerShared block owned by the coordinator.  The old
-// layout — a LatencySolver and full PriceVector per controller — was
-// O(workload) per task and the memory wall at 10^5 subtasks.  The price
-// buffer a solve reads is the caller's round lane's (DESIGN.md §7.11): tasks
-// sharing a resource write the same mu slot, so lanes cannot share one.
-// The shared block IS the controllers' state: each owns its task's
-// contiguous subtask-id span of the latencies and path-id span of lambda
-// and of the path step multipliers (Workload::Create numbers both task by
-// task) and keeps no copy.  After every solve the controller also fills
-// its task's utility slot and its paths' latency slots of the shared
-// workspace with the engine's own sweep bodies, so the monitor only reduces
-// what the agents computed.  Sharing is race-free because each controller
-// writes only its own task's slots.
+// The host batches steps 1 and 4: it exchanges one message per shard agent
+// its tasks touch, each way, whose entries are its tasks' entries
+// concatenated in ascending task order.  Every per-task quantity — the
+// solve, the lambda step, the price caches — is computed independently of
+// the host width, so every width reaches the same fixed point bit-for-bit
+// in synchronous rounds.
+//
+// A host keeps only O(its tasks) state: compact per-task, per-used-resource
+// caches plus pointers into a ControllerShared block owned by the
+// coordinator.  The price buffer a solve reads is the caller's round lane's
+// (DESIGN.md §7.11): tasks sharing a resource write the same mu slot, so
+// lanes cannot share one, and each task publishes its own cached mu right
+// before its own solve (two tasks of one host may cache different prices
+// for one resource after one of them restarts).  The shared block IS the
+// controllers' state: each task owns its contiguous subtask-id span of the
+// latencies and path-id span of lambda and of the path step multipliers
+// (Workload::Create numbers both task by task) and keeps no copy.  After
+// every solve the host also fills the task's utility slot and its paths'
+// latency slots of the shared workspace with the engine's own sweep bodies,
+// so the monitor only reduces what the agents computed.  Sharing is
+// race-free because each host writes only its own tasks' slots.
 //
 // A send builds each shard's ShardLatencyUpdate in place in the caller's
 // round-lane outbox: it encodes the payload straight into the outbox's byte
@@ -31,7 +39,14 @@
 // delivers.  Inbound prices are routed by a shard-id IdIndex built at Bind
 // and decoded into scratch sized once to the widest message.  An inbound
 // message's payload view is valid for the OnMessage call only, and the
-// controller keeps nothing of it.
+// host keeps nothing of it.
+//
+// Per-task fault injection (DESIGN.md §7.7): a single hosted task can be
+// crashed, cold-restarted, checkpointed and restored from a snapshot.  A
+// crashed task neither solves, nor steps lambda, nor absorbs prices, and its
+// latency entries go out unchanged, so the shards keep the values they
+// already hold.  The host's endpoint and its other tasks keep running
+// throughout.
 #pragma once
 
 #include <cstdint>
@@ -56,17 +71,17 @@ namespace lla::runtime {
 /// Per-coordinator state shared by every agent, each of which writes only
 /// its own slots:
 ///   - the latency solver (its invariant caches are O(workload));
-///   - `latencies`, the controllers' latency state: task t's controller
-///     owns the contiguous span of t's subtask ids;
-///   - `evaluation`, the round's StepWorkspace, sized once here.  Controllers
-///     fill `task_utilities` and `path_latencies` for their own task and
-///     paths; shard agents store `resource_share_sums` for the resources
-///     they step; the coordinator's monitor runs ReduceStepWorkspace over
-///     it and writes the rest;
+///   - `latencies`, the controllers' latency state: task t's host owns the
+///     contiguous span of t's subtask ids;
+///   - `evaluation`, the round's StepWorkspace, sized once here.  Hosts fill
+///     `task_utilities` and `path_latencies` for their own tasks and paths;
+///     shard agents store `resource_share_sums` for the resources they
+///     step; the coordinator's monitor runs ReduceStepWorkspace over it and
+///     writes the rest;
 ///   - the dual state, in the engine's layout (DESIGN.md §7.12): the shards
 ///     write the mu of `prices`, their resources' multipliers of the
-///     adaptive `schedule` (Reset here) and `mu_dynamics`; the controllers
-///     write the lambda and their paths' multipliers (lambda stays plain).
+///     adaptive `schedule` (Reset here) and `mu_dynamics`; the hosts write
+///     the lambda and their paths' multipliers (lambda stays plain).
 struct ControllerShared {
   ControllerShared(const Workload& workload, const LatencyModel& model,
                    LatencySolverConfig solver_config, StepSchedule schedule)
@@ -89,109 +104,133 @@ struct ControllerShared {
 
 class TaskController {
  public:
-  /// `shared` is owned by the coordinator and must outlive the controller.
-  TaskController(const Workload& workload, const LatencyModel& model,
-                 TaskId task, ControllerShared* shared);
+  /// Host `host` runs the controllers of tasks
+  /// [first_task, first_task + count).  `shared` is owned by the
+  /// coordinator and must outlive the host.
+  TaskController(const Workload& workload, std::uint32_t host,
+                 TaskId first_task, std::size_t count,
+                 ControllerShared* shared);
 
-  /// Wires the controller to the bus.  `resource_shard[r]` is the shard
-  /// owning resource r and `shard_endpoints[s]` that shard agent's endpoint
-  /// (both non-owning; the coordinator keeps the vectors alive).
-  /// Latencies go out as one ShardLatencyUpdate per shard touched, and
-  /// ShardPriceUpdates are absorbed in one contiguous pass.
+  /// Wires the host to the bus.  `resource_shard[r]` is the shard owning
+  /// resource r and `shard_endpoints[s]` that shard agent's endpoint (both
+  /// non-owning; the coordinator keeps the vectors alive).  Latencies go out
+  /// as one ShardLatencyUpdate per shard the host's tasks touch, and each
+  /// ShardPriceUpdate is absorbed in one pass.
   void Bind(net::InProcessBus* bus, net::EndpointId self,
             const std::vector<net::EndpointId>* shard_endpoints,
             const std::vector<std::uint32_t>* resource_shard);
 
-  /// Handles a ShardPriceUpdate or RepairRequest destined for this
-  /// controller.
+  /// Handles a ShardPriceUpdate or RepairRequest destined for this host.
   void OnMessage(const net::Message& message);
 
-  /// One latency allocation + path price update + broadcast (DESIGN.md
-  /// §7.11).  Publishes this task's prices into `prices`, the caller's
-  /// round-lane buffer (full-size; only this task's slots are read back),
-  /// solves through the solver's const range path (the caller must have
-  /// run solver.PrepareSolve() serially first), and builds the outgoing
-  /// messages in `outbox` for the caller to send in lane order.
+  /// For each live hosted task in ascending order: one latency allocation +
+  /// path price update (DESIGN.md §7.11).  Publishes the task's prices into
+  /// `prices`, the caller's round-lane buffer (full-size; only the task's
+  /// slots are read back), and solves through the solver's const range path
+  /// (the caller must have run solver.PrepareSolve() serially first).  Then
+  /// builds the host's outgoing messages in `outbox` for the caller to send
+  /// in lane order.
   void AllocateAndSend(PriceVector* prices, net::Outbox* outbox);
 
-  TaskId task() const { return task_; }
-
-  /// Latencies of this task's subtasks (indexed by local subtask order):
-  /// the task's span of the shared latency buffer.
-  std::span<const double> latencies() const {
-    return {shared_->latencies.data() + subtask_begin_, subtask_count_};
+  std::uint32_t host() const { return host_; }
+  std::size_t task_count() const { return task_count_; }
+  bool Hosts(TaskId task) const {
+    return task.value() >= first_ && task.value() < first_ + task_count_;
   }
-  double mu_seen(ResourceId r) const;
-  /// Shard epoch at which mu_seen(r) was cached (repair provenance).
-  std::uint32_t mu_epoch_seen(ResourceId r) const;
 
-  /// Crash-restart recovery (DESIGN.md §7.7); driven by the Coordinator in
-  /// lockstep with the bus-side CrashEndpoint/RestartEndpoint.
+  /// Latencies of a hosted task's subtasks (indexed by local subtask
+  /// order): the task's span of the shared latency buffer.
+  std::span<const double> latencies(TaskId task) const {
+    const std::size_t k = Local(task);
+    return {shared_->latencies.data() + subtask_begin_[k],
+            subtask_begin_[k + 1] - subtask_begin_[k]};
+  }
+  /// The price of `r` a hosted task last absorbed (0 when it uses no
+  /// subtask there).
+  double mu_seen(TaskId task, ResourceId r) const;
+  /// Shard epoch at which mu_seen(task, r) was cached (repair provenance).
+  std::uint32_t mu_epoch_seen(TaskId task, ResourceId r) const;
+
+  /// Per-task crash-restart recovery (DESIGN.md §7.7), driven by the
+  /// Coordinator; each aborts loudly when `task` is not hosted here.
+  /// CrashTask freezes the task.  ColdRestartTask rejoins it with total
+  /// state loss; the next shard broadcasts repopulate its price cache within
+  /// one period (controllers need no repair exchange — shards re-send their
+  /// state unprompted every tick).  RestoreTask rejoins it from a snapshot
+  /// and aborts on a snapshot of another task or of a structurally
+  /// different workload.
   void set_recovery_hooks(const RecoveryHooks& hooks) { hooks_ = hooks; }
-  void Crash();
-  /// Rejoins with total state loss; the next shard broadcasts repopulate
-  /// the price cache within one period (controllers need no repair exchange
-  /// — shards re-send their state unprompted every tick).
-  void ColdRestart();
-  /// Rejoins from a snapshot; aborts loudly (in every build mode) on a
-  /// snapshot of another task or of a structurally different workload.
-  void RestoreFromSnapshot(const TaskControllerSnapshot& snapshot);
-  TaskControllerSnapshot Snapshot() const;
-  bool crashed() const { return crashed_; }
+  void CrashTask(TaskId task);
+  void ColdRestartTask(TaskId task);
+  void RestoreTask(TaskId task, const TaskControllerSnapshot& snapshot);
+  TaskControllerSnapshot SnapshotTask(TaskId task) const;
+  bool task_crashed(TaskId task) const { return crashed_[Local(task)] != 0; }
 
  private:
-  /// Index of `resource` in used_resources_, or -1 when this task has no
-  /// subtask there.
-  int UsedIndex(ResourceId resource) const;
+  std::size_t Local(TaskId task) const { return task.value() - first_; }
+  /// Local() for the fault-injection entry points: aborts loudly (in every
+  /// build mode) when `task` is not hosted here.
+  std::size_t HostedLocal(TaskId task, const char* what) const;
+  /// The flat used-resource slot of `resource` in hosted task k's range, or
+  /// -1 when the task has no subtask there.
+  int UsedIndex(std::size_t k, ResourceId resource) const;
   /// Incarnation-gated acceptance of a message from used shard `s`.
   bool AcceptIncarnation(std::size_t s, std::uint32_t incarnation);
-  /// This task's span of the shared latency buffer, writable.
-  std::span<double> MutableLatencies() {
-    return {shared_->latencies.data() + subtask_begin_, subtask_count_};
-  }
-  /// Fills this task's utility slot and its paths' latency slots of the
+  /// Clears hosted task k's crash flag (both restarts rejoin the task).
+  void ClearCrash(std::size_t k);
+  /// Fills hosted task k's utility slot and its paths' latency slots of the
   /// shared workspace from its latencies, with the engine's sweep bodies.
-  void FillEvaluation();
+  void FillEvaluation(std::size_t k);
+  /// Answers a RepairRequest for `resource` with one RepairResponse per
+  /// live hosted task that uses it.
+  void AnswerRepair(ResourceId resource, net::EndpointId requester);
+
   const Workload* workload_;
-  const LatencyModel* model_;
-  TaskId task_;
+  std::uint32_t host_;
+  std::size_t first_;
+  std::size_t task_count_;
   ControllerShared* shared_;
-  /// The task's contiguous subtask-id and path-id ranges (Workload::Create
-  /// numbers both task by task).
-  std::size_t subtask_begin_ = 0;
-  std::size_t subtask_count_ = 0;
-  std::size_t path_begin_ = 0;
-  std::size_t path_count_ = 0;
+  /// Hosted task k owns subtask ids [subtask_begin_[k], subtask_begin_[k+1])
+  /// and path ids [path_begin_[k], path_begin_[k+1]) (Workload::Create
+  /// numbers both task by task, so the host's ranges are contiguous too).
+  std::vector<std::size_t> subtask_begin_;
+  std::vector<std::size_t> path_begin_;
+  /// Each hosted task's used resources, sorted, concatenated in task order:
+  /// task k's are the flat slots [used_begin_[k], used_begin_[k+1]).  The
+  /// per-resource caches below are parallel to it.
+  std::vector<ResourceId> used_resources_;
+  std::vector<std::uint32_t> used_begin_;
 
   net::InProcessBus* bus_ = nullptr;
   net::EndpointId self_ = 0;
   const std::vector<net::EndpointId>* shard_endpoints_ = nullptr;
   const std::vector<std::uint32_t>* resource_shard_ = nullptr;
-  std::vector<ResourceId> used_resources_;  ///< sorted
-  /// The distinct shards this task touches, ascending.  The per-shard
+  /// The distinct shards the hosted tasks touch, ascending.  The per-shard
   /// tables below are indexed like it (and CSR offsets sized one larger),
-  /// so a controller holds O(task) shard state however many shards the
+  /// so a host holds O(its tasks) shard state however many shards the
   /// deployment runs.
   std::vector<std::uint32_t> used_shards_;
-  /// Routing: the index of a shard id in used_shards_, or -1 when this task
-  /// has no subtask there (the id comes off the wire).
+  /// Routing: the index of a shard id in used_shards_, or -1 when no hosted
+  /// task has a subtask there (the id comes off the wire).
   IdIndex shard_index_;
-  /// A shard owns a contiguous resource range and used_resources_ is
-  /// sorted, so the i-th used shard's resources are the slot range
-  /// [shard_slot_begin_[i], shard_slot_begin_[i+1]) of used_resources_:
-  /// positionally identical to the shard agent's client_resources_ list for
-  /// this task, the decode key of the positional ShardPriceUpdate
-  /// (DESIGN.md §7.11).
-  std::vector<std::uint32_t> shard_slot_begin_;
-  /// Local subtask indices grouped by shard, in local subtask order within
-  /// a shard: the i-th used shard's ShardLatencyUpdate carries the
-  /// latencies of shard_subtasks_[shard_subtask_begin_[i] ..
-  /// shard_subtask_begin_[i+1]).
-  std::vector<std::uint32_t> shard_subtask_begin_;
-  std::vector<std::uint32_t> shard_subtasks_;
+  /// The positional price list of the i-th used shard (DESIGN.md §7.11):
+  /// entry j of its ShardPriceUpdate lands in flat slot
+  /// price_slots_[price_begin_[i] + j] — for each hosted task in ascending
+  /// order, its used resources on the shard, ascending.  The shard agent's
+  /// client_resources_ list for this host is the same list.
+  std::vector<std::uint32_t> price_begin_;
+  std::vector<std::uint32_t> price_slots_;
+  /// The positional latency list of the i-th used shard: its
+  /// ShardLatencyUpdate carries the latencies of subtask ids
+  /// latency_subtasks_[latency_begin_[i] .. latency_begin_[i+1]) — for each
+  /// hosted task in ascending order, its subtasks on the shard in local
+  /// subtask order.
+  std::vector<std::uint32_t> latency_begin_;
+  std::vector<std::uint32_t> latency_subtasks_;
 
-  /// Path p's subtasks, as slots of used_resources_ in path order:
-  /// path_slots_[path_slot_begin_[p] .. path_slot_begin_[p+1]).  Built once,
+  /// Host-local path q's subtasks (path id path_begin_[0] + q), as flat
+  /// used-resource slots in path order:
+  /// path_slots_[path_slot_begin_[q] .. path_slot_begin_[q+1]).  Built once,
   /// so the per-round Eq. 9 loop reads used_congested_ directly.
   std::vector<std::uint32_t> path_slot_begin_;
   std::vector<std::uint32_t> path_slots_;
@@ -201,10 +240,13 @@ class TaskController {
   std::vector<std::uint8_t> used_congested_;
   std::vector<std::uint32_t> used_epoch_;
 
-  /// Recovery state: the highest incarnation seen per used shard, and the
-  /// crash flag.
+  /// Recovery state: the per-task crash flags, and the highest incarnation
+  /// seen per used shard (transport state: a task's restart keeps it).
   RecoveryHooks hooks_;
-  bool crashed_ = false;
+  std::vector<std::uint8_t> crashed_;
+  /// True while any entry of crashed_ is set — keeps the per-entry task
+  /// test off the fault-free price absorb.
+  bool any_task_crashed_ = false;
   std::vector<std::uint32_t> shard_incarnation_;
 
   /// Reused scratch, sized at Bind to the widest message: decoded prices,

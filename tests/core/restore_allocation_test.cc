@@ -231,8 +231,7 @@ TEST(DeserializeAllocationTest, ValidatesShardPayloadsWithoutDecoding) {
   payload += OneRun(kEntries, 2.5);
   net::Message message;
   message.payload = net::ShardLatencyUpdate{
-      TaskId(0u), 0, kEntries,
-      net::WireSlice(payload.data(), payload.size())};
+      0, 0, kEntries, net::WireSlice(payload.data(), payload.size())};
   const std::vector<std::uint8_t> bytes = net::Serialize(message);
   ASSERT_EQ(bytes.size(), 50u);
 

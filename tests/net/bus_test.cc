@@ -165,58 +165,14 @@ TEST(BusTest, StampsSenderIncarnationOnSend) {
   EXPECT_EQ(bus.incarnation(a), 0u);
   bus.Send(Ping(a, b));
   bus.RunAll();
-  bus.CrashEndpoint(a);
-  bus.RestartEndpoint(a);
-  bus.RestartEndpoint(a);  // a second restart keeps counting up
+  bus.BumpIncarnation(a);
+  bus.BumpIncarnation(a);  // a second bump keeps counting up
   EXPECT_EQ(bus.incarnation(a), 2u);
   bus.Send(Ping(a, b));
   bus.RunAll();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], 0u);
   EXPECT_EQ(seen[1], 2u);
-}
-
-TEST(BusTest, CrashedEndpointDropsTrafficUntilRestart) {
-  BusConfig config;
-  config.base_delay_ms = 1.0;
-  InProcessBus bus(config);
-  int received = 0;
-  const EndpointId a = bus.Register("a", [&](const Message&) { ++received; });
-  const EndpointId b = bus.Register("b", nullptr);
-
-  bus.CrashEndpoint(a);
-  EXPECT_TRUE(bus.IsBlackedOut(a));
-  bus.Send(Ping(b, a));  // toward the crashed endpoint
-  bus.Send(Ping(a, b));  // from the crashed endpoint
-  bus.RunAll();
-  EXPECT_EQ(received, 0);
-  EXPECT_EQ(bus.stats().dropped, 2u);
-
-  // Unlike BlackoutEndpoint, the crash is open-ended: it survives any
-  // amount of virtual time until an explicit restart.
-  bus.RunUntil(1e12);
-  EXPECT_TRUE(bus.IsBlackedOut(a));
-
-  bus.RestartEndpoint(a);
-  EXPECT_FALSE(bus.IsBlackedOut(a));
-  bus.Send(Ping(b, a));
-  bus.RunAll();
-  EXPECT_EQ(received, 1);
-}
-
-TEST(BusTest, InFlightMessageDropsWhenReceiverCrashesBeforeDelivery) {
-  BusConfig config;
-  config.base_delay_ms = 10.0;
-  InProcessBus bus(config);
-  int received = 0;
-  const EndpointId a = bus.Register("a", [&](const Message&) { ++received; });
-  const EndpointId b = bus.Register("b", nullptr);
-  bus.Send(Ping(b, a));  // delivery would be at t=10
-  bus.RunUntil(5.0);
-  bus.CrashEndpoint(a);
-  bus.RunAll();  // delivery attempt happens while a is down
-  EXPECT_EQ(received, 0);
-  EXPECT_EQ(bus.stats().dropped, 1u);
 }
 
 TEST(BusTest, TimersAndMessagesAtOneInstantRunInSendOrder) {
@@ -346,8 +302,8 @@ Message BytesMessage(EndpointId from, EndpointId to, const std::string& bytes) {
   Message message;
   message.sender = from;
   message.receiver = to;
-  message.payload = ShardLatencyUpdate{TaskId(0u), 0, 0,
-                                       WireSlice(bytes.data(), bytes.size())};
+  message.payload =
+      ShardLatencyUpdate{0, 0, 0, WireSlice(bytes.data(), bytes.size())};
   return message;
 }
 
@@ -444,7 +400,7 @@ TEST(BusTest, OutboxAdmissionMatchesSendingOneByOne) {
               AppendShardLatencyPayload(values, 3, outbox->bytes());
           ShardLatencyUpdate& update =
               outbox->Add<ShardLatencyUpdate>(from, to, span);
-          update.task = TaskId(static_cast<std::uint32_t>(k));
+          update.host = static_cast<std::uint32_t>(k);
           update.count = 3;
           break;
         }
@@ -498,7 +454,7 @@ TEST(BusTest, OutboxAdmissionMatchesSendingOneByOne) {
     const EndpointId a = bus.Register("a", record);
     const EndpointId b = bus.Register("b", record);
     const EndpointId c = bus.Register("c", record);
-    bus.RestartEndpoint(c);      // c sends as incarnation 1
+    bus.BumpIncarnation(c);      // c sends as incarnation 1
     bus.BlackoutEndpoint(b, 0.5);  // live through the first two rounds
     Outbox outbox;
     for (int round = 0; round < 4; ++round) {
@@ -653,8 +609,6 @@ TEST(BusDeathTest, RejectsUnregisteredEndpoints) {
   EXPECT_DEATH(bus.Send(Ping(a, ghost)), "not registered");
   EXPECT_DEATH(bus.ScheduleTimer(ghost, 1.0, 1), "not registered");
   EXPECT_DEATH(bus.BlackoutEndpoint(ghost, 1.0), "not registered");
-  EXPECT_DEATH(bus.CrashEndpoint(ghost), "not registered");
-  EXPECT_DEATH(bus.RestartEndpoint(ghost), "not registered");
   EXPECT_DEATH(bus.BumpIncarnation(ghost), "not registered");
 }
 

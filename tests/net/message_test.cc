@@ -54,7 +54,7 @@ Message ShardLatencyMessage(const std::vector<double>& latencies) {
   std::string bytes;
   AppendShardLatencyPayload(latencies.data(), latencies.size(), &bytes);
   ShardLatencyUpdate update;
-  update.task = TaskId(5u);
+  update.host = 5;
   update.shard = 2;
   update.count = static_cast<std::uint32_t>(latencies.size());
   update.payload = Keep(std::move(bytes));
@@ -350,7 +350,7 @@ TEST(MessageTest, ShardMessagesSmallerThanIdCarryingFormat) {
         values.data(), congested.data(), nullptr, n, &bytes);
     Message latency;
     latency.payload = ShardLatencyUpdate{
-        TaskId(0u), 0, static_cast<std::uint32_t>(n),
+        0, 0, static_cast<std::uint32_t>(n),
         WireSlice(bytes.data() + lat_span.offset, lat_span.length)};
     Message price;
     price.payload = ShardPriceUpdate{

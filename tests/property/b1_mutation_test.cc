@@ -3,9 +3,10 @@
 // with the shard decoders over latency and price payloads.  The seeds are
 // valid encodings: engine checkpoints under plain, heavy-ball and Nesterov
 // dynamics, and shard messages in every word encoding, with stale bits on
-// and off.  A mutant applies bit flips, truncations and splices, or sets a
-// count, run, nnz, offset or size field (and sparse indices) to 0, 1,
-// count, count + 1, 2^32 - 1 or 2^64 - 1.  Three properties hold:
+// and off, plus a multi-task controller host's batch each way.  A mutant
+// applies bit flips, truncations and splices, or sets a count, run, nnz,
+// offset or size field (and sparse indices) to 0, 1, count, count + 1,
+// 2^32 - 1 or 2^64 - 1.  Three properties hold:
 //   - no mutant crashes, nor draws a report in a sanitizer build;
 //   - an image ParseSnapshotBinary accepts loads with its workload, or is
 //     refused only for its header shape;
@@ -164,7 +165,7 @@ net::Message LatencyMessage(const std::vector<double>& values,
   message.sender = 11;
   message.receiver = 6;
   message.payload = net::ShardLatencyUpdate{
-      TaskId(5u), 2, static_cast<std::uint32_t>(values.size()),
+      5, 2, static_cast<std::uint32_t>(values.size()),
       net::WireSlice(bytes->data(), bytes->size())};
   return message;
 }
@@ -186,9 +187,33 @@ net::Message PriceMessage(const std::vector<double>& mu,
   return message;
 }
 
+/// A controller host's batch: three tasks' entries concatenated in task
+/// order (4 distinct values, 9 in three runs, 6 zeros around one nonzero),
+/// so the 19 entries mix encodings and their bitsets span three bytes.
+std::vector<double> HostPayloadValues() {
+  const std::vector<std::vector<double>> values = PayloadValues();
+  std::vector<double> host(values[0].begin(), values[0].begin() + 4);
+  host.insert(host.end(), values[2].begin(), values[2].end());
+  host.insert(host.end(), values[4].begin() + 1, values[4].begin() + 7);
+  return host;
+}
+
 std::vector<Seed> MessageSeeds() {
   std::vector<Seed> seeds;
   std::string bytes;
+  // The multi-task host's batch each way; in the price one, a resource the
+  // second and third tasks both use is stale in both their entries.
+  const std::vector<double> host = HostPayloadValues();
+  seeds.push_back(MessageSeed(LatencyMessage(host, &bytes), kPayloadAt + 1));
+  std::vector<std::uint8_t> host_congested(host.size());
+  std::vector<std::uint8_t> host_stale(host.size());
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    host_congested[i] = i % 4 == 0 ? 1 : 0;
+    host_stale[i] = i == 6 || i == 15 ? 1 : 0;
+  }
+  seeds.push_back(MessageSeed(
+      PriceMessage(host, host_congested, &host_stale, &bytes),
+      kPayloadAt + 2));
   for (const std::vector<double>& values : PayloadValues()) {
     seeds.push_back(
         MessageSeed(LatencyMessage(values, &bytes), kPayloadAt + 1));

@@ -11,8 +11,13 @@
 // buses: zero-delay lossless, and a seeded one that drops and jitters
 // messages, whose randoms are drawn in send order — the order the lane
 // commit must reproduce.  The controllers' local solves gather lambda over
-// the same path-price CSR as the engine's solve.
+// the same path-price CSR as the engine's solve.  The host-width oracle
+// compares 2, 4 and 8 controller hosts (and shards) against one host per
+// task after every round.
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -156,6 +161,85 @@ TEST_P(ParallelRoundEquivalence, MomentumRoundsBitIdenticalAcrossThreads) {
     EXPECT_TRUE(SameDoubles(serial.assignment, parallel.assignment));
     EXPECT_EQ(0, std::memcmp(&serial.utility, &parallel.utility,
                              sizeof(double)));
+  }
+}
+
+TEST_P(ParallelRoundEquivalence, HostWidthRoundsBitIdenticalToOneHostPerTask) {
+  // The host-width oracle (DESIGN.md §7.10): num_shards = k groups the tasks
+  // into min(k, T) controller hosts as it groups the resources into
+  // min(k, R) shards, and each (host, shard) pair exchanges one message per
+  // round each way.  Every per-task and per-resource quantity is computed
+  // independently of both widths, so after every round mu, lambda, the
+  // latencies and the RoundStats at k = 2, 4 and 8 (hosts of 10, 5 and 2-3
+  // tasks) must equal those of one host per task and one shard per
+  // resource, bit for bit.
+  RandomWorkloadConfig workload_config;
+  workload_config.seed = GetParam();
+  workload_config.num_resources = 16;
+  workload_config.num_tasks = 20;
+  workload_config.min_subtasks = 3;
+  workload_config.max_subtasks = 8;
+  workload_config.target_utilization = 0.75;
+  auto workload = MakeRandomWorkload(workload_config);
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+
+  const auto config = [](int num_shards, int round_threads,
+                         DynamicsKind dynamics) {
+    CoordinatorConfig config;
+    config.step.gamma0 = 3.0;
+    config.bus = TestBus(/*lossy=*/false);
+    config.record_history = false;
+    config.num_shards = num_shards;
+    config.round_threads = round_threads;
+    config.dynamics.kind = dynamics;
+    config.dynamics.momentum = 0.7;
+    return config;
+  };
+  const auto same_stats = [](const RoundStats& a, const RoundStats& b) {
+    return a.round == b.round && a.feasible == b.feasible &&
+           std::memcmp(&a.at_ms, &b.at_ms, sizeof(double)) == 0 &&
+           std::memcmp(&a.total_utility, &b.total_utility,
+                       sizeof(double)) == 0 &&
+           std::memcmp(&a.max_resource_excess, &b.max_resource_excess,
+                       sizeof(double)) == 0 &&
+           std::memcmp(&a.max_path_ratio, &b.max_path_ratio,
+                       sizeof(double)) == 0;
+  };
+  const int kWidths[] = {2, 4, 8};
+  for (const DynamicsKind dynamics :
+       {DynamicsKind::kPlain, DynamicsKind::kHeavyBall,
+        DynamicsKind::kNesterov}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(ToString(dynamics)) +
+                   " round_threads=" + std::to_string(threads));
+      Coordinator reference(w, model, config(0, threads, dynamics));
+      ASSERT_EQ(reference.host_count(), w.task_count());
+      std::vector<std::unique_ptr<Coordinator>> hosted;
+      for (const int width : kWidths) {
+        hosted.push_back(std::make_unique<Coordinator>(
+            w, model, config(width, threads, dynamics)));
+        ASSERT_EQ(hosted.back()->host_count(),
+                  static_cast<std::size_t>(width));
+      }
+      for (int round = 0; round < 60; ++round) {
+        const RoundStats want = reference.RunSyncRound();
+        const PriceVector& prices = reference.CurrentPrices();
+        const Assignment latencies = reference.CurrentAssignment();
+        for (std::size_t i = 0; i < hosted.size(); ++i) {
+          SCOPED_TRACE("num_shards=" + std::to_string(kWidths[i]) +
+                       " round " + std::to_string(round));
+          const RoundStats got = hosted[i]->RunSyncRound();
+          ASSERT_TRUE(same_stats(got, want));
+          ASSERT_TRUE(SameDoubles(hosted[i]->CurrentPrices().mu, prices.mu));
+          ASSERT_TRUE(SameDoubles(hosted[i]->CurrentPrices().lambda,
+                                  prices.lambda));
+          ASSERT_TRUE(
+              SameDoubles(hosted[i]->CurrentAssignment(), latencies));
+        }
+      }
+    }
   }
 }
 

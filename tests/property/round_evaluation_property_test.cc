@@ -16,8 +16,8 @@
 // 1000-subtask instance of the scale family with one shard per resource,
 // 4 and 8 shards, round_threads 1 and 4, and plain, heavy-ball and Nesterov
 // mu dynamics; a model with additive corrections of both signs covers the
-// clamp; a controller crash, cold restart and snapshot restore pin that a
-// controller's slots always match its latencies.  The TSan copy in the
+// clamp; a task crash, cold restart and snapshot restore pin that a task's
+// slots always match its latencies.  The TSan copy in the
 // default ctest run keeps the 4-lane rounds only, under plain dynamics (the
 // dynamics change no lane's slots): lanes write disjoint slots of the one
 // shared workspace.
@@ -233,11 +233,13 @@ TEST(RoundEvaluationProperty, CorrectedModelRoundsAreTheEngineFill) {
 }
 
 TEST(RoundEvaluationProperty, ControllerSlotsFollowCrashAndRestarts) {
-  // After each fault call, the controller's latencies, its checkpoint and
-  // the task's slice of CurrentAssignment() agree, and its utility and path
-  // slots are the scalar oracles' values of that slice.  The rounds between
-  // the calls still match the engine fill: a crashed controller neither
-  // solves nor sends, and a restarted one sends what it solves.
+  // After each fault call, the task's latencies in its host, its checkpoint
+  // and the task's slice of CurrentAssignment() agree, and its utility and
+  // path slots are the scalar oracles' values of that slice.  The rounds
+  // between the calls still match the engine fill: a crashed task neither
+  // solves nor moves its latencies (its host sends them frozen), and a
+  // restarted one sends what it solves.  At 4 shards the task shares its
+  // host with five others.
   const Workload w = BenchmarkShape(2);
   const LatencyModel model(w);
   const TaskId task(5u);
@@ -265,7 +267,7 @@ TEST(RoundEvaluationProperty, ControllerSlotsFollowCrashAndRestarts) {
           assignment.begin() + info.subtasks.front().value(),
           assignment.begin() + info.subtasks.back().value() + 1);
       const std::span<const double> live =
-          coordinator.controller(task).latencies();
+          coordinator.controller(task).latencies(task);
       EXPECT_TRUE(
           SameDoubles(slice, std::vector<double>(live.begin(), live.end())));
       EXPECT_TRUE(SameDoubles(

@@ -255,8 +255,9 @@ TEST(DistributedDynamicsTest, ControllerSnapshotHoldsOneEntryPerUsedResource) {
     ASSERT_EQ(snapshot.resource_epoch.size(), used.size());
     std::size_t k = 0;
     for (const ResourceId r : used) {
-      EXPECT_EQ(snapshot.mu[k], controller.mu_seen(r));
-      EXPECT_EQ(snapshot.resource_epoch[k], controller.mu_epoch_seen(r));
+      EXPECT_EQ(snapshot.mu[k], controller.mu_seen(task.id, r));
+      EXPECT_EQ(snapshot.resource_epoch[k],
+                controller.mu_epoch_seen(task.id, r));
       ++k;
     }
   }
@@ -295,7 +296,8 @@ TEST(DistributedDynamicsTest, SnapshotRestoreSupersedesRepairExchange) {
   // round's.
   EXPECT_EQ(host.epoch(), epoch_before + 1);
   for (SubtaskId sid : w.resource(victim).subtasks) {
-    EXPECT_EQ(coordinator.controller(w.subtask(sid).task).mu_epoch_seen(victim),
+    const TaskId client = w.subtask(sid).task;
+    EXPECT_EQ(coordinator.controller(client).mu_epoch_seen(client, victim),
               epoch_before + 1);
   }
 }
@@ -397,6 +399,8 @@ TEST(DistributedDynamicsDeathTest, FaultInjectionRejectsOutOfRangeIds) {
                "RestartEndpoint: task id 8 is out of range");
   EXPECT_DEATH(coordinator.CheckpointController(bad_task),
                "CheckpointController: task id 8 is out of range");
+  EXPECT_DEATH(coordinator.controller(bad_task),
+               "controller: task id 8 is out of range");
 }
 
 // The shard agents step mu with the configured beta, so the coordinator

@@ -541,7 +541,10 @@ TEST(FailureRecoveryTest, ShardedResourcePartitionHealsAndReconverges) {
 // The shard decoders are the only validation on the delivery path: a shard
 // update with a count that disagrees with the static binding, or with a
 // payload that does not decode, is counted in recovery.malformed_rejected
-// and leaves the receiver's state untouched.
+// and leaves the receiver's state untouched.  One shard and one controller
+// host run the whole workload, so each batch concatenates the entries of
+// all three tasks, and a count one task's entries short or long is
+// malformed.
 TEST(MalformedMessageTest, RejectedShardUpdatesAreCountedAndIgnored) {
   auto workload = MakeSimWorkload();
   ASSERT_TRUE(workload.ok());
@@ -554,29 +557,45 @@ TEST(MalformedMessageTest, RejectedShardUpdatesAreCountedAndIgnored) {
   config.num_shards = 1;
   config.metrics = &metrics;
   Coordinator coordinator(w, model, config);
+  ASSERT_EQ(coordinator.host_count(), 1u);
+  ASSERT_EQ(coordinator.controller(w.tasks().front().id).task_count(),
+            w.task_count());
+  ASSERT_GE(w.task_count(), 2u);
   coordinator.RunSync(50);  // nonzero prices and latencies to protect
 
   net::InProcessBus& bus = coordinator.bus();
   const net::EndpointId injector = bus.Register("injector", nullptr);
-  const TaskInfo& task = w.tasks().front();
   net::EndpointId controller = injector, shard = injector;
   for (net::EndpointId id = 0; id < injector; ++id) {
-    if (bus.endpoint_name(id) == "controller/" + task.name) controller = id;
+    if (bus.endpoint_name(id) == "controller/0") controller = id;
     if (bus.endpoint_name(id) == "shard/0") shard = id;
   }
   ASSERT_NE(controller, injector);
   ASSERT_NE(shard, injector);
 
-  std::vector<ResourceId> used;
-  for (const SubtaskId sid : task.subtasks) {
-    used.push_back(w.subtask(sid).resource);
+  // The host's positional lists for the one shard: each task's used
+  // resources (prices) and its subtasks (latencies), concatenated.
+  std::vector<std::vector<ResourceId>> used;
+  std::size_t price_entries = 0;
+  for (const TaskInfo& task : w.tasks()) {
+    std::vector<ResourceId>& resources = used.emplace_back();
+    for (const SubtaskId sid : task.subtasks) {
+      resources.push_back(w.subtask(sid).resource);
+    }
+    std::sort(resources.begin(), resources.end());
+    resources.erase(std::unique(resources.begin(), resources.end()),
+                    resources.end());
+    price_entries += resources.size();
   }
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
+  const std::size_t latency_entries = w.subtask_count();
+  const std::size_t task_prices = used.front().size();
+  const std::size_t task_latencies = w.tasks().front().subtasks.size();
   const auto mu_seen = [&] {
     std::vector<double> mu;
-    for (const ResourceId r : used) {
-      mu.push_back(coordinator.controller(task.id).mu_seen(r));
+    for (const TaskInfo& task : w.tasks()) {
+      for (const ResourceId r : used[task.id.value()]) {
+        mu.push_back(coordinator.controller(task.id).mu_seen(task.id, r));
+      }
     }
     return mu;
   };
@@ -612,31 +631,228 @@ TEST(MalformedMessageTest, RejectedShardUpdatesAreCountedAndIgnored) {
         net::WireSlice(payload.data(), payload.size())};
     bus.Send(message);
   };
-  const std::uint64_t rejected_before =
-      CounterValue(&metrics, "recovery.malformed_rejected");
-  send_price(used.size() + 1, -1);  // wrong count, payload decodes
-  send_price(used.size(), 1);       // [flags][encoding]: corrupt encoding
-  {
+  const auto send_latency = [&](std::size_t count, int corrupt_at) {
     std::string payload;
-    const std::vector<double> latencies(task.subtasks.size(), 1e6);
-    net::AppendShardLatencyPayload(latencies.data(), latencies.size(),
-                                   &payload);
-    payload[0] = 0x7f;  // [encoding]: corrupt encoding
+    const std::vector<double> latencies(count, 1e6);
+    net::AppendShardLatencyPayload(latencies.data(), count, &payload);
+    if (corrupt_at >= 0) payload[corrupt_at] = 0x7f;
     net::Message message;
     message.sender = injector;
     message.receiver = shard;
     message.payload = net::ShardLatencyUpdate{
-        task.id, 0, static_cast<std::uint32_t>(latencies.size()),
+        0, 0, static_cast<std::uint32_t>(count),
         net::WireSlice(payload.data(), payload.size())};
     bus.Send(message);
-  }
+  };
+  const std::uint64_t rejected_before =
+      CounterValue(&metrics, "recovery.malformed_rejected");
+  send_price(price_entries - task_prices, -1);  // one task's entries short
+  send_price(price_entries + task_prices, -1);  // one task's entries long
+  send_price(price_entries, 1);  // [flags][encoding]: corrupt encoding
+  send_latency(latency_entries - task_latencies, -1);
+  send_latency(latency_entries + task_latencies, -1);
+  send_latency(latency_entries, 0);  // [encoding]: corrupt encoding
   bus.RunAll();
 
   EXPECT_EQ(bus.stats().dropped, 0u);
   EXPECT_EQ(CounterValue(&metrics, "recovery.malformed_rejected"),
-            rejected_before + 3);
+            rejected_before + 6);
   EXPECT_EQ(mu_seen(), mu_before);
   EXPECT_EQ(shard_latencies(), latencies_before);
+
+  // The counts were the binding's: the well-formed batch applies to every
+  // task's entries.
+  send_price(price_entries, -1);
+  bus.RunAll();
+  EXPECT_EQ(CounterValue(&metrics, "recovery.malformed_rejected"),
+            rejected_before + 6);
+  EXPECT_EQ(mu_seen(), std::vector<double>(price_entries, 1e6));
+}
+
+// --- One task inside a controller host of three (DESIGN.md §7.7, §7.10):
+// the mirror of one resource inside its shard.  Four hosts of three tasks
+// and four shards of four resources run the dense 12-task workload.
+
+CoordinatorConfig HostedTaskConfig(obs::MetricRegistry* metrics,
+                                   obs::TraceSink* sink = nullptr,
+                                   DynamicsKind dynamics =
+                                       DynamicsKind::kPlain) {
+  CoordinatorConfig config;
+  config.step.gamma0 = 3.0;
+  config.bus.base_delay_ms = 0.0;
+  config.num_shards = 4;
+  config.dynamics.kind = dynamics;
+  config.dynamics.momentum = 0.7;
+  // Tighter than the default 1e-5 so both runs settle close enough for the
+  // 1e-6-relative utility comparison.
+  config.convergence.rel_tol = 1e-8;
+  config.metrics = metrics;
+  config.trace_sink = sink;
+  return config;
+}
+
+// The task in the middle of host 1 (tasks 3, 4 and 5).
+constexpr TaskId kHostedVictim(4u);
+
+// A crashed task is frozen inside its host: it neither solves, nor steps
+// lambda, nor absorbs prices, and its latency entries keep going out, so
+// the host sends as many messages as before.  Its host-mates keep stepping.
+TEST(CrashRestartTest, CrashedTaskFreezesInsideItsHost) {
+  auto workload = FourShardWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+  obs::MetricRegistry metrics;
+  Coordinator coordinator(w, model, HostedTaskConfig(&metrics));
+  ASSERT_EQ(coordinator.host_count(), 4u);
+  const TaskController& host = coordinator.controller(kHostedVictim);
+  ASSERT_EQ(host.task_count(), 3u);
+  std::vector<TaskId> mates;
+  for (const TaskInfo& task : w.tasks()) {
+    if (task.id != kHostedVictim && host.Hosts(task.id)) {
+      mates.push_back(task.id);
+    }
+  }
+  ASSERT_EQ(mates.size(), 2u);
+
+  for (int round = 0; round < 30; ++round) coordinator.RunSyncRound();
+  const net::BusStats before = coordinator.bus().stats();
+  coordinator.RunSyncRound();
+  const std::uint64_t per_round = coordinator.bus().stats().sent - before.sent;
+
+  const TaskControllerSnapshot at_crash =
+      coordinator.CheckpointController(kHostedVictim);
+  std::vector<TaskControllerSnapshot> mates_at_crash;
+  for (const TaskId mate : mates) {
+    mates_at_crash.push_back(coordinator.CheckpointController(mate));
+  }
+  coordinator.CrashEndpoint(kHostedVictim);
+  EXPECT_TRUE(host.task_crashed(kHostedVictim));
+  const net::BusStats crashed_before = coordinator.bus().stats();
+  for (int round = 0; round < 5; ++round) coordinator.RunSyncRound();
+  EXPECT_EQ(coordinator.bus().stats().sent - crashed_before.sent,
+            5 * per_round);
+
+  const TaskControllerSnapshot frozen =
+      coordinator.CheckpointController(kHostedVictim);
+  EXPECT_EQ(frozen.local_latencies, at_crash.local_latencies);
+  EXPECT_EQ(frozen.local_lambdas, at_crash.local_lambdas);
+  EXPECT_EQ(frozen.path_gamma_multiplier, at_crash.path_gamma_multiplier);
+  EXPECT_EQ(frozen.mu, at_crash.mu);
+  EXPECT_EQ(frozen.resource_congested, at_crash.resource_congested);
+  EXPECT_EQ(frozen.resource_epoch, at_crash.resource_epoch);
+  // The shards hold the frozen latencies the host keeps sending.
+  for (std::size_t i = 0; i < w.task(kHostedVictim).subtasks.size(); ++i) {
+    const SubtaskId sid = w.task(kHostedVictim).subtasks[i];
+    const ResourceId r = w.subtask(sid).resource;
+    const std::vector<SubtaskId>& hosted = w.resource(r).subtasks;
+    const std::size_t slot =
+        std::find(hosted.begin(), hosted.end(), sid) - hosted.begin();
+    EXPECT_EQ(coordinator.CheckpointResource(r).latencies_ms[slot],
+              at_crash.local_latencies[i]);
+  }
+  // Each host-mate absorbed all five broadcasts and solved again.
+  for (std::size_t m = 0; m < mates.size(); ++m) {
+    SCOPED_TRACE(::testing::Message() << "mate " << mates[m].value());
+    const TaskControllerSnapshot now =
+        coordinator.CheckpointController(mates[m]);
+    for (std::size_t k = 0; k < now.resource_epoch.size(); ++k) {
+      EXPECT_EQ(now.resource_epoch[k],
+                mates_at_crash[m].resource_epoch[k] + 5);
+    }
+    EXPECT_NE(now.local_latencies, mates_at_crash[m].local_latencies);
+  }
+}
+
+// Cold restart of one task inside its host: its state resets, the host's
+// endpoint bumps its incarnation, and the deployment re-converges to the
+// no-failure utility.
+TEST(CrashRestartTest, ShardedColdRestartOfOneTaskReconverges) {
+  auto workload = FourShardWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+
+  obs::MetricRegistry ref_metrics;
+  Coordinator reference(w, model, HostedTaskConfig(&ref_metrics));
+  ASSERT_TRUE(reference.RunSync(4000).converged);
+  const double no_failure = reference.CurrentUtility();
+
+  obs::MetricRegistry metrics;
+  EventCollector events;
+  Coordinator coordinator(w, model, HostedTaskConfig(&metrics, &events));
+  for (int round = 0; round < 30; ++round) coordinator.RunSyncRound();
+  const TaskController& host = coordinator.controller(kHostedVictim);
+  coordinator.CrashEndpoint(kHostedVictim);
+  for (int round = 0; round < 5; ++round) coordinator.RunSyncRound();
+
+  coordinator.RestartEndpoint(kHostedVictim);  // cold: the task's state is lost
+  EXPECT_FALSE(host.task_crashed(kHostedVictim));
+  const TaskControllerSnapshot cold =
+      coordinator.CheckpointController(kHostedVictim);
+  for (const double latency : cold.local_latencies) EXPECT_EQ(latency, 0.0);
+  for (const double lambda : cold.local_lambdas) EXPECT_EQ(lambda, 0.0);
+  for (const double mu : cold.mu) EXPECT_EQ(mu, 0.0);
+
+  const RunResult recovered = coordinator.RunSync(4000);
+  EXPECT_TRUE(recovered.converged);
+  EXPECT_TRUE(coordinator.CurrentFeasibility().feasible);
+  EXPECT_NEAR(coordinator.CurrentUtility(), no_failure,
+              1e-6 * std::fabs(no_failure));
+  EXPECT_EQ(CounterValue(&metrics, "recovery.restarts"), 1u);
+  EXPECT_EQ(std::count(events.types.begin(), events.types.end(),
+                       "recovery.crash"),
+            1);
+  EXPECT_EQ(std::count(events.types.begin(), events.types.end(),
+                       "recovery.restart"),
+            1);
+}
+
+// Snapshot restart of one task inside its host, under heavy-ball mu
+// dynamics: the task comes back exactly as checkpointed, with no repair,
+// and the deployment re-converges to the no-failure utility.
+TEST(CrashRestartTest, ShardedCheckpointRestartOfOneTaskReconverges) {
+  auto workload = FourShardWorkload();
+  ASSERT_TRUE(workload.ok()) << workload.error();
+  const Workload& w = workload.value();
+  LatencyModel model(w);
+
+  obs::MetricRegistry ref_metrics;
+  Coordinator reference(w, model,
+                        HostedTaskConfig(&ref_metrics, nullptr,
+                                         DynamicsKind::kHeavyBall));
+  ASSERT_TRUE(reference.RunSync(4000).converged);
+  const double no_failure = reference.CurrentUtility();
+
+  obs::MetricRegistry metrics;
+  Coordinator coordinator(
+      w, model,
+      HostedTaskConfig(&metrics, nullptr, DynamicsKind::kHeavyBall));
+  for (int round = 0; round < 30; ++round) coordinator.RunSyncRound();
+  const TaskControllerSnapshot snapshot =
+      coordinator.CheckpointController(kHostedVictim);
+  EXPECT_EQ(snapshot.task, kHostedVictim);
+
+  coordinator.CrashEndpoint(kHostedVictim);
+  for (int round = 0; round < 5; ++round) coordinator.RunSyncRound();
+  coordinator.RestartEndpoint(kHostedVictim, snapshot);
+  EXPECT_FALSE(
+      coordinator.controller(kHostedVictim).task_crashed(kHostedVictim));
+  const TaskControllerSnapshot restored =
+      coordinator.CheckpointController(kHostedVictim);
+  EXPECT_EQ(restored.local_latencies, snapshot.local_latencies);
+  EXPECT_EQ(restored.local_lambdas, snapshot.local_lambdas);
+  EXPECT_EQ(restored.path_gamma_multiplier, snapshot.path_gamma_multiplier);
+  EXPECT_EQ(restored.mu, snapshot.mu);
+  EXPECT_EQ(restored.resource_congested, snapshot.resource_congested);
+  EXPECT_EQ(restored.resource_epoch, snapshot.resource_epoch);
+
+  ASSERT_TRUE(coordinator.RunSync(4000).converged);
+  EXPECT_TRUE(coordinator.CurrentFeasibility().feasible);
+  EXPECT_NEAR(coordinator.CurrentUtility(), no_failure,
+              1e-6 * std::fabs(no_failure));
+  EXPECT_EQ(CounterValue(&metrics, "recovery.restarts"), 1u);
+  EXPECT_EQ(CounterValue(&metrics, "recovery.repair_rounds"), 0u);
 }
 
 }  // namespace

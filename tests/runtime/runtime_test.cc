@@ -225,7 +225,7 @@ TEST(RuntimeTest, ControllerSeesResourcePrices) {
   for (const TaskInfo& task : w.tasks()) {
     for (SubtaskId sid : task.subtasks) {
       const ResourceId r = w.subtask(sid).resource;
-      EXPECT_NEAR(coordinator.controller(task.id).mu_seen(r),
+      EXPECT_NEAR(coordinator.controller(task.id).mu_seen(task.id, r),
                   coordinator.shard_of(r).mu(r), 1e-9);
     }
   }
@@ -254,8 +254,9 @@ TEST(RuntimeTest, CurrentPricesMatchesAgentState) {
   EXPECT_GT(total, 0.0);
 }
 
-// One task controller of the paper workload on its own bus, with one shard
-// endpoint per resource that decodes every latency update it receives.  A
+// One task of the paper workload on its own controller host and bus, with
+// one shard endpoint per resource that decodes every latency update it
+// receives.  A
 // payload view is valid for its handler call only, so the handler keeps the
 // decoded values, not the message.
 struct LoneController {
@@ -270,7 +271,7 @@ struct LoneController {
                StepSchedule(StepPolicyKind::kAdaptive, 3.0,
                             kDefaultStepMultiplierCap,
                             kDefaultDiminishingTau)),
-        controller(w, model, task, &shared),
+        controller(w, task.value(), task, 1, &shared),
         bus([&] {
           net::BusConfig config;
           config.base_delay_ms = base_delay_ms;
@@ -347,7 +348,7 @@ TEST(RuntimeTest, InFlightMessagesKeepTheirWireArena) {
     for (std::size_t i = 0; i < task.subtasks.size(); ++i) {
       const ResourceId r = w.subtask(task.subtasks[i]).resource;
       by_shard[lone.shard_endpoints[r.value()]].push_back(
-          lone.controller.latencies()[i]);
+          lone.controller.latencies(task.id)[i]);
     }
     return by_shard;
   };
@@ -406,13 +407,13 @@ TEST(RuntimeTest, PathStepDoublesExactlyOnPathsThroughACongestedResource) {
   }
 }
 
-// Routing ids come off the wire.  A shard message naming a task or a shard
-// outside the receiver's routing table (all ones, or one past the last id),
-// or one inside it that has no entries there, is a misroute: ignored, not
-// counted as malformed, and read without leaving the table (the ASan build
-// checks the reads).  Each misrouted message is sent once per entry count
-// the receiver's real peers use, so a wrong lookup would find a count that
-// matches and apply the payload.
+// Routing ids come off the wire.  A shard message naming a controller host
+// or a shard outside the receiver's routing table (all ones, or one past
+// the last id), or one inside it that has no entries there, is a misroute:
+// ignored, not counted as malformed, and read without leaving the table
+// (the ASan build checks the reads).  Each misrouted message is sent once
+// per entry count the receiver's real peers use, so a wrong lookup would
+// find a count that matches and apply the payload.
 struct MisrouteHarness {
   explicit MisrouteHarness(std::uint64_t seed)
       : workload([&] {
@@ -466,17 +467,18 @@ struct MisrouteHarness {
 TEST(RuntimeTest, ShardAgentIgnoresLatencyUpdatesOfUnknownTasks) {
   MisrouteHarness h(/*seed=*/3);
   const Workload& w = h.workload;
-  // A shard whose first and last client tasks leave a non-client between
-  // them, so one misroute falls inside the table.
+  // A shard whose first and last client hosts leave a non-client between
+  // them, so one misroute falls inside the table (one host per task, so
+  // host ids are task ids).
   std::uint32_t shard = 0;
   TaskId stranger;
   bool found = false;
   for (std::uint32_t s = 0; s < w.resource_count() && !found; ++s) {
-    const std::vector<TaskId>& clients =
-        h.coordinator.shard_agent(s).client_tasks();
+    const std::vector<std::uint32_t>& clients =
+        h.coordinator.shard_agent(s).client_hosts();
     if (clients.empty()) continue;
-    for (std::uint32_t t = clients.front().value();
-         t < clients.back().value() && !found; ++t) {
+    for (std::uint32_t t = clients.front(); t < clients.back() && !found;
+         ++t) {
       if (h.Hosted(TaskId(t), s) == 0) {
         shard = s;
         stranger = TaskId(t);
@@ -486,8 +488,9 @@ TEST(RuntimeTest, ShardAgentIgnoresLatencyUpdatesOfUnknownTasks) {
   }
   ASSERT_TRUE(found);
   std::set<std::uint32_t> counts;
-  for (const TaskId client : h.coordinator.shard_agent(shard).client_tasks()) {
-    counts.insert(h.Hosted(client, shard));
+  for (const std::uint32_t client :
+       h.coordinator.shard_agent(shard).client_hosts()) {
+    counts.insert(h.Hosted(TaskId(client), shard));
   }
   const ResourceId resource(shard);
   const ResourceAgentSnapshot before =
@@ -507,8 +510,7 @@ TEST(RuntimeTest, ShardAgentIgnoresLatencyUpdatesOfUnknownTasks) {
       message.sender = h.injector;
       message.receiver = h.endpoints.at("shard/" + std::to_string(shard));
       message.payload = net::ShardLatencyUpdate{
-          TaskId(task), shard, count,
-          net::WireSlice(payload.data(), payload.size())};
+          task, shard, count, net::WireSlice(payload.data(), payload.size())};
       h.Deliver(message);
       const ResourceAgentSnapshot after =
           h.coordinator.CheckpointResource(resource);
@@ -546,9 +548,9 @@ TEST(RuntimeTest, TaskControllerIgnoresPriceUpdatesOfUnusedShards) {
   ASSERT_TRUE(found);
   // One resource per used shard: every price update carries one entry.
   const TaskController& controller = h.coordinator.controller(task);
-  const TaskControllerSnapshot before = controller.Snapshot();
-  const std::vector<double> latencies_before(controller.latencies().begin(),
-                                             controller.latencies().end());
+  const TaskControllerSnapshot before = controller.SnapshotTask(task);
+  const std::vector<double> latencies_before(
+      controller.latencies(task).begin(), controller.latencies(task).end());
   const std::uint64_t malformed = h.Malformed();
 
   for (const std::uint32_t shard :
@@ -562,17 +564,17 @@ TEST(RuntimeTest, TaskControllerIgnoresPriceUpdatesOfUnusedShards) {
     net::Message message;
     message.sender = h.injector;
     message.receiver =
-        h.endpoints.at("controller/" + w.task(task).name);
+        h.endpoints.at("controller/" + std::to_string(controller.host()));
     message.payload = net::ShardPriceUpdate{
         shard, 1u << 30, 1, net::WireSlice(payload.data(), payload.size())};
     h.Deliver(message);
-    const TaskControllerSnapshot after = controller.Snapshot();
+    const TaskControllerSnapshot after = controller.SnapshotTask(task);
     EXPECT_EQ(after.mu, before.mu);
     EXPECT_EQ(after.resource_congested, before.resource_congested);
     EXPECT_EQ(after.resource_epoch, before.resource_epoch);
     EXPECT_EQ(after.local_lambdas, before.local_lambdas);
-    EXPECT_EQ(std::vector<double>(controller.latencies().begin(),
-                                  controller.latencies().end()),
+    EXPECT_EQ(std::vector<double>(controller.latencies(task).begin(),
+                                  controller.latencies(task).end()),
               latencies_before);
     EXPECT_EQ(h.Malformed(), malformed);
   }

@@ -1,10 +1,11 @@
-// Sharded-coordinator pins (DESIGN.md §7.10).  A multi-resource shard
-// batches its prices into one message and applies them as one contiguous
-// vector write, so in synchronous rounds it must be *numerically identical*
-// to the default one-shard-per-resource deployment — same fixed point, same
-// per-round prices — while sending strictly fewer messages.
+// Sharded-coordinator pins (DESIGN.md §7.10).  num_shards = k groups the
+// resources into shards and the tasks into controller hosts, and every
+// (host, shard) pair batches its entries into one message each way, so in
+// synchronous rounds the deployment must be *numerically identical* to the
+// default one shard per resource and one host per task — same fixed point,
+// same per-round prices — while sending strictly fewer messages.
 // Message counts are asserted exactly against the combinatorial expectation
-// (Σ_task used-shards + Σ_shard client-tasks), not just "smaller".
+// (Σ_host used-shards + Σ_shard client-hosts), not just "smaller".
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -21,8 +22,9 @@ namespace lla::runtime {
 namespace {
 
 // Dense workload: each task touches 12-16 of 16 resources, so with 4 shards
-// every task's per-resource fan-out collapses ~4x.  A sparse workload would
-// still be correct but would make the message-count contrast weak.
+// and 4 hosts of 3 tasks the per-resource fan-out collapses ~12x.  A sparse
+// workload would still be correct but would make the message-count
+// contrast weak.
 RandomWorkloadConfig DenseConfig() {
   RandomWorkloadConfig config;
   config.seed = 7;
@@ -94,10 +96,22 @@ TEST(ShardedCoordinator, ShardsPartitionResourcesContiguously) {
   }
   EXPECT_EQ(covered, w.resource_count());
 
-  // Requesting more shards than resources clamps instead of creating
-  // empty shards.
+  // The tasks, likewise: 4 hosts of 3 contiguous tasks each.
+  ASSERT_EQ(coordinator.host_count(), 4u);
+  std::uint32_t previous_host = 0;
+  for (const TaskInfo& task : w.tasks()) {
+    const TaskController& host = coordinator.controller(task.id);
+    EXPECT_TRUE(host.Hosts(task.id));
+    EXPECT_EQ(host.task_count(), 3u);
+    EXPECT_GE(host.host(), previous_host) << "hosts must be contiguous";
+    previous_host = host.host();
+  }
+
+  // Requesting more shards than resources (or tasks) clamps instead of
+  // creating empty shards (or hosts).
   Coordinator clamped(w, model, ShardedConfig(64));
   EXPECT_EQ(clamped.shard_count(), w.resource_count());
+  EXPECT_EQ(clamped.host_count(), w.task_count());
 }
 
 TEST(ShardedCoordinator, RoundMessageCountMatchesShardCombinatorics) {
@@ -120,34 +134,38 @@ TEST(ShardedCoordinator, RoundMessageCountMatchesShardCombinatorics) {
     }
   }
 
-  // Per steady round: every controller sends one latency update per used
-  // resource (classic) or per used shard (sharded); every price owner sends
-  // one price update per client task.
+  // Per steady round: every controller host sends one latency update per
+  // used resource (one host per task, one shard per resource) or per used
+  // shard (sharded); every price owner sends one price update per client
+  // host.
   std::uint64_t expect_unsharded = 0;
   std::uint64_t expect_sharded = 0;
-  std::vector<std::set<TaskId>> shard_clients(sharded.shard_count());
+  std::vector<std::set<std::uint32_t>> host_shards(sharded.host_count());
+  std::vector<std::set<std::uint32_t>> shard_clients(sharded.shard_count());
   std::vector<std::set<TaskId>> resource_clients(w.resource_count());
   for (const TaskInfo& task : w.tasks()) {
+    const std::uint32_t host = sharded.controller(task.id).host();
     std::set<ResourceId> used_resources;
-    std::set<std::uint32_t> used_shards;
     for (SubtaskId s : task.subtasks) {
       const ResourceId r = w.subtask(s).resource;
       used_resources.insert(r);
-      used_shards.insert(owner[r.value()]);
+      host_shards[host].insert(owner[r.value()]);
       resource_clients[r.value()].insert(task.id);
-      shard_clients[owner[r.value()]].insert(task.id);
+      shard_clients[owner[r.value()]].insert(host);
     }
     expect_unsharded += used_resources.size();
-    expect_sharded += used_shards.size();
   }
   for (const auto& clients : resource_clients) {
     expect_unsharded += clients.size();
   }
+  for (const auto& shards : host_shards) expect_sharded += shards.size();
   for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
     expect_sharded += shard_clients[s].size();
-    EXPECT_EQ(sharded.shard_agent(s).client_tasks().size(),
+    EXPECT_EQ(sharded.shard_agent(s).client_hosts().size(),
               shard_clients[s].size());
   }
+  // At most one message per (host, shard) pair each way.
+  EXPECT_LE(expect_sharded, 2u * 4u * 4u);
   ASSERT_LT(expect_sharded, expect_unsharded);
 
   const int kRounds = 5;

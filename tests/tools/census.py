@@ -37,9 +37,9 @@ KEEP = {
     "lla::StrongId<lla::ResourceTag>, double)",
     # Observers.
     "lla::runtime::TaskController::mu_seen("
-    "lla::StrongId<lla::ResourceTag>) const",
+    "lla::StrongId<lla::TaskTag>, lla::StrongId<lla::ResourceTag>) const",
     "lla::runtime::TaskController::mu_epoch_seen("
-    "lla::StrongId<lla::ResourceTag>) const",
+    "lla::StrongId<lla::TaskTag>, lla::StrongId<lla::ResourceTag>) const",
     "lla::net::InProcessBus::DeliverNext()",
     "lla::net::InProcessBus::IsBlackedOut(unsigned int) const",
     "lla::net::Outbox::message(unsigned long) const",

@@ -601,6 +601,18 @@ TEST(CliTest, SimulateMarksTasksWithoutJobs) {
   }
   EXPECT_NE(fast.find(" ok"), std::string::npos) << out;
   EXPECT_NE(slow.find("no jobs"), std::string::npos) << out;
+  // The task without jobs prints `-` for p50, p95 and p99, not a 0.00 that
+  // reads like a measurement; the task with jobs prints numbers.
+  std::istringstream slow_columns(slow), fast_columns(fast);
+  std::string name, p50, p95, p99;
+  slow_columns >> name >> p50 >> p95 >> p99;
+  EXPECT_EQ(p50, "-") << slow;
+  EXPECT_EQ(p95, "-") << slow;
+  EXPECT_EQ(p99, "-") << slow;
+  EXPECT_EQ(slow.find("0.00"), std::string::npos) << slow;
+  fast_columns >> name >> p50 >> p95 >> p99;
+  EXPECT_NE(p50, "-") << fast;
+  EXPECT_GT(std::stod(p99), 0.0) << fast;
   std::remove(path.c_str());
 }
 

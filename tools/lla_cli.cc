@@ -621,9 +621,14 @@ int Simulate(const Workload& w, double seconds, const Options& options) {
               "p99(ms)", "deadline");
   for (const TaskInfo& task : w.tasks()) {
     const auto& q = result.task_latencies[task.id.value()];
-    const char* verdict = q.count() == 0 ? "no jobs"
-                          : q.Value(0.99) <= task.critical_time_ms ? "ok"
-                                                                   : "MISS";
+    if (q.count() == 0) {
+      // No latency was recorded, so there is no percentile to print.
+      std::printf("%-24s %10s %10s %10s %12.1f  no jobs\n", task.name.c_str(),
+                  "-", "-", "-", task.critical_time_ms);
+      continue;
+    }
+    const char* verdict =
+        q.Value(0.99) <= task.critical_time_ms ? "ok" : "MISS";
     std::printf("%-24s %10.2f %10.2f %10.2f %12.1f  %s\n",
                 task.name.c_str(), q.Value(0.50), q.Value(0.95),
                 q.Value(0.99), task.critical_time_ms, verdict);
